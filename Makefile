@@ -11,7 +11,8 @@ BENCHTIME ?= 1x
 # the determinism analyzers (notime, norand, maporder) gate them.
 LINT_PKGS = ./internal/netsim ./internal/asic ./internal/tcpu ./internal/faults ./internal/guard \
 	./internal/core ./internal/endhost ./internal/inband ./internal/reflex \
-	./internal/fabric ./internal/fabric/scenario ./internal/fabric/yamlite
+	./internal/fabric ./internal/fabric/scenario ./internal/fabric/yamlite \
+	./internal/mem ./internal/agent
 
 # Packages that handle pooled packets; the poollife ownership analyzer
 # (use-after-Recycle, double-Recycle, retain-without-Adopt,

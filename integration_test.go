@@ -9,6 +9,7 @@ import (
 	"repro/internal/asic"
 	"repro/internal/core"
 	"repro/internal/endhost"
+	"repro/internal/guard"
 	"repro/internal/mem"
 	"repro/internal/ndb"
 	"repro/internal/netsim"
@@ -28,6 +29,7 @@ func TestMultipleTasksCoexist(t *testing.T) {
 	// Dumbbell with a 10 Mb/s bottleneck.
 	swCfg := asic.Config{Ports: 10, QueueCapBytes: 125_000}
 	a := n.AddSwitch(swCfg)
+	swCfg.Guard = true // b also hosts a tenant; operator tasks run on it unchanged
 	b := n.AddSwitch(swCfg)
 	aPort, _ := n.LinkSwitches(a, b, topo.Mbps(10, 10*netsim.Millisecond))
 	edge := topo.Mbps(100, netsim.Millisecond)
@@ -66,6 +68,13 @@ func TestMultipleTasksCoexist(t *testing.T) {
 	if err := ag.SeedScratchFunc(rcpTask, 0, func(sw *asic.Switch, port int) uint32 {
 		return sw.Port(port).Channel().RateBytes()
 	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A tenant partition on b, carved by the same allocator after the
+	// agent's congruent task regions.
+	grant, err := b.GrantTenant(7, guard.DefaultACL(), 32, 0, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,8 +160,14 @@ func TestMultipleTasksCoexist(t *testing.T) {
 
 	// Isolation: the accounting region and the RCP rate registers are
 	// disjoint; the counter value never leaked into a rate register.
-	if owner, ok := b.Allocator().Owner(acctTask.Region.Base); !ok || owner != "accounting" {
+	if owner, ok := b.Allocator().Owner(acctTask.Region.Base); !ok || owner != (mem.Owner{Task: "accounting"}) {
 		t.Fatal("SRAM ownership lost")
+	}
+	if owner, ok := b.Allocator().Owner(grant.Partition.Base); !ok || owner != (mem.Owner{Tenant: 7}) {
+		t.Fatalf("tenant partition owner = %v, %v", owner, ok)
+	}
+	if grant.Partition.Base < acctTask.Region.End() {
+		t.Fatalf("tenant partition %+v overlaps the accounting region %+v", grant.Partition, acctTask.Region)
 	}
 	if reg := a.Port(aPort).Scratch(0); reg == 40 {
 		t.Fatal("rate register holds the counter value: state collided")

@@ -69,12 +69,17 @@ func (a *Agent) Register(name string, sramWords, scratchWords int) (Task, error)
 		// fail and roll back.
 		for i, sw := range a.switches {
 			r, err := sw.Allocator().Alloc(name, sramWords)
-			if err != nil || (i > 0 && r != region) {
-				for _, prev := range a.switches[:i+1] {
+			// A failed Alloc left switch i untouched (it may hold a
+			// foreign region under this name); only a diverging one
+			// succeeded there and needs undoing too.
+			rollback := a.switches[:i]
+			if err == nil && i > 0 && r != region {
+				err = fmt.Errorf("agent: switch %d region %+v diverges from %+v", sw.ID(), r, region)
+				rollback = a.switches[:i+1]
+			}
+			if err != nil {
+				for _, prev := range rollback {
 					prev.Allocator().Free(name) //nolint:errcheck // rollback
-				}
-				if err == nil {
-					err = fmt.Errorf("agent: switch %d region %+v diverges from %+v", sw.ID(), r, region)
 				}
 				return Task{}, err
 			}

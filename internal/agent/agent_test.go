@@ -73,6 +73,27 @@ func TestRegisterConflicts(t *testing.T) {
 	}
 }
 
+// A switch that already holds a local region under the task's name
+// makes Register fail there; the rollback must release only what
+// Register itself allocated, never the foreign region.
+func TestRegisterRollbackSparesForeignRegion(t *testing.T) {
+	_, _, sws := fleet(t)
+	foreign, err := sws[1].Allocator().Alloc("x", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(sws...)
+	if _, err := a.Register("x", 16, 0); err == nil {
+		t.Fatal("registration over a held name accepted")
+	}
+	if got, ok := sws[1].Allocator().Lookup("x"); !ok || got != foreign {
+		t.Fatalf("rollback freed the foreign region: %+v, %v", got, ok)
+	}
+	if _, ok := sws[0].Allocator().Lookup("x"); ok {
+		t.Fatal("rollback leaked the region allocated on switch 0")
+	}
+}
+
 func TestScratchExhaustionRollsBackSRAM(t *testing.T) {
 	_, _, sws := fleet(t)
 	a := New(sws...)

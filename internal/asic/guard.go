@@ -96,7 +96,7 @@ func (s *Switch) GrantTenant(id guard.TenantID, acl guard.ACL, words int, weight
 	if err != nil {
 		return guard.Grant{}, err
 	}
-	s.zeroRegion(g.Partition)
+	s.ZeroRegion(g.Partition)
 	// Guard state changed under the dataplane: flush the compiled
 	// program cache so nothing produced before the grant can run after
 	// it (defense in depth — compilations bake no grant state, but a
@@ -116,12 +116,15 @@ func (s *Switch) RevokeTenant(id guard.TenantID) error {
 	if err != nil {
 		return err
 	}
-	s.zeroRegion(reg)
+	s.ZeroRegion(reg)
 	s.progCache.Invalidate() // see GrantTenant
 	return nil
 }
 
-func (s *Switch) zeroRegion(r mem.Region) {
+// ZeroRegion clears the SRAM words of a freshly carved or just-released
+// region (control-plane access), so no owner — tenant or fabric
+// service — reads a predecessor's residue.
+func (s *Switch) ZeroRegion(r mem.Region) {
 	base := mem.SRAMIndex(r.Base)
 	clear(s.sram[base : base+r.Words])
 }

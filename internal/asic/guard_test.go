@@ -284,9 +284,18 @@ func TestGuardReboot(t *testing.T) {
 	h := n.AddHost()
 	n.LinkHost(h, sw, edge)
 
+	// An 8-word operator region at the base of the bank, the tenant's
+	// partition packed right behind it.
+	tally, err := sw.Allocator().Alloc("tally", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g, err := sw.GrantTenant(5, guard.DefaultACL(), 16, 1, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if g.Partition.Base != tally.End() {
+		t.Fatalf("partition %+v not packed behind task region %+v", g.Partition, tally)
 	}
 	v := sw.GuardedViewForTesting(nil, 0, 5)
 	if err := v.Store(mem.SRAMBase, 99); err != nil {
@@ -312,6 +321,22 @@ func TestGuardReboot(t *testing.T) {
 	}
 	if !sw.Guard().Admit(5, sw.Now(), 10) {
 		t.Fatal("bucket not refilled by boot")
+	}
+	// The task region is soft state and went with the wipe; the
+	// partition still owns its words, so a re-allocation too big for
+	// the gap in front of it lands behind it, not inside it.
+	if _, ok := sw.Allocator().Lookup("tally"); ok {
+		t.Fatal("task region survived reboot")
+	}
+	if o, ok := sw.Allocator().Owner(g.Partition.Base); !ok || o != (mem.Owner{Tenant: 5}) {
+		t.Fatalf("partition owner after reboot = %v, %v", o, ok)
+	}
+	again, err := sw.Allocator().Alloc("tally", 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Base != g.Partition.End() {
+		t.Fatalf("post-reboot task region %+v, want behind partition %+v", again, g.Partition)
 	}
 }
 

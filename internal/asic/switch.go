@@ -278,18 +278,8 @@ func New(sim *netsim.Sim, cfg Config) *Switch {
 	s.progCache = tcpu.NewCache(cfg.TCPU, 0)
 	s.tppTokens = float64(cfg.TPPBurst) // the gate starts full
 	if cfg.Guard {
-		s.guard = guard.NewTable()
+		s.guard = guard.NewTable(s.alloc)
 		s.mTenantDenied = make(map[guard.TenantID]*obs.Counter)
-		// Mutual avoidance: operator task regions and tenant partitions
-		// share the one SRAM bank, and both sides carve it first-fit
-		// from SRAMBase.  Without cross-registration a tenant grant can
-		// land exactly over a live operator region (zeroing it, then
-		// aliasing it through the tenant's relocated window) and a
-		// post-reboot re-allocation can land inside a surviving tenant
-		// partition.  Each carver treats the other's live regions as
-		// taken.
-		s.guard.SetReserved(s.alloc.Regions)
-		s.alloc.SetReserved(s.guard.Partitions)
 	}
 	reg := cfg.Metrics // nil registry hands out nil (no-op) handles
 	s.m = switchMetrics{
@@ -463,11 +453,12 @@ func (s *Switch) Reboots() uint64 { return s.reboots }
 func (s *Switch) RebootDrops() uint64 { return s.rebootDrops }
 
 // Reboot crash-restarts the switch: every queued and in-pipeline
-// packet is dropped, scratch SRAM is zeroed, the SRAM allocator is
-// reset, learned L2 entries and per-port task scratch are cleared, and
-// for bootDelay the switch eats every arriving frame.  The TCAM and L3
-// tables survive — they are config, reloaded from NVRAM by the boot —
-// so forwarding resumes unaided once the boot delay elapses.  The boot
+// packet is dropped, scratch SRAM is zeroed, the allocator's task
+// regions are released, learned L2 entries and per-port task scratch
+// are cleared, and for bootDelay the switch eats every arriving frame.
+// The TCAM, the L3 table and tenant grants (with their partitions)
+// survive — they are config, reloaded from NVRAM by the boot — so
+// forwarding resumes unaided once the boot delay elapses.  The boot
 // generation counter at [Switch:Epoch] increments immediately, which is
 // how end-hosts later discover the wipe.
 func (s *Switch) Reboot(bootDelay netsim.Time) {

@@ -398,6 +398,9 @@ func applyOp(sw *asic.Switch, op Op) error {
 		if err != nil {
 			return err
 		}
+		// Free does not zero, so clear whatever the region's previous
+		// holder left before seeding.
+		sw.ZeroRegion(reg)
 		base := mem.SRAMIndex(reg.Base)
 		for i, w := range op.Service.Seed {
 			sw.SetSRAM(base+i, w)

@@ -202,6 +202,38 @@ func TestDiffRepairsDrift(t *testing.T) {
 	}
 }
 
+// A service allocated over a freed service's words must not read its
+// predecessor's residue past its own seed.
+func TestServiceAllocZeroesPredecessorWords(t *testing.T) {
+	h := newHarness(1)
+	only := func(svc fabric.Service) fabric.Spec {
+		return fabric.Spec{Devices: []fabric.DeviceSpec{{Device: "spine0", Services: []fabric.Service{svc}}}}
+	}
+	mustConverge(t, h, only(fabric.Service{Name: "a", Words: 8, Seed: []uint32{1, 2, 3, 4}}))
+	a, ok := h.spine.Allocator().Lookup("fabric/a")
+	if !ok {
+		t.Fatal("service a not allocated")
+	}
+	for i := 0; i < a.Words; i++ {
+		h.spine.SetSRAM(mem.SRAMIndex(a.Base)+i, 0xA5A5)
+	}
+
+	mustConverge(t, h, only(fabric.Service{Name: "b", Words: 8, Seed: []uint32{7}}))
+	b, ok := h.spine.Allocator().Lookup("fabric/b")
+	if !ok || b != a {
+		t.Fatalf("service b at %+v, %v; want a's freed region %+v", b, ok, a)
+	}
+	for i := 0; i < b.Words; i++ {
+		want := uint32(0)
+		if i == 0 {
+			want = 7
+		}
+		if got, _ := h.spine.ReadWord(b.Base + mem.Addr(i)); got != want {
+			t.Fatalf("service b word %d = %#x, want %#x", i, got, want)
+		}
+	}
+}
+
 func TestUnmanagedTablesUntouched(t *testing.T) {
 	h := newHarness(1)
 	// Legacy state outside the controller's ownership: a low-priority

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/guard"
 	"repro/internal/mem"
@@ -63,36 +64,27 @@ func (c *Controller) ReadState(name string) (DeviceState, *DeviceError) {
 	}
 	st := DeviceState{Device: name, Epoch: epoch}
 
-	if g := sw.Guard(); g != nil {
-		st.GuardEnabled = true
-		for _, id := range g.Tenants() { // sorted
-			grant, ok := g.Lookup(id)
-			if !ok {
+	g := sw.Guard()
+	st.GuardEnabled = g != nil
+	// One walk over the allocator yields both owner classes: task
+	// regions sorted by name, then tenant partitions sorted by id.
+	for _, h := range sw.Allocator().Held() {
+		if id := guard.TenantID(h.Owner.Tenant); id != guard.Operator {
+			if g == nil {
 				continue
 			}
-			st.Tenants = append(st.Tenants, TenantState{
-				ID:     id,
-				ACL:    grant.ACL,
-				Words:  grant.Partition.Words,
-				Weight: grant.Weight,
-				Burst:  grant.Burst,
-			})
+			if grant, ok := g.Lookup(id); ok {
+				st.Tenants = append(st.Tenants, TenantState{
+					ID:     id,
+					ACL:    grant.ACL,
+					Words:  h.Region.Words,
+					Weight: grant.Weight,
+					Burst:  grant.Burst,
+				})
+			}
+		} else if name, ok := strings.CutPrefix(h.Owner.Task, taskPrefix); ok && name != "" {
+			st.Services = append(st.Services, ServiceState{Name: name, Region: h.Region})
 		}
-	}
-
-	al := sw.Allocator()
-	for _, task := range al.Tasks() { // sorted
-		if len(task) <= len(taskPrefix) || task[:len(taskPrefix)] != taskPrefix {
-			continue
-		}
-		reg, ok := al.Lookup(task)
-		if !ok {
-			continue
-		}
-		st.Services = append(st.Services, ServiceState{
-			Name:   task[len(taskPrefix):],
-			Region: reg,
-		})
 	}
 
 	// Entries() is sorted (priority desc, id asc); re-sort the band's

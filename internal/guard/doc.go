@@ -22,13 +22,19 @@
 //
 // # Mechanisms
 //
-//   - Per-tenant SRAM partitions (Partitioner): the 2048-word scratch
-//     SRAM bank is carved into non-overlapping base+bounds regions.
-//     Tenant programs address SRAM tenant-relative — their word 0 is
-//     SRAMBase — and the guard relocates each access into the tenant's
-//     physical partition, so a forged absolute address lands in the
-//     forger's own memory or nowhere.  Partitions are zeroed on tenant
-//     teardown and (with the rest of SRAM) on switch crash-restart.
+//   - Per-tenant SRAM partitions: each grant's base+bounds region is
+//     carved from the switch's mem.Allocator — the same allocator, and
+//     the same first-fit search, that places operator task regions, so
+//     a partition overlaps neither another tenant's nor the operator's
+//     memory.  Tenant programs address SRAM tenant-relative — their
+//     word 0 is SRAMBase — and the guard relocates each access into the
+//     tenant's physical partition, so a forged absolute address lands
+//     in the forger's own memory or nowhere.  Partitions are zeroed on
+//     grant, on tenant teardown and (with the rest of SRAM) on switch
+//     crash-restart; the partition itself is config and outlives the
+//     restart.  The operator's whole-bank identity grant
+//     (OperatorGrant) is an overlay, not a region: it deliberately
+//     aliases every tenant's memory.
 //
 //   - Per-namespace ACLs (ACL): read and write permission bits per
 //     memory namespace.  The defaults make queue/link/switch statistics

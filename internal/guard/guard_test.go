@@ -98,50 +98,60 @@ func TestOperatorGrantIsIdentity(t *testing.T) {
 	}
 }
 
-func TestPartitionerGrantRevoke(t *testing.T) {
-	p := NewPartitioner()
-	r1, err := p.Grant(1, 64)
+func TestTableGrantRevoke(t *testing.T) {
+	tb := NewTable(mem.NewAllocator())
+	register := func(id TenantID, words int) (mem.Region, error) {
+		g, err := tb.Register(id, DefaultACL(), words, 0, 0)
+		return g.Partition, err
+	}
+	r1, err := register(1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Base != mem.SRAMBase || r1.Words != 64 {
 		t.Fatalf("first grant = %+v, want base of bank", r1)
 	}
-	r2, err := p.Grant(2, 32)
+	r2, err := register(2, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r2.Base != r1.End() {
 		t.Fatalf("second grant at %#x, want packed at %#x", r2.Base, r1.End())
 	}
-	if _, err := p.Grant(2, 8); err == nil {
+	if _, err := register(2, 8); err == nil {
 		t.Error("double grant succeeded")
 	}
-	if _, err := p.Grant(Operator, 8); err == nil {
+	if _, err := register(Operator, 8); err == nil {
 		t.Error("operator grant succeeded")
 	}
-	if _, err := p.Grant(3, mem.SRAMWords); err == nil {
+	if _, err := register(3, mem.SRAMWords); err == nil {
 		t.Error("oversized grant succeeded with the bank partly taken")
 	}
-	got, err := p.Revoke(1)
+	if _, ok := tb.Lookup(3); ok {
+		t.Error("failed grant left tenant 3 registered")
+	}
+	got, err := tb.Deregister(1)
 	if err != nil || got != r1 {
-		t.Fatalf("Revoke(1) = %+v, %v; want %+v", got, err, r1)
+		t.Fatalf("Deregister(1) = %+v, %v; want %+v", got, err, r1)
 	}
 	// The freed gap is reused first-fit.
-	r3, err := p.Grant(3, 64)
+	r3, err := register(3, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r3 != r1 {
 		t.Fatalf("freed gap not reused: got %+v want %+v", r3, r1)
 	}
-	if ids := p.Tenants(); len(ids) != 2 || ids[0] != 2 || ids[1] != 3 {
+	if ids := tb.Tenants(); len(ids) != 2 || ids[0] != 2 || ids[1] != 3 {
 		t.Fatalf("Tenants() = %v, want [2 3]", ids)
+	}
+	if p, ok := tb.Partition(3); !ok || p != r3 {
+		t.Fatalf("Partition(3) = %+v, %v; want %+v", p, ok, r3)
 	}
 }
 
 func TestTableLookupAndDefaults(t *testing.T) {
-	tb := NewTable()
+	tb := NewTable(mem.NewAllocator())
 	if _, ok := tb.Lookup(7); ok {
 		t.Error("unregistered tenant resolved to a grant")
 	}
@@ -169,7 +179,7 @@ func TestTableLookupAndDefaults(t *testing.T) {
 }
 
 func TestTableAdmitWeightedShare(t *testing.T) {
-	tb := NewTable()
+	tb := NewTable(mem.NewAllocator())
 	// Tenant 1 holds 3x tenant 2's weight; burst 4 leaves headroom for
 	// its 3-token refill below, burst 2 caps tenant 2.
 	if _, err := tb.Register(1, DefaultACL(), 8, 3, 4); err != nil {
@@ -236,7 +246,7 @@ func TestTableAdmitWeightedShare(t *testing.T) {
 }
 
 func TestTableDeniedAccounting(t *testing.T) {
-	tb := NewTable()
+	tb := NewTable(mem.NewAllocator())
 	if _, err := tb.Register(5, DefaultACL(), 8, 1, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -2,84 +2,71 @@ package guard
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/mem"
 )
 
-// TestPartitionInvariants drives the partitioner through long random
-// grant/revoke sequences and checks, after every step, the two
-// invariants the guard's safety argument rests on: live partitions
-// never overlap and never escape the SRAM bank, and relocation through
-// each resulting grant is a bijection from the tenant's relative window
-// onto exactly its physical region.
+// TestPartitionInvariants drives a Table through long random
+// register/deregister sequences, with operator task regions coming and
+// going in the same allocator, and checks after every step the
+// invariant the guard's safety argument rests on: relocation through
+// each live grant is a bijection from the tenant's relative window onto
+// exactly its physical partition.  (That partitions and task regions
+// are pairwise disjoint is the allocator's own property test, in
+// internal/mem.)
 func TestPartitionInvariants(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		rng := rand.New(rand.NewSource(seed))
-		p := NewPartitioner()
+		al := mem.NewAllocator()
+		tb := NewTable(al)
 		live := make(map[TenantID]mem.Region)
 		for step := 0; step < 2000; step++ {
+			if rng.Intn(4) == 0 {
+				// Operator churn shifts where the next partition lands.
+				if al.Free("task") != nil {
+					al.Alloc("task", 1+rng.Intn(300)) //nolint:errcheck // a full bank is fine
+				}
+			}
 			id := TenantID(1 + rng.Intn(31))
 			if _, ok := live[id]; ok && rng.Intn(2) == 0 {
-				reg, err := p.Revoke(id)
+				reg, err := tb.Deregister(id)
 				if err != nil {
-					t.Fatalf("seed %d step %d: revoke live tenant %d: %v", seed, step, id, err)
+					t.Fatalf("seed %d step %d: deregister live tenant %d: %v", seed, step, id, err)
 				}
 				if reg != live[id] {
-					t.Fatalf("seed %d step %d: revoke returned %+v, granted %+v", seed, step, reg, live[id])
+					t.Fatalf("seed %d step %d: deregister returned %+v, granted %+v", seed, step, reg, live[id])
 				}
 				delete(live, id)
 			} else if !ok {
 				// Sizes span degenerate, typical and bank-filling asks.
 				words := []int{-1, 0, 1, 2, 7, 64, 400, mem.SRAMWords, mem.SRAMWords + 1}[rng.Intn(9)]
-				reg, err := p.Grant(id, words)
+				g, err := tb.Register(id, DefaultACL(), words, 0, 0)
 				if err == nil {
-					live[id] = reg
+					live[id] = g.Partition
 				}
 			}
-			checkPartitions(t, seed, step, p, live)
+			ids := tb.Tenants()
+			if len(ids) != len(live) {
+				t.Fatalf("seed %d step %d: table holds %d tenants, model %d", seed, step, len(ids), len(live))
+			}
+			for _, id := range ids {
+				g, ok := tb.Lookup(id)
+				if !ok || g.Partition != live[id] {
+					t.Fatalf("seed %d step %d: tenant %d partition drifted: %+v vs %+v", seed, step, id, g.Partition, live[id])
+				}
+				checkBijection(t, seed, step, id, g)
+			}
 		}
 	}
 }
 
-// checkPartitions asserts the post-step invariants.
-func checkPartitions(t *testing.T, seed int64, step int, p *Partitioner, live map[TenantID]mem.Region) {
+// checkBijection walks the whole SRAM namespace through grant g:
+// in-window addresses must map injectively onto exactly the granted
+// words, out-of-window addresses must be refused.
+func checkBijection(t *testing.T, seed int64, step int, id TenantID, g Grant) {
 	t.Helper()
-	ids := p.Tenants()
-	if len(ids) != len(live) {
-		t.Fatalf("seed %d step %d: partitioner holds %d tenants, model %d", seed, step, len(ids), len(live))
-	}
-	regs := make([]mem.Region, 0, len(ids))
-	for _, id := range ids {
-		reg, ok := p.Lookup(id)
-		if !ok || reg != live[id] {
-			t.Fatalf("seed %d step %d: tenant %d region drifted: %+v vs %+v", seed, step, id, reg, live[id])
-		}
-		// Inside the bank, non-degenerate.
-		if reg.Words <= 0 || reg.Base < mem.SRAMBase ||
-			int(reg.Base)+reg.Words > int(mem.SRAMBase)+mem.SRAMWords {
-			t.Fatalf("seed %d step %d: tenant %d region escapes SRAM: %+v", seed, step, id, reg)
-		}
-		regs = append(regs, reg)
-		checkBijection(t, seed, step, id, reg)
-	}
-	// Pairwise disjoint: sorted by base, each must end before the next
-	// begins.
-	sort.Slice(regs, func(i, j int) bool { return regs[i].Base < regs[j].Base })
-	for i := 1; i < len(regs); i++ {
-		if regs[i-1].End() > regs[i].Base {
-			t.Fatalf("seed %d step %d: partitions overlap: %+v and %+v", seed, step, regs[i-1], regs[i])
-		}
-	}
-}
-
-// checkBijection walks the whole SRAM namespace through a grant over
-// reg: in-window addresses must map injectively onto exactly the
-// granted words, out-of-window addresses must be refused.
-func checkBijection(t *testing.T, seed int64, step int, id TenantID, reg mem.Region) {
-	t.Helper()
-	g := Grant{ACL: DefaultACL(), Partition: reg}
+	reg := g.Partition
 	hit := make(map[mem.Addr]bool, reg.Words)
 	for k := 0; k < mem.SRAMWords; k++ {
 		rel := mem.SRAMBase + mem.Addr(k)

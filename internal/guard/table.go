@@ -2,6 +2,7 @@ package guard
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/netsim"
@@ -38,27 +39,20 @@ type tenantState struct {
 // single-threaded per switch and the control plane serializes tenancy
 // changes.
 type Table struct {
-	part      *Partitioner
+	sram      *mem.Allocator
 	tenants   map[TenantID]*tenantState
 	weightSum float64
 }
 
-// NewTable builds an empty tenant table over a fresh SRAM partitioner.
-func NewTable() *Table {
+// NewTable builds an empty tenant table whose partitions are carved
+// from sram — the switch's one SRAM allocator, shared with operator
+// tasks, so a partition and a task region can never overlap.
+func NewTable(sram *mem.Allocator) *Table {
 	return &Table{
-		part:    NewPartitioner(),
+		sram:    sram,
 		tenants: make(map[TenantID]*tenantState),
 	}
 }
-
-// SetReserved forwards a reserved-region callback to the table's
-// partitioner so tenant partitions route around operator task regions;
-// see Partitioner.SetReserved.
-func (t *Table) SetReserved(fn func() []mem.Region) { t.part.SetReserved(fn) }
-
-// Partitions returns every live tenant partition, sorted by base
-// address, for the allocator side of the mutual-avoidance contract.
-func (t *Table) Partitions() []mem.Region { return t.part.Regions() }
 
 // Register admits tenant id with the given policy: acl governs its
 // namespace access, words sizes its SRAM partition, weight its share of
@@ -79,7 +73,7 @@ func (t *Table) Register(id TenantID, acl ACL, words int, weight float64, burst 
 	if burst <= 0 {
 		burst = DefaultBurst
 	}
-	reg, err := t.part.Grant(id, words)
+	reg, err := t.sram.Grant(uint8(id), words)
 	if err != nil {
 		return Grant{}, err
 	}
@@ -96,13 +90,12 @@ func (t *Table) Deregister(id TenantID) (mem.Region, error) {
 	if !ok {
 		return mem.Region{}, fmt.Errorf("guard: tenant %d not registered", id)
 	}
-	reg, err := t.part.Revoke(id)
-	if err != nil {
+	if err := t.sram.Revoke(uint8(id)); err != nil {
 		return mem.Region{}, err
 	}
 	t.weightSum -= st.grant.Weight
 	delete(t.tenants, id)
-	return reg, nil
+	return st.grant.Partition, nil
 }
 
 // Lookup returns tenant id's grant.  The operator always resolves to
@@ -177,18 +170,30 @@ func (t *Table) Throttled(id TenantID) uint64 {
 
 // Tenants returns the registered tenant ids, sorted (the operator is
 // built in and not listed).
-func (t *Table) Tenants() []TenantID { return t.part.Tenants() }
+func (t *Table) Tenants() []TenantID {
+	ids := make([]TenantID, 0, len(t.tenants))
+	for id := range t.tenants { //lint:allow maporder (sorted before return)
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
 
 // Partition returns tenant id's physical SRAM region.
-func (t *Table) Partition(id TenantID) (mem.Region, bool) { return t.part.Lookup(id) }
+func (t *Table) Partition(id TenantID) (mem.Region, bool) {
+	st, ok := t.tenants[id]
+	if !ok {
+		return mem.Region{}, false
+	}
+	return st.grant.Partition, true
+}
 
 // ResetBuckets refills every tenant's bucket and rebases its refill
 // clock — the buckets are switch soft state, so a crash-restart boots
 // them full just like the global gate.  Grants and cumulative denial
 // accounting survive: they are config and host-visible history.
 func (t *Table) ResetBuckets(now netsim.Time) {
-	for _, id := range t.part.Tenants() {
-		st := t.tenants[id]
+	for _, st := range t.tenants { //lint:allow maporder (each bucket set independently)
 		st.tokens = float64(st.grant.Burst)
 		st.refillAt = now
 	}

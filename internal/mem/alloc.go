@@ -1,11 +1,12 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// Region is a contiguous SRAM allocation handed to a network task.
+// Region is a contiguous SRAM allocation.
 type Region struct {
 	Base  Addr // first word address (within the SRAM namespace)
 	Words int
@@ -17,41 +18,82 @@ func (r Region) End() Addr { return r.Base + Addr(r.Words) }
 // Contains reports whether address a falls inside the region.
 func (r Region) Contains(a Addr) bool { return a >= r.Base && a < r.End() }
 
+// Owner identifies the holder of a region.  There are two classes: an
+// operator network task, named by Task with Tenant zero, and a guard
+// tenant, identified by a non-zero Tenant (a guard.TenantID; tenant 0
+// is the operator, which holds no partition of its own) with Task
+// empty.
+type Owner struct {
+	Task   string
+	Tenant uint8
+}
+
+func (o Owner) String() string {
+	if o.Tenant != 0 {
+		return fmt.Sprintf("tenant %d", o.Tenant)
+	}
+	return fmt.Sprintf("task %q", o.Task)
+}
+
+// Held is one live region together with its owner.
+type Held struct {
+	Owner  Owner
+	Region Region
+}
+
 // Allocator is the control-plane agent of §3.2 that partitions switch
 // SRAM and isolates concurrently executing network tasks: "if end-hosts
 // implement both RCP and ndb, the agent would allocate a non-overlapping
-// set of SRAM addresses to RCP and ndb".
+// set of SRAM addresses to RCP and ndb".  It is the only carver of the
+// scratch bank: operator task regions (Alloc/Free) and tenant
+// partitions (Grant/Revoke, driven by guard.Table) live in one map
+// keyed by Owner and are placed by one first-fit search, so two live
+// regions of either class cannot overlap.
+//
+// The classes differ in lifetime only: task regions are switch soft
+// state and Reset (the crash-restart path) releases them; tenant
+// partitions are config, like the TCAM, and survive it.
 //
 // Allocator is not safe for concurrent use; the control plane serializes
 // allocation requests.
 type Allocator struct {
-	regions  map[string]Region
-	reserved func() []Region
+	regions map[Owner]Region
 }
 
 // NewAllocator builds an allocator over the switch's SRAM bank.
 func NewAllocator() *Allocator {
-	return &Allocator{regions: make(map[string]Region)}
+	return &Allocator{regions: make(map[Owner]Region)}
 }
 
 // Alloc reserves words of SRAM for the named task using first-fit over
-// the gaps between existing allocations.  Allocating again under the
-// same name fails; tasks hold exactly one region.
+// the gaps between live regions.  Allocating again under the same name
+// fails; tasks hold exactly one region.
 func (al *Allocator) Alloc(task string, words int) (Region, error) {
-	if words <= 0 {
-		return Region{}, fmt.Errorf("mem: task %q requested %d words", task, words)
+	return al.carve(Owner{Task: task}, words)
+}
+
+// Grant reserves words of SRAM as tenant's partition, placed exactly
+// as Alloc places a task region.  A tenant holds one partition; the
+// operator (tenant 0) holds none.
+func (al *Allocator) Grant(tenant uint8, words int) (Region, error) {
+	if tenant == 0 {
+		return Region{}, fmt.Errorf("mem: the operator tenant holds no partition")
 	}
-	if _, ok := al.regions[task]; ok {
-		return Region{}, fmt.Errorf("mem: task %q already holds a region", task)
+	return al.carve(Owner{Tenant: tenant}, words)
+}
+
+func (al *Allocator) carve(o Owner, words int) (Region, error) {
+	if words <= 0 {
+		return Region{}, fmt.Errorf("mem: %v requested %d words", o, words)
+	}
+	if _, ok := al.regions[o]; ok {
+		return Region{}, fmt.Errorf("mem: %v already holds a region", o)
 	}
 	taken := make([]Region, 0, len(al.regions))
 	for _, r := range al.regions { //lint:allow maporder (sorted below)
 		taken = append(taken, r)
 	}
-	if al.reserved != nil {
-		taken = append(taken, al.reserved()...)
-	}
-	sort.Slice(taken, func(i, j int) bool { return taken[i].Base < taken[j].Base })
+	slices.SortFunc(taken, func(a, b Region) int { return cmp.Compare(a.Base, b.Base) })
 	cursor := SRAMBase
 	for _, r := range taken {
 		if int(r.Base-cursor) >= words {
@@ -62,69 +104,64 @@ func (al *Allocator) Alloc(task string, words int) (Region, error) {
 		}
 	}
 	if int(SRAMBase)+SRAMWords-int(cursor) < words {
-		return Region{}, fmt.Errorf("mem: SRAM exhausted: task %q wants %d words", task, words)
+		return Region{}, fmt.Errorf("mem: SRAM exhausted: %v wants %d words", o, words)
 	}
 	reg := Region{Base: cursor, Words: words}
-	al.regions[task] = reg
+	al.regions[o] = reg
 	return reg, nil
 }
 
-// SetReserved registers a callback listing SRAM regions outside the
-// allocator's control — tenant partitions carved by the guard — that
-// Alloc must route around.  The callback is consulted on every Alloc,
-// so the no-go set tracks live tenancy without explicit invalidation.
-// A nil callback (the default, and every unguarded switch) reserves
-// nothing.
-func (al *Allocator) SetReserved(fn func() []Region) { al.reserved = fn }
+// Free releases the named task's region.
+func (al *Allocator) Free(task string) error { return al.release(Owner{Task: task}) }
 
-// Regions returns every live task region, sorted by base address — the
-// allocator-side half of the mutual-avoidance contract with the tenant
-// partitioner.
-func (al *Allocator) Regions() []Region {
-	out := make([]Region, 0, len(al.regions))
-	for _, r := range al.regions { //lint:allow maporder (sorted before return)
-		out = append(out, r)
+// Revoke releases tenant's partition.
+func (al *Allocator) Revoke(tenant uint8) error { return al.release(Owner{Tenant: tenant}) }
+
+func (al *Allocator) release(o Owner) error {
+	if _, ok := al.regions[o]; !ok {
+		return fmt.Errorf("mem: %v holds no region", o)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
-	return out
+	delete(al.regions, o)
+	return nil
 }
 
-// Reset releases every region at once: the allocator state is switch
-// soft state, so a crash-restart wipes it along with the SRAM bank it
-// partitions.  Control-plane agents re-allocate after the switch boots.
-func (al *Allocator) Reset() { clear(al.regions) }
-
-// Free releases the named task's region.
-func (al *Allocator) Free(task string) error {
-	if _, ok := al.regions[task]; !ok {
-		return fmt.Errorf("mem: task %q holds no region", task)
+// Reset releases every task region at once: they are switch soft
+// state, so a crash-restart wipes them along with the SRAM bank, and
+// control-plane agents re-allocate after the switch boots.  Tenant
+// partitions stay in place, so those re-allocations route around them.
+func (al *Allocator) Reset() {
+	for o := range al.regions { //lint:allow maporder (deletes a class, order-free)
+		if o.Tenant == 0 {
+			delete(al.regions, o)
+		}
 	}
-	delete(al.regions, task)
-	return nil
 }
 
 // Lookup returns the region held by task.
 func (al *Allocator) Lookup(task string) (Region, bool) {
-	r, ok := al.regions[task]
+	r, ok := al.regions[Owner{Task: task}]
 	return r, ok
 }
 
-// Tasks returns the names of all tasks holding regions, sorted.
-func (al *Allocator) Tasks() []string {
-	names := make([]string, 0, len(al.regions))
-	for n := range al.regions { //lint:allow maporder (sorted before return)
-		names = append(names, n)
+// Held returns every live region with its owner: task regions sorted
+// by name, then tenant partitions sorted by id.
+func (al *Allocator) Held() []Held {
+	out := make([]Held, 0, len(al.regions))
+	for o, r := range al.regions { //lint:allow maporder (sorted before return)
+		out = append(out, Held{Owner: o, Region: r})
 	}
-	sort.Strings(names)
-	return names
+	slices.SortFunc(out, func(a, b Held) int {
+		return cmp.Or(cmp.Compare(a.Owner.Tenant, b.Owner.Tenant), cmp.Compare(a.Owner.Task, b.Owner.Task))
+	})
+	return out
 }
 
-// Owner returns the task whose region contains address a, if any.
-func (al *Allocator) Owner(a Addr) (string, bool) {
-	for n, r := range al.regions { //lint:allow maporder (regions are disjoint)
+// Owner returns the holder of the region containing address a, if any.
+func (al *Allocator) Owner(a Addr) (Owner, bool) {
+	for o, r := range al.regions { //lint:allow maporder (regions are disjoint)
 		if r.Contains(a) {
-			return n, true
+			return o, true
 		}
 	}
-	return "", false
+	return Owner{}, false
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -21,14 +22,22 @@ func TestAllocatorBasic(t *testing.T) {
 	if got, ok := al.Lookup("rcp"); !ok || got != rcp {
 		t.Fatal("Lookup mismatch")
 	}
-	if owner, ok := al.Owner(rcp.Base + 3); !ok || owner != "rcp" {
-		t.Fatalf("Owner = %q, %v", owner, ok)
+	if owner, ok := al.Owner(rcp.Base + 3); !ok || owner != (Owner{Task: "rcp"}) {
+		t.Fatalf("Owner = %v, %v", owner, ok)
 	}
 	if _, ok := al.Owner(SRAMBase + SRAMWords - 1); ok {
 		t.Fatal("unallocated address has an owner")
 	}
-	if got := al.Tasks(); len(got) != 2 || got[0] != "ndb" || got[1] != "rcp" {
-		t.Fatalf("Tasks = %v", got)
+	tenant, err := al.Grant(3, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if owner, ok := al.Owner(tenant.Base); !ok || owner != (Owner{Tenant: 3}) {
+		t.Fatalf("Owner = %v, %v", owner, ok)
+	}
+	want := []Held{{Owner{Task: "ndb"}, ndb}, {Owner{Task: "rcp"}, rcp}, {Owner{Tenant: 3}, tenant}}
+	if got := al.Held(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Held = %v, want %v", got, want)
 	}
 }
 
@@ -62,6 +71,12 @@ func TestAllocatorBadRequests(t *testing.T) {
 	}
 	if err := al.Free("ghost"); err == nil {
 		t.Fatal("freeing unknown task succeeded")
+	}
+	if _, err := al.Grant(0, 8); err == nil {
+		t.Fatal("the operator tenant was granted a partition")
+	}
+	if err := al.Revoke(9); err == nil {
+		t.Fatal("revoking an unknown tenant succeeded")
 	}
 }
 

@@ -13,8 +13,9 @@
 //	             the pipeline
 //	0x200–0x2FF  Queue namespace, context-relative egress queue
 //	0x300–0x3FF  PacketMetadata namespace (per-packet registers)
-//	0x400–0xBFF  Scratch SRAM (2048 words), partitioned among network
-//	             tasks by the control-plane agent (Allocator)
+//	0x400–0xBFF  Scratch SRAM (2048 words), carved into owner-tagged
+//	             regions — operator task regions and guard tenant
+//	             partitions — by the one control-plane Allocator
 //	0xC00–0xFFF  Absolute per-port window: port p's statistics block
 //	             at PortAbsBase + p*PortAbsStride
 //
@@ -28,4 +29,11 @@
 // TPPs".  Statistics namespaces are read-only to TPPs except for
 // designated task scratch words; SRAM is read-write within a task's
 // allocated region.
+//
+// Allocator is the single authority over the scratch bank.  Every live
+// region carries an Owner (a task name or a tenant id) and one
+// first-fit search places both classes, so no two regions overlap
+// whoever asked for them.  Task regions are soft state released by
+// Reset on a crash-restart; tenant partitions are config and survive
+// it.
 package mem

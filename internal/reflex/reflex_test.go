@@ -427,9 +427,9 @@ func TestGuardBlocksForgedEvidence(t *testing.T) {
 	// Guest tenant 1, granted a partition, tries to forge the echo.
 	// The NIC seals the tenant identity at the edge (guests cannot
 	// claim the operator id), and the guest's SRAM addressing is
-	// partition-relative — which, because the partitioner carves
-	// around operator task regions, can never alias the evidence
-	// words: the STORE lands in the guest's own sandbox.
+	// partition-relative — which, because one allocator carves both
+	// the partition and operator task regions, can never alias the
+	// evidence words: the STORE lands in the guest's own sandbox.
 	if _, err := leaves[0].GrantTenant(1, guard.DefaultACL(), 8, 1, 4); err != nil {
 		t.Fatalf("GrantTenant: %v", err)
 	}
