@@ -12,7 +12,7 @@ BENCHTIME ?= 1x
 LINT_PKGS = ./internal/netsim ./internal/asic ./internal/tcpu ./internal/faults ./internal/guard \
 	./internal/core ./internal/endhost ./internal/inband ./internal/reflex \
 	./internal/fabric ./internal/fabric/scenario ./internal/fabric/yamlite \
-	./internal/mem ./internal/agent
+	./internal/mem ./internal/agent ./internal/chaos
 
 # Packages that handle pooled packets; the poollife ownership analyzer
 # (use-after-Recycle, double-Recycle, retain-without-Adopt,
@@ -33,11 +33,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs vet plus the repository's own analyzers (see
+# lint runs vet, a gofmt check, plus the repository's own analyzers (see
 # tools/analyzers): the determinism suite over the simulation core and
-# the poollife packet-ownership suite over the packages that handle
-# pooled packets.
+# the soaks, and the poollife packet-ownership suite over the packages
+# that handle pooled packets.
 lint: vet
+	@unformatted=$$(gofmt -l cmd internal tools bench *.go); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./tools/analyzers/cmd/determinismlint $(LINT_PKGS)
 	$(GO) run ./tools/analyzers/cmd/poollifelint $(POOL_PKGS)
 

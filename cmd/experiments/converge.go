@@ -13,47 +13,6 @@ import (
 	"repro/internal/trace"
 )
 
-// convergeScenario: eight churn iterations retarget the leaf routes and
-// reconverge with a delayed apply, while leaf0 crash-restarts three
-// times — so some applies race a reboot, detect the epoch bump and
-// roll forward under the retry budget.
-const convergeScenario = `
-name: converge-under-churn
-phases:
-  - name: provision
-    kind: provision
-    budget: 6
-    backoff: 4ms
-  - name: storm
-    kind: faults
-    needs: [provision]
-    events:
-      - at: 2.5ms
-        kind: switch-reboot
-        target: leaf0
-        bootdelay: 1ms
-      - at: 12.5ms
-        kind: switch-reboot
-        target: leaf0
-        bootdelay: 1ms
-      - at: 20.5ms
-        kind: switch-reboot
-        target: leaf0
-        bootdelay: 1ms
-  - name: churn
-    kind: churn
-    needs: [storm]
-    hooks: [shift]
-    repeat: 8
-    budget: 6
-    backoff: 4ms
-    applydelay: 2ms
-  - name: check
-    kind: asserts
-    needs: [churn]
-    hooks: [verified]
-`
-
 // runConverge measures the fabric controller's convergence behavior
 // under route churn racing switch crash-restarts: per-iteration attempt
 // counts, ops applied, and how many rounds hit an epoch race or a dark
@@ -113,20 +72,25 @@ func runConverge(out *output) error {
 				return nil
 			},
 		},
-		Asserts: map[string]scenario.Hook{
-			"verified": func(e *scenario.Env) error {
-				if errs := e.Controller.Verify(e.Spec); len(errs) > 0 {
-					return fmt.Errorf("%d devices off spec: %v", len(errs), errs)
-				}
-				return nil
-			},
-		},
+		Asserts: map[string]scenario.Hook{"verified": scenario.VerifySpec},
 	}
-	sc, err := scenario.Parse(convergeScenario, nil)
-	if err != nil {
-		return err
+
+	// Eight churn iterations retarget the leaf routes and reconverge
+	// with a delayed apply, while leaf0 crash-restarts three times — so
+	// some applies race a reboot, detect the epoch bump and roll forward
+	// under the retry budget.
+	var storm []faults.Event
+	for _, us := range []netsim.Time{2500, 12500, 20500} {
+		storm = append(storm, faults.Event{At: us * netsim.Microsecond,
+			Kind: faults.SwitchReboot, Target: "leaf0", BootDelay: netsim.Millisecond})
 	}
-	res := scenario.Run(env, sc)
+	res := scenario.Run(env, scenario.Scenario{Name: "converge-under-churn", Phases: []scenario.Phase{
+		{Name: "provision", Kind: scenario.KindProvision, Budget: 6, Backoff: 4 * netsim.Millisecond},
+		{Name: "storm", Kind: scenario.KindFaults, Needs: []string{"provision"}, Events: storm},
+		{Name: "churn", Kind: scenario.KindChurn, Needs: []string{"storm"}, Hooks: []string{"shift"}, Repeat: 8,
+			Budget: 6, Backoff: 4 * netsim.Millisecond, ApplyDelay: 2 * netsim.Millisecond},
+		{Name: "check", Kind: scenario.KindAsserts, Needs: []string{"churn"}, Hooks: []string{"verified"}},
+	}})
 
 	out.printf("fabric convergence under churn: 8 route-churn iterations racing 3 leaf0 crash-restarts (scenario %q)\n\n", res.Name)
 	tbl := trace.NewTable("converge", "attempts", "ops", "races", "converged")

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -39,6 +42,28 @@ func TestEveryExperimentRuns(t *testing.T) {
 		if filepath.Ext(ent.Name()) != ".csv" {
 			t.Errorf("unexpected artifact %s", ent.Name())
 		}
+	}
+}
+
+// TestNdbOutputReproducible: experiments_output.txt is a committed
+// artifact, so an experiment's text must be a pure function of its
+// inputs — ndb's per-kind violation counts come out of a map and must
+// print in sorted order, identically run over run.
+func TestNdbOutputReproducible(t *testing.T) {
+	var runs [2]bytes.Buffer
+	for i := range runs {
+		if err := runNdb(&output{w: &runs[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs[0].String() != runs[1].String() {
+		t.Fatalf("ndb output differs run over run:\n%s\nvs\n%s", runs[0].String(), runs[1].String())
+	}
+	_, line, _ := strings.Cut(runs[0].String(), "violation kinds: ")
+	line, _, _ = strings.Cut(line, "\n")
+	kinds := strings.Fields(line)
+	if len(kinds) < 2 || !sort.StringsAreSorted(kinds) {
+		t.Fatalf("violation kinds not in sorted order: %q", kinds)
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"sort"
 
 	"repro/internal/asic"
 	"repro/internal/core"
@@ -68,8 +69,13 @@ func runNdb(out *output) error {
 	tbl.Row("conforming fabric", res.CleanTraces, res.CleanViolations)
 	tbl.Row("after injected stale rule", res.BadTraces, len(res.BadViolations))
 	out.printf("%s\nviolation kinds: ", tbl.String())
-	for kind, count := range res.ViolationKinds {
-		out.printf("%s=%d ", kind, count)
+	kinds := make([]ndb.ViolationKind, 0, len(res.ViolationKinds))
+	for kind := range res.ViolationKinds {
+		kinds = append(kinds, kind)
+	}
+	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
+	for _, kind := range kinds {
+		out.printf("%s=%d ", kind, res.ViolationKinds[kind])
 	}
 	out.printf("\n\noverhead comparison over the same traffic:\n")
 	cmp := trace.NewTable("mechanism", "extra packets", "extra bytes")

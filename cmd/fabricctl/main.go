@@ -199,13 +199,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := fabric.ConvergeConfig{Budget: *budget, Backoff: backoff}
-	var res fabric.ConvergeResult
-	done := false
-	ctl.Converge(spec, cfg, func(r fabric.ConvergeResult) { res, done = r, true })
-	deadline := sim.Now() + netsim.Second
-	for !done && sim.Now() < deadline {
-		sim.RunUntil(sim.Now() + netsim.Millisecond)
-	}
+	res, done := ctl.ConvergeWithin(spec, cfg, netsim.Second)
 	if !done {
 		fmt.Fprintln(stderr, "fabricctl: converge did not finish within 1s of simulated time")
 		return 1

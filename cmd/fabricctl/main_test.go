@@ -177,3 +177,46 @@ spec:
 		t.Errorf("no round reporting:\n%s", out)
 	}
 }
+
+// TestExampleSpecMatchesREADME loads the spec file the README's
+// quick-start prints: the file is the README's yaml block verbatim, a
+// dry run of it prints the README's console block verbatim, and
+// -execute converges it.
+func TestExampleSpecMatchesREADME(t *testing.T) {
+	const example = "examples/fabric/fabric.yaml"
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	between := func(from, to string) string {
+		_, rest, ok := strings.Cut(string(readme), from)
+		if !ok {
+			t.Fatalf("README has no %q", from)
+		}
+		body, _, _ := strings.Cut(rest, to)
+		return body
+	}
+	path := filepath.Join("..", "..", example)
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := between("```yaml\n", "```"); string(doc) != want {
+		t.Errorf("%s differs from the README's yaml block:\n%s\nvs\n%s", example, doc, want)
+	}
+
+	code, out, errOut := runCtl(t, path)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	dryRun := between("$ go run ./cmd/fabricctl "+example, "$ ")
+	_, dryRun, _ = strings.Cut(dryRun, "\n") // the rest of the command line
+	if out != dryRun {
+		t.Errorf("dry run prints:\n%s\nREADME shows:\n%s", out, dryRun)
+	}
+
+	if code, out, errOut := runCtl(t, "-execute", path); code != 0 ||
+		!strings.Contains(out, "converged: 4 ops applied in 1 attempt(s)") {
+		t.Errorf("-execute: exit %d\n%s%s", code, out, errOut)
+	}
+}

@@ -8,11 +8,15 @@
 // probe machinery retries through loss, and dataplane telemetry stays
 // exactly reconciled with switch counters throughout.
 //
-// The soak runs as a fabric scenario: dst-routing arrives as a
-// declarative fabric.Spec the controller converges (and verifies after
-// the crashes), the fault plan and workloads are scenario phases, and
-// the scenario result rides in the soak Result so determinism covers
-// the control plane too.
+// Every soak in this package runs as a typed fabric scenario: the
+// harness builds the topology, declares the desired state as a
+// fabric.Spec the controller converges (and verifies after the faults),
+// lists the fault plan, workloads and checks as scenario.Phase values,
+// and hands them to scenario.Run.  The scenario result rides in the
+// crash and hostile soak Results so determinism covers the control
+// plane too.  What the soaks have in common is written once (soak.go):
+// the provision → faults/work → soak → check phase graph, the
+// queue-conservation audit and the accounting writer/poller workload.
 //
 // Everything is seeded: the same Config produces the identical Result,
 // which the soak test asserts by running every seed twice.
@@ -20,9 +24,7 @@ package chaos
 
 import (
 	"fmt"
-	"strings"
 
-	"repro/internal/accounting"
 	"repro/internal/asic"
 	"repro/internal/core"
 	"repro/internal/endhost"
@@ -128,35 +130,6 @@ type Result struct {
 	SpansDropped uint64
 }
 
-// chaosScenario renders the soak's phase graph.  The fault events vary
-// with Config (the reboot list is variable-length), so the document is
-// generated rather than static.
-func chaosScenario(cfg Config, holeIP uint32) string {
-	var sb strings.Builder
-	sb.WriteString("name: chaos-soak\nphases:\n")
-	sb.WriteString("  - name: provision\n    kind: provision\n    budget: 5\n    backoff: 10ms\n")
-	sb.WriteString("  - name: storm\n    kind: faults\n    needs: [provision]\n    events:\n")
-	fmt.Fprintf(&sb, "      - at: %dns\n        kind: %v\n        target: leaf0-spine1\n"+
-		"        pgoodbad: 0.01\n        pbadgood: 0.1\n        lossgood: 0.005\n        lossbad: 0.5\n",
-		cfg.LossFrom, faults.LinkBurstyLoss)
-	fmt.Fprintf(&sb, "      - at: %dns\n        kind: %v\n        target: leaf0-spine1\n",
-		cfg.LossTo, faults.ClearLoss)
-	fmt.Fprintf(&sb, "      - at: %dns\n        kind: %v\n        target: spine1\n        dstip: %s\n",
-		cfg.HoleFrom, faults.Blackhole, core.IPv4String(holeIP))
-	fmt.Fprintf(&sb, "      - at: %dns\n        kind: %v\n        target: spine1\n        dstip: %s\n",
-		cfg.HoleTo, faults.ClearBlackhole, core.IPv4String(holeIP))
-	for _, at := range cfg.RebootAt {
-		fmt.Fprintf(&sb, "      - at: %dns\n        kind: %v\n        target: spine0\n        bootdelay: %dns\n",
-			at, faults.SwitchReboot, cfg.BootDelay)
-	}
-	sb.WriteString("  - name: work\n    kind: workloads\n    needs: [provision]\n" +
-		"    hooks: [rcp, accounting, stream, sampling]\n")
-	fmt.Fprintf(&sb, "  - name: soak\n    kind: run\n    needs: [work, storm]\n    until: %dns\n",
-		cfg.Duration)
-	sb.WriteString("  - name: check\n    kind: asserts\n    needs: [soak]\n    hooks: [routes-intact]\n")
-	return sb.String()
-}
-
 // Run executes the scenario.
 func Run(cfg Config) Result {
 	if cfg.Duration <= 0 {
@@ -239,18 +212,29 @@ func Run(cfg Config) Result {
 		fab.Register(name, sw)
 		spec.Devices = append(spec.Devices, fabric.DeviceSpec{Device: name, Routes: spineRoutes[si]})
 	}
-	rcp.InitRateRegisters(append(append([]*asic.Switch{}, leaves...), spines...)...)
+	all := append(append([]*asic.Switch{}, leaves...), spines...)
+	rcp.InitRateRegisters(all...)
 
-	// Fault plan: two spine-0 crashes, a bursty-loss window on
-	// leaf0-spine1, and a silent blackhole for the throttle stream's
-	// destination on spine 1.  The events live in the scenario; the
-	// injector just needs the target registry.
+	// Fault plan: a bursty-loss window on leaf0-spine1, a silent
+	// blackhole for the throttle stream's destination on spine 1, and
+	// the spine-0 crashes.
 	inj := faults.NewInjector(sim, tracer)
 	inj.RegisterSwitch("spine0", spines[0])
 	inj.RegisterSwitch("spine1", spines[1])
 	inj.RegisterLink("leaf0-spine1",
 		leaves[0].Port(1).Channel(), spines[1].Port(0).Channel())
 	holeIP := hosts[2][1].IP
+	events := []faults.Event{
+		{At: cfg.LossFrom, Kind: faults.LinkBurstyLoss, Target: "leaf0-spine1",
+			PGoodBad: 0.01, PBadGood: 0.1, LossGood: 0.005, LossBad: 0.5},
+		{At: cfg.LossTo, Kind: faults.ClearLoss, Target: "leaf0-spine1"},
+		{At: cfg.HoleFrom, Kind: faults.Blackhole, Target: "spine1", DstIP: holeIP},
+		{At: cfg.HoleTo, Kind: faults.ClearBlackhole, Target: "spine1", DstIP: holeIP},
+	}
+	for _, at := range cfg.RebootAt {
+		events = append(events, faults.Event{At: at, Kind: faults.SwitchReboot,
+			Target: "spine0", BootDelay: cfg.BootDelay})
+	}
 
 	// Workload 1: one RCP* flow hosts[0][0] -> hosts[1][0], bottlenecked
 	// on the fabric and riding spine 0 — squarely in the crash zone.
@@ -259,20 +243,10 @@ func Run(cfg Config) Result {
 	ctl := rcp.NewStarController(sim, hosts[0][0], ctlProber,
 		hosts[1][0].MAC, hosts[1][0].IP, params)
 
-	// Workload 2: a shared accounting tally in spine 0's SRAM.  One
-	// writer increments it; a poller tracks deltas and must flag (not
-	// corrupt) the discontinuity when a crash zeroes the tally.
-	tallyAddr := mem.SRAMBase + 16
-	writerProber := endhost.NewProber(hosts[0][1])
-	writerProber.SetDefaults(endhost.ProbeConfig{
-		Timeout: 100 * netsim.Millisecond, Retries: 2, Backoff: 2})
-	writer := accounting.NewCounter(writerProber, hosts[2][0].MAC, hosts[2][0].IP,
-		spines[0].ID(), tallyAddr, accounting.Atomic)
-	pollProber := endhost.NewProber(hosts[1][1])
-	pollProber.SetDefaults(endhost.ProbeConfig{
-		Timeout: 100 * netsim.Millisecond, Retries: 2, Backoff: 2})
-	poller := accounting.NewCounter(pollProber, hosts[2][0].MAC, hosts[2][0].IP,
-		spines[0].ID(), tallyAddr, accounting.Atomic)
+	// Workload 2: a shared accounting tally in spine 0's SRAM, written
+	// from leaf 0 and polled from leaf 1 straight through the crashes.
+	acct := newTally(hosts[0][1], hosts[2][0], hosts[1][1], hosts[2][0],
+		spines[0], mem.SRAMBase+16)
 
 	// Workload 3: a collect-probe stream hosts[0][1] -> hosts[2][1]
 	// that transits the bursty link, the blackholed destination AND the
@@ -291,7 +265,6 @@ func Run(cfg Config) Result {
 	}
 
 	var res Result
-	var lastValue uint32
 	res.RateAfterReboot = make([]float64, len(cfg.RebootAt))
 
 	env := &scenario.Env{
@@ -306,18 +279,7 @@ func Run(cfg Config) Result {
 				return nil
 			},
 			"accounting": func(*scenario.Env) error {
-				sim.Every(20*netsim.Millisecond, 25*netsim.Millisecond, func() {
-					writer.Add(1, nil)
-				})
-				sim.Every(60*netsim.Millisecond, 100*netsim.Millisecond, func() {
-					poller.Poll(func(value uint32, delta int64, discont bool) {
-						res.Polls++
-						if delta < 0 {
-							res.NegativeDeltas++
-						}
-						lastValue = value
-					})
-				})
+				acct.start(sim, 0)
 				return nil
 			},
 			"stream": func(*scenario.Env) error {
@@ -347,43 +309,29 @@ func Run(cfg Config) Result {
 				return nil
 			},
 		},
-		Asserts: map[string]scenario.Hook{
-			// TCAM state survives a crash-restart; after two of them the
-			// live fabric must still verify field-for-field against the
-			// routing spec.
-			"routes-intact": func(e *scenario.Env) error {
-				if errs := e.Controller.Verify(e.Spec); len(errs) > 0 {
-					return fmt.Errorf("%d devices off spec: %v", len(errs), errs)
-				}
-				return nil
-			},
-		},
+		// TCAM state survives a crash-restart; after two of them the
+		// live fabric must still verify field-for-field against the
+		// routing spec.
+		Asserts: map[string]scenario.Hook{"routes-intact": scenario.VerifySpec},
 	}
-	sc, err := scenario.Parse(chaosScenario(cfg, holeIP), nil)
-	if err != nil {
-		panic(fmt.Sprintf("chaos: bad scenario: %v", err))
-	}
-	res.Scenario = scenario.Run(env, sc)
+
+	res.Scenario = scenario.Run(env, scenario.Scenario{
+		Name: "chaos-soak",
+		Phases: soakPhases("storm", events,
+			[]string{"rcp", "accounting", "stream", "sampling"}, cfg.Duration, "routes-intact"),
+	})
 	ctl.Stop()
 
 	// Audit.
-	for _, sw := range append(append([]*asic.Switch{}, leaves...), spines...) {
-		for p := 0; p < sw.Ports(); p++ {
-			port := sw.Port(p)
-			for q := 0; q < port.Queues(); q++ {
-				qu := port.Queue(q)
-				res.Leaked += int64(qu.EnqPkts) -
-					int64(qu.DeqPkts+qu.FlushedPkts+uint64(qu.Len()))
-			}
-		}
-	}
+	res.Leaked = leaked(all...)
+	res.Polls, res.NegativeDeltas = acct.Polls, acct.NegativeDeltas
 	res.Reboots = spines[0].Reboots()
 	res.RebootDrops = spines[0].RebootDrops()
 	res.EpochBumps = ctl.EpochBumps
 	res.Reinits = ctl.Reinits
 	res.RCPTimeouts = ctl.Timeouts
-	res.Discontinuities = poller.Discontinuities
-	res.FinalTally = lastValue
+	res.Discontinuities = acct.poller.Discontinuities
+	res.FinalTally = acct.Last
 	res.Throttled = leaves[2].TPPsThrottled()
 	res.StreamTimeouts = streamProber.TimedOut
 	res.SpansDropped = tracer.Dropped()

@@ -3,9 +3,7 @@ package chaos
 import (
 	"fmt"
 
-	"repro/internal/accounting"
 	"repro/internal/asic"
-	"repro/internal/core"
 	"repro/internal/endhost"
 	"repro/internal/fabric"
 	"repro/internal/fabric/scenario"
@@ -127,42 +125,6 @@ func hostileTenants() []fabric.Tenant {
 	}
 }
 
-// hostileScenario renders the soak's phase graph: provision the tenant
-// grants, arm the flood, start the victim workloads, soak, verify the
-// grants survived.
-func hostileScenario(cfg HostileConfig, dstMAC core.MAC, dstIP uint32) string {
-	return fmt.Sprintf(`name: hostile-soak
-phases:
-  - name: provision
-    kind: provision
-    budget: 5
-    backoff: 10ms
-  - name: flood
-    kind: faults
-    needs: [provision]
-    events:
-      - at: %dns
-        kind: %v
-        target: rogue
-        pps: %g
-        dstmac: %s
-        dstip: %s
-  - name: work
-    kind: workloads
-    needs: [provision]
-    hooks: [seal, rcp, accounting, sampling]
-  - name: soak
-    kind: run
-    needs: [work, flood]
-    until: %dns
-  - name: check
-    kind: asserts
-    needs: [soak]
-    hooks: [grants-intact]
-`, cfg.RogueFrom, faults.RogueTenant, cfg.RoguePPS,
-		dstMAC, core.IPv4String(dstIP), cfg.Duration)
-}
-
 // RunHostile executes the hostile-tenant scenario.
 func RunHostile(cfg HostileConfig) HostileResult {
 	if cfg.Duration <= 0 {
@@ -210,10 +172,12 @@ func RunHostile(cfg HostileConfig) HostileResult {
 	}}
 	rcp.InitRateRegisters(s0, s1)
 
-	// The hostile flood is a declarative fault-plan event, like a
-	// reboot or a loss window.
+	// The hostile flood is a fault-plan event, like a reboot or a loss
+	// window: the rogue wakes at RogueFrom and floods its sink.
 	inj := faults.NewInjector(sim, tracer)
 	inj.RegisterHost("rogue", rg)
+	flood := []faults.Event{{At: cfg.RogueFrom, Kind: faults.RogueTenant, Target: "rogue",
+		PPS: cfg.RoguePPS, DstMAC: rd.MAC, DstIP: rd.IP}}
 
 	// Victim workload 1+2: two RCP* flows sharing the bottleneck, so
 	// each must converge to C/2.
@@ -225,19 +189,9 @@ func RunHostile(cfg HostileConfig) HostileResult {
 	// word 16 of the accounting tenant's partition).  Writer and
 	// poller approach from opposite sides; both paths transit s1.
 	tallyAddr := mem.SRAMBase + 16
-	writerProber := endhost.NewProber(wr)
-	writerProber.SetDefaults(endhost.ProbeConfig{
-		Timeout: 100 * netsim.Millisecond, Retries: 2, Backoff: 2})
-	writer := accounting.NewCounter(writerProber, pl.MAC, pl.IP,
-		s1.ID(), tallyAddr, accounting.Atomic)
-	pollProber := endhost.NewProber(pl)
-	pollProber.SetDefaults(endhost.ProbeConfig{
-		Timeout: 100 * netsim.Millisecond, Retries: 2, Backoff: 2})
-	poller := accounting.NewCounter(pollProber, wr.MAC, wr.IP,
-		s1.ID(), tallyAddr, accounting.Atomic)
+	acct := newTally(wr, pl, pl, wr, s1, tallyAddr)
 
 	var res HostileResult
-	var lastValue uint32
 	// Stop adding well before the end so every in-flight CSTORE chain
 	// resolves and WriterDone reconciles exactly with the SRAM word.
 	addUntil := cfg.Duration - 500*netsim.Millisecond
@@ -284,20 +238,7 @@ func RunHostile(cfg HostileConfig) HostileResult {
 				return nil
 			},
 			"accounting": func(*scenario.Env) error {
-				sim.Every(20*netsim.Millisecond, 25*netsim.Millisecond, func() {
-					if sim.Now() < addUntil {
-						writer.Add(1, func(uint32) { res.WriterDone++ })
-					}
-				})
-				sim.Every(60*netsim.Millisecond, 100*netsim.Millisecond, func() {
-					poller.Poll(func(value uint32, delta int64, discont bool) {
-						res.Polls++
-						if delta < 0 {
-							res.NegativeDeltas++
-						}
-						lastValue = value
-					})
-				})
+				acct.start(sim, addUntil)
 				return nil
 			},
 			// Sample both victims' rates every 100ms.
@@ -309,23 +250,16 @@ func RunHostile(cfg HostileConfig) HostileResult {
 				return nil
 			},
 		},
-		Asserts: map[string]scenario.Hook{
-			// After five seconds of forged-write flood, every grant must
-			// still verify field-for-field: the rogue never perturbed
-			// the control plane.
-			"grants-intact": func(e *scenario.Env) error {
-				if errs := e.Controller.Verify(e.Spec); len(errs) > 0 {
-					return fmt.Errorf("%d devices off spec: %v", len(errs), errs)
-				}
-				return nil
-			},
-		},
+		// After five seconds of forged-write flood, every grant must
+		// still verify field-for-field: the rogue never perturbed the
+		// control plane.
+		Asserts: map[string]scenario.Hook{"grants-intact": scenario.VerifySpec},
 	}
-	sc, err := scenario.Parse(hostileScenario(cfg, rd.MAC, rd.IP), nil)
-	if err != nil {
-		panic(fmt.Sprintf("chaos: bad scenario: %v", err))
-	}
-	res.Scenario = scenario.Run(env, sc)
+	res.Scenario = scenario.Run(env, scenario.Scenario{
+		Name: "hostile-soak",
+		Phases: soakPhases("flood", flood,
+			[]string{"seal", "rcp", "accounting", "sampling"}, cfg.Duration, "grants-intact"),
+	})
 	ctl1.Stop()
 	ctl2.Stop()
 
@@ -381,27 +315,17 @@ func RunHostile(cfg HostileConfig) HostileResult {
 		}
 	}
 
-	res.WriterFailures = writer.Failures
-	res.Discontinuities = poller.Discontinuities
-	res.FinalTally = lastValue
+	res.Polls, res.NegativeDeltas, res.WriterDone = acct.Polls, acct.NegativeDeltas, acct.WriterDone
+	res.WriterFailures = acct.writer.Failures
+	res.Discontinuities = acct.poller.Discontinuities
+	res.FinalTally = acct.Last
 	// Read the tally straight out of s1's SRAM through the accounting
 	// tenant's relocation — the word the writer's CSTOREs landed on.
 	if phys, ok := physSRAMAddr(s1, acctTenant, tallyAddr); ok {
 		res.TallyPhysical = s1.SRAM(mem.SRAMIndex(phys))
 	}
 
-	for _, sw := range []*asic.Switch{s0, s1} {
-		for p := 0; p < sw.Ports(); p++ {
-			port := sw.Port(p)
-			for q := 0; q < port.Queues(); q++ {
-				qu := port.Queue(q)
-				// Tail drops never enter the queue (EnqPkts + DropPkts
-				// == offered), so they are not part of the balance.
-				res.Leaked += int64(qu.EnqPkts) -
-					int64(qu.DeqPkts+qu.FlushedPkts+uint64(qu.Len()))
-			}
-		}
-	}
+	res.Leaked = leaked(s0, s1)
 	res.SpansDropped = tracer.Dropped()
 	return res
 }

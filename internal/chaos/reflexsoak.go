@@ -5,11 +5,11 @@ import (
 
 	"repro/internal/asic"
 	"repro/internal/fabric"
+	"repro/internal/fabric/scenario"
 	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/reflex"
-	"repro/internal/tcam"
 	"repro/internal/topo"
 )
 
@@ -131,48 +131,33 @@ func RunReflexSoak(cfg ReflexSoakConfig) ReflexSoakResult {
 		asic.Config{Metrics: reg, Trace: tracer})
 	h00, h10 := hosts[0][0], hosts[1][0]
 
-	// Exact-match dst routes in the controller band, declared as a
-	// fabric spec and mirrored as direct inserts (the soak provisions
-	// by hand; the closing converge checks the spec still holds).
-	// Leaf uplink j faces spine j; spine port i faces leaf i; hosts
-	// sit on ports 2 and 3.
-	all := append(append([]*asic.Switch{}, leaves...), spines...)
-	insert := func(sw *asic.Switch, prio int, ip uint32, port int) {
-		v, m := tcam.DstIPRule(ip)
-		sw.TCAM().Insert(fabric.BandBase+prio, v, m, tcam.Action{OutPort: port})
-	}
-	leafPlan := [][]struct {
-		prio, port int
-		ip         uint32
-	}{
-		{{10, 0, h10.IP}, {11, 0, hosts[1][1].IP}, {12, 2, h00.IP}, {13, 3, hosts[0][1].IP}},
-		{{10, 2, h10.IP}, {11, 3, hosts[1][1].IP}, {12, 0, h00.IP}, {13, 0, hosts[0][1].IP}},
-	}
-	for li, plan := range leafPlan {
-		for _, p := range plan {
-			insert(leaves[li], p.prio, p.ip, p.port)
+	// Exact-match dst routes in the controller band on all four
+	// switches.  Leaf uplink j faces spine j; spine port i faces leaf i;
+	// hosts sit on ports 2 and 3.
+	h01, h11 := hosts[0][1], hosts[1][1]
+	routes := func(toH10, toH11, toH00, toH01 int) []fabric.Route {
+		return []fabric.Route{
+			{DstIP: h10.IP, Priority: 10, OutPort: toH10},
+			{DstIP: h11.IP, Priority: 11, OutPort: toH11},
+			{DstIP: h00.IP, Priority: 12, OutPort: toH00},
+			{DstIP: h01.IP, Priority: 13, OutPort: toH01},
 		}
 	}
-	for _, sp := range spines {
-		insert(sp, 10, h10.IP, 1)
-		insert(sp, 11, hosts[1][1].IP, 1)
-		insert(sp, 12, h00.IP, 0)
-		insert(sp, 13, hosts[0][1].IP, 0)
-	}
+	spec := fabric.Spec{Devices: []fabric.DeviceSpec{
+		{Device: "leaf0", Routes: routes(0, 0, 2, 3)},
+		{Device: "leaf1", Routes: routes(2, 3, 0, 0)},
+		{Device: "spine0", Routes: routes(1, 1, 0, 0)},
+		{Device: "spine1", Routes: routes(1, 1, 0, 0)},
+	}}
+	all := append(append([]*asic.Switch{}, leaves...), spines...)
 	ctrl := fabric.New(sim)
-	ctrl.Register("leaf0", leaves[0])
-	spec := fabric.Spec{Devices: []fabric.DeviceSpec{{
-		Device: "leaf0",
-		Routes: []fabric.Route{
-			{DstIP: h10.IP, Priority: 10, OutPort: 0},
-			{DstIP: hosts[1][1].IP, Priority: 11, OutPort: 0},
-			{DstIP: h00.IP, Priority: 12, OutPort: 2},
-			{DstIP: hosts[0][1].IP, Priority: 13, OutPort: 3},
-		},
-	}}}
+	for i, sw := range all {
+		ctrl.Register(spec.Devices[i].Device, sw)
+	}
 
-	// The reflex arm on leaf 0: both uplinks monitored through the h00
-	// reflector, h10's prefix armed onto spine 1.
+	// The reflex arm on leaf 0; the "arm" phase monitors both uplinks
+	// through the h00 reflector and arms h10's prefix onto spine 1 once
+	// the routes it captures are provisioned.
 	arm, err := reflex.Attach(sim, leaves[0], reflex.Config{
 		Metrics: reg, Trace: tracer,
 	})
@@ -180,15 +165,7 @@ func RunReflexSoak(cfg ReflexSoakConfig) ReflexSoakResult {
 		panic(fmt.Sprintf("chaos: reflex attach: %v", err))
 	}
 	ctrl.RegisterDetours("leaf0", arm)
-	if err := arm.Monitor(0, h00.MAC, h00.IP); err != nil {
-		panic(fmt.Sprintf("chaos: monitor 0: %v", err))
-	}
-	if err := arm.Monitor(1, h00.MAC, h00.IP); err != nil {
-		panic(fmt.Sprintf("chaos: monitor 1: %v", err))
-	}
-	if err := arm.Authorize("h10-via-spine1", h10.IP, 0, 1); err != nil {
-		panic(fmt.Sprintf("chaos: authorize: %v", err))
-	}
+	const armed = "h10-via-spine1"
 
 	// Fault plan: seeded gray flaps on the primary uplink plus one
 	// leaf-0 crash-restart racing the standing detour.
@@ -196,53 +173,76 @@ func RunReflexSoak(cfg ReflexSoakConfig) ReflexSoakResult {
 	inj.RegisterLink("leaf0-spine0",
 		leaves[0].Port(0).Channel(), spines[0].Port(0).Channel())
 	inj.RegisterSwitch("leaf0", leaves[0])
-	plan := faults.Plan{Seed: cfg.Seed, Events: flapPlan(cfg)}
+	events := flapPlan(cfg)
 	if cfg.RebootAt > 0 && cfg.RebootAt < cfg.Duration {
-		plan.Events = append(plan.Events, faults.Event{
+		events = append(events, faults.Event{
 			At: cfg.RebootAt, Kind: faults.SwitchReboot,
 			Target: "leaf0", BootDelay: cfg.BootDelay,
 		})
 	}
-	if err := inj.Schedule(plan); err != nil {
-		panic(fmt.Sprintf("chaos: reflex soak plan: %v", err))
-	}
 
-	// Workload: a steady h00 → h10 stream across the armed prefix.
 	res := ReflexSoakResult{}
-	sim.Every(100*netsim.Microsecond, 50*netsim.Microsecond, func() {
-		res.Sent++
-		h00.Send(h00.NewPacket(h10.MAC, h10.IP, 4000, 4001, 200))
-	})
-
-	// Trajectory sampler: one packed word per millisecond.
-	sim.Every(netsim.Millisecond, netsim.Millisecond, func() {
-		res.Trajectory = append(res.Trajectory,
-			arm.Fires()<<40|arm.Reverts()<<20|uint64(len(arm.ActiveDetours())))
-	})
-
-	sim.RunUntil(cfg.Duration)
-
-	// End-of-soak arm state, read before the closing reconciliation
-	// mutates anything.
-	res.EndDetoured = arm.Detoured("h10-via-spine1")
-	res.EndStale = arm.Stale("h10-via-spine1")
-
-	// Closing reconciliation: ratify any standing detour into the spec
-	// (promoting the arm so it stops trying to revert a routing the
-	// operator just blessed), then converge — the fabric must end
-	// clean either way.  A stale arm's rewrite is ordinary drift here:
-	// the converge restores the spec's primary.
-	finalSpec, ratified := ctrl.Ratify(spec)
-	res.Ratified = ratified
-	if ratified > 0 {
-		if err := arm.Promote("h10-via-spine1"); err != nil {
-			panic(fmt.Sprintf("chaos: promote: %v", err))
-		}
+	env := &scenario.Env{
+		Sim:        sim,
+		Controller: ctrl,
+		Injector:   inj,
+		Spec:       spec,
+		Seed:       cfg.Seed,
+		Workloads: map[string]scenario.Hook{
+			"reflex": func(*scenario.Env) error {
+				for uplink := 0; uplink < 2; uplink++ {
+					if err := arm.Monitor(uplink, h00.MAC, h00.IP); err != nil {
+						return err
+					}
+				}
+				return arm.Authorize(armed, h10.IP, 0, 1)
+			},
+			// A steady h00 → h10 stream across the armed prefix, and one
+			// packed trajectory word per millisecond.
+			"stream": func(*scenario.Env) error {
+				sim.Every(100*netsim.Microsecond, 50*netsim.Microsecond, func() {
+					res.Sent++
+					h00.Send(h00.NewPacket(h10.MAC, h10.IP, 4000, 4001, 200))
+				})
+				sim.Every(netsim.Millisecond, netsim.Millisecond, func() {
+					res.Trajectory = append(res.Trajectory,
+						arm.Fires()<<40|arm.Reverts()<<20|uint64(len(arm.ActiveDetours())))
+				})
+				return nil
+			},
+		},
+		Churns: map[string]scenario.Hook{
+			// Closing reconciliation: ratify any standing detour into the
+			// spec (promoting the arm so it stops trying to revert a
+			// routing the operator just blessed); the phase's converge
+			// must then end clean either way.  A stale arm's rewrite is
+			// ordinary drift here: the converge restores the spec's
+			// primary.
+			"ratify": func(e *scenario.Env) error {
+				res.EndDetoured = arm.Detoured(armed)
+				res.EndStale = arm.Stale(armed)
+				e.Spec, res.Ratified = e.Controller.Ratify(e.Spec)
+				if res.Ratified > 0 {
+					return arm.Promote(armed)
+				}
+				return nil
+			},
+		},
 	}
-	var cres fabric.ConvergeResult
-	ctrl.Converge(finalSpec, fabric.ConvergeConfig{}, func(r fabric.ConvergeResult) { cres = r })
-	sim.RunUntil(cfg.Duration + 10*netsim.Millisecond)
-	res.Converged = cres.Converged
+	const settle = 10 * netsim.Millisecond
+	sres := scenario.Run(env, scenario.Scenario{Name: "reflex-soak", Phases: []scenario.Phase{
+		{Name: "provision", Kind: scenario.KindProvision},
+		{Name: "arm", Kind: scenario.KindWorkloads, Needs: []string{"provision"}, Hooks: []string{"reflex"}},
+		{Name: "flaps", Kind: scenario.KindFaults, Needs: []string{"arm"}, Events: events},
+		{Name: "work", Kind: scenario.KindWorkloads, Needs: []string{"flaps"}, Hooks: []string{"stream"}},
+		{Name: "soak", Kind: scenario.KindRun, Needs: []string{"work"}, Until: cfg.Duration},
+		{Name: "reconcile", Kind: scenario.KindChurn, Needs: []string{"soak"}, Hooks: []string{"ratify"}, Bound: settle},
+		{Name: "settle", Kind: scenario.KindRun, Needs: []string{"reconcile"}, Until: cfg.Duration + settle},
+	}})
+	if sres.Aborted != "" {
+		panic(fmt.Sprintf("chaos: reflex soak aborted at %q: %+v", sres.Aborted, sres.Phases[len(sres.Phases)-1]))
+	}
+	res.Converged = sres.Converged()
 
 	// Audit.
 	res.Fires = arm.Fires()
@@ -250,7 +250,7 @@ func RunReflexSoak(cfg ReflexSoakConfig) ReflexSoakResult {
 	res.StaleWrites = arm.StaleWrites()
 	res.Probes = arm.ProbesSent()
 	res.Delivered = h10.Received
-	if id, ok := arm.EntryOf("h10-via-spine1"); ok {
+	if id, ok := arm.EntryOf(armed); ok {
 		if e, live := leaves[0].TCAM().Get(id); live {
 			res.FinalOutPort = e.Action.OutPort
 		}
@@ -258,15 +258,8 @@ func RunReflexSoak(cfg ReflexSoakConfig) ReflexSoakResult {
 	for _, sw := range all {
 		res.TTLDrops += reg.Counter(fmt.Sprintf("switch/%d/ttl_drops", sw.ID())).Value()
 		res.Blackholes += reg.Counter(fmt.Sprintf("switch/%d/blackholes", sw.ID())).Value()
-		for p := 0; p < sw.Ports(); p++ {
-			port := sw.Port(p)
-			for q := 0; q < port.Queues(); q++ {
-				qu := port.Queue(q)
-				res.Leaked += int64(qu.EnqPkts) -
-					int64(qu.DeqPkts+qu.FlushedPkts+uint64(qu.Len()))
-			}
-		}
 	}
+	res.Leaked = leaked(all...)
 	res.Reboots = leaves[0].Reboots()
 	res.RebootDrops = leaves[0].RebootDrops()
 	return res

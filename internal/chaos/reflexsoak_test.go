@@ -25,6 +25,20 @@ func TestReflexSoak(t *testing.T) {
 	}
 }
 
+// TestReflexSoakPinned pins the seed-1 run's totals: the soak's
+// timeline (provisioning at t=0, the flap plan, the 10ms settle after
+// the closing reconciliation) is part of its contract, and a shifted
+// phase shows up here as a different count before it shows up anywhere
+// else.
+func TestReflexSoakPinned(t *testing.T) {
+	res := RunReflexSoak(DefaultReflexSoak(1))
+	if len(res.Trajectory) != 50 || res.Fires != 4 || res.Reverts != 4 ||
+		res.Sent != 999 || res.Delivered != 990 {
+		t.Fatalf("seed 1: trajectory %d samples, fires %d, reverts %d, sent %d, delivered %d; "+
+			"want 50, 4, 4, 999, 990", len(res.Trajectory), res.Fires, res.Reverts, res.Sent, res.Delivered)
+	}
+}
+
 func checkReflexSoak(t *testing.T, cfg ReflexSoakConfig, res ReflexSoakResult) {
 	t.Helper()
 

@@ -86,6 +86,19 @@ func (c *Controller) Converge(spec Spec, cfg ConvergeConfig, done func(ConvergeR
 	c.convergeAttempt(spec, cfg, cfg.Backoff, res, done)
 }
 
+// ConvergeWithin is the blocking form for a caller that owns the
+// simulation loop: it starts a Converge and drives the simulation in
+// 1ms steps until the result arrives or bound of simulated time has
+// passed.  finished is false when the converge is still retrying at
+// the bound; the zero result returned then carries no information.
+func (c *Controller) ConvergeWithin(spec Spec, cfg ConvergeConfig, bound netsim.Time) (res ConvergeResult, finished bool) {
+	c.Converge(spec, cfg, func(r ConvergeResult) { res, finished = r, true })
+	for deadline := c.sim.Now() + bound; !finished && c.sim.Now() < deadline; {
+		c.sim.RunUntil(c.sim.Now() + netsim.Millisecond)
+	}
+	return res, finished
+}
+
 func (c *Controller) convergeAttempt(spec Spec, cfg ConvergeConfig, backoff netsim.Time, res *ConvergeResult, done func(ConvergeResult)) {
 	cs, diffErrs, err := c.Diff(spec)
 	if err != nil {

@@ -37,7 +37,8 @@
 // "fabric/" name prefix, and the tenant table and L3 table are claimed
 // only by specs that list at least one tenant or prefix for the device.
 //
-// The fabric/scenario subpackage layers a YAML scenario runner
-// (provision → converge → assert → churn) on top, and cmd/fabricctl is
-// the operator CLI: dry-run by default, -execute to apply.
+// The fabric/scenario subpackage layers a scenario runner (provision →
+// faults → workloads → run → asserts → churn phases, built as Go values
+// or decoded from a file) on top, and cmd/fabricctl is the operator
+// CLI: dry-run by default, -execute to apply.
 package fabric

@@ -15,7 +15,7 @@ const DefaultBound = netsim.Second
 // PhaseResult is one phase's outcome.
 type PhaseResult struct {
 	Name string
-	Kind string
+	Kind Kind
 	// Start and End are the simulated times the phase ran across.
 	Start, End netsim.Time
 	// Iterations is how many times the phase body ran (repeat mode).
@@ -26,8 +26,9 @@ type PhaseResult struct {
 	// Failures are assert-hook failures; they collect, they never
 	// abort the scenario.
 	Failures []string
-	// Err is a hard error (unknown hook, unschedulable fault plan,
-	// converge that never finished); it aborts the remaining phases.
+	// Err is a hard error (a validation failure, a failing workload or
+	// churn hook, an unschedulable fault plan, a converge that never
+	// finished); it aborts the remaining phases.
 	Err string
 }
 
@@ -76,16 +77,26 @@ func (r Result) OK() bool {
 	return r.Converged()
 }
 
-// Run executes the scenario's phases in dependency order against env.
-// A phase's hard error aborts the remaining phases (the partial result
+// Run validates the scenario against env (Validate) and executes its
+// phases in dependency order.  A validation failure is reported before
+// any phase runs, as the hard error of the phase that carries it.  A
+// phase's hard error aborts the remaining phases (the partial result
 // still reports everything that ran); assert failures and unconverged
 // converges are recorded and the run continues — graceful degradation,
 // never a silent drop.
 func Run(env *Env, sc Scenario) Result {
+	res := Result{Name: sc.Name}
+	sc, err := Validate(sc, env)
+	if err != nil {
+		pe := err.(*PhaseError)
+		now := env.Sim.Now()
+		res.Phases = []PhaseResult{{Name: pe.Phase, Kind: pe.Kind, Start: now, End: now, Err: pe.Msg}}
+		res.Aborted = pe.Phase
+		return res
+	}
 	if sc.Spec != nil {
 		env.Spec = *sc.Spec
 	}
-	res := Result{Name: sc.Name}
 	for _, p := range sc.Phases {
 		pr := runPhase(env, p)
 		res.Phases = append(res.Phases, pr)
@@ -111,38 +122,15 @@ func runPhase(env *Env, p Phase) PhaseResult {
 	return pr
 }
 
+// runPhaseOnce runs one iteration of a validated phase: every hook
+// name resolves and a faults phase has its injector.
 func runPhaseOnce(env *Env, p Phase, pr *PhaseResult) {
 	switch p.Kind {
 	case KindProvision:
 		pr.converge(env, p)
-	case KindChurn:
-		for _, name := range p.Hooks {
-			hook, ok := env.Churns[name]
-			if !ok {
-				pr.Err = fmt.Sprintf("unknown churn hook %q", name)
-				return
-			}
-			if err := hook(env); err != nil {
-				pr.Err = fmt.Sprintf("churn hook %q: %v", name, err)
-				return
-			}
-		}
-		pr.converge(env, p)
 	case KindFaults:
 		if err := env.Injector.Schedule(faults.Plan{Seed: env.Seed, Events: p.Events}); err != nil {
 			pr.Err = err.Error()
-		}
-	case KindWorkloads:
-		for _, name := range p.Hooks {
-			hook, ok := env.Workloads[name]
-			if !ok {
-				pr.Err = fmt.Sprintf("unknown workload hook %q", name)
-				return
-			}
-			if err := hook(env); err != nil {
-				pr.Err = fmt.Sprintf("workload hook %q: %v", name, err)
-				return
-			}
 		}
 	case KindRun:
 		if p.Until > env.Sim.Now() {
@@ -150,14 +138,19 @@ func runPhaseOnce(env *Env, p Phase, pr *PhaseResult) {
 		}
 	case KindAsserts:
 		for _, name := range p.Hooks {
-			hook, ok := env.Asserts[name]
-			if !ok {
-				pr.Err = fmt.Sprintf("unknown assert hook %q", name)
-				return
-			}
-			if err := hook(env); err != nil {
+			if err := env.Asserts[name](env); err != nil {
 				pr.Failures = append(pr.Failures, fmt.Sprintf("%s/%s: %v", p.Name, name, err))
 			}
+		}
+	case KindWorkloads, KindChurn:
+		for _, name := range p.Hooks {
+			if err := env.hooks(p.Kind)[name](env); err != nil {
+				pr.Err = fmt.Sprintf("%s hook %q: %v", p.Kind.hookNoun(), name, err)
+				return
+			}
+		}
+		if p.Kind == KindChurn {
+			pr.converge(env, p)
 		}
 	}
 }
@@ -165,23 +158,16 @@ func runPhaseOnce(env *Env, p Phase, pr *PhaseResult) {
 // converge runs one converge of env.Spec under the phase's budget and
 // drives the simulation until it finishes or the bound passes.
 func (pr *PhaseResult) converge(env *Env, p Phase) {
-	cfg := fabric.ConvergeConfig{
-		Budget:     p.Budget,
-		Backoff:    p.Backoff,
-		ApplyDelay: p.ApplyDelay,
-	}
 	bound := p.Bound
 	if bound <= 0 {
 		bound = DefaultBound
 	}
-	deadline := env.Sim.Now() + bound
-	var res fabric.ConvergeResult
-	done := false
-	env.Controller.Converge(env.Spec, cfg, func(r fabric.ConvergeResult) { res, done = r, true })
-	for !done && env.Sim.Now() < deadline {
-		env.Sim.RunUntil(env.Sim.Now() + netsim.Millisecond)
-	}
-	if !done {
+	res, finished := env.Controller.ConvergeWithin(env.Spec, fabric.ConvergeConfig{
+		Budget:     p.Budget,
+		Backoff:    p.Backoff,
+		ApplyDelay: p.ApplyDelay,
+	}, bound)
+	if !finished {
 		pr.Err = fmt.Sprintf("converge did not finish within %v", bound)
 		return
 	}

@@ -1,63 +1,61 @@
-// Package scenario runs declarative YAML fabric scenarios: provision a
-// spec through the fabric controller, schedule fault plans, start
-// workloads, soak simulated time, assert invariants, and churn the spec
-// under load — with phase dependency ordering and a repeat mode for
-// stress runs.
+// Package scenario runs fabric scenarios: provision a spec through the
+// fabric controller, schedule fault plans, start workloads, soak
+// simulated time, assert invariants, and churn the spec under load —
+// with phase dependency ordering and a repeat mode for stress runs.
 //
-// A scenario file:
+// A scenario is a Go value.  The harness builds the topology, registers
+// its hooks on an Env by name, and lists the phases; fault events,
+// durations and addresses are the faults.Event / netsim.Time values the
+// harness already holds:
 //
-//	name: converge-under-churn
-//	spec:
-//	  devices: ...          # fabric.ParseSpec format (optional)
-//	phases:
-//	  - name: provision
-//	    kind: provision     # converge the spec
-//	    budget: 5
-//	    backoff: 10ms
-//	    bound: 1s
-//	  - name: storm
-//	    kind: faults        # schedule a fault plan
-//	    needs: [provision]
-//	    events:
-//	      - at: 3s
-//	        kind: switch-reboot
-//	        target: spine0
-//	        bootdelay: 1ms
-//	  - name: work
-//	    kind: workloads     # start named workload hooks
-//	    needs: [provision]
-//	    hooks: [rcp, accounting]
-//	  - name: soak
-//	    kind: run           # advance simulated time
-//	    needs: [work]
-//	    until: 7s
-//	  - name: check
-//	    kind: asserts       # run named assert hooks; failures collect
-//	    needs: [soak]
-//	    hooks: [delivery]
-//	  - name: reshuffle
-//	    kind: churn         # mutate the spec via hooks, then reconverge
-//	    needs: [check]
-//	    hooks: [shift-routes]
-//	    repeat: 2
+//	sc := scenario.Scenario{Name: "converge-under-churn", Phases: []scenario.Phase{
+//		{Name: "provision", Kind: scenario.KindProvision, Budget: 5},
+//		{Name: "storm", Kind: scenario.KindFaults, Needs: []string{"provision"},
+//			Events: []faults.Event{{At: 3 * netsim.Second, Kind: faults.SwitchReboot,
+//				Target: "spine0", BootDelay: netsim.Millisecond}}},
+//		{Name: "work", Kind: scenario.KindWorkloads, Needs: []string{"provision"},
+//			Hooks: []string{"rcp", "accounting"}},
+//		{Name: "soak", Kind: scenario.KindRun, Needs: []string{"work", "storm"},
+//			Until: 7 * netsim.Second},
+//		{Name: "check", Kind: scenario.KindAsserts, Needs: []string{"soak"},
+//			Hooks: []string{"verified"}},
+//		{Name: "reshuffle", Kind: scenario.KindChurn, Needs: []string{"check"},
+//			Hooks: []string{"shift-routes"}, Repeat: 2},
+//	}}
+//	res := scenario.Run(env, sc)
 //
-// Hooks are Go functions the harness registers on the Env by name; the
-// YAML orders them.  "$name" tokens anywhere in the document are
-// substituted from Env.Vars before parsing, so one scenario file can be
-// parameterized across seeds and targets.
+// Run validates the whole value against the Env before the first phase
+// executes (Validate), so an unknown kind, a dependency cycle or a
+// mistyped hook name fails at t=0, not after the soak.  Parse is the
+// text edge for scenarios kept in files: it decodes the same structure
+// from a YAML document and returns the same value.
 package scenario
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/fabric/yamlite"
 	"repro/internal/faults"
 	"repro/internal/netsim"
 )
+
+// Kind names what a phase does.
+type Kind string
+
+// Phase kinds.
+const (
+	KindProvision Kind = "provision" // converge Env.Spec
+	KindFaults    Kind = "faults"    // schedule Events on Env.Injector
+	KindWorkloads Kind = "workloads" // start named workload hooks
+	KindRun       Kind = "run"       // advance simulated time to Until
+	KindAsserts   Kind = "asserts"   // run named assert hooks; failures collect
+	KindChurn     Kind = "churn"     // mutate the spec via hooks, then reconverge
+)
+
+// hookNoun is how messages name one hook of the kind: "workload",
+// "assert", "churn".
+func (k Kind) hookNoun() string { return strings.TrimSuffix(string(k), "s") }
 
 // Hook is a named harness callback: workloads start things, asserts
 // check things, churns mutate Env.Spec.
@@ -68,39 +66,54 @@ type Hook func(*Env) error
 type Env struct {
 	Sim        *netsim.Sim
 	Controller *fabric.Controller
-	Injector   *faults.Injector
-	// Spec is the desired fabric state; a scenario's spec: section
-	// replaces it, and churn hooks mutate it between converges.
+	// Injector schedules faults phases; it may be nil for a scenario
+	// that has none.
+	Injector *faults.Injector
+	// Spec is the desired fabric state; a scenario's Spec replaces it,
+	// and churn hooks mutate it between converges.
 	Spec fabric.Spec
 	// Seed parameterizes fault plans ({Seed: Seed} in every scheduled
 	// plan) so a scenario replays identically per seed.
 	Seed int64
-	// Vars is substituted for "$name" tokens at parse time.
-	Vars map[string]string
 
 	Workloads map[string]Hook
 	Asserts   map[string]Hook
 	Churns    map[string]Hook
 }
 
-// Phase kinds.
-const (
-	KindProvision = "provision"
-	KindFaults    = "faults"
-	KindWorkloads = "workloads"
-	KindRun       = "run"
-	KindAsserts   = "asserts"
-	KindChurn     = "churn"
-)
+// hooks returns the registry a phase kind's hook names resolve in.
+func (e *Env) hooks(k Kind) map[string]Hook {
+	switch k {
+	case KindWorkloads:
+		return e.Workloads
+	case KindAsserts:
+		return e.Asserts
+	case KindChurn:
+		return e.Churns
+	}
+	return nil
+}
 
-// Phase is one parsed scenario step.
+// VerifySpec is the assert hook every harness ends on: the live fabric,
+// re-read device by device, must equal Env.Spec field for field.
+func VerifySpec(e *Env) error {
+	if errs := e.Controller.Verify(e.Spec); len(errs) > 0 {
+		return fmt.Errorf("%d devices off spec: %v", len(errs), errs)
+	}
+	return nil
+}
+
+// Phase is one scenario step.
 type Phase struct {
-	Name   string
-	Kind   string
-	Needs  []string
+	Name string
+	Kind Kind
+	// Needs names the phases that must run first.
+	Needs []string
+	// Repeat runs the phase body that many times (0 and 1: once).
 	Repeat int
 
-	// provision / churn
+	// provision / churn: the converge's retry budget, and how long the
+	// runner drives the simulation waiting for it (0: DefaultBound).
 	Budget     int
 	Backoff    netsim.Time
 	ApplyDelay netsim.Time
@@ -111,309 +124,126 @@ type Phase struct {
 	Until  netsim.Time    // run
 }
 
-// Scenario is a parsed scenario document with phases already in
-// dependency order.
+// Scenario is a named phase list, optionally carrying the spec it
+// provisions.
 type Scenario struct {
 	Name   string
 	Spec   *fabric.Spec
 	Phases []Phase
 }
 
-// Parse parses a scenario document, substituting "$name" tokens from
-// vars first, validating phase kinds and resolving the dependency
-// order (Kahn's algorithm, preferring declaration order, so the
-// schedule is deterministic).
-func Parse(src string, vars map[string]string) (Scenario, error) {
-	src = substitute(src, vars)
-	root, err := yamlite.Parse(src)
-	if err != nil {
-		return Scenario{}, err
-	}
-	if err := knownKeys(root, "name", "spec", "phases"); err != nil {
-		return Scenario{}, err
-	}
-	sc := Scenario{Name: root.Get("name").Str()}
-	if sn := root.Get("spec"); sn != nil {
-		spec, err := fabric.DecodeSpec(sn)
-		if err != nil {
+// PhaseError is a validation failure, attributed to the phase that
+// carries it.
+type PhaseError struct {
+	Phase string
+	Kind  Kind
+	Msg   string
+}
+
+func (e *PhaseError) Error() string {
+	return fmt.Sprintf("scenario: phase %q: %s", e.Phase, e.Msg)
+}
+
+// Validate checks every phase against what its kind requires and
+// returns the scenario with its phases in execution order: each phase
+// after every phase it needs, declaration order among the ready, so the
+// schedule is deterministic.  Given the Env the scenario will run in,
+// it also resolves every hook name and requires an injector for faults
+// phases; env is nil when no Env exists yet (Parse).  The error is a
+// *PhaseError.
+func Validate(sc Scenario, env *Env) (Scenario, error) {
+	index := make(map[string]int, len(sc.Phases))
+	for i, p := range sc.Phases {
+		if p.Name == "" {
+			p.Name = fmt.Sprintf("#%d", i)
+			return Scenario{}, phaseErr(p, "missing name")
+		}
+		if _, dup := index[p.Name]; dup {
+			return Scenario{}, phaseErr(p, "duplicate phase name")
+		}
+		index[p.Name] = i
+		if err := checkPhase(p, env); err != nil {
 			return Scenario{}, err
 		}
-		sc.Spec = &spec
 	}
-	seen := make(map[string]bool)
-	for i, pn := range root.Get("phases").Items() {
-		p, err := decodePhase(pn)
-		if err != nil {
-			return Scenario{}, fmt.Errorf("scenario: phase %d: %w", i, err)
+	for _, p := range sc.Phases {
+		for _, need := range p.Needs {
+			if _, ok := index[need]; !ok {
+				return Scenario{}, phaseErr(p, "needs unknown phase %q", need)
+			}
 		}
-		if seen[p.Name] {
-			return Scenario{}, fmt.Errorf("scenario: duplicate phase %q", p.Name)
-		}
-		seen[p.Name] = true
-		sc.Phases = append(sc.Phases, p)
 	}
-	ordered, err := topoOrder(sc.Phases)
-	if err != nil {
-		return Scenario{}, err
+
+	done := make([]bool, len(sc.Phases))
+	ordered := make([]Phase, 0, len(sc.Phases))
+	for len(ordered) < len(sc.Phases) {
+		picked := -1
+	scan:
+		for i, p := range sc.Phases {
+			if done[i] {
+				continue
+			}
+			for _, need := range p.Needs {
+				if !done[index[need]] {
+					continue scan
+				}
+			}
+			picked = i
+			break
+		}
+		if picked < 0 {
+			var stuck []string
+			for i, p := range sc.Phases {
+				if !done[i] {
+					stuck = append(stuck, p.Name)
+				}
+			}
+			return Scenario{}, phaseErr(sc.Phases[index[stuck[0]]],
+				"dependency cycle among %s", strings.Join(stuck, ", "))
+		}
+		done[picked] = true
+		ordered = append(ordered, sc.Phases[picked])
 	}
 	sc.Phases = ordered
 	return sc, nil
 }
 
-// substitute replaces "$name" tokens, longest names first so "$seed2"
-// never half-matches "$seed".
-func substitute(src string, vars map[string]string) string {
-	if len(vars) == 0 {
-		return src
-	}
-	names := make([]string, 0, len(vars))
-	for name := range vars { //lint:allow maporder (sorted below)
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if len(names[i]) != len(names[j]) {
-			return len(names[i]) > len(names[j])
-		}
-		return names[i] < names[j]
-	})
-	pairs := make([]string, 0, 2*len(names))
-	for _, name := range names {
-		pairs = append(pairs, "$"+name, vars[name])
-	}
-	return strings.NewReplacer(pairs...).Replace(src)
-}
-
-func decodePhase(n *yamlite.Node) (Phase, error) {
-	if err := knownKeys(n, "name", "kind", "needs", "repeat",
-		"budget", "backoff", "applydelay", "bound", "events", "hooks", "until"); err != nil {
-		return Phase{}, err
-	}
-	p := Phase{Name: n.Get("name").Str(), Kind: n.Get("kind").Str()}
-	if p.Name == "" {
-		return Phase{}, fmt.Errorf("missing name")
-	}
-	for _, need := range n.Get("needs").Items() {
-		p.Needs = append(p.Needs, need.Str())
-	}
-	var err error
-	if r := n.Get("repeat"); r != nil {
-		v, err := r.Int()
-		if err != nil || v < 1 {
-			return Phase{}, fmt.Errorf("bad repeat: %v", err)
-		}
-		p.Repeat = int(v)
+// checkPhase holds the per-kind requirements.
+func checkPhase(p Phase, env *Env) error {
+	if p.Repeat < 0 {
+		return phaseErr(p, "bad repeat %d", p.Repeat)
 	}
 	switch p.Kind {
-	case KindProvision, KindChurn:
-		if b := n.Get("budget"); b != nil {
-			v, err := b.Int()
-			if err != nil {
-				return Phase{}, err
-			}
-			p.Budget = int(v)
-		}
-		if p.Backoff, err = durationKey(n, "backoff"); err != nil {
-			return Phase{}, err
-		}
-		if p.ApplyDelay, err = durationKey(n, "applydelay"); err != nil {
-			return Phase{}, err
-		}
-		if p.Bound, err = durationKey(n, "bound"); err != nil {
-			return Phase{}, err
-		}
-		if p.Kind == KindChurn {
-			for _, h := range n.Get("hooks").Items() {
-				p.Hooks = append(p.Hooks, h.Str())
-			}
-			if len(p.Hooks) == 0 {
-				return Phase{}, fmt.Errorf("churn phase %q has no hooks", p.Name)
-			}
-		}
+	case KindProvision:
 	case KindFaults:
-		for i, en := range n.Get("events").Items() {
-			ev, err := decodeEvent(en)
-			if err != nil {
-				return Phase{}, fmt.Errorf("event %d: %w", i, err)
-			}
-			p.Events = append(p.Events, ev)
-		}
 		if len(p.Events) == 0 {
-			return Phase{}, fmt.Errorf("faults phase %q has no events", p.Name)
+			return phaseErr(p, "faults phase has no events")
 		}
-	case KindWorkloads, KindAsserts:
-		for _, h := range n.Get("hooks").Items() {
-			p.Hooks = append(p.Hooks, h.Str())
+		if env != nil && env.Injector == nil {
+			return phaseErr(p, "faults phase needs an Env.Injector")
 		}
+	case KindWorkloads, KindAsserts, KindChurn:
 		if len(p.Hooks) == 0 {
-			return Phase{}, fmt.Errorf("%s phase %q has no hooks", p.Kind, p.Name)
+			return phaseErr(p, "%s phase has no hooks", p.Kind)
+		}
+		if env == nil {
+			break
+		}
+		for _, name := range p.Hooks {
+			if _, ok := env.hooks(p.Kind)[name]; !ok {
+				return phaseErr(p, "unknown %s hook %q", p.Kind.hookNoun(), name)
+			}
 		}
 	case KindRun:
-		if p.Until, err = durationKey(n, "until"); err != nil {
-			return Phase{}, err
-		}
-		if p.Until == 0 {
-			return Phase{}, fmt.Errorf("run phase %q needs until", p.Name)
+		if p.Until <= 0 {
+			return phaseErr(p, "run phase needs until")
 		}
 	default:
-		return Phase{}, fmt.Errorf("unknown kind %q", p.Kind)
-	}
-	return p, nil
-}
-
-// kindByName maps the faults package's event names back to kinds.
-func kindByName(name string) (faults.Kind, error) {
-	for k := faults.Kind(0); ; k++ {
-		s := k.String()
-		if s == "unknown" {
-			return 0, fmt.Errorf("unknown fault kind %q", name)
-		}
-		if s == name {
-			return k, nil
-		}
-	}
-}
-
-func decodeEvent(n *yamlite.Node) (faults.Event, error) {
-	if err := knownKeys(n, "at", "kind", "target", "p",
-		"pgoodbad", "pbadgood", "lossgood", "lossbad",
-		"dstip", "bootdelay", "pps", "dstmac", "dir"); err != nil {
-		return faults.Event{}, err
-	}
-	var ev faults.Event
-	var err error
-	if ev.At, err = durationKey(n, "at"); err != nil {
-		return faults.Event{}, err
-	}
-	if ev.Kind, err = kindByName(n.Get("kind").Str()); err != nil {
-		return faults.Event{}, err
-	}
-	ev.Target = n.Get("target").Str()
-	if ev.Target == "" {
-		return faults.Event{}, fmt.Errorf("missing target")
-	}
-	for _, f := range []struct {
-		key string
-		dst *float64
-	}{
-		{"p", &ev.P}, {"pgoodbad", &ev.PGoodBad}, {"pbadgood", &ev.PBadGood},
-		{"lossgood", &ev.LossGood}, {"lossbad", &ev.LossBad}, {"pps", &ev.PPS},
-	} {
-		if v := n.Get(f.key); v != nil {
-			if *f.dst, err = v.Float(); err != nil {
-				return faults.Event{}, err
-			}
-		}
-	}
-	if v := n.Get("dstip"); v != nil {
-		if ev.DstIP, err = fabric.ParseIP(v.Str()); err != nil {
-			return faults.Event{}, err
-		}
-	}
-	if ev.BootDelay, err = durationKey(n, "bootdelay"); err != nil {
-		return faults.Event{}, err
-	}
-	if v := n.Get("dstmac"); v != nil {
-		if ev.DstMAC, err = parseMAC(v.Str()); err != nil {
-			return faults.Event{}, err
-		}
-	}
-	if v := n.Get("dir"); v != nil {
-		f, err := v.Float()
-		if err != nil {
-			return faults.Event{}, err
-		}
-		ev.Dir = int(f)
-	}
-	return ev, nil
-}
-
-// parseMAC parses the colon-hex form core.MAC.String renders.
-func parseMAC(s string) (core.MAC, error) {
-	parts := strings.Split(strings.TrimSpace(s), ":")
-	var mac core.MAC
-	if len(parts) != len(mac) {
-		return mac, fmt.Errorf("scenario: %q is not a MAC address", s)
-	}
-	for i, p := range parts {
-		var b uint8
-		if _, err := fmt.Sscanf(p, "%02x", &b); err != nil || len(p) != 2 {
-			return mac, fmt.Errorf("scenario: %q is not a MAC address", s)
-		}
-		mac[i] = b
-	}
-	return mac, nil
-}
-
-func durationKey(n *yamlite.Node, key string) (netsim.Time, error) {
-	v := n.Get(key)
-	if v == nil {
-		return 0, nil
-	}
-	return fabric.ParseDuration(v.Str())
-}
-
-func knownKeys(n *yamlite.Node, allowed ...string) error {
-	if n == nil {
-		return fmt.Errorf("scenario: expected a map")
-	}
-outer:
-	for _, k := range n.Keys() {
-		for _, a := range allowed {
-			if k == a {
-				continue outer
-			}
-		}
-		return fmt.Errorf("scenario: unknown key %q (allowed: %s)", k, strings.Join(allowed, ", "))
+		return phaseErr(p, "unknown kind %q", p.Kind)
 	}
 	return nil
 }
 
-// topoOrder resolves phase dependencies: each phase runs after every
-// phase it needs, and among ready phases declaration order wins, so the
-// schedule is stable across runs.
-func topoOrder(phases []Phase) ([]Phase, error) {
-	index := make(map[string]int, len(phases))
-	for i, p := range phases {
-		index[p.Name] = i
-	}
-	for _, p := range phases {
-		for _, need := range p.Needs {
-			if _, ok := index[need]; !ok {
-				return nil, fmt.Errorf("scenario: phase %q needs unknown phase %q", p.Name, need)
-			}
-		}
-	}
-	done := make([]bool, len(phases))
-	out := make([]Phase, 0, len(phases))
-	for len(out) < len(phases) {
-		picked := -1
-		for i, p := range phases {
-			if done[i] {
-				continue
-			}
-			ready := true
-			for _, need := range p.Needs {
-				if !done[index[need]] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				picked = i
-				break
-			}
-		}
-		if picked < 0 {
-			var stuck []string
-			for i, p := range phases {
-				if !done[i] {
-					stuck = append(stuck, p.Name)
-				}
-			}
-			return nil, fmt.Errorf("scenario: dependency cycle among %s", strings.Join(stuck, ", "))
-		}
-		done[picked] = true
-		out = append(out, phases[picked])
-	}
-	return out, nil
+func phaseErr(p Phase, format string, args ...any) error {
+	return &PhaseError{Phase: p.Name, Kind: p.Kind, Msg: fmt.Sprintf(format, args...)}
 }

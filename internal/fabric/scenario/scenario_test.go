@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -82,6 +83,37 @@ phases:
     bound: 500ms
 `
 
+var scenarioVars = map[string]string{"victim": "leaf0"}
+
+// typedScenario is scenarioSrc as the Go value a harness builds, in the
+// same (out of dependency order) declaration order.
+func typedScenario() scenario.Scenario {
+	const ms = netsim.Millisecond
+	return scenario.Scenario{
+		Name: "converge-under-reboot",
+		Spec: &fabric.Spec{Devices: []fabric.DeviceSpec{
+			{
+				Device:   "leaf0",
+				Tenants:  []fabric.Tenant{{ID: 1, Policy: fabric.PolicyControl, Words: 64, Weight: 10, Burst: 16}},
+				Services: []fabric.Service{{Name: "rcp", Words: 8, Seed: []uint32{1250000}}},
+				Routes:   []fabric.Route{{DstIP: 0x0a000001, Priority: 100, OutPort: 1}},
+			},
+			{Device: "spine0", Routes: []fabric.Route{{DstIP: 0x0a000001, Priority: 10, OutPort: 0}}},
+		}},
+		Phases: []scenario.Phase{
+			{Name: "check", Kind: scenario.KindAsserts, Needs: []string{"heal"}, Hooks: []string{"verified"}},
+			{Name: "provision", Kind: scenario.KindProvision, Budget: 6, Backoff: 5 * ms, Bound: 500 * ms},
+			{Name: "storm", Kind: scenario.KindFaults, Needs: []string{"provision"}, Events: []faults.Event{
+				{At: 10 * ms, Kind: faults.SwitchReboot, Target: "leaf0", BootDelay: ms}}},
+			{Name: "work", Kind: scenario.KindWorkloads, Needs: []string{"provision"}, Hooks: []string{"mark"}},
+			{Name: "soak", Kind: scenario.KindRun, Needs: []string{"work", "storm"}, Until: 50 * ms},
+			{Name: "heal", Kind: scenario.KindProvision, Needs: []string{"soak"}, Budget: 6, Backoff: 5 * ms, Bound: 500 * ms},
+			{Name: "reshuffle", Kind: scenario.KindChurn, Needs: []string{"check"}, Hooks: []string{"shift"},
+				Repeat: 3, Budget: 6, Backoff: 5 * ms, Bound: 500 * ms},
+		},
+	}
+}
+
 type world struct {
 	env   *scenario.Env
 	leaf  *asic.Switch
@@ -105,18 +137,10 @@ func newWorld(seed int64) *world {
 		Controller: ctl,
 		Injector:   inj,
 		Seed:       seed,
-		Vars:       map[string]string{"victim": "leaf0"},
 		Workloads: map[string]scenario.Hook{
 			"mark": func(*scenario.Env) error { w.marks++; return nil },
 		},
-		Asserts: map[string]scenario.Hook{
-			"verified": func(e *scenario.Env) error {
-				if errs := e.Controller.Verify(e.Spec); len(errs) > 0 {
-					return fmt.Errorf("%d devices off spec: %v", len(errs), errs)
-				}
-				return nil
-			},
-		},
+		Asserts: map[string]scenario.Hook{"verified": scenario.VerifySpec},
 		Churns: map[string]scenario.Hook{
 			"shift": func(e *scenario.Env) error {
 				// Retarget the leaf route each iteration: real churn,
@@ -139,7 +163,7 @@ func newWorld(seed int64) *world {
 func run(t *testing.T, seed int64) (scenario.Result, *world) {
 	t.Helper()
 	w := newWorld(seed)
-	sc, err := scenario.Parse(scenarioSrc, w.env.Vars)
+	sc, err := scenario.Parse(scenarioSrc, scenarioVars)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +229,81 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 }
 
+// TestTextAndTypedAgree: the text edge and the typed API cannot drift —
+// Parse of the document and Validate of the hand-built value are the
+// same scenario, and running either on the same rig gives the same
+// result.
+func TestTextAndTypedAgree(t *testing.T) {
+	parsed, err := scenario.Parse(scenarioSrc, scenarioVars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typed, err := scenario.Validate(typedScenario(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(parsed, typed) {
+		t.Fatalf("Parse and the typed value differ:\ntext  %+v\ntyped %+v", parsed, typed)
+	}
+	// Run orders an unvalidated value itself.
+	fromText := scenario.Run(newWorld(1).env, parsed)
+	fromValue := scenario.Run(newWorld(1).env, typedScenario())
+	if !fromText.OK() || !reflect.DeepEqual(fromText, fromValue) {
+		t.Fatalf("results differ:\ntext  %+v\ntyped %+v", fromText, fromValue)
+	}
+}
+
+// TestTypedValidation: what the text edge rejects, the typed API
+// rejects too, through the same validator — directly, and from Run
+// before any phase executes or any simulated time passes.
+func TestTypedValidation(t *testing.T) {
+	soak := scenario.Phase{Name: "soak", Kind: scenario.KindRun, Until: 7 * netsim.Second}
+	for _, tc := range []struct {
+		name, phase, want string
+		phases            []scenario.Phase
+	}{
+		{name: "cycle", phase: "a", want: "dependency cycle among a, b", phases: []scenario.Phase{
+			soak,
+			{Name: "a", Kind: scenario.KindProvision, Needs: []string{"b"}},
+			{Name: "b", Kind: scenario.KindProvision, Needs: []string{"a"}},
+		}},
+		{name: "unknown hook", phase: "check", want: `unknown assert hook "verifid"`, phases: []scenario.Phase{
+			soak,
+			{Name: "check", Kind: scenario.KindAsserts, Needs: []string{"soak"}, Hooks: []string{"verifid"}},
+		}},
+		{name: "empty faults", phase: "storm", want: "no events", phases: []scenario.Phase{
+			soak,
+			{Name: "storm", Kind: scenario.KindFaults},
+		}},
+		{name: "run without until", phase: "idle", want: "needs until", phases: []scenario.Phase{
+			soak,
+			{Name: "idle", Kind: scenario.KindRun, Needs: []string{"soak"}},
+		}},
+		{name: "unknown kind", phase: "x", want: "unknown kind", phases: []scenario.Phase{
+			soak,
+			{Name: "x", Kind: "provison"},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(1)
+			sc := scenario.Scenario{Name: tc.name, Phases: tc.phases}
+			var pe *scenario.PhaseError
+			if _, err := scenario.Validate(sc, w.env); !errors.As(err, &pe) ||
+				pe.Phase != tc.phase || !strings.Contains(pe.Msg, tc.want) {
+				t.Fatalf("Validate err = %v, want phase %q: %q", err, tc.phase, tc.want)
+			}
+			res := scenario.Run(w.env, sc)
+			if res.OK() || res.Aborted != tc.phase || len(res.Phases) != 1 ||
+				!strings.Contains(res.Phases[0].Err, tc.want) {
+				t.Fatalf("Run = %+v, want only %q reported with %q", res, tc.phase, tc.want)
+			}
+			if now := w.env.Sim.Now(); now != 0 {
+				t.Fatalf("validation failure surfaced at t=%v, want t=0", now)
+			}
+		})
+	}
+}
+
 func TestScenarioAbortsOnUnknownHook(t *testing.T) {
 	w := newWorld(1)
 	sc, err := scenario.Parse(`
@@ -227,6 +326,45 @@ phases:
 	}
 	if len(res.Phases) != 1 || !strings.Contains(res.Phases[0].Err, "unknown workload hook") {
 		t.Fatalf("phases = %+v", res.Phases)
+	}
+}
+
+// TestFaultsPhaseWithoutInjector: a rig that only provisions wires no
+// injector; a faults phase on it is a hard phase error that skips the
+// rest of the run, not a nil dereference.
+func TestFaultsPhaseWithoutInjector(t *testing.T) {
+	w := newWorld(1)
+	w.env.Injector = nil
+	sc, err := scenario.Parse(`
+name: no-injector
+phases:
+  - name: provision
+    kind: provision
+  - name: storm
+    kind: faults
+    needs: [provision]
+    events:
+      - at: 1ms
+        kind: switch-reboot
+        target: leaf0
+  - name: later
+    kind: run
+    needs: [storm]
+    until: 10ms
+`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := scenario.Run(w.env, sc)
+	if res.OK() || res.Aborted != "storm" {
+		t.Fatalf("want abort at storm: %+v", res)
+	}
+	last := res.Phases[len(res.Phases)-1]
+	if last.Name != "storm" || !strings.Contains(last.Err, "Injector") {
+		t.Fatalf("phases = %+v", res.Phases)
+	}
+	if now := w.env.Sim.Now(); now != 0 {
+		t.Fatalf("the run phase after the failed faults phase ran: t=%v", now)
 	}
 }
 
@@ -273,6 +411,7 @@ func TestScenarioParseErrors(t *testing.T) {
 		{"phases:\n  - name: a\n    kind: faults\n    events:\n      - at: 1ms\n        kind: switch-bounce\n        target: x", "unknown fault kind"},
 		{"phases:\n  - name: a\n    kind: workloads", "no hooks"},
 		{"phases:\n  - name: a\n    kind: run", "needs until"},
+		{"phases:\n  - name: a\n    kind: faults\n    events:\n      - at: 1ms\n        kind: link-gray-down\n        target: x\n        dir: 0.7", "not an integer"},
 	} {
 		if _, err := scenario.Parse(tc.src, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Parse(%q) err = %v, want %q", tc.src, err, tc.want)

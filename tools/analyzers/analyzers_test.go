@@ -74,6 +74,7 @@ func TestRealPackagesClean(t *testing.T) {
 		"../../internal/fabric",
 		"../../internal/fabric/scenario",
 		"../../internal/fabric/yamlite",
+		"../../internal/chaos",
 	} {
 		if fs := findingsFor(t, dir); len(fs) != 0 {
 			t.Errorf("%s: %v", dir, fs)
