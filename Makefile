@@ -5,14 +5,14 @@ GO        ?= go
 BENCH     ?= .
 BENCHTIME ?= 1x
 
-.PHONY: all build vet lint test race check soak soak-pooldebug scenario allocgate allocgate-baseline fuzz bench bench-json bench-save reroute experiments clean
+.PHONY: all build vet lint test race check soak soak-pooldebug scenario allocgate allocgate-baseline fuzz bench bench-json bench-save reroute experiments results-check clean
 
 # Packages whose behavior must be a pure function of inputs and seeds;
 # the determinism analyzers (notime, norand, maporder) gate them.
 LINT_PKGS = ./internal/netsim ./internal/asic ./internal/tcpu ./internal/faults ./internal/guard \
 	./internal/core ./internal/endhost ./internal/inband ./internal/reflex \
 	./internal/fabric ./internal/fabric/scenario ./internal/fabric/yamlite \
-	./internal/mem ./internal/agent ./internal/chaos
+	./internal/mem ./internal/agent ./internal/chaos ./internal/ring
 
 # Packages that handle pooled packets; the poollife ownership analyzer
 # (use-after-Recycle, double-Recycle, retain-without-Adopt,
@@ -22,7 +22,7 @@ POOL_PKGS = ./internal/core ./internal/netsim ./internal/asic ./internal/endhost
 
 # Packages with //alloc:free hot-path annotations; the escape gate
 # pins them against ALLOCGATE.json.
-ALLOC_PKGS = ./internal/core ./internal/tcpu ./internal/netsim ./internal/asic ./internal/endhost \
+ALLOC_PKGS = ./internal/core ./internal/ring ./internal/tcpu ./internal/netsim ./internal/asic ./internal/endhost \
 	./internal/reflex
 
 all: check
@@ -93,9 +93,12 @@ scenario:
 # soak-pooldebug reruns the same scenarios with the packet-pool
 # sanitizer compiled in (Recycle poisons buffers and bumps slot
 # generations; stale references and clobbered canaries panic at the
-# offending call site) under the race detector.
+# offending call site) under the race detector, plus the crash of a
+# switch whose pipeline and ingress-link lanes hold pooled packets: each
+# must be recycled exactly once, at its firing time.
 soak-pooldebug:
 	$(GO) test -race -tags pooldebug -run 'TestChaosSoak|TestHostileSoak|TestReflexSoak' -v -count=1 ./internal/chaos
+	$(GO) test -race -tags pooldebug -run 'TestRebootFlushesLanes' -v -count=1 ./internal/asic
 
 # fuzz smoke-tests the three soundness properties: verified programs
 # never trip a dynamic fault, guest programs never escape their tenant
@@ -136,6 +139,19 @@ reroute:
 experiments:
 	mkdir -p out
 	$(GO) run ./cmd/experiments -out out -metrics out/metrics.jsonl -trace out/spans.jsonl all
+
+# results-check regenerates every committed experiment artifact into a
+# temporary directory and fails on any byte of difference from results/
+# or experiments_output.txt: the simulator is deterministic, so a change
+# that is not meant to move an artifact must not.  A change that is
+# refreshes them with `go run ./cmd/experiments -out results all >
+# experiments_output.txt` and commits the diff.
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/experiments -out "$$tmp/results" all > "$$tmp/stdout.txt" && \
+	diff -r results "$$tmp/results" && \
+	diff experiments_output.txt "$$tmp/stdout.txt" && \
+	echo "results-check: results/ and experiments_output.txt regenerate byte for byte"
 
 clean:
 	rm -rf out

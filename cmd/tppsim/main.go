@@ -180,6 +180,12 @@ func run(topoName string, switches int, load bool, src string, w, metricsW, trac
 		}
 	}
 	if reg != nil {
+		// The engine's own numbers: how many events the run cost and
+		// how deep the heap and the whole event queue got.
+		st := sim.Stats()
+		reg.Gauge("netsim/events_executed").Set(int64(st.Executed))
+		reg.Gauge("netsim/heap_peak").Set(int64(st.HeapPeak))
+		reg.Gauge("netsim/pending_peak").Set(int64(st.PendingPeak))
 		if err := reg.Snapshot(int64(sim.Now())).WriteJSONL(metricsW); err != nil {
 			return err
 		}

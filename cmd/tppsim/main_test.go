@@ -127,6 +127,7 @@ func TestRunTelemetry(t *testing.T) {
 		Name  string `json:"name"`
 		Kind  string `json:"kind"`
 		Count uint64 `json:"count"`
+		Value int64  `json:"value"`
 	}
 	found := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSpace(metrics.String()), "\n") {
@@ -140,8 +141,17 @@ func TestRunTelemetry(t *testing.T) {
 		if strings.HasSuffix(m.Name, "tcpu_cycles") && m.Count > 0 {
 			found["tcpu_cycles"] = true
 		}
+		if strings.HasPrefix(m.Name, "netsim/") && m.Kind == "gauge" && m.Value > 0 {
+			found[m.Name] = true
+		}
 	}
 	if !found["queue_depth"] || !found["tcpu_cycles"] {
 		t.Fatalf("snapshot misses histograms (found %v):\n%s", found, metrics.String())
+	}
+	// ... and the engine's self-metrics.
+	for _, name := range []string{"netsim/events_executed", "netsim/heap_peak", "netsim/pending_peak"} {
+		if !found[name] {
+			t.Fatalf("snapshot misses gauge %s:\n%s", name, metrics.String())
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package asic
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/internal/ring"
+)
 
 // Queue is one drop-tail egress queue.  The ASIC memory manager
 // "already keeps track of per-port, per-queue occupancies in its
@@ -8,12 +11,7 @@ import "repro/internal/core"
 type Queue struct {
 	capBytes int
 
-	// pkts[head:] are the queued packets.  Dequeue advances head
-	// instead of re-slicing the base pointer away, so the backing
-	// array's capacity is reused forever and a steady-state queue
-	// never re-allocates.
-	pkts  []*core.Packet
-	head  int
+	pkts  ring.Buf[*core.Packet]
 	bytes int
 
 	// Cumulative counters, exposed through the Queue namespace.
@@ -46,7 +44,7 @@ func (q *Queue) CapBytes() int { return q.capBytes }
 func (q *Queue) Bytes() int { return q.bytes }
 
 // Len returns the number of queued packets.
-func (q *Queue) Len() int { return len(q.pkts) - q.head }
+func (q *Queue) Len() int { return q.pkts.Len() }
 
 // Enqueue appends the packet if it fits; otherwise the packet is
 // dropped (drop-tail) and false is returned.
@@ -59,7 +57,7 @@ func (q *Queue) Enqueue(p *core.Packet) bool {
 		q.DropPkts++
 		return false
 	}
-	q.pkts = append(q.pkts, p)
+	q.pkts.Push(p)
 	q.bytes += n
 	q.EnqBytes += uint64(n)
 	q.EnqPkts++
@@ -75,8 +73,7 @@ func (q *Queue) Enqueue(p *core.Packet) bool {
 //alloc:free
 func (q *Queue) Flush(each func(*core.Packet)) int {
 	n := q.Len()
-	for i := q.head; i < len(q.pkts); i++ {
-		p := q.pkts[i]
+	for p := q.pkts.Pop(); p != nil; p = q.pkts.Pop() {
 		q.FlushedBytes += uint64(p.WireLen())
 		if each != nil {
 			each(p)
@@ -84,11 +81,8 @@ func (q *Queue) Flush(each func(*core.Packet)) int {
 		// Buffer memory is wiped: a crash is a fabric death point, so
 		// pooled flood copies return to the pool here.
 		p.Recycle()
-		q.pkts[i] = nil
 	}
 	q.FlushedPkts += uint64(n)
-	q.pkts = q.pkts[:0]
-	q.head = 0
 	q.bytes = 0
 	return n
 }
@@ -97,16 +91,9 @@ func (q *Queue) Flush(each func(*core.Packet)) int {
 //
 //alloc:free
 func (q *Queue) Dequeue() *core.Packet {
-	if q.head == len(q.pkts) {
+	p := q.pkts.Pop()
+	if p == nil {
 		return nil
-	}
-	p := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
-	if q.head == len(q.pkts) {
-		// Empty: rewind into the retained backing array.
-		q.pkts = q.pkts[:0]
-		q.head = 0
 	}
 	n := p.WireLen()
 	q.bytes -= n

@@ -97,3 +97,20 @@ func TestMeterSaturation(t *testing.T) {
 		t.Fatal("rate must saturate at the register width")
 	}
 }
+
+// The Fig. 2 bottleneck shape: a queue that never quite drains.  Its
+// backing array must track occupancy, not the packets passed through
+// (head-index-on-a-slice reached cap 1 135 616 here).
+func TestQueueBackingBoundedByOccupancy(t *testing.T) {
+	q := NewQueue(10_000)
+	p := dataPkt(100)
+	q.Enqueue(p)
+	for i := 0; i < 1_000_000; i++ {
+		if !q.Enqueue(p) || q.Dequeue() != p {
+			t.Fatalf("step %d: enqueue/dequeue at occupancy <= 2 failed", i)
+		}
+	}
+	if q.Len() != 1 || q.pkts.Cap() > 8 {
+		t.Fatalf("len %d, backing array %d entries after 1e6 packets", q.Len(), q.pkts.Cap())
+	}
+}

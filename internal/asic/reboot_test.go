@@ -262,3 +262,97 @@ func TestThrottleRefill(t *testing.T) {
 		t.Fatalf("TPPsThrottled = %d, want 1", got)
 	}
 }
+
+// TestRebootFlushesLanes crashes a switch while packets wait in both
+// kinds of netsim.Lane that feed it: N inside its own parse/lookup
+// pipeline and M in flight on its ingress link.  The pipeline's packets
+// carry the old boot epoch and the link's arrive inside the boot
+// window, so all N+M become RebootDrops at their firing times, none is
+// forwarded, the event queue returns to the housekeeping ticker alone,
+// and every pooled packet has left the pool's books.  It runs in the
+// soak-pooldebug set too, where a lane handing a packet over twice (or
+// never) trips the sanitizer.
+func TestRebootFlushesLanes(t *testing.T) {
+	const (
+		pipeline  = 20 * netsim.Microsecond
+		wireDelay = 50 * netsim.Microsecond
+		crashAt   = 60 * netsim.Microsecond
+		bootDelay = 100 * netsim.Microsecond
+		burst     = 400
+	)
+	sim := netsim.New(1)
+	n := topo.NewNetwork(sim)
+	sw := n.AddSwitch(asic.Config{Ports: 4, PipelineLatency: pipeline})
+	h1, h2 := n.AddHost(), n.AddHost()
+	fast := topo.LinkSpec{RateBps: 10e9, Delay: wireDelay}
+	n.LinkHost(h1, sw, fast)
+	n.LinkHost(h2, sw, fast)
+	n.PrimeL2(5 * netsim.Millisecond)
+	h1.NIC.SetCapacity(burst)
+
+	idle := sim.Pending() // the switch's housekeeping ticker
+	switched, delivered := sw.PacketsSwitched(), h2.Received
+	start := sim.Now()
+
+	proto := h1.NewPacket(h2.MAC, h2.IP, 1000, 2000, 64)
+	pkts := make([]*core.Packet, burst)
+	for i := range pkts {
+		pkts[i] = proto.ClonePooled()
+		if !h1.Send(pkts[i]) {
+			t.Fatalf("NIC refused packet %d", i)
+		}
+	}
+
+	// Frame i's last bit arrives at (i+1)*ser + wireDelay; it is in the
+	// pipeline at the crash if it arrived by then (none has yet left:
+	// crashAt < wireDelay + pipeline), on the wire otherwise.
+	ser := sw.Port(0).Channel().SerializationDelay(proto.WireLen())
+	inPipeline := 0
+	for i := 1; i <= burst; i++ {
+		if netsim.Time(i)*ser+wireDelay <= crashAt {
+			inPipeline++
+		}
+	}
+	onWire := burst - inPipeline
+	if inPipeline < 50 || onWire < 50 || netsim.Time(burst)*ser >= crashAt {
+		t.Fatalf("burst shape: %d in pipeline, %d on the wire, serialized in %v", inPipeline, onWire, netsim.Time(burst)*ser)
+	}
+
+	sim.RunUntil(start + crashAt)
+	if got := sim.Pending(); got != idle+burst {
+		t.Fatalf("Pending() = %d at the crash, want %d tickers + %d packets", got, idle, burst)
+	}
+	if got := sim.Stats().HeapPeak; got > idle+4 {
+		t.Fatalf("heap peaked at %d with %d packets outstanding: the lanes are not holding them", got, burst)
+	}
+	sw.Reboot(bootDelay)
+	if got := sw.RebootDrops(); got != 0 {
+		t.Fatalf("RebootDrops = %d right after the crash: lane-held packets die at their firing time", got)
+	}
+
+	// The pipeline lane has fired by crashAt+pipeline.
+	sim.RunUntil(start + crashAt + pipeline)
+	if got := sw.RebootDrops(); got < uint64(inPipeline) {
+		t.Fatalf("RebootDrops = %d once the pipeline emptied, want >= %d", got, inPipeline)
+	}
+
+	sim.RunUntil(start + crashAt + bootDelay + netsim.Millisecond)
+	if sw.Booting() {
+		t.Fatal("switch still booting")
+	}
+	if got := sw.RebootDrops(); got != burst {
+		t.Fatalf("RebootDrops = %d, want %d (%d in pipeline + %d on the wire)", got, burst, inPipeline, onWire)
+	}
+	if sw.PacketsSwitched() != switched || h2.Received != delivered {
+		t.Fatalf("crash forwarded packets: switched %d -> %d, delivered %d -> %d",
+			switched, sw.PacketsSwitched(), delivered, h2.Received)
+	}
+	if got := sim.Pending(); got != idle {
+		t.Fatalf("Pending() = %d after the flush, want the %d housekeeping ticker(s)", got, idle)
+	}
+	for i, p := range pkts {
+		if p.Pooled() {
+			t.Fatalf("packet %d still belongs to the pool: never recycled", i)
+		}
+	}
+}

@@ -144,6 +144,10 @@ type Switch struct {
 	sim *netsim.Sim
 	cfg Config
 
+	// pipeline holds the packets inside the parse/lookup stages: the
+	// latency is fixed, so they leave in the order they arrived.
+	pipeline *netsim.Lane
+
 	ports []*Port
 	l2    *l2.Table
 	l3    *l3.Table
@@ -275,6 +279,7 @@ func New(sim *netsim.Sim, cfg Config) *Switch {
 		sram:   make([]uint32, mem.SRAMWords),
 		tracer: cfg.Trace,
 	}
+	s.pipeline = sim.NewLane(s)
 	s.progCache = tcpu.NewCache(cfg.TCPU, 0)
 	s.tppTokens = float64(cfg.TPPBurst) // the gate starts full
 	if cfg.Guard {
@@ -591,7 +596,7 @@ func (s *Switch) Receive(pkt *core.Packet, port int) {
 	// switch's volatile state.  The epoch and ingress port ride in the
 	// event's arg word (see DeliverAt) so the pipeline stage schedules
 	// without allocating.
-	s.sim.AtPacket(s.sim.Now()+s.cfg.PipelineLatency, s, pkt,
+	s.pipeline.At(s.sim.Now()+s.cfg.PipelineLatency, pkt,
 		uint64(port)|uint64(s.epoch)<<32)
 }
 

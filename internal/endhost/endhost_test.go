@@ -42,6 +42,34 @@ func TestNICQueueAndDrops(t *testing.T) {
 	}
 }
 
+type nopReceiver struct{}
+
+func (nopReceiver) Receive(*core.Packet, int) {}
+
+// A sender that keeps its NIC backlogged must not grow the transmit
+// queue's backing array with the number of packets sent.
+func TestNICQueueBackingBoundedByOccupancy(t *testing.T) {
+	sim := netsim.New(1)
+	n := NewNIC(0)
+	ch := netsim.NewChannel(sim, 100e9, 0, nopReceiver{}, 0)
+	n.Attach(ch)
+	pkt := &core.Packet{Eth: core.Ethernet{Type: core.EtherTypeIPv4}, PadLen: 50}
+	n.Send(pkt) // on the wire
+	n.Send(pkt) // waiting: the backlog never clears below one
+	for i := 0; i < 1_000_000; i++ {
+		if !n.Send(pkt) {
+			t.Fatalf("send %d refused", i)
+		}
+		sim.RunUntil(sim.Now() + ch.SerializationDelay(pkt.WireLen()))
+		if n.QueueLen() != 1 {
+			t.Fatalf("send %d: backlog %d, want 1", i, n.QueueLen())
+		}
+	}
+	if n.queue.Cap() > 8 {
+		t.Fatalf("transmit queue backing array is %d entries after 1e6 packets", n.queue.Cap())
+	}
+}
+
 func TestHostDemux(t *testing.T) {
 	sim := netsim.New(1)
 	a, b := pair(sim, 8_000_000)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/ring"
 	"repro/internal/tcpu"
 	"repro/internal/verify"
 )
@@ -25,11 +26,8 @@ const DefaultNICQueue = 256
 // both by the program's wire bytes so repeated flows pay neither cost
 // again.
 type NIC struct {
-	ch *netsim.Channel
-	// queue[qhead:] are the waiting packets; kick advances qhead so
-	// the backing array is reused instead of re-sliced away.
-	queue []*core.Packet
-	qhead int
+	ch    *netsim.Channel
+	queue ring.Buf[*core.Packet] // packets waiting to transmit
 	max   int
 
 	verifier  *verify.Config
@@ -80,7 +78,7 @@ func (n *NIC) SetCapacity(max int) {
 }
 
 // QueueLen returns the number of packets waiting to transmit.
-func (n *NIC) QueueLen() int { return len(n.queue) - n.qhead }
+func (n *NIC) QueueLen() int { return n.queue.Len() }
 
 // SetVerifier installs the end-host sanity check of §3.5: every
 // TPP-bearing packet is statically verified at injection time and
@@ -146,7 +144,7 @@ func (n *NIC) Send(pkt *core.Packet) bool {
 		n.Drops++
 		return false
 	}
-	n.queue = append(n.queue, pkt)
+	n.queue.Push(pkt)
 	n.kick()
 	return true
 }
@@ -194,16 +192,17 @@ func (n *NIC) verifyCached(t *core.TPP) verify.Result {
 	return res
 }
 
+// kick starts a transmission if the channel is idle and a packet is
+// waiting.
+//
+//alloc:free
 func (n *NIC) kick() {
-	if n.ch == nil || n.ch.Busy() || n.qhead == len(n.queue) {
+	if n.ch == nil || n.ch.Busy() {
 		return
 	}
-	pkt := n.queue[n.qhead]
-	n.queue[n.qhead] = nil
-	n.qhead++
-	if n.qhead == len(n.queue) {
-		n.queue = n.queue[:0]
-		n.qhead = 0
+	pkt := n.queue.Pop()
+	if pkt == nil {
+		return
 	}
 	n.Sent++
 	n.ch.Send(pkt)

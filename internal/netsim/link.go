@@ -33,6 +33,10 @@ type Channel struct {
 	onIdle    func()
 	idleFn    func() // c.notifyIdle bound once; scheduled per send
 
+	// arrivals holds the frames on the wire: the transmitter
+	// serializes, so last-bit arrival times never decrease.
+	arrivals *Lane
+
 	loss LossModel
 
 	// down is set while the link is administratively or physically
@@ -68,6 +72,7 @@ func NewChannel(sim *Sim, rate int64, delay Time, dst Receiver, dstPort int) *Ch
 	}
 	c := &Channel{sim: sim, rate: rate, delay: delay, dst: dst, dstPort: dstPort}
 	c.idleFn = c.notifyIdle
+	c.arrivals = sim.NewLane(c)
 	return c
 }
 
@@ -188,10 +193,10 @@ func (c *Channel) Send(pkt *core.Packet) Time {
 		// The transmit-complete interrupt and the last-bit arrival
 		// coincide; fold both into one event, firing idle first — the
 		// same order the two separate events have on delayed links.
-		c.sim.AtPacket(done, c, pkt, arg|argIdle)
+		c.arrivals.At(done, pkt, arg|argIdle)
 	} else {
 		c.sim.At(done, c.idleFn)
-		c.sim.AtPacket(done+c.delay, c, pkt, arg)
+		c.arrivals.At(done+c.delay, pkt, arg)
 	}
 	return done
 }

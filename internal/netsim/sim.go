@@ -3,6 +3,14 @@
 // ns-2 setup (see DESIGN.md §2).  It provides a virtual clock, a stable
 // event queue, timers and byte-accurate links; switches and hosts are
 // built on top in internal/asic and internal/endhost.
+//
+// The event queue executes in (time, seq) order, seq being the order
+// of scheduling.  Sim.At and Sim.AtPacket put an event in a binary
+// heap; a source that schedules in firing order (a fixed-latency
+// pipeline, a serializing link) owns a Lane, a FIFO ring of which only
+// the head is in the heap.  Both give the same order — a Lane is where
+// an event waits, not a second scheduler — and Sim.Stats reports how
+// many events ran and how deep the heap and the whole queue got.
 package netsim
 
 import (
@@ -47,14 +55,23 @@ type PacketDelivery interface {
 }
 
 // eventKey is the heap's sort record: firing time, FIFO tiebreak, and
-// the index of the event's payload in the slot slab.  Keys are
-// pointer-free on purpose — sifting swaps only keys, so heap
-// maintenance never triggers GC write barriers (which dominated the
-// hot-path profile when the heap held the payload pointers directly).
+// where the event's payload waits — a non-negative slot is an index
+// into the payload slab, a negative one is ^id of the Lane whose head
+// entry this key stands for.  Keys are pointer-free on purpose —
+// sifting swaps only keys, so heap maintenance never triggers GC write
+// barriers (which dominated the hot-path profile when the heap held
+// the payload pointers directly).
 type eventKey struct {
 	at   Time
 	seq  uint64
 	slot int32
+}
+
+func (a eventKey) less(b eventKey) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // eventPayload is either a closure event (fn != nil) or a packet event
@@ -73,25 +90,40 @@ type eventPayload struct {
 // given seed.  Sim is not safe for concurrent use: the dataplane model
 // is single-threaded, like one ASIC pipeline.
 //
-// The event queue is a hand-rolled binary min-heap of pointer-free
-// keys over a slot slab (see eventKey); container/heap would box every
-// pushed event into an interface, allocating once per scheduled event —
-// the single largest allocation source on the packet hot path.
+// Events wait in one of two places.  Ordinary events (At, AtPacket)
+// wait in a hand-rolled binary min-heap of pointer-free keys over a
+// slot slab (see eventKey); container/heap would box every pushed event
+// into an interface, allocating once per scheduled event.  Events from
+// a source whose firing times never decrease wait in that source's Lane
+// and only the lane's head holds a key in the heap, so the heap's depth
+// is the number of sources with something outstanding, not the number
+// of packets in flight.  Every event takes its seq from the one counter
+// and the heap orders lane heads and ordinary events on the same
+// (at, seq) key: the execution order is the total (at, seq) order
+// whichever place an event waited in.
 type Sim struct {
 	now     Time
 	keys    []eventKey
 	slots   []eventPayload
 	free    []int32 // recycled slot indices
+	lanes   []*Lane // by id; a key with slot < 0 names lanes[^slot]
+	backlog int     // lane entries queued behind their lane's head
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
+	stats   Stats
 }
 
-func (s *Sim) keyLess(i, j int) bool {
-	if s.keys[i].at != s.keys[j].at {
-		return s.keys[i].at < s.keys[j].at
-	}
-	return s.keys[i].seq < s.keys[j].seq
+// Stats are the engine's self-metrics, cumulative since New.
+type Stats struct {
+	// Executed counts events run.
+	Executed uint64
+	// HeapPeak is the deepest the event heap got: ordinary events plus
+	// one key per non-empty lane.
+	HeapPeak int
+	// PendingPeak is the most events that were outstanding at once
+	// (the peak of Pending): the heap plus every lane's backlog.
+	PendingPeak int
 }
 
 // New creates a simulator whose random source is seeded with seed, so
@@ -106,8 +138,11 @@ func (s *Sim) Now() Time { return s.now }
 // Rand exposes the simulation's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return len(s.keys) }
+// Pending returns the number of queued events, wherever they wait.
+func (s *Sim) Pending() int { return len(s.keys) + s.backlog }
+
+// Stats returns the engine's self-metrics.
+func (s *Sim) Stats() Stats { return s.stats }
 
 // At schedules fn to run at absolute time t.  Scheduling in the past
 // panics: it is always a modeling bug.
@@ -123,8 +158,9 @@ func (s *Sim) At(t Time, fn func()) {
 }
 
 // AtPacket schedules pd.DeliverAt(pkt, arg) at absolute time t without
-// allocating: channels and switches use it for frame arrivals and
-// pipeline stages instead of capturing the packet in a closure.
+// allocating.  Sources that schedule in firing order — a fixed-latency
+// pipeline, a serializing link — use a Lane instead, which keeps their
+// events out of the heap.
 //
 //alloc:free
 func (s *Sim) AtPacket(t Time, pd PacketDelivery, pkt *core.Packet, arg uint64) {
@@ -153,6 +189,8 @@ func (s *Sim) alloc() int32 {
 	return int32(len(s.slots) - 1)
 }
 
+// push takes the next seq and adds the key (t, seq, slot) to the heap.
+//
 //alloc:free
 func (s *Sim) push(t Time, slot int32) {
 	s.seq++
@@ -161,47 +199,89 @@ func (s *Sim) push(t Time, slot int32) {
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.keyLess(i, parent) {
+		if !h[i].less(h[parent]) {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
+	if len(h) > s.stats.HeapPeak {
+		s.stats.HeapPeak = len(h)
+	}
+	s.notePending()
 }
 
-// pop removes the earliest event, returning its time and payload.  The
-// payload's slot is cleared (releasing the packet/closure references)
-// and recycled before the caller runs the event, so re-entrant
-// scheduling from inside the event sees a consistent queue.
+//alloc:free
+func (s *Sim) notePending() {
+	if p := len(s.keys) + s.backlog; p > s.stats.PendingPeak {
+		s.stats.PendingPeak = p
+	}
+}
+
+// siftDown restores the heap order of h after its root was replaced
+// (pointer-free swaps: no write barriers).
 //
 //alloc:free
-func (s *Sim) pop() (Time, eventPayload) {
-	h := s.keys
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	s.keys = h[:n]
-	// Sift down (pointer-free swaps: no write barriers).
+func siftDown(h []eventKey) {
 	i := 0
 	for {
 		l := 2*i + 1
-		if l >= n {
+		if l >= len(h) {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && s.keyLess(r, l) {
+		if r := l + 1; r < len(h) && h[r].less(h[l]) {
 			m = r
 		}
-		if !s.keyLess(m, i) {
+		if !h[m].less(h[i]) {
 			break
 		}
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
+}
+
+// pop removes the earliest event, returning its time and payload.  The
+// event's slot or lane entry is cleared (releasing the packet/closure
+// references) and the queue is whole again before the caller runs the
+// event, so re-entrant scheduling from inside the event sees a
+// consistent queue.  When the earliest event is a lane's head and the
+// lane holds more, the lane's next entry takes over the root key in
+// place: one sift down instead of a pop and a push.
+//
+//alloc:free
+func (s *Sim) pop() (Time, eventPayload) {
+	h := s.keys
+	top := h[0]
+	if top.slot < 0 {
+		l := s.lanes[^top.slot]
+		e := l.ring.Pop()
+		if l.ring.Len() > 0 {
+			next := l.ring.At(0)
+			h[0] = eventKey{at: next.at, seq: next.seq, slot: top.slot}
+			s.backlog--
+			siftDown(h)
+		} else {
+			s.dropRoot()
+		}
+		return top.at, eventPayload{pd: l.pd, pkt: e.pkt, arg: e.arg}
+	}
+	s.dropRoot()
 	e := s.slots[top.slot]
 	s.slots[top.slot] = eventPayload{}
 	s.free = append(s.free, top.slot)
 	return top.at, e
+}
+
+// dropRoot removes the heap's root key.
+//
+//alloc:free
+func (s *Sim) dropRoot() {
+	h := s.keys
+	n := len(h) - 1
+	h[0] = h[n]
+	s.keys = h[:n]
+	siftDown(s.keys)
 }
 
 // Stop makes Run and RunUntil return after the current event.
@@ -231,6 +311,7 @@ func (s *Sim) RunUntil(t Time) {
 func (s *Sim) step() {
 	at, e := s.pop()
 	s.now = at
+	s.stats.Executed++
 	if e.fn != nil {
 		e.fn()
 		return

@@ -199,18 +199,24 @@ func hasAllocFree(doc *ast.CommentGroup) bool {
 	return false
 }
 
-// funcName renders a FuncDecl as (*Recv).Name / Recv.Name / Name.
+// funcName renders a FuncDecl as (*Recv).Name / Recv.Name / Name; a
+// generic receiver's type parameters are left out (Buf[T] is Buf).
 func funcName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return fd.Name.Name
 	}
-	switch t := fd.Recv.List[0].Type.(type) {
-	case *ast.StarExpr:
-		if id, ok := t.X.(*ast.Ident); ok {
-			return fmt.Sprintf("(*%s).%s", id.Name, fd.Name.Name)
-		}
-	case *ast.Ident:
-		return fmt.Sprintf("%s.%s", t.Name, fd.Name.Name)
+	recv, format := fd.Recv.List[0].Type, "%s.%s"
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv, format = star.X, "(*%s).%s"
+	}
+	switch t := recv.(type) {
+	case *ast.IndexExpr:
+		recv = t.X
+	case *ast.IndexListExpr:
+		recv = t.X
+	}
+	if id, ok := recv.(*ast.Ident); ok {
+		return fmt.Sprintf(format, id.Name, fd.Name.Name)
 	}
 	return fd.Name.Name
 }

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -183,7 +187,7 @@ func TestRepoBaselineCleanAndCurrent(t *testing.T) {
 		t.Skip("compiles the repo with -gcflags=-m")
 	}
 	pkgs := []string{
-		"../../internal/core", "../../internal/tcpu", "../../internal/netsim",
+		"../../internal/core", "../../internal/ring", "../../internal/tcpu", "../../internal/netsim",
 		"../../internal/asic", "../../internal/endhost", "../../internal/reflex",
 	}
 	anns, allowed, err := collectAnnotations(pkgs)
@@ -202,7 +206,7 @@ func TestRepoBaselineCleanAndCurrent(t *testing.T) {
 	}
 	defer os.Chdir(wd)
 	out, err := buildDiagnostics([]string{
-		"./internal/core", "./internal/tcpu", "./internal/netsim",
+		"./internal/core", "./internal/ring", "./internal/tcpu", "./internal/netsim",
 		"./internal/asic", "./internal/endhost", "./internal/reflex",
 	})
 	if err != nil {
@@ -211,7 +215,7 @@ func TestRepoBaselineCleanAndCurrent(t *testing.T) {
 	// collectAnnotations ran from tools/allocgate, so its keys carry
 	// the ../../ prefix; rebuild from the repo root for stable keys.
 	anns, allowed, err = collectAnnotations([]string{
-		"internal/core", "internal/tcpu", "internal/netsim",
+		"internal/core", "internal/ring", "internal/tcpu", "internal/netsim",
 		"internal/asic", "internal/endhost", "internal/reflex",
 	})
 	if err != nil {
@@ -229,5 +233,34 @@ func TestRepoBaselineCleanAndCurrent(t *testing.T) {
 	}
 	if probs := gate(state, baseline); len(probs) != 0 {
 		t.Errorf("tree drifted from committed baseline: %v", probs)
+	}
+}
+
+// Baseline keys name the receiver without its type parameters, so a
+// gated method of a generic type gets a key as stable as any other.
+func TestFuncNameReceivers(t *testing.T) {
+	const src = `package p
+type T struct{}
+type G[A any] struct{}
+type H[A, B any] struct{}
+func plain() {}
+func (T) val() {}
+func (*T) ptr() {}
+func (*G[A]) gen() {}
+func (H[A, B]) gen2() {}
+`
+	f, err := parser.ParseFile(token.NewFileSet(), "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"plain", "T.val", "(*T).ptr", "(*G).gen", "H.gen2"}
+	var got []string
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			got = append(got, funcName(fd))
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("funcName = %v, want %v", got, want)
 	}
 }
