@@ -12,7 +12,7 @@ BENCHTIME ?= 1x
 LINT_PKGS = ./internal/netsim ./internal/asic ./internal/tcpu ./internal/faults ./internal/guard \
 	./internal/core ./internal/endhost ./internal/inband ./internal/reflex \
 	./internal/fabric ./internal/fabric/scenario ./internal/fabric/yamlite \
-	./internal/mem ./internal/agent ./internal/chaos ./internal/ring
+	./internal/mem ./internal/agent ./internal/chaos ./internal/ring ./internal/obs
 
 # Packages that handle pooled packets; the poollife ownership analyzer
 # (use-after-Recycle, double-Recycle, retain-without-Adopt,
@@ -23,7 +23,7 @@ POOL_PKGS = ./internal/core ./internal/netsim ./internal/asic ./internal/endhost
 # Packages with //alloc:free hot-path annotations; the escape gate
 # pins them against ALLOCGATE.json.
 ALLOC_PKGS = ./internal/core ./internal/ring ./internal/tcpu ./internal/netsim ./internal/asic ./internal/endhost \
-	./internal/reflex
+	./internal/reflex ./internal/obs
 
 all: check
 

@@ -277,8 +277,8 @@ func BenchmarkNdb(b *testing.B) {
 // telemetry subsystem: a TPP-instrumented packet through one switch
 // with metrics+tracing disabled (nil handles, the zero-cost contract —
 // TestTelemetryDisabledNoExtraAllocs pins the exact allocation count)
-// and enabled (atomic counters, histogram observes, span records, and
-// per-instruction TCPU spans).
+// and enabled (atomic counters, histogram observes and span records;
+// TestTelemetryEnabledPriceAsCounts pins that they add no allocation).
 func BenchmarkPipelineTelemetry(b *testing.B) {
 	run := func(b *testing.B, reg *obs.Registry, tr *obs.Tracer) {
 		sim := netsim.New(1)

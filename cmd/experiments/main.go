@@ -16,7 +16,10 @@
 // -metrics and -trace enable the telemetry subsystem (internal/obs) for
 // the experiments that support it (microburst, ndb, fig2): the final
 // metrics snapshot and the packet-lifecycle span log are written as
-// JSONL to the given files ("-" for stdout).
+// JSONL to the given files ("-" for stdout).  With -trace, the snapshot
+// carries the span log's own totals (gauges obs/spans_total and
+// obs/spans_dropped), and a log that overflowed — the older events
+// overwritten — is announced on stderr, not exported silently.
 package main
 
 import (
@@ -162,14 +165,16 @@ func dumpTelemetry(out *output, metricsPath, tracePath string) error {
 		}
 		return f.Close()
 	}
-	if out.metrics != nil {
-		snap := out.metrics.Snapshot(0)
-		if err := write(metricsPath, snap.WriteJSONL); err != nil {
+	if out.tracer != nil {
+		// Before the snapshot, so it carries the span log's own totals.
+		out.tracer.ReportSelf(out.metrics, os.Stderr)
+		if err := write(tracePath, out.tracer.WriteJSONL); err != nil {
 			return err
 		}
 	}
-	if out.tracer != nil {
-		if err := write(tracePath, out.tracer.WriteJSONL); err != nil {
+	if out.metrics != nil {
+		snap := out.metrics.Snapshot(0)
+		if err := write(metricsPath, snap.WriteJSONL); err != nil {
 			return err
 		}
 	}

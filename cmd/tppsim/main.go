@@ -12,7 +12,9 @@
 // non-trivial.  -metrics and -trace enable the telemetry subsystem
 // (internal/obs): a JSONL metrics snapshot and the packet-lifecycle
 // span log are written to the given files ("-" for stdout), and the
-// probe's reconstructed journey is printed.
+// probe's reconstructed journey is printed.  With -trace, the snapshot
+// carries the span log's own totals (gauges obs/spans_total and
+// obs/spans_dropped), and a log that overflowed is announced on stderr.
 package main
 
 import (
@@ -163,11 +165,11 @@ func run(topoName string, switches int, load bool, src string, w, metricsW, trac
 		// The probe is the only TPP-carrying packet, so the last TCPU
 		// span identifies it; reconstruct and print its full journey.
 		var probeUID uint64
-		for _, ev := range tracer.Events() {
+		tracer.Each(func(ev *obs.SpanEvent) {
 			if ev.Stage == obs.StageTCPU {
 				probeUID = ev.UID
 			}
-		}
+		})
 		if probeUID != 0 {
 			fmt.Fprintf(w, "\nprobe journey (uid %#x):\n", probeUID)
 			for _, ev := range tracer.Journey(probeUID) {
@@ -175,7 +177,7 @@ func run(topoName string, switches int, load bool, src string, w, metricsW, trac
 					ev.At, ev.Node, ev.Stage, ev.A, ev.B)
 			}
 		}
-		if err := tracer.WriteJSONL(traceW); err != nil {
+		if err := exportSpans(tracer, reg, traceW, os.Stderr); err != nil {
 			return err
 		}
 	}
@@ -191,6 +193,14 @@ func run(topoName string, switches int, load bool, src string, w, metricsW, trac
 		}
 	}
 	return nil
+}
+
+// exportSpans writes the span log to traceW, after saying what the log
+// is worth: its totals go into reg as gauges (a nil reg takes none),
+// and an overflowed log is announced on errW, not exported silently.
+func exportSpans(tracer *obs.Tracer, reg *obs.Registry, traceW, errW io.Writer) error {
+	tracer.ReportSelf(reg, errW)
+	return tracer.WriteJSONL(traceW)
 }
 
 func readInput(args []string) (string, error) {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 const probe = `
@@ -144,14 +146,57 @@ func TestRunTelemetry(t *testing.T) {
 		if strings.HasPrefix(m.Name, "netsim/") && m.Kind == "gauge" && m.Value > 0 {
 			found[m.Name] = true
 		}
+		// The watcher about itself: every recorded span was exported.
+		switch {
+		case m.Name == "obs/spans_total" && m.Kind == "gauge" && m.Value == int64(len(events)):
+			found[m.Name] = true
+		case m.Name == "obs/spans_dropped" && m.Kind == "gauge" && m.Value == 0:
+			found[m.Name] = true
+		}
 	}
 	if !found["queue_depth"] || !found["tcpu_cycles"] {
 		t.Fatalf("snapshot misses histograms (found %v):\n%s", found, metrics.String())
 	}
-	// ... and the engine's self-metrics.
-	for _, name := range []string{"netsim/events_executed", "netsim/heap_peak", "netsim/pending_peak"} {
+	// ... and the engine's and the span log's self-metrics.
+	for _, name := range []string{"netsim/events_executed", "netsim/heap_peak", "netsim/pending_peak",
+		"obs/spans_total", "obs/spans_dropped"} {
 		if !found[name] {
 			t.Fatalf("snapshot misses gauge %s:\n%s", name, metrics.String())
 		}
+	}
+}
+
+// TestExportSpansAnnouncesOverflow: a span log that wrapped is exported
+// with a notice on stderr — how many events were overwritten and where
+// the retained ones start — and with the loss in the metrics; a whole
+// log is exported without a word.
+func TestExportSpansAnnouncesOverflow(t *testing.T) {
+	export := func(capacity, events int) (spans, stderr string, reg *obs.Registry) {
+		tr := obs.NewTracer(capacity)
+		for i := 0; i < events; i++ {
+			tr.Record(obs.SpanEvent{At: int64(100 + i), UID: 1, Stage: obs.StageParser})
+		}
+		reg = obs.NewRegistry()
+		var sb, eb strings.Builder
+		if err := exportSpans(tr, reg, &sb, &eb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String(), eb.String(), reg
+	}
+
+	spans, stderr, reg := export(4, 6)
+	if strings.Count(spans, "\n") != 4 || !strings.HasPrefix(spans, `{"at_ns":102,`) {
+		t.Fatalf("exported spans:\n%s", spans)
+	}
+	if strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, "2 of 6 events overwritten") ||
+		!strings.Contains(stderr, "at_ns=102") {
+		t.Fatalf("overflow notice: %q", stderr)
+	}
+	if total, dropped := reg.Gauge("obs/spans_total").Value(), reg.Gauge("obs/spans_dropped").Value(); total != 6 || dropped != 2 {
+		t.Fatalf("gauges total=%d dropped=%d, want 6 and 2", total, dropped)
+	}
+
+	if _, stderr, reg := export(8, 6); stderr != "" || reg.Gauge("obs/spans_dropped").Value() != 0 {
+		t.Fatalf("whole log announced a loss: %q", stderr)
 	}
 }

@@ -92,8 +92,10 @@ type Config struct {
 	Metrics *obs.Registry
 	// Trace records packet-lifecycle span events at every pipeline
 	// stage (parser, lookup, TCPU, memory manager, egress queue,
-	// scheduler).  Nil disables tracing.  Enabling it also turns on
-	// per-instruction TCPU spans (tcpu.Config.RecordSpans).
+	// scheduler).  Nil disables tracing.  The TCPU stage is one span
+	// per execution (cycles, instructions); per-instruction spans are
+	// tcpu.Config.RecordSpans, which the switch does not turn on.  The
+	// tracer has one writer: the goroutine that runs the simulator.
 	Trace *obs.Tracer
 }
 
@@ -252,11 +254,6 @@ type switchMetrics struct {
 // simulator.
 func New(sim *netsim.Sim, cfg Config) *Switch {
 	cfg.fill()
-	if cfg.Trace != nil {
-		// Per-instruction TCPU spans ride along with lifecycle
-		// tracing so -trace output can audit the §3.3 budget.
-		cfg.TCPU.RecordSpans = true
-	}
 	if cfg.Verify != nil {
 		// Resolve the verifier against this device's actual limits so
 		// static acceptance matches what the TCPU will enforce.

@@ -336,7 +336,7 @@ func Run(cfg Config) Result {
 	res.StreamTimeouts = streamProber.TimedOut
 	res.SpansDropped = tracer.Dropped()
 
-	for _, ev := range tracer.Events() {
+	tracer.Each(func(ev *obs.SpanEvent) {
 		switch {
 		case ev.Stage == obs.StageSwitchReboot && ev.Node == spines[0].ID():
 			res.RebootSpans++
@@ -347,7 +347,7 @@ func Run(cfg Config) Result {
 		case ev.Stage == obs.StageThrottle && ev.Node == leaves[2].ID():
 			res.ThrottleSpans++
 		}
-	}
+	})
 	snap := reg.Snapshot(int64(sim.Now()))
 	if m, ok := snap.Get(fmt.Sprintf("switch/%d/reboots", spines[0].ID())); ok {
 		res.RebootsMetric = m.Value

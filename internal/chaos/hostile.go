@@ -303,9 +303,9 @@ func RunHostile(cfg HostileConfig) HostileResult {
 			res.RogueDeniedMetric[i] = m.Value
 		}
 	}
-	for _, ev := range tracer.Events() {
+	tracer.Each(func(ev *obs.SpanEvent) {
 		if ev.Stage != obs.StageAccessDeny {
-			continue
+			return
 		}
 		switch ev.Node {
 		case s0.ID():
@@ -313,7 +313,7 @@ func RunHostile(cfg HostileConfig) HostileResult {
 		case s1.ID():
 			res.DeniedSpans[1]++
 		}
-	}
+	})
 
 	res.Polls, res.NegativeDeltas, res.WriterDone = acct.Polls, acct.NegativeDeltas, acct.WriterDone
 	res.WriterFailures = acct.writer.Failures

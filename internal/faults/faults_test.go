@@ -26,13 +26,21 @@ type rig struct {
 
 func newRig(t *testing.T, plan faults.Plan) *rig {
 	t.Helper()
+	return newRigWith(t, plan, asic.Config{})
+}
+
+// newRigWith is newRig with both switches built from cfg (the rig sets
+// its Trace).
+func newRigWith(t *testing.T, plan faults.Plan, cfg asic.Config) *rig {
+	t.Helper()
 	sim := netsim.New(1)
 	edge := topo.Mbps(100, 10*netsim.Microsecond)
 	backbone := topo.Mbps(100, 10*netsim.Microsecond)
 	// The switches share the tracer so switch-emitted spans (reboot,
 	// boot-complete) land in the same stream as the injector's.
 	tracer := obs.NewTracer(1 << 16)
-	n, src, dst, sws := topo.Line(sim, 2, edge, backbone, asic.Config{Trace: tracer})
+	cfg.Trace = tracer
+	n, src, dst, sws := topo.Line(sim, 2, edge, backbone, cfg)
 	n.PrimeL2(5 * netsim.Millisecond)
 
 	inj := faults.NewInjector(sim, tracer)

@@ -3,9 +3,11 @@ package faults_test
 import (
 	"testing"
 
+	"repro/internal/asic"
 	"repro/internal/faults"
 	"repro/internal/microburst"
 	"repro/internal/netsim"
+	"repro/internal/tcpu"
 )
 
 // pumpTPP is pump with every packet carrying the microburst telemetry
@@ -33,9 +35,12 @@ func TestProgCacheSurvivesPlanOnlyUntilReboot(t *testing.T) {
 		rebootAt  = 40 * netsim.Millisecond
 		bootDelay = 10 * netsim.Millisecond
 	)
-	r := newRig(t, faults.Plan{Seed: 1, Events: []faults.Event{
+	// The sending NIC compiles under the default instruction limit, so
+	// the program it attaches does not match these switches and each
+	// one's own ingress cache serves — the cache under test.
+	r := newRigWith(t, faults.Plan{Seed: 1, Events: []faults.Event{
 		{At: rebootAt, Kind: faults.SwitchReboot, Target: "s0", BootDelay: bootDelay},
-	}})
+	}}, asic.Config{TCPU: tcpu.Config{MaxInstructions: 8}})
 
 	if got := r.pumpTPP(10*netsim.Millisecond, 30*netsim.Millisecond); got != 20 {
 		t.Fatalf("pre-reboot delivered %d/20", got)

@@ -325,14 +325,14 @@ func RunHist(cfg HistConfig) HistResult {
 	res.NICRejected = writerHost.NIC.Rejected + collHost.NIC.Rejected
 	res.SpansDropped = tracer.Dropped()
 
-	for _, ev := range tracer.Events() {
+	tracer.Each(func(ev *obs.SpanEvent) {
 		switch {
 		case ev.Stage == obs.StageCStore && ev.Node == spine.ID():
 			res.CommitSpans++
 		case ev.Stage == obs.StageSweep && ev.Node == spine.ID():
 			res.SweepSpans++
 		}
-	}
+	})
 	snap := reg.Snapshot(int64(sim.Now()))
 	if m, ok := snap.Get(fmt.Sprintf("switch/%d/cstore_commits", spine.ID())); ok {
 		res.CommitMetric = m.Value
@@ -481,14 +481,14 @@ func RunSpin(cfg SpinConfig) SpinResult {
 	res.Sweeps = coll.Sweeps()
 	res.Discontinuities = coll.Discontinuities()
 	res.SpansDropped = tracer.Dropped()
-	for _, ev := range tracer.Events() {
+	tracer.Each(func(ev *obs.SpanEvent) {
 		switch {
 		case ev.Stage == obs.StageSpinEdge && ev.Node == mid.ID():
 			res.EdgeSpans++
 		case ev.Stage == obs.StageSweep && ev.Node == mid.ID():
 			res.SweepSpans++
 		}
-	}
+	})
 	snap := reg.Snapshot(int64(sim.Now()))
 	if m, ok := snap.Get(fmt.Sprintf("switch/%d/spin_edges", mid.ID())); ok {
 		res.EdgesMetric = m.Value

@@ -279,11 +279,11 @@ func RunBlackhole(cfg BlackholeConfig) BlackholeResult {
 		res.Retransmits += p.Retransmits
 	}
 	if cfg.Trace != nil {
-		for _, ev := range cfg.Trace.Events() {
+		cfg.Trace.Each(func(ev *obs.SpanEvent) {
 			if ev.Stage == obs.StageFaultInject || ev.Stage == obs.StageFaultRecover {
 				res.FaultSpans++
 			}
-		}
+		})
 	}
 	return res
 }

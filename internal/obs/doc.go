@@ -12,18 +12,23 @@
 //     telemetry pays nothing — no branches on a config struct, no
 //     allocations, no atomic traffic.
 //
-//   - A packet-lifecycle Tracer: a bounded ring buffer of SpanEvents
-//     recorded at each pipeline stage (parser, lookup, TCPU, memory
-//     manager, egress queue, scheduler) and at each link (serialization
-//     start, loss, delivery), from which any packet's full journey can
-//     be reconstructed by UID and fed to the internal/ndb debugger.
+//   - A packet-lifecycle Tracer: a bounded, lazily grown log of
+//     SpanEvents recorded at each pipeline stage (parser, lookup, TCPU,
+//     memory manager, egress queue, scheduler) and at each link
+//     (serialization start, loss, delivery), from which any packet's
+//     full journey can be reconstructed by UID and fed to the
+//     internal/ndb debugger.
 //
 // Both halves export snapshots as JSONL (one object per line, for
 // ingestion) and CSV (via internal/trace, for the experiment
 // harnesses), and Diff produces counter/histogram deltas for tests.
 //
-// All mutating operations are safe for concurrent use: counters,
-// gauges and histogram buckets are atomics and the tracer ring is
-// mutex-guarded, so the -race telemetry tests can hammer them from
-// parallel benchmarks.
+// Concurrency: counters, gauges and histogram buckets are atomics and
+// the registry's name maps are mutex-guarded, so metrics may be touched
+// from any goroutine.  The Tracer is single-writer: the simulator is one
+// goroutine by construction, so Record and Reset belong to the goroutine
+// that runs it, and Each, Events, Journey and the exporters are called
+// when it is quiescent (between RunUntil calls, or after the run).  The
+// race-detector test run (make race) is the proof that no caller records
+// concurrently.
 package obs

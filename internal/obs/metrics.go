@@ -96,9 +96,10 @@ func BucketOf(v uint64) int { return bits.Len64(v) }
 
 func bucketOf(v uint64) int { return BucketOf(v) }
 
-// Histogram accumulates a distribution in fixed log2 buckets.
+// Histogram accumulates a distribution in fixed log2 buckets.  The
+// observation count is not stored: it is the sum of the buckets, so a
+// count always agrees with the buckets it is read beside.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	max     atomic.Uint64
 	buckets [NumBuckets]atomic.Uint64
@@ -115,7 +116,6 @@ func (h *Histogram) Observe(v uint64) {
 		return
 	}
 	h.buckets[bucketOf(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 	for {
 		cur := h.max.Load()
@@ -137,7 +137,6 @@ func (h *Histogram) ObserveBucket(i int, n uint64) {
 		return
 	}
 	h.buckets[i].Add(n)
-	h.count.Add(n)
 	rep := BucketLow(i)
 	h.sum.Add(rep * n)
 	for {
@@ -153,7 +152,11 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
 }
 
 // Sum returns the sum of all observed values.

@@ -163,10 +163,11 @@ func (r *Registry) Snapshot(atNs int64) Snapshot {
 	for name, h := range r.hists { //lint:allow maporder (sorted before return)
 		m := Metric{
 			AtNs: atNs, Name: name, Kind: KindHistogram,
-			Count: h.Count(), Sum: h.Sum(), Max: h.Max(),
+			Sum: h.Sum(), Max: h.Max(),
 		}
 		for i := 0; i < NumBuckets; i++ {
 			if n := h.Bucket(i); n > 0 {
+				m.Count += n
 				m.Buckets = append(m.Buckets, Bucket{Low: BucketLow(i), High: BucketHigh(i), N: n})
 			}
 		}

@@ -2,8 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/trace"
 )
@@ -183,18 +183,30 @@ type SpanEvent struct {
 	A, B  uint64
 }
 
-// DefaultTraceCap is the default ring capacity: enough for ~4k packet
+// DefaultTraceCap is the default log capacity: enough for ~4k packet
 // journeys of a dozen-plus events each.
 const DefaultTraceCap = 1 << 16
 
-// Tracer is a bounded ring buffer of span events.  When full, the
-// oldest events are overwritten (Dropped counts them); recording is
-// mutex-guarded and allocation-free.  All methods are no-ops on a nil
-// receiver.
+// chunkEvents is the span log's allocation unit (160 KiB of events).
+const chunkEvents = 1 << 12
+
+// Tracer is a bounded log of span events held in fixed-size chunks
+// that are allocated the first time recording reaches them, so a tracer
+// holds memory in proportion to the events recorded, up to its
+// capacity.  Past capacity the oldest events are overwritten in place
+// (Dropped counts them).
+//
+// A Tracer has one writer: Record and Reset are called from the
+// goroutine that runs the simulator, and the read methods are called
+// when that goroutine is not recording.  All methods are no-ops on a
+// nil receiver.
 type Tracer struct {
-	mu  sync.Mutex
-	buf []SpanEvent
-	n   uint64 // total events ever recorded
+	cur    []SpanEvent   // chunk being filled; nil before the first Record
+	pos    int           // next free slot in cur
+	n      uint64        // total events ever recorded
+	chunks [][]SpanEvent // chunks born so far, in ring order
+	ci     int           // index of cur in chunks (-1 before the first Record)
+	limit  int           // capacity in events; the last chunk may be short
 }
 
 // NewTracer builds a tracer holding up to capacity events
@@ -203,18 +215,44 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Tracer{buf: make([]SpanEvent, capacity)}
+	return &Tracer{ci: -1, limit: capacity}
 }
 
 // Record appends one event, overwriting the oldest when full.
+//
+//alloc:free
 func (t *Tracer) Record(ev SpanEvent) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.buf[t.n%uint64(len(t.buf))] = ev
+	if t.pos >= len(t.cur) {
+		t.advance()
+	}
+	// Field by field: the compiler keeps a six-field struct argument in
+	// memory, and a whole-struct copy reads it back with wide loads that
+	// cannot forward from the narrow stores that spilled it.
+	e := &t.cur[t.pos]
+	e.At, e.UID, e.Node, e.Stage, e.A, e.B = ev.At, ev.UID, ev.Node, ev.Stage, ev.A, ev.B
+	t.pos++
 	t.n++
-	t.mu.Unlock()
+}
+
+// advance moves recording to the start of the next chunk, wrapping to
+// the first after the one that ends at the capacity, and allocates a
+// chunk the first time recording reaches it.  It is kept out of line so
+// that Record, which runs per event, stays a few instructions and the
+// escape gate (tools/allocgate) finds no allocation in it.
+//
+//go:noinline
+func (t *Tracer) advance() {
+	next := t.ci + 1
+	if next*chunkEvents >= t.limit {
+		next = 0
+	}
+	if next == len(t.chunks) {
+		t.chunks = append(t.chunks, make([]SpanEvent, min(chunkEvents, t.limit-next*chunkEvents)))
+	}
+	t.ci, t.cur, t.pos = next, t.chunks[next], 0
 }
 
 // Len returns the number of retained events.
@@ -222,12 +260,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.n < uint64(len(t.buf)) {
-		return int(t.n)
-	}
-	return len(t.buf)
+	return int(min(t.n, uint64(t.limit)))
 }
 
 // Total returns the number of events ever recorded, including
@@ -236,41 +269,50 @@ func (t *Tracer) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.n
 }
 
-// Dropped returns how many events were overwritten by ring wraparound.
+// Dropped returns how many events were overwritten by wraparound.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.n < uint64(len(t.buf)) {
-		return 0
-	}
-	return t.n - uint64(len(t.buf))
+	return t.n - uint64(t.Len())
 }
 
-// Events returns the retained events, oldest first.
+// Each calls fn on every retained event in place, oldest first.  The
+// pointer is valid only during the call.
+func (t *Tracer) Each(fn func(*SpanEvent)) {
+	if t == nil || t.n == 0 {
+		return
+	}
+	each := func(evs []SpanEvent) {
+		for i := range evs {
+			fn(&evs[i])
+		}
+	}
+	if t.Dropped() > 0 {
+		// Wrapped: every chunk is born and full, and the oldest event
+		// is the next one Record would overwrite.
+		each(t.cur[t.pos:])
+		for k := 1; k < len(t.chunks); k++ {
+			each(t.chunks[(t.ci+k)%len(t.chunks)])
+		}
+	} else {
+		for _, c := range t.chunks[:t.ci] {
+			each(c)
+		}
+	}
+	each(t.cur[:t.pos])
+}
+
+// Events returns a copy of the retained events, oldest first.
 func (t *Tracer) Events() []SpanEvent {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	size := uint64(len(t.buf))
-	if t.n < size {
-		out := make([]SpanEvent, t.n)
-		copy(out, t.buf[:t.n])
-		return out
-	}
-	out := make([]SpanEvent, 0, size)
-	start := t.n % size
-	out = append(out, t.buf[start:]...)
-	out = append(out, t.buf[:start]...)
+	out := make([]SpanEvent, 0, t.Len())
+	t.Each(func(ev *SpanEvent) { out = append(out, *ev) })
 	return out
 }
 
@@ -278,22 +320,42 @@ func (t *Tracer) Events() []SpanEvent {
 // the reconstructable per-hop record the ndb debugger consumes.
 func (t *Tracer) Journey(uid uint64) []SpanEvent {
 	var out []SpanEvent
-	for _, ev := range t.Events() {
+	t.Each(func(ev *SpanEvent) {
 		if ev.UID == uid {
-			out = append(out, ev)
+			out = append(out, *ev)
 		}
-	}
+	})
 	return out
 }
 
-// Reset discards all retained events.
+// Reset discards all retained events; the chunks already born are
+// kept and refilled.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.n = 0
-	t.mu.Unlock()
+	t.cur, t.pos, t.n, t.ci = nil, 0, 0, -1
+}
+
+// ReportSelf says what an export of the log is worth, for the CLIs to
+// call before writing one: the gauges obs/spans_total and
+// obs/spans_dropped are set in reg (a nil reg takes none), and if events
+// were overwritten one line on errW says how many and gives the time of
+// the earliest one still held.
+func (t *Tracer) ReportSelf(reg *Registry, errW io.Writer) {
+	reg.Gauge("obs/spans_total").Set(int64(t.Total()))
+	reg.Gauge("obs/spans_dropped").Set(int64(t.Dropped()))
+	if t.Dropped() == 0 {
+		return
+	}
+	oldest, seen := int64(0), false
+	t.Each(func(ev *SpanEvent) {
+		if !seen {
+			oldest, seen = ev.At, true
+		}
+	})
+	fmt.Fprintf(errW, "obs: span log overflowed: %d of %d events overwritten, earliest retained at_ns=%d; journeys that began before it are truncated\n",
+		t.Dropped(), t.Total(), oldest)
 }
 
 // spanJSON is the JSONL wire form of a SpanEvent.
@@ -309,22 +371,23 @@ type spanJSON struct {
 // WriteJSONL emits the retained events, one JSON object per line.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for _, ev := range t.Events() {
-		if err := enc.Encode(spanJSON{
-			At: ev.At, UID: ev.UID, Node: ev.Node,
-			Stage: ev.Stage.String(), A: ev.A, B: ev.B,
-		}); err != nil {
-			return err
+	var err error
+	t.Each(func(ev *SpanEvent) {
+		if err == nil {
+			err = enc.Encode(spanJSON{
+				At: ev.At, UID: ev.UID, Node: ev.Node,
+				Stage: ev.Stage.String(), A: ev.A, B: ev.B,
+			})
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // WriteCSV emits the retained events as CSV rows.
 func (t *Tracer) WriteCSV(w io.Writer) error {
 	c := trace.NewCSV(w, "at_ns", "uid", "node", "stage", "a", "b")
-	for _, ev := range t.Events() {
+	t.Each(func(ev *SpanEvent) {
 		c.Row(ev.At, ev.UID, ev.Node, ev.Stage.String(), ev.A, ev.B)
-	}
+	})
 	return c.Err()
 }

@@ -231,7 +231,7 @@ func (p *Program) Exec(t *core.TPP, view mem.View) (r Result) {
 		}
 		if p.cfg.RecordSpans {
 			if r.Spans == nil {
-				//alloc:allow per-instruction spans allocate only under tracing (RecordSpans)
+				//alloc:allow per-instruction spans allocate only for callers that set RecordSpans
 				r.Spans = make([]InsSpan, 0, p.n)
 			}
 			r.Spans = append(r.Spans, InsSpan{

@@ -9,8 +9,8 @@ import (
 // programs at line rate, so the fault path is a hot path too: with
 // span recording off the TCPU returns these preallocated values
 // directly and a faulting packet costs zero allocations.  With
-// Config.RecordSpans on (tracing), faults are wrapped with formatted
-// detail; errors.Is matches the sentinel either way.
+// Config.RecordSpans on, faults are wrapped with formatted detail;
+// errors.Is matches the sentinel either way.
 var (
 	// ErrProgramTooLong: the program exceeds the device instruction
 	// limit (Config.MaxInstructions).
@@ -32,8 +32,8 @@ var (
 )
 
 // detail reports whether faults should carry formatted context: only
-// when per-instruction spans (tracing) are on, so the span-off fault
-// path never formats or allocates.
+// when per-instruction spans are on, so the span-off fault path never
+// formats or allocates.
 func (c Config) detail() bool { return c.RecordSpans }
 
 func (c Config) faultTooLong(n int) error {

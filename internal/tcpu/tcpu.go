@@ -30,7 +30,8 @@ type Config struct {
 	// RecordSpans makes Exec fill Result.Spans with one entry per
 	// executed instruction (retire cycle, memory accesses, stalls),
 	// so executions can be audited against the §3.3 line-rate budget.
-	// Off by default: span recording allocates.
+	// Off by default, and never turned on by a switch: span recording
+	// allocates.
 	RecordSpans bool
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/asic"
+	"repro/internal/endhost"
 	"repro/internal/microburst"
 	"repro/internal/ndb"
 	"repro/internal/netsim"
@@ -135,5 +136,65 @@ func TestTelemetryDisabledNoExtraAllocs(t *testing.T) {
 	}
 	if h2.Received == 0 {
 		t.Fatal("nothing forwarded")
+	}
+}
+
+// TestTelemetryEnabledPriceAsCounts pins the price of watching as the
+// two counts that repeat exactly.  With Metrics and Trace on, a TPP
+// packet crossing a 5-switch line allocates what it allocates with
+// both off (the sender's packet and its TPP) — span recording, counter
+// and histogram updates add none — and a delivered TPP packet on an
+// n-switch line records exactly 6n + 2(n+1) span events: parser,
+// lookup, TCPU, memory manager, enqueue and scheduler at each switch,
+// serialization and delivery on each of the n+1 links.
+func TestTelemetryEnabledPriceAsCounts(t *testing.T) {
+	type line struct {
+		sim      *netsim.Sim
+		src, dst *endhost.Host
+		hops     int
+	}
+	build := func(hops int, cfg asic.Config) *line {
+		sim := netsim.New(1)
+		link := topo.Mbps(10_000, 0)
+		n, src, dst, _ := topo.Line(sim, hops, link, link, cfg)
+		n.PrimeL2(netsim.Millisecond)
+		return &line{sim: sim, src: src, dst: dst, hops: hops}
+	}
+	send := func(l *line) {
+		pkt := l.src.NewPacket(l.dst.MAC, l.dst.IP, 1, 2, 58)
+		microburst.Instrument(pkt, l.hops)
+		l.src.Send(pkt)
+		l.sim.RunUntil(l.sim.Now() + netsim.Millisecond)
+	}
+
+	off := build(5, asic.Config{})
+	disabled := testing.AllocsPerRun(200, func() { send(off) })
+	// One chunk holds the whole log and is born while priming, so a
+	// chunk's first-touch allocation cannot hide in the average.
+	on := build(5, asic.Config{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(1024)})
+	enabled := testing.AllocsPerRun(200, func() { send(on) })
+	if disabled != 2 || enabled != disabled {
+		t.Fatalf("5-hop TPP packet: %.1f allocs with telemetry off, %.1f with Metrics+Trace on; want 2 and 2",
+			disabled, enabled)
+	}
+	if off.dst.Received == 0 || on.dst.Received != off.dst.Received {
+		t.Fatalf("delivered %d packets with telemetry off, %d with it on", off.dst.Received, on.dst.Received)
+	}
+
+	for _, hops := range []int{1, 2, 5} {
+		tr := obs.NewTracer(1 << 12)
+		l := build(hops, asic.Config{Trace: tr})
+		const packets = 20
+		before, delivered := tr.Total(), l.dst.Received
+		for i := 0; i < packets; i++ {
+			send(l)
+		}
+		if l.dst.Received-delivered != packets {
+			t.Fatalf("%d hops: delivered %d of %d", hops, l.dst.Received-delivered, packets)
+		}
+		want := uint64(packets * (6*hops + 2*(hops+1)))
+		if got := tr.Total() - before; got != want {
+			t.Fatalf("%d hops: %d spans for %d packets, want %d (6n + 2(n+1) each)", hops, got, packets, want)
+		}
 	}
 }

@@ -188,7 +188,7 @@ func TestRepoBaselineCleanAndCurrent(t *testing.T) {
 	}
 	pkgs := []string{
 		"../../internal/core", "../../internal/ring", "../../internal/tcpu", "../../internal/netsim",
-		"../../internal/asic", "../../internal/endhost", "../../internal/reflex",
+		"../../internal/asic", "../../internal/endhost", "../../internal/reflex", "../../internal/obs",
 	}
 	anns, allowed, err := collectAnnotations(pkgs)
 	if err != nil {
@@ -207,7 +207,7 @@ func TestRepoBaselineCleanAndCurrent(t *testing.T) {
 	defer os.Chdir(wd)
 	out, err := buildDiagnostics([]string{
 		"./internal/core", "./internal/ring", "./internal/tcpu", "./internal/netsim",
-		"./internal/asic", "./internal/endhost", "./internal/reflex",
+		"./internal/asic", "./internal/endhost", "./internal/reflex", "./internal/obs",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestRepoBaselineCleanAndCurrent(t *testing.T) {
 	// the ../../ prefix; rebuild from the repo root for stable keys.
 	anns, allowed, err = collectAnnotations([]string{
 		"internal/core", "internal/ring", "internal/tcpu", "internal/netsim",
-		"internal/asic", "internal/endhost", "internal/reflex",
+		"internal/asic", "internal/endhost", "internal/reflex", "internal/obs",
 	})
 	if err != nil {
 		t.Fatal(err)
