@@ -69,14 +69,8 @@ func runAccounting(out *output) error {
 	tbl.Row("LOAD+STORE (racy)", racyFinal, 150, 150-int(racyFinal), "-")
 	out.printf("%s\nthe conditional store instruction is what makes in-network accounting exact\n", tbl.String())
 
-	if f, err := out.csvFile("accounting.csv"); err != nil {
-		return err
-	} else if f != nil {
-		defer f.Close()
-		c := trace.NewCSV(f, "protocol", "final", "expected", "retries")
-		c.Row("cstore", atomicFinal, 150, atomicRetries)
-		c.Row("racy", racyFinal, 150, 0)
-		return c.Err()
-	}
+	c := out.csv("accounting.csv", "protocol", "final", "expected", "retries")
+	c.Row("cstore", atomicFinal, 150, atomicRetries)
+	c.Row("racy", racyFinal, 150, 0)
 	return nil
 }

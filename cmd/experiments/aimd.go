@@ -2,6 +2,7 @@ package main
 
 import (
 	"repro/internal/aimd"
+	"repro/internal/rcp"
 	"repro/internal/trace"
 )
 
@@ -11,8 +12,8 @@ import (
 // fills queues to find the fair share while RCP-style control reads it.
 func runAIMD(out *output) error {
 	cfg := aimd.DefaultCompareConfig()
-	aimdRes := aimd.RunComparison(aimd.SchemeAIMD, cfg)
-	rcpRes := aimd.RunComparison(aimd.SchemeRCPStar, cfg)
+	aimdRes := aimd.RunComparison(rcp.VariantAIMD, cfg)
+	rcpRes := aimd.RunComparison(rcp.VariantStar, cfg)
 
 	out.printf("extension: RCP* vs TCP-style AIMD on the Figure 2 dumbbell (3 staggered flows, 30s)\n\n")
 	tbl := trace.NewTable("scheme", "utilization", "Jain fairness",
@@ -31,15 +32,9 @@ func runAIMD(out *output) error {
 	out.printf("%s\nRCP* reads the fair share from switch state; AIMD must fill the buffer and drop to find it\n",
 		tbl.String())
 
-	if f, err := out.csvFile("aimd.csv"); err != nil {
-		return err
-	} else if f != nil {
-		defer f.Close()
-		c := trace.NewCSV(f, "scheme", "utilization", "jain", "mean_queue_bytes", "drops")
-		for _, r := range []aimd.CompareResult{rcpRes, aimdRes} {
-			c.Row(string(r.Scheme), r.Utilization, r.JainIndex, r.MeanQueueBytes, r.DropPkts)
-		}
-		return c.Err()
+	c := out.csv("aimd.csv", "scheme", "utilization", "jain", "mean_queue_bytes", "drops")
+	for _, r := range []aimd.CompareResult{rcpRes, aimdRes} {
+		c.Row(string(r.Scheme), r.Utilization, r.JainIndex, r.MeanQueueBytes, r.DropPkts)
 	}
 	return nil
 }

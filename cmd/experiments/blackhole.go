@@ -35,22 +35,16 @@ func runBlackhole(out *output) error {
 	out.printf("probes: sent=%d echoed=%d timed-out=%d retransmitted=%d\n",
 		res.ProbesSent, res.Echoed, res.TimedOut, res.Retransmits)
 
-	if f, err := out.csvFile("blackhole.csv"); err != nil {
-		return err
-	} else if f != nil {
-		defer f.Close()
-		c := trace.NewCSV(f, "metric", "value")
-		c.Row("baseline_walks", res.BaselinePaths)
-		c.Row("recovered_walks", res.RecoveredPaths)
-		c.Row("candidates", len(res.Candidates))
-		c.Row("proven_up", len(res.ProvenUp))
-		c.Row("suspects", len(res.Suspects))
-		c.Row("localized", res.Localized)
-		c.Row("probes_sent", res.ProbesSent)
-		c.Row("probes_echoed", res.Echoed)
-		c.Row("probes_timed_out", res.TimedOut)
-		c.Row("retransmits", res.Retransmits)
-		return c.Err()
-	}
+	c := out.csv("blackhole.csv", "metric", "value")
+	c.Row("baseline_walks", res.BaselinePaths)
+	c.Row("recovered_walks", res.RecoveredPaths)
+	c.Row("candidates", len(res.Candidates))
+	c.Row("proven_up", len(res.ProvenUp))
+	c.Row("suspects", len(res.Suspects))
+	c.Row("localized", res.Localized)
+	c.Row("probes_sent", res.ProbesSent)
+	c.Row("probes_echoed", res.Echoed)
+	c.Row("probes_timed_out", res.TimedOut)
+	c.Row("retransmits", res.Retransmits)
 	return nil
 }

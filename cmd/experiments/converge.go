@@ -136,16 +136,10 @@ func runConverge(out *output) error {
 		return fmt.Errorf("no converge ever raced a reboot; the churn timeline no longer exercises the epoch guard")
 	}
 
-	if f, err := out.csvFile("converge.csv"); err != nil {
-		return err
-	} else if f != nil {
-		defer f.Close()
-		c := trace.NewCSV(f, "converge", "attempts", "ops_applied", "epoch_races", "dark_applies", "converged")
-		for _, r := range rows {
-			c.Row(fmt.Sprintf("%s_%d", strings.ReplaceAll(r.phase, " ", "_"), r.iter),
-				r.c.Attempts, r.c.OpsApplied, r.races, r.darkRounds, r.c.Converged)
-		}
-		return c.Err()
+	c := out.csv("converge.csv", "converge", "attempts", "ops_applied", "epoch_races", "dark_applies", "converged")
+	for _, r := range rows {
+		c.Row(fmt.Sprintf("%s_%d", strings.ReplaceAll(r.phase, " ", "_"), r.iter),
+			r.c.Attempts, r.c.OpsApplied, r.races, r.darkRounds, r.c.Converged)
 	}
 	return nil
 }

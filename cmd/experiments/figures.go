@@ -48,15 +48,9 @@ func runFig1(out *output) error {
 	out.printf("%s\nfinal SP = %#x (three 4-byte snapshots, as in the paper's figure)\n",
 		tbl.String(), echoed.Ptr)
 
-	if f, err := out.csvFile("fig1.csv"); err != nil {
-		return err
-	} else if f != nil {
-		defer f.Close()
-		c := trace.NewCSV(f, "hop", "queue_bytes")
-		for hop := 0; hop < 3; hop++ {
-			c.Row(hop+1, echoed.Word(hop))
-		}
-		return c.Err()
+	c := out.csv("fig1.csv", "hop", "queue_bytes")
+	for hop := 0; hop < 3; hop++ {
+		c.Row(hop+1, echoed.Word(hop))
 	}
 	return nil
 }
@@ -71,17 +65,9 @@ func runFig2(out *output) error {
 		cfg.Metrics = out.metrics
 		res := rcp.RunFigure2(cfg)
 		results[v] = res
-		if f, err := out.csvFile(fmt.Sprintf("fig2_%s.csv", v)); err != nil {
-			return err
-		} else if f != nil {
-			c := trace.NewCSV(f, "t_seconds", "r_over_c", "flow1_bps", "flow2_bps", "flow3_bps")
-			for _, s := range res.Samples {
-				c.Row(s.T, s.ROverC, s.Flows[0]*8, s.Flows[1]*8, s.Flows[2]*8)
-			}
-			f.Close()
-			if c.Err() != nil {
-				return c.Err()
-			}
+		c := out.csv(fmt.Sprintf("fig2_%s.csv", v), "t_seconds", "r_over_c", "flow1_bps", "flow2_bps", "flow3_bps")
+		for _, s := range res.Samples {
+			c.Row(s.T, s.ROverC, s.Flows[0]*8, s.Flows[1]*8, s.Flows[2]*8)
 		}
 	}
 
@@ -145,16 +131,10 @@ func runFig3(out *output) error {
 		delivered, elapsed, float64(delivered)/elapsed/1e6)
 	out.printf("per-packet forwarding latency: pipeline 500ns + 0.8us serialization at 1 Gb/s\n")
 
-	if f, err := out.csvFile("fig3.csv"); err != nil {
-		return err
-	} else if f != nil {
-		defer f.Close()
-		c := trace.NewCSV(f, "metric", "value")
-		c.Row("frames", delivered)
-		c.Row("elapsed_s", elapsed)
-		c.Row("mpps", float64(delivered)/elapsed/1e6)
-		return c.Err()
-	}
+	c := out.csv("fig3.csv", "metric", "value")
+	c.Row("frames", delivered)
+	c.Row("elapsed_s", elapsed)
+	c.Row("mpps", float64(delivered)/elapsed/1e6)
 	return nil
 }
 
@@ -162,13 +142,7 @@ func runFig3(out *output) error {
 func runFig4(out *output) error {
 	out.printf("Figure 4 / §3.3: TPP wire overheads (12B header + 4B/instruction + packet memory)\n\n")
 	tbl := trace.NewTable("instructions", "instr bytes", "hops", "per-hop mem bytes", "TPP bytes total")
-	var f *trace.CSV
-	if file, err := out.csvFile("fig4.csv"); err != nil {
-		return err
-	} else if file != nil {
-		defer file.Close()
-		f = trace.NewCSV(file, "instructions", "instr_bytes", "hops", "per_hop_bytes", "total_bytes")
-	}
+	f := out.csv("fig4.csv", "instructions", "instr_bytes", "hops", "per_hop_bytes", "total_bytes")
 	for _, ins := range []int{1, 2, 3, 4, 5} {
 		for _, hops := range []int{1, 5, 7} {
 			prog := make([]core.Instruction, ins)
@@ -182,9 +156,7 @@ func runFig4(out *output) error {
 			}
 			perHop := ins * 4
 			tbl.Row(ins, ins*core.InstructionLen, hops, perHop, tpp.WireLen())
-			if f != nil {
-				f.Row(ins, ins*core.InstructionLen, hops, perHop, tpp.WireLen())
-			}
+			f.Row(ins, ins*core.InstructionLen, hops, perHop, tpp.WireLen())
 		}
 	}
 	out.printf("%s\npaper check: 5 instructions = 20 bytes of instructions; "+
@@ -204,13 +176,7 @@ func runFig5(out *output) error {
 	sim.RunUntil(netsim.Millisecond)
 
 	tbl := trace.NewTable("instructions", "cstores", "cycles", "ns @1GHz", "budget used")
-	var f *trace.CSV
-	if file, err := out.csvFile("fig5.csv"); err != nil {
-		return err
-	} else if file != nil {
-		defer file.Close()
-		f = trace.NewCSV(file, "instructions", "cstores", "cycles", "budget_fraction")
-	}
+	f := out.csv("fig5.csv", "instructions", "cstores", "cycles", "budget_fraction")
 	for k := 1; k <= 5; k++ {
 		for _, withCStore := range []bool{false, true} {
 			ins := make([]core.Instruction, k)
@@ -233,9 +199,7 @@ func runFig5(out *output) error {
 			}
 			frac := float64(res.Cycles) / float64(tcpu.BudgetCycles)
 			tbl.Row(k, cstores, res.Cycles, res.Cycles, sprintf("%.1f%%", 100*frac))
-			if f != nil {
-				f.Row(k, cstores, res.Cycles, frac)
-			}
+			f.Row(k, cstores, res.Cycles, frac)
 		}
 	}
 	out.printf("%s\nevery 5-instruction program fits in <3%% of the 300ns cut-through budget\n\n", tbl.String())

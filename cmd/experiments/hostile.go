@@ -63,26 +63,20 @@ func runHostile(out *output) error {
 		return fmt.Errorf("tracer dropped %d spans", res.SpansDropped)
 	}
 
-	if f, err := out.csvFile("hostile.csv"); err != nil {
-		return err
-	} else if f != nil {
-		defer f.Close()
-		c := trace.NewCSV(f, "metric", "value")
-		c.Row("rogue_sent", res.RogueSent)
-		for i, name := range []string{"edge", "far"} {
-			c.Row("denied_"+name, res.Denied[i])
-			c.Row("victim_denied_"+name, res.VictimDenied[i])
-			c.Row("rogue_throttled_"+name, res.RogueThrottled[i])
-			c.Row("victim_throttled_"+name, res.VictimThrottled[i])
-		}
-		c.Row("v1_mean_bps", int64(res.V1Mean))
-		c.Row("v2_mean_bps", int64(res.V2Mean))
-		c.Row("fair_share_bps", int64(res.FairShare))
-		c.Row("writer_done", res.WriterDone)
-		c.Row("writer_failures", res.WriterFailures)
-		c.Row("tally_physical", int64(res.TallyPhysical))
-		c.Row("leaked_pkts", res.Leaked)
-		return c.Err()
+	c := out.csv("hostile.csv", "metric", "value")
+	c.Row("rogue_sent", res.RogueSent)
+	for i, name := range []string{"edge", "far"} {
+		c.Row("denied_"+name, res.Denied[i])
+		c.Row("victim_denied_"+name, res.VictimDenied[i])
+		c.Row("rogue_throttled_"+name, res.RogueThrottled[i])
+		c.Row("victim_throttled_"+name, res.VictimThrottled[i])
 	}
+	c.Row("v1_mean_bps", int64(res.V1Mean))
+	c.Row("v2_mean_bps", int64(res.V2Mean))
+	c.Row("fair_share_bps", int64(res.FairShare))
+	c.Row("writer_done", res.WriterDone)
+	c.Row("writer_failures", res.WriterFailures)
+	c.Row("tally_physical", int64(res.TallyPhysical))
+	c.Row("leaked_pkts", res.Leaked)
 	return nil
 }

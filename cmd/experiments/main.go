@@ -32,13 +32,14 @@ import (
 	"sort"
 
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // experiment is one reproducible artifact.
 type experiment struct {
 	name  string
 	about string
-	run   func(out *output) error
+	fn    func(out *output) error
 }
 
 var experiments = []experiment{
@@ -108,6 +109,12 @@ func main() {
 	}
 	defer writeMemProfile(memProfile)
 
+	if outDir != "" {
+		if err := os.MkdirAll(outDir, 0o755); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			os.Exit(1)
+		}
+	}
 	out := &output{dir: outDir, w: os.Stdout}
 	if metricsPath != "" {
 		out.metrics = obs.NewRegistry()
@@ -218,20 +225,54 @@ type output struct {
 	w       io.Writer
 	metrics *obs.Registry
 	tracer  *obs.Tracer
+
+	// CSV streams the running experiment opened, their files (absent
+	// without -out), and the first failure to open one.
+	csvs    []*trace.CSV
+	files   []*os.File
+	openErr error
 }
 
 func (o *output) printf(format string, args ...any) {
 	fmt.Fprintf(o.w, format, args...)
 }
 
-// csvFile opens DIR/name for writing, or returns nil when -out is
-// unset (callers skip CSV emission then).
-func (o *output) csvFile(name string) (*os.File, error) {
-	if o.dir == "" {
-		return nil, nil
+// csv starts the CSV stream DIR/name with the given header, or one that
+// goes nowhere when -out is unset.  It never fails at the call site:
+// run reports the first open, write or close error of every stream.
+func (o *output) csv(name string, header ...string) *trace.CSV {
+	var w io.Writer = io.Discard
+	if o.dir != "" {
+		if f, err := os.Create(filepath.Join(o.dir, name)); err == nil {
+			o.files = append(o.files, f)
+			w = f
+		} else if o.openErr == nil {
+			o.openErr = err
+		}
 	}
-	if err := os.MkdirAll(o.dir, 0o755); err != nil {
-		return nil, err
+	c := trace.NewCSV(w, header...)
+	o.csvs = append(o.csvs, c)
+	return c
+}
+
+// run executes one experiment, closes every CSV file it opened, and
+// returns its error or else the first CSV error: a results file that
+// could not be written in full is a failed run.
+func (e experiment) run(out *output) error {
+	err := e.fn(out)
+	if err == nil {
+		err = out.openErr
 	}
-	return os.Create(filepath.Join(o.dir, name))
+	for _, c := range out.csvs {
+		if err == nil {
+			err = c.Err()
+		}
+	}
+	for _, f := range out.files {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	out.csvs, out.files, out.openErr = nil, nil, nil
+	return err
 }

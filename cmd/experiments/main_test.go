@@ -12,7 +12,11 @@ import (
 
 // TestEveryExperimentRuns executes every registered experiment end to
 // end, with CSV emission into a temp dir, so the reproduction harness
-// can never silently rot.
+// can never silently rot — and holds each CSV to the committed
+// results/ byte for byte, which makes `go test ./...` the oracle for a
+// refactor that must not move an artifact (fig2_*.csv, aimd.csv and
+// fct.csv pin the rate-control harness; `make results-check` adds the
+// stdout transcript).
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take a few seconds")
@@ -35,12 +39,58 @@ func TestEveryExperimentRuns(t *testing.T) {
 		t.Fatalf("only %d CSV files for %d experiments", len(entries), len(experiments))
 	}
 	for _, ent := range entries {
-		info, _ := ent.Info()
-		if info.Size() == 0 {
-			t.Errorf("empty CSV %s", ent.Name())
-		}
 		if filepath.Ext(ent.Name()) != ".csv" {
 			t.Errorf("unexpected artifact %s", ent.Name())
+			continue
+		}
+		got, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 || !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes, differs from the committed results/%s (%d bytes)",
+				ent.Name(), len(got), ent.Name(), len(want))
+		}
+	}
+}
+
+// TestUnwritableOutFailsEveryExperiment points -out below a regular
+// file: no CSV can be created, and every experiment must say so — a
+// results file that was not written is not a successful run.
+func TestUnwritableOutFailsEveryExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments take a few seconds")
+	}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range experiments {
+		out := &output{dir: filepath.Join(file, "results"), w: io.Discard}
+		if err := e.run(out); err == nil {
+			t.Errorf("%s: no error with -out at an uncreatable path", e.name)
+		}
+	}
+}
+
+// TestFCTUnfinishedFlowIsAnError: a flow too large for the 120 s
+// horizon has no completion time; the table must refuse to print one
+// (it used to read 0 ms / 0.0x) and name the scheme and the size.
+func TestFCTUnfinishedFlowIsAnError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates two minutes of a saturated bottleneck")
+	}
+	err := fctTable(&output{w: io.Discard}, []uint64{1 << 30})
+	if err == nil {
+		t.Fatal("a 1 GiB flow on a 10 Mb/s bottleneck reported a completion time")
+	}
+	for _, want := range []string{"rcpstar", "1073741824"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
 		}
 	}
 }
@@ -74,7 +124,7 @@ func TestExperimentNamesUniqueAndDescribed(t *testing.T) {
 			t.Errorf("duplicate experiment %q", e.name)
 		}
 		seen[e.name] = true
-		if e.about == "" || e.run == nil {
+		if e.about == "" || e.fn == nil {
 			t.Errorf("experiment %q incomplete", e.name)
 		}
 	}

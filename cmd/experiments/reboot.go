@@ -63,25 +63,19 @@ func runReboot(out *output) error {
 		return fmt.Errorf("tracer dropped %d spans", res.SpansDropped)
 	}
 
-	if f, err := out.csvFile("reboot.csv"); err != nil {
-		return err
-	} else if f != nil {
-		defer f.Close()
-		c := trace.NewCSV(f, "metric", "value")
-		c.Row("leaked_pkts", res.Leaked)
-		c.Row("reboots", res.Reboots)
-		c.Row("reboot_drops", res.RebootDrops)
-		c.Row("epoch_bumps", res.EpochBumps)
-		c.Row("rate_reseeds", res.Reinits)
-		c.Row("polls", res.Polls)
-		c.Row("discontinuities", res.Discontinuities)
-		c.Row("negative_deltas", res.NegativeDeltas)
-		c.Row("tpps_throttled", res.Throttled)
-		c.Row("throttled_echoes", res.ThrottledEchoes)
-		for i, r := range res.RateAfterReboot {
-			c.Row(fmt.Sprintf("rate_after_reboot_%d", i), int64(r))
-		}
-		return c.Err()
+	c := out.csv("reboot.csv", "metric", "value")
+	c.Row("leaked_pkts", res.Leaked)
+	c.Row("reboots", res.Reboots)
+	c.Row("reboot_drops", res.RebootDrops)
+	c.Row("epoch_bumps", res.EpochBumps)
+	c.Row("rate_reseeds", res.Reinits)
+	c.Row("polls", res.Polls)
+	c.Row("discontinuities", res.Discontinuities)
+	c.Row("negative_deltas", res.NegativeDeltas)
+	c.Row("tpps_throttled", res.Throttled)
+	c.Row("throttled_echoes", res.ThrottledEchoes)
+	for i, r := range res.RateAfterReboot {
+		c.Row(fmt.Sprintf("rate_after_reboot_%d", i), int64(r))
 	}
 	return nil
 }

@@ -262,15 +262,9 @@ func runReroute(out *output) error {
 		return fmt.Errorf("reflex lost %d >= prober repair's %d", reflexRow.lost, proberRow.lost)
 	}
 
-	if f, err := out.csvFile("reroute.csv"); err != nil {
-		return err
-	} else if f != nil {
-		defer f.Close()
-		c := trace.NewCSV(f, "scheme", "rtt_us", "detect_us", "stall_us", "sent", "lost")
-		for _, r := range rows {
-			c.Row(r.scheme, r.rttUS, r.detectUS, r.stallUS, r.sent, r.lost)
-		}
-		return c.Err()
+	c := out.csv("reroute.csv", "scheme", "rtt_us", "detect_us", "stall_us", "sent", "lost")
+	for _, r := range rows {
+		c.Row(r.scheme, r.rttUS, r.detectUS, r.stallUS, r.sent, r.lost)
 	}
 	return nil
 }

@@ -47,19 +47,13 @@ func runRTTHist(out *output) error {
 			obs.BucketLow(i), obs.BucketHigh(i), res.Truth[i], res.Current[i])
 	}
 
-	if f, err := out.csvFile("rtthist.csv"); err != nil {
-		return err
-	} else if f != nil {
-		defer f.Close()
-		c := trace.NewCSV(f, "bucket_lo", "bucket_hi", "truth_n", "dataplane_n", "cumulative_n", "wiped_n")
-		for i := range res.Truth {
-			if res.Truth[i] == 0 && res.Current[i] == 0 && res.Cumulative[i] == 0 && res.CapturedAtWipe[i] == 0 {
-				continue
-			}
-			c.Row(obs.BucketLow(i), obs.BucketHigh(i),
-				res.Truth[i], res.Current[i], res.Cumulative[i], res.CapturedAtWipe[i])
+	c := out.csv("rtthist.csv", "bucket_lo", "bucket_hi", "truth_n", "dataplane_n", "cumulative_n", "wiped_n")
+	for i := range res.Truth {
+		if res.Truth[i] == 0 && res.Current[i] == 0 && res.Cumulative[i] == 0 && res.CapturedAtWipe[i] == 0 {
+			continue
 		}
-		return c.Err()
+		c.Row(obs.BucketLow(i), obs.BucketHigh(i),
+			res.Truth[i], res.Current[i], res.Cumulative[i], res.CapturedAtWipe[i])
 	}
 	return nil
 }

@@ -95,15 +95,9 @@ func runTable1(out *output) error {
 	}
 	out.printf("Table 1: the TPP instruction set, demonstrated on switch id=7\n%s", tbl.String())
 
-	if f, err := out.csvFile("table1.csv"); err != nil {
-		return err
-	} else if f != nil {
-		defer f.Close()
-		c := trace.NewCSV(f, "instruction", "meaning", "cycles")
-		for _, r := range csvRows {
-			c.Row(r...)
-		}
-		return c.Err()
+	c := out.csv("table1.csv", "instruction", "meaning", "cycles")
+	for _, r := range csvRows {
+		c.Row(r...)
 	}
 	return nil
 }
@@ -126,13 +120,7 @@ func runTable2(out *output) error {
 
 	view := sw.ViewForTesting(nil, 1)
 	tbl := trace.NewTable("namespace", "statistic", "byte addr", "writable", "value")
-	var f *trace.CSV
-	if file, err := out.csvFile("table2.csv"); err != nil {
-		return err
-	} else if file != nil {
-		defer file.Close()
-		f = trace.NewCSV(file, "namespace", "statistic", "byte_addr", "writable", "value")
-	}
+	f := out.csv("table2.csv", "namespace", "statistic", "byte_addr", "writable", "value")
 	for _, name := range mem.SymbolNames() {
 		a, _ := mem.LookupSymbol(name)
 		v, err := view.Load(a)
@@ -142,9 +130,7 @@ func runTable2(out *output) error {
 		ns := mem.NamespaceOf(a).String()
 		w := mem.Writable(a)
 		tbl.Row(ns, name, sprintf("%#x", a.ByteAddr()), w, v)
-		if f != nil {
-			f.Row(ns, name, sprintf("%#x", a.ByteAddr()), w, v)
-		}
+		f.Row(ns, name, sprintf("%#x", a.ByteAddr()), w, v)
 	}
 	out.printf("Table 2: statistics namespaces (live values after 1s of traffic)\n%s", tbl.String())
 	return nil

@@ -42,16 +42,10 @@ func runMicroburst(out *output) error {
 	}
 	out.printf("sampling density (20 bursts):\n%s", dens.String())
 
-	if f, err := out.csvFile("microburst.csv"); err != nil {
-		return err
-	} else if f != nil {
-		defer f.Close()
-		c := trace.NewCSV(f, "episode", "start_s", "duration_us", "peak_bytes")
-		for i, e := range res.Episodes {
-			c.Row(i, netsim.Time(e.Start).Seconds(),
-				float64(e.Duration())/float64(netsim.Microsecond), e.Peak)
-		}
-		return c.Err()
+	c := out.csv("microburst.csv", "episode", "start_s", "duration_us", "peak_bytes")
+	for i, e := range res.Episodes {
+		c.Row(i, netsim.Time(e.Start).Seconds(),
+			float64(e.Duration())/float64(netsim.Microsecond), e.Peak)
 	}
 	return nil
 }
@@ -84,18 +78,12 @@ func runNdb(out *output) error {
 	out.printf("%s\njourneys agree with the packet-copy baseline: %v\n",
 		cmp.String(), res.JourneysAgree)
 
-	if f, err := out.csvFile("ndb.csv"); err != nil {
-		return err
-	} else if f != nil {
-		defer f.Close()
-		c := trace.NewCSV(f, "metric", "value")
-		c.Row("clean_traces", res.CleanTraces)
-		c.Row("bad_traces", res.BadTraces)
-		c.Row("tpp_inband_bytes", res.TPPInBandBytes)
-		c.Row("baseline_copies", res.BaselineCopies)
-		c.Row("baseline_copy_bytes", res.BaselineCopyBytes)
-		return c.Err()
-	}
+	c := out.csv("ndb.csv", "metric", "value")
+	c.Row("clean_traces", res.CleanTraces)
+	c.Row("bad_traces", res.BadTraces)
+	c.Row("tpp_inband_bytes", res.TPPInBandBytes)
+	c.Row("baseline_copies", res.BaselineCopies)
+	c.Row("baseline_copy_bytes", res.BaselineCopyBytes)
 	return nil
 }
 
@@ -141,15 +129,9 @@ func runWireless(out *output) error {
 	out.printf("%s\nper-packet annotation is %.1fx more accurate on this channel\n",
 		tbl.String(), polledErr/perPacketErr)
 
-	if f, err := out.csvFile("wireless.csv"); err != nil {
-		return err
-	} else if f != nil {
-		defer f.Close()
-		c := trace.NewCSV(f, "monitor", "mean_abs_error_db")
-		c.Row("tpp", perPacketErr)
-		c.Row("polling", polledErr)
-		return c.Err()
-	}
+	c := out.csv("wireless.csv", "monitor", "mean_abs_error_db")
+	c.Row("tpp", perPacketErr)
+	c.Row("polling", polledErr)
 	return nil
 }
 
@@ -166,15 +148,9 @@ func runBreakdown(out *output) error {
 	out.printf("%s\n%d per-packet samples; hop %d dominates — the end-host sees exactly where the latency lives\n",
 		tbl.String(), res.Samples, res.DominantHop+1)
 
-	if f, err := out.csvFile("breakdown.csv"); err != nil {
-		return err
-	} else if f != nil {
-		defer f.Close()
-		c := trace.NewCSV(f, "hop", "mean_us", "p99_us", "max_us")
-		for _, h := range res.Hops {
-			c.Row(h.Hop+1, h.MeanUs, h.P99Us, h.MaxUs)
-		}
-		return c.Err()
+	c := out.csv("breakdown.csv", "hop", "mean_us", "p99_us", "max_us")
+	for _, h := range res.Hops {
+		c.Row(h.Hop+1, h.MeanUs, h.P99Us, h.MaxUs)
 	}
 	return nil
 }

@@ -121,11 +121,9 @@ func run(topoName string, switches int, load bool, src string, w, metricsW, trac
 	case "line":
 		n, from, to, _ = topo.Line(sim, switches, edge, backbone, swCfg)
 	case "dumbbell":
-		var senders, receivers []*endhost.Host
-		var a, b *asic.Switch
-		n, senders, receivers, a, b = topo.Dumbbell(sim, 2, edge, backbone, swCfg)
-		rcp.InitRateRegisters(a, b)
-		from, to = senders[0], receivers[0]
+		d := topo.Dumbbell(sim, 2, edge, backbone, swCfg)
+		rcp.InitRateRegisters(d.A, d.B)
+		n, from, to = d.Network, d.Senders[0], d.Receivers[0]
 	default:
 		return fmt.Errorf("unknown topology %q", topoName)
 	}

@@ -6,10 +6,12 @@
 // share by filling queues and inducing loss, where RCP/RCP* read the
 // network's state directly.
 //
-// The sender paces sequence-numbered UDP datagrams; the receiver
-// returns periodic feedback (highest sequence seen, datagrams received
-// in the window); the sender halves its rate on detected loss and adds
-// one segment per feedback interval otherwise.
+// The sender paces sequence-numbered UDP datagrams through the shared
+// rcp.PacedFlow; the receiver returns periodic feedback (highest
+// sequence seen, datagrams received in the window); the sender halves
+// its rate on detected loss and adds one segment per feedback interval
+// otherwise.  The scheme plugs into rcp.Harness beside RCP* and native
+// RCP, and RunComparison measures any of the three on it.
 package aimd
 
 import (
@@ -18,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/endhost"
 	"repro/internal/netsim"
+	"repro/internal/rcp"
 )
 
 // UDP ports of the AIMD experiment.
@@ -27,7 +30,7 @@ const (
 )
 
 // SegmentSize is the payload bytes per datagram (1000-byte frames).
-const SegmentSize = 958
+const SegmentSize = rcp.PacketSize
 
 // Params tunes the control loop.
 type Params struct {
@@ -50,26 +53,13 @@ func DefaultParams() Params {
 	}
 }
 
-// Sender is one AIMD flow.
+// Sender is one AIMD flow: the AIMD rule retuning a paced flow whose
+// datagrams open with a sequence number.
 type Sender struct {
-	sim    *netsim.Sim
-	host   *endhost.Host
-	dstMAC core.MAC
-	dstIP  uint32
+	*rcp.PacedFlow
 	params Params
 
-	rate    float64
-	running bool
-	seq     uint32
-
-	// budget, when positive, bounds the payload bytes; the sender
-	// stops itself and calls onDone after the last segment.
-	budget    uint64
-	sentBytes uint64
-	onDone    func()
-
 	// Telemetry.
-	Sent       uint64
 	Backoffs   uint64
 	Increments uint64
 }
@@ -77,57 +67,12 @@ type Sender struct {
 // NewSender builds a sender; feedback from the receiver arrives on
 // FeedbackPort and retunes the rate.
 func NewSender(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dstIP uint32, params Params, initialRate float64) *Sender {
-	s := &Sender{sim: sim, host: host, dstMAC: dstMAC, dstIP: dstIP,
-		params: params, rate: initialRate}
+	s := &Sender{params: params}
+	s.PacedFlow = rcp.NewPacedFlow(sim, host, dstMAC, dstIP, DataPort,
+		func() uint32 { return uint32(s.Sent) + 1 })
+	s.SetRate(initialRate)
 	host.Handle(FeedbackPort, s.onFeedback)
 	return s
-}
-
-// Rate returns the current sending rate, bytes/sec.
-func (s *Sender) Rate() float64 { return s.rate }
-
-// SetBudget makes this a finite flow of the given payload size; fn (may
-// be nil) runs when the last segment has been handed to the NIC.
-func (s *Sender) SetBudget(bytes uint64, fn func()) {
-	s.budget = bytes
-	s.onDone = fn
-}
-
-// Start begins transmission.
-func (s *Sender) Start() {
-	if s.running {
-		return
-	}
-	s.running = true
-	s.sim.After(0, s.pump)
-}
-
-// Stop halts transmission.
-func (s *Sender) Stop() { s.running = false }
-
-func (s *Sender) pump() {
-	if !s.running {
-		return
-	}
-	if s.budget > 0 && s.sentBytes >= s.budget {
-		s.running = false
-		if s.onDone != nil {
-			s.onDone()
-		}
-		return
-	}
-	s.seq++
-	pkt := s.host.NewPacket(s.dstMAC, s.dstIP, DataPort, DataPort, 0)
-	pkt.Payload = binary.BigEndian.AppendUint32(nil, s.seq)
-	pkt.PadLen = SegmentSize - len(pkt.Payload)
-	s.host.Send(pkt)
-	s.Sent++
-	s.sentBytes += SegmentSize
-	gap := netsim.Time(float64(SegmentSize+42) / s.rate * float64(netsim.Second))
-	if gap < netsim.Microsecond {
-		gap = netsim.Microsecond
-	}
-	s.sim.After(gap, s.pump)
 }
 
 // onFeedback applies AIMD: halve on loss, add one segment per feedback
@@ -136,19 +81,20 @@ func (s *Sender) onFeedback(pkt *core.Packet) {
 	if len(pkt.Payload) < 8 {
 		return
 	}
-	lost := binary.BigEndian.Uint32(pkt.Payload[4:8])
-	if lost > 0 {
-		s.rate *= s.params.Decrease
+	rate := s.Rate()
+	if lost := binary.BigEndian.Uint32(pkt.Payload[4:8]); lost > 0 {
+		rate *= s.params.Decrease
 		s.Backoffs++
 	} else {
 		// Additive increase: one segment per feedback interval, the
 		// rate-based analogue of TCP's one-MSS-per-RTT window growth.
-		s.rate += SegmentSize / s.params.FeedbackEvery.Seconds()
+		rate += SegmentSize / s.params.FeedbackEvery.Seconds()
 		s.Increments++
 	}
-	if s.rate < s.params.MinRate {
-		s.rate = s.params.MinRate
+	if rate < s.params.MinRate {
+		rate = s.params.MinRate
 	}
+	s.SetRate(rate)
 }
 
 // Receiver tracks sequence numbers and reports loss back to the sender.
@@ -163,23 +109,15 @@ type Receiver struct {
 	maxSeq   uint32
 	lastMax  uint32
 	received uint32
-
-	// Bytes counts delivered payload, for goodput measurement.
-	Bytes uint64
 }
 
-// NewReceiver installs the receiver side on host.
+// NewReceiver builds the receiver side on host; whoever owns the host's
+// DataPort handler feeds it each datagram through onData.
 func NewReceiver(sim *netsim.Sim, host *endhost.Host, params Params) *Receiver {
 	r := &Receiver{host: host, sim: sim}
-	host.Handle(DataPort, r.onData)
 	sim.Every(sim.Now()+params.FeedbackEvery, params.FeedbackEvery, r.feedback)
 	return r
 }
-
-// OnData feeds one data packet into the loss tracker; exported so
-// experiment harnesses that wrap the data-port handler (to measure
-// goodput) can keep the feedback loop intact.
-func (r *Receiver) OnData(pkt *core.Packet) { r.onData(pkt) }
 
 func (r *Receiver) onData(pkt *core.Packet) {
 	if len(pkt.Payload) < 4 || pkt.IP == nil {
@@ -190,7 +128,6 @@ func (r *Receiver) onData(pkt *core.Packet) {
 		r.maxSeq = seq
 	}
 	r.received++
-	r.Bytes += uint64(pkt.PayloadLen())
 	r.srcMAC, r.srcIP = pkt.Eth.Src, pkt.IP.Src
 	r.have = true
 }
@@ -211,4 +148,31 @@ func (r *Receiver) feedback() {
 	fb.Payload = binary.BigEndian.AppendUint32(nil, r.maxSeq)
 	fb.Payload = binary.BigEndian.AppendUint32(fb.Payload, lost)
 	r.host.Send(fb)
+}
+
+// scheme runs AIMD on an rcp.Harness: nothing in the switches, a loss
+// tracker at each receiver, the AIMD rule at each sender.
+type scheme struct{}
+
+func (scheme) Install(*rcp.Harness) {}
+
+func (scheme) Attach(h *rcp.Harness, pair int) rcp.Flow {
+	params := DefaultParams()
+	snd, rcv := h.Senders[pair], h.Receivers[pair]
+	r := NewReceiver(h.Sim, rcv, params)
+	s := NewSender(h.Sim, snd, rcv.MAC, rcv.IP, params,
+		float64(SegmentSize)/params.FeedbackEvery.Seconds())
+	return rcp.Flow{Port: DataPort, Receive: r.onData, Start: s.Start, Stop: s.Stop}
+}
+
+// FairShare is zero: AIMD advertises no rate, flows find it by loss.
+func (scheme) FairShare() float64 { return 0 }
+
+// SchemeFor resolves any of the three schemes: AIMD here, the RCP pair
+// in package rcp.
+func SchemeFor(v rcp.Variant) rcp.Scheme {
+	if v == rcp.VariantAIMD {
+		return scheme{}
+	}
+	return rcp.SchemeFor(v)
 }

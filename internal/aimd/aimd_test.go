@@ -1,10 +1,13 @@
 package aimd
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/asic"
+	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/rcp"
 	"repro/internal/topo"
 )
 
@@ -19,13 +22,18 @@ func TestSingleFlowFindsCapacity(t *testing.T) {
 
 	params := DefaultParams()
 	rcv := NewReceiver(sim, h2, params)
+	var rcvd uint64
+	h2.Handle(DataPort, func(p *core.Packet) {
+		rcvd += uint64(p.PayloadLen())
+		rcv.onData(p)
+	})
 	snd := NewSender(sim, h1, h2.MAC, h2.IP, params, 20_000)
 	snd.Start()
 	sim.RunUntil(sim.Now() + 30*netsim.Second)
 
 	// Goodput must approach the 10 Mb/s (1.25 MB/s) bottleneck; AIMD
 	// sawtooths, so accept 60-100%.
-	goodput := float64(rcv.Bytes) / 30
+	goodput := float64(rcvd) / 30
 	if goodput < 750_000 || goodput > 1_300_000 {
 		t.Fatalf("goodput = %.0f B/s, want near 1.25e6", goodput)
 	}
@@ -47,7 +55,7 @@ func TestLossDetectionTriggersDecrease(t *testing.T) {
 	n.PrimeL2(10 * netsim.Millisecond)
 
 	params := DefaultParams()
-	NewReceiver(sim, h2, params)
+	h2.Handle(DataPort, NewReceiver(sim, h2, params).onData)
 	snd := NewSender(sim, h1, h2.MAC, h2.IP, params, 1_000_000) // way over capacity
 	before := snd.Rate()
 	snd.Start()
@@ -82,8 +90,8 @@ func TestStopHaltsSender(t *testing.T) {
 
 func TestComparisonAIMDvsRCPStar(t *testing.T) {
 	cfg := DefaultCompareConfig()
-	aimdRes := RunComparison(SchemeAIMD, cfg)
-	rcpRes := RunComparison(SchemeRCPStar, cfg)
+	aimdRes := RunComparison(rcp.VariantAIMD, cfg)
+	rcpRes := RunComparison(rcp.VariantStar, cfg)
 
 	// Both schemes must use the link reasonably in steady state.
 	if aimdRes.Utilization < 0.5 {
@@ -116,9 +124,14 @@ func TestComparisonDeterminism(t *testing.T) {
 	cfg := DefaultCompareConfig()
 	cfg.Duration = 8 * netsim.Second
 	cfg.FlowStarts = []netsim.Time{0, netsim.Second}
-	a := RunComparison(SchemeAIMD, cfg)
-	b := RunComparison(SchemeAIMD, cfg)
-	if a.DropPkts != b.DropPkts || a.MeanQueueBytes != b.MeanQueueBytes {
-		t.Fatal("same seed produced different results")
+	for _, v := range []rcp.Variant{rcp.VariantStar, rcp.VariantBaseline, rcp.VariantAIMD} {
+		a := RunComparison(v, cfg)
+		b := RunComparison(v, cfg)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: same seed produced different results:\n%+v\n%+v", v, a, b)
+		}
+		if a.Utilization < 0.3 {
+			t.Errorf("%s: utilization %.2f: the scheme barely ran", v, a.Utilization)
+		}
 	}
 }

@@ -1,25 +1,12 @@
 package aimd
 
 import (
-	"repro/internal/asic"
-	"repro/internal/core"
-	"repro/internal/endhost"
 	"repro/internal/netsim"
 	"repro/internal/rcp"
-	"repro/internal/topo"
-)
-
-// Scheme names a congestion-control implementation under comparison.
-type Scheme string
-
-// The compared schemes.
-const (
-	SchemeAIMD    Scheme = "aimd"
-	SchemeRCPStar Scheme = "rcpstar"
 )
 
 // CompareConfig parameterizes the AIMD-vs-RCP* comparison: the Figure 2
-// dumbbell, identical for both schemes.
+// dumbbell, identical for every scheme.
 type CompareConfig struct {
 	Duration       netsim.Time
 	FlowStarts     []netsim.Time
@@ -41,7 +28,7 @@ func DefaultCompareConfig() CompareConfig {
 
 // CompareResult summarizes one scheme's run.
 type CompareResult struct {
-	Scheme Scheme
+	Scheme rcp.Variant
 	// FlowGoodput is each flow's goodput over the final five seconds,
 	// bytes/sec.
 	FlowGoodput []float64
@@ -56,85 +43,33 @@ type CompareResult struct {
 	Utilization float64
 }
 
-// RunComparison runs one scheme on the shared scenario.
-func RunComparison(scheme Scheme, cfg CompareConfig) CompareResult {
-	sim := netsim.New(cfg.Seed)
-	n := topo.NewNetwork(sim)
-	capacityBytes := cfg.BottleneckMbps * 1e6 / 8
-	queueCap := int(capacityBytes * 0.1) // one 100ms BDP
-	swCfg := asic.Config{Ports: 8, QueueCapBytes: queueCap}
-	a := n.AddSwitch(swCfg)
-	b := n.AddSwitch(swCfg)
-	aPort, _ := n.LinkSwitches(a, b, topo.Mbps(cfg.BottleneckMbps, 10*netsim.Millisecond))
-	edge := topo.Mbps(cfg.EdgeMbps, netsim.Millisecond)
-
+// RunComparison runs one scheme on the shared scenario: the harness
+// plus a bottleneck-queue sampler and a goodput mark five seconds
+// before the end.
+func RunComparison(scheme rcp.Variant, cfg CompareConfig) CompareResult {
 	flows := len(cfg.FlowStarts)
-	senders := make([]*endhost.Host, flows)
-	receivers := make([]*endhost.Host, flows)
-	for i := 0; i < flows; i++ {
-		senders[i] = n.AddHost()
-		n.LinkHost(senders[i], a, edge)
-	}
-	for i := 0; i < flows; i++ {
-		receivers[i] = n.AddHost()
-		n.LinkHost(receivers[i], b, edge)
-	}
-	n.PrimeL2(50 * netsim.Millisecond)
+	h := rcp.NewHarness(flows, cfg.BottleneckMbps, cfg.EdgeMbps,
+		rcp.DefaultParams(), cfg.Seed, nil)
+	start := h.Launch(SchemeFor(scheme), rcp.Staggered(cfg.FlowStarts))
 
-	recvBytes := make([]uint64, flows)
-	switch scheme {
-	case SchemeAIMD:
-		params := DefaultParams()
-		for i := 0; i < flows; i++ {
-			i := i
-			rcv := NewReceiver(sim, receivers[i], params)
-			receivers[i].Handle(DataPort, func(p *core.Packet) {
-				recvBytes[i] += uint64(p.PayloadLen())
-				rcv.onData(p)
-			})
-			snd := NewSender(sim, senders[i], receivers[i].MAC, receivers[i].IP,
-				params, float64(SegmentSize)/params.FeedbackEvery.Seconds())
-			sim.At(sim.Now()+cfg.FlowStarts[i], snd.Start)
-		}
-	case SchemeRCPStar:
-		rcp.InitRateRegisters(a, b)
-		for i := 0; i < flows; i++ {
-			i := i
-			receivers[i].Handle(rcp.StarDataPort, func(p *core.Packet) {
-				recvBytes[i] += uint64(p.PayloadLen())
-			})
-			ctl := rcp.NewStarController(sim, senders[i],
-				endhost.NewProber(senders[i]),
-				receivers[i].MAC, receivers[i].IP, rcp.DefaultParams())
-			sim.At(sim.Now()+cfg.FlowStarts[i], ctl.Start)
-		}
-	default:
-		panic("aimd: unknown scheme " + string(scheme))
-	}
-
-	// Sample the bottleneck queue through the run.
 	var qSum float64
 	var qCount int
-	bn := a.Port(aPort)
-	sim.Every(sim.Now()+10*netsim.Millisecond, 10*netsim.Millisecond, func() {
+	bn := h.A.Port(h.APort)
+	h.Sim.Every(start+10*netsim.Millisecond, 10*netsim.Millisecond, func() {
 		qSum += float64(bn.QueueBytes())
 		qCount++
 	})
-
-	start := sim.Now()
-	final := cfg.Duration - 5*netsim.Second
 	finalStart := make([]uint64, flows)
-	sim.At(start+final, func() { copy(finalStart, recvBytes) })
-	sim.RunUntil(start + cfg.Duration)
+	h.Sim.At(start+cfg.Duration-5*netsim.Second, func() { copy(finalStart, h.Recv) })
+	h.Sim.RunUntil(start + cfg.Duration)
 
 	res := CompareResult{Scheme: scheme}
-	var sum, sumsq, total float64
+	var sum, sumsq float64
 	for i := 0; i < flows; i++ {
-		g := float64(recvBytes[i]-finalStart[i]) / 5
+		g := float64(h.Recv[i]-finalStart[i]) / 5
 		res.FlowGoodput = append(res.FlowGoodput, g)
 		sum += g
 		sumsq += g * g
-		total += g
 	}
 	if sumsq > 0 {
 		res.JainIndex = sum * sum / (float64(flows) * sumsq)
@@ -143,6 +78,6 @@ func RunComparison(scheme Scheme, cfg CompareConfig) CompareResult {
 		res.MeanQueueBytes = qSum / float64(qCount)
 	}
 	res.DropPkts = bn.Queue(0).DropPkts
-	res.Utilization = total / capacityBytes
+	res.Utilization = sum / h.Capacity
 	return res
 }

@@ -3,37 +3,32 @@
 // allocates link capacity to help flows finish quickly."
 //
 // A finite flow of a given size joins a 10 Mb/s bottleneck already
-// carrying two long-running background flows, under either RCP* or the
-// TCP-style AIMD comparator.  RCP* hands the newcomer its fair share in
+// carrying two long-running background flows, under any scheme the
+// shared rcp.Harness runs (the experiment compares RCP* with the
+// TCP-style AIMD comparator).  RCP* hands the newcomer its fair share in
 // one control interval (the register already holds it); AIMD must ramp
 // up additively from one segment per interval, so short flows take far
 // longer than their serialization time.
 package fct
 
 import (
-	"fmt"
-
 	"repro/internal/aimd"
-	"repro/internal/asic"
-	"repro/internal/core"
-	"repro/internal/endhost"
 	"repro/internal/netsim"
 	"repro/internal/rcp"
-	"repro/internal/topo"
 )
 
 // Config parameterizes one FCT measurement.
 type Config struct {
-	Scheme         aimd.Scheme // SchemeRCPStar or SchemeAIMD
-	FlowBytes      uint64      // size of the measured flow
-	Background     int         // long-running flows already on the link
+	Scheme         rcp.Variant
+	FlowBytes      uint64 // size of the measured flow
+	Background     int    // long-running flows already on the link
 	BottleneckMbps float64
 	EdgeMbps       float64
 	Seed           int64
 }
 
 // DefaultConfig measures a 50 KB flow against two background flows.
-func DefaultConfig(scheme aimd.Scheme) Config {
+func DefaultConfig(scheme rcp.Variant) Config {
 	return Config{
 		Scheme:         scheme,
 		FlowBytes:      50_000,
@@ -68,105 +63,37 @@ func (r Result) Slowdown() float64 {
 	return float64(r.FCT) / float64(r.FairIdeal)
 }
 
-// Run executes one measurement.
+// Run executes one measurement: the harness with the background pairs
+// attached first, then the measured pair 0, plus a completion watch on
+// pair 0's delivered bytes.  The sender transmits until the receiver
+// has the full payload (no scheme here retransmits, so the sender keeps
+// pushing through losses; the extra packets stand in for
+// retransmissions) and the receiver-side completion stops it.
 func Run(cfg Config) Result {
-	sim := netsim.New(cfg.Seed)
-	n := topo.NewNetwork(sim)
-	capacityBytes := cfg.BottleneckMbps * 1e6 / 8
-	queueCap := int(capacityBytes * 0.1)
-	swCfg := asic.Config{Ports: 8, QueueCapBytes: queueCap}
-	a := n.AddSwitch(swCfg)
-	b := n.AddSwitch(swCfg)
-	n.LinkSwitches(a, b, topo.Mbps(cfg.BottleneckMbps, 10*netsim.Millisecond))
-	edge := topo.Mbps(cfg.EdgeMbps, netsim.Millisecond)
-
 	pairs := cfg.Background + 1
-	senders := make([]*endhost.Host, pairs)
-	receivers := make([]*endhost.Host, pairs)
-	for i := range senders {
-		senders[i] = n.AddHost()
-		n.LinkHost(senders[i], a, edge)
-	}
-	for i := range receivers {
-		receivers[i] = n.AddHost()
-		n.LinkHost(receivers[i], b, edge)
-	}
-	n.PrimeL2(50 * netsim.Millisecond)
+	h := rcp.NewHarness(pairs, cfg.BottleneckMbps, cfg.EdgeMbps,
+		rcp.DefaultParams(), cfg.Seed, nil)
 
 	res := Result{Config: cfg}
-	res.Ideal = netsim.Time(float64(cfg.FlowBytes) / capacityBytes * float64(netsim.Second))
+	res.Ideal = netsim.Time(float64(cfg.FlowBytes) / h.Capacity * float64(netsim.Second))
 	res.FairIdeal = res.Ideal * netsim.Time(pairs)
 
-	// The measured flow is pair 0; background pairs run unbounded.
-	// The sender transmits until the receiver has the full payload
-	// (neither toy transport retransmits, so the sender keeps pushing
-	// through losses; the extra packets stand in for retransmissions)
-	// and the receiver-side completion stops it.
-	var flowStart netsim.Time
-	var rcvd uint64
-	measureStart := 2 * netsim.Second // let background flows settle
+	const measureStart = 2 * netsim.Second // let background flows settle
+	starts := make([]rcp.FlowStart, 0, pairs)
+	for i := 1; i < pairs; i++ {
+		starts = append(starts, rcp.FlowStart{Pair: i})
+	}
+	starts = append(starts, rcp.FlowStart{Pair: 0, At: measureStart})
+
 	finishAt := netsim.Time(-1)
-	var stopSender func()
-
-	onPayload := func(p *core.Packet) {
-		rcvd += uint64(p.PayloadLen())
-		if finishAt < 0 && rcvd >= cfg.FlowBytes {
-			finishAt = sim.Now()
-			if stopSender != nil {
-				stopSender()
-			}
+	h.Observe = func(pair int) {
+		if pair == 0 && finishAt < 0 && h.Recv[0] >= cfg.FlowBytes {
+			finishAt = h.Sim.Now()
+			h.Flows[0].Stop()
 		}
 	}
-
-	switch cfg.Scheme {
-	case aimd.SchemeRCPStar:
-		rcp.InitRateRegisters(a, b)
-		params := rcp.DefaultParams()
-		for i := 1; i < pairs; i++ {
-			i := i
-			ctl := rcp.NewStarController(sim, senders[i],
-				endhost.NewProber(senders[i]),
-				receivers[i].MAC, receivers[i].IP, params)
-			sim.At(sim.Now(), ctl.Start)
-		}
-		receivers[0].Handle(rcp.StarDataPort, onPayload)
-		ctl := rcp.NewStarController(sim, senders[0],
-			endhost.NewProber(senders[0]),
-			receivers[0].MAC, receivers[0].IP, params)
-		stopSender = ctl.Stop
-		sim.At(sim.Now()+measureStart, func() {
-			flowStart = sim.Now()
-			ctl.Start()
-		})
-
-	case aimd.SchemeAIMD:
-		params := aimd.DefaultParams()
-		initial := float64(aimd.SegmentSize) / params.FeedbackEvery.Seconds()
-		for i := 1; i < pairs; i++ {
-			aimd.NewReceiver(sim, receivers[i], params)
-			snd := aimd.NewSender(sim, senders[i], receivers[i].MAC,
-				receivers[i].IP, params, initial)
-			sim.At(sim.Now(), snd.Start)
-		}
-		rcv := aimd.NewReceiver(sim, receivers[0], params)
-		_ = rcv
-		receivers[0].Handle(aimd.DataPort, func(p *core.Packet) {
-			onPayload(p)
-			rcvData(rcv, p)
-		})
-		snd := aimd.NewSender(sim, senders[0], receivers[0].MAC,
-			receivers[0].IP, params, initial)
-		stopSender = snd.Stop
-		sim.At(sim.Now()+measureStart, func() {
-			flowStart = sim.Now()
-			snd.Start()
-		})
-
-	default:
-		panic(fmt.Sprintf("fct: unknown scheme %q", cfg.Scheme))
-	}
-
-	sim.RunUntil(sim.Now() + measureStart + 120*netsim.Second)
+	flowStart := h.Launch(aimd.SchemeFor(cfg.Scheme), starts) + measureStart
+	h.Sim.RunUntil(flowStart + 120*netsim.Second)
 	if finishAt >= 0 {
 		res.Completed = true
 		res.FCT = finishAt - flowStart
@@ -174,12 +101,8 @@ func Run(cfg Config) Result {
 	return res
 }
 
-// rcvData forwards a payload packet into the AIMD receiver's loss
-// tracker (our wrapper displaced its handler).
-func rcvData(r *aimd.Receiver, p *core.Packet) { r.OnData(p) }
-
 // SweepSizes measures FCT across flow sizes for one scheme.
-func SweepSizes(scheme aimd.Scheme, sizes []uint64) []Result {
+func SweepSizes(scheme rcp.Variant, sizes []uint64) []Result {
 	out := make([]Result, 0, len(sizes))
 	for _, s := range sizes {
 		cfg := DefaultConfig(scheme)

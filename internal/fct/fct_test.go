@@ -3,13 +3,13 @@ package fct
 import (
 	"testing"
 
-	"repro/internal/aimd"
 	"repro/internal/netsim"
+	"repro/internal/rcp"
 )
 
 func TestShortFlowFinishesFasterUnderRCPStar(t *testing.T) {
-	star := Run(DefaultConfig(aimd.SchemeRCPStar))
-	tcp := Run(DefaultConfig(aimd.SchemeAIMD))
+	star := Run(DefaultConfig(rcp.VariantStar))
+	tcp := Run(DefaultConfig(rcp.VariantAIMD))
 
 	if !star.Completed {
 		t.Fatal("RCP* flow never completed")
@@ -36,7 +36,7 @@ func TestShortFlowFinishesFasterUnderRCPStar(t *testing.T) {
 }
 
 func TestFCTBoundsAreSane(t *testing.T) {
-	r := Run(DefaultConfig(aimd.SchemeRCPStar))
+	r := Run(DefaultConfig(rcp.VariantStar))
 	// 50 KB at 1.25 MB/s is 40 ms; fair share (3 flows) is 120 ms.
 	if r.Ideal != 40*netsim.Millisecond {
 		t.Fatalf("Ideal = %v", r.Ideal)
@@ -53,7 +53,7 @@ func TestFCTBoundsAreSane(t *testing.T) {
 
 func TestSweepSizesMonotone(t *testing.T) {
 	sizes := []uint64{20_000, 100_000, 500_000}
-	res := SweepSizes(aimd.SchemeRCPStar, sizes)
+	res := SweepSizes(rcp.VariantStar, sizes)
 	if len(res) != 3 {
 		t.Fatalf("results: %d", len(res))
 	}
@@ -71,8 +71,8 @@ func TestSweepSizesMonotone(t *testing.T) {
 func TestAIMDPenaltyShrinksForLongFlows(t *testing.T) {
 	// The ramp-up penalty is a fixed cost: relative slowdown must be
 	// worse for short flows than for long ones.
-	short := Run(withSize(aimd.SchemeAIMD, 20_000))
-	long := Run(withSize(aimd.SchemeAIMD, 1_000_000))
+	short := Run(withSize(rcp.VariantAIMD, 20_000))
+	long := Run(withSize(rcp.VariantAIMD, 1_000_000))
 	if !short.Completed || !long.Completed {
 		t.Fatal("flows did not complete")
 	}
@@ -82,7 +82,7 @@ func TestAIMDPenaltyShrinksForLongFlows(t *testing.T) {
 	}
 }
 
-func withSize(s aimd.Scheme, bytes uint64) Config {
+func withSize(s rcp.Variant, bytes uint64) Config {
 	cfg := DefaultConfig(s)
 	cfg.FlowBytes = bytes
 	return cfg

@@ -120,11 +120,11 @@ type BaselineReceiver struct {
 	have    bool
 }
 
-// NewBaselineReceiver installs the receiver side on host, sending
-// feedback every period.
+// NewBaselineReceiver builds the receiver side on host, sending
+// feedback every period; whoever owns the host's BaselineDataPort
+// handler feeds it each data packet through onData.
 func NewBaselineReceiver(sim *netsim.Sim, host *endhost.Host, period netsim.Time) *BaselineReceiver {
 	r := &BaselineReceiver{host: host, sim: sim, minSeen: ^uint32(0)}
-	host.Handle(BaselineDataPort, r.onData)
 	sim.Every(sim.Now()+period, period, r.feedback)
 	return r
 }
@@ -152,25 +152,38 @@ func (r *BaselineReceiver) feedback() {
 	r.have = false
 }
 
-// BaselineSender couples a paced flow to the feedback channel: each
-// feedback packet retunes the pacing rate to the network's fair share.
-type BaselineSender struct {
-	Flow *PacedFlow
-}
-
-// NewBaselineSender builds the sender side of one baseline flow.
-func NewBaselineSender(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dstIP uint32, initialRate float64) *BaselineSender {
-	s := &BaselineSender{
-		Flow: NewPacedFlow(sim, host, dstMAC, dstIP, BaselineDataPort, true),
-	}
-	s.Flow.SetRate(initialRate)
+// NewBaselineSender builds the sender side of one baseline flow: a
+// paced flow whose packets open with the congestion header (initialized
+// to "no limit" so the first switch's stamp always applies), retuned to
+// the network's fair share by each feedback packet.
+func NewBaselineSender(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dstIP uint32, initialRate float64) *PacedFlow {
+	f := NewPacedFlow(sim, host, dstMAC, dstIP, BaselineDataPort,
+		func() uint32 { return ^uint32(0) })
+	f.SetRate(initialRate)
 	host.Handle(FeedbackPort, func(pkt *core.Packet) {
 		if len(pkt.Payload) >= RateHeaderLen {
 			r := binary.BigEndian.Uint32(pkt.Payload)
 			if r != ^uint32(0) {
-				s.Flow.SetRate(float64(r))
+				f.SetRate(float64(r))
 			}
 		}
 	})
-	return s
+	return f
 }
+
+// baselineScheme runs native RCP on a Harness: the bottleneck switch
+// computes R(t) and stamps it, receivers echo it, senders adopt it.
+type baselineScheme struct{ link *BaselineLink }
+
+func (s *baselineScheme) Install(h *Harness) {
+	s.link = NewBaseline(h.Sim, h.Params).Manage(h.A, h.APort)
+}
+
+func (s *baselineScheme) Attach(h *Harness, pair int) Flow {
+	snd, rcv := h.Senders[pair], h.Receivers[pair]
+	r := NewBaselineReceiver(h.Sim, rcv, h.Params.T)
+	f := NewBaselineSender(h.Sim, snd, rcv.MAC, rcv.IP, h.Capacity)
+	return Flow{Port: BaselineDataPort, Receive: r.onData, Start: f.Start, Stop: f.Stop}
+}
+
+func (s *baselineScheme) FairShare() float64 { return s.link.Rate() }

@@ -3,22 +3,9 @@ package rcp
 import (
 	"fmt"
 
-	"repro/internal/asic"
-	"repro/internal/core"
-	"repro/internal/endhost"
 	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/topo"
-)
-
-// Variant selects which RCP implementation a Figure 2 run exercises.
-type Variant string
-
-// The two curves of Figure 2.
-const (
-	VariantStar     Variant = "rcpstar"  // TPP + end-host implementation
-	VariantBaseline Variant = "baseline" // native in-switch RCP (ns-2 stand-in)
 )
 
 // Fig2Config parameterizes the Figure 2 experiment: "a 10Mb/s
@@ -74,106 +61,43 @@ type Fig2Result struct {
 	Samples []Fig2Sample
 }
 
-// RunFigure2 executes one Figure 2 run and returns the R(t)/C series.
+// RunFigure2 executes one Figure 2 run and returns the R(t)/C series:
+// the harness plus a sampler of the advertised fair share and of each
+// flow's goodput.
 func RunFigure2(cfg Fig2Config) Fig2Result {
-	sim := netsim.New(cfg.Seed)
-	n := topo.NewNetwork(sim)
-
-	// Queues sized to one bandwidth-delay product of the bottleneck.
-	queueCap := int(cfg.BottleneckMbps * 1e6 / 8 * cfg.Params.D.Seconds())
-	swCfg := asic.Config{Ports: 8, QueueCapBytes: queueCap, Metrics: cfg.Metrics}
-	a := n.AddSwitch(swCfg)
-	b := n.AddSwitch(swCfg)
-	bottleneck := topo.Mbps(cfg.BottleneckMbps, 10*netsim.Millisecond)
-	edge := topo.Mbps(cfg.EdgeMbps, netsim.Millisecond)
-	aPort, bPort := n.LinkSwitches(a, b, bottleneck)
+	scheme := SchemeFor(cfg.Variant)
+	h := NewHarness(len(cfg.FlowStarts), cfg.BottleneckMbps, cfg.EdgeMbps,
+		cfg.Params, cfg.Seed, cfg.Metrics)
+	fwd, rev := h.A.Port(h.APort).Channel(), h.B.Port(h.BPort).Channel()
 	if cfg.LossRate > 0 {
-		a.Port(aPort).Channel().SetLoss(cfg.LossRate, cfg.Seed+100)
+		fwd.SetLoss(cfg.LossRate, cfg.Seed+100)
 	}
 	if cfg.Faults != nil {
-		inj := faults.NewInjector(sim, nil)
-		inj.RegisterLink("bottleneck", a.Port(aPort).Channel(), b.Port(bPort).Channel())
-		inj.RegisterSwitch("a", a)
-		inj.RegisterSwitch("b", b)
+		inj := faults.NewInjector(h.Sim, nil)
+		inj.RegisterLink("bottleneck", fwd, rev)
+		inj.RegisterSwitch("a", h.A)
+		inj.RegisterSwitch("b", h.B)
 		if err := inj.Schedule(*cfg.Faults); err != nil {
 			panic(fmt.Sprintf("rcp: bad fault plan: %v", err))
 		}
 	}
+	start := h.Launch(scheme, Staggered(cfg.FlowStarts))
 
-	flows := len(cfg.FlowStarts)
-	senders := make([]*endhost.Host, flows)
-	receivers := make([]*endhost.Host, flows)
-	for i := 0; i < flows; i++ {
-		senders[i] = n.AddHost()
-		n.LinkHost(senders[i], a, edge)
-	}
-	for i := 0; i < flows; i++ {
-		receivers[i] = n.AddHost()
-		n.LinkHost(receivers[i], b, edge)
-	}
-	n.PrimeL2(50 * netsim.Millisecond)
-
-	capacityBytes := float64(cfg.BottleneckMbps * 1e6 / 8)
-	recvBytes := make([]uint64, flows)
-
-	var rateOf func() float64
-	switch cfg.Variant {
-	case VariantStar:
-		InitRateRegisters(a, b)
-		for i := 0; i < flows; i++ {
-			i := i
-			receivers[i].Handle(StarDataPort, func(p *core.Packet) {
-				recvBytes[i] += uint64(p.PayloadLen())
-			})
-			ctl := NewStarController(sim, senders[i],
-				endhost.NewProber(senders[i]),
-				receivers[i].MAC, receivers[i].IP, cfg.Params)
-			if cfg.Metrics != nil {
-				ctl.EnableMetrics(cfg.Metrics, fmt.Sprintf("flow%d", i))
-			}
-			sim.At(sim.Now()+cfg.FlowStarts[i], ctl.Start)
-		}
-		bnPort := a.Port(aPort)
-		rateOf = func() float64 { return float64(bnPort.Scratch(0)) }
-
-	case VariantBaseline:
-		base := NewBaseline(sim, cfg.Params)
-		link := base.Manage(a, aPort)
-		for i := 0; i < flows; i++ {
-			i := i
-			rcv := NewBaselineReceiver(sim, receivers[i], cfg.Params.T)
-			_ = rcv
-			receivers[i].Handle(BaselineDataPort, func(p *core.Packet) {
-				recvBytes[i] += uint64(p.PayloadLen())
-				rcv.onData(p)
-			})
-			snd := NewBaselineSender(sim, senders[i],
-				receivers[i].MAC, receivers[i].IP, capacityBytes)
-			sim.At(sim.Now()+cfg.FlowStarts[i], snd.Flow.Start)
-		}
-		rateOf = func() float64 { return link.Rate() }
-
-	default:
-		panic(fmt.Sprintf("rcp: unknown variant %q", cfg.Variant))
-	}
-
-	var result Fig2Result
-	result.Config = cfg
-	start := sim.Now()
-	lastBytes := make([]uint64, flows)
-	sim.Every(start+cfg.SampleEvery, cfg.SampleEvery, func() {
+	result := Fig2Result{Config: cfg}
+	lastBytes := make([]uint64, len(h.Recv))
+	h.Sim.Every(start+cfg.SampleEvery, cfg.SampleEvery, func() {
 		s := Fig2Sample{
-			T:      (sim.Now() - start).Seconds(),
-			ROverC: rateOf() / capacityBytes,
+			T:      (h.Sim.Now() - start).Seconds(),
+			ROverC: scheme.FairShare() / h.Capacity,
 		}
-		for i := range recvBytes {
+		for i, n := range h.Recv {
 			s.Flows = append(s.Flows,
-				float64(recvBytes[i]-lastBytes[i])/cfg.SampleEvery.Seconds())
-			lastBytes[i] = recvBytes[i]
+				float64(n-lastBytes[i])/cfg.SampleEvery.Seconds())
+			lastBytes[i] = n
 		}
 		result.Samples = append(result.Samples, s)
 	})
-	sim.RunUntil(start + cfg.Duration)
+	h.Sim.RunUntil(start + cfg.Duration)
 	return result
 }
 

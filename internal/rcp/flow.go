@@ -29,7 +29,8 @@ const RateHeaderLen = 4
 const PacketSize = 958
 
 // PacedFlow is a long-lived, rate-paced UDP flow with infinite backlog:
-// the flow model of the Figure 2 experiment.
+// the flow model of the §2.2 experiments, and the one pacing loop all
+// three schemes send through.
 type PacedFlow struct {
 	sim    *netsim.Sim
 	host   *endhost.Host
@@ -42,41 +43,27 @@ type PacedFlow struct {
 	running bool
 	epoch   int // invalidates scheduled sends from earlier Start/Stop cycles
 
-	// budget, when positive, bounds the payload bytes to send; the
-	// flow stops itself and calls onDone after the last packet.
-	budget uint64
-	onDone func()
+	// header, when non-nil, supplies the first payload word of every
+	// packet: the native-RCP congestion header, or AIMD's sequence
+	// number.
+	header func() uint32
 
 	// Sent counts transmitted packets; SentBytes counts payload bytes.
 	Sent      uint64
 	SentBytes uint64
-
-	// stampRate, when true, prepends the congestion header the
-	// baseline's switches stamp.
-	stampRate bool
 }
 
-// NewPacedFlow builds a flow from host toward the destination.
-func NewPacedFlow(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dstIP uint32, port uint16, stampRate bool) *PacedFlow {
+// NewPacedFlow builds a flow from host toward the destination.  header
+// may be nil (RCP* data packets carry no header word).
+func NewPacedFlow(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dstIP uint32, port uint16, header func() uint32) *PacedFlow {
 	return &PacedFlow{
 		sim: sim, host: host, dstMAC: dstMAC, dstIP: dstIP,
-		port: port, size: PacketSize, stampRate: stampRate,
+		port: port, size: PacketSize, header: header,
 	}
 }
 
 // Rate returns the current pacing rate in bytes/sec.
 func (f *PacedFlow) Rate() float64 { return f.rate }
-
-// SetBudget makes this a finite flow of the given payload size; fn (may
-// be nil) runs when the last byte has been handed to the NIC.  Finite
-// flows model the "flows finish quickly" workloads RCP targets.
-func (f *PacedFlow) SetBudget(bytes uint64, fn func()) {
-	f.budget = bytes
-	f.onDone = fn
-}
-
-// Done reports whether a budgeted flow has sent everything.
-func (f *PacedFlow) Done() bool { return f.budget > 0 && f.SentBytes >= f.budget }
 
 // SetRate changes the pacing rate; it takes effect from the next
 // scheduled packet.
@@ -108,21 +95,11 @@ func (f *PacedFlow) pump(epoch int) {
 	if !f.running || epoch != f.epoch || f.rate <= 0 {
 		return
 	}
-	if f.Done() {
-		f.running = false
-		if f.onDone != nil {
-			f.onDone()
-		}
-		return
-	}
 	pkt := f.host.NewPacket(f.dstMAC, f.dstIP, f.port, f.port, 0)
-	if f.stampRate {
-		// Congestion header: initialized to "no limit" so the first
-		// switch's stamp always applies.
-		pkt.Payload = binary.BigEndian.AppendUint32(nil, ^uint32(0))
-		pkt.PadLen = f.size - RateHeaderLen
-	} else {
-		pkt.PadLen = f.size
+	pkt.PadLen = f.size
+	if f.header != nil {
+		pkt.Payload = binary.BigEndian.AppendUint32(nil, f.header())
+		pkt.PadLen -= RateHeaderLen
 	}
 	f.host.Send(pkt)
 	f.Sent++

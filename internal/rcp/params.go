@@ -1,9 +1,14 @@
-// Package rcp implements the §2.2 congestion-control experiment: the
-// Rate Control Protocol, both as RCP* ("an end-host implementation of
-// RCP" built from TPP probes) and as the native in-switch baseline
-// standing in for the paper's ns-2 reference simulation.
+// Package rcp implements the §2.2 congestion-control experiments: three
+// schemes on one harness.  Two live here — the Rate Control Protocol as
+// RCP* ("an end-host implementation of RCP" built from TPP probes) and
+// as the native in-switch baseline standing in for the paper's ns-2
+// reference simulation; package aimd adds the TCP-style comparator.
+// All of them run on Harness (the Figure 2 dumbbell, one delivered-bytes
+// count per flow) and send through PacedFlow; an experiment — Figure 2
+// here, aimd.RunComparison, fct.Run — is the harness plus what it
+// samples.
 //
-// Both variants share the RCP control equation:
+// Both RCP variants share the control equation:
 //
 //	R(t+T) = R(t) * (1 - (T/d) * (α·(y(t)-C) + β·q(t)/d) / C)
 //

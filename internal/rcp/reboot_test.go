@@ -19,9 +19,10 @@ import (
 func TestStarControllerSurvivesSwitchReboot(t *testing.T) {
 	sim := netsim.New(1)
 	params := DefaultParams()
-	n, senders, receivers, a, b := topo.Dumbbell(sim, 1,
+	n := topo.Dumbbell(sim, 1,
 		topo.Mbps(100, netsim.Millisecond), topo.Mbps(10, 10*netsim.Millisecond),
 		asic.Config{Ports: 8, QueueCapBytes: 125_000})
+	senders, receivers, a, b := n.Senders, n.Receivers, n.A, n.B
 	n.PrimeL2(50 * netsim.Millisecond)
 	InitRateRegisters(a, b)
 

@@ -79,14 +79,15 @@ func TestFigure2StarRecoversFromLinkFlap(t *testing.T) {
 func TestStarControllerDegradesAndRecovers(t *testing.T) {
 	sim := netsim.New(1)
 	params := DefaultParams()
-	n, senders, receivers, a, b := topo.Dumbbell(sim, 1,
+	n := topo.Dumbbell(sim, 1,
 		topo.Mbps(100, netsim.Millisecond), topo.Mbps(10, 10*netsim.Millisecond),
 		asic.Config{Ports: 8, QueueCapBytes: 125_000})
+	senders, receivers, a, b := n.Senders, n.Receivers, n.A, n.B
 	n.PrimeL2(50 * netsim.Millisecond)
 	InitRateRegisters(a, b)
 
 	inj := faults.NewInjector(sim, nil)
-	inj.RegisterLink("bn", a.Port(0).Channel(), b.Port(0).Channel())
+	inj.RegisterLink("bn", a.Port(n.APort).Channel(), b.Port(n.BPort).Channel())
 	if err := inj.Schedule(faults.Plan{Seed: 1, Events: faults.Flap(
 		"bn", 3*netsim.Second, 5*netsim.Second)}); err != nil {
 		t.Fatal(err)

@@ -119,7 +119,7 @@ func NewStarController(sim *netsim.Sim, host *endhost.Host, prober *endhost.Prob
 		sim: sim, host: host, prober: prober, params: params,
 		dstMAC: dstMAC, dstIP: dstIP,
 		epochs: endhost.NewEpochTracker(nil),
-		Flow:   NewPacedFlow(sim, host, dstMAC, dstIP, StarDataPort, false),
+		Flow:   NewPacedFlow(sim, host, dstMAC, dstIP, StarDataPort, nil),
 	}
 }
 
@@ -334,3 +334,23 @@ func (c *StarController) sendUpdate(switchID uint32, rate float64) {
 	c.Updates++
 	c.mUpdates.Inc()
 }
+
+// starScheme runs RCP* on a Harness: one StarController per pair, the
+// fair share living in the bottleneck port's rate register.
+type starScheme struct{ bottleneck *asic.Port }
+
+func (s *starScheme) Install(h *Harness) {
+	InitRateRegisters(h.A, h.B)
+	s.bottleneck = h.A.Port(h.APort)
+}
+
+func (s *starScheme) Attach(h *Harness, pair int) Flow {
+	snd, rcv := h.Senders[pair], h.Receivers[pair]
+	ctl := NewStarController(h.Sim, snd, endhost.NewProber(snd), rcv.MAC, rcv.IP, h.Params)
+	if h.Metrics != nil {
+		ctl.EnableMetrics(h.Metrics, fmt.Sprintf("flow%d", pair))
+	}
+	return Flow{Port: StarDataPort, Start: ctl.Start, Stop: ctl.Stop}
+}
+
+func (s *starScheme) FairShare() float64 { return float64(s.bottleneck.Scratch(0)) }

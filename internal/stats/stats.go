@@ -1,65 +1,12 @@
-// Package stats provides the small statistical utilities the
-// experiment harnesses share: streaming mean/variance (Welford) and a
-// sampling histogram with quantile queries, used for the per-hop
-// queueing-latency breakdowns of §2.1 ("a detailed breakdown of
+// Package stats provides the exact-quantile sample histogram behind the
+// per-hop queueing-latency breakdowns of §2.1 ("a detailed breakdown of
 // queueing latencies on all network hops").
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
-
-// Welford accumulates streaming mean and variance.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds one observation in.
-func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the observation count.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 with no observations).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the sample variance.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Min and Max return the extremes (0 with no observations).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation.
-func (w *Welford) Max() float64 { return w.max }
 
 // Histogram collects samples for quantile queries.  It keeps the raw
 // samples (experiments are bounded), sorting lazily.
@@ -110,10 +57,4 @@ func (h *Histogram) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(h.samples))
-}
-
-// Summary formats N, mean, p50, p99 and max on one line.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%.4g p50=%.4g p99=%.4g max=%.4g",
-		h.N(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Quantile(1))
 }

@@ -3,58 +3,9 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestWelfordAgainstDirect(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	xs := make([]float64, 1000)
-	var w Welford
-	for i := range xs {
-		xs[i] = r.NormFloat64()*5 + 10
-		w.Add(xs[i])
-	}
-	// Direct mean/variance.
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	mean := sum / float64(len(xs))
-	var ss float64
-	mn, mx := xs[0], xs[0]
-	for _, x := range xs {
-		ss += (x - mean) * (x - mean)
-		mn = math.Min(mn, x)
-		mx = math.Max(mx, x)
-	}
-	variance := ss / float64(len(xs)-1)
-
-	if math.Abs(w.Mean()-mean) > 1e-9 {
-		t.Fatalf("mean %v vs %v", w.Mean(), mean)
-	}
-	if math.Abs(w.Var()-variance) > 1e-6 {
-		t.Fatalf("var %v vs %v", w.Var(), variance)
-	}
-	if w.Min() != mn || w.Max() != mx {
-		t.Fatal("min/max wrong")
-	}
-	if w.N() != 1000 || w.Std() <= 0 {
-		t.Fatal("N/Std wrong")
-	}
-}
-
-func TestWelfordEmptyAndSingle(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.N() != 0 {
-		t.Fatal("empty Welford not zero")
-	}
-	w.Add(7)
-	if w.Mean() != 7 || w.Var() != 0 || w.Min() != 7 || w.Max() != 7 {
-		t.Fatal("single observation wrong")
-	}
-}
 
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
@@ -115,17 +66,5 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSummaryFormat(t *testing.T) {
-	var h Histogram
-	h.Add(1)
-	h.Add(2)
-	s := h.Summary()
-	for _, want := range []string{"n=2", "mean=1.5", "p50=", "p99=", "max=2"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("Summary %q missing %q", s, want)
-		}
 	}
 }

@@ -181,27 +181,35 @@ func Star(sim *netsim.Sim, hosts int, edge LinkSpec, cfg asic.Config) (*Network,
 	return n, hs, sw
 }
 
+// DumbbellNet is the Figure 2 shape: Senders on switch A, Receivers on
+// switch B, and one bottleneck link A—B on ports APort and BPort.
+type DumbbellNet struct {
+	*Network
+	Senders, Receivers []*endhost.Host
+	A, B               *asic.Switch
+	APort, BPort       int
+}
+
 // Dumbbell builds k sender hosts on switch A, k receiver hosts on
-// switch B, and one bottleneck link A—B: the Figure 2 shape.  Senders
-// are Hosts[0:k], receivers Hosts[k:2k].
-func Dumbbell(sim *netsim.Sim, flows int, edge, bottleneck LinkSpec, cfg asic.Config) (*Network, []*endhost.Host, []*endhost.Host, *asic.Switch, *asic.Switch) {
-	n := NewNetwork(sim)
-	ca, cb := cfg, cfg
-	ca.ID, cb.ID = 0, 0
-	a := n.AddSwitch(ca)
-	b := n.AddSwitch(cb)
-	n.LinkSwitches(a, b, bottleneck)
-	senders := make([]*endhost.Host, flows)
-	receivers := make([]*endhost.Host, flows)
-	for i := 0; i < flows; i++ {
-		senders[i] = n.AddHost()
-		n.LinkHost(senders[i], a, edge)
+// switch B, and one bottleneck link A—B.  Senders are Hosts[0:k],
+// receivers Hosts[k:2k].
+func Dumbbell(sim *netsim.Sim, flows int, edge, bottleneck LinkSpec, cfg asic.Config) *DumbbellNet {
+	d := &DumbbellNet{Network: NewNetwork(sim)}
+	cfg.ID = 0
+	d.A = d.AddSwitch(cfg)
+	d.B = d.AddSwitch(cfg)
+	d.APort, d.BPort = d.LinkSwitches(d.A, d.B, bottleneck)
+	d.Senders = make([]*endhost.Host, flows)
+	d.Receivers = make([]*endhost.Host, flows)
+	for i := range d.Senders {
+		d.Senders[i] = d.AddHost()
+		d.LinkHost(d.Senders[i], d.A, edge)
 	}
-	for i := 0; i < flows; i++ {
-		receivers[i] = n.AddHost()
-		n.LinkHost(receivers[i], b, edge)
+	for i := range d.Receivers {
+		d.Receivers[i] = d.AddHost()
+		d.LinkHost(d.Receivers[i], d.B, edge)
 	}
-	return n, senders, receivers, a, b
+	return d
 }
 
 // LeafSpine builds a two-tier fabric with hostsPerLeaf hosts on each of

@@ -87,7 +87,8 @@ func TestStarConnectivity(t *testing.T) {
 
 func TestDumbbellShape(t *testing.T) {
 	sim := netsim.New(1)
-	n, senders, receivers, a, b := Dumbbell(sim, 3, Mbps(100, 0), Mbps(10, 0), asic.Config{})
+	n := Dumbbell(sim, 3, Mbps(100, 0), Mbps(10, 0), asic.Config{})
+	senders, receivers, a, b := n.Senders, n.Receivers, n.A, n.B
 	if len(senders) != 3 || len(receivers) != 3 {
 		t.Fatal("dumbbell hosts wrong")
 	}
