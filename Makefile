@@ -1,11 +1,9 @@
 # Reproduction of "Tiny Packet Programs for low-latency network
 # control and monitoring" (HotNets 2013) on a simulated substrate.
 
-GO        ?= go
-BENCH     ?= .
-BENCHTIME ?= 1x
+GO ?= go
 
-.PHONY: all build vet lint test race check soak soak-pooldebug scenario allocgate allocgate-baseline fuzz bench bench-json bench-save reroute experiments results-check clean
+.PHONY: all build vet lint test race check soak soak-pooldebug scenario allocgate allocgate-baseline fuzz bench reroute experiments results-check clean
 
 # Packages whose behavior must be a pure function of inputs and seeds;
 # the determinism analyzers (notime, norand, maporder) gate them.
@@ -39,7 +37,7 @@ vet:
 # the soaks, and the poollife packet-ownership suite over the packages
 # that handle pooled packets.
 lint: vet
-	@unformatted=$$(gofmt -l cmd internal tools bench *.go); \
+	@unformatted=$$(gofmt -l cmd internal tools bench examples *.go); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./tools/analyzers/cmd/determinismlint $(LINT_PKGS)
 	$(GO) run ./tools/analyzers/cmd/poollifelint $(POOL_PKGS)
@@ -110,25 +108,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzGuard -fuzztime=10s ./internal/asic
 	$(GO) test -fuzz=FuzzCompile -fuzztime=10s ./internal/tcpu
 
-# bench runs every benchmark once (BENCHTIME=1x) as a smoke test; set
-# BENCHTIME=2s BENCH=PipelineTelemetry for real measurements.
+# bench runs the repository's one benchmark: all six bench/tppbench
+# workloads for 10 s each, seed 1, every sim_digest checked against
+# golden.json.  One workload, another seed, a traced run or the -sets
+# spread table: call bench/run.sh directly (bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) .
-
-# bench-json emits the same run in `go test -json` form for tooling.
-bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) -json .
-
-# bench-save runs the benchmarks and commits the measured numbers to
-# BENCH_obs.json via tools/benchjson, which fails if any benchmark
-# produced no result.  The TCPU execution-path trajectory (interpreter
-# vs compiled vs cached, plus the end-to-end pipeline) is carved out of
-# the same run into BENCH_tcpu.json.  Set BENCHTIME=2s for
-# publication-grade numbers; the default 1x is the smoke/CI setting.
-bench-save:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) -json . \
-		| $(GO) run ./tools/benchjson -o BENCH_obs.json \
-			-extra 'BENCH_tcpu.json=^Benchmark(TCPU|PipelineTelemetry)'
+	bash bench/run.sh --seed 1
 
 # reroute runs the reflex fast-reroute experiment (dataplane
 # sub-RTT repair vs prober-driven controller repair on a killed
@@ -155,4 +140,4 @@ results-check:
 	echo "results-check: results/ and experiments_output.txt regenerate byte for byte"
 
 clean:
-	rm -rf out
+	rm -rf out .bench_build bench/out

@@ -7,19 +7,20 @@
 //
 //	experiments [-out DIR] [-metrics FILE] [-trace FILE] [-cpuprofile FILE] [-memprofile FILE] <experiment>
 //
-// Experiments: table1 table2 fig1 fig2 fig3 fig4 fig5 microburst ndb
-// blackhole wireless rtthist spinbit all
+// Run it without arguments for the list of experiments.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles on clean
 // exit (inspect with `go tool pprof`).
 //
 // -metrics and -trace enable the telemetry subsystem (internal/obs) for
-// the experiments that support it (microburst, ndb, fig2): the final
-// metrics snapshot and the packet-lifecycle span log are written as
-// JSONL to the given files ("-" for stdout).  With -trace, the snapshot
-// carries the span log's own totals (gauges obs/spans_total and
-// obs/spans_dropped), and a log that overflowed — the older events
-// overwritten — is announced on stderr, not exported silently.
+// the experiments that support it (microburst, ndb, blackhole, fig2):
+// the final metrics snapshot and the packet-lifecycle span log are
+// written as JSONL to the given files ("-" for stdout).  The log holds
+// spanLogEvents events, enough for `all` several times over.  With
+// -trace, the snapshot carries the log's own totals (gauges
+// obs/spans_total and obs/spans_dropped), and a log that did overflow —
+// the older events overwritten — is announced on stderr, not exported
+// silently.
 package main
 
 import (
@@ -64,6 +65,22 @@ var experiments = []experiment{
 	{"reroute", "robustness: reflex fast-reroute vs prober-driven repair", runReroute},
 	{"rtthist", "in-band dataplane RTT histogram vs host ground truth", runRTTHist},
 	{"spinbit", "passive spin-bit RTT observer at a mid-path switch", runSpinBit},
+}
+
+// spanLogEvents bounds the -trace span log.  The tracer allocates a
+// chunk at a time as events arrive, so the bound costs nothing until it
+// is reached; `all` records 215 310 events.
+const spanLogEvents = 1 << 20
+
+// runAll passes every experiment to run in table order, framing each
+// one's output with its banner: the transcript committed as
+// experiments_output.txt.
+func runAll(out *output, run func(experiment)) {
+	for _, e := range experiments {
+		out.printf("== %s: %s ==\n", e.name, e.about)
+		run(e)
+		out.printf("\n")
+	}
 }
 
 func main() {
@@ -120,7 +137,7 @@ func main() {
 		out.metrics = obs.NewRegistry()
 	}
 	if tracePath != "" {
-		out.tracer = obs.NewTracer(0)
+		out.tracer = obs.NewTracer(spanLogEvents)
 	}
 	runOne := func(e experiment) {
 		if err := e.run(out); err != nil {
@@ -130,11 +147,7 @@ func main() {
 	}
 	found := false
 	if name == "all" {
-		for _, e := range experiments {
-			fmt.Printf("== %s: %s ==\n", e.name, e.about)
-			runOne(e)
-			fmt.Println()
-		}
+		runAll(out, runOne)
 		found = true
 	} else {
 		for _, e := range experiments {

@@ -8,27 +8,45 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
-// TestEveryExperimentRuns executes every registered experiment end to
-// end, with CSV emission into a temp dir, so the reproduction harness
-// can never silently rot — and holds each CSV to the committed
-// results/ byte for byte, which makes `go test ./...` the oracle for a
-// refactor that must not move an artifact (fig2_*.csv, aimd.csv and
-// fct.csv pin the rate-control harness; `make results-check` adds the
-// stdout transcript).
+// TestEveryExperimentRuns executes `experiments all` end to end, with
+// CSV emission into a temp dir, so the reproduction harness can never
+// silently rot — and holds each CSV to the committed results/ and the
+// stdout transcript to experiments_output.txt byte for byte, which
+// makes `go test ./...` the oracle for a refactor that must not move an
+// artifact (`make results-check` is the same comparison from the
+// command line).  The pass runs watched, as under -metrics and -trace:
+// equal artifacts then also say watching does not change what is
+// simulated, and the span log must hold every event of the run.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take a few seconds")
 	}
 	dir := t.TempDir()
-	for _, e := range experiments {
+	var transcript bytes.Buffer
+	out := &output{dir: dir, w: &transcript,
+		metrics: obs.NewRegistry(), tracer: obs.NewTracer(spanLogEvents)}
+	runAll(out, func(e experiment) {
 		t.Run(e.name, func(t *testing.T) {
-			out := &output{dir: dir, w: io.Discard}
 			if err := e.run(out); err != nil {
 				t.Fatalf("%s: %v", e.name, err)
 			}
 		})
+	})
+	if out.tracer.Total() == 0 || out.tracer.Dropped() != 0 {
+		t.Errorf("span log recorded %d events and overwrote %d; want every event retained",
+			out.tracer.Total(), out.tracer.Dropped())
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "experiments_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(transcript.Bytes(), want) {
+		t.Errorf("stdout transcript: %d bytes, differs from the committed experiments_output.txt (%d bytes); `make results-check` prints the diff",
+			transcript.Len(), len(want))
 	}
 	// Every experiment must have produced at least one CSV.
 	entries, err := os.ReadDir(dir)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/endhost"
 	"repro/internal/guard"
 	"repro/internal/mem"
+	"repro/internal/microburst"
 	"repro/internal/ndb"
 	"repro/internal/netsim"
 	"repro/internal/rcp"
@@ -171,5 +172,55 @@ func TestMultipleTasksCoexist(t *testing.T) {
 	}
 	if reg := a.Port(aPort).Scratch(0); reg == 40 {
 		t.Fatal("rate register holds the counter value: state collided")
+	}
+}
+
+// TestAblationFacts pins the simulated quantities EXPERIMENTS.md
+// "Ablations" quotes.  Goodput: 6000 packets of 958 payload bytes are
+// offered to a 10 Mb/s link, more than it carries in the 3 s window, so
+// what arrives is limited by wire overhead, not demand; instrumenting
+// every packet with the §2.1 telemetry TPP (5-hop budget) is the trade
+// the paper's 20-byte overhead figure is about.  Wire bytes: a per-hop
+// queue-size record needs a word per hop (7-hop budget), an in-packet
+// MAX aggregate one word for any path length.
+func TestAblationFacts(t *testing.T) {
+	goodputMbps := func(instrument bool) float64 {
+		sim := netsim.New(1)
+		n := topo.NewNetwork(sim)
+		sw := n.AddSwitch(asic.Config{Ports: 4})
+		h1, h2 := n.AddHost(), n.AddHost()
+		h1.NIC.SetCapacity(1 << 16)
+		n.LinkHost(h1, sw, topo.Mbps(10, 0))
+		n.LinkHost(h2, sw, topo.Mbps(10, 0))
+		n.PrimeL2(netsim.Millisecond)
+		var payload uint64
+		h2.HandleDefault(func(p *core.Packet) { payload += uint64(p.PayloadLen()) })
+		for i := 0; i < 6000; i++ {
+			pkt := h1.NewPacket(h2.MAC, h2.IP, 1, 2, 958)
+			if instrument {
+				microburst.Instrument(pkt, 5)
+			}
+			h1.Send(pkt)
+		}
+		start := sim.Now()
+		sim.RunUntil(start + 3*netsim.Second)
+		return float64(payload) * 8 / 1e6 / (sim.Now() - start).Seconds()
+	}
+	wireBytes := func(op core.Opcode, memWords int) float64 {
+		ins := []core.Instruction{{Op: op, A: uint16(mem.QueueBase + mem.QueueBytes)}}
+		return float64(core.NewTPP(core.AddrStack, ins, memWords).WireLen())
+	}
+	for _, c := range []struct {
+		name           string
+		got, want, tol float64
+	}{
+		{"goodput Mb/s, plain", goodputMbps(false), 9.575, 0.001},
+		{"goodput Mb/s, every packet instrumented", goodputMbps(true), 9.243, 0.001},
+		{"wire bytes, per-hop records over 7 hops", wireBytes(core.OpPUSH, 7), 44, 0},
+		{"wire bytes, MAX aggregate", wireBytes(core.OpMAX, 1), 20, 0},
+	} {
+		if math.Abs(c.got-c.want) > c.tol {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
