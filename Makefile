@@ -32,13 +32,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs vet, a gofmt check, plus the repository's own analyzers (see
-# tools/analyzers): the determinism suite over the simulation core and
-# the soaks, and the poollife packet-ownership suite over the packages
-# that handle pooled packets.
+# lint runs vet, a gofmt check, a check that internal/topo stays the only
+# module that wires switches together or spells a fabric device name
+# (bench/ builds its lines on topo.Network's incremental API), plus the
+# repository's own analyzers (see tools/analyzers): the determinism
+# suite over the simulation core and the soaks, and the poollife
+# packet-ownership suite over the packages that handle pooled packets.
 lint: vet
 	@unformatted=$$(gofmt -l cmd internal tools bench examples *.go); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
+	@wired=$$(grep -rnE 'LinkSwitches\(|"(leaf|spine)%d' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/topo/'); \
+	if [ -n "$$wired" ]; then echo "hand-wired topology outside internal/topo:"; echo "$$wired"; exit 1; fi
 	$(GO) run ./tools/analyzers/cmd/determinismlint $(LINT_PKGS)
 	$(GO) run ./tools/analyzers/cmd/poollifelint $(POOL_PKGS)
 

@@ -21,17 +21,10 @@ func runConverge(out *output) error {
 	sim := netsim.New(1)
 	edge := topo.Mbps(20, 10*netsim.Microsecond)
 	backbone := topo.Mbps(10, 10*netsim.Microsecond)
-	_, _, leafSW, spineSW := topo.LeafSpine(sim, 2, 2, 2, edge, backbone,
-		asic.Config{Ports: 8})
 	ctl := fabric.New(sim)
-	for i, sw := range leafSW {
-		ctl.Register(fmt.Sprintf("leaf%d", i), sw)
-	}
-	for j, sw := range spineSW {
-		ctl.Register(fmt.Sprintf("spine%d", j), sw)
-	}
 	inj := faults.NewInjector(sim, nil)
-	inj.RegisterSwitch("leaf0", leafSW[0])
+	topo.LeafSpine(sim, 2, 2, 2, edge, backbone,
+		topo.Uniform(asic.Config{Ports: 8}), nil).Register(ctl, inj)
 
 	// Routes on every device plus a seeded service on leaf0, so a
 	// reboot wipes state the controller must re-apply (TCAM survives a

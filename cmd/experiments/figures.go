@@ -21,7 +21,7 @@ func runFig1(out *output) error {
 	sim := netsim.New(1)
 	edge := topo.Mbps(80, 10*netsim.Microsecond)
 	backbone := topo.Mbps(8, 10*netsim.Microsecond)
-	n, src, dst, _ := topo.Line(sim, 3, edge, backbone, asic.Config{})
+	n, src, dst, _ := topo.Line(sim, 3, edge, backbone, nil, nil)
 	n.PrimeL2(5 * netsim.Millisecond)
 
 	// Cross traffic: a burst queued ahead of the probe at switch 1.

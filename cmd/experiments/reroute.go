@@ -2,16 +2,16 @@ package main
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/asic"
 	"repro/internal/core"
 	"repro/internal/endhost"
 	"repro/internal/fabric"
+	"repro/internal/fabric/scenario"
 	"repro/internal/faults"
 	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/reflex"
-	"repro/internal/tcam"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -59,28 +59,14 @@ func runRerouteScheme(useReflex bool) (rerouteRow, error) {
 	sim := netsim.New(1)
 	edge := topo.Mbps(1000, 5*netsim.Microsecond)
 	fab := topo.Mbps(1000, 500*netsim.Microsecond)
-	_, hosts, leaves, spines := topo.LeafSpine(sim, 2, 2, 2, edge, fab, asic.Config{})
-	h00, h01 := hosts[0][0], hosts[0][1]
-	h10, h11 := hosts[1][0], hosts[1][1]
+	net := topo.LeafSpine(sim, 2, 2, 2, edge, fab, nil, nil)
+	leaf0 := net.Leaves[0]
+	h00, h01 := net.LeafHosts[0][0], net.LeafHosts[0][1]
+	h10, h11 := net.LeafHosts[1][0], net.LeafHosts[1][1]
+	primary, backup := net.Uplink(0), net.Uplink(1)
 
-	insert := func(sw *asic.Switch, prio int, ip uint32, port int) {
-		v, m := tcam.DstIPRule(ip)
-		sw.TCAM().Insert(fabric.BandBase+prio, v, m, tcam.Action{OutPort: port})
-	}
-	insert(leaves[0], 10, h10.IP, 0)
-	insert(leaves[0], 11, h11.IP, 0)
-	insert(leaves[0], 12, h00.IP, 2)
-	insert(leaves[0], 13, h01.IP, 3)
-	insert(leaves[1], 10, h10.IP, 2)
-	insert(leaves[1], 11, h11.IP, 3)
-	insert(leaves[1], 12, h00.IP, 0)
-	insert(leaves[1], 13, h01.IP, 0)
-	for _, sp := range spines {
-		insert(sp, 10, h10.IP, 1)
-		insert(sp, 11, h11.IP, 1)
-		insert(sp, 12, h00.IP, 0)
-		insert(sp, 13, h01.IP, 0)
-	}
+	// Everything rides spine 0, in the controller's band.
+	topo.InstallRoutes(net.Routes(topo.ViaSpine(0)), fabric.BandBase)
 
 	// The repair mechanism under test.
 	var arm *reflex.Arm
@@ -92,23 +78,23 @@ func runRerouteScheme(useReflex bool) (rerouteRow, error) {
 		// ~20 heartbeat periods always in flight.  26 leaves a margin
 		// of ~6 periods, so detection costs ~300us after the echoes
 		// stop.
-		arm, err = reflex.Attach(sim, leaves[0], reflex.Config{
+		arm, err = reflex.Attach(sim, leaf0, reflex.Config{
 			HeartbeatEvery: 50 * netsim.Microsecond,
 			DeadAfter:      26,
 		})
 		if err != nil {
 			return row, err
 		}
-		if err := arm.Monitor(0, h00.MAC, h00.IP); err != nil {
+		if err := arm.Monitor(primary, h00.MAC, h00.IP); err != nil {
 			return row, err
 		}
-		if err := arm.Monitor(1, h00.MAC, h00.IP); err != nil {
+		if err := arm.Monitor(backup, h00.MAC, h00.IP); err != nil {
 			return row, err
 		}
-		if err := arm.Authorize("h10-via-spine1", h10.IP, 0, 1); err != nil {
+		if err := arm.Authorize("h10-via-spine1", h10.IP, primary, backup); err != nil {
 			return row, err
 		}
-		if err := arm.Authorize("h11-via-spine1", h11.IP, 0, 1); err != nil {
+		if err := arm.Authorize("h11-via-spine1", h11.IP, primary, backup); err != nil {
 			return row, err
 		}
 	}
@@ -136,16 +122,9 @@ func runRerouteScheme(useReflex bool) (rerouteRow, error) {
 		// deadline must exceed one end-to-end RTT or healthy echoes
 		// would be declared lost.
 		ctrl := fabric.New(sim)
-		ctrl.Register("leaf0", leaves[0])
-		backupSpec := fabric.Spec{Devices: []fabric.DeviceSpec{{
-			Device: "leaf0",
-			Routes: []fabric.Route{
-				{DstIP: h10.IP, Priority: 10, OutPort: 1},
-				{DstIP: h11.IP, Priority: 11, OutPort: 1},
-				{DstIP: h00.IP, Priority: 12, OutPort: 2},
-				{DstIP: h01.IP, Priority: 13, OutPort: 3},
-			},
-		}}}
+		net.Register(ctrl, nil)
+		backupSpec := scenario.RoutingSpec(slices.DeleteFunc(net.Routes(topo.ViaSpine(1)),
+			func(d topo.DeviceRoutes) bool { return d.Switch != leaf0 }))
 		// Like any production liveness detector (BFD's multiplier, LACP
 		// timeouts), the prober demands consecutive losses before it
 		// declares the path dead: repairing on a single missing echo
@@ -183,8 +162,7 @@ func runRerouteScheme(useReflex bool) (rerouteRow, error) {
 
 	// Kill both directions of the primary uplink mid-flows.
 	inj := faults.NewInjector(sim, nil)
-	inj.RegisterLink("leaf0-spine0",
-		leaves[0].Port(0).Channel(), spines[0].Port(0).Channel())
+	net.Register(nil, inj)
 	if err := inj.Schedule(faults.Plan{Events: []faults.Event{
 		{At: rerouteKillAt, Kind: faults.LinkDown, Target: "leaf0-spine0"},
 	}}); err != nil {

@@ -15,7 +15,11 @@
 //	          prio: 100
 //	          port: 2
 //
-// Switches are named leaf0..leafN-1 and spine0..spineM-1.  By default
+// Switches are named leaf0..leafN-1 and spine0..spineM-1 and have
+// exactly the ports the topology wires: a leaf's uplinks to spines
+// 0..M-1 come first, then its hosts; a spine's ports 0..N-1 descend to
+// the leaves.  A route or prefix to any other port is refused as a
+// spec-invalid device error (exit 1), never converged.  By default
 // fabricctl is a dry run: it reads the live state back, diffs it
 // against the spec and prints the ordered ChangeSet without applying
 // anything.  With -execute it converges (diff, apply atomically per
@@ -103,24 +107,14 @@ func decodeTopology(n *yamlite.Node) (topology, error) {
 }
 
 // build instantiates the simulated fabric and registers every switch on
-// a controller under its leaf<i>/spine<j> name.
+// a controller under its leaf<i>/spine<j> name.  Every switch has
+// exactly the ports the topology wires.
 func build(sim *netsim.Sim, t topology) *fabric.Controller {
-	ports := t.Spines + t.Hosts
-	if t.Leaves > ports {
-		ports = t.Leaves
-	}
-	cfg := asic.Config{Ports: ports, Guard: t.Guard,
-		TPPRate: t.TPPRate, TPPBurst: t.TPPBurst}
 	edge := topo.Mbps(20, 10*netsim.Microsecond)
 	backbone := topo.Mbps(10, 10*netsim.Microsecond)
-	_, _, leafSW, spineSW := topo.LeafSpine(sim, t.Leaves, t.Spines, t.Hosts, edge, backbone, cfg)
 	ctl := fabric.New(sim)
-	for i, sw := range leafSW {
-		ctl.Register(fmt.Sprintf("leaf%d", i), sw)
-	}
-	for j, sw := range spineSW {
-		ctl.Register(fmt.Sprintf("spine%d", j), sw)
-	}
+	topo.LeafSpine(sim, t.Leaves, t.Spines, t.Hosts, edge, backbone, topo.Uniform(asic.Config{
+		Guard: t.Guard, TPPRate: t.TPPRate, TPPBurst: t.TPPBurst}), nil).Register(ctl, nil)
 	return ctl
 }
 
@@ -186,7 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprint(stdout, cs.String())
 	if len(derrs) > 0 {
 		for _, de := range derrs {
-			fmt.Fprintf(stderr, "fabricctl: %v\n", de)
+			fmt.Fprintf(stderr, "fabricctl: %v\n", &de)
 		}
 		return 1
 	}
@@ -212,13 +206,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "fabricctl: partial convergence after %d attempts (budget exhausted: %v)\n",
 			res.Attempts, res.BudgetExhausted)
 		for _, de := range res.Pending {
-			fmt.Fprintf(stderr, "fabricctl: pending: %v\n", de)
+			fmt.Fprintf(stderr, "fabricctl: pending: %v\n", &de)
 		}
 		return 1
 	}
 	if errs := ctl.Verify(spec); len(errs) > 0 {
 		for _, de := range errs {
-			fmt.Fprintf(stderr, "fabricctl: verify: %v\n", de)
+			fmt.Fprintf(stderr, "fabricctl: verify: %v\n", &de)
 		}
 		return 1
 	}

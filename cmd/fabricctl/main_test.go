@@ -127,6 +127,26 @@ func TestExitCodes(t *testing.T) {
 			doc:  "spec:\n  devices:\n    - device: leaf0\n      tenants:\n        - id: 1\n          words: 64",
 			want: 1, msg: "spec-invalid",
 		},
+		{
+			name: "route to a port the leaf lacks",
+			doc:  "topology:\n  hosts: 1\nspec:\n  devices:\n    - device: leaf0\n      routes:\n        - dst: 10.0.0.1\n          prio: 1\n          port: 7",
+			args: []string{"-execute"},
+			want: 1, msg: "spec-invalid: route 10.0.0.1 -> port 7, but the device has ports 0..2",
+		},
+		{
+			name: "route to a negative port",
+			doc:  "spec:\n  devices:\n    - device: spine0\n      routes:\n        - dst: 10.0.0.1\n          prio: 1\n          port: -3",
+			args: []string{"-execute"},
+			want: 1, msg: "spec-invalid: route 10.0.0.1 -> port -3, but the device has ports 0..1",
+		},
+		{
+			// Switches are sized per tier: on the default 2x2x2 a leaf has
+			// ports 0..3, a spine only its two downlinks.
+			name: "route to a port only leaves have",
+			doc:  "spec:\n  devices:\n    - device: leaf0\n      routes:\n        - dst: 10.0.0.1\n          prio: 1\n          port: 3\n    - device: spine0\n      routes:\n        - dst: 10.0.0.1\n          prio: 1\n          port: 3",
+			args: []string{"-execute"},
+			want: 1, msg: "device spine0: spec-invalid: route 10.0.0.1 -> port 3, but the device has ports 0..1",
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			args := tc.args

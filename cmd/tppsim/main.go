@@ -113,15 +113,15 @@ func run(topoName string, switches int, load bool, src string, w, metricsW, trac
 	sim := netsim.New(1)
 	edge := topo.Mbps(80, 10*netsim.Microsecond)
 	backbone := topo.Mbps(8, 10*netsim.Microsecond)
-	swCfg := asic.Config{Metrics: reg, Trace: tracer}
+	swCfg := topo.Uniform(asic.Config{Metrics: reg, Trace: tracer})
 
 	var n *topo.Network
 	var from, to *endhost.Host
 	switch topoName {
 	case "line":
-		n, from, to, _ = topo.Line(sim, switches, edge, backbone, swCfg)
+		n, from, to, _ = topo.Line(sim, switches, edge, backbone, swCfg, tracer)
 	case "dumbbell":
-		d := topo.Dumbbell(sim, 2, edge, backbone, swCfg)
+		d := topo.Dumbbell(sim, 2, edge, backbone, swCfg, tracer)
 		rcp.InitRateRegisters(d.A, d.B)
 		n, from, to = d.Network, d.Senders[0], d.Receivers[0]
 	default:

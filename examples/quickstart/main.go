@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/asic"
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/endhost"
@@ -24,7 +23,7 @@ func main() {
 		3,                                    // switches
 		topo.Mbps(80, 10*netsim.Microsecond), // host links
 		topo.Mbps(8, 10*netsim.Microsecond),  // switch-switch links
-		asic.Config{})
+		nil, nil)                             // default switches, untraced links
 	net.PrimeL2(5 * netsim.Millisecond) // let the MAC tables learn
 
 	// 2. A tiny packet program, in the paper's assembly syntax: record

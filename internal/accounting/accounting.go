@@ -37,17 +37,6 @@ const (
 // DefaultRetries bounds the CSTORE retry loop per Add.
 const DefaultRetries = 16
 
-// unexecuted pre-fills every result slot before a probe departs.  A
-// TPP can come back echoed without having executed at the gated
-// switch — throttled by an admission gate, stripped at the hop limit —
-// and its result words then still hold whatever the sender wrote.
-// Zero would be ambiguous (a tally can legitimately be zero), so the
-// sentinel makes "the program never ran" distinguishable from every
-// plausible executed outcome, and the client retries instead of
-// trusting garbage.  (A tally that actually reaches 0xFFFFFFFF would
-// alias the sentinel; a 32-bit counter is re-based long before that.)
-const unexecuted = ^uint32(0)
-
 // Inconclusive-echo backoff.  A sentinel echo means an admission gate
 // throttled the program: the tenant is over its token-bucket share.
 // Retrying at echo pace (one RTT, often well under a refill interval)
@@ -136,10 +125,10 @@ func (c *Counter) readRetry(budget int, fn func(value, epoch uint32)) {
 	}, 4)
 	tpp.SetWord(0, 0xFFFFFFFF)
 	tpp.SetWord(1, c.switchID)
-	tpp.SetWord(2, unexecuted)
-	tpp.SetWord(3, unexecuted)
+	tpp.SetWord(2, endhost.Unexecuted)
+	tpp.SetWord(3, endhost.Unexecuted)
 	c.prober.Probe(c.dstMAC, c.dstIP, tpp, func(e *core.TPP) {
-		if e.Word(2) == unexecuted && e.Word(3) == unexecuted {
+		if e.Word(2) == endhost.Unexecuted && e.Word(3) == endhost.Unexecuted {
 			c.Inconclusive++
 			if budget > 1 {
 				c.prober.After(backoffDelay(budget), func() {
@@ -197,10 +186,10 @@ func (c *Counter) attempt(old, n uint32, budget int, done func(uint32)) {
 		tpp.SetWord(1, c.switchID)
 		tpp.SetWord(2, old)   // cond
 		tpp.SetWord(3, old+n) // src
-		tpp.SetWord(4, unexecuted)
+		tpp.SetWord(4, endhost.Unexecuted)
 		c.prober.Probe(c.dstMAC, c.dstIP, tpp, func(e *core.TPP) {
 			observed := e.Word(4)
-			if observed == unexecuted {
+			if observed == endhost.Unexecuted {
 				// The CSTORE never ran at the gated switch (throttled
 				// or stripped en route): the attempt is inconclusive,
 				// not lost — retry with the same expected value.

@@ -21,7 +21,7 @@ func TestEngineStatsLineBurst(t *testing.T) {
 	)
 	sim := netsim.New(1)
 	link := topo.Mbps(100_000, 0)
-	n, src, dst, _ := topo.Line(sim, switches, link, link, asic.Config{Ports: 4})
+	n, src, dst, _ := topo.Line(sim, switches, link, link, topo.Uniform(asic.Config{Ports: 4}), nil)
 	n.PrimeL2(5 * netsim.Millisecond)
 	src.NIC.SetCapacity(burst)
 

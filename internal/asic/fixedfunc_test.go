@@ -67,7 +67,7 @@ func TestECNIgnoresNonCapablePackets(t *testing.T) {
 func TestRecordRouteStampsSwitchIDs(t *testing.T) {
 	sim := netsim.New(1)
 	cfg := asic.Config{RecordRoute: true}
-	n, src, dst, sws := topo.Line(sim, 3, topo.Mbps(100, 0), topo.Mbps(100, 0), cfg)
+	n, src, dst, sws := topo.Line(sim, 3, topo.Mbps(100, 0), topo.Mbps(100, 0), topo.Uniform(cfg), nil)
 	n.PrimeL2(time1ms())
 
 	var got []uint32
@@ -94,7 +94,7 @@ func TestRecordRouteCapacityLimit(t *testing.T) {
 	// §4 contrasts with TPP packet memory.
 	sim := netsim.New(1)
 	cfg := asic.Config{RecordRoute: true}
-	n, src, dst, _ := topo.Line(sim, 10, topo.Mbps(100, 0), topo.Mbps(100, 0), cfg)
+	n, src, dst, _ := topo.Line(sim, 10, topo.Mbps(100, 0), topo.Mbps(100, 0), topo.Uniform(cfg), nil)
 	n.PrimeL2(5 * netsim.Millisecond)
 
 	var got []uint32

@@ -32,12 +32,6 @@ type Config struct {
 	// packet reaches the queues (default 500ns, of which the §3.3
 	// TCPU budget is a part).
 	PipelineLatency netsim.Time
-	// StatsInterval is the housekeeping period for utilization meters
-	// (default 10ms).
-	StatsInterval netsim.Time
-	// UtilGain is the EWMA gain of the utilization meters (default
-	// 0.5).
-	UtilGain float64
 	// TCPU configures the tiny CPU (instruction limit).
 	TCPU tcpu.Config
 	// Verify enables the paranoid parser: every TPP arriving on a
@@ -47,8 +41,6 @@ type Config struct {
 	// §3.5 assumes.  Zero-valued limits in the config are resolved
 	// against this switch's TCPU instruction limit and port count.
 	Verify *verify.Config
-	// L2AgeNs is the MAC table entry lifetime in nanoseconds.
-	L2AgeNs int64
 
 	// TPPRate enables the TCPU admission gate: a token bucket refilled
 	// at TPPRate executions per second with burst capacity TPPBurst.
@@ -112,12 +104,6 @@ func (c *Config) fill() {
 	if c.PipelineLatency <= 0 {
 		c.PipelineLatency = 500 * netsim.Nanosecond
 	}
-	if c.StatsInterval <= 0 {
-		c.StatsInterval = 10 * netsim.Millisecond
-	}
-	if c.UtilGain <= 0 || c.UtilGain > 1 {
-		c.UtilGain = 0.5
-	}
 	if c.TPPRate > 0 && c.TPPBurst <= 0 {
 		c.TPPBurst = DefaultTPPBurst
 	}
@@ -126,6 +112,13 @@ func (c *Config) fill() {
 // DefaultTPPBurst is the admission-gate bucket depth when TPPRate is
 // configured without an explicit burst.
 const DefaultTPPBurst = 8
+
+// The housekeeping period of the utilization meters and L2 aging, and
+// the meters' EWMA gain.
+const (
+	statsInterval = 10 * netsim.Millisecond
+	utilGain      = 0.5
+)
 
 // ForwardFunc observes every packet the switch forwards; the baseline
 // ndb implementation (§2.3) attaches here to generate its truncated
@@ -269,7 +262,7 @@ func New(sim *netsim.Sim, cfg Config) *Switch {
 	s := &Switch{
 		sim:    sim,
 		cfg:    cfg,
-		l2:     l2.New(cfg.L2AgeNs),
+		l2:     l2.New(l2.DefaultAge),
 		l3:     l3.New(),
 		tcam:   tcam.New(),
 		alloc:  mem.NewAllocator(),
@@ -308,8 +301,8 @@ func New(sim *netsim.Sim, cfg Config) *Switch {
 			sw:      s,
 			id:      i,
 			trusted: true,
-			rxUtil:  newMeter(cfg.UtilGain, cfg.StatsInterval.Seconds()),
-			txUtil:  newMeter(cfg.UtilGain, cfg.StatsInterval.Seconds()),
+			rxUtil:  newMeter(utilGain, statsInterval.Seconds()),
+			txUtil:  newMeter(utilGain, statsInterval.Seconds()),
 
 			mQueueDepth: reg.Histogram(fmt.Sprintf("switch/%d/port/%d/queue_depth_bytes", cfg.ID, i)),
 			mTxBytes:    reg.Counter(fmt.Sprintf("switch/%d/port/%d/tx_bytes", cfg.ID, i)),
@@ -320,7 +313,7 @@ func New(sim *netsim.Sim, cfg Config) *Switch {
 		}
 		s.ports = append(s.ports, p)
 	}
-	sim.Every(cfg.StatsInterval, cfg.StatsInterval, s.housekeeping)
+	sim.Every(statsInterval, statsInterval, s.housekeeping)
 	return s
 }
 
@@ -645,7 +638,7 @@ func (s *Switch) forward(pkt *core.Packet, inPort int) {
 	// the packet first, then L3 LPM, then the L2 hash table.
 	if out, meta, decided := s.lookupTCAM(pkt, inPort); decided {
 		s.span(pkt, obs.StageLookupTCAM, uint64(meta.ID), uint64(meta.Version))
-		if out < 0 {
+		if meta.Action.Drop {
 			pkt.Recycle()
 			return // dropped by rule (its journey ends at the lookup span)
 		}
@@ -691,9 +684,6 @@ func (s *Switch) lookupTCAM(pkt *core.Packet, inPort int) (out int, e tcam.Entry
 	// Table 2: "alternate routes for a packet" — every installed rule
 	// covering this packet is a forwarding alternative.
 	pkt.Meta.AltRoutes = uint32(s.tcam.MatchCount(key))
-	if e.Action.Drop {
-		return -1, e, true
-	}
 	return e.Action.OutPort, e, true
 }
 

@@ -63,7 +63,7 @@ func TestFigure1QueueWalk(t *testing.T) {
 	// switches, recording one queue snapshot per hop; SP advances
 	// 0 -> 4 -> 8 -> 12.
 	sim := netsim.New(1)
-	n, src, dst, _ := topo.Line(sim, 3, edge, backbone, asic.Config{})
+	n, src, dst, _ := topo.Line(sim, 3, edge, backbone, nil, nil)
 	n.PrimeL2(5 * netsim.Millisecond)
 
 	prober := endhost.NewProber(src)
@@ -93,7 +93,7 @@ func TestFigure1SeesCongestion(t *testing.T) {
 	// queue (the fast-to-slow transition) must show a backlog; the
 	// rest of the path stays nearly empty.
 	sim := netsim.New(1)
-	n, src, dst, _ := topo.Line(sim, 3, edge, backbone, asic.Config{})
+	n, src, dst, _ := topo.Line(sim, 3, edge, backbone, nil, nil)
 	n.PrimeL2(5 * netsim.Millisecond)
 
 	before := dst.Received
@@ -588,7 +588,7 @@ func TestMultiPacketTPPGroup(t *testing.T) {
 	// Eight statistics exceed the 5-instruction limit; SplitCollect
 	// spreads them across two probes and the group completes.
 	sim := netsim.New(1)
-	n, src, dst, _ := topo.Line(sim, 2, edge, backbone, asic.Config{})
+	n, src, dst, _ := topo.Line(sim, 2, edge, backbone, nil, nil)
 	n.PrimeL2(time1ms())
 
 	stats := []mem.Addr{
@@ -659,7 +659,7 @@ func TestMAXAggregationAcrossPath(t *testing.T) {
 	// word of packet memory, regardless of path length — the
 	// aggregation alternative to one PUSH record per hop.
 	sim := netsim.New(1)
-	n, src, dst, _ := topo.Line(sim, 3, edge, backbone, asic.Config{})
+	n, src, dst, _ := topo.Line(sim, 3, edge, backbone, nil, nil)
 	n.PrimeL2(5 * netsim.Millisecond)
 
 	// Congest hop 1 with a burst; the other hops stay empty.

@@ -3,7 +3,6 @@ package asic_test
 import (
 	"testing"
 
-	"repro/internal/asic"
 	"repro/internal/core"
 	"repro/internal/endhost"
 	"repro/internal/netsim"
@@ -16,7 +15,7 @@ import (
 // re-enabling restores full traces.
 func TestTCPUDisableToggle(t *testing.T) {
 	sim := netsim.New(1)
-	n, src, dst, sws := topo.Line(sim, 3, edge, backbone, asic.Config{})
+	n, src, dst, sws := topo.Line(sim, 3, edge, backbone, nil, nil)
 	n.PrimeL2(5 * netsim.Millisecond)
 
 	prober := endhost.NewProber(src)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/asic"
 	"repro/internal/mem"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/tcam"
 	"repro/internal/topo"
 )
@@ -117,24 +118,48 @@ func TestWirePanicsOnBadPort(t *testing.T) {
 }
 
 func TestUnwiredEgressIsBlackhole(t *testing.T) {
-	// A TCAM rule pointing at an unwired port silently blackholes the
-	// packet (and the switch counts it) instead of crashing.
-	sim := netsim.New(1)
-	n := topo.NewNetwork(sim)
-	sw := n.AddSwitch(asic.Config{Ports: 4})
-	h1, h2 := n.AddHost(), n.AddHost()
-	n.LinkHost(h1, sw, edge)
-	n.LinkHost(h2, sw, edge)
-	n.PrimeL2(time1ms())
+	// A TCAM rule pointing at a port with no channel — unwired, past the
+	// last port, or negative — blackholes the packet, and the switch
+	// counts it and says so in a span, instead of crashing or passing it
+	// off as a rule's deliberate drop.
+	for _, tc := range []struct {
+		name       string
+		action     tcam.Action
+		blackholes uint64
+	}{
+		{"unwired port", actionOut(3), 1},
+		{"port past the last", actionOut(4), 1},
+		{"negative port", actionOut(-3), 1},
+		{"drop rule", tcam.Action{Drop: true, OutPort: -3}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := netsim.New(1)
+			reg, tr := obs.NewRegistry(), obs.NewTracer(1<<10)
+			n := topo.NewNetwork(sim)
+			sw := n.AddSwitch(asic.Config{Ports: 4, Metrics: reg, Trace: tr})
+			h1, h2 := n.AddHost(), n.AddHost()
+			n.LinkHost(h1, sw, edge)
+			n.LinkHost(h2, sw, edge)
+			n.PrimeL2(time1ms())
 
-	// Route h2's traffic to port 3, which has no channel.
-	v, m := dstRule(h2.IP)
-	sw.TCAM().Insert(10, v, m, actionOut(3))
-	before := h2.Received
-	h1.Send(h1.NewPacket(h2.MAC, h2.IP, 1, 2, 10))
-	sim.RunUntil(sim.Now() + 20*netsim.Millisecond)
-	if h2.Received != before {
-		t.Fatal("packet escaped the blackhole")
+			v, m := dstRule(h2.IP)
+			sw.TCAM().Insert(10, v, m, tc.action)
+			before := h2.Received
+			h1.Send(h1.NewPacket(h2.MAC, h2.IP, 1, 2, 10))
+			sim.RunUntil(sim.Now() + 20*netsim.Millisecond)
+			if h2.Received != before {
+				t.Fatal("packet escaped the blackhole")
+			}
+			var spans uint64
+			tr.Each(func(ev *obs.SpanEvent) {
+				if ev.Stage == obs.StageBlackhole {
+					spans++
+				}
+			})
+			if got := reg.Counter("switch/1/blackholes").Value(); got != tc.blackholes || spans != tc.blackholes {
+				t.Fatalf("blackholes counted %d, spans %d, want %d", got, spans, tc.blackholes)
+			}
+		})
 	}
 }
 

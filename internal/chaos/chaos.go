@@ -139,90 +139,37 @@ func Run(cfg Config) Result {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(1 << 19)
 
-	// 3 leaves x 2 spines, built by hand so only the two switches whose
-	// telemetry the soak reconciles (spine 0: reboots; leaf 2: the
-	// admission gate) carry the tracer.  Construction order mirrors
-	// topo.LeafSpine: spines first, then leaves, so leaf i's ports
-	// 0..S-1 climb to spines 0..S-1 and spine s's ports 0..L-1 descend
-	// to leaves 0..L-1.
-	const (
-		leavesN = 3
-		spinesN = 2
-		hostsN  = 2 // hosts per leaf; host j of any leaf rides spine j
-	)
-	n := topo.NewNetwork(sim)
-	spines := make([]*asic.Switch, spinesN)
-	spines[0] = n.AddSwitch(asic.Config{Ports: 8, Metrics: reg, Trace: tracer})
-	spines[1] = n.AddSwitch(asic.Config{Ports: 8, Metrics: reg})
-	leaves := make([]*asic.Switch, leavesN)
-	leaves[0] = n.AddSwitch(asic.Config{Ports: 8, Metrics: reg})
-	leaves[1] = n.AddSwitch(asic.Config{Ports: 8, Metrics: reg})
-	leaves[2] = n.AddSwitch(asic.Config{Ports: 8, Metrics: reg, Trace: tracer,
-		TPPRate: cfg.TPPRate, TPPBurst: cfg.TPPBurst})
-	// Channels stay untraced: the soak reconciles switch spans only.
-	n.SetTrace(nil)
-
+	// 3 leaves x 2 spines, two hosts per leaf.  Only the two switches
+	// whose telemetry the soak reconciles (spine 0: reboots; leaf 2: the
+	// admission gate) carry the tracer, and channels stay untraced: the
+	// soak reconciles switch spans only.
 	edge := topo.Mbps(20, 10*netsim.Microsecond)
 	backbone := topo.Mbps(10, 10*netsim.Microsecond)
-	for _, leaf := range leaves {
-		for _, sp := range spines {
-			n.LinkSwitches(leaf, sp, backbone)
+	net := topo.LeafSpine(sim, 3, 2, 2, edge, backbone, func(t topo.Tier, i int) asic.Config {
+		c := asic.Config{Ports: 8, Metrics: reg}
+		switch {
+		case t == topo.Spine && i == 0:
+			c.Trace = tracer
+		case t == topo.Leaf && i == 2:
+			c.Trace, c.TPPRate, c.TPPBurst = tracer, cfg.TPPRate, cfg.TPPBurst
 		}
-	}
-	hosts := make([][]*endhost.Host, leavesN)
-	for li := range hosts {
-		hosts[li] = make([]*endhost.Host, hostsN)
-		for j := range hosts[li] {
-			hosts[li][j] = n.AddHost()
-			n.LinkHost(hosts[li][j], leaves[li], edge)
-		}
-	}
+		return c
+	}, nil)
+	hosts, leaves, spines := net.LeafHosts, net.Leaves, net.Spines
 
 	// Deterministic dst-routing (same scheme as the ndb hunt): host j
 	// of any leaf is reached via spine j, so the fabric never depends
 	// on learned L2 state a reboot would wipe.  The routes are a
 	// declarative spec the controller converges, not hand inserts.
-	leafRoutes := make([][]fabric.Route, leavesN)
-	spineRoutes := make([][]fabric.Route, spinesN)
-	for li := range hosts {
-		for hj, h := range hosts[li] {
-			leafRoutes[li] = append(leafRoutes[li], fabric.Route{
-				DstIP: h.IP, Priority: 100, OutPort: n.AttachmentOf(h).Port})
-			for other := range leaves {
-				if other != li {
-					leafRoutes[other] = append(leafRoutes[other], fabric.Route{
-						DstIP: h.IP, Priority: 10, OutPort: hj})
-				}
-			}
-			for si := range spines {
-				spineRoutes[si] = append(spineRoutes[si], fabric.Route{
-					DstIP: h.IP, Priority: 10, OutPort: li})
-			}
-		}
-	}
-	var spec fabric.Spec
-	fab := fabric.New(sim)
-	for li, sw := range leaves {
-		name := fmt.Sprintf("leaf%d", li)
-		fab.Register(name, sw)
-		spec.Devices = append(spec.Devices, fabric.DeviceSpec{Device: name, Routes: leafRoutes[li]})
-	}
-	for si, sw := range spines {
-		name := fmt.Sprintf("spine%d", si)
-		fab.Register(name, sw)
-		spec.Devices = append(spec.Devices, fabric.DeviceSpec{Device: name, Routes: spineRoutes[si]})
-	}
-	all := append(append([]*asic.Switch{}, leaves...), spines...)
-	rcp.InitRateRegisters(all...)
+	spec := scenario.RoutingSpec(net.Routes(topo.HostSpine))
+	rcp.InitRateRegisters(net.Switches...)
 
 	// Fault plan: a bursty-loss window on leaf0-spine1, a silent
 	// blackhole for the throttle stream's destination on spine 1, and
 	// the spine-0 crashes.
+	fab := fabric.New(sim)
 	inj := faults.NewInjector(sim, tracer)
-	inj.RegisterSwitch("spine0", spines[0])
-	inj.RegisterSwitch("spine1", spines[1])
-	inj.RegisterLink("leaf0-spine1",
-		leaves[0].Port(1).Channel(), spines[1].Port(0).Channel())
+	net.Register(fab, inj)
 	holeIP := hosts[2][1].IP
 	events := []faults.Event{
 		{At: cfg.LossFrom, Kind: faults.LinkBurstyLoss, Target: "leaf0-spine1",
@@ -323,7 +270,7 @@ func Run(cfg Config) Result {
 	ctl.Stop()
 
 	// Audit.
-	res.Leaked = leaked(all...)
+	res.Leaked = leaked(net.Switches...)
 	res.Polls, res.NegativeDeltas = acct.Polls, acct.NegativeDeltas
 	res.Reboots = spines[0].Reboots()
 	res.RebootDrops = spines[0].RebootDrops()

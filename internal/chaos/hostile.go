@@ -136,29 +136,17 @@ func RunHostile(cfg HostileConfig) HostileResult {
 
 	// Two guarded switches around one 20 Mb/s bottleneck.  s0 is the
 	// tenants' edge: victims, accounting writer and the rogue all
-	// attach there; receivers sit behind s1.
-	n := topo.NewNetwork(sim)
-	mk := func() *asic.Switch {
-		return n.AddSwitch(asic.Config{Ports: 8, Metrics: reg, Trace: tracer,
-			Guard: true, TPPRate: cfg.TPPRate})
-	}
-	s0, s1 := mk(), mk()
-	n.SetTrace(nil) // switch spans only; channels stay untraced
-
+	// attach there; receivers sit behind s1.  Switch spans only:
+	// channels stay untraced.
 	edge := topo.Mbps(40, 10*netsim.Microsecond)
 	bottleneck := topo.Mbps(20, 10*netsim.Microsecond)
-	n.LinkSwitches(s0, s1, bottleneck)
-
-	v1, v2 := n.AddHost(), n.AddHost() // victim senders
-	wr, rg := n.AddHost(), n.AddHost() // accounting writer, rogue
-	for _, h := range []*endhost.Host{v1, v2, wr, rg} {
-		n.LinkHost(h, s0, edge)
-	}
-	d1, d2 := n.AddHost(), n.AddHost() // victim receivers
-	pl, rd := n.AddHost(), n.AddHost() // accounting poller, rogue's sink
-	for _, h := range []*endhost.Host{d1, d2, pl, rd} {
-		n.LinkHost(h, s1, edge)
-	}
+	n := topo.Dumbbell(sim, 4, edge, bottleneck, topo.Uniform(asic.Config{Ports: 8,
+		Metrics: reg, Trace: tracer, Guard: true, TPPRate: cfg.TPPRate}), nil)
+	s0, s1 := n.A, n.B
+	// Victim senders, accounting writer, rogue; then the victims'
+	// receivers, the accounting poller and the rogue's sink.
+	v1, v2, wr, rg := n.Senders[0], n.Senders[1], n.Senders[2], n.Senders[3]
+	d1, d2, pl, rd := n.Receivers[0], n.Receivers[1], n.Receivers[2], n.Receivers[3]
 	n.PrimeL2(5 * netsim.Millisecond)
 
 	// The tenant cast arrives as a declarative spec the controller

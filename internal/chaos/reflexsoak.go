@@ -127,38 +127,22 @@ func RunReflexSoak(cfg ReflexSoakConfig) ReflexSoakResult {
 
 	edge := topo.Mbps(1000, 5*netsim.Microsecond)
 	fab := topo.Mbps(1000, 10*netsim.Microsecond)
-	_, hosts, leaves, spines := topo.LeafSpine(sim, 2, 2, 2, edge, fab,
-		asic.Config{Metrics: reg, Trace: tracer})
-	h00, h10 := hosts[0][0], hosts[1][0]
+	net := topo.LeafSpine(sim, 2, 2, 2, edge, fab,
+		topo.Uniform(asic.Config{Metrics: reg, Trace: tracer}), tracer)
+	leaf0 := net.Leaves[0]
+	h00, h10 := net.LeafHosts[0][0], net.LeafHosts[1][0]
 
 	// Exact-match dst routes in the controller band on all four
-	// switches.  Leaf uplink j faces spine j; spine port i faces leaf i;
-	// hosts sit on ports 2 and 3.
-	h01, h11 := hosts[0][1], hosts[1][1]
-	routes := func(toH10, toH11, toH00, toH01 int) []fabric.Route {
-		return []fabric.Route{
-			{DstIP: h10.IP, Priority: 10, OutPort: toH10},
-			{DstIP: h11.IP, Priority: 11, OutPort: toH11},
-			{DstIP: h00.IP, Priority: 12, OutPort: toH00},
-			{DstIP: h01.IP, Priority: 13, OutPort: toH01},
-		}
-	}
-	spec := fabric.Spec{Devices: []fabric.DeviceSpec{
-		{Device: "leaf0", Routes: routes(0, 0, 2, 3)},
-		{Device: "leaf1", Routes: routes(2, 3, 0, 0)},
-		{Device: "spine0", Routes: routes(1, 1, 0, 0)},
-		{Device: "spine1", Routes: routes(1, 1, 0, 0)},
-	}}
-	all := append(append([]*asic.Switch{}, leaves...), spines...)
+	// switches, everything riding spine 0.
+	spec := scenario.RoutingSpec(net.Routes(topo.ViaSpine(0)))
 	ctrl := fabric.New(sim)
-	for i, sw := range all {
-		ctrl.Register(spec.Devices[i].Device, sw)
-	}
+	inj := faults.NewInjector(sim, tracer)
+	net.Register(ctrl, inj)
 
 	// The reflex arm on leaf 0; the "arm" phase monitors both uplinks
 	// through the h00 reflector and arms h10's prefix onto spine 1 once
 	// the routes it captures are provisioned.
-	arm, err := reflex.Attach(sim, leaves[0], reflex.Config{
+	arm, err := reflex.Attach(sim, leaf0, reflex.Config{
 		Metrics: reg, Trace: tracer,
 	})
 	if err != nil {
@@ -169,10 +153,6 @@ func RunReflexSoak(cfg ReflexSoakConfig) ReflexSoakResult {
 
 	// Fault plan: seeded gray flaps on the primary uplink plus one
 	// leaf-0 crash-restart racing the standing detour.
-	inj := faults.NewInjector(sim, tracer)
-	inj.RegisterLink("leaf0-spine0",
-		leaves[0].Port(0).Channel(), spines[0].Port(0).Channel())
-	inj.RegisterSwitch("leaf0", leaves[0])
 	events := flapPlan(cfg)
 	if cfg.RebootAt > 0 && cfg.RebootAt < cfg.Duration {
 		events = append(events, faults.Event{
@@ -190,12 +170,12 @@ func RunReflexSoak(cfg ReflexSoakConfig) ReflexSoakResult {
 		Seed:       cfg.Seed,
 		Workloads: map[string]scenario.Hook{
 			"reflex": func(*scenario.Env) error {
-				for uplink := 0; uplink < 2; uplink++ {
-					if err := arm.Monitor(uplink, h00.MAC, h00.IP); err != nil {
+				for spine := range net.Spines {
+					if err := arm.Monitor(net.Uplink(spine), h00.MAC, h00.IP); err != nil {
 						return err
 					}
 				}
-				return arm.Authorize(armed, h10.IP, 0, 1)
+				return arm.Authorize(armed, h10.IP, net.Uplink(0), net.Uplink(1))
 			},
 			// A steady h00 → h10 stream across the armed prefix, and one
 			// packed trajectory word per millisecond.
@@ -251,16 +231,16 @@ func RunReflexSoak(cfg ReflexSoakConfig) ReflexSoakResult {
 	res.Probes = arm.ProbesSent()
 	res.Delivered = h10.Received
 	if id, ok := arm.EntryOf(armed); ok {
-		if e, live := leaves[0].TCAM().Get(id); live {
+		if e, live := leaf0.TCAM().Get(id); live {
 			res.FinalOutPort = e.Action.OutPort
 		}
 	}
-	for _, sw := range all {
+	for _, sw := range net.Switches {
 		res.TTLDrops += reg.Counter(fmt.Sprintf("switch/%d/ttl_drops", sw.ID())).Value()
 		res.Blackholes += reg.Counter(fmt.Sprintf("switch/%d/blackholes", sw.ID())).Value()
 	}
-	res.Leaked = leaked(all...)
-	res.Reboots = leaves[0].Reboots()
-	res.RebootDrops = leaves[0].RebootDrops()
+	res.Leaked = leaked(net.Switches...)
+	res.Reboots = leaf0.Reboots()
+	res.RebootDrops = leaf0.RebootDrops()
 	return res
 }

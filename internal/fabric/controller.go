@@ -69,6 +69,9 @@ func (c *Controller) Diff(spec Spec) (ChangeSet, []DeviceError, error) {
 			continue
 		}
 		ops, derr := diffDevice(d, st, c.detoursFor(d.Device))
+		if derr == nil {
+			derr = checkPorts(d, c.devices[d.Device].Ports())
+		}
 		if derr != nil {
 			errs = append(errs, *derr)
 			continue
@@ -82,6 +85,28 @@ func (c *Controller) Diff(spec Spec) (ChangeSet, []DeviceError, error) {
 		}
 	}
 	return cs, errs, nil
+}
+
+// checkPorts rejects a route or prefix that forwards to a port the
+// device does not have: applied, it would verify field-for-field and
+// blackhole every packet it matches.  Normalize cannot know the port
+// count; the diff holds the device.  Drop routes carry no port.
+func checkPorts(d DeviceSpec, ports int) *DeviceError {
+	invalid := func(dst string, port int) *DeviceError {
+		return &DeviceError{Device: d.Device, Kind: ErrSpecInvalid,
+			Detail: fmt.Sprintf("%s -> port %d, but the device has ports 0..%d", dst, port, ports-1)}
+	}
+	for _, r := range d.Routes {
+		if !r.Drop && (r.OutPort < 0 || r.OutPort >= ports) {
+			return invalid("route "+ipString(r.DstIP), r.OutPort)
+		}
+	}
+	for _, p := range d.Prefixes {
+		if p.OutPort < 0 || p.OutPort >= ports {
+			return invalid(fmt.Sprintf("prefix %s/%d", ipString(p.Addr), p.Len), p.OutPort)
+		}
+	}
+	return nil
 }
 
 // diffDevice computes one device's ops: removals first, then grants and

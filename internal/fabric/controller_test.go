@@ -381,6 +381,36 @@ func TestDiffErrors(t *testing.T) {
 		t.Fatalf("guardless tenants: err=%v errs=%v", err, errs)
 	}
 
+	// A route or prefix to a port the device does not have is named and
+	// refused, never converged and "verified"; a Drop route has no port.
+	ip := core.IPv4Addr(10, 0, 0, 1)
+	ports := h.leaf.Ports()
+	for _, tc := range []struct {
+		name   string
+		dev    fabric.DeviceSpec
+		detail string // what the refusal names; empty: accepted
+	}{
+		{"route port -1", fabric.DeviceSpec{Routes: []fabric.Route{{DstIP: ip, OutPort: -1}}}, "route 10.0.0.1 -> port -1,"},
+		{"route port Ports()", fabric.DeviceSpec{Routes: []fabric.Route{{DstIP: ip, OutPort: ports}}}, "route 10.0.0.1 -> port 4,"},
+		{"route last port", fabric.DeviceSpec{Routes: []fabric.Route{{DstIP: ip, OutPort: ports - 1}}}, ""},
+		{"drop route, any port", fabric.DeviceSpec{Routes: []fabric.Route{{DstIP: ip, OutPort: -7, Drop: true}}}, ""},
+		{"prefix port -1", fabric.DeviceSpec{Prefixes: []fabric.Prefix{{Addr: ip, Len: 24, OutPort: -1}}}, "prefix 10.0.0.0/24 -> port -1,"},
+		{"prefix port Ports()", fabric.DeviceSpec{Prefixes: []fabric.Prefix{{Addr: ip, Len: 24, OutPort: ports}}}, "prefix 10.0.0.0/24 -> port 4,"},
+	} {
+		tc.dev.Device = "leaf0"
+		cs, errs, err := h.ctl.Diff(fabric.Spec{Devices: []fabric.DeviceSpec{tc.dev}})
+		switch {
+		case err != nil:
+			t.Fatalf("%s: %v", tc.name, err)
+		case tc.detail == "" && (len(errs) != 0 || cs.Ops() != 1):
+			t.Fatalf("%s: errs=%v ops=%d, want one clean op", tc.name, errs, cs.Ops())
+		case tc.detail != "" && (len(errs) != 1 || errs[0].Kind != fabric.ErrSpecInvalid ||
+			errs[0].Device != "leaf0" || !strings.Contains(errs[0].Detail, tc.detail) ||
+			errs[0].Kind.Retryable() || !cs.Empty()):
+			t.Fatalf("%s: errs=%v cs=%v, want one spec-invalid on leaf0 naming %q", tc.name, errs, cs, tc.detail)
+		}
+	}
+
 	// Invalid specs fail Normalize, not per-device.
 	for _, bad := range []fabric.Spec{
 		{Devices: []fabric.DeviceSpec{{Device: "leaf0"}, {Device: "leaf0"}}},

@@ -11,7 +11,7 @@ const (
 	ErrUnknownDevice ErrKind = iota
 	// ErrSpecInvalid: the spec asks the device for something it cannot
 	// hold (tenants on a guard-less switch, a band-relative priority
-	// out of range).  Not retryable.
+	// out of range, a route to a port it does not have).  Not retryable.
 	ErrSpecInvalid
 	// ErrDeviceDark: read-back answered nothing — the switch is inside
 	// a reboot's boot-delay window.  Retryable: the boot finishes.

@@ -38,6 +38,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/netsim"
+	"repro/internal/topo"
 )
 
 // Kind names what a phase does.
@@ -101,6 +102,20 @@ func VerifySpec(e *Env) error {
 		return fmt.Errorf("%d devices off spec: %v", len(errs), errs)
 	}
 	return nil
+}
+
+// RoutingSpec lifts a fabric's destination routing — topo's neutral
+// per-device routes — into the spec a controller converges.
+func RoutingSpec(devs []topo.DeviceRoutes) fabric.Spec {
+	var spec fabric.Spec
+	for _, d := range devs {
+		ds := fabric.DeviceSpec{Device: d.Name}
+		for _, r := range d.Routes {
+			ds.Routes = append(ds.Routes, fabric.Route{DstIP: r.DstIP, Priority: r.Priority, OutPort: r.OutPort})
+		}
+		spec.Devices = append(spec.Devices, ds)
+	}
+	return spec
 }
 
 // Phase is one scenario step.

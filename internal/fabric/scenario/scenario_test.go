@@ -143,14 +143,15 @@ func newWorld(seed int64) *world {
 		Asserts: map[string]scenario.Hook{"verified": scenario.VerifySpec},
 		Churns: map[string]scenario.Hook{
 			"shift": func(e *scenario.Env) error {
-				// Retarget the leaf route each iteration: real churn,
-				// reconverged every time.
+				// Retarget the leaf route each iteration, wrapping inside
+				// the leaf's ports: real churn, reconverged every time.
 				for di, d := range e.Spec.Devices {
 					if d.Device != "leaf0" {
 						continue
 					}
 					for ri := range d.Routes {
-						e.Spec.Devices[di].Routes[ri].OutPort++
+						r := &e.Spec.Devices[di].Routes[ri]
+						r.OutPort = (r.OutPort + 1) % w.leaf.Ports()
 					}
 				}
 				return nil
@@ -206,12 +207,13 @@ func TestScenarioRun(t *testing.T) {
 			t.Fatalf("churn converge %d: %+v", i, c)
 		}
 	}
-	// Three port increments landed: the live route points 3 ports on.
+	// Three port increments landed: the live route points 3 ports on,
+	// wrapped inside the leaf's four (1 -> 2 -> 3 -> 0).
 	if errs := w.env.Controller.Verify(w.env.Spec); len(errs) > 0 {
 		t.Fatalf("final verify: %v", errs)
 	}
 	st, derr := w.env.Controller.ReadState("leaf0")
-	if derr != nil || len(st.Routes) != 1 || st.Routes[0].OutPort != 4 {
+	if derr != nil || len(st.Routes) != 1 || st.Routes[0].OutPort != 0 {
 		t.Fatalf("leaf0 final routes: %v %+v", derr, st.Routes)
 	}
 }

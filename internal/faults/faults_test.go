@@ -40,7 +40,7 @@ func newRigWith(t *testing.T, plan faults.Plan, cfg asic.Config) *rig {
 	// boot-complete) land in the same stream as the injector's.
 	tracer := obs.NewTracer(1 << 16)
 	cfg.Trace = tracer
-	n, src, dst, sws := topo.Line(sim, 2, edge, backbone, cfg)
+	n, src, dst, sws := topo.Line(sim, 2, edge, backbone, topo.Uniform(cfg), tracer)
 	n.PrimeL2(5 * netsim.Millisecond)
 
 	inj := faults.NewInjector(sim, tracer)
@@ -94,7 +94,7 @@ func TestBlackholeSwallowsOnlyTargetedTraffic(t *testing.T) {
 	{
 		sim := netsim.New(1)
 		_, _, d, _ := topo.Line(sim, 2, topo.Mbps(100, netsim.Microsecond),
-			topo.Mbps(100, netsim.Microsecond), asic.Config{})
+			topo.Mbps(100, netsim.Microsecond), nil, nil)
 		dstIP = d.IP
 	}
 	r := newRig(t, faults.Plan{Seed: 1, Events: []faults.Event{

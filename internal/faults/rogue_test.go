@@ -30,7 +30,7 @@ func newRogueRig(t *testing.T) *rogueRig {
 	sim := netsim.New(1)
 	link := topo.Mbps(100, 10*netsim.Microsecond)
 	tracer := obs.NewTracer(1 << 16)
-	n, src, dst, sws := topo.Line(sim, 2, link, link, asic.Config{Trace: tracer, Guard: true})
+	n, src, dst, sws := topo.Line(sim, 2, link, link, topo.Uniform(asic.Config{Trace: tracer, Guard: true}), tracer)
 	n.PrimeL2(5 * netsim.Millisecond)
 	for _, sw := range sws {
 		if _, err := sw.GrantTenant(7, guard.DefaultACL(), 64, 1, 0); err != nil {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/tcam"
 	"repro/internal/topo"
 	"repro/internal/verify"
 )
@@ -133,55 +132,26 @@ func RunHist(cfg HistConfig) HistResult {
 	tracer := obs.NewTracer(1 << 19)
 
 	// Two leaves, one spine; the spine is the histogram's home switch
-	// and the only traced one, so span reconciliation is exact.
-	n := topo.NewNetwork(sim)
-	spine := n.AddSwitch(asic.Config{Ports: 8, Metrics: reg, Trace: tracer, Guard: true})
-	leaves := []*asic.Switch{
-		n.AddSwitch(asic.Config{Ports: 8, Metrics: reg}),
-		n.AddSwitch(asic.Config{Ports: 8, Metrics: reg}),
-	}
-	n.SetTrace(nil) // switch spans only; channels stay untraced
-
+	// and the only traced one (switch spans only; channels stay
+	// untraced), so span reconciliation is exact.
 	fabric := topo.Mbps(10, 10*netsim.Microsecond)
 	edge := topo.Mbps(20, 10*netsim.Microsecond)
-	// Leaf i's port 0 climbs to the spine; spine port i descends to
-	// leaf i.
-	for _, leaf := range leaves {
-		n.LinkSwitches(leaf, spine, fabric)
-	}
-	addHost := func(leaf int) *endhost.Host {
-		h := n.AddHost()
-		n.LinkHost(h, leaves[leaf], edge)
-		return h
-	}
-	writerHost := addHost(0) // measures RTTs, drives the window
-	collHost := addHost(0)   // sweeps the window
-	bgHost := addHost(0)     // bursty cross traffic varying queue delay
-	targetHost := addHost(1) // probes transit the spine to reach it
-	sinkHost := addHost(1)   // cross-traffic sink
+	net := topo.LeafSpine(sim, 2, 1, 0, edge, fabric, func(t topo.Tier, _ int) asic.Config {
+		if t == topo.Spine {
+			return asic.Config{Ports: 8, Metrics: reg, Trace: tracer, Guard: true}
+		}
+		return asic.Config{Ports: 8, Metrics: reg}
+	}, nil)
+	spine := net.Spines[0]
+	writerHost := net.AddLeafHost(0) // measures RTTs, drives the window
+	collHost := net.AddLeafHost(0)   // sweeps the window
+	bgHost := net.AddLeafHost(0)     // bursty cross traffic varying queue delay
+	targetHost := net.AddLeafHost(1) // probes transit the spine to reach it
+	sinkHost := net.AddLeafHost(1)   // cross-traffic sink
 
 	// Deterministic dst-routing, so forwarding never depends on learned
 	// L2 state a crash would wipe.
-	for li, leaf := range leaves {
-		_ = leaf
-		for _, h := range n.Hosts {
-			at := n.AttachmentOf(h)
-			v, m := tcam.DstIPRule(h.IP)
-			if at.Switch == leaves[li] {
-				leaves[li].TCAM().Insert(100, v, m, tcam.Action{OutPort: at.Port})
-			} else {
-				leaves[li].TCAM().Insert(10, v, m, tcam.Action{OutPort: 0})
-			}
-		}
-	}
-	for li, leaf := range leaves {
-		for _, h := range n.Hosts {
-			if n.AttachmentOf(h).Switch == leaf {
-				v, m := tcam.DstIPRule(h.IP)
-				spine.TCAM().Insert(10, v, m, tcam.Action{OutPort: li})
-			}
-		}
-	}
+	topo.InstallRoutes(net.Routes(topo.ViaSpine(0)), 0)
 
 	// The workload's tenant grant on the home switch; grants are
 	// config and survive the crash, the partition's contents do not.
@@ -255,19 +225,17 @@ func RunHist(cfg HistConfig) HistResult {
 	// Fault plan: a bursty-loss window on the writer's fabric link and
 	// one spine crash.
 	inj := faults.NewInjector(sim, tracer)
-	inj.RegisterSwitch("spine", spine)
-	inj.RegisterLink("leaf0-spine",
-		leaves[0].Port(0).Channel(), spine.Port(0).Channel())
+	net.Register(nil, inj)
 	var events []faults.Event
 	if cfg.LossTo > cfg.LossFrom {
 		events = append(events,
-			faults.Event{At: cfg.LossFrom, Kind: faults.LinkBurstyLoss, Target: "leaf0-spine",
+			faults.Event{At: cfg.LossFrom, Kind: faults.LinkBurstyLoss, Target: "leaf0-spine0",
 				PGoodBad: 0.01, PBadGood: 0.1, LossGood: 0.005, LossBad: 0.5},
-			faults.Event{At: cfg.LossTo, Kind: faults.ClearLoss, Target: "leaf0-spine"})
+			faults.Event{At: cfg.LossTo, Kind: faults.ClearLoss, Target: "leaf0-spine0"})
 	}
 	if cfg.RebootAt > 0 {
 		events = append(events, faults.Event{At: cfg.RebootAt, Kind: faults.SwitchReboot,
-			Target: "spine", BootDelay: cfg.BootDelay})
+			Target: "spine0", BootDelay: cfg.BootDelay})
 	}
 	if len(events) > 0 {
 		if err := inj.Schedule(faults.Plan{Seed: cfg.Seed, Events: events}); err != nil {
@@ -412,23 +380,17 @@ func RunSpin(cfg SpinConfig) SpinResult {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(1 << 19)
 
-	// A 3-switch line, observer in the middle — built by hand so only
-	// the observer carries the tracer.
-	n := topo.NewNetwork(sim)
-	sws := []*asic.Switch{
-		n.AddSwitch(asic.Config{Ports: 4, Metrics: reg}),
-		n.AddSwitch(asic.Config{Ports: 4, Metrics: reg, Trace: tracer}),
-		n.AddSwitch(asic.Config{Ports: 4, Metrics: reg}),
-	}
-	n.SetTrace(nil)
+	// A 3-switch line, observer in the middle; only the observer carries
+	// the tracer, and channels stay untraced.
 	backbone := topo.Mbps(100, 10*netsim.Microsecond)
 	edge := topo.Mbps(100, 10*netsim.Microsecond)
-	n.LinkSwitches(sws[0], sws[1], backbone)
-	n.LinkSwitches(sws[1], sws[2], backbone)
-	client := n.AddHost()
-	server := n.AddHost()
-	n.LinkHost(client, sws[0], edge)
-	n.LinkHost(server, sws[2], edge)
+	n, client, server, sws := topo.Line(sim, 3, edge, backbone, func(_ topo.Tier, i int) asic.Config {
+		c := asic.Config{Ports: 4, Metrics: reg}
+		if i == 1 {
+			c.Trace = tracer
+		}
+		return c
+	}, nil)
 	mid := sws[1]
 
 	// The observer's window comes from the control-plane agent, like

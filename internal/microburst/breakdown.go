@@ -75,21 +75,11 @@ type BreakdownResult struct {
 // RunBreakdown executes the experiment.
 func RunBreakdown(cfg BreakdownConfig) BreakdownResult {
 	sim := netsim.New(cfg.Seed)
-	n := topo.NewNetwork(sim)
 	edge := topo.Mbps(100, 10*netsim.Microsecond)
 	fabric := topo.Mbps(20, 10*netsim.Microsecond)
-
-	sws := make([]*asic.Switch, 3)
-	for i := range sws {
-		sws[i] = n.AddSwitch(asic.Config{Ports: 4, QueueCapBytes: 400_000})
-	}
-	n.LinkSwitches(sws[0], sws[1], fabric)
-	n.LinkSwitches(sws[1], sws[2], fabric)
-	src := n.AddHost()
-	dst := n.AddHost()
+	n, src, dst, sws := topo.Line(sim, 3, edge, fabric,
+		topo.Uniform(asic.Config{Ports: 4, QueueCapBytes: 400_000}), nil)
 	cross := n.AddHost()
-	n.LinkHost(src, sws[0], edge)
-	n.LinkHost(dst, sws[2], edge)
 	n.LinkHost(cross, sws[1], edge) // bursts into the S1->S2 hop
 	n.PrimeL2(10 * netsim.Millisecond)
 

@@ -91,7 +91,7 @@ func Run(cfg Config) Result {
 	sim := netsim.New(cfg.Seed)
 	edge := topo.Mbps(cfg.EdgeMbps, 10*netsim.Microsecond)
 	n, hosts, sw := topo.Star(sim, cfg.Senders+1, edge,
-		asic.Config{QueueCapBytes: 500_000, Metrics: cfg.Metrics, Trace: cfg.Trace})
+		topo.Uniform(asic.Config{QueueCapBytes: 500_000, Metrics: cfg.Metrics, Trace: cfg.Trace}), cfg.Trace)
 	receiver := hosts[cfg.Senders]
 	senders := hosts[:cfg.Senders]
 	n.PrimeL2(10 * netsim.Millisecond)

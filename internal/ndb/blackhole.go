@@ -1,7 +1,6 @@
 package ndb
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/asic"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/tcam"
 	"repro/internal/topo"
 )
 
@@ -61,7 +59,7 @@ type LinkID struct {
 	Leaf, Spine int
 }
 
-func (l LinkID) String() string { return fmt.Sprintf("leaf%d-spine%d", l.Leaf, l.Spine) }
+func (l LinkID) String() string { return topo.FabricLinkName(l.Leaf, l.Spine) }
 
 // BlackholeResult summarizes one localization run.
 type BlackholeResult struct {
@@ -110,68 +108,33 @@ func RunBlackhole(cfg BlackholeConfig) BlackholeResult {
 	fabric := topo.Mbps(cfg.EdgeMbps, 10*netsim.Microsecond)
 	// One host per spine on every leaf: host j is reached via spine j,
 	// so probing every host exercises every fabric link.
-	n, hosts, leaves, spines := topo.LeafSpine(sim, cfg.Leaves, cfg.Spines,
-		cfg.Spines, edge, fabric, asic.Config{Trace: cfg.Trace})
+	net := topo.LeafSpine(sim, cfg.Leaves, cfg.Spines, cfg.Spines, edge, fabric,
+		topo.Uniform(asic.Config{Trace: cfg.Trace}), cfg.Trace)
+	hosts := net.LeafHosts
+	topo.InstallRoutes(net.Routes(topo.HostSpine), 0)
 
-	// Deterministic dst-routing.  Construction order: leaf i's ports
-	// 0..S-1 reach spines 0..S-1; spine s's ports 0..L-1 reach leaves
-	// 0..L-1; hosts follow on the leaf's remaining ports.
-	for li := range hosts {
-		for hj, h := range hosts[li] {
-			v, m := tcam.DstIPRule(h.IP)
-			// Own leaf delivers; other leaves climb to spine hj.
-			leaves[li].TCAM().Insert(100, v, m,
-				tcam.Action{OutPort: n.AttachmentOf(h).Port})
-			for other := range leaves {
-				if other != li {
-					leaves[other].TCAM().Insert(10, v, m,
-						tcam.Action{OutPort: hj})
-				}
-			}
-			// Every spine knows the way down to the host's leaf.
-			for _, sp := range spines {
-				sp.TCAM().Insert(10, v, m, tcam.Action{OutPort: li})
-			}
-		}
-	}
-
-	// Switch identity -> fabric coordinates, for decoding hop traces.
-	type node struct {
-		leaf bool
-		idx  int
-	}
-	ids := make(map[uint32]node)
-	for i, sw := range leaves {
-		ids[sw.ID()] = node{leaf: true, idx: i}
-	}
-	for i, sw := range spines {
-		ids[sw.ID()] = node{leaf: false, idx: i}
-	}
 	// linksOf decodes the fabric links a returned hop trace proves up.
 	linksOf := func(e *core.TPP) []LinkID {
 		words := int(e.Ptr) / 4
 		var out []LinkID
 		for i := 0; i+1 < words; i++ {
-			a, okA := ids[e.Word(i)]
-			b, okB := ids[e.Word(i+1)]
-			if !okA || !okB || a.leaf == b.leaf {
+			ta, a, okA := net.Locate(e.Word(i))
+			tb, b, okB := net.Locate(e.Word(i + 1))
+			if !okA || !okB || ta == tb {
 				continue
 			}
-			if a.leaf {
-				out = append(out, LinkID{Leaf: a.idx, Spine: b.idx})
-			} else {
-				out = append(out, LinkID{Leaf: b.idx, Spine: a.idx})
+			if ta == topo.Spine {
+				a, b = b, a
 			}
+			out = append(out, LinkID{Leaf: a, Spine: b})
 		}
 		return out
 	}
 
 	// The injected failure: one fabric link silently eats frames.
 	inj := faults.NewInjector(sim, cfg.Trace)
+	net.Register(nil, inj)
 	fail := LinkID{Leaf: cfg.FailLeaf, Spine: cfg.FailSpine}
-	inj.RegisterLink(fail.String(),
-		leaves[fail.Leaf].Port(fail.Spine).Channel(),
-		spines[fail.Spine].Port(fail.Leaf).Channel())
 	if err := inj.Schedule(faults.Plan{Seed: cfg.Seed, Events: faults.Flap(
 		fail.String(), cfg.FailAt, cfg.RecoverAt-cfg.FailAt)}); err != nil {
 		panic(err)

@@ -63,39 +63,30 @@ func Run(cfg Config) Result {
 	sim := netsim.New(cfg.Seed)
 	edge := topo.Mbps(cfg.EdgeMbps, 10*netsim.Microsecond)
 	fabric := topo.Mbps(cfg.EdgeMbps, 10*netsim.Microsecond)
-	n, hosts, leaves, spines := topo.LeafSpine(sim, 2, 2, 1, edge, fabric,
-		asic.Config{Metrics: cfg.Metrics, Trace: cfg.Trace})
-	src, dst := hosts[0][0], hosts[1][0]
-
-	// Port bookkeeping from construction order: each leaf connects to
-	// spine0 then spine1 on ports 0 and 1; hosts follow.
-	leaf0ToSpine0 := 0
-	leaf0ToSpine1 := 1
-	spine0ToLeaf1 := 1 // spine ports: leaf0 wired first (port 0), then leaf1
-	spine1ToLeaf1 := 1
-	dstPort := n.AttachmentOf(dst).Port
+	net := topo.LeafSpine(sim, 2, 2, 1, edge, fabric,
+		topo.Uniform(asic.Config{Metrics: cfg.Metrics, Trace: cfg.Trace}), cfg.Trace)
+	leaves, spines := net.Leaves, net.Spines
+	src, dst := net.LeafHosts[0][0], net.LeafHosts[1][0]
 
 	ctl := NewController()
 	ctl.InstallPath(dst.IP, 10, []PathHop{
-		{Switch: leaves[0], OutPort: leaf0ToSpine0},
-		{Switch: spines[0], OutPort: spine0ToLeaf1},
-		{Switch: leaves[1], OutPort: dstPort},
+		{Switch: leaves[0], OutPort: net.Uplink(0)},
+		{Switch: spines[0], OutPort: net.Downlink(1)},
+		{Switch: leaves[1], OutPort: net.HostPort(1, 0)},
 	})
 	// The alternate spine also knows the way (valid state, just not
 	// the intended path for this destination).
-	altID := spines[1].TCAM().Insert(10, mustRule(dst.IP), maskRule(dst.IP),
-		tcam.Action{OutPort: spine1ToLeaf1})
-	_ = altID
+	v, m := tcam.DstIPRule(dst.IP)
+	spines[1].TCAM().Insert(10, v, m, tcam.Action{OutPort: net.Downlink(1)})
 	// Reverse path so nothing floods.
-	srcPort := n.AttachmentOf(src).Port
 	ctl.InstallPath(src.IP, 10, []PathHop{
-		{Switch: leaves[1], OutPort: 0 /* to spine0 */},
-		{Switch: spines[0], OutPort: 0 /* to leaf0 */},
-		{Switch: leaves[0], OutPort: srcPort},
+		{Switch: leaves[1], OutPort: net.Uplink(0)},
+		{Switch: spines[0], OutPort: net.Downlink(0)},
+		{Switch: leaves[0], OutPort: net.HostPort(0, 0)},
 	})
 
 	copyCollector := NewCopyCollector()
-	for _, sw := range append(append([]*asic.Switch{}, leaves...), spines...) {
+	for _, sw := range net.Switches {
 		copyCollector.AttachTo(sw)
 	}
 
@@ -145,7 +136,7 @@ func Run(cfg Config) Result {
 	// the other spine, bumping the entry version), so the controller's
 	// shadow state is stale.
 	intended := ctl.Expected(dst.IP)
-	leaves[0].TCAM().Update(intended[0].EntryID, tcam.Action{OutPort: leaf0ToSpine1})
+	leaves[0].TCAM().Update(intended[0].EntryID, tcam.Action{OutPort: net.Uplink(1)})
 	send(cfg.Packets / 2)
 
 	res.BaselineCopies = copyCollector.Copies
@@ -154,9 +145,6 @@ func Run(cfg Config) Result {
 	res.LastTrace = lastTrace
 	return res
 }
-
-func mustRule(ip uint32) tcam.Key { v, _ := tcam.DstIPRule(ip); return v }
-func maskRule(ip uint32) tcam.Key { _, m := tcam.DstIPRule(ip); return m }
 
 func tracesEqual(a, b []HopRecord) bool {
 	if len(a) != len(b) {

@@ -107,7 +107,7 @@ func NewHarness(pairs int, bottleneckMbps, edgeMbps float64, params Params, seed
 		DumbbellNet: topo.Dumbbell(netsim.New(seed), pairs,
 			topo.Mbps(edgeMbps, netsim.Millisecond),
 			topo.Mbps(bottleneckMbps, 10*netsim.Millisecond),
-			asic.Config{Ports: 8, QueueCapBytes: int(capacity * params.D.Seconds()), Metrics: metrics}),
+			topo.Uniform(asic.Config{Ports: 8, QueueCapBytes: int(capacity * params.D.Seconds()), Metrics: metrics}), nil),
 		Params: params, Metrics: metrics, Capacity: capacity,
 		Recv: make([]uint64, pairs), Flows: make([]Flow, pairs),
 	}

@@ -21,7 +21,7 @@ func TestStarControllerSurvivesSwitchReboot(t *testing.T) {
 	params := DefaultParams()
 	n := topo.Dumbbell(sim, 1,
 		topo.Mbps(100, netsim.Millisecond), topo.Mbps(10, 10*netsim.Millisecond),
-		asic.Config{Ports: 8, QueueCapBytes: 125_000})
+		topo.Uniform(asic.Config{Ports: 8, QueueCapBytes: 125_000}), nil)
 	senders, receivers, a, b := n.Senders, n.Receivers, n.A, n.B
 	n.PrimeL2(50 * netsim.Millisecond)
 	InitRateRegisters(a, b)

@@ -52,9 +52,10 @@ func newRig(t *testing.T, cfg reflex.Config) *rig {
 	tracer := obs.NewTracer(1 << 16)
 	edge := topo.Mbps(1000, 5*netsim.Microsecond)
 	fab := topo.Mbps(1000, 10*netsim.Microsecond)
-	n, hosts, leaves, spines := topo.LeafSpine(sim, 2, 2, 2, edge, fab, asic.Config{Trace: tracer})
+	n := topo.LeafSpine(sim, 2, 2, 2, edge, fab, topo.Uniform(asic.Config{Trace: tracer}), tracer)
+	hosts, leaves, spines := n.LeafHosts, n.Leaves, n.Spines
 	r := &rig{
-		sim: sim, net: n, leaf: leaves, spine: spines,
+		sim: sim, net: n.Network, leaf: leaves, spine: spines,
 		h00: hosts[0][0], h01: hosts[0][1],
 		h10: hosts[1][0], h11: hosts[1][1],
 		tracer: tracer,
@@ -300,7 +301,8 @@ func TestCongestionFires(t *testing.T) {
 	tracer := obs.NewTracer(1 << 14)
 	edge := topo.Mbps(1000, 5*netsim.Microsecond)
 	fab := topo.Mbps(10, 10*netsim.Microsecond) // slow uplinks: queues build
-	_, hosts, leaves, spines := topo.LeafSpine(sim, 2, 2, 1, edge, fab, asic.Config{Trace: tracer})
+	n := topo.LeafSpine(sim, 2, 2, 1, edge, fab, topo.Uniform(asic.Config{Trace: tracer}), tracer)
+	hosts, leaves, spines := n.LeafHosts, n.Leaves, n.Spines
 	h00, h10 := hosts[0][0], hosts[1][0]
 	route := func(sw *asic.Switch, prio int, ip uint32, port int) uint32 {
 		v, m := tcam.DstIPRule(ip)
@@ -392,7 +394,8 @@ func TestGuardBlocksForgedEvidence(t *testing.T) {
 	sim := netsim.New(1)
 	edge := topo.Mbps(1000, 5*netsim.Microsecond)
 	fab := topo.Mbps(1000, 10*netsim.Microsecond)
-	_, hosts, leaves, _ := topo.LeafSpine(sim, 2, 2, 1, edge, fab, asic.Config{Guard: true})
+	n := topo.LeafSpine(sim, 2, 2, 1, edge, fab, topo.Uniform(asic.Config{Guard: true}), nil)
+	hosts, leaves := n.LeafHosts, n.Leaves
 	h00, h10 := hosts[0][0], hosts[1][0]
 	route := func(sw *asic.Switch, prio int, ip uint32, port int) {
 		v, m := tcam.DstIPRule(ip)

@@ -2,11 +2,15 @@
 // hosts and netsim links.  It provides the standard shapes the
 // experiments use: a line of switches (Figure 1), a dumbbell with one
 // bottleneck (Figure 2), an incast star (§2.1) and a two-tier
-// leaf-spine fabric (§2.3).
+// leaf-spine fabric (§2.3).  It is the only package that knows how a
+// shape is wired: which port faces which neighbour, what a device or a
+// link is called, and (fabric.go) what the deterministic destination
+// routing of a leaf-spine is.
 package topo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/asic"
 	"repro/internal/core"
@@ -43,8 +47,7 @@ type Network struct {
 	nextID   uint32
 	nextHost uint64
 
-	// Telemetry adopted from the first switch Config that carries it
-	// (or set directly before wiring): new channels get the tracer
+	// The link tracer SetTrace attached, if any: new channels get it
 	// with a sequential link id so span logs identify each direction.
 	trace    *obs.Tracer
 	nextLink uint32
@@ -52,7 +55,9 @@ type Network struct {
 
 // SetTrace attaches the packet-lifecycle tracer to the topology; every
 // channel created afterwards records link serialization, loss and
-// delivery events under a sequential link id.
+// delivery events under a sequential link id.  Tracing the links is
+// this call's say alone: a switch's own Config.Trace covers its
+// pipeline stages, not the wires.
 func (n *Network) SetTrace(tr *obs.Tracer) { n.trace = tr }
 
 // traceChannel attaches the network tracer to a freshly built channel.
@@ -74,22 +79,31 @@ func NewNetwork(sim *netsim.Sim) *Network {
 }
 
 // AddSwitch creates a switch.  A zero cfg.ID is auto-assigned 1, 2, ...
-// in creation order; cfg.Ports defaults to 16 so topology construction
-// never runs out.
+// in creation order, skipping ids already taken; an explicit id that
+// another switch of this network holds panics, like Wire on a bad port:
+// two switches answering one [Switch:SwitchID] is a construction bug.
+// cfg.Ports defaults to 16; a switch that needs more says so (the shape
+// builders below size unset Ports to what the shape wires).
 func (n *Network) AddSwitch(cfg asic.Config) *asic.Switch {
 	n.nextID++
 	if cfg.ID == 0 {
+		for n.hasID(n.nextID) {
+			n.nextID++
+		}
 		cfg.ID = n.nextID
+	} else if n.hasID(cfg.ID) {
+		panic(fmt.Sprintf("topo: duplicate switch id %d", cfg.ID))
 	}
 	if cfg.Ports == 0 {
 		cfg.Ports = 16
 	}
-	if cfg.Trace != nil && n.trace == nil {
-		n.trace = cfg.Trace
-	}
 	sw := asic.New(n.Sim, cfg)
 	n.Switches = append(n.Switches, sw)
 	return sw
+}
+
+func (n *Network) hasID(id uint32) bool {
+	return slices.ContainsFunc(n.Switches, func(sw *asic.Switch) bool { return sw.ID() == id })
 }
 
 // AddHost creates a host with deterministic MAC 02:...:<k> and IP
@@ -148,16 +162,51 @@ func (n *Network) PrimeL2(settle netsim.Time) {
 	n.Sim.RunUntil(n.Sim.Now() + settle)
 }
 
+// SwitchConfig is the per-switch hook every shape builder takes: it
+// returns the configuration of switch i of tier t, so a harness can
+// trace, guard or throttle one device without wiring the shape itself.
+// Single-tier shapes ask with Leaf: Line in path order, Star for its one
+// switch, Dumbbell for A (0) and B (1).  A zero ID is auto-numbered (a
+// non-zero one must be unique in the network, or AddSwitch panics) and
+// unset Ports are sized to exactly what the shape wires; a nil hook is
+// the zero Config everywhere.
+type SwitchConfig func(t Tier, i int) asic.Config
+
+// Uniform is the hook that gives every switch the same cfg; on a shape
+// of more than one switch cfg.ID must therefore be zero.
+func Uniform(cfg asic.Config) SwitchConfig {
+	return func(Tier, int) asic.Config { return cfg }
+}
+
+// Tier says which layer of a shape a switch sits in.
+type Tier uint8
+
+const (
+	Leaf Tier = iota
+	Spine
+)
+
+// build creates switch i of tier t for a shape that wires ports of it.
+func (n *Network) build(cfg SwitchConfig, t Tier, i, ports int) *asic.Switch {
+	var c asic.Config
+	if cfg != nil {
+		c = cfg(t, i)
+	}
+	if c.Ports == 0 {
+		c.Ports = ports
+	}
+	return n.AddSwitch(c)
+}
+
 // Line builds H0 — S0 — S1 — ... — S(k-1) — H1 with hosts on the ends:
 // the Figure 1 walk.  It returns the network, the two hosts, and the
-// switches in path order.
-func Line(sim *netsim.Sim, switches int, edge, backbone LinkSpec, cfg asic.Config) (*Network, *endhost.Host, *endhost.Host, []*asic.Switch) {
+// switches in path order.  links, when non-nil, traces every channel.
+func Line(sim *netsim.Sim, switches int, edge, backbone LinkSpec, cfg SwitchConfig, links *obs.Tracer) (*Network, *endhost.Host, *endhost.Host, []*asic.Switch) {
 	n := NewNetwork(sim)
+	n.SetTrace(links)
 	sws := make([]*asic.Switch, switches)
 	for i := range sws {
-		c := cfg
-		c.ID = 0
-		sws[i] = n.AddSwitch(c)
+		sws[i] = n.build(cfg, Leaf, i, 2)
 	}
 	for i := 0; i+1 < switches; i++ {
 		n.LinkSwitches(sws[i], sws[i+1], backbone)
@@ -170,9 +219,10 @@ func Line(sim *netsim.Sim, switches int, edge, backbone LinkSpec, cfg asic.Confi
 }
 
 // Star builds k hosts around one switch: the §2.1 incast shape.
-func Star(sim *netsim.Sim, hosts int, edge LinkSpec, cfg asic.Config) (*Network, []*endhost.Host, *asic.Switch) {
+func Star(sim *netsim.Sim, hosts int, edge LinkSpec, cfg SwitchConfig, links *obs.Tracer) (*Network, []*endhost.Host, *asic.Switch) {
 	n := NewNetwork(sim)
-	sw := n.AddSwitch(cfg)
+	n.SetTrace(links)
+	sw := n.build(cfg, Leaf, 0, hosts)
 	hs := make([]*endhost.Host, hosts)
 	for i := range hs {
 		hs[i] = n.AddHost()
@@ -193,11 +243,11 @@ type DumbbellNet struct {
 // Dumbbell builds k sender hosts on switch A, k receiver hosts on
 // switch B, and one bottleneck link A—B.  Senders are Hosts[0:k],
 // receivers Hosts[k:2k].
-func Dumbbell(sim *netsim.Sim, flows int, edge, bottleneck LinkSpec, cfg asic.Config) *DumbbellNet {
+func Dumbbell(sim *netsim.Sim, flows int, edge, bottleneck LinkSpec, cfg SwitchConfig, links *obs.Tracer) *DumbbellNet {
 	d := &DumbbellNet{Network: NewNetwork(sim)}
-	cfg.ID = 0
-	d.A = d.AddSwitch(cfg)
-	d.B = d.AddSwitch(cfg)
+	d.SetTrace(links)
+	d.A = d.build(cfg, Leaf, 0, flows+1)
+	d.B = d.build(cfg, Leaf, 1, flows+1)
 	d.APort, d.BPort = d.LinkSwitches(d.A, d.B, bottleneck)
 	d.Senders = make([]*endhost.Host, flows)
 	d.Receivers = make([]*endhost.Host, flows)
@@ -210,35 +260,4 @@ func Dumbbell(sim *netsim.Sim, flows int, edge, bottleneck LinkSpec, cfg asic.Co
 		d.LinkHost(d.Receivers[i], d.B, edge)
 	}
 	return d
-}
-
-// LeafSpine builds a two-tier fabric with hostsPerLeaf hosts on each of
-// leaves leaf switches, all connected to every one of spines spine
-// switches: the §2.3 datacenter shape.
-func LeafSpine(sim *netsim.Sim, leaves, spines, hostsPerLeaf int, edge, fabric LinkSpec, cfg asic.Config) (*Network, [][]*endhost.Host, []*asic.Switch, []*asic.Switch) {
-	n := NewNetwork(sim)
-	leafSW := make([]*asic.Switch, leaves)
-	spineSW := make([]*asic.Switch, spines)
-	for i := range spineSW {
-		c := cfg
-		c.ID = 0
-		spineSW[i] = n.AddSwitch(c)
-	}
-	for i := range leafSW {
-		c := cfg
-		c.ID = 0
-		leafSW[i] = n.AddSwitch(c)
-		for _, sp := range spineSW {
-			n.LinkSwitches(leafSW[i], sp, fabric)
-		}
-	}
-	hosts := make([][]*endhost.Host, leaves)
-	for i := range hosts {
-		hosts[i] = make([]*endhost.Host, hostsPerLeaf)
-		for j := range hosts[i] {
-			hosts[i][j] = n.AddHost()
-			n.LinkHost(hosts[i][j], leafSW[i], edge)
-		}
-	}
-	return n, hosts, leafSW, spineSW
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/asic"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 )
 
 func TestMbps(t *testing.T) {
@@ -27,6 +28,19 @@ func TestAutoIDsAndAddressing(t *testing.T) {
 	if h1.MAC == h2.MAC || h1.IP == h2.IP {
 		t.Fatal("hosts share addresses")
 	}
+
+	// Auto-numbering skips an id a switch already holds; an explicit
+	// duplicate is a construction bug.
+	n.AddSwitch(asic.Config{ID: 4})
+	if s4 := n.AddSwitch(asic.Config{}); s4.ID() != 5 {
+		t.Fatalf("auto id after explicit 4 = %d, want 5", s4.ID())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("duplicate switch id did not panic")
+		}
+	}()
+	n.AddSwitch(asic.Config{ID: 2})
 }
 
 func TestPortAllocation(t *testing.T) {
@@ -59,9 +73,13 @@ func TestPortAllocation(t *testing.T) {
 
 func TestLineConnectivity(t *testing.T) {
 	sim := netsim.New(1)
-	n, src, dst, sws := Line(sim, 4, Mbps(100, 0), Mbps(100, 0), asic.Config{})
+	n, src, dst, sws := Line(sim, 4, Mbps(100, 0), Mbps(100, 0), nil, nil)
 	if len(sws) != 4 || len(n.Hosts) != 2 {
 		t.Fatalf("line shape: %d switches, %d hosts", len(sws), len(n.Hosts))
+	}
+	// Unset Ports are sized to exactly what the shape wires.
+	if p := sws[0].Ports(); p != 2 {
+		t.Fatalf("line switch has %d ports, want 2", p)
 	}
 	n.PrimeL2(netsim.Millisecond)
 	src.Send(src.NewPacket(dst.MAC, dst.IP, 1, 2, 10))
@@ -71,9 +89,37 @@ func TestLineConnectivity(t *testing.T) {
 	}
 }
 
+// TestLinkTracingIsExplicit: tracing a switch's pipeline does not trace
+// its wires; only the builder's links argument (SetTrace) does.
+func TestLinkTracingIsExplicit(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		sim := netsim.New(1)
+		tr := obs.NewTracer(1 << 10)
+		var links *obs.Tracer
+		if traced {
+			links = tr
+		}
+		_, src, dst, _ := Line(sim, 2, Mbps(100, 0), Mbps(100, 0), Uniform(asic.Config{Trace: tr}), links)
+		src.Send(src.NewPacket(dst.MAC, dst.IP, 1, 2, 10))
+		sim.RunUntil(netsim.Millisecond)
+		var pipeline, wire int
+		tr.Each(func(ev *obs.SpanEvent) {
+			switch ev.Stage {
+			case obs.StageParser:
+				pipeline++
+			case obs.StageLinkTx:
+				wire++
+			}
+		})
+		if pipeline != 2 || (wire > 0) != traced {
+			t.Fatalf("links traced=%v: %d parser spans, %d link-tx spans", traced, pipeline, wire)
+		}
+	}
+}
+
 func TestStarConnectivity(t *testing.T) {
 	sim := netsim.New(1)
-	n, hosts, sw := Star(sim, 5, Mbps(100, 0), asic.Config{Ports: 8})
+	n, hosts, sw := Star(sim, 5, Mbps(100, 0), Uniform(asic.Config{Ports: 8}), nil)
 	if len(hosts) != 5 || sw == nil {
 		t.Fatal("star shape wrong")
 	}
@@ -87,10 +133,13 @@ func TestStarConnectivity(t *testing.T) {
 
 func TestDumbbellShape(t *testing.T) {
 	sim := netsim.New(1)
-	n := Dumbbell(sim, 3, Mbps(100, 0), Mbps(10, 0), asic.Config{})
+	n := Dumbbell(sim, 3, Mbps(100, 0), Mbps(10, 0), nil, nil)
 	senders, receivers, a, b := n.Senders, n.Receivers, n.A, n.B
 	if len(senders) != 3 || len(receivers) != 3 {
 		t.Fatal("dumbbell hosts wrong")
+	}
+	if a.Ports() != 4 || b.Ports() != 4 {
+		t.Fatalf("dumbbell switches have %d and %d ports, want flows+1", a.Ports(), b.Ports())
 	}
 	for _, s := range senders {
 		if n.AttachmentOf(s).Switch != a {
@@ -112,9 +161,13 @@ func TestDumbbellShape(t *testing.T) {
 
 func TestLeafSpineShape(t *testing.T) {
 	sim := netsim.New(1)
-	n, hosts, leaves, spines := LeafSpine(sim, 2, 2, 2, Mbps(100, 0), Mbps(100, 0), asic.Config{})
+	n := LeafSpine(sim, 2, 2, 2, Mbps(100, 0), Mbps(100, 0), nil, nil)
+	hosts, leaves, spines := n.LeafHosts, n.Leaves, n.Spines
 	if len(leaves) != 2 || len(spines) != 2 {
 		t.Fatal("fabric shape wrong")
+	}
+	if leaves[0].Ports() != 4 || spines[0].Ports() != 2 {
+		t.Fatalf("leaf has %d ports, spine %d; want spines+hosts and leaves", leaves[0].Ports(), spines[0].Ports())
 	}
 	if len(hosts) != 2 || len(hosts[0]) != 2 {
 		t.Fatal("host grid wrong")

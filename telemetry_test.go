@@ -25,7 +25,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	sim := netsim.New(1)
 	link := topo.Mbps(1000, 10*netsim.Microsecond)
 	n, src, dst, sws := topo.Line(sim, 2, link, link,
-		asic.Config{Metrics: reg, Trace: tr})
+		topo.Uniform(asic.Config{Metrics: reg, Trace: tr}), tr)
 	n.PrimeL2(5 * netsim.Millisecond)
 
 	before := reg.Snapshot(int64(sim.Now()))
@@ -156,7 +156,7 @@ func TestTelemetryEnabledPriceAsCounts(t *testing.T) {
 	build := func(hops int, cfg asic.Config) *line {
 		sim := netsim.New(1)
 		link := topo.Mbps(10_000, 0)
-		n, src, dst, _ := topo.Line(sim, hops, link, link, cfg)
+		n, src, dst, _ := topo.Line(sim, hops, link, link, topo.Uniform(cfg), cfg.Trace)
 		n.PrimeL2(netsim.Millisecond)
 		return &line{sim: sim, src: src, dst: dst, hops: hops}
 	}
