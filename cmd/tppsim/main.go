@@ -39,7 +39,9 @@ func main() {
 	topoName := flag.String("topo", "line", "topology: line or dumbbell")
 	switches := flag.Int("switches", 3, "switch count (line topology)")
 	load := flag.Bool("load", false, "queue a burst ahead of the probe")
-	metricsPath := flag.String("metrics", "", `write a JSONL metrics snapshot here ("-" for stdout)`)
+	metricsPath := flag.String("metrics", "", `write a JSONL metrics snapshot here ("-" for stdout); its netsim/* gauges count only events that ran: `+
+		`on links with propagation delay events_executed, heap_peak and pending_peak read lower than before transmit-complete became on-demand, `+
+		`and arms_discarded and wakeups_asked (of link_sends) say what was skipped`)
 	tracePath := flag.String("trace", "", `write the packet-lifecycle span log here as JSONL ("-" for stdout)`)
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile here (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile here on exit (go tool pprof)")
@@ -180,17 +182,44 @@ func run(topoName string, switches int, load bool, src string, w, metricsW, trac
 		}
 	}
 	if reg != nil {
-		// The engine's own numbers: how many events the run cost and
-		// how deep the heap and the whole event queue got.
+		// The engine's own numbers: how many events the run cost, how
+		// deep the heap and the whole event queue got, and what it did
+		// not have to run — timer arms called off, and the sends whose
+		// transmit-complete wake-up nobody asked for.
 		st := sim.Stats()
 		reg.Gauge("netsim/events_executed").Set(int64(st.Executed))
 		reg.Gauge("netsim/heap_peak").Set(int64(st.HeapPeak))
 		reg.Gauge("netsim/pending_peak").Set(int64(st.PendingPeak))
+		reg.Gauge("netsim/arms_discarded").Set(int64(st.Discarded))
+		sends, asked := linkTotals(n)
+		reg.Gauge("netsim/link_sends").Set(int64(sends))
+		reg.Gauge("netsim/wakeups_asked").Set(int64(asked))
 		if err := reg.Snapshot(int64(sim.Now())).WriteJSONL(metricsW); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// linkTotals sums, over every transmitter of the network — each host's
+// NIC and each wired switch port — the frames sent and the
+// transmit-complete wake-ups asked for.
+func linkTotals(n *topo.Network) (sends, asked uint64) {
+	add := func(ch *netsim.Channel) {
+		if ch != nil {
+			sends += ch.PacketsSent
+			asked += ch.WakeupsAsked
+		}
+	}
+	for _, h := range n.Hosts {
+		add(h.NIC.Channel())
+	}
+	for _, sw := range n.Switches {
+		for i := 0; i < sw.Ports(); i++ {
+			add(sw.Port(i).Channel())
+		}
+	}
+	return sends, asked
 }
 
 // exportSpans writes the span log to traceW, after saying what the log

@@ -158,8 +158,11 @@ func TestRunTelemetry(t *testing.T) {
 		t.Fatalf("snapshot misses histograms (found %v):\n%s", found, metrics.String())
 	}
 	// ... and the engine's and the span log's self-metrics.
+	// tppsim's links have propagation delay and -load queues a burst, so
+	// some sends end with a frame waiting (a wake-up asked) and most do
+	// not; the lone probe has no deadline, so no timer arm is discarded.
 	for _, name := range []string{"netsim/events_executed", "netsim/heap_peak", "netsim/pending_peak",
-		"obs/spans_total", "obs/spans_dropped"} {
+		"netsim/link_sends", "netsim/wakeups_asked", "obs/spans_total", "obs/spans_dropped"} {
 		if !found[name] {
 			t.Fatalf("snapshot misses gauge %s:\n%s", name, metrics.String())
 		}

@@ -146,11 +146,18 @@ func (p *Port) enqueue(pkt *core.Packet, qid int) bool {
 }
 
 // kick starts a transmission if the channel is idle and a packet is
-// waiting.  The scheduler is strict priority: queue 0 first.
+// waiting.  The scheduler is strict priority: queue 0 first.  Whenever
+// it leaves a packet waiting — the channel is busy, or took one frame
+// of several — it asks the channel for the transmit-complete wake-up,
+// which does not come unasked.
 //
 //alloc:free
 func (p *Port) kick() {
-	if p.ch == nil || p.ch.Busy() {
+	if p.ch == nil {
+		return
+	}
+	if p.ch.Busy() {
+		p.ch.WakeWhenIdle()
 		return
 	}
 	for qi, q := range p.queues {
@@ -163,6 +170,13 @@ func (p *Port) kick() {
 			p.sw.m.hopLatency.Observe(lat)
 			p.sw.span(pkt, obs.StageSched, uint64(qi), lat)
 			p.ch.Send(pkt)
+			// Queues before qi were just found empty.
+			for _, rest := range p.queues[qi:] {
+				if rest.Len() > 0 {
+					p.ch.WakeWhenIdle()
+					break
+				}
+			}
 			return
 		}
 	}

@@ -169,6 +169,7 @@ type Switch struct {
 	// arriving frame.
 	epoch       uint32
 	booting     bool
+	bootTimer   *netsim.Timer // ends the boot delay; a newer Reboot re-arms it
 	reboots     uint64
 	rebootDrops uint64 // packets eaten while down or wiped mid-pipeline
 
@@ -270,6 +271,7 @@ func New(sim *netsim.Sim, cfg Config) *Switch {
 		tracer: cfg.Trace,
 	}
 	s.pipeline = sim.NewLane(s)
+	s.bootTimer = sim.NewTimer(s.bootDone)
 	s.progCache = tcpu.NewCache(cfg.TCPU, 0)
 	s.tppTokens = float64(cfg.TPPBurst) // the gate starts full
 	if cfg.Guard {
@@ -504,16 +506,16 @@ func (s *Switch) Reboot(bootDelay netsim.Time) {
 		Stage: obs.StageSwitchReboot, A: uint64(s.epoch), B: uint64(bootDelay),
 	})
 
-	epoch := s.epoch
-	s.sim.After(bootDelay, func() {
-		if s.epoch != epoch {
-			return // a newer reboot owns the boot timer
-		}
-		s.booting = false
-		s.tracer.Record(obs.SpanEvent{
-			At: int64(s.sim.Now()), UID: 0, Node: s.cfg.ID,
-			Stage: obs.StageSwitchUp, A: uint64(epoch),
-		})
+	// A reboot during an earlier one's boot delay restarts the delay.
+	s.bootTimer.Reset(s.sim.Now() + bootDelay)
+}
+
+// bootDone ends the boot delay of the latest Reboot.
+func (s *Switch) bootDone() {
+	s.booting = false
+	s.tracer.Record(obs.SpanEvent{
+		At: int64(s.sim.Now()), UID: 0, Node: s.cfg.ID,
+		Stage: obs.StageSwitchUp, A: uint64(s.epoch),
 	})
 }
 

@@ -277,9 +277,14 @@ func ParseTPP(b []byte, t *TPP) (int, error) {
 	if len(b) < need {
 		return 0, fmt.Errorf("core: TPP body truncated: need %d bytes, have %d", need, len(b))
 	}
-	t.Ins = t.Ins[:0]
-	for i := 0; i < nIns; i++ {
-		t.Ins = append(t.Ins, DecodeInstruction(binary.BigEndian.Uint32(b[n:])))
+	// Sized once: a fresh TPP pays one allocation for its instructions,
+	// a reused one none.
+	if cap(t.Ins) < nIns {
+		t.Ins = make([]Instruction, nIns)
+	}
+	t.Ins = t.Ins[:nIns]
+	for i := range t.Ins {
+		t.Ins[i] = DecodeInstruction(binary.BigEndian.Uint32(b[n:]))
 		n += InstructionLen
 	}
 	t.Mem = append(t.Mem[:0], b[n:n+memWords*4]...)

@@ -91,16 +91,11 @@ func (h *Host) echoProbe(pkt *core.Packet) {
 	if pkt.IP == nil {
 		return
 	}
-	payload := pkt.TPP.AppendTo(nil)
+	payload := make([]byte, 0, pkt.TPP.WireLen()+len(pkt.Payload))
+	payload = pkt.TPP.AppendTo(payload)
 	payload = append(payload, pkt.Payload...) // preserve the probe cookie
-	echo := &core.Packet{
-		Eth: core.Ethernet{Dst: pkt.Eth.Src, Src: h.MAC, Type: core.EtherTypeIPv4},
-		IP: &core.IPv4{TTL: 64, Proto: core.ProtoUDP,
-			Src: h.IP, Dst: pkt.IP.Src},
-		UDP:     &core.UDP{SrcPort: ProbeEchoPort, DstPort: EchoReplyPort},
-		Payload: payload,
-		Meta:    core.Metadata{UID: h.uid()},
-	}
+	echo := h.NewPacket(pkt.Eth.Src, pkt.IP.Src, ProbeEchoPort, EchoReplyPort, 0)
+	echo.Payload = payload
 	h.EchoesSent++
 	h.NIC.Send(echo)
 }

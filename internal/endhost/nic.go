@@ -69,6 +69,9 @@ func (n *NIC) Attach(ch *netsim.Channel) {
 	ch.SetOnIdle(n.kick)
 }
 
+// Channel returns the egress channel (nil while unattached).
+func (n *NIC) Channel() *netsim.Channel { return n.ch }
+
 // SetCapacity resizes the transmit queue limit; experiments that
 // pre-queue large batches raise it.
 func (n *NIC) SetCapacity(max int) {
@@ -193,11 +196,17 @@ func (n *NIC) verifyCached(t *core.TPP) verify.Result {
 }
 
 // kick starts a transmission if the channel is idle and a packet is
-// waiting.
+// waiting.  Whenever it leaves a packet waiting — the channel is busy,
+// or took one frame of several — it asks the channel for the
+// transmit-complete wake-up, which does not come unasked.
 //
 //alloc:free
 func (n *NIC) kick() {
-	if n.ch == nil || n.ch.Busy() {
+	if n.ch == nil {
+		return
+	}
+	if n.ch.Busy() {
+		n.ch.WakeWhenIdle()
 		return
 	}
 	pkt := n.queue.Pop()
@@ -206,4 +215,7 @@ func (n *NIC) kick() {
 	}
 	n.Sent++
 	n.ch.Send(pkt)
+	if n.queue.Len() > 0 {
+		n.ch.WakeWhenIdle()
+	}
 }

@@ -50,6 +50,17 @@ type pendingProbe struct {
 
 	attempt int
 	timeout netsim.Time
+	// deadline expires the current attempt; nil when the probe has no
+	// Timeout.  Whatever resolves the probe first stops it.
+	deadline *netsim.Timer
+}
+
+// resolve calls off the probe's deadline: it was echoed, cancelled or
+// forgotten.
+func (pp *pendingProbe) resolve() {
+	if pp.deadline != nil {
+		pp.deadline.Stop()
+	}
 }
 
 // Prober sends TPP probe packets and collects their echoes.  One
@@ -139,23 +150,19 @@ func (p *Prober) ProbeCfg(dstMAC core.MAC, dstIP uint32, tpp *core.TPP,
 	}
 	p.pending[cookie] = pp
 	if cfg.Timeout > 0 {
-		p.scheduleExpiry(cookie, pp)
+		sim := p.host.Sim
+		pp.deadline = sim.NewTimer(func() { p.expire(cookie, pp) })
+		pp.deadline.Reset(sim.Now() + pp.timeout)
 	}
 	return cookie, true
 }
 
 // send builds and transmits one probe attempt.
 func (p *Prober) send(cookie uint32, dstMAC core.MAC, dstIP uint32, tpp *core.TPP) bool {
-	payload := binary.BigEndian.AppendUint32(nil, cookie)
-	pkt := &core.Packet{
-		Eth: core.Ethernet{Dst: dstMAC, Src: p.host.MAC, Type: core.EtherTypeTPP},
-		TPP: tpp,
-		IP: &core.IPv4{TTL: 64, Proto: core.ProtoUDP,
-			Src: p.host.IP, Dst: dstIP},
-		UDP:     &core.UDP{SrcPort: EchoReplyPort, DstPort: ProbeEchoPort},
-		Payload: payload,
-		Meta:    core.Metadata{UID: p.host.uid()},
-	}
+	pkt := p.host.NewPacket(dstMAC, dstIP, EchoReplyPort, ProbeEchoPort, 0)
+	pkt.Eth.Type = core.EtherTypeTPP
+	pkt.TPP = tpp
+	pkt.Payload = binary.BigEndian.AppendUint32(nil, cookie)
 	if !p.host.Send(pkt) {
 		return false
 	}
@@ -163,39 +170,35 @@ func (p *Prober) send(cookie uint32, dstMAC core.MAC, dstIP uint32, tpp *core.TP
 	return true
 }
 
-// scheduleExpiry arms the deadline for the probe's current attempt.
-// The timer is a no-op if the probe was answered, cancelled or already
-// retransmitted by the time it fires.
-func (p *Prober) scheduleExpiry(cookie uint32, pp *pendingProbe) {
-	attempt := pp.attempt
-	p.host.Sim.After(pp.timeout, func() {
-		cur, ok := p.pending[cookie]
-		if !ok || cur != pp || pp.attempt != attempt {
-			return // echoed, cancelled, or a newer attempt owns the timer
+// expire runs when an attempt's deadline passes with the probe still
+// pending — an echo, Cancel or Forget would have stopped the timer — and
+// retransmits or reaps it.
+func (p *Prober) expire(cookie uint32, pp *pendingProbe) {
+	if pp.attempt >= pp.cfg.Retries {
+		delete(p.pending, cookie)
+		p.TimedOut++
+		if pp.onFail != nil {
+			pp.onFail()
 		}
-		if pp.attempt >= pp.cfg.Retries {
-			delete(p.pending, cookie)
-			p.TimedOut++
-			if pp.onFail != nil {
-				pp.onFail()
-			}
-			return
-		}
-		pp.attempt++
-		pp.timeout = pp.cfg.nextTimeout(pp.timeout)
-		p.Retransmits++
-		// A dropped retransmission is handled like a lost one: the
-		// next deadline fires the next attempt (or the reaper).
-		p.send(cookie, pp.dstMAC, pp.dstIP, pp.pristine.Clone())
-		p.scheduleExpiry(cookie, pp)
-	})
+		return
+	}
+	pp.attempt++
+	pp.timeout = pp.cfg.nextTimeout(pp.timeout)
+	p.Retransmits++
+	// A dropped retransmission is handled like a lost one: the next
+	// deadline fires the next attempt (or the reaper).
+	p.send(cookie, pp.dstMAC, pp.dstIP, pp.pristine.Clone())
+	pp.deadline.Reset(p.host.Sim.Now() + pp.timeout)
 }
 
 // Cancel drops one outstanding probe by cookie; neither of its
 // callbacks will run.  It reports whether the cookie was pending.
 func (p *Prober) Cancel(cookie uint32) bool {
-	_, ok := p.pending[cookie]
-	delete(p.pending, cookie)
+	pp, ok := p.pending[cookie]
+	if ok {
+		pp.resolve()
+		delete(p.pending, cookie)
+	}
 	return ok
 }
 
@@ -234,10 +237,15 @@ func (p *Prober) ProbeGroup(dstMAC core.MAC, dstIP uint32, tpps []*core.TPP, fn 
 	return remaining > 0
 }
 
-// Forget drops the pending callback for every outstanding probe; used
-// by periodic controllers that supersede unanswered probes.  Armed
-// deadlines become no-ops.
-func (p *Prober) Forget() { clear(p.pending) }
+// Forget drops the pending callback for every outstanding probe, and
+// its deadline with it; used by periodic controllers that supersede
+// unanswered probes.
+func (p *Prober) Forget() {
+	for _, pp := range p.pending { //lint:allow maporder (stopping timers, order-free)
+		pp.resolve()
+	}
+	clear(p.pending)
+}
 
 // onEcho parses an echo packet: serialized executed TPP followed by the
 // 4-byte cookie.
@@ -258,6 +266,7 @@ func (p *Prober) onEcho(pkt *core.Packet) {
 	if !ok {
 		return // superseded or duplicate
 	}
+	pp.resolve()
 	delete(p.pending, cookie)
 	p.Matched++
 	pp.fn(&tpp)

@@ -223,8 +223,8 @@ func TestProbeGroupAllSendsFail(t *testing.T) {
 	}
 }
 
-// TestProbeCancel: a cancelled cookie runs neither callback, and its
-// armed deadline is a no-op.
+// TestProbeCancel: a cancelled cookie runs neither callback; its armed
+// deadline is called off with it.
 func TestProbeCancel(t *testing.T) {
 	sim := netsim.New(1)
 	a, b, up := lossyPair(sim, 8_000_000)
@@ -265,5 +265,61 @@ func TestLegacyProbeUnchanged(t *testing.T) {
 	p.Forget()
 	if p.Outstanding() != 0 {
 		t.Fatal("Forget left entries")
+	}
+}
+
+// TestProbeDeadlineGoesWithTheProbe: whatever resolves a probe first —
+// its echo, Cancel, or Forget — takes the deadline out of the event
+// queue there and then, and neither callback runs afterwards.
+func TestProbeDeadlineGoesWithTheProbe(t *testing.T) {
+	cfg := ProbeConfig{Timeout: 10 * netsim.Millisecond, Retries: 2, Backoff: 2}
+	for _, tc := range []struct {
+		name    string
+		echoes  int // echo callbacks expected
+		resolve func(sim *netsim.Sim, p *Prober, cookie uint32)
+	}{
+		{"echo", 1, func(sim *netsim.Sim, p *Prober, _ uint32) {
+			sim.RunUntil(netsim.Millisecond) // the round trip takes ~0.2 ms
+		}},
+		{"cancel", 0, func(_ *netsim.Sim, p *Prober, cookie uint32) {
+			if !p.Cancel(cookie) {
+				t.Fatal("Cancel missed a pending cookie")
+			}
+		}},
+		{"forget", 0, func(_ *netsim.Sim, p *Prober, _ uint32) { p.Forget() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := netsim.New(1)
+			a, b, up := lossyPair(sim, 8_000_000)
+			if tc.echoes == 0 {
+				up.SetUp(false) // nothing comes back on its own
+			}
+			p := NewProber(a)
+			echoed, failed := 0, 0
+			cookie, ok := p.ProbeCfg(b.MAC, b.IP, probeProg(), cfg,
+				func(*core.TPP) { echoed++ }, func() { failed++ })
+			if !ok {
+				t.Fatal("probe not registered")
+			}
+			tc.resolve(sim, p, cookie)
+			if p.Outstanding() != 0 || echoed != tc.echoes {
+				t.Fatalf("after resolving: %d outstanding, %d echoes", p.Outstanding(), echoed)
+			}
+			// The frames have drained or will within the millisecond;
+			// the deadline was due at 10 ms and must already be gone.
+			sim.RunUntil(netsim.Millisecond)
+			if n := sim.Pending(); n != 0 {
+				t.Fatalf("%d events still pending: the resolved probe's deadline was left queued", n)
+			}
+			executed := sim.Stats().Executed
+			sim.RunUntil(time100ms)
+			if echoed != tc.echoes || failed != 0 || p.Retransmits != 0 || p.TimedOut != 0 {
+				t.Fatalf("after the deadline: %d echoes, %d failures, %d retransmits, %d timed out",
+					echoed, failed, p.Retransmits, p.TimedOut)
+			}
+			if got := sim.Stats(); got.Executed != executed || got.Discarded != 1 {
+				t.Fatalf("stats %+v: want nothing executed past %d events and the one deadline discarded", got, executed)
+			}
+		})
 	}
 }

@@ -11,10 +11,14 @@ import (
 
 // orderRig drives one seeded random schedule against a Sim.  Every
 // scheduling call gets the next id, which mirrors the Sim's seq (each
-// of At, AtPacket and Lane.At takes exactly one), so the reference
-// execution order is the schedule sorted by (at, id).  With useLanes
-// false the same schedule is replayed with every Lane.At swapped for
-// AtPacket on the same receiver.
+// of At, AtPacket, Lane.At and Timer.Reset takes exactly one; Timer.Stop
+// takes none), so the reference execution order is the schedule's live
+// events sorted by (at, id): a timer arm that was stopped or superseded
+// leaves the reference the moment it is called off.  With useLanes
+// false the same schedule is replayed on the heap alone: every Lane.At
+// swapped for AtPacket on the same receiver, and every timer arm for a
+// closure that checks, when it fires, whether it is still its timer's
+// live arm — the hand-rolled guard a Timer replaces.
 type orderRig struct {
 	t        *testing.T
 	s        *Sim
@@ -23,16 +27,23 @@ type orderRig struct {
 	lanes    []*Lane
 	sinks    []*orderSink
 	laneLast []Time // newest firing time handed to each lane
+	timers   []*Timer
+	timerArm []int // id of each timer's live arm, or -1
 
 	nextID      int
 	budget      int          // scheduling calls left
-	outstanding map[int]Time // id -> firing time, for events not yet run
-	stopID      int          // the event with this id calls Stop
+	outstanding map[int]Time // id -> firing time, for live events not yet run
+	zombies     int          // useLanes false: called-off arms still queued as guarded closures
+	stopID      int          // the first event to run with an id this high calls Stop
+	stopper     int          // the id of the event that did, or -1
 	stopped     bool
 
 	fired     []firedEvent
 	fallbacks int // Lane.At calls that took the non-monotone heap path
 	splits    int // RunUntil targets between a lane's head and its second entry
+	calledOff int // timer arms stopped or superseded
+	rearmed   int // Resets from inside the timer's own callback
+	restacked int // Resets that superseded a live arm
 }
 
 type firedEvent struct {
@@ -46,13 +57,21 @@ type orderSink struct{ rig *orderRig }
 
 func (k *orderSink) DeliverAt(_ *core.Packet, arg uint64) { k.rig.ran(int(arg)) }
 
-const orderLanes = 4
+const (
+	orderLanes  = 4
+	orderTimers = 3
+)
 
 func newOrderRig(t *testing.T, seed int64, useLanes bool) *orderRig {
 	g := &orderRig{
 		t: t, s: New(1), r: rand.New(rand.NewSource(seed)), useLanes: useLanes,
 		laneLast: make([]Time, orderLanes), budget: 3000,
-		outstanding: map[int]Time{}, stopID: 700,
+		outstanding: map[int]Time{}, stopID: 700, stopper: -1,
+	}
+	for k := 0; k < orderTimers; k++ {
+		k := k
+		g.timerArm = append(g.timerArm, -1)
+		g.timers = append(g.timers, g.s.NewTimer(func() { g.timerFired(k) }))
 	}
 	// One sink more than lanes: the last serves plain AtPacket events.
 	for i := 0; i <= orderLanes; i++ {
@@ -66,19 +85,25 @@ func newOrderRig(t *testing.T, seed int64, useLanes bool) *orderRig {
 }
 
 // schedule makes one random scheduling call: a closure, a plain packet
-// event, or an entry on one of the lanes.  Lane times mostly continue
-// from the lane's newest entry in steps of 0..2 ns, so ties across
-// lanes and with heap events are common; one call in sixteen reaches
-// back before the newest entry and must take the fallback path.
+// event, an entry on one of the lanes, or a timer operation.  Lane
+// times mostly continue from the lane's newest entry in steps of 0..2
+// ns, so ties across lanes and with heap events are common; one call in
+// sixteen reaches back before the newest entry and must take the
+// fallback path.
 func (g *orderRig) schedule() {
 	if g.budget == 0 {
 		return
 	}
 	g.budget--
+	kind := g.r.Intn(orderLanes + 3)
+	if kind == orderLanes+2 {
+		g.timerOp(g.r.Intn(orderTimers))
+		return
+	}
 	id := g.nextID
 	g.nextID++
 	now := g.s.Now()
-	switch kind := g.r.Intn(orderLanes + 2); kind {
+	switch kind {
 	case orderLanes:
 		at := now + Time(g.r.Intn(40))
 		g.outstanding[id] = at
@@ -113,6 +138,66 @@ func (g *orderRig) schedule() {
 	}
 }
 
+// timerOp stops timer k (one time in four, when it is armed) or resets
+// it to a time up to 40 ns ahead, superseding its live arm if it has
+// one.  Only a Reset takes an id.
+func (g *orderRig) timerOp(k int) {
+	if g.timerArm[k] >= 0 && g.r.Intn(4) == 0 {
+		g.callOff(k)
+		if g.useLanes {
+			g.timers[k].Stop()
+		}
+		return
+	}
+	if g.timerArm[k] >= 0 {
+		g.callOff(k)
+		g.restacked++
+	}
+	id := g.nextID
+	g.nextID++
+	at := g.s.Now() + Time(g.r.Intn(40))
+	g.outstanding[id] = at
+	g.timerArm[k] = id
+	if g.useLanes {
+		g.timers[k].Reset(at)
+		return
+	}
+	g.s.At(at, func() {
+		if g.timerArm[k] != id {
+			g.zombies--
+			return // stopped or superseded: the guard a Timer makes unnecessary
+		}
+		g.timerFired(k)
+	})
+}
+
+// callOff takes timer k's live arm out of the reference.
+func (g *orderRig) callOff(k int) {
+	delete(g.outstanding, g.timerArm[k])
+	g.timerArm[k] = -1
+	g.calledOff++
+	if !g.useLanes {
+		g.zombies++
+	}
+}
+
+// timerFired is every timer's callback: the arm is spent before the
+// body runs, and one firing in three re-arms from inside it.
+func (g *orderRig) timerFired(k int) {
+	id := g.timerArm[k]
+	g.timerArm[k] = -1
+	if g.useLanes && g.timers[k].Armed() {
+		g.t.Fatalf("timer %d still armed inside its callback", k)
+	}
+	rearm := g.budget > 0 && g.r.Intn(3) == 0
+	if rearm {
+		g.budget--
+		g.rearmed++
+		g.timerOp(k)
+	}
+	g.ran(id)
+}
+
 // ran is the body of every event: it checks the clock and the
 // outstanding count, then schedules re-entrantly.
 func (g *orderRig) ran(id int) {
@@ -130,15 +215,16 @@ func (g *orderRig) ran(id int) {
 		g.schedule()
 		g.checkPending()
 	}
-	if id == g.stopID {
+	if id >= g.stopID && g.stopper < 0 {
 		g.s.Stop()
+		g.stopper = id
 		g.stopped = true
 	}
 }
 
 func (g *orderRig) checkPending() {
-	if got := g.s.Pending(); got != len(g.outstanding) {
-		g.t.Fatalf("Pending() = %d with %d events outstanding", got, len(g.outstanding))
+	if got, want := g.s.Pending(), len(g.outstanding)+g.zombies; got != want {
+		g.t.Fatalf("Pending() = %d with %d events outstanding", got, want)
 	}
 }
 
@@ -169,7 +255,7 @@ func (g *orderRig) run() []firedEvent {
 			// Stop returns after the stopping event and leaves the
 			// clock at it; everything else is still queued.
 			g.stopped = false
-			if last := g.fired[len(g.fired)-1]; last.ID != g.stopID || g.s.Now() != last.At {
+			if last := g.fired[len(g.fired)-1]; last.ID != g.stopper || g.s.Now() != last.At {
 				g.t.Fatalf("Stop: last event %+v, now %v", last, g.s.Now())
 			}
 			continue
@@ -186,15 +272,17 @@ func (g *orderRig) run() []firedEvent {
 	return g.fired
 }
 
-// The order events execute in is the (at, seq) order of the whole
-// schedule, whether an event waited in the heap or in a lane, and is
-// the same order the schedule produces with no lanes at all.
+// The order events execute in is the (at, seq) order of the schedule's
+// live events, whether an event waited in the heap, in a lane or as a
+// timer's arm, and is the same order the schedule produces with no
+// lanes and no timers at all; an arm that was stopped or superseded
+// never runs and is not pending.
 func TestLaneOrderDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		laned := newOrderRig(t, seed, true)
 		got := laned.run()
-		if len(got) != laned.nextID || laned.nextID < 1000 {
-			t.Fatalf("seed %d: %d of %d events ran", seed, len(got), laned.nextID)
+		if len(got) != laned.nextID-laned.calledOff || laned.nextID < 1000 {
+			t.Fatalf("seed %d: %d of %d events ran, %d called off", seed, len(got), laned.nextID, laned.calledOff)
 		}
 		if !sort.SliceIsSorted(got, func(i, j int) bool {
 			if got[i].At != got[j].At {
@@ -212,9 +300,13 @@ func TestLaneOrderDifferential(t *testing.T) {
 			t.Fatalf("seed %d: schedule took %d fallbacks and %d lane-splitting RunUntil targets; want both",
 				seed, laned.fallbacks, laned.splits)
 		}
+		if laned.calledOff < 50 || laned.restacked == 0 || laned.rearmed == 0 || laned.stopper < 0 {
+			t.Fatalf("seed %d: %d arms called off (%d by a Reset while armed), %d re-armed from their callback, Stop by event %d; want all four",
+				seed, laned.calledOff, laned.restacked, laned.rearmed, laned.stopper)
+		}
 		st := laned.s.Stats()
-		if st.Executed != uint64(len(got)) || st.HeapPeak > st.PendingPeak || st.PendingPeak < 300 {
-			t.Fatalf("seed %d: stats %+v after %d events", seed, st, len(got))
+		if st.Executed != uint64(len(got)) || st.Discarded != uint64(laned.calledOff) || st.PendingPeak < 200 {
+			t.Fatalf("seed %d: stats %+v after %d events, %d arms called off", seed, st, len(got), laned.calledOff)
 		}
 	}
 }

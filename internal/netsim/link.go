@@ -20,7 +20,9 @@ type Receiver interface {
 // fixed bit rate and propagation delay.  The owning node (switch port
 // or host NIC) is responsible for queueing; a Channel transmits one
 // packet at a time and reports idleness through the OnIdle callback, a
-// cut at the same place as a real MAC's transmit-complete interrupt.
+// cut at the same place as a real MAC's transmit-complete interrupt —
+// one the owner unmasks, with WakeWhenIdle, only while it has a frame
+// waiting.
 type Channel struct {
 	sim   *Sim
 	rate  int64 // bits per second
@@ -31,7 +33,14 @@ type Channel struct {
 
 	busyUntil Time
 	onIdle    func()
-	idleFn    func() // c.notifyIdle bound once; scheduled per send
+	idleFn    func() // c.notifyIdle bound once; queued when a wake-up is asked
+
+	// The transmit-complete event of the transmission in progress: Send
+	// reserves its seq, WakeWhenIdle queues it.  idleAsked starts set —
+	// before the first Send there is nothing to ask for — and stays set
+	// on a zero-delay link, whose arrival event carries the callback.
+	idleSeq   uint64
+	idleAsked bool
 
 	// arrivals holds the frames on the wire: the transmitter
 	// serializes, so last-bit arrival times never decrease.
@@ -54,6 +63,10 @@ type Channel struct {
 	// Counters read by the port statistics machinery.
 	BytesSent   uint64
 	PacketsSent uint64
+	// WakeupsAsked counts transmit-complete events queued on request
+	// (WakeWhenIdle): on a link with propagation delay, the sends that
+	// ended with a frame waiting behind them.
+	WakeupsAsked uint64
 	// PacketsLost counts frames corrupted in flight by the loss model.
 	PacketsLost uint64
 	// PacketsDownDrops counts frames dropped because the link was (or
@@ -70,7 +83,7 @@ func NewChannel(sim *Sim, rate int64, delay Time, dst Receiver, dstPort int) *Ch
 	if delay < 0 {
 		panic("netsim: negative propagation delay")
 	}
-	c := &Channel{sim: sim, rate: rate, delay: delay, dst: dst, dstPort: dstPort}
+	c := &Channel{sim: sim, rate: rate, delay: delay, dst: dst, dstPort: dstPort, idleAsked: true}
 	c.idleFn = c.notifyIdle
 	c.arrivals = sim.NewLane(c)
 	return c
@@ -100,9 +113,40 @@ func (c *Channel) RateBytes() uint32 {
 // Delay returns the propagation delay.
 func (c *Channel) Delay() Time { return c.delay }
 
-// SetOnIdle registers the callback invoked each time a transmission
-// completes; the owner uses it to dequeue the next packet.
+// SetOnIdle registers the transmit-complete callback; the owner uses it
+// to dequeue the next packet.  It is guaranteed to run at the end of a
+// transmission only if the owner called WakeWhenIdle during it; a
+// callback nobody asked for may still run (zero-delay links always
+// deliver it), so it must tolerate finding nothing to do.
 func (c *Channel) SetOnIdle(fn func()) { c.onIdle = fn }
+
+// WakeWhenIdle asks for the OnIdle callback when the transmission in
+// progress completes.  The owner calls it whenever it holds a frame the
+// busy channel could not take: on finding the channel busy, and after a
+// Send that left frames queued.  The event is queued at the seq Send
+// reserved, so it runs exactly where an unconditional transmit-complete
+// event scheduled by Send would have — asking late changes nothing but
+// whether the no-op ones exist.  Asking twice, or with no transmission
+// to wait for, does nothing.
+//
+//alloc:free
+func (c *Channel) WakeWhenIdle() {
+	// Split so that the check inlines into the owners' kick: on a
+	// zero-delay link that is all a call ever costs.
+	if !c.idleAsked {
+		c.queueIdle()
+	}
+}
+
+//alloc:free
+func (c *Channel) queueIdle() {
+	if c.busyUntil < c.sim.now {
+		return // the transmission is over: nothing left to wait for
+	}
+	c.idleAsked = true
+	c.WakeupsAsked++
+	c.sim.atReserved(c.busyUntil, c.idleSeq, c.idleFn)
+}
 
 // SetLoss makes the channel drop each frame independently with
 // probability p, using its own deterministic random source — the
@@ -156,9 +200,10 @@ func (c *Channel) SerializationDelay(n int) Time {
 }
 
 // Send begins transmitting pkt.  It must only be called when the
-// channel is idle (drive it from OnIdle); calling it while busy panics
-// because it means the owner's queueing is broken.  It returns the time
-// the last bit leaves the transmitter.
+// channel is idle (check Busy, and ask WakeWhenIdle to be called back
+// when it is not); calling it while busy panics because it means the
+// owner's queueing is broken.  It returns the time the last bit leaves
+// the transmitter.
 //
 //alloc:free
 func (c *Channel) Send(pkt *core.Packet) Time {
@@ -195,7 +240,10 @@ func (c *Channel) Send(pkt *core.Packet) Time {
 		// same order the two separate events have on delayed links.
 		c.arrivals.At(done, pkt, arg|argIdle)
 	} else {
-		c.sim.At(done, c.idleFn)
+		// Transmit-complete precedes the arrival in the event order, so
+		// its seq is taken first; the event itself waits to be asked for.
+		c.idleSeq = c.sim.reserveSeq()
+		c.idleAsked = false
 		c.arrivals.At(done+c.delay, pkt, arg)
 	}
 	return done

@@ -2,8 +2,11 @@ package netsim
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -206,5 +209,189 @@ func TestGilbertElliottOnChannel(t *testing.T) {
 	}
 	if int(ch.PacketsLost)+len(k.pkts) != frames {
 		t.Fatalf("accounting: lost=%d delivered=%d", ch.PacketsLost, len(k.pkts))
+	}
+}
+
+// wakeOwner is an in-test channel owner shaped like a switch port: two
+// strict-priority FIFO queues in front of one channel, driven by kick.
+// With always set it asks for the transmit-complete wake-up after every
+// Send, which queues the event unconditionally at the seq Send reserved
+// — the contract the channel had when Send scheduled it itself.
+// Otherwise it asks only while a frame is waiting, as Port and NIC do.
+type wakeOwner struct {
+	s      *Sim
+	ch     *Channel
+	always bool
+	r      *rand.Rand // draws follow-up arrivals; consumed once per Send
+	q      [2][]*core.Packet
+	nextID uint64
+
+	tx         []linkEvent
+	tiesAhead  int // scripted arrivals at exactly busyUntil: ahead of transmit-complete in seq
+	tiesBehind int // follow-up arrivals at exactly busyUntil: behind it
+}
+
+type linkEvent struct {
+	At  Time
+	UID uint64
+}
+
+func (o *wakeOwner) arrive(prio, wire int, ties *int) {
+	if o.s.Now() == o.ch.busyUntil {
+		*ties++
+	}
+	o.nextID++
+	p := mkPacket(wire - core.EthernetHeaderLen)
+	p.Meta.UID = o.nextID
+	o.q[prio] = append(o.q[prio], p)
+	o.kick()
+}
+
+func (o *wakeOwner) waiting() bool { return len(o.q[0])+len(o.q[1]) > 0 }
+
+func (o *wakeOwner) kick() {
+	if o.ch.Busy() {
+		if !o.always && o.waiting() {
+			o.ch.WakeWhenIdle()
+		}
+		return
+	}
+	for prio := range o.q {
+		if len(o.q[prio]) == 0 {
+			continue
+		}
+		p := o.q[prio][0]
+		o.q[prio] = o.q[prio][1:]
+		o.tx = append(o.tx, linkEvent{o.s.Now(), p.Meta.UID})
+		done := o.ch.Send(p)
+		if o.always || o.waiting() {
+			o.ch.WakeWhenIdle()
+		}
+		// One Send in three is followed by a high-priority arrival at
+		// the very instant it completes, scheduled after the Send: it
+		// ties with the transmit-complete event and must run after it.
+		if o.r.Intn(3) == 0 {
+			o.s.At(done, func() { o.arrive(0, 100, &o.tiesBehind) })
+		}
+		return
+	}
+}
+
+// uidSink logs deliveries by packet UID.
+type uidSink struct {
+	s   *Sim
+	log []linkEvent
+}
+
+func (k *uidSink) Receive(p *core.Packet, _ int) {
+	k.log = append(k.log, linkEvent{k.s.Now(), p.Meta.UID})
+}
+
+// runWakeOwner drives one owner over the seed's arrivals: frames of 100,
+// 200 or 300 bytes at 1 ns per byte, arriving on a 100 ns grid at about
+// 70 % load, so arrivals land exactly on transmit-complete instants all
+// the time — pre-scheduled ones ahead of the transmit-complete event in
+// seq order, follow-ups behind it.
+func runWakeOwner(seed int64, always bool) (*wakeOwner, *uidSink) {
+	s := New(1)
+	k := &uidSink{s: s}
+	o := &wakeOwner{s: s, always: always, r: rand.New(rand.NewSource(seed + 1000))}
+	o.ch = NewChannel(s, 8_000_000_000, 250*Nanosecond, k, 0)
+	o.ch.SetOnIdle(o.kick)
+	r := rand.New(rand.NewSource(seed))
+	at := Time(0)
+	for i := 0; i < 2000; i++ {
+		at += Time(r.Intn(8)) * 100 * Nanosecond
+		prio, wire := r.Intn(2), 100*(1+r.Intn(3))
+		s.At(at, func() { o.arrive(prio, wire, &o.tiesAhead) })
+	}
+	s.Run()
+	return o, k
+}
+
+// Transmit-complete on demand is the always-fire contract minus the
+// events that would have found nothing to send: an owner that asks for
+// the wake-up after every Send and one that asks only while a frame
+// waits transmit and deliver the same frames at the same times, ties at
+// busyUntil included, because the event is queued at the seq Send
+// reserved whenever it is asked for.  (Queued at a fresh seq instead, a
+// late-asked wake-up runs after a follow-up arrival it should precede,
+// the high-priority follow-up overtakes the waiting frame, and the
+// transmit logs differ from the first seed on.)
+func TestWakeOnDemandMatchesAlwaysFire(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		eager, eagerRx := runWakeOwner(seed, true)
+		lazy, lazyRx := runWakeOwner(seed, false)
+		if len(eager.tx) < 2000 || len(eagerRx.log) != len(eager.tx) || eager.waiting() {
+			t.Fatalf("seed %d: always-fire owner sent %d, delivered %d", seed, len(eager.tx), len(eagerRx.log))
+		}
+		if !reflect.DeepEqual(eager.tx, lazy.tx) {
+			t.Fatalf("seed %d: transmit logs differ between always-fire and on-demand wake-ups", seed)
+		}
+		if !reflect.DeepEqual(eagerRx.log, lazyRx.log) {
+			t.Fatalf("seed %d: delivery logs differ between always-fire and on-demand wake-ups", seed)
+		}
+		if lazy.tiesAhead < 100 || lazy.tiesBehind < 100 {
+			t.Fatalf("seed %d: %d arrivals tied with busyUntil ahead of the transmit-complete event and %d behind it; want hundreds of each",
+				seed, lazy.tiesAhead, lazy.tiesBehind)
+		}
+		sent := eager.ch.PacketsSent
+		if eager.ch.WakeupsAsked != sent || lazy.ch.WakeupsAsked == 0 || lazy.ch.WakeupsAsked > sent*3/4 {
+			t.Fatalf("seed %d: %d sends, wake-ups asked: always-fire %d, on demand %d",
+				seed, sent, eager.ch.WakeupsAsked, lazy.ch.WakeupsAsked)
+		}
+		t.Logf("seed %d: %d sends, ties %d ahead / %d behind, %d wake-ups asked", seed, sent, lazy.tiesAhead, lazy.tiesBehind, lazy.ch.WakeupsAsked)
+		if d := eager.s.Stats().Executed - lazy.s.Stats().Executed; d != sent-lazy.ch.WakeupsAsked {
+			t.Fatalf("seed %d: on-demand run executed %d fewer events, want %d (the wake-ups not asked)",
+				seed, d, sent-lazy.ch.WakeupsAsked)
+		}
+	}
+}
+
+// A wake-up is asked at most once per transmission, and asking with no
+// transmission to wait for — before the first Send, after the channel
+// went idle, or on a zero-delay link, whose arrival event carries the
+// callback — queues nothing.
+func TestWakeWhenIdleAsksOncePerTransmission(t *testing.T) {
+	s := New(1)
+	k := &sink{sim: s}
+	ch := NewChannel(s, 8_000_000, 100*Microsecond, k, 0)
+	idle := 0
+	ch.SetOnIdle(func() { idle++ })
+	ch.WakeWhenIdle()
+	if s.Pending() != 0 {
+		t.Fatalf("asking before any Send queued %d events", s.Pending())
+	}
+	var done Time
+	s.At(0, func() {
+		done = ch.Send(mkPacket(86))
+		ch.WakeWhenIdle()
+		ch.WakeWhenIdle()
+	})
+	s.At(50*Microsecond, ch.WakeWhenIdle)
+	var idleAt Time
+	ch.SetOnIdle(func() { idle++; idleAt = s.Now() })
+	s.Run()
+	if idle != 1 || idleAt != done || ch.WakeupsAsked != 1 {
+		t.Fatalf("OnIdle ran %d times (last at %v, transmission done at %v), %d wake-ups asked; want once, at done",
+			idle, idleAt, done, ch.WakeupsAsked)
+	}
+	ch.WakeWhenIdle() // the idle moment has passed
+	s.At(s.Now(), func() { ch.Send(mkPacket(86)) })
+	s.Run()
+	if idle != 1 || len(k.pkts) != 2 {
+		t.Fatalf("unasked transmission: OnIdle ran %d times, %d frames delivered; want 1 and 2", idle, len(k.pkts))
+	}
+
+	fused := NewChannel(s, 8_000_000, 0, k, 0)
+	fusedIdle := 0
+	fused.SetOnIdle(func() { fusedIdle++ })
+	s.At(s.Now(), func() {
+		fused.Send(mkPacket(86))
+		fused.WakeWhenIdle()
+	})
+	s.Run()
+	if fusedIdle != 1 || fused.WakeupsAsked != 0 {
+		t.Fatalf("zero-delay link: OnIdle ran %d times, %d wake-ups queued; want 1 and 0", fusedIdle, fused.WakeupsAsked)
 	}
 }

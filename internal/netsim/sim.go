@@ -8,9 +8,13 @@
 // of scheduling.  Sim.At and Sim.AtPacket put an event in a binary
 // heap; a source that schedules in firing order (a fixed-latency
 // pipeline, a serializing link) owns a Lane, a FIFO ring of which only
-// the head is in the heap.  Both give the same order — a Lane is where
-// an event waits, not a second scheduler — and Sim.Stats reports how
-// many events ran and how deep the heap and the whole queue got.
+// the head is in the heap; a schedule that recurs or may be called off
+// (a ticker, a pacer, a probe deadline) owns a Timer, whose one live
+// arm sits in the heap and whose stopped or superseded arms never run.
+// All three give the same order — a Lane or a Timer is where an event
+// waits, not a second scheduler — and Sim.Stats reports how many events
+// ran, how many arms were dropped unrun, and how deep the heap and the
+// whole queue got.
 package netsim
 
 import (
@@ -77,7 +81,9 @@ func (a eventKey) less(b eventKey) bool {
 // eventPayload is either a closure event (fn != nil) or a packet event
 // (pd != nil); exactly one of the two is set.  Payloads live in a
 // stable slab and never move while queued; each slot is written once at
-// push and cleared once at pop.
+// push and cleared once at pop — or earlier, by Timer.Stop: a queued
+// slot with neither set is a timer arm that was called off, and its key
+// is dropped unrun when it surfaces.
 type eventPayload struct {
 	fn  func()
 	pd  PacketDelivery
@@ -90,17 +96,20 @@ type eventPayload struct {
 // given seed.  Sim is not safe for concurrent use: the dataplane model
 // is single-threaded, like one ASIC pipeline.
 //
-// Events wait in one of two places.  Ordinary events (At, AtPacket)
+// Events wait in one of three places.  Ordinary events (At, AtPacket)
 // wait in a hand-rolled binary min-heap of pointer-free keys over a
 // slot slab (see eventKey); container/heap would box every pushed event
 // into an interface, allocating once per scheduled event.  Events from
 // a source whose firing times never decrease wait in that source's Lane
 // and only the lane's head holds a key in the heap, so the heap's depth
 // is the number of sources with something outstanding, not the number
-// of packets in flight.  Every event takes its seq from the one counter
-// and the heap orders lane heads and ordinary events on the same
-// (at, seq) key: the execution order is the total (at, seq) order
-// whichever place an event waited in.
+// of packets in flight.  A Timer's live arm waits in the heap like an
+// ordinary event; an arm that was stopped or superseded leaves a stale
+// key behind, which is dropped unrun when it surfaces (or swept out
+// earlier, once stale keys outnumber live ones).  Every event takes its
+// seq from the one counter and the heap orders lane heads, timer arms
+// and ordinary events on the same (at, seq) key: the execution order is
+// the total (at, seq) order whichever place an event waited in.
 type Sim struct {
 	now     Time
 	keys    []eventKey
@@ -108,6 +117,7 @@ type Sim struct {
 	free    []int32 // recycled slot indices
 	lanes   []*Lane // by id; a key with slot < 0 names lanes[^slot]
 	backlog int     // lane entries queued behind their lane's head
+	stale   int     // heap keys of timer arms that were stopped or superseded
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -118,11 +128,16 @@ type Sim struct {
 type Stats struct {
 	// Executed counts events run.
 	Executed uint64
-	// HeapPeak is the deepest the event heap got: ordinary events plus
-	// one key per non-empty lane.
+	// Discarded counts timer arms dropped unrun: stopped, or superseded
+	// by a later Reset.
+	Discarded uint64
+	// HeapPeak is the deepest the event heap got: ordinary events and
+	// timer arms (stale ones included until they are dropped) plus one
+	// key per non-empty lane.
 	HeapPeak int
 	// PendingPeak is the most events that were outstanding at once
-	// (the peak of Pending): the heap plus every lane's backlog.
+	// (the peak of Pending): the heap's live keys plus every lane's
+	// backlog.
 	PendingPeak int
 }
 
@@ -138,8 +153,9 @@ func (s *Sim) Now() Time { return s.now }
 // Rand exposes the simulation's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// Pending returns the number of queued events, wherever they wait.
-func (s *Sim) Pending() int { return len(s.keys) + s.backlog }
+// Pending returns the number of queued events, wherever they wait.  A
+// timer arm that was stopped or superseded is not one.
+func (s *Sim) Pending() int { return len(s.keys) + s.backlog - s.stale }
 
 // Stats returns the engine's self-metrics.
 func (s *Sim) Stats() Stats { return s.stats }
@@ -193,8 +209,39 @@ func (s *Sim) alloc() int32 {
 //
 //alloc:free
 func (s *Sim) push(t Time, slot int32) {
+	s.pushKey(eventKey{at: t, seq: s.reserveSeq(), slot: slot})
+}
+
+// reserveSeq takes the next seq without queueing anything.  A source
+// that knows now where an event would stand in the order, but not yet
+// whether anyone needs it to run, holds the seq and queues the event
+// later with atReserved (see Channel.WakeWhenIdle).
+//
+//alloc:free
+func (s *Sim) reserveSeq() uint64 {
 	s.seq++
-	h := append(s.keys, eventKey{at: t, seq: s.seq, slot: slot})
+	return s.seq
+}
+
+// atReserved queues fn at (t, seq) for a seq taken earlier with
+// reserveSeq and not used since: the event runs exactly where At would
+// have put it had it been called at the reservation.
+//
+//alloc:free
+func (s *Sim) atReserved(t Time, seq uint64, fn func()) {
+	if t < s.now {
+		panic(fmt.Sprintf("netsim: scheduling at %v before now %v", t, s.now))
+	}
+	slot := s.alloc()
+	s.slots[slot].fn = fn
+	s.pushKey(eventKey{at: t, seq: seq, slot: slot})
+}
+
+// pushKey adds k to the heap.
+//
+//alloc:free
+func (s *Sim) pushKey(k eventKey) {
+	h := append(s.keys, k)
 	s.keys = h
 	i := len(h) - 1
 	for i > 0 {
@@ -213,17 +260,16 @@ func (s *Sim) push(t Time, slot int32) {
 
 //alloc:free
 func (s *Sim) notePending() {
-	if p := len(s.keys) + s.backlog; p > s.stats.PendingPeak {
+	if p := s.Pending(); p > s.stats.PendingPeak {
 		s.stats.PendingPeak = p
 	}
 }
 
-// siftDown restores the heap order of h after its root was replaced
-// (pointer-free swaps: no write barriers).
+// siftDown restores the heap order of h below index i after h[i] was
+// replaced (pointer-free swaps: no write barriers).
 //
 //alloc:free
-func siftDown(h []eventKey) {
-	i := 0
+func siftDown(h []eventKey, i int) {
 	for {
 		l := 2*i + 1
 		if l >= len(h) {
@@ -260,7 +306,7 @@ func (s *Sim) pop() (Time, eventPayload) {
 			next := l.ring.At(0)
 			h[0] = eventKey{at: next.at, seq: next.seq, slot: top.slot}
 			s.backlog--
-			siftDown(h)
+			siftDown(h, 0)
 		} else {
 			s.dropRoot()
 		}
@@ -281,7 +327,7 @@ func (s *Sim) dropRoot() {
 	n := len(h) - 1
 	h[0] = h[n]
 	s.keys = h[:n]
-	siftDown(s.keys)
+	siftDown(s.keys, 0)
 }
 
 // Stop makes Run and RunUntil return after the current event.
@@ -307,9 +353,16 @@ func (s *Sim) RunUntil(t Time) {
 	}
 }
 
+// step pops the earliest key and runs its event.  A stale timer arm is
+// not an event: it is dropped without moving the clock.
+//
 //alloc:free
 func (s *Sim) step() {
 	at, e := s.pop()
+	if e.fn == nil && e.pd == nil {
+		s.stale--
+		return
+	}
 	s.now = at
 	s.stats.Executed++
 	if e.fn != nil {
@@ -319,12 +372,12 @@ func (s *Sim) step() {
 	e.pd.DeliverAt(e.pkt, e.arg)
 }
 
-// Ticker fires a callback periodically until stopped.
+// Ticker fires a callback periodically until stopped: a Timer that
+// re-arms itself one period after each firing.
 type Ticker struct {
-	sim     *Sim
+	timer   Timer
 	period  Time
 	fn      func()
-	tickFn  func() // t.tick bound once, so rescheduling never allocates
 	stopped bool
 }
 
@@ -334,22 +387,26 @@ func (s *Sim) Every(start, period Time, fn func()) *Ticker {
 	if period <= 0 {
 		panic("netsim: ticker period must be positive")
 	}
-	t := &Ticker{sim: s, period: period, fn: fn}
-	t.tickFn = t.tick
-	s.At(start, t.tickFn)
+	t := &Ticker{period: period, fn: fn}
+	t.timer = Timer{sim: s, fn: t.tick, slot: disarmed}
+	t.timer.Reset(start)
 	return t
 }
 
+// tick runs the callback, then takes the next firing's seq — after
+// whatever the callback scheduled, as ever.
+//
+//alloc:free
 func (t *Ticker) tick() {
-	if t.stopped {
-		return
-	}
 	t.fn()
 	if !t.stopped {
-		t.sim.After(t.period, t.tickFn)
+		t.timer.Reset(t.timer.sim.now + t.period)
 	}
 }
 
-// Stop cancels the ticker.  Safe to call multiple times, including from
-// inside the callback.
-func (t *Ticker) Stop() { t.stopped = true }
+// Stop cancels the ticker and takes its next firing out of the queue.
+// Safe to call multiple times, including from inside the callback.
+func (t *Ticker) Stop() {
+	t.stopped = true
+	t.timer.Stop()
+}

@@ -382,6 +382,35 @@ func TestTickerStopByPeerAtSameInstant(t *testing.T) {
 	}
 }
 
+// Stop from outside the callback takes the ticker's next firing out of
+// the queue at once: nothing is pending, nothing more executes, and Run
+// ends at the last real event instead of one period later.
+func TestTickerStopLeavesNothingQueued(t *testing.T) {
+	s := New(1)
+	fires := 0
+	tk := s.Every(10, 10, func() { fires++ })
+	s.At(25, func() {
+		tk.Stop()
+		if s.Pending() != 0 {
+			t.Errorf("stopped ticker left %d events pending", s.Pending())
+		}
+	})
+	s.Run()
+	if fires != 2 {
+		t.Fatalf("ticker fired %d times, want 2 (t=10, 20)", fires)
+	}
+	if s.Now() != 25 {
+		t.Fatalf("Run ended at %v, want 25: the stopped ticker's firing at 30 must not move the clock", s.Now())
+	}
+	if st := s.Stats(); st.Executed != 3 || st.Discarded != 1 {
+		t.Fatalf("stats %+v, want 3 executed (two ticks and the stop) and 1 discarded", st)
+	}
+	tk.Stop() // idempotent
+	if st := s.Stats(); st.Discarded != 1 || s.Pending() != 0 {
+		t.Fatalf("second Stop: stats %+v, pending %d", st, s.Pending())
+	}
+}
+
 func TestSameTimeFIFONested(t *testing.T) {
 	// Events scheduled *during* processing of time T, at time T, run
 	// after everything already queued for T — scheduling order is

@@ -41,7 +41,7 @@ type PacedFlow struct {
 
 	rate    float64 // bytes/sec
 	running bool
-	epoch   int // invalidates scheduled sends from earlier Start/Stop cycles
+	next    *netsim.Timer // the next departure; armed while running at a rate
 
 	// header, when non-nil, supplies the first payload word of every
 	// packet: the native-RCP congestion header, or AIMD's sequence
@@ -56,22 +56,28 @@ type PacedFlow struct {
 // NewPacedFlow builds a flow from host toward the destination.  header
 // may be nil (RCP* data packets carry no header word).
 func NewPacedFlow(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dstIP uint32, port uint16, header func() uint32) *PacedFlow {
-	return &PacedFlow{
+	f := &PacedFlow{
 		sim: sim, host: host, dstMAC: dstMAC, dstIP: dstIP,
 		port: port, size: PacketSize, header: header,
 	}
+	f.next = sim.NewTimer(f.pump)
+	return f
 }
 
 // Rate returns the current pacing rate in bytes/sec.
 func (f *PacedFlow) Rate() float64 { return f.rate }
 
 // SetRate changes the pacing rate; it takes effect from the next
-// scheduled packet.
+// scheduled packet.  A flow that was started before it had a rate has
+// no packet scheduled, and sends its first one now.
 func (f *PacedFlow) SetRate(r float64) {
 	if r < 1 {
 		r = 1
 	}
 	f.rate = r
+	if f.running && !f.next.Armed() {
+		f.next.Reset(f.sim.Now())
+	}
 }
 
 // Start begins transmission at the current rate.
@@ -80,20 +86,23 @@ func (f *PacedFlow) Start() {
 		return
 	}
 	f.running = true
-	f.epoch++
-	epoch := f.epoch
-	f.sim.After(0, func() { f.pump(epoch) })
+	f.next.Reset(f.sim.Now())
 }
 
-// Stop halts transmission.
-func (f *PacedFlow) Stop() { f.running = false; f.epoch++ }
+// Stop halts transmission: the scheduled departure is called off.
+func (f *PacedFlow) Stop() {
+	f.running = false
+	f.next.Stop()
+}
 
 // Running reports whether the flow is transmitting.
 func (f *PacedFlow) Running() bool { return f.running }
 
-func (f *PacedFlow) pump(epoch int) {
-	if !f.running || epoch != f.epoch || f.rate <= 0 {
-		return
+// pump sends one packet and schedules the next.  It runs only off the
+// timer, which Stop disarms, so the flow is running whenever it does.
+func (f *PacedFlow) pump() {
+	if f.rate <= 0 {
+		return // started without a rate: SetRate schedules the first packet
 	}
 	pkt := f.host.NewPacket(f.dstMAC, f.dstIP, f.port, f.port, 0)
 	pkt.PadLen = f.size
@@ -110,5 +119,5 @@ func (f *PacedFlow) pump(epoch int) {
 	if gap < netsim.Microsecond {
 		gap = netsim.Microsecond
 	}
-	f.sim.After(gap, func() { f.pump(epoch) })
+	f.next.Reset(f.sim.Now() + gap)
 }

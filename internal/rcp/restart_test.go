@@ -68,3 +68,34 @@ func TestPacedFlowRestart(t *testing.T) {
 		})
 	}
 }
+
+// TestPacedFlowStartedAtRateZeroSendsAfterSetRate: a flow started before
+// it has a rate sends nothing, and its first rate starts it — it used
+// to stay wedged ("already running", nothing scheduled) until a
+// Stop+Start.
+func TestPacedFlowStartedAtRateZeroSendsAfterSetRate(t *testing.T) {
+	sim := netsim.New(1)
+	a := endhost.NewHost(sim, core.MACFromUint64(1), core.IPv4Addr(10, 0, 0, 1))
+	b := endhost.NewHost(sim, core.MACFromUint64(2), core.IPv4Addr(10, 0, 0, 2))
+	a.NIC.Attach(netsim.NewChannel(sim, 100_000_000, 0, b, 0))
+	b.NIC.Attach(netsim.NewChannel(sim, 100_000_000, 0, a, 0))
+
+	f := rcp.NewPacedFlow(sim, a, b.MAC, b.IP, rcp.StarDataPort, nil)
+	f.Start()
+	sim.RunUntil(netsim.Second)
+	if f.Sent != 0 || !f.Running() {
+		t.Fatalf("at rate 0: sent %d packets, running %v; want none, running", f.Sent, f.Running())
+	}
+	f.SetRate(100_000) // one 1000-byte frame every 10 ms
+	sim.RunUntil(2 * netsim.Second)
+	if f.Sent < 95 || f.Sent > 105 {
+		t.Fatalf("second after SetRate: sent %d packets, want ~100", f.Sent)
+	}
+	// A later SetRate re-paces the one send chain; it does not add one.
+	before := f.Sent
+	f.SetRate(200_000)
+	sim.RunUntil(3 * netsim.Second)
+	if n := f.Sent - before; n < 190 || n > 210 {
+		t.Fatalf("second at the doubled rate: sent %d packets, want ~200", n)
+	}
+}

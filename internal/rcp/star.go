@@ -36,6 +36,35 @@ var (
 // wiped; must re-seed) from one whose register merely reads zero.
 var collectStats = []mem.Addr{addrSwitchID, addrQueue, addrRXUtil, addrRateReg, addrEpoch}
 
+// The controller's three programs never change, so each is assembled
+// once: collectProbe and capacityProbe are templates every tick stamps a
+// fresh probe from (see probeFrom), updateIns is the phase-3 program of
+// sendUpdate.  A TPP's instructions are read-only once built — the
+// network mutates only the header and packet memory, and clones copy —
+// so all probes of a kind share one instruction slice.
+var (
+	collectProbe  = mustCollect(collectStats)
+	capacityProbe = mustCollect([]mem.Addr{addrSwitchID, addrCapacity})
+	updateIns     = []core.Instruction{
+		{Op: core.OpCEXEC, A: uint16(addrSwitchID), B: 0},
+		{Op: core.OpSTORE, A: uint16(addrRateReg), B: 2},
+	}
+)
+
+func mustCollect(stats []mem.Addr) *core.TPP {
+	tpp, err := endhost.CollectProgram(stats, MaxHops, 5)
+	if err != nil {
+		panic(err)
+	}
+	return tpp
+}
+
+// probeFrom returns an unexecuted probe running tmpl's program: its own
+// header and zeroed packet memory, tmpl's instructions.
+func probeFrom(tmpl *core.TPP) *core.TPP {
+	return core.NewTPP(tmpl.Mode, tmpl.Ins, tmpl.MemWords())
+}
+
 // collectWords is the per-hop record size of the collect probe.
 const collectWords = 5
 
@@ -88,6 +117,11 @@ type StarController struct {
 
 	ticker *netsim.Ticker
 
+	// c.onCollect and c.onMiss bound once: every tick hands them to the
+	// prober, and a method value made per tick is a heap closure each.
+	onCollectFn func(*core.TPP)
+	onMissFn    func()
+
 	// Telemetry for tests and experiments.
 	Collects   uint64 // phase-1 echoes processed
 	Updates    uint64 // phase-3 TPPs sent
@@ -115,12 +149,14 @@ func (c *StarController) EnableMetrics(reg *obs.Registry, name string) {
 // pair.  The caller starts the flow and the control loop with Start.
 func NewStarController(sim *netsim.Sim, host *endhost.Host, prober *endhost.Prober,
 	dstMAC core.MAC, dstIP uint32, params Params) *StarController {
-	return &StarController{
+	c := &StarController{
 		sim: sim, host: host, prober: prober, params: params,
 		dstMAC: dstMAC, dstIP: dstIP,
 		epochs: endhost.NewEpochTracker(nil),
 		Flow:   NewPacedFlow(sim, host, dstMAC, dstIP, StarDataPort, nil),
 	}
+	c.onCollectFn, c.onMissFn = c.onCollect, c.onMiss
+	return c
 }
 
 // Start launches the periodic controller.  The data flow starts as soon
@@ -180,11 +216,7 @@ func (c *StarController) onMiss() {
 // (link capacities are static, so they need not burden the steady-state
 // probe, keeping it within the 5-instruction device limit).
 func (c *StarController) probeCapacities() {
-	tpp, err := endhost.CollectProgram([]mem.Addr{addrSwitchID, addrCapacity}, MaxHops, 5)
-	if err != nil {
-		panic(err)
-	}
-	c.prober.ProbeCfg(c.dstMAC, c.dstIP, tpp, c.probeCfg(), func(e *core.TPP) {
+	c.prober.ProbeCfg(c.dstMAC, c.dstIP, probeFrom(capacityProbe), c.probeCfg(), func(e *core.TPP) {
 		if c.haveCaps {
 			return
 		}
@@ -196,16 +228,12 @@ func (c *StarController) probeCapacities() {
 		}
 		c.qAvg = make([]float64, hops)
 		c.haveCaps = len(c.caps) > 0
-	}, c.onMiss)
+	}, c.onMissFn)
 }
 
 // probeCollect is phase 1; the echo handler runs phases 2 and 3.
 func (c *StarController) probeCollect() {
-	tpp, err := endhost.CollectProgram(collectStats, MaxHops, 5)
-	if err != nil {
-		panic(err)
-	}
-	c.prober.ProbeCfg(c.dstMAC, c.dstIP, tpp, c.probeCfg(), c.onCollect, c.onMiss)
+	c.prober.ProbeCfg(c.dstMAC, c.dstIP, probeFrom(collectProbe), c.probeCfg(), c.onCollectFn, c.onMissFn)
 }
 
 // hopSample is one hop's record from a collect echo.
@@ -311,10 +339,7 @@ func (c *StarController) onCollect(e *core.TPP) {
 //	CEXEC [Switch:SwitchID], 0xFFFFFFFF, $BottleneckSwitchID
 //	STORE [Link:RCP-RateRegister], [PacketMemory:2]
 func (c *StarController) sendUpdate(switchID uint32, rate float64) {
-	tpp := core.NewTPP(core.AddrStack, []core.Instruction{
-		{Op: core.OpCEXEC, A: uint16(addrSwitchID), B: 0},
-		{Op: core.OpSTORE, A: uint16(addrRateReg), B: 2},
-	}, 3)
+	tpp := core.NewTPP(core.AddrStack, updateIns, 3)
 	tpp.SetWord(0, 0xFFFFFFFF) // mask
 	tpp.SetWord(1, switchID)   // value
 	tpp.SetWord(2, uint32(math.Min(rate, float64(^uint32(0)))))
@@ -322,14 +347,9 @@ func (c *StarController) sendUpdate(switchID uint32, rate float64) {
 
 	// Fire and forget: the update needs no echo, and a lost update is
 	// retried next interval anyway.
-	pkt := &core.Packet{
-		Eth: core.Ethernet{Dst: c.dstMAC, Src: c.host.MAC, Type: core.EtherTypeTPP},
-		TPP: tpp,
-		IP: &core.IPv4{TTL: 64, Proto: core.ProtoUDP,
-			Src: c.host.IP, Dst: c.dstIP},
-		UDP:  &core.UDP{SrcPort: StarDataPort, DstPort: StarDataPort},
-		Meta: core.Metadata{UID: c.host.NextUID()},
-	}
+	pkt := c.host.NewPacket(c.dstMAC, c.dstIP, StarDataPort, StarDataPort, 0)
+	pkt.Eth.Type = core.EtherTypeTPP
+	pkt.TPP = tpp
 	c.host.Send(pkt)
 	c.Updates++
 	c.mUpdates.Inc()
