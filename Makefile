@@ -34,7 +34,9 @@ vet:
 
 # lint runs vet, a gofmt check, a check that internal/topo stays the only
 # module that wires switches together or spells a fabric device name
-# (bench/ builds its lines on topo.Network's incremental API), plus the
+# (bench/ builds its lines on topo.Network's incremental API), a check
+# that no count is kept twice — an obs.Counter handle beside the owner's
+# word — outside internal/obs (bench/ probes the handle's cost), plus the
 # repository's own analyzers (see tools/analyzers): the determinism
 # suite over the simulation core and the soaks, and the poollife
 # packet-ownership suite over the packages that handle pooled packets.
@@ -43,6 +45,8 @@ lint: vet
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	@wired=$$(grep -rnE 'LinkSwitches\(|"(leaf|spine)%d' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/topo/'); \
 	if [ -n "$$wired" ]; then echo "hand-wired topology outside internal/topo:"; echo "$$wired"; exit 1; fi
+	@twins=$$(grep -rnE 'obs\.Counter|\.Counter\(' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/obs/'); \
+	if [ -n "$$twins" ]; then echo "counter handle outside internal/obs (keep the count as the owner's word and name it in a collect method):"; echo "$$twins"; exit 1; fi
 	$(GO) run ./tools/analyzers/cmd/determinismlint $(LINT_PKGS)
 	$(GO) run ./tools/analyzers/cmd/poollifelint $(POOL_PKGS)
 

@@ -15,8 +15,8 @@ import (
 // partition, and a denial fails forward — a denied LOAD returns the
 // poison value and a denied STORE vanishes, both without an error, so
 // the TCPU keeps executing and the packet keeps forwarding.  Each
-// denial is accounted once across counter, metric and span, and the
-// count surfaces after execution as core.FlagAccessFault.
+// denial is one count (switch-wide and per tenant) and one span, and
+// the count surfaces after execution as core.FlagAccessFault.
 type guardedView struct {
 	v      *view
 	grant  guard.Grant
@@ -33,8 +33,7 @@ func (g *guardedView) deny(a mem.Addr, write bool) {
 	g.denies++
 	s := g.v.sw
 	s.tppsDenied++
-	s.m.tppsDenied.Inc()
-	s.deniedCounter(g.tenant).Inc()
+	s.tenantDenied[g.tenant]++
 	s.guard.NoteDenied(g.tenant)
 	w := uint64(0)
 	if write {
@@ -127,18 +126,6 @@ func (s *Switch) RevokeTenant(id guard.TenantID) error {
 func (s *Switch) ZeroRegion(r mem.Region) {
 	base := mem.SRAMIndex(r.Base)
 	clear(s.sram[base : base+r.Words])
-}
-
-// deniedCounter returns the per-tenant tpps_denied metric handle,
-// resolving it on the tenant's first denial and caching it so the
-// steady-state dataplane never does name lookups.
-func (s *Switch) deniedCounter(id guard.TenantID) *obs.Counter {
-	if c, ok := s.mTenantDenied[id]; ok {
-		return c
-	}
-	c := s.cfg.Metrics.Counter(fmt.Sprintf("switch/%d/tenant/%d/tpps_denied", s.cfg.ID, id))
-	s.mTenantDenied[id] = c
-	return c
 }
 
 // GuardedViewForTesting builds the tenant-enforced memory view the TCPU

@@ -173,10 +173,10 @@ func TestGuardEndToEndDenialReconciles(t *testing.T) {
 	if got := sw.TPPsDenied(); got != 2 {
 		t.Fatalf("TPPsDenied = %d, want 2", got)
 	}
-	if got := reg.Counter("switch/1/tpps_denied").Value(); got != 2 {
+	if got := counterRow(t, reg, "switch/1/tpps_denied"); got != 2 {
 		t.Fatalf("tpps_denied metric = %d", got)
 	}
-	if got := reg.Counter("switch/1/tenant/3/tpps_denied").Value(); got != 2 {
+	if got := counterRow(t, reg, "switch/1/tenant/3/tpps_denied"); got != 2 {
 		t.Fatalf("per-tenant metric = %d", got)
 	}
 	if got := sw.Guard().Denied(3); got != 2 {

@@ -59,7 +59,7 @@ func TestParanoidModeStripsFaultingTPP(t *testing.T) {
 	if sw.TPPsExecuted() != 0 {
 		t.Fatal("rejected TPP still executed")
 	}
-	if v := reg.Counter("switch/7/tpps_rejected").Value(); v != 1 {
+	if v := counterRow(t, reg, "switch/7/tpps_rejected"); v != 1 {
 		t.Fatalf("tpps_rejected metric = %d", v)
 	}
 

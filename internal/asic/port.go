@@ -38,11 +38,9 @@ type Port struct {
 	// by access-point models (internal/wireless).
 	snr uint32
 
-	// Telemetry handles, resolved at construction (nil when metrics
-	// are disabled — recording through them is then a no-op).
+	// mQueueDepth is resolved at construction (nil when metrics are
+	// disabled — recording through it is then a no-op).
 	mQueueDepth *obs.Histogram // occupancy in bytes after each enqueue
-	mTxBytes    *obs.Counter
-	mDrops      *obs.Counter
 }
 
 // ID returns the port number.
@@ -114,6 +112,16 @@ func (p *Port) DropBytes() uint64 {
 	return n
 }
 
+// dropPkts returns cumulative packets tail-dropped across the port's
+// queues.
+func (p *Port) dropPkts() uint64 {
+	var n uint64
+	for _, q := range p.queues {
+		n += q.DropPkts
+	}
+	return n
+}
+
 // EnqBytes returns cumulative bytes enqueued across the port's queues.
 func (p *Port) EnqBytes() uint64 {
 	var n uint64
@@ -133,7 +141,6 @@ func (p *Port) enqueue(pkt *core.Packet, qid int) bool {
 	}
 	wire := pkt.WireLen()
 	if !p.queues[qid].Enqueue(pkt) {
-		p.mDrops.Inc()
 		p.sw.span(pkt, obs.StageDrop, uint64(qid), uint64(wire))
 		pkt.Recycle() // tail drop: the fabric destroys the packet here
 		return false
@@ -165,7 +172,6 @@ func (p *Port) kick() {
 			wire := pkt.WireLen()
 			p.txBytes += uint64(wire)
 			p.txUtil.Add(wire)
-			p.mTxBytes.Add(uint64(wire))
 			lat := uint64(int64(p.sw.sim.Now()) - pkt.Meta.EnqueuedAt)
 			p.sw.m.hopLatency.Observe(lat)
 			p.sw.span(pkt, obs.StageSched, uint64(qi), lat)

@@ -65,7 +65,6 @@ func (w *spinWatch) observe(s *Switch, pkt *core.Packet) {
 	// subsequent transition a true edge-to-edge interval.
 	interval := uint64(now - w.lastEdge)
 	w.edges++
-	s.m.spinEdges.Inc()
 	bucketed := uint64(0)
 	if idx := obs.BucketOf(interval); idx < obs.NumBuckets {
 		i := mem.SRAMIndex(w.base + mem.Addr(idx))
@@ -74,7 +73,6 @@ func (w *spinWatch) observe(s *Switch, pkt *core.Packet) {
 			s.sram[i]++
 			s.busMu.Unlock()
 			w.samples++
-			s.m.spinSamples.Inc()
 			bucketed = 1
 		}
 	}

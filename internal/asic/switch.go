@@ -77,10 +77,11 @@ type Config struct {
 	// none, so the id stands in.)
 	RecordRoute bool
 
-	// Metrics registers this switch's counters and histograms
-	// (hierarchically keyed switch/<id>/...).  Nil disables metric
-	// recording: the hot path then touches only nil handles, which
-	// cost one branch and never allocate.
+	// Metrics exports this switch's counts and histograms
+	// (hierarchically keyed switch/<id>/...).  The counts are the
+	// switch's own words, read when the registry snapshots; only the
+	// histograms are recorded on the hot path, through handles that are
+	// nil — one branch, no allocation — when Metrics is nil.
 	Metrics *obs.Registry
 	// Trace records packet-lifecycle span events at every pipeline
 	// stage (parser, lookup, TCPU, memory manager, egress queue,
@@ -162,6 +163,9 @@ type Switch struct {
 	ttlDrops      uint64
 	blackholes    uint64 // packets with no forwarding decision
 
+	tppFaults      uint64 // executions that ended in a TCPU fault
+	tcpuOverBudget uint64 // executions that overran the cycle budget
+
 	// Crash-restart state.  epoch is the boot generation counter
 	// exposed at [Switch:Epoch]; it increments on every Reboot so
 	// end-hosts can detect that soft state was wiped.  booting is set
@@ -178,10 +182,10 @@ type Switch struct {
 	tppRefillAt netsim.Time
 
 	// Tenant guard (nil unless cfg.Guard): the table holds every grant
-	// in force plus the per-tenant admission buckets; mTenantDenied
-	// caches the per-tenant denial metric handles.
-	guard         *guard.Table
-	mTenantDenied map[guard.TenantID]*obs.Counter
+	// in force plus the per-tenant admission buckets; tenantDenied
+	// counts denials by the tenant id the TPP carried, registered or not.
+	guard        *guard.Table
+	tenantDenied map[guard.TenantID]uint64
 
 	// spin holds the fixed-function spin-bit observers (§4-style
 	// comparator; nil when none are installed).  The slice keeps watch
@@ -212,36 +216,18 @@ type Switch struct {
 	execView  view
 	execGuard guardedView
 
-	// Telemetry: span tracer plus pre-resolved metric handles (all
+	// Telemetry: span tracer plus pre-resolved histogram handles (all
 	// nil when disabled — recording through them is then a no-op).
 	tracer *obs.Tracer
 	m      switchMetrics
-
-	// LastTCPU holds the result of the most recent TPP execution,
-	// for tests and the cycle-model experiments.
-	LastTCPU tcpu.Result
 }
 
-// switchMetrics bundles the per-switch metric handles, resolved once
-// at construction so the dataplane never does name lookups.
+// switchMetrics bundles the per-switch histogram handles, resolved once
+// at construction so the dataplane never does name lookups.  Counts are
+// not here: collect names the switch's own words at snapshot.
 type switchMetrics struct {
-	packets       *obs.Counter
-	tpps          *obs.Counter
-	tppFaults     *obs.Counter
-	tppOverBudget *obs.Counter
-	tppsStripped  *obs.Counter
-	tppsRejected  *obs.Counter
-	tppsThrottled *obs.Counter
-	tppsDenied    *obs.Counter
-	ttlDrops      *obs.Counter
-	blackholes    *obs.Counter
-	reboots       *obs.Counter
-	rebootDrops   *obs.Counter
-	cstores       *obs.Counter   // CSTORE commits
-	spinEdges     *obs.Counter   // spin-bit transitions observed
-	spinSamples   *obs.Counter   // spin intervals bucketed into SRAM
-	tcpuCycles    *obs.Histogram // modeled cycles per TPP execution
-	hopLatency    *obs.Histogram // ns from parser to scheduler dequeue
+	tcpuCycles *obs.Histogram // modeled cycles per TPP execution
+	hopLatency *obs.Histogram // ns from parser to scheduler dequeue
 }
 
 // New builds a switch and registers its housekeeping ticker with the
@@ -276,27 +262,12 @@ func New(sim *netsim.Sim, cfg Config) *Switch {
 	s.tppTokens = float64(cfg.TPPBurst) // the gate starts full
 	if cfg.Guard {
 		s.guard = guard.NewTable(s.alloc)
-		s.mTenantDenied = make(map[guard.TenantID]*obs.Counter)
+		s.tenantDenied = make(map[guard.TenantID]uint64)
 	}
 	reg := cfg.Metrics // nil registry hands out nil (no-op) handles
 	s.m = switchMetrics{
-		packets:       reg.Counter(fmt.Sprintf("switch/%d/packets", cfg.ID)),
-		tpps:          reg.Counter(fmt.Sprintf("switch/%d/tpps_executed", cfg.ID)),
-		tppFaults:     reg.Counter(fmt.Sprintf("switch/%d/tpp_faults", cfg.ID)),
-		tppOverBudget: reg.Counter(fmt.Sprintf("switch/%d/tcpu_over_budget", cfg.ID)),
-		tppsStripped:  reg.Counter(fmt.Sprintf("switch/%d/tpps_stripped", cfg.ID)),
-		tppsRejected:  reg.Counter(fmt.Sprintf("switch/%d/tpps_rejected", cfg.ID)),
-		tppsThrottled: reg.Counter(fmt.Sprintf("switch/%d/tpps_throttled", cfg.ID)),
-		tppsDenied:    reg.Counter(fmt.Sprintf("switch/%d/tpps_denied", cfg.ID)),
-		ttlDrops:      reg.Counter(fmt.Sprintf("switch/%d/ttl_drops", cfg.ID)),
-		blackholes:    reg.Counter(fmt.Sprintf("switch/%d/blackholes", cfg.ID)),
-		reboots:       reg.Counter(fmt.Sprintf("switch/%d/reboots", cfg.ID)),
-		rebootDrops:   reg.Counter(fmt.Sprintf("switch/%d/reboot_drops", cfg.ID)),
-		cstores:       reg.Counter(fmt.Sprintf("switch/%d/cstore_commits", cfg.ID)),
-		spinEdges:     reg.Counter(fmt.Sprintf("switch/%d/spin_edges", cfg.ID)),
-		spinSamples:   reg.Counter(fmt.Sprintf("switch/%d/spin_samples", cfg.ID)),
-		tcpuCycles:    reg.Histogram(fmt.Sprintf("switch/%d/tcpu_cycles", cfg.ID)),
-		hopLatency:    reg.Histogram(fmt.Sprintf("switch/%d/hop_latency_ns", cfg.ID)),
+		tcpuCycles: reg.Histogram(fmt.Sprintf("switch/%d/tcpu_cycles", cfg.ID)),
+		hopLatency: reg.Histogram(fmt.Sprintf("switch/%d/hop_latency_ns", cfg.ID)),
 	}
 	for i := 0; i < cfg.Ports; i++ {
 		p := &Port{
@@ -307,16 +278,49 @@ func New(sim *netsim.Sim, cfg Config) *Switch {
 			txUtil:  newMeter(utilGain, statsInterval.Seconds()),
 
 			mQueueDepth: reg.Histogram(fmt.Sprintf("switch/%d/port/%d/queue_depth_bytes", cfg.ID, i)),
-			mTxBytes:    reg.Counter(fmt.Sprintf("switch/%d/port/%d/tx_bytes", cfg.ID, i)),
-			mDrops:      reg.Counter(fmt.Sprintf("switch/%d/port/%d/drops", cfg.ID, i)),
 		}
 		for q := 0; q < cfg.QueuesPerPort; q++ {
 			p.queues = append(p.queues, NewQueue(cfg.QueueCapBytes))
 		}
 		s.ports = append(s.ports, p)
 	}
+	reg.Collect(s.collect)
 	sim.Every(statsInterval, statsInterval, s.housekeeping)
 	return s
+}
+
+// collect names this switch's counts for the registry's pull edge: each
+// row is the word its accessor returns, read when the registry
+// snapshots.
+func (s *Switch) collect(emit func(name string, v uint64)) {
+	pre := fmt.Sprintf("switch/%d/", s.cfg.ID)
+	emit(pre+"packets", s.packets)
+	emit(pre+"tpps_executed", s.tppsExecuted)
+	emit(pre+"tpp_faults", s.tppFaults)
+	emit(pre+"tcpu_over_budget", s.tcpuOverBudget)
+	emit(pre+"tpps_stripped", s.tppsStripped)
+	emit(pre+"tpps_rejected", s.tppsRejected)
+	emit(pre+"tpps_throttled", s.tppsThrottled)
+	emit(pre+"tpps_denied", s.tppsDenied)
+	emit(pre+"ttl_drops", s.ttlDrops)
+	emit(pre+"blackholes", s.blackholes)
+	emit(pre+"reboots", s.reboots)
+	emit(pre+"reboot_drops", s.rebootDrops)
+	emit(pre+"cstore_commits", s.cstores)
+	var edges, samples uint64
+	for _, w := range s.spin {
+		edges += w.edges
+		samples += w.samples
+	}
+	emit(pre+"spin_edges", edges)
+	emit(pre+"spin_samples", samples)
+	for id, n := range s.tenantDenied { //lint:allow maporder (Snapshot sorts the rows)
+		emit(fmt.Sprintf("%stenant/%d/tpps_denied", pre, id), n)
+	}
+	for _, p := range s.ports {
+		emit(fmt.Sprintf("%sport/%d/tx_bytes", pre, p.id), p.txBytes)
+		emit(fmt.Sprintf("%sport/%d/drops", pre, p.id), p.dropPkts())
+	}
 }
 
 // span records one lifecycle event for pkt at the current simulated
@@ -391,7 +395,6 @@ func (s *Switch) InjectLocal(pkt *core.Packet, out int) bool {
 	}
 	if out < 0 || out >= len(s.ports) || !s.ports[out].Wired() {
 		s.blackholes++
-		s.m.blackholes.Inc()
 		s.span(pkt, obs.StageBlackhole, uint64(out), uint64(out))
 		pkt.Recycle()
 		return false
@@ -423,6 +426,13 @@ func (s *Switch) CStoreCommits() uint64 { return s.cstores }
 // TPPsExecuted returns how many TPPs the TCPU has run.
 func (s *Switch) TPPsExecuted() uint64 { return s.tppsExecuted }
 
+// TPPFaults returns how many executions ended in a TCPU fault.
+func (s *Switch) TPPFaults() uint64 { return s.tppFaults }
+
+// TCPUOverBudget returns how many executions overran the TCPU's cycle
+// budget.
+func (s *Switch) TCPUOverBudget() uint64 { return s.tcpuOverBudget }
+
 // TPPsStripped returns how many TPPs were removed at untrusted ports.
 func (s *Switch) TPPsStripped() uint64 { return s.tppsStripped }
 
@@ -432,6 +442,12 @@ func (s *Switch) TPPsRejected() uint64 { return s.tppsRejected }
 // TPPsThrottled returns how many TPPs the admission gate declined to
 // execute (their packets forwarded unmodified).
 func (s *Switch) TPPsThrottled() uint64 { return s.tppsThrottled }
+
+// TTLDrops returns how many routed packets expired at this switch.
+func (s *Switch) TTLDrops() uint64 { return s.ttlDrops }
+
+// Blackholes returns how many packets had no wired egress to leave by.
+func (s *Switch) Blackholes() uint64 { return s.blackholes }
 
 // Epoch returns the boot generation counter, the value exposed at
 // [Switch:Epoch]: zero until the first crash-restart.
@@ -462,7 +478,6 @@ func (s *Switch) Reboot(bootDelay netsim.Time) {
 	s.epoch++
 	s.booting = true
 	s.reboots++
-	s.m.reboots.Inc()
 
 	// Wipe soft state.  Flushed queue packets count as reboot drops so
 	// packet conservation stays provable across the crash.
@@ -478,7 +493,6 @@ func (s *Switch) Reboot(bootDelay netsim.Time) {
 				s.span(pkt, obs.StageRebootDrop, uint64(port), uint64(pkt.WireLen()))
 			})
 			s.rebootDrops += uint64(flushed)
-			s.m.rebootDrops.Add(uint64(flushed))
 		}
 	}
 	// Spin-observer edge tracking is soft state too: the wipe loses
@@ -524,7 +538,6 @@ func (s *Switch) bootDone() {
 //alloc:free
 func (s *Switch) dropRebooted(pkt *core.Packet, port int) {
 	s.rebootDrops++
-	s.m.rebootDrops.Inc()
 	s.span(pkt, obs.StageRebootDrop, uint64(port), uint64(pkt.WireLen()))
 	pkt.Recycle()
 }
@@ -557,7 +570,6 @@ func (s *Switch) Receive(pkt *core.Packet, port int) {
 		s.span(pkt, obs.StageStrip, uint64(port), 0)
 		pkt = stripTPP(pkt)
 		s.tppsStripped++
-		s.m.tppsStripped.Inc()
 		if pkt == nil {
 			return // nothing remained to forward
 		}
@@ -571,7 +583,6 @@ func (s *Switch) Receive(pkt *core.Packet, port int) {
 			s.span(pkt, obs.StageVerifyReject, uint64(port), uint64(len(res.Errors())))
 			pkt = stripTPP(pkt)
 			s.tppsRejected++
-			s.m.tppsRejected.Inc()
 			if pkt == nil {
 				return
 			}
@@ -634,7 +645,6 @@ func stripTPP(pkt *core.Packet) *core.Packet {
 //alloc:free
 func (s *Switch) forward(pkt *core.Packet, inPort int) {
 	s.packets++
-	s.m.packets.Inc()
 
 	// Lookup precedence mirrors §3.1's pipeline: the TCAM slices see
 	// the packet first, then L3 LPM, then the L2 hash table.
@@ -654,7 +664,6 @@ func (s *Switch) forward(pkt *core.Packet, inPort int) {
 		if rt, ok := s.l3.Lookup(pkt.IP.Dst); ok {
 			if pkt.IP.TTL <= 1 {
 				s.ttlDrops++
-				s.m.ttlDrops.Inc()
 				s.span(pkt, obs.StageTTLDrop, uint64(inPort), 0)
 				pkt.Recycle()
 				return
@@ -712,7 +721,6 @@ func (s *Switch) forwardL2(pkt *core.Packet, inPort int) {
 	}
 	if last < 0 {
 		s.blackholes++
-		s.m.blackholes.Inc()
 		s.span(pkt, obs.StageBlackhole, uint64(inPort), 0)
 		pkt.Recycle()
 		return
@@ -744,7 +752,6 @@ func (s *Switch) deliver(pkt *core.Packet, inPort, outPort int) {
 	}
 	if outPort < 0 || outPort >= len(s.ports) || !s.ports[outPort].Wired() {
 		s.blackholes++
-		s.m.blackholes.Inc()
 		s.span(pkt, obs.StageBlackhole, uint64(inPort), uint64(outPort))
 		pkt.Recycle()
 		return
@@ -781,7 +788,6 @@ func (s *Switch) deliver(pkt *core.Packet, inPort, outPort int) {
 			// overloaded TCPU apart from a blackhole.
 			pkt.TPP.Flags |= core.FlagThrottled
 			s.tppsThrottled++
-			s.m.tppsThrottled.Inc()
 			s.span(pkt, obs.StageThrottle, uint64(outPort), uint64(inPort))
 		} else {
 			s.execTPP(pkt, outPort)
@@ -849,24 +855,24 @@ func (s *Switch) execTPP(pkt *core.Packet, outPort int) {
 		gv = &s.execGuard
 		v = gv
 	}
+	var res tcpu.Result
 	if prog := s.compiledFor(pkt.TPP); prog != nil {
-		s.LastTCPU = prog.Exec(pkt.TPP, v)
+		res = prog.Exec(pkt.TPP, v)
 	} else {
-		s.LastTCPU = s.cfg.TCPU.Exec(pkt.TPP, v)
+		res = s.cfg.TCPU.Exec(pkt.TPP, v)
 	}
 	if gv != nil && gv.denies > 0 {
 		pkt.TPP.Flags |= core.FlagAccessFault
 	}
 	s.tppsExecuted++
-	s.m.tpps.Inc()
-	s.m.tcpuCycles.Observe(uint64(s.LastTCPU.Cycles))
-	if s.LastTCPU.Fault != nil {
-		s.m.tppFaults.Inc()
+	s.m.tcpuCycles.Observe(uint64(res.Cycles))
+	if res.Fault != nil {
+		s.tppFaults++
 	}
-	if !s.LastTCPU.WithinBudget() {
-		s.m.tppOverBudget.Inc()
+	if !res.WithinBudget() {
+		s.tcpuOverBudget++
 	}
-	s.span(pkt, obs.StageTCPU, uint64(s.LastTCPU.Cycles), uint64(s.LastTCPU.Executed))
+	s.span(pkt, obs.StageTCPU, uint64(res.Cycles), uint64(res.Executed))
 }
 
 // compiledFor resolves the compiled form of t's program: the program

@@ -106,11 +106,10 @@ func (v *view) CondStore(a mem.Addr, cond, val uint32) (uint32, error) {
 		if err := v.storeLocked(a, val); err != nil {
 			return 0, err
 		}
-		// One commit, accounted once across counter, metric and span,
-		// so the in-band telemetry plane can reconcile every applied
-		// dataplane update against what its sweeps later collect.
+		// One commit, one count and one span, so the in-band telemetry
+		// plane can reconcile every applied dataplane update against
+		// what its sweeps later collect.
 		v.sw.cstores++
-		v.sw.m.cstores.Inc()
 		v.sw.span(v.pkt, obs.StageCStore, uint64(a), uint64(val))
 	}
 	return old, nil

@@ -156,7 +156,7 @@ func TestUnwiredEgressIsBlackhole(t *testing.T) {
 					spans++
 				}
 			})
-			if got := reg.Counter("switch/1/blackholes").Value(); got != tc.blackholes || spans != tc.blackholes {
+			if got := counterRow(t, reg, "switch/1/blackholes"); got != tc.blackholes || spans != tc.blackholes {
 				t.Fatalf("blackholes counted %d, spans %d, want %d", got, spans, tc.blackholes)
 			}
 		})

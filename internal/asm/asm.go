@@ -233,12 +233,7 @@ func parseValue(s string, defs map[string]uint32) (uint32, error) {
 
 func (a *assembler) instruction(line string) error {
 	op, rest, _ := strings.Cut(line, " ")
-	opcode, ok := map[string]core.Opcode{
-		"NOP": core.OpNOP, "LOAD": core.OpLOAD, "STORE": core.OpSTORE,
-		"PUSH": core.OpPUSH, "POP": core.OpPOP, "CSTORE": core.OpCSTORE,
-		"CEXEC": core.OpCEXEC, "ADD": core.OpADD,
-		"SUB": core.OpSUB, "MAX": core.OpMAX,
-	}[strings.ToUpper(op)]
+	opcode, ok := core.ParseOpcode(strings.ToUpper(op))
 	if !ok {
 		return fmt.Errorf("unknown mnemonic %q", op)
 	}

@@ -203,7 +203,7 @@ func RunHostile(cfg HostileConfig) HostileResult {
 						return fmt.Errorf("tenant %d not provisioned", id)
 					}
 					h.NIC.SetTenant(uint8(id))
-					h.NIC.SetVerifier(&verify.Config{Grant: &g}, nil)
+					h.NIC.SetVerifier(&verify.Config{Grant: &g})
 					return nil
 				}
 				for _, pair := range []struct {

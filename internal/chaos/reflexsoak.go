@@ -236,8 +236,8 @@ func RunReflexSoak(cfg ReflexSoakConfig) ReflexSoakResult {
 		}
 	}
 	for _, sw := range net.Switches {
-		res.TTLDrops += reg.Counter(fmt.Sprintf("switch/%d/ttl_drops", sw.ID())).Value()
-		res.Blackholes += reg.Counter(fmt.Sprintf("switch/%d/blackholes", sw.ID())).Value()
+		res.TTLDrops += sw.TTLDrops()
+		res.Blackholes += sw.Blackholes()
 	}
 	res.Leaked = leaked(net.Switches...)
 	res.Reboots = leaf0.Reboots()

@@ -51,6 +51,17 @@ func (o Opcode) String() string {
 	return fmt.Sprintf("OP(%d)", uint8(o))
 }
 
+// ParseOpcode is the inverse of String: it returns the opcode whose
+// assembly mnemonic is exactly name.
+func ParseOpcode(name string) (Opcode, bool) {
+	for op, n := range opcodeNames {
+		if n == name {
+			return Opcode(op), true
+		}
+	}
+	return 0, false
+}
+
 // InstructionLen is the fixed encoded size of one instruction in bytes.
 // §3.3: "we were able to encode an instruction and its operands in a
 // 4-byte integer".

@@ -26,6 +26,14 @@ func TestOpcodeNames(t *testing.T) {
 		if !op.Valid() {
 			t.Errorf("Opcode %s should be valid", want)
 		}
+		if got, ok := ParseOpcode(want); !ok || got != op {
+			t.Errorf("ParseOpcode(%q) = %d, %v, want %d", want, got, ok, op)
+		}
+	}
+	for _, bad := range []string{"", "nop", "OP(200)", "JMP"} {
+		if op, ok := ParseOpcode(bad); ok {
+			t.Errorf("ParseOpcode(%q) = %s, want no match", bad, op)
+		}
 	}
 	if Opcode(200).Valid() {
 		t.Error("Opcode(200) should be invalid")

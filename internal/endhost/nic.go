@@ -9,7 +9,6 @@ package endhost
 import (
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/ring"
 	"repro/internal/tcpu"
 	"repro/internal/verify"
@@ -30,9 +29,8 @@ type NIC struct {
 	queue ring.Buf[*core.Packet] // packets waiting to transmit
 	max   int
 
-	verifier  *verify.Config
-	mRejected *obs.Counter
-	tenant    uint8
+	verifier *verify.Config
+	tenant   uint8
 
 	// progCache compiles injected programs once, keyed by wire bytes
 	// (built lazily on the first TPP send so the config can account
@@ -87,12 +85,10 @@ func (n *NIC) QueueLen() int { return n.queue.Len() }
 // TPP-bearing packet is statically verified at injection time and
 // rejected (Send returns false) when the program carries
 // error-severity diagnostics, so provably faulting or over-budget
-// programs never enter the fabric.  rejected, when non-nil, is
-// incremented per rejection (wire it to an obs.Registry counter).
-// A nil cfg disables verification (the default).
-func (n *NIC) SetVerifier(cfg *verify.Config, rejected *obs.Counter) {
+// programs never enter the fabric; Rejected counts them.  A nil cfg
+// disables verification (the default).
+func (n *NIC) SetVerifier(cfg *verify.Config) {
 	n.verifier = cfg
-	n.mRejected = rejected
 	// Cached verdicts and compilations were produced under the old
 	// config; drop them.
 	n.progCache = nil
@@ -125,7 +121,6 @@ func (n *NIC) Send(pkt *core.Packet) bool {
 			n.LastVerify = n.verifyCached(pkt.TPP)
 			if !n.LastVerify.OK() {
 				n.Rejected++
-				n.mRejected.Inc()
 				return false
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/verify"
 )
 
@@ -16,9 +15,7 @@ import (
 func TestNICVerifierGate(t *testing.T) {
 	sim := netsim.New(1)
 	a, b := pair(sim, 8_000_000)
-	reg := obs.NewRegistry()
-	rejected := reg.Counter("host/a/tpp_rejected")
-	a.NIC.SetVerifier(&verify.Config{}, rejected)
+	a.NIC.SetVerifier(&verify.Config{})
 
 	tppPacket := func(tpp *core.TPP) *core.Packet {
 		return &core.Packet{
@@ -40,9 +37,6 @@ func TestNICVerifierGate(t *testing.T) {
 	}
 	if a.NIC.Rejected != 1 {
 		t.Fatalf("Rejected = %d", a.NIC.Rejected)
-	}
-	if rejected.Value() != 1 {
-		t.Fatalf("rejection metric = %d", rejected.Value())
 	}
 	if a.NIC.LastVerify.OK() {
 		t.Fatal("LastVerify reports OK for a rejected program")
@@ -71,7 +65,7 @@ func TestNICVerifierGate(t *testing.T) {
 	if !a.Send(a.NewPacket(b.MAC, b.IP, 1, 2, 100)) {
 		t.Fatal("plain packet rejected")
 	}
-	a.NIC.SetVerifier(nil, nil)
+	a.NIC.SetVerifier(nil)
 	if !a.Send(tppPacket(bad)) {
 		t.Fatal("disabled verifier still rejects")
 	}

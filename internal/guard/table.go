@@ -143,9 +143,10 @@ func (t *Table) Admit(id TenantID, now netsim.Time, rate float64) bool {
 }
 
 // NoteDenied records one denied guarded access for tenant id (the
-// memory-stage counterpart of the tpps_denied metric and the
-// StageAccessDeny span).  Unregistered tenants are counted too — their
-// every access is a denial.
+// memory-stage counterpart of the switch's tpps_denied count and the
+// StageAccessDeny span).  An unregistered tenant has no state here, so
+// its denials are dropped: Denied reads 0 for it, while the switch still
+// counts them, in total and under the tenant id the TPP carried.
 func (t *Table) NoteDenied(id TenantID) {
 	if st, ok := t.tenants[id]; ok {
 		st.denied++

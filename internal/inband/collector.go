@@ -61,8 +61,6 @@ type Collector struct {
 	// gated switch; the next sweep re-reads those words.
 	Series     []SweepPoint
 	Incomplete uint64
-
-	mSweeps, mFolded, mDiscont, mIncomplete *obs.Counter
 }
 
 // NewCollector builds a collector; chunking is fixed at construction.
@@ -84,14 +82,25 @@ func NewCollector(cfg CollectorConfig) *Collector {
 		c.offsets = append(c.offsets, off)
 		c.sizes = append(c.sizes, n)
 	}
-	if cfg.Metrics != nil {
-		pre := "inband/" + cfg.Name + "/"
-		c.mSweeps = cfg.Metrics.Counter(pre + "sweeps")
-		c.mFolded = cfg.Metrics.Counter(pre + "folded")
-		c.mDiscont = cfg.Metrics.Counter(pre + "discontinuities")
-		c.mIncomplete = cfg.Metrics.Counter(pre + "incomplete_chunks")
-	}
+	cfg.Metrics.Collect(c.collect)
 	return c
+}
+
+// collect names the collector's counts for the registry's pull edge:
+// folded is the cumulative histogram's observation count, and
+// discontinuities the sweeps in Series that re-based a word.
+func (c *Collector) collect(emit func(name string, v uint64)) {
+	pre := "inband/" + c.cfg.Name + "/"
+	emit(pre+"sweeps", c.seq)
+	emit(pre+"folded", c.cum.Count())
+	var discont uint64
+	for _, p := range c.Series {
+		if p.Discont {
+			discont++
+		}
+	}
+	emit(pre+"discontinuities", discont)
+	emit(pre+"incomplete_chunks", c.Incomplete)
 }
 
 // Sweep launches one sweep: a ProbeGroup of gated chunk reads.  It
@@ -130,13 +139,11 @@ func (c *Collector) fold(echoes []*core.TPP) {
 	for k, e := range echoes {
 		if e == nil {
 			c.Incomplete++
-			c.mIncomplete.Inc()
 			continue
 		}
 		epoch, vals, ok := endhost.DecodeGatedChunk(e, c.sizes[k])
 		if !ok {
 			c.Incomplete++
-			c.mIncomplete.Inc()
 			continue
 		}
 		deltas, d := c.poller.Fold(c.offsets[k], epoch, vals)
@@ -151,11 +158,6 @@ func (c *Collector) fold(echoes []*core.TPP) {
 		}
 	}
 	c.seq++
-	c.mSweeps.Inc()
-	c.mFolded.Add(folded)
-	if discont {
-		c.mDiscont.Inc()
-	}
 	var at int64
 	if c.cfg.Now != nil {
 		at = c.cfg.Now()

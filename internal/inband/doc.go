@@ -34,6 +34,6 @@
 // Everything buckets with obs.BucketOf, so dataplane histograms and
 // host-side ground truth are comparable bucket-for-bucket, and every
 // applied CSTORE is accounted once across the switch's cstore_commits
-// counter, metric and StageCStore span — the reconciliation the
-// scenario tests assert exactly, across switch crash-restarts.
+// count and a StageCStore span — the reconciliation the scenario tests
+// assert exactly, across switch crash-restarts.
 package inband

@@ -164,7 +164,7 @@ func RunHist(cfg HistConfig) HistResult {
 	spec := HistSpec{SwitchID: spine.ID(), Base: mem.SRAMBase, Buckets: obs.NumBuckets}
 	seal := func(h *endhost.Host) {
 		h.NIC.SetTenant(uint8(histTenant))
-		h.NIC.SetVerifier(&verify.Config{Grant: &grant}, nil)
+		h.NIC.SetVerifier(&verify.Config{Grant: &grant})
 	}
 	seal(writerHost)
 	seal(collHost)

@@ -76,8 +76,6 @@ type HistWriter struct {
 	Inconclusive uint64
 	Rebases      uint64
 	Failures     uint64
-
-	mSamples, mApplied, mDuplicates, mInconclusive, mRebases *obs.Counter
 }
 
 // NewHistWriter builds the writer; the window starts (and the switch
@@ -91,15 +89,19 @@ func NewHistWriter(cfg WriterConfig) *HistWriter {
 		want:   make([]uint32, cfg.Spec.Buckets),
 		shadow: make([]uint32, cfg.Spec.Buckets),
 	}
-	if cfg.Metrics != nil {
-		pre := "inband/" + cfg.Name + "/"
-		w.mSamples = cfg.Metrics.Counter(pre + "samples")
-		w.mApplied = cfg.Metrics.Counter(pre + "applied")
-		w.mDuplicates = cfg.Metrics.Counter(pre + "duplicates")
-		w.mInconclusive = cfg.Metrics.Counter(pre + "inconclusive")
-		w.mRebases = cfg.Metrics.Counter(pre + "rebases")
-	}
+	cfg.Metrics.Collect(w.collect)
 	return w
+}
+
+// collect names the writer's exported counts for the registry's pull
+// edge.
+func (w *HistWriter) collect(emit func(name string, v uint64)) {
+	pre := "inband/" + w.cfg.Name + "/"
+	emit(pre+"samples", w.Samples)
+	emit(pre+"applied", w.Applied)
+	emit(pre+"duplicates", w.Duplicates)
+	emit(pre+"inconclusive", w.Inconclusive)
+	emit(pre+"rebases", w.Rebases)
 }
 
 // Observe buckets one sample (obs.BucketOf, clipped to the window) and
@@ -114,7 +116,6 @@ func (w *HistWriter) Observe(v uint64) {
 	}
 	w.want[b]++
 	w.Samples++
-	w.mSamples.Inc()
 	w.pump()
 }
 
@@ -195,7 +196,6 @@ func (w *HistWriter) onEcho(i int, cond uint32, e *core.TPP) {
 		// Echoed without executing at the home switch (throttled or
 		// stripped): inconclusive, back off and retry the same cond.
 		w.Inconclusive++
-		w.mInconclusive.Inc()
 		w.cfg.Prober.After(w.nextBackoff(), w.pump)
 		return
 	}
@@ -209,7 +209,6 @@ func (w *HistWriter) onEcho(i int, cond uint32, e *core.TPP) {
 		// new epoch — then fall through to mirror what this echo
 		// proved about bucket i after the wipe.
 		w.Rebases++
-		w.mRebases.Inc()
 		w.epoch = epoch
 		clear(w.shadow)
 	}
@@ -218,14 +217,12 @@ func (w *HistWriter) onEcho(i int, cond uint32, e *core.TPP) {
 		// The compare matched: this transmission's CSTORE committed
 		// and the bucket now holds cond+1.
 		w.Applied++
-		w.mApplied.Inc()
 		w.shadow[i] = got + 1
 	case cond + 1:
 		// An earlier transmission of this same attempt committed and
 		// its echo was lost; this copy's compare failed against the
 		// already-incremented value.  The sample is in — count it once.
 		w.Duplicates++
-		w.mDuplicates.Inc()
 		w.shadow[i] = got
 	default:
 		// Mirror SRAM's word and re-drive from there.  Across a wipe

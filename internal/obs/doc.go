@@ -6,11 +6,16 @@
 //
 //   - A metric Registry of counters, gauges and fixed log2-bucket
 //     histograms, keyed hierarchically ("switch/3/port/1/queue_depth_bytes").
-//     Handles are resolved once at construction time; every hot-path
-//     operation (Counter.Add, Histogram.Observe, Tracer.Record) is a
-//     safe no-op on a nil receiver, so a dataplane built without
-//     telemetry pays nothing — no branches on a config struct, no
-//     allocations, no atomic traffic.
+//     A count lives at one address: the plain word its owner increments.
+//     The owner registers a collector (Registry.Collect) that names its
+//     words, and Snapshot reads them — there is no second copy to keep
+//     equal.  Histograms and gauges are pushed through handles resolved
+//     once at construction time; every hot-path operation
+//     (Histogram.Observe, Gauge.Set, Tracer.Record) is a safe no-op on a
+//     nil receiver, so a dataplane built without telemetry pays nothing —
+//     no branches on a config struct, no allocations, no atomic traffic.
+//     The Counter handle type remains only for bench/tppbench's
+//     obs.counter_inc_ns probe; no owner in this tree holds one.
 //
 //   - A packet-lifecycle Tracer: a bounded, lazily grown log of
 //     SpanEvents recorded at each pipeline stage (parser, lookup, TCPU,
@@ -23,12 +28,13 @@
 // ingestion) and CSV (via internal/trace, for the experiment
 // harnesses), and Diff produces counter/histogram deltas for tests.
 //
-// Concurrency: counters, gauges and histogram buckets are atomics and
-// the registry's name maps are mutex-guarded, so metrics may be touched
-// from any goroutine.  The Tracer is single-writer: the simulator is one
-// goroutine by construction, so Record and Reset belong to the goroutine
-// that runs it, and Each, Events, Journey and the exporters are called
-// when it is quiescent (between RunUntil calls, or after the run).  The
-// race-detector test run (make race) is the proof that no caller records
-// concurrently.
+// Concurrency: counter handles, gauges and histogram buckets are atomics
+// and the registry's name maps are mutex-guarded, so handles may be
+// touched from any goroutine.  The Tracer is single-writer: the simulator
+// is one goroutine by construction, so Record and Reset belong to the
+// goroutine that runs it, and Each, Events, Journey and the exporters are
+// called when it is quiescent (between RunUntil calls, or after the run).
+// Snapshot is under the same contract, because the collectors it runs
+// read their owners' plain words.  The race-detector test run (make race)
+// is the proof that no caller records concurrently.
 package obs

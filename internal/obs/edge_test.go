@@ -160,3 +160,65 @@ rtt,histogram,,2,105,100,7,7
 		t.Errorf("WriteCSV drifted:\ngot:\n%s\nwant:\n%s", csv.String(), wantCSV)
 	}
 }
+
+// TestCollectPullsOwnersWords pins the pull edge: a collector's rows
+// are read when Snapshot runs (not when Collect registered it), a name
+// emitted by two owners and also held as a handle is one summed row,
+// pulled rows sort with the pushed ones and survive Diff and both
+// exporters, and a nil registry takes Collect as a no-op.
+func TestCollectPullsOwnersWords(t *testing.T) {
+	var nilReg *Registry
+	nilReg.Collect(func(func(string, uint64)) { t.Error("collector ran on a nil registry") })
+	if s := nilReg.Snapshot(0); len(s.Metrics) != 0 {
+		t.Fatalf("nil registry snapshot has %d rows", len(s.Metrics))
+	}
+
+	reg := NewRegistry()
+	var a, b, solo uint64 // the owners' words
+	reg.Collect(func(emit func(string, uint64)) {
+		emit("shared", a)
+		emit("zz/solo", solo)
+	})
+	reg.Collect(func(emit func(string, uint64)) { emit("shared", b) })
+	reg.Counter("shared").Add(100)
+	reg.Gauge("queue").Set(-7)
+	reg.Histogram("rtt").Observe(5)
+
+	a, b, solo = 1, 20, 4
+	before := reg.Snapshot(1)
+	if m, ok := before.Get("shared"); !ok || m.Kind != KindCounter || m.Value != 121 {
+		t.Fatalf("shared = %+v (ok=%v), want one counter row of 121", m, ok)
+	}
+	var names []string
+	for _, m := range before.Metrics {
+		names = append(names, m.Name)
+	}
+	if got := strings.Join(names, " "); got != "queue rtt shared zz/solo" {
+		t.Fatalf("rows %q: pulled rows must sort with the rest, one row per name", got)
+	}
+
+	a, solo = 3, 4
+	after := reg.Snapshot(2)
+	d := Diff(before, after)
+	if m, _ := d.Get("shared"); m.Value != 2 {
+		t.Fatalf("diff shared = %d, want 2", m.Value)
+	}
+	if m, ok := d.Get("zz/solo"); !ok || m.Value != 0 {
+		t.Fatalf("diff zz/solo = %+v (ok=%v), want a zero row", m, ok)
+	}
+
+	var jsonl, csv strings.Builder
+	if err := after.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	if err := after.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"at_ns":2,"name":"shared","kind":"counter","value":123}` + "\n" +
+		`{"at_ns":2,"name":"zz/solo","kind":"counter","value":4}` + "\n"; !strings.HasSuffix(jsonl.String(), want) {
+		t.Errorf("WriteJSONL:\n%swant suffix:\n%s", jsonl.String(), want)
+	}
+	if want := "shared,counter,123,,,,,\nzz/solo,counter,4,,,,,\n"; !strings.HasSuffix(csv.String(), want) {
+		t.Errorf("WriteCSV:\n%swant suffix:\n%s", csv.String(), want)
+	}
+}

@@ -10,16 +10,20 @@ import (
 )
 
 // Registry holds the metric namespace.  Names are hierarchical,
-// slash-separated paths ("switch/3/port/1/queue_depth_bytes"); handles
-// are resolved once, at construction time, and used lock-free on the
-// hot path.  All lookup methods are safe on a nil *Registry and return
-// nil handles, whose operations are no-ops — the disabled-telemetry
-// fast path.
+// slash-separated paths ("switch/3/port/1/queue_depth_bytes").  It has
+// two edges.  Counts are pulled: the owner of a statistic keeps it as a
+// plain word and registers a collector (Collect) that names it, and
+// Snapshot reads the word — the only copy.  Histograms and gauges are
+// pushed: handles are resolved once, at construction time, and used
+// lock-free on the hot path.  All methods are safe on a nil *Registry;
+// lookups then return nil handles, whose operations are no-ops — the
+// disabled-telemetry fast path.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	hists      map[string]*Histogram
+	collectors []func(emit func(name string, v uint64))
 }
 
 // NewRegistry builds an empty registry.
@@ -44,6 +48,22 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
+}
+
+// Collect registers fn to be run by every Snapshot: fn calls emit once
+// per count it owns, and each becomes a row of kind counter.  A name
+// emitted by several owners, or also held as a Counter handle, is one
+// row carrying the sum.  fn reads its owner's plain words, so Snapshot
+// follows the tracer's contract: it is called by the goroutine that runs
+// the simulation, while the simulation is quiescent.  fn must not call
+// back into the registry.
+func (r *Registry) Collect(fn func(emit func(name string, v uint64))) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.collectors = append(r.collectors, fn)
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -150,9 +170,17 @@ func (r *Registry) Snapshot(atNs int64) Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, c := range r.counters { //lint:allow maporder (sorted before return)
+	counts := make(map[string]uint64, len(r.counters))
+	emit := func(name string, v uint64) { counts[name] += v }
+	for name, c := range r.counters { //lint:allow maporder (summed into a map)
+		emit(name, c.Value())
+	}
+	for _, fn := range r.collectors {
+		fn(emit)
+	}
+	for name, v := range counts { //lint:allow maporder (sorted before return)
 		s.Metrics = append(s.Metrics, Metric{
-			AtNs: atNs, Name: name, Kind: KindCounter, Value: int64(c.Value()),
+			AtNs: atNs, Name: name, Kind: KindCounter, Value: int64(v),
 		})
 	}
 	for name, g := range r.gauges { //lint:allow maporder (sorted before return)

@@ -130,18 +130,19 @@ type StarController struct {
 	EpochBumps uint64 // switch reboots detected via the epoch word
 	LastRate   float64
 
-	// Registry handles (nil unless EnableMetrics was called).
-	mCollects *obs.Counter
-	mUpdates  *obs.Counter
-	mRate     *obs.Gauge
+	// mRate is nil unless EnableMetrics was called.
+	mRate *obs.Gauge
 }
 
-// EnableMetrics registers this controller's control-loop metrics under
-// rcp/<name>/: collect echoes processed, update TPPs sent, and the
-// current fair-share rate in bytes/sec.  A nil registry is a no-op.
+// EnableMetrics exports this controller's control-loop metrics under
+// rcp/<name>/: collect echoes processed and update TPPs sent (Collects
+// and Updates, read when the registry snapshots), and the current
+// fair-share rate in bytes/sec.  A nil registry is a no-op.
 func (c *StarController) EnableMetrics(reg *obs.Registry, name string) {
-	c.mCollects = reg.Counter(fmt.Sprintf("rcp/%s/collects", name))
-	c.mUpdates = reg.Counter(fmt.Sprintf("rcp/%s/updates", name))
+	reg.Collect(func(emit func(string, uint64)) {
+		emit("rcp/"+name+"/collects", c.Collects)
+		emit("rcp/"+name+"/updates", c.Updates)
+	})
 	c.mRate = reg.Gauge(fmt.Sprintf("rcp/%s/rate_bytes_per_sec", name))
 }
 
@@ -269,7 +270,6 @@ func (c *StarController) onCollect(e *core.TPP) {
 	}
 	c.Collects++
 	c.missed = 0
-	c.mCollects.Inc()
 
 	// Crash detection: a bumped boot epoch means the switch wiped every
 	// register this controller seeded.  Reconcile the hop by restarting
@@ -352,7 +352,6 @@ func (c *StarController) sendUpdate(switchID uint32, rate float64) {
 	pkt.TPP = tpp
 	c.host.Send(pkt)
 	c.Updates++
-	c.mUpdates.Inc()
 }
 
 // starScheme runs RCP* on a Harness: one StarController per pair, the

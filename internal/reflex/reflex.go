@@ -146,10 +146,6 @@ type backup struct {
 	since       netsim.Time // when the standing detour fired
 }
 
-type armMetrics struct {
-	fires, reverts, stale, budget, probes *obs.Counter
-}
-
 // Arm is one switch's reflex plane.  It implements asic.ReflexHook (the
 // per-packet transit check) and fabric.DetourSource (detour reporting
 // to the controller's diff).
@@ -170,8 +166,6 @@ type Arm struct {
 	uid    uint64
 
 	fires, reverts, stale, budgetRefused, probesSent uint64
-
-	m armMetrics
 }
 
 // Attach builds a reflex arm on sw, allocates its SRAM evidence region
@@ -184,18 +178,22 @@ func Attach(sim *netsim.Sim, sw *asic.Switch, cfg Config) (*Arm, error) {
 		monitors: make([]*monitor, sw.Ports()),
 		byDst:    make(map[uint32]*backup),
 	}
-	a.m = armMetrics{
-		fires:   a.cfg.Metrics.Counter(fmt.Sprintf("switch/%d/reflex_fires", sw.ID())),
-		reverts: a.cfg.Metrics.Counter(fmt.Sprintf("switch/%d/reflex_reverts", sw.ID())),
-		stale:   a.cfg.Metrics.Counter(fmt.Sprintf("switch/%d/reflex_stale", sw.ID())),
-		budget:  a.cfg.Metrics.Counter(fmt.Sprintf("switch/%d/reflex_budget_refused", sw.ID())),
-		probes:  a.cfg.Metrics.Counter(fmt.Sprintf("switch/%d/reflex_probes", sw.ID())),
-	}
+	a.cfg.Metrics.Collect(a.collect)
 	if err := a.rebase(); err != nil {
 		return nil, err
 	}
 	sw.SetReflex(a)
 	return a, nil
+}
+
+// collect names the arm's lifetime totals for the registry's pull edge.
+func (a *Arm) collect(emit func(name string, v uint64)) {
+	pre := fmt.Sprintf("switch/%d/reflex_", a.sw.ID())
+	emit(pre+"fires", a.fires)
+	emit(pre+"reverts", a.reverts)
+	emit(pre+"stale", a.stale)
+	emit(pre+"budget_refused", a.budgetRefused)
+	emit(pre+"probes", a.probesSent)
 }
 
 // rebase (re-)anchors the evidence to the switch's current boot epoch:
@@ -342,7 +340,6 @@ func (a *Arm) tick(m *monitor) {
 	a.updateEWMA(m, now)
 	m.sent++
 	a.probesSent++
-	a.m.probes.Inc()
 	a.sw.InjectLocal(a.heartbeat(m), m.port)
 
 	if a.evidenceBad(m, now) {
@@ -463,14 +460,12 @@ func (a *Arm) Transit(pkt *core.Packet, out int) int {
 func (a *Arm) fire(b *backup, uid uint64, now netsim.Time) int {
 	if a.active >= a.cfg.Budget {
 		a.budgetRefused++
-		a.m.budget.Inc()
 		a.span(uid, obs.StageReflexStale, uint64(b.entryID), 2)
 		return b.primaryPort
 	}
 	if err := a.sw.TCAM().UpdateIfVersion(b.entryID, b.version, tcam.Action{OutPort: b.backupPort}); err != nil {
 		b.state = stateStale
 		a.stale++
-		a.m.stale.Inc()
 		a.span(uid, obs.StageReflexStale, uint64(b.entryID), 1)
 		return b.primaryPort
 	}
@@ -479,7 +474,6 @@ func (a *Arm) fire(b *backup, uid uint64, now netsim.Time) int {
 	b.since = now
 	a.active++
 	a.fires++
-	a.m.fires.Inc()
 	a.span(uid, obs.StageReflexFire, uint64(b.entryID), uint64(b.backupPort))
 	return b.backupPort
 }
@@ -498,7 +492,6 @@ func (a *Arm) checkRevert(m *monitor, now netsim.Time) {
 		if err := a.sw.TCAM().UpdateIfVersion(b.entryID, b.version, tcam.Action{OutPort: b.primaryPort}); err != nil {
 			b.state = stateStale
 			a.stale++
-			a.m.stale.Inc()
 			a.span(0, obs.StageReflexStale, uint64(b.entryID), 1)
 			a.recount()
 			continue
@@ -508,7 +501,6 @@ func (a *Arm) checkRevert(m *monitor, now netsim.Time) {
 		b.since = 0
 		a.active--
 		a.reverts++
-		a.m.reverts.Inc()
 		a.span(0, obs.StageReflexRevert, uint64(b.entryID), uint64(b.primaryPort))
 	}
 }
@@ -628,7 +620,7 @@ func (a *Arm) EntryOf(name string) (uint32, bool) {
 	return 0, false
 }
 
-// Counters: lifetime totals, mirrored in the metrics registry.
+// Counters: lifetime totals, the words the metrics registry reads.
 func (a *Arm) Fires() uint64         { return a.fires }
 func (a *Arm) Reverts() uint64       { return a.reverts }
 func (a *Arm) StaleWrites() uint64   { return a.stale }

@@ -192,10 +192,16 @@ func checkReachability(t *testing.T, policy string, r *fabricRig) {
 			floods++
 		}
 	})
-	var lost uint64
+	var lost int64
+	snap := r.reg.Snapshot(int64(r.Sim.Now()))
 	for _, sw := range r.Switches {
-		lost += r.reg.Counter(fmt.Sprintf("switch/%d/blackholes", sw.ID())).Value() +
-			r.reg.Counter(fmt.Sprintf("switch/%d/ttl_drops", sw.ID())).Value()
+		for _, stat := range []string{"blackholes", "ttl_drops"} {
+			m, ok := snap.Get(fmt.Sprintf("switch/%d/%s", sw.ID(), stat))
+			if !ok {
+				t.Fatalf("%s: switch %d exports no %s row", policy, sw.ID(), stat)
+			}
+			lost += m.Value
+		}
 	}
 	if floods != 0 || lost != 0 || r.tr.Dropped() != 0 {
 		t.Fatalf("%s: %d L2 lookups, %d blackholed or TTL-expired, %d spans dropped; want none",
