@@ -36,7 +36,9 @@ vet:
 # module that wires switches together or spells a fabric device name
 # (bench/ builds its lines on topo.Network's incremental API), a check
 # that no count is kept twice — an obs.Counter handle beside the owner's
-# word — outside internal/obs (bench/ probes the handle's cost), plus the
+# word — outside internal/obs (bench/ probes the handle's cost), a check
+# that only the TCPU and the verifier's abstract interpreter switch on
+# opcodes (everything else reads core.Opcode.Info), plus the
 # repository's own analyzers (see tools/analyzers): the determinism
 # suite over the simulation core and the soaks, and the poollife
 # packet-ownership suite over the packages that handle pooled packets.
@@ -47,6 +49,8 @@ lint: vet
 	if [ -n "$$wired" ]; then echo "hand-wired topology outside internal/topo:"; echo "$$wired"; exit 1; fi
 	@twins=$$(grep -rnE 'obs\.Counter|\.Counter\(' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/obs/'); \
 	if [ -n "$$twins" ]; then echo "counter handle outside internal/obs (keep the count as the owner's word and name it in a collect method):"; echo "$$twins"; exit 1; fi
+	@isa=$$(grep -rnE 'case core\.Op' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/core/|^internal/tcpu/tcpu\.go:|^internal/verify/verify\.go:'); \
+	if [ -n "$$isa" ]; then echo "opcode switch outside internal/core, internal/tcpu/tcpu.go and internal/verify/verify.go (read core.Opcode.Info instead):"; echo "$$isa"; exit 1; fi
 	$(GO) run ./tools/analyzers/cmd/determinismlint $(LINT_PKGS)
 	$(GO) run ./tools/analyzers/cmd/poollifelint $(POOL_PKGS)
 
@@ -109,8 +113,9 @@ soak-pooldebug:
 
 # fuzz smoke-tests the three soundness properties: verified programs
 # never trip a dynamic fault, guest programs never escape their tenant
-# grant (and, verified against it, are never denied), and the compiled
-# TPP form is behaviorally identical to the interpreter.
+# grant (and, verified against it, are never denied), and a TPP executes
+# identically under a cached validation verdict (Program.Exec) and a
+# fresh one (Config.Exec).
 fuzz:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=10s ./internal/verify
 	$(GO) test -fuzz=FuzzGuard -fuzztime=10s ./internal/asic

@@ -203,10 +203,10 @@ type Switch struct {
 
 	// progCache holds this switch's compiled TPPs, keyed on wire bytes
 	// plus the TCPU config the compilation was produced under, so
-	// repeated flows never re-decode a program.  It is flushed on
-	// Reboot and on every tenant grant change (see guard.go): the
-	// compilation itself bakes no guard state in, but a flush is cheap
-	// and makes staleness structurally impossible.
+	// repeated flows never re-validate an instruction section.  It is
+	// flushed on Reboot and on every tenant grant change (see guard.go):
+	// the compilation itself bakes no guard state in, but a flush is
+	// cheap and makes staleness structurally impossible.
 	progCache *tcpu.Cache
 
 	// execView and execGuard are the per-execution memory-view scratch:
@@ -837,9 +837,9 @@ func (s *Switch) admitTPP(id guard.TenantID) bool {
 //
 // The memory views live in per-switch scratch (the dataplane processes
 // one event at a time, so one view per switch suffices), and the
-// program runs in compiled form: a program the trusted edge already
-// compiled is executed directly when its baked config matches this
-// device, and everything else goes through the ingress program cache.
+// program runs under a cached validation verdict: the one the trusted
+// edge attached when its baked config matches this device, otherwise
+// the ingress program cache's.
 //
 //alloc:free
 func (s *Switch) execTPP(pkt *core.Packet, outPort int) {
@@ -878,7 +878,7 @@ func (s *Switch) execTPP(pkt *core.Packet, outPort int) {
 // compiledFor resolves the compiled form of t's program: the program
 // the trusted edge attached when its baked device config matches this
 // switch, otherwise this switch's own ingress cache.  A nil return
-// means the interpreter must run (program too long to cache).
+// means Config.Exec must validate afresh (program too long to cache).
 //
 //alloc:free
 func (s *Switch) compiledFor(t *core.TPP) *tcpu.Program {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/endhost"
 	"repro/internal/netsim"
+	"repro/internal/tcpu"
 	"repro/internal/topo"
 )
 
@@ -49,5 +50,31 @@ func TestTCPUDisableToggle(t *testing.T) {
 	mid.SetTCPUEnabled(true)
 	if e := walk(); e.Ptr != 12 {
 		t.Fatalf("recovered walk recorded %d bytes, want 12", e.Ptr)
+	}
+
+	// A program longer than a program cache keys gets no compilation at
+	// the NIC or at ingress (Cache.Get returns nil) and runs through
+	// Config.Exec: it faults against the device limit at each live
+	// TCPU, executes nowhere, and a killed TCPU ignores it like any TPP.
+	mid.SetTCPUEnabled(false)
+	var faults [3]uint64
+	for i, sw := range sws {
+		faults[i] = sw.TPPFaults()
+	}
+	var echoed *core.TPP
+	long := core.NewTPP(core.AddrStack, make([]core.Instruction, tcpu.MaxCachedInstructions+1), 1)
+	prober.Probe(dst.MAC, dst.IP, long, func(e *core.TPP) { echoed = e })
+	sim.RunUntil(sim.Now() + 50*netsim.Millisecond)
+	if echoed == nil || echoed.Flags&core.FlagError == 0 || echoed.Ptr != 0 {
+		t.Fatalf("over-long probe echo = %+v, want FlagError and an untouched stack pointer", echoed)
+	}
+	for i, sw := range sws {
+		want := faults[i] + 1
+		if sw == mid {
+			want = faults[i]
+		}
+		if got := sw.TPPFaults(); got != want {
+			t.Errorf("switch %d: TPPFaults = %d, want %d", i, got, want)
+		}
 	}
 }

@@ -105,7 +105,7 @@ type pendingIns struct {
 	pkt    uint16   // explicit packet word (or hop offset)
 	imms   []uint32 // immediates to pool (stack mode)
 	poolAt int      // filled in at finish: pool slot of imms[0]
-	extra  int      // extra pool words after the immediates (CSTORE result)
+	extra  int      // extra pool words after the immediates (core.OpInfo.ImmResult)
 }
 
 type assembler struct {
@@ -237,31 +237,21 @@ func (a *assembler) instruction(line string) error {
 	if !ok {
 		return fmt.Errorf("unknown mnemonic %q", op)
 	}
+	info, _ := opcode.Info()
 	operands := splitOperands(rest)
+	p := pendingIns{op: opcode, line: a.curLine}
 
-	switch opcode {
-	case core.OpNOP:
-		if len(operands) != 0 {
-			return fmt.Errorf("NOP takes no operands")
-		}
-		a.ins = append(a.ins, pendingIns{op: opcode, line: a.curLine})
-		return nil
-
-	case core.OpPUSH, core.OpPOP:
-		if len(operands) != 1 {
-			return fmt.Errorf("%s wants one switch operand", op)
-		}
-		addr, err := a.switchOperand(operands[0])
-		if err != nil {
-			return err
-		}
-		a.ins = append(a.ins, pendingIns{op: opcode, a: addr, line: a.curLine})
-		return nil
-
-	case core.OpLOAD, core.OpSTORE, core.OpADD, core.OpSUB, core.OpMAX:
-		if len(operands) != 2 {
-			return fmt.Errorf("%s wants a switch and a packet operand", op)
-		}
+	switch n := len(operands); {
+	case info.Form == core.FormNone && n != 0:
+		return fmt.Errorf("%s takes no operands", info.Name)
+	case info.Form == core.FormA && n != 1:
+		return fmt.Errorf("%s wants one switch operand", op)
+	case info.Form == core.FormAB && n != 2:
+		return fmt.Errorf("%s wants a switch and a packet operand", op)
+	case info.Form == core.FormABOrImm && n < 2:
+		return fmt.Errorf("%s wants 2 or 3 operands", op)
+	}
+	if len(operands) > 0 {
 		// The paper writes destination first: LOAD [sw],[pkt] and
 		// STORE [sw],[pkt]; both orders carry the switch operand in
 		// the bracketed non-Packet position.
@@ -269,52 +259,35 @@ func (a *assembler) instruction(line string) error {
 		if err != nil {
 			return err
 		}
+		p.a = addr
+	}
+	switch len(operands) {
+	case 0, 1:
+	case 2: // explicit packet operand
 		pkt, err := a.packetOperand(operands[1])
 		if err != nil {
 			return err
 		}
-		a.ins = append(a.ins, pendingIns{op: opcode, a: addr, hasPkt: true, pkt: pkt, line: a.curLine})
-		return nil
-
-	case core.OpCSTORE, core.OpCEXEC:
-		if len(operands) < 2 {
-			return fmt.Errorf("%s wants 2 or 3 operands", op)
+		p.hasPkt, p.pkt = true, pkt
+	case 3: // immediate form: pool the two values
+		if a.mode != core.AddrStack {
+			return fmt.Errorf("immediate operands need stack mode; use .init in hop mode")
 		}
-		addr, err := a.switchOperand(operands[0])
+		v1, err := parseValue(operands[1], a.defs)
 		if err != nil {
 			return err
 		}
-		switch len(operands) {
-		case 2: // explicit packet operand
-			pkt, err := a.packetOperand(operands[1])
-			if err != nil {
-				return err
-			}
-			a.ins = append(a.ins, pendingIns{op: opcode, a: addr, hasPkt: true, pkt: pkt, line: a.curLine})
-			return nil
-		case 3: // immediate form: pool the two values
-			if a.mode != core.AddrStack {
-				return fmt.Errorf("immediate operands need stack mode; use .init in hop mode")
-			}
-			v1, err := parseValue(operands[1], a.defs)
-			if err != nil {
-				return err
-			}
-			v2, err := parseValue(operands[2], a.defs)
-			if err != nil {
-				return err
-			}
-			p := pendingIns{op: opcode, a: addr, imms: []uint32{v1, v2}, line: a.curLine}
-			if opcode == core.OpCSTORE {
-				p.extra = 1 // result slot for the old value
-			}
-			a.ins = append(a.ins, p)
-			return nil
-		default:
-			return fmt.Errorf("%s wants 2 or 3 operands", op)
+		v2, err := parseValue(operands[2], a.defs)
+		if err != nil {
+			return err
 		}
+		p.imms = []uint32{v1, v2}
+		p.extra = info.ImmResult
+	default:
+		return fmt.Errorf("%s wants 2 or 3 operands", op)
 	}
-	return fmt.Errorf("unknown mnemonic %q", op)
+	a.ins = append(a.ins, p)
+	return nil
 }
 
 // splitOperands splits "a, b, c" respecting that brackets never nest.

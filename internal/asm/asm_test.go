@@ -317,3 +317,21 @@ func TestDisassembleUnknownOpcode(t *testing.T) {
 		t.Fatalf("disassembly: %q", text)
 	}
 }
+
+// TestSwitchOperandTrailingGarbage: a numeric switch operand is parsed
+// whole; each of these used to assemble as its numeric prefix.
+func TestSwitchOperandTrailingGarbage(t *testing.T) {
+	for _, operand := range []string{"SRAM:12abc", "0x5junk", "SRAM:1e2", "Port1:3junk", "0x10 0x20"} {
+		if p, err := Assemble(".mem 1\nPUSH [" + operand + "]"); err == nil {
+			t.Errorf("PUSH [%s] assembled as %v, want an error", operand, p.TPP.Ins[0])
+		}
+	}
+	for operand, want := range map[string]mem.Addr{
+		"SRAM:12": mem.SRAMBase + 12, "0x5": 5, "SRAM:0x10": mem.SRAMBase + 0x10, "Port1:3": mem.PortAbs(1, 3), "16": 16,
+	} {
+		p, err := Assemble(".mem 1\nPUSH [" + operand + "]")
+		if err != nil || mem.Addr(p.TPP.Ins[0].A) != want {
+			t.Errorf("PUSH [%s] = %v, %v; want address %#x", operand, p, err, want)
+		}
+	}
+}

@@ -43,14 +43,15 @@ func formatIns(mode core.AddrMode, in core.Instruction) string {
 		}
 		return fmt.Sprintf("[Packet:%d]", in.B)
 	}
-	switch in.Op {
-	case core.OpNOP:
-		return "NOP"
-	case core.OpPUSH, core.OpPOP:
-		return fmt.Sprintf("%s %s", in.Op, sw)
-	case core.OpLOAD, core.OpSTORE, core.OpCSTORE, core.OpCEXEC, core.OpADD, core.OpSUB, core.OpMAX:
-		return fmt.Sprintf("%s %s, %s", in.Op, sw, pkt())
-	default:
+	info, ok := in.Op.Info()
+	switch {
+	case !ok:
 		return fmt.Sprintf("; unknown opcode %d", uint8(in.Op))
+	case info.Form == core.FormNone:
+		return info.Name
+	case info.Form == core.FormA:
+		return fmt.Sprintf("%s %s", in.Op, sw)
+	default:
+		return fmt.Sprintf("%s %s, %s", in.Op, sw, pkt())
 	}
 }

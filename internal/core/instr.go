@@ -27,26 +27,68 @@ const (
 	opMax = OpMAX
 )
 
-var opcodeNames = [...]string{
-	OpNOP:    "NOP",
-	OpLOAD:   "LOAD",
-	OpSTORE:  "STORE",
-	OpPUSH:   "PUSH",
-	OpPOP:    "POP",
-	OpCSTORE: "CSTORE",
-	OpCEXEC:  "CEXEC",
-	OpADD:    "ADD",
-	OpSUB:    "SUB",
-	OpMAX:    "MAX",
+// OperandForm is the assembly operand shape of an opcode.
+type OperandForm uint8
+
+const (
+	FormNone    OperandForm = iota // OP
+	FormA                          // OP [switch]
+	FormAB                         // OP [switch], [Packet:n]
+	FormABOrImm                    // OP [switch], [Packet:n]  or  OP [switch], imm, imm
+)
+
+// Access is what an opcode does to switch memory at operand A.
+type Access uint8
+
+const (
+	AccessNone  Access = iota
+	AccessLoad         // reads sw[A]
+	AccessStore        // writes sw[A]
+	AccessCond         // reads sw[A] and writes it when the compare holds
+)
+
+// OpInfo is everything about an opcode that is not its semantics: how
+// it is spelled, which operands it takes and whether it can write.  The
+// semantics live in two places only, the TCPU (internal/tcpu) and the
+// verifier's abstract interpreter (internal/verify).
+type OpInfo struct {
+	Name   string
+	Form   OperandForm
+	Access Access
+	// ImmResult is the number of packet words the immediate form
+	// reserves after its two immediates (CSTORE's old-value slot).
+	ImmResult int
+}
+
+var opTable = [...]OpInfo{
+	OpNOP:    {Name: "NOP", Form: FormNone},
+	OpLOAD:   {Name: "LOAD", Form: FormAB, Access: AccessLoad},
+	OpSTORE:  {Name: "STORE", Form: FormAB, Access: AccessStore},
+	OpPUSH:   {Name: "PUSH", Form: FormA, Access: AccessLoad},
+	OpPOP:    {Name: "POP", Form: FormA, Access: AccessStore},
+	OpCSTORE: {Name: "CSTORE", Form: FormABOrImm, Access: AccessCond, ImmResult: 1},
+	OpCEXEC:  {Name: "CEXEC", Form: FormABOrImm, Access: AccessLoad},
+	OpADD:    {Name: "ADD", Form: FormAB, Access: AccessLoad},
+	OpSUB:    {Name: "SUB", Form: FormAB, Access: AccessLoad},
+	OpMAX:    {Name: "MAX", Form: FormAB, Access: AccessLoad},
 }
 
 // Valid reports whether the opcode is part of the instruction set.
 func (o Opcode) Valid() bool { return o <= opMax }
 
+// Info returns the opcode's table row; ok is false for an opcode
+// outside the instruction set.
+func (o Opcode) Info() (info OpInfo, ok bool) {
+	if !o.Valid() {
+		return OpInfo{}, false
+	}
+	return opTable[o], true
+}
+
 // String returns the assembly mnemonic of the opcode.
 func (o Opcode) String() string {
 	if o.Valid() {
-		return opcodeNames[o]
+		return opTable[o].Name
 	}
 	return fmt.Sprintf("OP(%d)", uint8(o))
 }
@@ -54,8 +96,8 @@ func (o Opcode) String() string {
 // ParseOpcode is the inverse of String: it returns the opcode whose
 // assembly mnemonic is exactly name.
 func ParseOpcode(name string) (Opcode, bool) {
-	for op, n := range opcodeNames {
-		if n == name {
+	for op := range opTable {
+		if opTable[op].Name == name {
 			return Opcode(op), true
 		}
 	}
@@ -121,28 +163,23 @@ func (i Instruction) Validate() error {
 
 // UsesB reports whether the opcode consumes the B operand.
 func (o Opcode) UsesB() bool {
-	switch o {
-	case OpLOAD, OpSTORE, OpCSTORE, OpCEXEC, OpADD, OpSUB, OpMAX:
-		return true
-	}
-	return false
+	info, _ := o.Info()
+	return info.Form >= FormAB
 }
 
 // Writes reports whether the opcode can write switch memory.
 func (o Opcode) Writes() bool {
-	switch o {
-	case OpSTORE, OpPOP, OpCSTORE:
-		return true
-	}
-	return false
+	info, _ := o.Info()
+	return info.Access >= AccessStore
 }
 
 // String formats the instruction in raw (symbol-free) assembly syntax.
 func (i Instruction) String() string {
-	switch i.Op {
-	case OpNOP:
-		return "NOP"
-	case OpPUSH, OpPOP:
+	info, ok := i.Op.Info()
+	switch {
+	case ok && info.Form == FormNone:
+		return info.Name
+	case ok && info.Form == FormA:
 		return fmt.Sprintf("%s [%#x]", i.Op, i.A)
 	default:
 		return fmt.Sprintf("%s [%#x], [Packet:%d]", i.Op, i.A, i.B)

@@ -97,12 +97,12 @@ type TPP struct {
 	// operator tenant, which keeps untenanted legacy traffic meaningful.
 	Tenant uint8
 
-	// Compiled caches the device-independent compiled form of the
-	// program (a *tcpu.Program), attached by the trusted edge so every
-	// TCPU on the path can skip its own cache lookup when its device
-	// configuration matches.  It never goes on the wire (AppendTo skips
-	// it, ParseTPP leaves it nil) and is shared by Clone: compiled
-	// programs are immutable and safe to execute concurrently.
+	// Compiled caches the program's static validation verdict (a
+	// *tcpu.Program), attached by the trusted edge so every TCPU on the
+	// path can skip its own cache lookup when its device configuration
+	// matches.  It never goes on the wire (AppendTo skips it, ParseTPP
+	// leaves it nil) and is shared by Clone: a Program is immutable and
+	// safe to execute with concurrently.
 	Compiled any
 }
 
@@ -186,9 +186,9 @@ func (t *TPP) Clone() *TPP {
 }
 
 // Validate checks structural invariants of the TPP.  It is split into
-// three ordered stages so a compiled program (internal/tcpu) can prove
-// the static stages once and re-run only the dynamic one per packet
-// while faulting in exactly the same order as the interpreter.
+// three ordered stages so a tcpu.Program can decide the static stages
+// once and the TCPU re-run only the dynamic one per packet, faulting in
+// exactly the order a fresh Validate does.
 func (t *TPP) Validate() error {
 	if err := t.ValidateHead(); err != nil {
 		return err

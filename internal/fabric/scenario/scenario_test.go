@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/asic"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/fabric/scenario"
 	"repro/internal/faults"
@@ -417,6 +418,29 @@ func TestScenarioParseErrors(t *testing.T) {
 	} {
 		if _, err := scenario.Parse(tc.src, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Parse(%q) err = %v, want %q", tc.src, err, tc.want)
+		}
+	}
+}
+
+// TestParseDstMAC: a MAC is six whole two-digit hex bytes; a byte with
+// a non-hex tail ("1z") used to scan as its leading digit.
+func TestParseDstMAC(t *testing.T) {
+	src := func(mac string) string {
+		return "phases:\n  - name: a\n    kind: faults\n    events:\n      - at: 1ms\n        kind: rogue-tenant\n        target: h0\n        dstmac: \"" + mac + "\""
+	}
+	s, err := scenario.Parse(src("02:00:00:00:0a:Ff"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Phases[0].Events[0].DstMAC, (core.MAC{2, 0, 0, 0, 0x0a, 0xff}); got != want {
+		t.Fatalf("DstMAC = %v, want %v", got, want)
+	}
+	for _, bad := range []string{
+		"02:00:00:00:00:1z", "02:00:00:00:00:z1", "02:00:00:00:00:1", "02:00:00:00:00:001",
+		"02:00:00:00:00", "02:00:00:00:00:01:02", "02:00:00:00:00:+1", "02:00:00:00:00:0x", "",
+	} {
+		if _, err := scenario.Parse(src(bad), nil); err == nil || !strings.Contains(err.Error(), "is not a MAC address") {
+			t.Errorf("Parse(dstmac %q) err = %v, want a MAC error", bad, err)
 		}
 	}
 }

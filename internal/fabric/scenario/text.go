@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -207,11 +208,11 @@ func parseMAC(s string) (core.MAC, error) {
 		return mac, fmt.Errorf("scenario: %q is not a MAC address", s)
 	}
 	for i, p := range parts {
-		var b uint8
-		if _, err := fmt.Sscanf(p, "%02x", &b); err != nil || len(p) != 2 {
+		b, err := strconv.ParseUint(p, 16, 8)
+		if err != nil || len(p) != 2 {
 			return mac, fmt.Errorf("scenario: %q is not a MAC address", s)
 		}
-		mac[i] = b
+		mac[i] = uint8(b)
 	}
 	return mac, nil
 }

@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -125,14 +126,15 @@ func SymbolNames() []string {
 }
 
 // ParseSymbolOrAddr resolves either a mnemonic, an "SRAM:<offset>" or
-// "Port<p>:<stat>" locator, or a bare hex/decimal word address.
+// "Port<p>:<stat>" locator, or a bare hex/decimal word address.  Numbers
+// are parsed whole: trailing garbage is an error, not ignored.
 func ParseSymbolOrAddr(s string) (Addr, error) {
 	if a, ok := LookupSymbol(s); ok {
 		return a, nil
 	}
 	if rest, ok := strings.CutPrefix(s, "SRAM:"); ok {
-		var off int
-		if _, err := fmt.Sscanf(rest, "%v", &off); err != nil {
+		off, err := strconv.ParseInt(rest, 0, 64)
+		if err != nil {
 			return 0, fmt.Errorf("mem: bad SRAM offset %q", rest)
 		}
 		if off < 0 || off >= SRAMWords {
@@ -140,17 +142,19 @@ func ParseSymbolOrAddr(s string) (Addr, error) {
 		}
 		return SRAMBase + Addr(off), nil
 	}
-	if rest, ok := strings.CutPrefix(s, "Port"); ok && strings.Contains(rest, ":") {
-		var port, stat int
-		if _, err := fmt.Sscanf(rest, "%d:%v", &port, &stat); err == nil {
+	if rest, ok := strings.CutPrefix(s, "Port"); ok {
+		p, st, _ := strings.Cut(rest, ":")
+		port, perr := strconv.Atoi(p)
+		stat, serr := strconv.ParseInt(st, 0, 0)
+		if perr == nil && serr == nil {
 			if port < 0 || port >= MaxPorts || stat < 0 || stat >= PortAbsStride {
 				return 0, fmt.Errorf("mem: port window %q out of range", s)
 			}
-			return PortAbs(port, stat), nil
+			return PortAbs(port, int(stat)), nil
 		}
 	}
-	var a uint32
-	if _, err := fmt.Sscanf(s, "%v", &a); err != nil || a >= AddrSpaceWords {
+	a, err := strconv.ParseUint(s, 0, 32)
+	if err != nil || a >= AddrSpaceWords {
 		return 0, fmt.Errorf("mem: unknown symbol or address %q", s)
 	}
 	return Addr(a), nil

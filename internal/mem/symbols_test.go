@@ -80,6 +80,9 @@ func TestParseSymbolOrAddr(t *testing.T) {
 		{"Port3:0", PortAbs(3, 0)},
 		{"0x205", 0x205},
 		{"517", 517},
+		{"SRAM:0", SRAMBase},
+		{"Port2:8", PortAbs(2, 8)},
+		{"Port2:0x8", PortAbs(2, 8)},
 	}
 	for _, c := range cases {
 		got, err := ParseSymbolOrAddr(c.in)
@@ -87,7 +90,12 @@ func TestParseSymbolOrAddr(t *testing.T) {
 			t.Errorf("ParseSymbolOrAddr(%q) = %#x, %v; want %#x", c.in, got, err, c.want)
 		}
 	}
-	for _, bad := range []string{"Nope:Thing", "SRAM:99999", "Port999:0", "0x9999", "xyz"} {
+	for _, bad := range []string{
+		"Nope:Thing", "SRAM:99999", "Port999:0", "0x9999", "xyz",
+		// A number is the whole token, not its longest numeric prefix.
+		"SRAM:12abc", "0x5junk", "SRAM:1e2", "Port1:3junk", "0x10 0x20",
+		"SRAM:", "SRAM:-1", "Port1:", "Port:3", "Port1x:3", "Port-1:3", "12 ", "",
+	} {
 		if _, err := ParseSymbolOrAddr(bad); err == nil {
 			t.Errorf("ParseSymbolOrAddr(%q) should fail", bad)
 		}

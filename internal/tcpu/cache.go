@@ -4,8 +4,8 @@ import "repro/internal/core"
 
 // MaxCachedInstructions bounds the program length a Cache will compile
 // and key on; longer programs (beyond anything a per-packet device
-// limit admits) fall back to the interpreter.  16 covers every device
-// configuration the experiments use with room to spare.
+// limit admits) are validated afresh by Config.Exec.  16 covers every
+// device configuration the experiments use with room to spare.
 const MaxCachedInstructions = 16
 
 // DefaultCacheCapacity is the number of distinct program shapes a
@@ -14,9 +14,9 @@ const MaxCachedInstructions = 16
 const DefaultCacheCapacity = 64
 
 // cacheKey identifies a compilation: the instruction wire words plus
-// every Config input the compiler bakes into the Program.  Keying on
-// the baked config means a device whose limits change (or two devices
-// sharing a cache) can never execute a compilation produced under
+// every Config input Compile bakes into the Program.  Keying on the
+// baked config means a device whose limits change (or two devices
+// sharing a cache) can never execute under a verdict reached under
 // different rules.
 type cacheKey struct {
 	n       uint8
@@ -36,8 +36,9 @@ type centry struct {
 // Cache is an LRU of compiled programs keyed by instruction wire bytes
 // and device configuration.  It is used at the NIC (compile once per
 // injected program) and at switch ingress (repeated flows never
-// re-decode).  Like the rest of the simulator dataplane it is
-// single-threaded; lookups on the hit path do not allocate.
+// re-validate their instruction section).  Like the rest of the
+// simulator dataplane it is single-threaded; lookups on the hit path do
+// not allocate.
 type Cache struct {
 	cfg        Config
 	capacity   int
@@ -63,11 +64,10 @@ func NewCache(c Config, capacity int) *Cache {
 // Config returns the device configuration the cache compiles under.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Get returns the compiled form of t's program, compiling on first
-// sight.  It returns nil when the program is too long to key
-// (len(Ins) > MaxCachedInstructions); callers fall back to the
-// interpreter, which faults such programs against the device limit
-// anyway.
+// Get returns the Program for t's program, compiling on first sight.
+// It returns nil when the program is too long to key
+// (len(Ins) > MaxCachedInstructions); callers fall back to Config.Exec,
+// which faults such programs against the device limit anyway.
 func (c *Cache) Get(t *core.TPP) *Program {
 	if len(t.Ins) > MaxCachedInstructions {
 		return nil

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"strings"
 	"testing"
 
@@ -248,6 +252,8 @@ func TestCompiledMatchesInterpreterOnFaults(t *testing.T) {
 		"packet-mem-oob": core.NewTPP(core.AddrStack, []core.Instruction{
 			{Op: core.OpLOAD, A: uint16(mem.SwitchBase + mem.SwitchID), B: 9}}, 2),
 		"too-long": core.NewTPP(core.AddrStack, make([]core.Instruction, 7), 1),
+		// Too long for a Cache to key: a switch falls back to Config.Exec.
+		"beyond-cache-key": core.NewTPP(core.AddrStack, make([]core.Instruction, MaxCachedInstructions+1), 1),
 	}
 	for name, prog := range cases {
 		for _, spans := range []bool{false, true} {
@@ -304,6 +310,131 @@ func FuzzCompile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPrologueOutcomesAgree drives one TPP through both entry points of
+// the one engine for every way the prologue can end — the verdict
+// cached by Compile against the fresh validation of Config.Exec — alone
+// and two at a time: which fault wins, and what the epilogue then does
+// to the packet, must not depend on the entry point.
+func TestPrologueOutcomesAgree(t *testing.T) {
+	type mut struct {
+		name string
+		f    func(*core.TPP)
+	}
+	muts := []mut{
+		{"ok", func(*core.TPP) {}},
+		{"too-long", func(t *core.TPP) { t.Ins = append(t.Ins, make([]core.Instruction, 5)...) }},
+		{"beyond-cache-key", func(t *core.TPP) { t.Ins = make([]core.Instruction, MaxCachedInstructions+1) }},
+		{"bad-version", func(t *core.TPP) { t.Version = 9 }},
+		{"bad-mode", func(t *core.TPP) { t.Mode = 3 }},
+		{"misaligned-mem", func(t *core.TPP) { t.Mem = t.Mem[:len(t.Mem)-1] }},
+		{"misaligned-hoplen", func(t *core.TPP) { t.Mode, t.HopLen = core.AddrHop, 6 }},
+		{"misaligned-ptr", func(t *core.TPP) { t.Ptr = 3 }},
+		{"bad-operand", func(t *core.TPP) { t.Ins[1].B = core.MaxOperand + 1 }},
+		{"bad-opcode", func(t *core.TPP) { t.Ins[0].Op = 200 }},
+	}
+	base := func() *core.TPP {
+		return core.NewTPP(core.AddrStack, []core.Instruction{
+			{Op: core.OpPUSH, A: uint16(mem.QueueBase + mem.QueueBytes)},
+			{Op: core.OpLOAD, A: uint16(mem.SwitchBase + mem.SwitchID), B: 1},
+		}, 4)
+	}
+	for i, a := range muts {
+		for _, b := range muts[i:] {
+			for _, cfg := range []Config{{MaxInstructions: 5}, {MaxInstructions: 32}, {MaxInstructions: 5, RecordSpans: true}} {
+				name := fmt.Sprintf("%s+%s/max%d/spans=%v", a.name, b.name, cfg.MaxInstructions, cfg.RecordSpans)
+				t.Run(name, func(t *testing.T) {
+					tpp := base()
+					a.f(tpp)
+					b.f(tpp)
+					ti, tc := tpp.Clone(), tpp.Clone()
+					vi, vc := diffViews()
+					ri := cfg.Exec(ti, vi)
+					rc := Compile(cfg, tc).Exec(tc, vc)
+					// core's validation errors are built per call, so they
+					// compare by text; the device-limit fault is a sentinel
+					// and must be the same value (spans off) or wrap it.
+					if fmt.Sprint(ri.Fault) != fmt.Sprint(rc.Fault) ||
+						errors.Is(ri.Fault, ErrProgramTooLong) != errors.Is(rc.Fault, ErrProgramTooLong) ||
+						(ri.Fault == ErrProgramTooLong) != (rc.Fault == ErrProgramTooLong) {
+						t.Fatalf("fault: fresh %v, cached %v", ri.Fault, rc.Fault)
+					}
+					// (The two over-length rows fit a 32-instruction device
+					// and run there, the second one past what a Cache keys.)
+					if cfg.MaxInstructions == 5 && (a.name != "ok" || b.name != "ok") {
+						if ri.Fault == nil || ri.Executed != 0 || ti.Flags&core.FlagError == 0 {
+							t.Fatalf("prologue fault expected, got %+v flags %x", ri, ti.Flags)
+						}
+					}
+					if ti.Flags != tc.Flags || ti.Ptr != tc.Ptr || ri.Cycles != rc.Cycles || ri.Executed != rc.Executed {
+						t.Fatalf("fresh flags=%x ptr=%d cycles=%d executed=%d, cached flags=%x ptr=%d cycles=%d executed=%d",
+							ti.Flags, ti.Ptr, ri.Cycles, ri.Executed, tc.Flags, tc.Ptr, rc.Cycles, rc.Executed)
+					}
+					if wantPtr := tpp.Ptr + 1; tpp.Mode == core.AddrHop && ti.Ptr != wantPtr {
+						t.Fatalf("hop counter = %d after a prologue fault, want %d", ti.Ptr, wantPtr)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCompileAllocatesOnlyTheProgram: a Program is a verdict, not a
+// translation — compiling a valid program allocates the Program and
+// nothing per instruction.
+func TestCompileAllocatesOnlyTheProgram(t *testing.T) {
+	tpp := core.NewTPP(core.AddrStack, []core.Instruction{
+		{Op: core.OpPUSH, A: uint16(mem.SwitchBase + mem.SwitchID)},
+		{Op: core.OpPUSH, A: uint16(mem.QueueBase + mem.QueueBytes)},
+		{Op: core.OpCEXEC, A: uint16(mem.SwitchBase + mem.SwitchID), B: 0},
+		{Op: core.OpCSTORE, A: uint16(mem.SRAMBase), B: 2},
+		{Op: core.OpLOAD, A: uint16(mem.SRAMBase), B: 5},
+	}, 8)
+	var sink *Program
+	if avg := testing.AllocsPerRun(200, func() { sink = Compile(Config{}, tpp) }); avg != 1 {
+		t.Fatalf("Compile allocated %.1f objects, want exactly 1 (the Program)", avg)
+	}
+	if sink.preFault != nil || sink.insFault != nil {
+		t.Fatalf("valid program compiled to a faulting verdict: %v / %v", sink.preFault, sink.insFault)
+	}
+}
+
+// TestOneTranscriptionOfTheISA is a source check: every opcode's
+// semantics are written once in this package, reached from one dispatch
+// switch.  core.OpCSTORE (an opcode nothing else needs to name) may
+// appear in exactly one non-test function body.
+func TestOneTranscriptionOfTheISA(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bodies []string
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "OpCSTORE" {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Name == "core" {
+							bodies = append(bodies, fn.Name.Name)
+							return false
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(bodies) != 1 || bodies[0] != "exec" {
+		t.Fatalf("core.OpCSTORE is named in function bodies %v, want exactly [exec]: a second transcription of the ISA?", bodies)
+	}
 }
 
 // TestCompiledExecZeroAlloc pins the tentpole's allocation contract:

@@ -88,7 +88,15 @@ func Exec(t *core.TPP, view mem.View) Result {
 // pointer or hop counter).  It never panics on malformed programs; any
 // violation faults the packet instead, because a switch cannot refuse
 // to forward line-rate traffic.
-func (c Config) Exec(t *core.TPP, view mem.View) (r Result) {
+func (c Config) Exec(t *core.TPP, view mem.View) Result { return exec(c, nil, t, view) }
+
+// exec is the TCPU: the one prologue, instruction loop and epilogue
+// every TPP runs through.  p is the cached validation verdict for t's
+// program shape under c, or nil to validate afresh; either way the
+// faults, their order and every architectural effect are the same.
+//
+//alloc:free
+func exec(c Config, p *Program, t *core.TPP, view mem.View) (r Result) {
 	defer func() {
 		r.Cycles = cyclesFor(&r)
 		if t.Mode == core.AddrHop {
@@ -102,21 +110,84 @@ func (c Config) Exec(t *core.TPP, view mem.View) (r Result) {
 		}
 	}()
 
-	if len(t.Ins) > c.maxIns() {
-		r.Fault = c.faultTooLong(len(t.Ins))
-		return r
-	}
-	if err := t.Validate(); err != nil {
-		r.Fault = err
-		return r
+	// Static checks (device length limit, version and mode, operand
+	// encodings) depend only on what Compile saw; the dynamic header
+	// checks sit between them, so a verdict replays in that order.
+	if p != nil {
+		if p.preFault != nil {
+			r.Fault = p.preFault
+			return r
+		}
+		if err := t.ValidateDynamic(); err != nil {
+			r.Fault = err
+			return r
+		}
+		if p.insFault != nil {
+			r.Fault = p.insFault
+			return r
+		}
+	} else {
+		if len(t.Ins) > c.maxIns() {
+			r.Fault = c.faultTooLong(len(t.Ins))
+			return r
+		}
+		if err := t.Validate(); err != nil {
+			r.Fault = err
+			return r
+		}
 	}
 
+	// Ptr and HopLen are stable for the duration of one execution (the
+	// hop counter only advances in the epilogue), so the per-hop
+	// packet-memory base is resolved once.
+	hopBase := 0
+	if t.Mode == core.AddrHop {
+		hopBase = int(t.Ptr) * int(t.HopLen/4)
+	}
+
+	// Dispatch is a switch of direct calls: an indirect call would
+	// defeat escape analysis of &r and heap-allocate every execution.
 	for _, in := range t.Ins {
 		r.Executed++
 		loads, stores, stalls := r.Loads, r.Stores, r.cstoreStalls
-		ok := c.step(t, in, view, &r)
+		a, b := mem.Addr(in.A), hopBase+int(in.B)
+		ok := false
+		switch in.Op {
+		case core.OpNOP:
+			ok = true
+		case core.OpLOAD:
+			ok = stepLOAD(c, t, view, &r, a, b)
+		case core.OpSTORE:
+			ok = stepSTORE(c, t, view, &r, a, b)
+		case core.OpPUSH:
+			if t.Mode != core.AddrStack {
+				//alloc:allow fault detail boxes the opcode; faulting programs leave the hot path
+				r.Fault = c.faultMode(in.Op)
+			} else {
+				ok = stepPUSH(c, t, view, &r, a)
+			}
+		case core.OpPOP:
+			if t.Mode != core.AddrStack {
+				//alloc:allow fault detail boxes the opcode; faulting programs leave the hot path
+				r.Fault = c.faultMode(in.Op)
+			} else {
+				ok = stepPOP(c, t, view, &r, a)
+			}
+		case core.OpCSTORE:
+			ok = stepCSTORE(c, t, view, &r, a, b)
+		case core.OpCEXEC:
+			ok = stepCEXEC(c, t, view, &r, a, b)
+		case core.OpADD, core.OpSUB, core.OpMAX:
+			ok = stepArith(c, t, view, &r, a, b, in.Op)
+		default:
+			// Unreachable while core.Instruction.Validate rejects the
+			// same opcodes; kept so a divergence faults, not panics.
+			//alloc:allow fault detail boxes the opcode; faulting programs leave the hot path
+			r.Fault = c.faultOpcode(in.Op)
+		}
 		if c.RecordSpans {
 			if r.Spans == nil {
+				//alloc:allow per-instruction spans allocate only for callers that set RecordSpans
 				r.Spans = make([]InsSpan, 0, len(t.Ins))
 			}
 			r.Spans = append(r.Spans, InsSpan{
@@ -137,154 +208,151 @@ func (c Config) Exec(t *core.TPP, view mem.View) (r Result) {
 	return r
 }
 
-// step executes one instruction against the view, mutating r's access
-// counters and fault state.  It returns false when execution must stop:
-// a fault, or a failed CEXEC predicate.
-func (c Config) step(t *core.TPP, in core.Instruction, view mem.View, r *Result) bool {
-	switch in.Op {
-	case core.OpNOP:
+// The step functions execute one opcode each against switch address a
+// and packet-memory word b, mutating r's access counters and fault
+// state.  They return false when execution must stop: a fault, or a
+// failed CEXEC predicate.
 
-	case core.OpLOAD:
-		v, err := view.Load(mem.Addr(in.A))
-		if err != nil {
-			r.Fault = err
-			return false
-		}
-		r.Loads++
-		if !c.putWord(t, r, t.EffectiveWord(in.B), v) {
-			return false
-		}
+//alloc:free
+func stepLOAD(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr, b int) bool {
+	v, err := view.Load(a)
+	if err != nil {
+		r.Fault = err
+		return false
+	}
+	r.Loads++
+	return c.putWord(t, r, b, v)
+}
 
-	case core.OpSTORE:
-		v, ok := c.getWord(t, r, t.EffectiveWord(in.B))
-		if !ok {
-			return false
-		}
-		if err := view.Store(mem.Addr(in.A), v); err != nil {
-			r.Fault = err
-			return false
-		}
-		r.Stores++
+//alloc:free
+func stepSTORE(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr, b int) bool {
+	v, ok := c.getWord(t, r, b)
+	if !ok {
+		return false
+	}
+	if err := view.Store(a, v); err != nil {
+		r.Fault = err
+		return false
+	}
+	r.Stores++
+	return true
+}
 
-	case core.OpPUSH:
-		if t.Mode != core.AddrStack {
-			r.Fault = c.faultMode(in.Op)
-			return false
-		}
-		v, err := view.Load(mem.Addr(in.A))
-		if err != nil {
-			r.Fault = err
-			return false
-		}
-		r.Loads++
-		if int(t.Ptr)+4 > len(t.Mem) {
-			r.Fault = c.faultStackOverflow(t.Ptr, len(t.Mem))
-			return false
-		}
-		t.SetWord(int(t.Ptr)/4, v)
-		t.Ptr += 4
+//alloc:free
+func stepPUSH(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr) bool {
+	v, err := view.Load(a)
+	if err != nil {
+		r.Fault = err
+		return false
+	}
+	r.Loads++
+	if int(t.Ptr)+4 > len(t.Mem) {
+		//alloc:allow fault detail boxes the operands; faulting programs leave the hot path
+		r.Fault = c.faultStackOverflow(t.Ptr, len(t.Mem))
+		return false
+	}
+	t.SetWord(int(t.Ptr)/4, v)
+	t.Ptr += 4
+	return true
+}
 
-	case core.OpPOP:
-		if t.Mode != core.AddrStack {
-			r.Fault = c.faultMode(in.Op)
-			return false
-		}
-		if t.Ptr < 4 {
-			r.Fault = c.faultStackUnderflow(t.Ptr)
-			return false
-		}
-		if int(t.Ptr) > len(t.Mem) {
-			// A wire-supplied stack pointer can point past packet
-			// memory; faulting (not panicking) keeps the dataplane
-			// robust against crafted frames.
-			r.Fault = c.faultStackOOB(t.Ptr, len(t.Mem))
-			return false
-		}
-		t.Ptr -= 4
-		v := t.Word(int(t.Ptr) / 4)
-		if err := view.Store(mem.Addr(in.A), v); err != nil {
-			r.Fault = err
-			return false
-		}
-		r.Stores++
+//alloc:free
+func stepPOP(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr) bool {
+	if t.Ptr < 4 {
+		//alloc:allow fault detail boxes the operands; faulting programs leave the hot path
+		r.Fault = c.faultStackUnderflow(t.Ptr)
+		return false
+	}
+	if int(t.Ptr) > len(t.Mem) {
+		// A wire-supplied stack pointer can point past packet
+		// memory; faulting (not panicking) keeps the dataplane
+		// robust against crafted frames.
+		//alloc:allow fault detail boxes the operands; faulting programs leave the hot path
+		r.Fault = c.faultStackOOB(t.Ptr, len(t.Mem))
+		return false
+	}
+	t.Ptr -= 4
+	v := t.Word(int(t.Ptr) / 4)
+	if err := view.Store(a, v); err != nil {
+		r.Fault = err
+		return false
+	}
+	r.Stores++
+	return true
+}
 
-	case core.OpCSTORE:
-		// CSTORE dst,cond,src: cond and src live in packet
-		// memory at B and B+1; the old value of dst is written
-		// back at B+2 so the end-host observes success/failure.
-		base := t.EffectiveWord(in.B)
-		cond, ok := c.getWord(t, r, base)
-		if !ok {
-			return false
-		}
-		src, ok := c.getWord(t, r, base+1)
-		if !ok {
-			return false
-		}
-		old, err := c.condStore(view, mem.Addr(in.A), cond, src, r)
-		if err != nil {
-			r.Fault = err
-			return false
-		}
-		if !c.putWord(t, r, base+2, old) {
-			return false
-		}
+// stepCSTORE is CSTORE dst,cond,src: cond and src live in packet memory
+// at b and b+1; the old value of dst is written back at b+2 so the
+// end-host observes success/failure.
+//
+//alloc:free
+func stepCSTORE(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr, b int) bool {
+	cond, ok := c.getWord(t, r, b)
+	if !ok {
+		return false
+	}
+	src, ok := c.getWord(t, r, b+1)
+	if !ok {
+		return false
+	}
+	old, err := c.condStore(view, a, cond, src, r)
+	if err != nil {
+		r.Fault = err
+		return false
+	}
+	return c.putWord(t, r, b+2, old)
+}
 
-	case core.OpCEXEC:
-		// CEXEC reg,mask,value: execute the rest only if
-		// (reg & mask) == value; mask and value live in packet
-		// memory at B and B+1.
-		base := t.EffectiveWord(in.B)
-		mask, ok := c.getWord(t, r, base)
-		if !ok {
-			return false
-		}
-		val, ok := c.getWord(t, r, base+1)
-		if !ok {
-			return false
-		}
-		v, err := view.Load(mem.Addr(in.A))
-		if err != nil {
-			r.Fault = err
-			return false
-		}
-		r.Loads++
-		if v&mask != val {
-			r.Halted = true
-			return false
-		}
-
-	case core.OpADD, core.OpSUB, core.OpMAX:
-		v, err := view.Load(mem.Addr(in.A))
-		if err != nil {
-			r.Fault = err
-			return false
-		}
-		r.Loads++
-		w := t.EffectiveWord(in.B)
-		cur, ok := c.getWord(t, r, w)
-		if !ok {
-			return false
-		}
-		switch in.Op {
-		case core.OpADD:
-			cur += v
-		case core.OpSUB:
-			cur -= v
-		case core.OpMAX:
-			if v > cur {
-				cur = v
-			}
-		}
-		if !c.putWord(t, r, w, cur) {
-			return false
-		}
-
-	default:
-		r.Fault = c.faultOpcode(in.Op)
+// stepCEXEC is CEXEC reg,mask,value: execute the rest only if
+// (reg & mask) == value; mask and value live in packet memory at b and
+// b+1.
+//
+//alloc:free
+func stepCEXEC(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr, b int) bool {
+	mask, ok := c.getWord(t, r, b)
+	if !ok {
+		return false
+	}
+	val, ok := c.getWord(t, r, b+1)
+	if !ok {
+		return false
+	}
+	v, err := view.Load(a)
+	if err != nil {
+		r.Fault = err
+		return false
+	}
+	r.Loads++
+	if v&mask != val {
+		r.Halted = true
 		return false
 	}
 	return true
+}
+
+//alloc:free
+func stepArith(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr, b int, op core.Opcode) bool {
+	v, err := view.Load(a)
+	if err != nil {
+		r.Fault = err
+		return false
+	}
+	r.Loads++
+	cur, ok := c.getWord(t, r, b)
+	if !ok {
+		return false
+	}
+	switch op {
+	case core.OpADD:
+		cur += v
+	case core.OpSUB:
+		cur -= v
+	case core.OpMAX:
+		if v > cur {
+			cur = v
+		}
+	}
+	return c.putWord(t, r, b, cur)
 }
 
 // condStore performs the compare-and-store, atomically when the view
