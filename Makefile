@@ -17,7 +17,7 @@ LINT_PKGS = ./internal/netsim ./internal/asic ./internal/tcpu ./internal/faults 
 # (use-after-Recycle, double-Recycle, retain-without-Adopt,
 # recycle-after-shallow-copy) gates them.
 POOL_PKGS = ./internal/core ./internal/netsim ./internal/asic ./internal/endhost ./internal/inband \
-	./internal/fabric ./internal/reflex
+	./internal/fabric ./internal/reflex ./internal/rcp ./internal/aimd
 
 # Packages with //alloc:free hot-path annotations; the escape gate
 # pins them against ALLOCGATE.json.
@@ -38,10 +38,13 @@ vet:
 # that no count is kept twice — an obs.Counter handle beside the owner's
 # word — outside internal/obs (bench/ probes the handle's cost), a check
 # that only the TCPU and the verifier's abstract interpreter switch on
-# opcodes (everything else reads core.Opcode.Info), plus the
-# repository's own analyzers (see tools/analyzers): the determinism
-# suite over the simulation core and the soaks, and the poollife
-# packet-ownership suite over the packages that handle pooled packets.
+# opcodes (everything else reads core.Opcode.Info), a check that no
+# sync.Pool and no call of the bench-only (*Packet).ClonePooled()
+# wrapper appears under internal/ or cmd/ (pooled packets come from the
+# Sim's own core.Pool), plus the repository's own analyzers (see
+# tools/analyzers): the determinism suite over the simulation core and
+# the soaks, and the poollife packet-ownership suite over the packages
+# that handle pooled packets.
 lint: vet
 	@unformatted=$$(gofmt -l cmd internal tools bench examples *.go); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
@@ -51,6 +54,8 @@ lint: vet
 	if [ -n "$$twins" ]; then echo "counter handle outside internal/obs (keep the count as the owner's word and name it in a collect method):"; echo "$$twins"; exit 1; fi
 	@isa=$$(grep -rnE 'case core\.Op' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/core/|^internal/tcpu/tcpu\.go:|^internal/verify/verify\.go:'); \
 	if [ -n "$$isa" ]; then echo "opcode switch outside internal/core, internal/tcpu/tcpu.go and internal/verify/verify.go (read core.Opcode.Info instead):"; echo "$$isa"; exit 1; fi
+	@pools=$$(grep -rnE 'sync\.Pool|\.ClonePooled\(\)' --include=*.go cmd internal | grep -v '_test\.go:'); \
+	if [ -n "$$pools" ]; then echo "sync.Pool or ClonePooled() under internal/ or cmd/ (draw from the Sim's pool: sim.Pool().Clone / NewUDP, Host.NewPacketPooled):"; echo "$$pools"; exit 1; fi
 	$(GO) run ./tools/analyzers/cmd/determinismlint $(LINT_PKGS)
 	$(GO) run ./tools/analyzers/cmd/poollifelint $(POOL_PKGS)
 
@@ -106,10 +111,14 @@ scenario:
 # generations; stale references and clobbered canaries panic at the
 # offending call site) under the race detector, plus the crash of a
 # switch whose pipeline and ingress-link lanes hold pooled packets: each
-# must be recycled exactly once, at its firing time.
+# must be recycled exactly once, at its firing time; plus the packages
+# on the sender-draws / sink-returns edge: every paced data packet of
+# the three rate-control schemes goes out pooled and comes back through
+# a sink, a drop point or a handler-less host.
 soak-pooldebug:
 	$(GO) test -race -tags pooldebug -run 'TestChaosSoak|TestHostileSoak|TestReflexSoak' -v -count=1 ./internal/chaos
 	$(GO) test -race -tags pooldebug -run 'TestRebootFlushesLanes' -v -count=1 ./internal/asic
+	$(GO) test -race -tags pooldebug -count=1 ./internal/rcp ./internal/aimd ./internal/endhost
 
 # fuzz smoke-tests the three soundness properties: verified programs
 # never trip a dynamic fault, guest programs never escape their tenant

@@ -113,6 +113,7 @@ func run(topoName string, switches int, load bool, src string, w, metricsW, trac
 	}
 
 	sim := netsim.New(1)
+	reg.Collect(sim.Collect) // the packet pool's counts
 	edge := topo.Mbps(80, 10*netsim.Microsecond)
 	backbone := topo.Mbps(8, 10*netsim.Microsecond)
 	swCfg := topo.Uniform(asic.Config{Metrics: reg, Trace: tracer})

@@ -146,6 +146,11 @@ func TestRunTelemetry(t *testing.T) {
 		if strings.HasPrefix(m.Name, "netsim/") && m.Kind == "gauge" && m.Value > 0 {
 			found[m.Name] = true
 		}
+		// The packet pool's counts are counter rows (a 2-switch line
+		// never floods over more than one egress, so they may read 0).
+		if strings.HasPrefix(m.Name, "netsim/pool_") && m.Kind == "counter" {
+			found[m.Name] = true
+		}
 		// The watcher about itself: every recorded span was exported.
 		switch {
 		case m.Name == "obs/spans_total" && m.Kind == "gauge" && m.Value == int64(len(events)):
@@ -162,9 +167,10 @@ func TestRunTelemetry(t *testing.T) {
 	// some sends end with a frame waiting (a wake-up asked) and most do
 	// not; the lone probe has no deadline, so no timer arm is discarded.
 	for _, name := range []string{"netsim/events_executed", "netsim/heap_peak", "netsim/pending_peak",
-		"netsim/link_sends", "netsim/wakeups_asked", "obs/spans_total", "obs/spans_dropped"} {
+		"netsim/link_sends", "netsim/wakeups_asked", "obs/spans_total", "obs/spans_dropped",
+		"netsim/pool_issued", "netsim/pool_recycled", "netsim/pool_adopted", "netsim/pool_allocated"} {
 		if !found[name] {
-			t.Fatalf("snapshot misses gauge %s:\n%s", name, metrics.String())
+			t.Fatalf("snapshot misses row %s:\n%s", name, metrics.String())
 		}
 	}
 }

@@ -297,7 +297,7 @@ func TestRebootFlushesLanes(t *testing.T) {
 	proto := h1.NewPacket(h2.MAC, h2.IP, 1000, 2000, 64)
 	pkts := make([]*core.Packet, burst)
 	for i := range pkts {
-		pkts[i] = proto.ClonePooled()
+		pkts[i] = sim.Pool().Clone(proto)
 		if !h1.Send(pkts[i]) {
 			t.Fatalf("NIC refused packet %d", i)
 		}
@@ -354,5 +354,8 @@ func TestRebootFlushesLanes(t *testing.T) {
 		if p.Pooled() {
 			t.Fatalf("packet %d still belongs to the pool: never recycled", i)
 		}
+	}
+	if st := sim.Pool().Stats(); st.Issued != st.Recycled+st.Adopted {
+		t.Fatalf("pool out of balance after the flush: %+v", st)
 	}
 }

@@ -69,9 +69,7 @@ func (w *spinWatch) observe(s *Switch, pkt *core.Packet) {
 	if idx := obs.BucketOf(interval); idx < obs.NumBuckets {
 		i := mem.SRAMIndex(w.base + mem.Addr(idx))
 		if i >= 0 && i < len(s.sram) {
-			s.busMu.Lock()
 			s.sram[i]++
-			s.busMu.Unlock()
 			w.samples++
 			bucketed = 1
 		}

@@ -2,7 +2,6 @@ package asic
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/guard"
@@ -151,7 +150,6 @@ type Switch struct {
 
 	alloc *mem.Allocator
 	sram  []uint32
-	busMu sync.Mutex // serializes TPP stores, making CSTORE linearizable
 
 	packets       uint64 // packets switched
 	cstores       uint64 // CSTORE commits (compare matched, store applied)
@@ -568,7 +566,7 @@ func (s *Switch) Receive(pkt *core.Packet, port int) {
 	// §4 security: untrusted edge ports strip TPPs.
 	if pkt.TPP != nil && !p.trusted {
 		s.span(pkt, obs.StageStrip, uint64(port), 0)
-		pkt = stripTPP(pkt)
+		pkt = s.stripTPP(pkt)
 		s.tppsStripped++
 		if pkt == nil {
 			return // nothing remained to forward
@@ -581,7 +579,7 @@ func (s *Switch) Receive(pkt *core.Packet, port int) {
 	if pkt.TPP != nil && s.cfg.Verify != nil {
 		if res := verify.Verify(pkt.TPP, *s.cfg.Verify); !res.OK() {
 			s.span(pkt, obs.StageVerifyReject, uint64(port), uint64(len(res.Errors())))
-			pkt = stripTPP(pkt)
+			pkt = s.stripTPP(pkt)
 			s.tppsRejected++
 			if pkt == nil {
 				return
@@ -620,19 +618,17 @@ func (s *Switch) DeliverAt(pkt *core.Packet, arg uint64) {
 // stripTPP removes the TPP section, leaving the encapsulated payload as
 // an ordinary frame; a bare TPP with no payload vanishes entirely.
 // Stripping is a death point for the incoming packet: the survivor is a
-// fresh pooled clone without the TPP, and the original is recycled (a
-// no-op for host-owned packets, which the sender may still hold).  The
-// earlier shallow-copy implementation heap-allocated per strip and
-// abandoned the original's pool slot; cloning through the pool keeps
-// the strip path allocation-free and leak-free.
+// fresh clone without the TPP, drawn from the simulation's pool, and
+// the original is recycled (a no-op for host-owned packets, which the
+// sender may still hold).
 //
 //alloc:free
-func stripTPP(pkt *core.Packet) *core.Packet {
+func (s *Switch) stripTPP(pkt *core.Packet) *core.Packet {
 	if pkt.IP == nil {
 		pkt.Recycle()
 		return nil
 	}
-	out := pkt.ClonePooled()
+	out := s.sim.Pool().Clone(pkt)
 	out.TPP = nil
 	out.Eth.Type = core.EtherTypeIPv4
 	pkt.Recycle()
@@ -712,7 +708,7 @@ func (s *Switch) forwardL2(pkt *core.Packet, inPort int) {
 	// Flood: every wired port except the ingress, each copy carrying
 	// (and executing) its own TPP.  The last egress forwards the
 	// original packet itself; only the other egresses need copies,
-	// drawn from the packet pool instead of the heap.
+	// drawn from the simulation's packet pool.
 	last := -1
 	for _, p := range s.ports {
 		if p.id != inPort && p.Wired() {
@@ -733,7 +729,7 @@ func (s *Switch) forwardL2(pkt *core.Packet, inPort int) {
 		if p.id == last {
 			s.deliver(pkt, inPort, p.id)
 		} else {
-			s.deliver(pkt.ClonePooled(), inPort, p.id)
+			s.deliver(s.sim.Pool().Clone(pkt), inPort, p.id)
 		}
 	}
 }

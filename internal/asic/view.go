@@ -62,12 +62,6 @@ func (v *view) Store(a mem.Addr, val uint32) error {
 		}
 		return mem.ErrReadOnly(a)
 	}
-	v.sw.busMu.Lock()
-	defer v.sw.busMu.Unlock()
-	return v.storeLocked(a, val)
-}
-
-func (v *view) storeLocked(a mem.Addr, val uint32) error {
 	switch mem.NamespaceOf(a) {
 	case mem.NSSRAM:
 		v.sw.sram[mem.SRAMIndex(a)] = val
@@ -87,8 +81,9 @@ func (v *view) storeLocked(a mem.Addr, val uint32) error {
 }
 
 // CondStore implements the linearizable compare-and-store behind
-// CSTORE: the switch memory bus lock makes the load and store one
-// atomic step.
+// CSTORE.  The load and the store are one atomic step because a packet
+// is one simulator event and events run to completion, one at a time:
+// no other TPP's access can fall between them.
 func (v *view) CondStore(a mem.Addr, cond, val uint32) (uint32, error) {
 	if !mem.Writable(a) {
 		if _, err := v.Load(a); err != nil {
@@ -96,14 +91,12 @@ func (v *view) CondStore(a mem.Addr, cond, val uint32) (uint32, error) {
 		}
 		return 0, mem.ErrReadOnly(a)
 	}
-	v.sw.busMu.Lock()
-	defer v.sw.busMu.Unlock()
 	old, err := v.Load(a)
 	if err != nil {
 		return 0, err
 	}
 	if old == cond {
-		if err := v.storeLocked(a, val); err != nil {
+		if err := v.Store(a, val); err != nil {
 			return 0, err
 		}
 		// One commit, one count and one span, so the in-band telemetry

@@ -39,14 +39,14 @@ type Packet struct {
 
 	Meta Metadata
 
-	// pooled marks a packet drawn from the packet pool (see pool.go);
-	// set only by ClonePooled, cleared by Recycle and Adopt.  A shallow
+	// pooled marks a packet drawn from a packet pool (see pool.go); set
+	// only by a Pool draw, cleared by Recycle and Adopt.  A shallow
 	// struct copy inherits the flag, so copies must Adopt themselves.
 	pooled bool
-	// block points back to the pool slot a ClonePooled copy was drawn
-	// from (nil for heap-owned packets); Recycle uses it to return the
-	// whole co-allocated block and to tell the resident packet apart
-	// from a shallow copy.
+	// block points back to the pool block the packet was drawn in (nil
+	// for heap-owned packets); Recycle uses it to return the whole
+	// co-allocated block to its pool and to tell the resident packet
+	// apart from a shallow copy.
 	block *pooledBlock
 	// dbg is the pooldebug sanitizer state: zero-sized in release
 	// builds, a slot-generation pin under -tags pooldebug (pool_debug.go).

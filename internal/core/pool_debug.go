@@ -11,7 +11,8 @@ import (
 // The pooldebug build tag turns the packet pool into a sanitizer, the
 // dynamic counterpart of the poollife static analyzer: Recycle poisons
 // every buffer the slot owns and bumps the slot's generation counter;
-// ClonePooled verifies the poison canary before reusing a slot; and
+// a draw (Pool.Clone, Pool.NewUDP) verifies the poison canary before
+// reusing a slot; and
 // the instrumented accessors (WireLen, Serialize, Clone, Adopt, ...)
 // panic — naming the call site that recycled the packet — when invoked
 // through a reference issued before the recycle.  The chaos and
@@ -20,9 +21,10 @@ import (
 // caught end to end.  Violations panic rather than log: a lifecycle
 // bug invalidates the simulation, exactly like a determinism breach.
 
-// poolDebugEnabled reports which pool implementation this binary
-// carries; tests use it to pick the expected violation behavior.
-const poolDebugEnabled = true
+// PoolDebug reports which pool implementation this binary carries;
+// tests use it to pick the expected violation behavior (and to skip an
+// allocation budget: the sanitizer formats a call site per Recycle).
+const PoolDebug = true
 
 // poolDebug is the per-packet-copy sanitizer state: the slot
 // generation this copy was issued under.  Shallow struct copies

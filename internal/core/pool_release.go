@@ -8,9 +8,10 @@ package core
 // instrumentation points.  Build with -tags pooldebug for the checking
 // implementations (pool_debug.go).
 
-// poolDebugEnabled reports which pool implementation this binary
-// carries; tests use it to pick the expected violation behavior.
-const poolDebugEnabled = false
+// PoolDebug reports which pool implementation this binary carries;
+// tests use it to pick the expected violation behavior (and to skip an
+// allocation budget: the sanitizer formats a call site per Recycle).
+const PoolDebug = false
 
 // poolDebug is the per-packet-copy sanitizer state (empty in release).
 type poolDebug struct{}

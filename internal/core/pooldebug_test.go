@@ -39,10 +39,10 @@ func TestPooldebugUseAfterRecycle(t *testing.T) {
 		{"WireLen", func(p *Packet) { p.WireLen() }},
 		{"Serialize", func(p *Packet) { p.Serialize() }},
 		{"Clone", func(p *Packet) { p.Clone() }},
-		{"ClonePooled", func(p *Packet) { p.ClonePooled() }},
+		{"Pool.Clone", func(p *Packet) { new(Pool).Clone(p) }},
 		{"Adopt", func(p *Packet) { p.Adopt() }},
 	} {
-		c := poolFixture().ClonePooled()
+		c := new(Pool).Clone(poolFixture())
 		c.Recycle()
 		mustPanic(t, func() { tc.use(c) }, tc.op, "recycled at", "pooldebug_test.go")
 	}
@@ -51,7 +51,7 @@ func TestPooldebugUseAfterRecycle(t *testing.T) {
 // Recycling twice panics (instead of release's silent no-op): the
 // second call necessarily runs through a stale reference.
 func TestPooldebugDoubleRecycle(t *testing.T) {
-	c := poolFixture().ClonePooled()
+	c := new(Pool).Clone(poolFixture())
 	c.Recycle()
 	mustPanic(t, c.Recycle, "already recycled at", "pooldebug_test.go")
 }
@@ -60,7 +60,7 @@ func TestPooldebugDoubleRecycle(t *testing.T) {
 // violation pool.go's rules forbid; the sanitizer escalates release's
 // defensive abandon to a panic.
 func TestPooldebugShallowCopyRecycle(t *testing.T) {
-	c := poolFixture().ClonePooled()
+	c := new(Pool).Clone(poolFixture())
 	sc := *c
 	mustPanic(t, sc.Recycle, "shallow copy")
 	c.Adopt() // keep the resident packet legal for later slots
@@ -69,26 +69,28 @@ func TestPooldebugShallowCopyRecycle(t *testing.T) {
 // A write through a stale alias while the slot sits in the pool must
 // be caught by the canary check when the slot is next handed out.
 func TestPooldebugCanaryClobber(t *testing.T) {
-	c := poolFixture().ClonePooled()
+	var pool Pool
+	c := pool.Clone(poolFixture())
 	stale := c.Payload // alias the slot's payload buffer
 	c.Recycle()
 	stale[0] = 'X' // the violation: writing after the death point
-	src := poolFixture()
-	mustPanic(t, func() {
-		// Drain until the clobbered slot resurfaces (the pool is
-		// per-P; single-threaded tests get the same slot back first).
-		for i := 0; i < 64; i++ {
-			src.ClonePooled().Adopt()
-		}
-	}, "clobbered after Recycle", "pooldebug_test.go")
+	// The next draw — either kind — gets the clobbered slot back.
+	mustPanic(t, func() { pool.NewUDP(Ethernet{}, IPv4{}, UDP{}) },
+		"clobbered after Recycle", "pooldebug_test.go")
 }
 
 // The legal lifecycle — clone, forward, recycle, reuse; adopt and
 // retain — must run clean under the sanitizer.
 func TestPooldebugCleanLifecycle(t *testing.T) {
+	var pool Pool
 	src := poolFixture()
 	for i := 0; i < 100; i++ {
-		c := src.ClonePooled()
+		c := pool.Clone(src)
+		if i%3 == 0 {
+			c.Recycle()
+			c = pool.NewUDP(src.Eth, *src.IP, *src.UDP)
+			c.Payload = append(c.Payload, 1, 2, 3, 4)
+		}
 		_ = c.WireLen()
 		if i%2 == 0 {
 			c.Recycle()
@@ -102,7 +104,7 @@ func TestPooldebugCleanLifecycle(t *testing.T) {
 // Poison covers buffer capacity, not just length: a stale alias
 // re-sliced beyond the live length is still caught.
 func TestPooldebugPoisonCoversCapacity(t *testing.T) {
-	c := poolFixture().ClonePooled()
+	c := new(Pool).Clone(poolFixture())
 	buf := c.TPP.Mem
 	c.Recycle()
 	if cap(buf) == 0 {

@@ -16,6 +16,13 @@ const EchoReplyPort = 7071
 // Handler consumes a received packet.
 type Handler func(pkt *core.Packet)
 
+// handler is one entry of a host's demultiplexing table: the function
+// and whether it only borrows the packet (Sink) or keeps it (Handle).
+type handler struct {
+	fn   Handler
+	sink bool
+}
+
 // Host is a simulated end-host.
 type Host struct {
 	Sim *netsim.Sim
@@ -23,7 +30,7 @@ type Host struct {
 	IP  uint32
 	NIC *NIC
 
-	handlers map[uint16]Handler
+	handlers map[uint16]handler
 	fallback Handler
 
 	// uidBase makes packet UIDs unique network-wide, not just per
@@ -46,42 +53,63 @@ func NewHost(sim *netsim.Sim, mac core.MAC, ip uint32) *Host {
 		MAC:      mac,
 		IP:       ip,
 		NIC:      NewNIC(0),
-		handlers: make(map[uint16]Handler),
+		handlers: make(map[uint16]handler),
 		uidBase:  (mac.Uint64() & 0xFFFFFF) << 40,
 	}
 }
 
-// Handle registers a handler for a UDP destination port.
-func (h *Host) Handle(port uint16, fn Handler) { h.handlers[port] = fn }
+// Handle registers a handler for a UDP destination port.  The handler
+// owns what it is given: the host adopts the packet first, so fn may
+// keep it, and its buffers, for as long as it likes.
+func (h *Host) Handle(port uint16, fn Handler) { h.handlers[port] = handler{fn: fn} }
 
-// HandleDefault registers the handler for everything else.
+// Sink registers a handler for a UDP destination port that only borrows
+// the packet: the host returns it to the packet pool the moment fn
+// returns, so fn must not keep the packet or any of its buffers.  The
+// receivers of bulk flows, which read a header word and count bytes,
+// are sinks; that is what lets a sender's pooled packets come back.
+func (h *Host) Sink(port uint16, fn Handler) { h.handlers[port] = handler{fn: fn, sink: true} }
+
+// HandleDefault registers the handler for everything else; like Handle,
+// it owns what it is given.
 func (h *Host) HandleDefault(fn Handler) { h.fallback = fn }
 
-// Receive implements netsim.Receiver.
+// Receive implements netsim.Receiver.  Delivery ends the fabric's
+// ownership of the packet, and the host decides what follows: a
+// retaining handler gets an adopted packet, everything else — a sink's
+// packet once it has been read, an executed probe once its echo is
+// built, a delivery nobody handles — goes back to the pool.  (Recycle
+// and Adopt are no-ops on a packet that was never pooled.)
 //
 //alloc:free
 func (h *Host) Receive(pkt *core.Packet, port int) {
 	_ = port
-	// Delivery transfers ownership out of the fabric: a flooded copy
-	// drawn from the packet pool is now the host's to keep, so it must
-	// never return to the pool.
-	pkt.Adopt()
 	// Echo executed TPP probes transparently, before demultiplexing:
 	// this is the paper's receiver behavior for the collect phase.
 	if pkt.TPP != nil && pkt.UDP != nil && pkt.UDP.DstPort == ProbeEchoPort {
 		h.echoProbe(pkt)
+		pkt.Recycle()
 		return
 	}
 	h.Received++
 	if pkt.UDP != nil {
-		if fn, ok := h.handlers[pkt.UDP.DstPort]; ok {
-			fn(pkt)
+		if e, ok := h.handlers[pkt.UDP.DstPort]; ok {
+			if e.sink {
+				e.fn(pkt)
+				pkt.Recycle()
+				return
+			}
+			pkt.Adopt()
+			e.fn(pkt)
 			return
 		}
 	}
 	if h.fallback != nil {
+		pkt.Adopt()
 		h.fallback(pkt)
+		return
 	}
+	pkt.Recycle()
 }
 
 // echoProbe returns the executed TPP to the prober.  The echo carries
@@ -110,9 +138,26 @@ func (h *Host) uid() uint64 {
 // their packets remain distinguishable in lifecycle traces.
 func (h *Host) NextUID() uint64 { return h.uid() }
 
-// NewPacket builds a unicast data packet from this host.
+// NewPacket builds a unicast data packet from this host.  The packet
+// is the caller's: sending it gives nothing up, and the fabric never
+// reuses it.
 func (h *Host) NewPacket(dstMAC core.MAC, dstIP uint32, srcPort, dstPort uint16, payloadLen int) *core.Packet {
 	pkt := core.NewUDPPacket(
+		core.Ethernet{Dst: dstMAC, Src: h.MAC, Type: core.EtherTypeIPv4},
+		core.IPv4{TTL: 64, Proto: core.ProtoUDP, Src: h.IP, Dst: dstIP},
+		core.UDP{SrcPort: srcPort, DstPort: dstPort},
+	)
+	pkt.PadLen = payloadLen
+	pkt.Meta = core.Metadata{UID: h.uid()}
+	return pkt
+}
+
+// NewPacketPooled builds the packet NewPacket builds (same fields, same
+// UID sequence) in a block drawn from the simulation's packet pool.
+// The caller must Send it and forget it: from the send on the packet
+// belongs to whatever holds it last, which returns the block.
+func (h *Host) NewPacketPooled(dstMAC core.MAC, dstIP uint32, srcPort, dstPort uint16, payloadLen int) *core.Packet {
+	pkt := h.Sim.Pool().NewUDP(
 		core.Ethernet{Dst: dstMAC, Src: h.MAC, Type: core.EtherTypeIPv4},
 		core.IPv4{TTL: 64, Proto: core.ProtoUDP, Src: h.IP, Dst: dstIP},
 		core.UDP{SrcPort: srcPort, DstPort: dstPort},

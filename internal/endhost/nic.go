@@ -110,7 +110,9 @@ func (n *NIC) SetTenant(id uint8) {
 func (n *NIC) Tenant() uint8 { return n.tenant }
 
 // Send queues the packet for transmission, returning false on a tail
-// drop or a verifier rejection.
+// drop or a verifier rejection.  Both are death points: a pooled packet
+// goes back to its pool (its sender has already let go of it), any
+// other packet is untouched.
 func (n *NIC) Send(pkt *core.Packet) bool {
 	if pkt.TPP != nil {
 		// Seal the tenant identity before anything else — including
@@ -121,6 +123,7 @@ func (n *NIC) Send(pkt *core.Packet) bool {
 			n.LastVerify = n.verifyCached(pkt.TPP)
 			if !n.LastVerify.OK() {
 				n.Rejected++
+				pkt.Recycle()
 				return false
 			}
 		}
@@ -140,6 +143,7 @@ func (n *NIC) Send(pkt *core.Packet) bool {
 	}
 	if n.QueueLen() >= n.max {
 		n.Drops++
+		pkt.Recycle()
 		return false
 	}
 	n.queue.Push(pkt)

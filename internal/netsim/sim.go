@@ -122,6 +122,7 @@ type Sim struct {
 	rng     *rand.Rand
 	stopped bool
 	stats   Stats
+	pool    core.Pool
 }
 
 // Stats are the engine's self-metrics, cumulative since New.
@@ -159,6 +160,21 @@ func (s *Sim) Pending() int { return len(s.keys) + s.backlog - s.stale }
 
 // Stats returns the engine's self-metrics.
 func (s *Sim) Stats() Stats { return s.stats }
+
+// Pool returns the simulation's packet pool: the free list every
+// switch wired to this Sim clones through and every host on it draws
+// its pooled packets from (see core/pool.go for the ownership rules).
+func (s *Sim) Pool() *core.Pool { return &s.pool }
+
+// Collect names the pool's counts for a metrics registry's pull edge
+// (reg.Collect(sim.Collect)): four counter rows, read at snapshot.
+func (s *Sim) Collect(emit func(name string, v uint64)) {
+	st := s.pool.Stats()
+	emit("netsim/pool_issued", st.Issued)
+	emit("netsim/pool_recycled", st.Recycled)
+	emit("netsim/pool_adopted", st.Adopted)
+	emit("netsim/pool_allocated", st.Allocated)
+}
 
 // At schedules fn to run at absolute time t.  Scheduling in the past
 // panics: it is always a modeling bug.

@@ -429,3 +429,25 @@ func TestSameTimeFIFONested(t *testing.T) {
 		t.Fatalf("nested same-time order = %q, want %q", got, want)
 	}
 }
+
+// Each Sim owns its packet pool: a block drawn through one Sim comes
+// back to that Sim's free list and never shows in another's counts.
+func TestSimsOwnTheirPools(t *testing.T) {
+	a, b := New(1), New(1)
+	if a.Pool() != a.Pool() || a.Pool() == b.Pool() {
+		t.Fatal("Pool() must be one stable pool per Sim")
+	}
+	src := &core.Packet{Payload: []byte("x")}
+	first := a.Pool().Clone(src)
+	first.Recycle()
+	if again := a.Pool().Clone(src); again != first {
+		t.Error("Sim a did not get its recycled block back")
+	}
+	if fromB := b.Pool().Clone(src); fromB == first {
+		t.Error("Sim b drew a block of Sim a's")
+	}
+	if sa, sb := a.Pool().Stats(), b.Pool().Stats(); sa != (core.PoolStats{Issued: 2, Recycled: 1, Allocated: 1}) ||
+		sb != (core.PoolStats{Issued: 1, Allocated: 1}) {
+		t.Errorf("pool counts leaked between Sims: a %+v, b %+v", sa, sb)
+	}
+}

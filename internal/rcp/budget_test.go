@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/netsim"
 )
 
@@ -12,11 +13,15 @@ import (
 // allocations per data packet delivered.  Three simulated seconds on the
 // default harness with the flows starting at 0, 1 and 2 s, counted
 // across RunUntil only (set-up excluded).  Both are upper bounds with
-// slack; what they catch is a per-packet cost coming back: a closure
-// per paced packet (+1 allocation per packet: 3.30 when the pacer
-// scheduled one), an unconditional transmit-complete event per send on
-// the delayed links (+2 events per frame: 9.00 when Send scheduled it),
-// a probe round trip rebuilt from separately allocated parts.
+// slack (0.65 allocations per packet — the probes — and 6.84 events per
+// frame as measured); what they catch is a per-packet cost coming back:
+// a data packet built on the heap instead of drawn from the Sim's pool,
+// or one the receiver adopts instead of returning (+1 allocation per
+// packet: 1.78), a closure per paced packet (+1 more), an unconditional
+// transmit-complete event per send on the delayed links (+2 events per
+// frame: 9.00), a probe round trip rebuilt from separately allocated
+// parts.  The allocation budget is not checked under -tags pooldebug,
+// whose sanitizer formats a call-site string at every Recycle.
 func TestStarRunBudgets(t *testing.T) {
 	cfg := DefaultFig2Config(VariantStar)
 	h := NewHarness(3, cfg.BottleneckMbps, cfg.EdgeMbps, cfg.Params, cfg.Seed, nil)
@@ -51,7 +56,7 @@ func TestStarRunBudgets(t *testing.T) {
 	if eventsPerFrame > 7.5 {
 		t.Errorf("%.2f events executed per sender frame, budget 7.5", eventsPerFrame)
 	}
-	if mallocsPerPacket > 2.0 {
-		t.Errorf("%.2f allocations per delivered data packet, budget 2.0", mallocsPerPacket)
+	if mallocsPerPacket > 1.0 && !core.PoolDebug {
+		t.Errorf("%.2f allocations per delivered data packet, budget 1.0", mallocsPerPacket)
 	}
 }

@@ -104,10 +104,12 @@ func (f *PacedFlow) pump() {
 	if f.rate <= 0 {
 		return // started without a rate: SetRate schedules the first packet
 	}
-	pkt := f.host.NewPacket(f.dstMAC, f.dstIP, f.port, f.port, 0)
-	pkt.PadLen = f.size
+	// The packet is sent and forgotten, so it is drawn from the pool:
+	// whoever holds it last — a drop point, or the receiver's sink —
+	// returns the block, header word's buffer included.
+	pkt := f.host.NewPacketPooled(f.dstMAC, f.dstIP, f.port, f.port, f.size)
 	if f.header != nil {
-		pkt.Payload = binary.BigEndian.AppendUint32(nil, f.header())
+		pkt.Payload = binary.BigEndian.AppendUint32(pkt.Payload, f.header())
 		pkt.PadLen -= RateHeaderLen
 	}
 	f.host.Send(pkt)

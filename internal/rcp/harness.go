@@ -53,7 +53,9 @@ type Flow struct {
 	// Port is the UDP destination port of the flow's data packets.
 	Port uint16
 	// Receive, when non-nil, is the scheme's receiver side; the harness
-	// calls it for every data packet after counting the payload.
+	// calls it for every data packet after counting the payload.  It
+	// borrows the packet (the harness registers a Sink) and must not
+	// keep it.
 	Receive endhost.Handler
 	// Start and Stop switch the sender (and its control loop) on and
 	// off.
@@ -125,7 +127,9 @@ func (h *Harness) Launch(s Scheme, starts []FlowStart) netsim.Time {
 		pair := st.Pair
 		f := s.Attach(h, pair)
 		h.Flows[pair] = f
-		h.Receivers[pair].Handle(f.Port, func(p *core.Packet) {
+		// A sink: the count, the scheme's receiver and Observe read the
+		// packet and return; none of them keeps it.
+		h.Receivers[pair].Sink(f.Port, func(p *core.Packet) {
 			h.Recv[pair] += uint64(p.PayloadLen())
 			if f.Receive != nil {
 				f.Receive(p)

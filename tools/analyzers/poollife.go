@@ -15,11 +15,15 @@ func PoolLife() []*Analyzer { return []*Analyzer{PoolLifeAnalyzer} }
 //
 //   - use-after-Recycle: once a variable is recycled, any further use
 //     of it on a path reaching that use is a fault — the packet may
-//     already be another incarnation.
+//     already be another incarnation.  Passing a locally proven pooled
+//     packet to a Send method (Host.Send, NIC.Send, Channel.Send) is the
+//     same hand-off: the fabric owns it from there and may recycle it
+//     before Send returns.
 //   - double-Recycle: recycling the same variable twice on one path
 //     hands the pool an aliased slot.
-//   - retention-without-Adopt: a value drawn from ClonePooled that is
-//     stored into a long-lived structure (a field, a map or slice
+//   - retention-without-Adopt: a value drawn from a pool (pool.Clone(p),
+//     pool.NewUDP(...), host.NewPacketPooled(...), p.ClonePooled())
+//     that is stored into a long-lived structure (a field, a map or slice
 //     element, an append, a channel send, a closure capture) while
 //     still pool-owned can be recycled under the referent; Adopt first.
 //   - recycle-after-shallow-copy: after `c := *p`, c aliases p's
@@ -31,8 +35,8 @@ func PoolLife() []*Analyzer { return []*Analyzer{PoolLifeAnalyzer} }
 // seen, and early exits (return, break, continue, panic) terminate
 // their path so the common `if dead { pkt.Recycle(); return }` shape
 // stays clean.  Like the determinism linters it relies only on locally
-// inferable facts — the Recycle/Adopt/ClonePooled method names on
-// plain identifiers — so it needs no cross-package type information.
+// inferable facts — the Recycle/Adopt/Send and pool-draw method names
+// on plain identifiers — so it needs no cross-package type information.
 // Sanctioned violations (e.g. the egress queue retaining fabric-owned
 // packets it will recycle itself) carry //lint:allow poollife.
 var PoolLifeAnalyzer = &Analyzer{
@@ -57,9 +61,10 @@ var PoolLifeAnalyzer = &Analyzer{
 type poolFlags uint8
 
 const (
-	flagPooled   poolFlags = 1 << iota // from ClonePooled, not yet adopted/recycled
+	flagPooled   poolFlags = 1 << iota // drawn from a pool, not yet adopted/recycled/sent
 	flagRecycled                       // Recycle called on some path reaching here
 	flagAliased                        // a shallow copy (*v) was taken
+	flagSent                           // handed to a Send method while pooled
 )
 
 // poolState maps each tracked local to its flags.  States are small
@@ -150,7 +155,7 @@ func (pl *poolLife) stmt(st ast.Stmt, state poolState) bool {
 				}
 				for i, name := range vs.Names {
 					if o := pl.obj(name); o != nil {
-						if len(vs.Values) == len(vs.Names) && pl.isClonePooled(vs.Values[i]) {
+						if len(vs.Values) == len(vs.Names) && pl.isPoolDraw(vs.Values[i]) {
 							state[o] = flagPooled
 						} else {
 							delete(state, o)
@@ -320,7 +325,7 @@ func (pl *poolLife) assign(s *ast.AssignStmt, state poolState) {
 		// A plain-identifier LHS re-binds the variable: derive its new
 		// state from the matching RHS when the assignment is 1:1.
 		switch {
-		case oneToOne && pl.isClonePooled(s.Rhs[i]):
+		case oneToOne && pl.isPoolDraw(s.Rhs[i]):
 			state[o] = flagPooled
 		case oneToOne && isDeref(s.Rhs[i]):
 			// x = *p: x is a shallow copy; p's buffers are now aliased.
@@ -348,6 +353,8 @@ func (pl *poolLife) expr(e ast.Expr, state poolState) {
 				case "Recycle":
 					fl := state[recv]
 					switch {
+					case fl&flagSent != 0:
+						pl.report(x.Pos(), "%s recycled after Send handed it to the fabric, which recycles it itself", nameOf(sel.X))
 					case fl&flagRecycled != 0:
 						pl.report(x.Pos(), "%s recycled twice; the second Recycle hands the pool an aliased slot", nameOf(sel.X))
 					case fl&flagAliased != 0:
@@ -370,6 +377,14 @@ func (pl *poolLife) expr(e ast.Expr, state poolState) {
 					}
 					return
 				}
+			}
+		}
+		// x.Send(p) of a still-pooled p hands it to the fabric.
+		if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Send" && len(x.Args) == 1 {
+			if o := pl.obj(x.Args[0]); o != nil && state[o]&flagPooled != 0 {
+				pl.expr(x.Fun, state)
+				state[o] = state[o]&^flagPooled | flagSent
+				return
 			}
 		}
 		// append(s, p) retains p in a slice.
@@ -450,25 +465,43 @@ func (pl *poolLife) expr(e ast.Expr, state poolState) {
 	}
 }
 
-// useIdent reports a use of a recycled variable.
+// useIdent reports a use of a recycled or handed-off variable.
 func (pl *poolLife) useIdent(e ast.Expr, state poolState) {
 	id, ok := e.(*ast.Ident)
 	if !ok {
 		return
 	}
-	if o := pl.obj(id); o != nil && state[o]&flagRecycled != 0 {
+	o := pl.obj(id)
+	if o == nil {
+		return
+	}
+	switch fl := state[o]; {
+	case fl&flagRecycled != 0:
 		pl.report(id.Pos(), "use of %s after Recycle", id.Name)
+	case fl&flagSent != 0:
+		pl.report(id.Pos(), "use of %s after Send handed it to the fabric; it may already be recycled", id.Name)
 	}
 }
 
-// isClonePooled reports whether e is a call x.ClonePooled().
-func (pl *poolLife) isClonePooled(e ast.Expr) bool {
+// isPoolDraw reports whether e is a call that draws a packet from a
+// pool: pool.Clone(p) (one argument — p.Clone() is the heap copy),
+// pool.NewUDP(...), host.NewPacketPooled(...) or p.ClonePooled().
+func (pl *poolLife) isPoolDraw(e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "ClonePooled"
+	if !ok {
+		return false
+	}
+	switch sel.Sel.Name {
+	case "ClonePooled", "NewUDP", "NewPacketPooled":
+		return true
+	case "Clone":
+		return len(call.Args) == 1
+	}
+	return false
 }
 
 func isDeref(e ast.Expr) bool {

@@ -185,6 +185,9 @@ func TestPoolLifeRealPackagesClean(t *testing.T) {
 		"../../internal/endhost",
 		"../../internal/inband",
 		"../../internal/fabric",
+		"../../internal/reflex",
+		"../../internal/rcp",
+		"../../internal/aimd",
 	} {
 		fs, err := Dir(dir, PoolLife())
 		if err != nil {

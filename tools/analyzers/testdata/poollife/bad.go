@@ -83,3 +83,35 @@ func shallowRecycle(src *Packet) {
 	sc.Adopt()
 	c.Recycle() // want "recycled after a shallow copy"
 }
+
+// Each pool draw is tracked like ClonePooled: storing the packet
+// without Adopt is a retention.
+func retainPoolClone(q *queue, pool *Pool, src *Packet) {
+	p := pool.Clone(src)
+	q.head = p // want "stored into a field without Adopt"
+}
+
+func retainNewUDP(q *queue, pool *Pool) {
+	p := pool.NewUDP(64)
+	q.items = append(q.items, p) // want "appended to a slice without Adopt"
+}
+
+func retainNewPacketPooled(q *queue, h *host) {
+	p := h.NewPacketPooled(64)
+	q.head = p // want "stored into a field without Adopt"
+}
+
+// Send hands a pooled packet to the fabric: touching it afterwards is a
+// use after the hand-off, and recycling it a double release.
+func touchAfterSend(h *host) int {
+	p := h.NewPacketPooled(64)
+	h.Send(p)
+	return p.Len // want "use of p after Send"
+}
+
+func recycleAfterSend(h *host, pool *Pool, src *Packet) {
+	p := pool.Clone(src)
+	if !h.Send(p) {
+		p.Recycle() // want "recycled after Send"
+	}
+}

@@ -79,3 +79,32 @@ func twoClones(src *Packet) {
 	a.Recycle()
 	b.Recycle()
 }
+
+// The sender's shape: draw, fill in, send, forget.
+func drawFillSend(h *host) bool {
+	p := h.NewPacketPooled(64)
+	p.Payload = append(p.Payload, 1, 2, 3, 4)
+	p.Len += 4
+	return h.Send(p)
+}
+
+// The fabric's shape: clone through the pool, use, recycle.
+func poolCloneRecycle(pool *Pool, src *Packet) int {
+	c := pool.Clone(src)
+	n := c.WireLen()
+	c.Recycle()
+	return n
+}
+
+// Sending a packet of unknown provenance gives nothing up: its holder
+// may keep using it (a prober keeps its probe for the retry).
+func sendUnknownProvenance(h *host, p *Packet) int {
+	h.Send(p)
+	return p.WireLen()
+}
+
+// The heap Clone (no argument) is not a draw.
+func heapCloneRetained(q *queue, src *Packet) {
+	c := src.Clone()
+	q.head = c
+}
