@@ -113,22 +113,27 @@ scenario:
 # switch whose pipeline and ingress-link lanes hold pooled packets: each
 # must be recycled exactly once, at its firing time; plus the packages
 # on the sender-draws / sink-returns edge: every paced data packet of
-# the three rate-control schemes goes out pooled and comes back through
-# a sink, a drop point or a handler-less host.
+# the three rate-control schemes, and every probe, echo and RCP* update
+# of every prober user (ndb, inband, accounting), goes out pooled and
+# comes back through a sink, a drop point or a handler-less host.
 soak-pooldebug:
 	$(GO) test -race -tags pooldebug -run 'TestChaosSoak|TestHostileSoak|TestReflexSoak' -v -count=1 ./internal/chaos
 	$(GO) test -race -tags pooldebug -run 'TestRebootFlushesLanes' -v -count=1 ./internal/asic
-	$(GO) test -race -tags pooldebug -count=1 ./internal/rcp ./internal/aimd ./internal/endhost
+	$(GO) test -race -tags pooldebug -count=1 ./internal/rcp ./internal/aimd ./internal/endhost \
+		./internal/ndb ./internal/inband ./internal/accounting
 
-# fuzz smoke-tests the three soundness properties: verified programs
+# fuzz smoke-tests the three soundness properties — verified programs
 # never trip a dynamic fault, guest programs never escape their tenant
 # grant (and, verified against it, are never denied), and a TPP executes
 # identically under a cached validation verdict (Program.Exec) and a
-# fresh one (Config.Exec).
+# fresh one (Config.Exec) — and one robustness property: no bytes on a
+# prober's echo-reply port make it, its epoch tracker or a collect
+# callback panic.
 fuzz:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=10s ./internal/verify
 	$(GO) test -fuzz=FuzzGuard -fuzztime=10s ./internal/asic
 	$(GO) test -fuzz=FuzzCompile -fuzztime=10s ./internal/tcpu
+	$(GO) test -fuzz=FuzzProberEcho -fuzztime=10s ./internal/endhost
 
 # bench runs the repository's one benchmark: all six bench/tppbench
 # workloads for 10 s each, seed 1, every sim_digest checked against

@@ -201,14 +201,11 @@ func Run(cfg Config) Result {
 	streamProber := endhost.NewProber(hosts[0][1])
 	streamCfg := endhost.ProbeConfig{
 		Timeout: 50 * netsim.Millisecond, Retries: 1, Backoff: 2}
-	streamProg := func() *core.TPP {
-		tpp, err := endhost.CollectProgram(
-			[]mem.Addr{mem.SwitchBase + mem.SwitchID, mem.SwitchBase + mem.SwitchEpoch},
-			4, 5)
-		if err != nil {
-			panic(err)
-		}
-		return tpp
+	streamProg, err := endhost.CollectProgram(
+		[]mem.Addr{mem.SwitchBase + mem.SwitchID, mem.SwitchBase + mem.SwitchEpoch},
+		4, 5)
+	if err != nil {
+		panic(err)
 	}
 
 	var res Result
@@ -230,15 +227,17 @@ func Run(cfg Config) Result {
 				return nil
 			},
 			"stream": func(*scenario.Env) error {
+				// One program and one callback for the whole stream: the
+				// prober sends a copy of the program every tick.
+				onEcho := func(e *core.TPP) {
+					if e.Flags&core.FlagThrottled != 0 {
+						res.ThrottledEchoes++
+					} else {
+						res.CleanEchoes++
+					}
+				}
 				sim.Every(10*netsim.Millisecond, 5*netsim.Millisecond, func() {
-					streamProber.ProbeCfg(hosts[2][1].MAC, hosts[2][1].IP, streamProg(), streamCfg,
-						func(e *core.TPP) {
-							if e.Flags&core.FlagThrottled != 0 {
-								res.ThrottledEchoes++
-							} else {
-								res.CleanEchoes++
-							}
-						}, nil)
+					streamProber.ProbeCfg(hosts[2][1].MAC, hosts[2][1].IP, streamProg, streamCfg, onEcho, nil)
 				})
 				return nil
 			},

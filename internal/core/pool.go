@@ -11,7 +11,12 @@ package core
 // Who may draw.  The fabric draws with Pool.Clone when it must copy a
 // packet it forwards (a flood egress, a stripped TPP).  A sender draws
 // with Pool.NewUDP (endhost.Host.NewPacketPooled) when it builds a
-// packet it will hand to the NIC and never look at again.
+// packet it will hand to the NIC and never look at again: a paced data
+// packet, a probe's echo.  A prober or controller draws with
+// Pool.NewTPP (endhost.Host.NewProbePooled) when it sends a program it
+// keeps — a probe, a retry, an RCP* update: the block carries its own
+// copy of the program, which the network then executes and mutates,
+// while the sender's program stays as it was for the next send.
 //
 // A block's life ends in exactly one of three ways:
 //   - a fabric death point recycles it: queue tail drop, TTL expiry,
@@ -77,7 +82,7 @@ type Pool struct {
 // PoolStats are a pool's always-on counts, cumulative since its first
 // draw.
 type PoolStats struct {
-	Issued    uint64 // draws (Clone, NewUDP)
+	Issued    uint64 // draws (Clone, NewUDP, NewTPP)
 	Recycled  uint64 // blocks returned to the free list
 	Adopted   uint64 // blocks handed to a holder for good
 	Allocated uint64 // draws the free list could not serve
@@ -121,17 +126,14 @@ func (pl *Pool) Clone(p *Packet) *Packet {
 	c := &b.pkt
 	// Keep the block's buffers so their capacity is reused by the copy
 	// below, whichever layers this incarnation carries.
-	ins, mem, opts, payload := b.tpp.Ins, b.tpp.Mem, b.ip.Options, c.Payload
+	opts, payload := b.ip.Options, c.Payload
 	*c = *p
 	c.pooled = true
 	c.block = b
 	c.Payload = append(payload[:0], p.Payload...)
 	if p.TPP != nil {
-		t := &b.tpp
-		*t = *p.TPP
-		t.Ins = append(ins[:0], p.TPP.Ins...)
-		t.Mem = append(mem[:0], p.TPP.Mem...)
-		c.TPP = t
+		b.tpp.CopyFrom(p.TPP)
+		c.TPP = &b.tpp
 	}
 	if p.IP != nil {
 		ip := &b.ip
@@ -164,6 +166,22 @@ func (pl *Pool) NewUDP(eth Ethernet, ip IPv4, udp UDP) *Packet {
 	b.ip.Options = append(opts[:0], ip.Options...)
 	b.udp = udp
 	c.markIssued()
+	return c
+}
+
+// NewTPP builds the packet NewUDP builds, carrying a copy of *t in the
+// block's own TPP: the instructions and packet memory go into the
+// block's retained buffers, never aliased, so the network may execute
+// and mutate the copy while t stays the caller's, unchanged.  (Sharing
+// t.Ins would not do even though the network never writes instructions:
+// a recycled block's buffers are the pool's, and pooldebug poisons
+// them.)  The packet must end in Recycle or Adopt.
+//
+//alloc:free
+func (pl *Pool) NewTPP(eth Ethernet, ip IPv4, udp UDP, t *TPP) *Packet {
+	c := pl.NewUDP(eth, ip, udp)
+	c.block.tpp.CopyFrom(t)
+	c.TPP = &c.block.tpp
 	return c
 }
 

@@ -176,6 +176,49 @@ func TestPoolNewUDPMatchesNewUDPPacket(t *testing.T) {
 	got.Recycle()
 }
 
+// NewTPP is NewUDP plus a deep copy of the program in the block's own
+// buffers: the network may execute the copy while the caller's program
+// stays as it was, and the buffers serve the block's next program.
+func TestPoolNewTPPCopiesProgram(t *testing.T) {
+	var pool Pool
+	prev := pool.Clone(poolFixture()) // leaves instruction and memory buffers in the block
+	block, insPtr, memPtr := prev.block, &prev.TPP.Ins[0], &prev.TPP.Mem[0]
+	prev.Recycle()
+
+	prog := NewTPP(AddrStack, []Instruction{{Op: OpPUSH, A: 3}}, 2)
+	prog.SetWord(1, 42)
+	eth := Ethernet{Dst: MAC{1}, Src: MAC{2}, Type: EtherTypeTPP}
+	ip := IPv4{TTL: 64, Proto: ProtoUDP, Src: 3, Dst: 4}
+	udp := UDP{SrcPort: 5, DstPort: 6}
+	got := pool.NewTPP(eth, ip, udp, prog)
+	if got.block != block || !got.Pooled() || got.TPP != &block.tpp {
+		t.Fatal("NewTPP did not draw the recycled block and carry the program in it")
+	}
+	if &got.TPP.Ins[0] != insPtr || &got.TPP.Mem[0] != memPtr {
+		t.Error("NewTPP did not reuse the block's instruction and memory buffers")
+	}
+	if len(got.TPP.Ins) != 1 || got.TPP.Ins[0] != prog.Ins[0] || got.TPP.MemWords() != 2 || got.TPP.Word(1) != 42 ||
+		got.TPP.Ptr != 0 || got.TPP.Version != TPPVersion || got.Eth != eth || *got.UDP != udp || len(got.Payload) != 0 {
+		t.Fatalf("NewTPP built %+v carrying %+v, want the header fields and a copy of the program", got, got.TPP)
+	}
+	want := NewUDPPacket(eth, ip, udp)
+	want.TPP = prog
+	if string(got.Serialize()) != string(want.Serialize()) {
+		t.Fatal("NewTPP packet differs on the wire from the same program attached by hand")
+	}
+
+	got.TPP.SetWord(0, 7) // what a hop's PUSH does
+	got.TPP.Ptr = 4
+	got.TPP.Tenant = 9 // what the NIC's seal does
+	if prog.Word(0) != 0 || prog.Ptr != 0 || prog.Tenant != 0 {
+		t.Fatal("executing the pooled copy wrote through to the caller's program")
+	}
+	got.Recycle()
+	if st := pool.Stats(); st != (PoolStats{Issued: 2, Recycled: 2, Allocated: 1}) {
+		t.Errorf("Stats() = %+v, want two draws of one block", st)
+	}
+}
+
 // Every block goes back to the pool it was drawn from, whoever recycles
 // it: two pools (two Sims in one process) never share one.
 func TestPoolsShareNoBlock(t *testing.T) {

@@ -165,15 +165,23 @@ func (t *TPP) EffectiveWord(b uint16) int {
 }
 
 // Hop returns the hop counter (hop mode) or the number of complete
-// stack frames of size frameWords pushed so far (stack mode).
+// stack frames of size frameWords pushed so far (stack mode), never more
+// than the frameWords-word records packet memory holds.  A TCPU never
+// advances the stack pointer past memory, but a header read off the wire
+// may claim anything; readers that index per-hop records by this count
+// stay inside Mem.
 func (t *TPP) Hop(frameWords int) int {
-	if t.Mode == AddrHop {
-		return int(t.Ptr)
+	n := int(t.Ptr)
+	if t.Mode != AddrHop {
+		if frameWords <= 0 {
+			return 0
+		}
+		n /= 4 * frameWords
 	}
-	if frameWords <= 0 {
-		return 0
+	if frameWords > 0 {
+		n = min(n, t.MemWords()/frameWords)
 	}
-	return int(t.Ptr) / 4 / frameWords
+	return n
 }
 
 // Clone deep-copies the TPP so switches can execute on a private copy
@@ -183,6 +191,16 @@ func (t *TPP) Clone() *TPP {
 	c.Ins = append([]Instruction(nil), t.Ins...)
 	c.Mem = append([]byte(nil), t.Mem...)
 	return &c
+}
+
+// CopyFrom makes t a deep copy of src in t's own instruction and
+// packet-memory buffers, so a copy that is remade often (a pool block's
+// program, a retriable probe's) allocates only when src outgrows them.
+func (t *TPP) CopyFrom(src *TPP) {
+	ins, mem := t.Ins, t.Mem
+	*t = *src
+	t.Ins = append(ins[:0], src.Ins...)
+	t.Mem = append(mem[:0], src.Mem...)
 }
 
 // Validate checks structural invariants of the TPP.  It is split into
@@ -293,4 +311,28 @@ func ParseTPP(b []byte, t *TPP) (int, error) {
 		return 0, err
 	}
 	return n, nil
+}
+
+// decodedTPP co-allocates a decoded TPP with room for a small program:
+// every probe the experiments send (≤ 5 instructions, ≤ 140 bytes of
+// packet memory) fits with margin.
+type decodedTPP struct {
+	t   TPP
+	ins [8]Instruction
+	mem [160]byte
+}
+
+// DecodeTPP is ParseTPP into a TPP of its own, returned with the number
+// of bytes consumed; the result shares nothing with b.  A program of at
+// most 8 instructions and 160 bytes of packet memory costs one
+// allocation — header, instructions and memory together — and a larger
+// one a further allocation per section that does not fit.
+func DecodeTPP(b []byte) (*TPP, int, error) {
+	d := &decodedTPP{}
+	d.t.Ins, d.t.Mem = d.ins[:0], d.mem[:0]
+	n, err := ParseTPP(b, &d.t)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &d.t, n, nil
 }

@@ -175,6 +175,59 @@ func TestTPPHopCounting(t *testing.T) {
 	}
 }
 
+// A header read off the wire may claim more hops than its memory holds;
+// Hop counts only the records that are there, so a reader indexing
+// memory by it stays in range.
+func TestTPPHopClampsToMemory(t *testing.T) {
+	stack := NewTPP(AddrStack, nil, 2)
+	stack.Ptr = 64 // sixteen words pushed into two words of memory
+	if got := stack.Hop(2); got != 1 {
+		t.Errorf("stack-mode Hop(2) with SP past memory = %d, want the 1 frame memory holds", got)
+	}
+	if got := stack.Hop(3); got != 0 {
+		t.Errorf("stack-mode Hop(3) over 2 words = %d, want 0", got)
+	}
+	hop := NewTPP(AddrHop, nil, 8)
+	hop.Ptr = 9
+	if got := hop.Hop(4); got != 2 {
+		t.Errorf("hop-mode Hop(4) after 9 hops over 8 words = %d, want the 2 records memory holds", got)
+	}
+}
+
+// DecodeTPP returns a program of its own — one allocation for a small
+// one — equal to what ParseTPP decodes and sharing nothing with the
+// wire bytes.
+func TestDecodeTPPOwnsItsProgram(t *testing.T) {
+	for _, tc := range []struct {
+		ins, words int
+		allocs     float64
+	}{{5, 35, 1}, {8, 40, 1}, {9, 4, 2}, {2, 41, 2}} {
+		tpp := NewTPP(AddrStack, randomInstructions(rand.New(rand.NewSource(3)), tc.ins), tc.words)
+		tpp.Ptr = 8
+		tpp.SetWord(1, 0xfeed)
+		wire := append(tpp.AppendTo(nil), 0xc0, 0x0c, 0x1e, 0x00) // a trailing cookie
+		got, n, err := DecodeTPP(wire)
+		var want TPP
+		if _, werr := ParseTPP(wire, &want); err != nil || werr != nil || n != tpp.WireLen() {
+			t.Fatalf("%d ins, %d words: DecodeTPP consumed %d (err %v), want %d", tc.ins, tc.words, n, err, tpp.WireLen())
+		}
+		if string(got.AppendTo(nil)) != string(want.AppendTo(nil)) || got.Word(1) != 0xfeed {
+			t.Fatalf("%d ins, %d words: DecodeTPP and ParseTPP disagree", tc.ins, tc.words)
+		}
+		clear(wire)
+		if got.Word(1) != 0xfeed || got.Ins[0] != tpp.Ins[0] {
+			t.Fatalf("%d ins, %d words: decoded program aliases the wire bytes", tc.ins, tc.words)
+		}
+		wire = tpp.AppendTo(wire[:0])
+		if a := testing.AllocsPerRun(20, func() { _, _, _ = DecodeTPP(wire) }); a != tc.allocs {
+			t.Errorf("%d ins, %d words: DecodeTPP made %v allocations, want %v", tc.ins, tc.words, a, tc.allocs)
+		}
+	}
+	if _, _, err := DecodeTPP([]byte{1, 0, 1}); err == nil {
+		t.Fatal("truncated header decoded")
+	}
+}
+
 func TestTPPCloneIndependence(t *testing.T) {
 	orig := NewTPP(AddrStack, []Instruction{{Op: OpPUSH, A: 1}}, 4)
 	orig.SetWord(0, 42)

@@ -40,7 +40,7 @@ func HopEpochs(e *core.TPP) []HopEpoch {
 		return nil
 	}
 	frame := len(e.Ins)
-	hops := int(e.Ptr) / 4 / frame
+	hops := e.Hop(frame)
 	out := make([]HopEpoch, 0, hops)
 	for h := 0; h < hops; h++ {
 		out = append(out, HopEpoch{

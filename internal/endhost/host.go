@@ -1,6 +1,8 @@
 package endhost
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/netsim"
 )
@@ -67,6 +69,7 @@ func (h *Host) Handle(port uint16, fn Handler) { h.handlers[port] = handler{fn: 
 // the packet: the host returns it to the packet pool the moment fn
 // returns, so fn must not keep the packet or any of its buffers.  The
 // receivers of bulk flows, which read a header word and count bytes,
+// and the prober, which decodes every echo into a program of its own,
 // are sinks; that is what lets a sender's pooled packets come back.
 func (h *Host) Sink(port uint16, fn Handler) { h.handlers[port] = handler{fn: fn, sink: true} }
 
@@ -119,11 +122,12 @@ func (h *Host) echoProbe(pkt *core.Packet) {
 	if pkt.IP == nil {
 		return
 	}
-	payload := make([]byte, 0, pkt.TPP.WireLen()+len(pkt.Payload))
-	payload = pkt.TPP.AppendTo(payload)
-	payload = append(payload, pkt.Payload...) // preserve the probe cookie
-	echo := h.NewPacket(pkt.Eth.Src, pkt.IP.Src, ProbeEchoPort, EchoReplyPort, 0)
-	echo.Payload = payload
+	// The echo is a pooled block: its payload buffer, grown at most once
+	// here, takes the serialised program and the probe cookie after it.
+	echo := h.NewPacketPooled(pkt.Eth.Src, pkt.IP.Src, ProbeEchoPort, EchoReplyPort, 0)
+	echo.Payload = slices.Grow(echo.Payload, pkt.TPP.WireLen()+len(pkt.Payload))
+	echo.Payload = pkt.TPP.AppendTo(echo.Payload)
+	echo.Payload = append(echo.Payload, pkt.Payload...)
 	h.EchoesSent++
 	h.NIC.Send(echo)
 }
@@ -163,6 +167,23 @@ func (h *Host) NewPacketPooled(dstMAC core.MAC, dstIP uint32, srcPort, dstPort u
 		core.UDP{SrcPort: srcPort, DstPort: dstPort},
 	)
 	pkt.PadLen = payloadLen
+	pkt.Meta = core.Metadata{UID: h.uid()}
+	return pkt
+}
+
+// NewProbePooled builds a TPP packet from this host carrying a copy of
+// tpp (same UID sequence as NewPacket) in a block drawn from the
+// simulation's packet pool.  The packet owns its copy — the network
+// executes and mutates it — and tpp stays the caller's, untouched by
+// the send, the NIC or the fabric.  Like NewPacketPooled, the caller
+// must Send the packet and forget it.
+func (h *Host) NewProbePooled(dstMAC core.MAC, dstIP uint32, srcPort, dstPort uint16, tpp *core.TPP) *core.Packet {
+	pkt := h.Sim.Pool().NewTPP(
+		core.Ethernet{Dst: dstMAC, Src: h.MAC, Type: core.EtherTypeTPP},
+		core.IPv4{TTL: 64, Proto: core.ProtoUDP, Src: h.IP, Dst: dstIP},
+		core.UDP{SrcPort: srcPort, DstPort: dstPort},
+		tpp,
+	)
 	pkt.Meta = core.Metadata{UID: h.uid()}
 	return pkt
 }

@@ -13,7 +13,7 @@ import (
 // star wires n hosts to one switch, the smallest fabric that floods.
 func star(sim *netsim.Sim, n int) (*asic.Switch, []*Host) {
 	const rate = 1e9
-	sw := asic.New(sim, asic.Config{Ports: n})
+	sw := asic.New(sim, asic.Config{ID: 7, Ports: n})
 	hosts := make([]*Host, n)
 	for i := range hosts {
 		h := NewHost(sim, core.MACFromUint64(uint64(i+1)), core.IPv4Addr(10, 0, 0, byte(i+1)))
@@ -66,6 +66,8 @@ func TestUnhandledDeliveryReturnsToPool(t *testing.T) {
 }
 
 // An executed probe is recycled once its echo has been built from it.
+// The echo is a pool block too: the retaining handler registered here
+// adopts it, where a prober's sink would return it.
 func TestEchoedProbeReturnsToPool(t *testing.T) {
 	sim := netsim.New(1)
 	a, b := pair(sim, 8_000_000)
@@ -80,8 +82,8 @@ func TestEchoedProbeReturnsToPool(t *testing.T) {
 	if echoes != 1 || b.EchoesSent != 1 || b.Received != 0 {
 		t.Fatalf("echoes=%d EchoesSent=%d Received=%d, want 1/1/0", echoes, b.EchoesSent, b.Received)
 	}
-	if st := sim.Pool().Stats(); st.Issued != 1 || st.Recycled != 1 || st.Adopted != 0 {
-		t.Fatalf("pool after the echo: %+v, want the probe's block recycled", st)
+	if st := sim.Pool().Stats(); st.Issued != 2 || st.Recycled != 1 || st.Adopted != 1 {
+		t.Fatalf("pool after the echo: %+v, want the probe's block recycled and the echo's adopted", st)
 	}
 }
 
@@ -149,6 +151,27 @@ func TestNewPacketPooledMatchesNewPacket(t *testing.T) {
 		got.Meta != want.Meta || got.WireLen() != want.WireLen() ||
 		string(got.Serialize()) != string(want.Serialize()) {
 		t.Fatalf("NewPacketPooled built %+v, NewPacket %+v", got, want)
+	}
+	got.Recycle()
+}
+
+// NewProbePooled is NewPacket with the program attached, in a pool
+// block: same fields, same UIDs, and a copy of the program, not the
+// caller's.
+func TestNewProbePooledMatchesNewPacket(t *testing.T) {
+	sim := netsim.New(1)
+	a, b := pair(sim, 8_000_000)
+	c, _ := pair(netsim.New(1), 8_000_000) // a's twin, so both draw the same UID
+	prog := switchIDProg(3)
+	want := c.NewPacket(b.MAC, b.IP, EchoReplyPort, ProbeEchoPort, 0)
+	want.Eth.Type, want.TPP = core.EtherTypeTPP, prog
+	got := a.NewProbePooled(b.MAC, b.IP, EchoReplyPort, ProbeEchoPort, prog)
+	if !got.Pooled() || got.TPP == prog || &got.TPP.Mem[0] == &prog.Mem[0] || &got.TPP.Ins[0] == &prog.Ins[0] {
+		t.Fatal("NewProbePooled did not draw a pool block carrying its own copy of the program")
+	}
+	if got.Eth != want.Eth || *got.UDP != *want.UDP || got.Meta != want.Meta ||
+		got.WireLen() != want.WireLen() || string(got.Serialize()) != string(want.Serialize()) {
+		t.Fatalf("NewProbePooled built %+v, NewPacket with the program attached %+v", got, want)
 	}
 	got.Recycle()
 }

@@ -3,6 +3,7 @@ package endhost
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -35,32 +36,32 @@ func (c ProbeConfig) nextTimeout(cur netsim.Time) netsim.Time {
 	return netsim.Time(float64(cur) * b)
 }
 
-// pendingProbe is one outstanding probe's bookkeeping.
+// pendingProbe is one outstanding probe's bookkeeping.  Entries live on
+// their prober's free list between probes and keep what they were given
+// once — the deadline timer, the program buffers — so a probe round trip
+// makes none of it.
 type pendingProbe struct {
+	p      *Prober
+	cookie uint32
 	fn     func(*core.TPP)
 	onFail func()
 	cfg    ProbeConfig
 
-	// pristine is an unexecuted copy of the program, kept for
-	// retransmission: the network executes (and mutates) the TPP the
-	// packet carries, so resends need a fresh clone.
-	pristine *core.TPP
-	dstMAC   core.MAC
-	dstIP    uint32
+	// prog is a retriable probe's own copy of its program, in buffers
+	// the entry keeps across incarnations: every retry is stamped from
+	// it, never from the copy the network executed (and mutated), nor
+	// from the caller's TPP, which ProbeCfg does not keep.
+	prog   core.TPP
+	dstMAC core.MAC
+	dstIP  uint32
 
 	attempt int
 	timeout netsim.Time
-	// deadline expires the current attempt; nil when the probe has no
-	// Timeout.  Whatever resolves the probe first stops it.
+	// deadline expires the current attempt.  It is made the first time
+	// the entry carries a Timeout, runs pp.expire, and is armed only
+	// while the entry is pending: whatever resolves the probe first
+	// stops it.
 	deadline *netsim.Timer
-}
-
-// resolve calls off the probe's deadline: it was echoed, cancelled or
-// forgotten.
-func (pp *pendingProbe) resolve() {
-	if pp.deadline != nil {
-		pp.deadline.Stop()
-	}
 }
 
 // Prober sends TPP probe packets and collects their echoes.  One
@@ -69,10 +70,22 @@ func (pp *pendingProbe) resolve() {
 // Probes are subject to congestion and loss: give them a deadline
 // (ProbeConfig) and the prober reaps or retransmits them, keeping the
 // pending set bounded even on a faulty network.
+//
+// A probe is a value the prober copies, not an object it sends: every
+// attempt goes out in a packet drawn from the simulation's pool with
+// its own copy of the program (Host.NewProbePooled), and the echo comes
+// back into a pooled block the host recycles once the prober has
+// decoded it.  The TPP an echo callback receives is decoded into one
+// allocation of its own and is the callback's to keep.  It is not
+// borrowed from a buffer the prober reuses, though that would save the
+// allocation: callers keep echoes past the callback (ndb collects a
+// round of them, tests keep the last one), and a borrowed echo would be
+// overwritten under them without a sound.
 type Prober struct {
 	host     *Host
 	next     uint32
 	pending  map[uint32]*pendingProbe
+	free     []*pendingProbe // resolved entries, reused LIFO
 	defaults ProbeConfig
 	epochs   *EpochTracker
 
@@ -91,7 +104,7 @@ type Prober struct {
 // NewProber builds a prober and claims the host's echo-reply port.
 func NewProber(h *Host) *Prober {
 	p := &Prober{host: h, pending: make(map[uint32]*pendingProbe)}
-	h.Handle(EchoReplyPort, p.onEcho)
+	h.Sink(EchoReplyPort, p.onEcho)
 	return p
 }
 
@@ -115,9 +128,10 @@ func (p *Prober) After(d netsim.Time, fn func()) { p.host.Sim.After(d, fn) }
 
 // Probe sends tpp toward the destination host; fn runs when the echo
 // returns, with the executed program (its packet memory filled in by
-// the switches on the forward path).  The prober's default ProbeConfig
-// governs deadline and retries; with the zero default, lost probes
-// simply never call fn and Forget can reap them.
+// the switches on the forward path) decoded into a TPP fn may keep.
+// The prober's default ProbeConfig governs deadline and retries; with
+// the zero default, lost probes simply never call fn and Forget can
+// reap them.  Like ProbeCfg, Probe keeps no reference to tpp.
 func (p *Prober) Probe(dstMAC core.MAC, dstIP uint32, tpp *core.TPP, fn func(*core.TPP)) bool {
 	_, ok := p.ProbeCfg(dstMAC, dstIP, tpp, p.defaults, fn, nil)
 	return ok
@@ -129,40 +143,69 @@ func (p *Prober) Probe(dstMAC core.MAC, dstIP uint32, tpp *core.TPP, fn func(*co
 // Timeout to ever fire.  It returns the probe's cookie and whether the
 // probe was registered: ok == false means nothing was sent and neither
 // callback will run.
+//
+// ProbeCfg reads tpp during the call and keeps no reference to it: the
+// packet carries a copy, and so does a retriable probe's entry for its
+// retries.  The caller may reuse or change tpp as soon as ProbeCfg
+// returns, and neither the NIC's tenant seal, nor its compilation, nor
+// the network's execution ever lands on it.
 func (p *Prober) ProbeCfg(dstMAC core.MAC, dstIP uint32, tpp *core.TPP,
 	cfg ProbeConfig, fn func(*core.TPP), onFail func()) (cookie uint32, ok bool) {
 	p.next++
 	cookie = p.next
-	pp := &pendingProbe{
-		fn: fn, onFail: onFail, cfg: cfg,
-		dstMAC: dstMAC, dstIP: dstIP,
-		timeout: cfg.Timeout,
-	}
+	pp := p.entry()
+	pp.cookie, pp.fn, pp.onFail, pp.cfg = cookie, fn, onFail, cfg
+	pp.dstMAC, pp.dstIP = dstMAC, dstIP
+	pp.attempt, pp.timeout = 0, cfg.Timeout
 	retriable := cfg.Timeout > 0 && cfg.Retries > 0
 	if retriable {
-		pp.pristine = tpp.Clone()
+		pp.prog.CopyFrom(tpp)
 	}
-	sent := p.send(cookie, dstMAC, dstIP, tpp)
-	if !sent && !retriable {
+	if !p.send(cookie, dstMAC, dstIP, tpp) && !retriable {
 		// Nothing in flight and no timer to drive a retry: fail fast
 		// so callers can unwind instead of leaking a cookie.
+		p.release(pp)
 		return cookie, false
 	}
 	p.pending[cookie] = pp
 	if cfg.Timeout > 0 {
 		sim := p.host.Sim
-		pp.deadline = sim.NewTimer(func() { p.expire(cookie, pp) })
+		if pp.deadline == nil {
+			pp.deadline = sim.NewTimer(pp.expire)
+		}
 		pp.deadline.Reset(sim.Now() + pp.timeout)
 	}
 	return cookie, true
 }
 
-// send builds and transmits one probe attempt.
+// entry takes a pending-probe entry off the free list, or makes one.
+func (p *Prober) entry() *pendingProbe {
+	n := len(p.free)
+	if n == 0 {
+		return &pendingProbe{p: p}
+	}
+	pp := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return pp
+}
+
+// release calls off a resolved entry's deadline — it was echoed,
+// cancelled, forgotten or reaped — and puts the entry back on the free
+// list.  The caller has already taken it out of pending.
+func (p *Prober) release(pp *pendingProbe) {
+	if pp.deadline != nil {
+		pp.deadline.Stop()
+	}
+	pp.fn, pp.onFail = nil, nil
+	p.free = append(p.free, pp)
+}
+
+// send builds and transmits one probe attempt: a pooled packet carrying
+// a copy of tpp, the cookie in its payload.
 func (p *Prober) send(cookie uint32, dstMAC core.MAC, dstIP uint32, tpp *core.TPP) bool {
-	pkt := p.host.NewPacket(dstMAC, dstIP, EchoReplyPort, ProbeEchoPort, 0)
-	pkt.Eth.Type = core.EtherTypeTPP
-	pkt.TPP = tpp
-	pkt.Payload = binary.BigEndian.AppendUint32(nil, cookie)
+	pkt := p.host.NewProbePooled(dstMAC, dstIP, EchoReplyPort, ProbeEchoPort, tpp)
+	pkt.Payload = binary.BigEndian.AppendUint32(pkt.Payload, cookie)
 	if !p.host.Send(pkt) {
 		return false
 	}
@@ -173,12 +216,15 @@ func (p *Prober) send(cookie uint32, dstMAC core.MAC, dstIP uint32, tpp *core.TP
 // expire runs when an attempt's deadline passes with the probe still
 // pending — an echo, Cancel or Forget would have stopped the timer — and
 // retransmits or reaps it.
-func (p *Prober) expire(cookie uint32, pp *pendingProbe) {
+func (pp *pendingProbe) expire() {
+	p := pp.p
 	if pp.attempt >= pp.cfg.Retries {
-		delete(p.pending, cookie)
+		delete(p.pending, pp.cookie)
 		p.TimedOut++
-		if pp.onFail != nil {
-			pp.onFail()
+		onFail := pp.onFail
+		p.release(pp)
+		if onFail != nil {
+			onFail()
 		}
 		return
 	}
@@ -187,7 +233,7 @@ func (p *Prober) expire(cookie uint32, pp *pendingProbe) {
 	p.Retransmits++
 	// A dropped retransmission is handled like a lost one: the next
 	// deadline fires the next attempt (or the reaper).
-	p.send(cookie, pp.dstMAC, pp.dstIP, pp.pristine.Clone())
+	p.send(pp.cookie, pp.dstMAC, pp.dstIP, &pp.prog)
 	pp.deadline.Reset(p.host.Sim.Now() + pp.timeout)
 }
 
@@ -196,8 +242,8 @@ func (p *Prober) expire(cookie uint32, pp *pendingProbe) {
 func (p *Prober) Cancel(cookie uint32) bool {
 	pp, ok := p.pending[cookie]
 	if ok {
-		pp.resolve()
 		delete(p.pending, cookie)
+		p.release(pp)
 	}
 	return ok
 }
@@ -239,19 +285,24 @@ func (p *Prober) ProbeGroup(dstMAC core.MAC, dstIP uint32, tpps []*core.TPP, fn 
 
 // Forget drops the pending callback for every outstanding probe, and
 // its deadline with it; used by periodic controllers that supersede
-// unanswered probes.
+// unanswered probes.  Entries go back to the free list in cookie order.
 func (p *Prober) Forget() {
-	for _, pp := range p.pending { //lint:allow maporder (stopping timers, order-free)
-		pp.resolve()
+	cookies := make([]uint32, 0, len(p.pending))
+	for c := range p.pending { //lint:allow maporder (sorted below)
+		cookies = append(cookies, c)
+	}
+	slices.Sort(cookies)
+	for _, c := range cookies {
+		p.release(p.pending[c])
 	}
 	clear(p.pending)
 }
 
-// onEcho parses an echo packet: serialized executed TPP followed by the
-// 4-byte cookie.
+// onEcho decodes an echo — the serialized executed TPP followed by the
+// 4-byte cookie — into a TPP of its own; the host recycles the packet
+// when onEcho returns.
 func (p *Prober) onEcho(pkt *core.Packet) {
-	var tpp core.TPP
-	n, err := core.ParseTPP(pkt.Payload, &tpp)
+	tpp, n, err := core.DecodeTPP(pkt.Payload)
 	if err != nil || len(pkt.Payload) < n+4 {
 		p.Malformed++
 		return
@@ -260,16 +311,17 @@ func (p *Prober) onEcho(pkt *core.Packet) {
 	if p.epochs != nil {
 		// Even a superseded echo carries fresh epochs; scan before the
 		// cookie check so no observation is wasted.
-		p.epochs.ObserveEcho(&tpp)
+		p.epochs.ObserveEcho(tpp)
 	}
 	pp, ok := p.pending[cookie]
 	if !ok {
 		return // superseded or duplicate
 	}
-	pp.resolve()
 	delete(p.pending, cookie)
 	p.Matched++
-	pp.fn(&tpp)
+	fn := pp.fn
+	p.release(pp)
+	fn(tpp)
 }
 
 // CollectProgram builds the canonical collect-phase probe: one PUSH per

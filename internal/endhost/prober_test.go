@@ -1,9 +1,11 @@
 package endhost
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/netsim"
 )
 
@@ -106,9 +108,9 @@ func TestProbeRetryBackoffExhausts(t *testing.T) {
 	}
 }
 
-// TestProbeRetryResendsFreshProgram: retransmissions must carry a
-// pristine clone, not the partially executed TPP mutated in flight, so
-// the eventual echo records exactly one walk.
+// TestProbeRetryResendsFreshProgram: retransmissions must carry the
+// program as it was passed, not the partially executed TPP mutated in
+// flight, so the eventual echo records exactly one walk.
 func TestProbeRetryResendsFreshProgram(t *testing.T) {
 	sim := netsim.New(1)
 	a, b, up := lossyPair(sim, 8_000_000)
@@ -321,5 +323,134 @@ func TestProbeDeadlineGoesWithTheProbe(t *testing.T) {
 				t.Fatalf("stats %+v: want nothing executed past %d events and the one deadline discarded", got, executed)
 			}
 		})
+	}
+}
+
+// switchIDProg is a one-PUSH program that records the switch it runs on.
+func switchIDProg(memWords int) *core.TPP {
+	return core.NewTPP(core.AddrStack, []core.Instruction{
+		{Op: core.OpPUSH, A: uint16(mem.SwitchBase + mem.SwitchID)},
+	}, memWords)
+}
+
+// TestProbeKeepsNoReferenceToProgram: ProbeCfg reads the program during
+// the call and keeps nothing of it.  The caller scribbles over its TPP
+// as soon as the call returns, yet the echo of the first attempt — and
+// of a retry, when the first attempt is lost — shows the original
+// program executed, and the NIC's tenant seal and compilation never
+// land on the caller's TPP.
+func TestProbeKeepsNoReferenceToProgram(t *testing.T) {
+	for _, lost := range []bool{false, true} {
+		name := map[bool]string{false: "first-attempt", true: "retry"}[lost]
+		t.Run(name, func(t *testing.T) {
+			sim := netsim.New(1)
+			sw, hosts := star(sim, 2)
+			a, b := hosts[0], hosts[1]
+			a.NIC.SetTenant(3)
+			if lost {
+				up := a.NIC.Channel()
+				up.SetUp(false)
+				sim.At(5*netsim.Millisecond, func() { up.SetUp(true) })
+			}
+			p := NewProber(a)
+			prog := switchIDProg(2)
+			want := prog.Clone()
+			var echo *core.TPP
+			if _, ok := p.ProbeCfg(b.MAC, b.IP, prog,
+				ProbeConfig{Timeout: 10 * netsim.Millisecond, Retries: 1},
+				func(e *core.TPP) { echo = e }, nil); !ok {
+				t.Fatal("probe not registered")
+			}
+			prog.Ins[0] = core.Instruction{Op: core.OpPUSH, A: uint16(mem.QueueBase + mem.QueueBytes)}
+			for i := range prog.Mem {
+				prog.Mem[i] = 0xaa
+			}
+			sim.RunUntil(time100ms)
+
+			if echo == nil {
+				t.Fatal("no echo")
+			}
+			if lost != (p.Retransmits == 1) {
+				t.Fatalf("Retransmits = %d, want the echo from attempt %d", p.Retransmits, map[bool]int{false: 1, true: 2}[lost])
+			}
+			if echo.Ins[0] != want.Ins[0] || echo.Ptr != 4 || echo.Word(0) != sw.ID() || echo.Word(1) != 0 {
+				t.Fatalf("echo ran %+v, SP %d, memory %x: want the original program executed once at switch %d",
+					echo.Ins, echo.Ptr, echo.Mem, sw.ID())
+			}
+			if echo.Tenant != 3 {
+				t.Fatalf("echo ran as tenant %d, want the NIC's seal 3", echo.Tenant)
+			}
+			if prog.Tenant != 0 || prog.Compiled != nil || prog.Ptr != 0 {
+				t.Fatalf("caller's TPP carries tenant %d, compilation %v, SP %d: the send wrote through to it",
+					prog.Tenant, prog.Compiled, prog.Ptr)
+			}
+		})
+	}
+}
+
+// TestEchoStackPointerPastMemory: an echo whose header claims a stack
+// pointer past its memory — a stray datagram; no TCPU writes one — is
+// counted by the attached epoch tracker and matched by the prober
+// without a panic, and both see only the frame its memory holds.
+func TestEchoStackPointerPastMemory(t *testing.T) {
+	sim := netsim.New(1)
+	a, b, up := lossyPair(sim, 8_000_000)
+	up.SetUp(false) // the real probe never arrives; only the stray echo does
+	p := NewProber(a)
+	tr := NewEpochTracker(nil)
+	p.SetEpochTracker(tr)
+	var echo *core.TPP
+	cookie, ok := p.ProbeCfg(b.MAC, b.IP, probeProg(), ProbeConfig{}, func(e *core.TPP) { echo = e }, nil)
+	if !ok {
+		t.Fatal("probe not registered")
+	}
+	stray := epochCollect(t, 1, []HopEpoch{{SwitchID: 4, Epoch: 1}}) // two words of memory
+	stray.Ptr = 64
+	pkt := b.NewPacket(a.MAC, a.IP, ProbeEchoPort, EchoReplyPort, 0)
+	pkt.Payload = binary.BigEndian.AppendUint32(stray.AppendTo(nil), cookie)
+	b.Send(pkt)
+	sim.Run()
+
+	if p.Malformed != 0 || p.Matched != 1 || echo == nil {
+		t.Fatalf("Malformed=%d Matched=%d, echo delivered %v: want the stray echo matched", p.Malformed, p.Matched, echo != nil)
+	}
+	if echo.Ptr != 64 || echo.Hop(2) != 1 {
+		t.Fatalf("echo SP %d, Hop(2) = %d: want the header as sent and the one frame memory holds", echo.Ptr, echo.Hop(2))
+	}
+	if e, _ := tr.Last(4); tr.Observed != 1 || e != 1 {
+		t.Fatalf("tracker Observed=%d, switch 4 at epoch %d: want the one hop memory holds", tr.Observed, e)
+	}
+}
+
+// TestProbeRoundTripAllocs: once warm, a probe round trip with a
+// deadline — send, execute at a switch, echo, match, callback —
+// allocates one object, the echo TPP the callback owns.  The probe and
+// echo packets, the pending entry, its deadline timer and every buffer
+// are reused.
+func TestProbeRoundTripAllocs(t *testing.T) {
+	if core.PoolDebug {
+		t.Skip("the pooldebug sanitizer formats a call site at every Recycle")
+	}
+	sim := netsim.New(1)
+	_, hosts := star(sim, 2)
+	a, b := hosts[0], hosts[1]
+	p := NewProber(a)
+	prog := switchIDProg(4)
+	cfg := ProbeConfig{Timeout: 10 * netsim.Millisecond}
+	echoes := 0
+	fn := func(*core.TPP) { echoes++ }
+	roundTrip := func() {
+		if _, ok := p.ProbeCfg(b.MAC, b.IP, prog, cfg, fn, nil); !ok {
+			t.Fatal("probe not registered")
+		}
+		sim.RunUntil(sim.Now() + netsim.Millisecond)
+	}
+	roundTrip() // warm-up: pool blocks, the entry and its timer, L2 learning
+	roundTrip()
+	if got := testing.AllocsPerRun(100, roundTrip); got > 1 {
+		t.Errorf("a probe round trip allocates %v objects, want at most 1 (the echo TPP)", got)
+	}
+	if echoes != 103 || p.Outstanding() != 0 || p.TimedOut != 0 {
+		t.Fatalf("%d echoes, %d outstanding, %d timed out: want every round trip answered", echoes, p.Outstanding(), p.TimedOut)
 	}
 }

@@ -115,7 +115,7 @@ func RunBlackhole(cfg BlackholeConfig) BlackholeResult {
 
 	// linksOf decodes the fabric links a returned hop trace proves up.
 	linksOf := func(e *core.TPP) []LinkID {
-		words := int(e.Ptr) / 4
+		words := e.Hop(1)
 		var out []LinkID
 		for i := 0; i+1 < words; i++ {
 			ta, a, okA := net.Locate(e.Word(i))

@@ -30,9 +30,10 @@ func poolRun(v rcp.Variant) (atLaunch, drained core.PoolStats, delivered uint64)
 	return atLaunch, h.Sim.Pool().Stats(), delivered
 }
 
-// Every paced data packet is a pool draw, and every draw comes back:
-// once the senders stop and the fabric drains, the pool's books close
-// (nothing in flight, nothing lost to a holder), and the blocks it ever
+// Every paced data packet is a pool draw — and under RCP* every probe,
+// echo and rate update too — and every draw comes back: once the
+// senders stop and the fabric drains, the pool's books close (nothing
+// in flight, nothing lost to a holder), and the blocks it ever
 // allocated are bounded by what was in flight at once, not by what was
 // sent.  The same run twice gives the same counts to the last block —
 // the free list is a function of the seed, which the sync.Pool it

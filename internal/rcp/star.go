@@ -37,11 +37,9 @@ var (
 var collectStats = []mem.Addr{addrSwitchID, addrQueue, addrRXUtil, addrRateReg, addrEpoch}
 
 // The controller's three programs never change, so each is assembled
-// once: collectProbe and capacityProbe are templates every tick stamps a
-// fresh probe from (see probeFrom), updateIns is the phase-3 program of
-// sendUpdate.  A TPP's instructions are read-only once built — the
-// network mutates only the header and packet memory, and clones copy —
-// so all probes of a kind share one instruction slice.
+// once: collectProbe and capacityProbe go to the prober as they are —
+// it sends a copy and keeps no reference — and updateIns is the
+// instruction section of every controller's update TPP (sendUpdate).
 var (
 	collectProbe  = mustCollect(collectStats)
 	capacityProbe = mustCollect([]mem.Addr{addrSwitchID, addrCapacity})
@@ -57,12 +55,6 @@ func mustCollect(stats []mem.Addr) *core.TPP {
 		panic(err)
 	}
 	return tpp
-}
-
-// probeFrom returns an unexecuted probe running tmpl's program: its own
-// header and zeroed packet memory, tmpl's instructions.
-func probeFrom(tmpl *core.TPP) *core.TPP {
-	return core.NewTPP(tmpl.Mode, tmpl.Ins, tmpl.MemWords())
 }
 
 // collectWords is the per-hop record size of the collect probe.
@@ -117,10 +109,17 @@ type StarController struct {
 
 	ticker *netsim.Ticker
 
-	// c.onCollect and c.onMiss bound once: every tick hands them to the
-	// prober, and a method value made per tick is a heap closure each.
-	onCollectFn func(*core.TPP)
-	onMissFn    func()
+	// c.onCollect, c.onCapacities and c.onMiss bound once: every tick
+	// hands them to the prober, and a method value made per tick is a
+	// heap closure each.
+	onCollectFn    func(*core.TPP)
+	onCapacitiesFn func(*core.TPP)
+	onMissFn       func()
+
+	// update is this controller's phase-3 program, restamped per update
+	// and sent as a copy; samples is parseCollect's reused output.
+	update  *core.TPP
+	samples []hopSample
 
 	// Telemetry for tests and experiments.
 	Collects   uint64 // phase-1 echoes processed
@@ -155,8 +154,9 @@ func NewStarController(sim *netsim.Sim, host *endhost.Host, prober *endhost.Prob
 		dstMAC: dstMAC, dstIP: dstIP,
 		epochs: endhost.NewEpochTracker(nil),
 		Flow:   NewPacedFlow(sim, host, dstMAC, dstIP, StarDataPort, nil),
+		update: core.NewTPP(core.AddrStack, updateIns, 3),
 	}
-	c.onCollectFn, c.onMissFn = c.onCollect, c.onMiss
+	c.onCollectFn, c.onCapacitiesFn, c.onMissFn = c.onCollect, c.onCapacities, c.onMiss
 	return c
 }
 
@@ -217,24 +217,26 @@ func (c *StarController) onMiss() {
 // (link capacities are static, so they need not burden the steady-state
 // probe, keeping it within the 5-instruction device limit).
 func (c *StarController) probeCapacities() {
-	c.prober.ProbeCfg(c.dstMAC, c.dstIP, probeFrom(capacityProbe), c.probeCfg(), func(e *core.TPP) {
-		if c.haveCaps {
-			return
-		}
-		c.missed = 0
-		hops := int(e.Ptr) / 4 / 2
-		c.caps = c.caps[:0]
-		for i := 0; i < hops; i++ {
-			c.caps = append(c.caps, float64(e.Word(i*2+1)))
-		}
-		c.qAvg = make([]float64, hops)
-		c.haveCaps = len(c.caps) > 0
-	}, c.onMissFn)
+	c.prober.ProbeCfg(c.dstMAC, c.dstIP, capacityProbe, c.probeCfg(), c.onCapacitiesFn, c.onMissFn)
+}
+
+func (c *StarController) onCapacities(e *core.TPP) {
+	if c.haveCaps {
+		return
+	}
+	c.missed = 0
+	hops := e.Hop(2)
+	c.caps = c.caps[:0]
+	for i := 0; i < hops; i++ {
+		c.caps = append(c.caps, float64(e.Word(i*2+1)))
+	}
+	c.qAvg = make([]float64, hops)
+	c.haveCaps = len(c.caps) > 0
 }
 
 // probeCollect is phase 1; the echo handler runs phases 2 and 3.
 func (c *StarController) probeCollect() {
-	c.prober.ProbeCfg(c.dstMAC, c.dstIP, probeFrom(collectProbe), c.probeCfg(), c.onCollectFn, c.onMissFn)
+	c.prober.ProbeCfg(c.dstMAC, c.dstIP, collectProbe, c.probeCfg(), c.onCollectFn, c.onMissFn)
 }
 
 // hopSample is one hop's record from a collect echo.
@@ -246,9 +248,11 @@ type hopSample struct {
 	Epoch    uint32
 }
 
-func parseCollect(e *core.TPP) []hopSample {
-	hops := int(e.Ptr) / 4 / collectWords
-	out := make([]hopSample, 0, hops)
+// parseCollect decodes a collect echo's hop records into c.samples,
+// which the next call overwrites.
+func (c *StarController) parseCollect(e *core.TPP) []hopSample {
+	hops := e.Hop(collectWords)
+	out := c.samples[:0]
 	for i := 0; i < hops; i++ {
 		base := i * collectWords
 		out = append(out, hopSample{
@@ -259,12 +263,13 @@ func parseCollect(e *core.TPP) []hopSample {
 			Epoch:    e.Word(base + 4),
 		})
 	}
+	c.samples = out
 	return out
 }
 
 // onCollect implements phases 2 (compute) and 3 (update) of §2.2.
 func (c *StarController) onCollect(e *core.TPP) {
-	samples := parseCollect(e)
+	samples := c.parseCollect(e)
 	if len(samples) == 0 || len(samples) > len(c.caps) {
 		return
 	}
@@ -339,18 +344,16 @@ func (c *StarController) onCollect(e *core.TPP) {
 //	CEXEC [Switch:SwitchID], 0xFFFFFFFF, $BottleneckSwitchID
 //	STORE [Link:RCP-RateRegister], [PacketMemory:2]
 func (c *StarController) sendUpdate(switchID uint32, rate float64) {
-	tpp := core.NewTPP(core.AddrStack, updateIns, 3)
-	tpp.SetWord(0, 0xFFFFFFFF) // mask
-	tpp.SetWord(1, switchID)   // value
-	tpp.SetWord(2, uint32(math.Min(rate, float64(^uint32(0)))))
-	tpp.Ptr = 12 // packet memory is fully pre-initialized
+	u := c.update
+	u.SetWord(0, 0xFFFFFFFF) // mask
+	u.SetWord(1, switchID)   // value
+	u.SetWord(2, uint32(math.Min(rate, float64(^uint32(0)))))
+	u.Ptr = 12 // packet memory is fully pre-initialized
 
 	// Fire and forget: the update needs no echo, and a lost update is
-	// retried next interval anyway.
-	pkt := c.host.NewPacket(c.dstMAC, c.dstIP, StarDataPort, StarDataPort, 0)
-	pkt.Eth.Type = core.EtherTypeTPP
-	pkt.TPP = tpp
-	c.host.Send(pkt)
+	// retried next interval anyway.  The packet carries a copy of u and
+	// ends at the receiver's data sink (or wherever the fabric drops it).
+	c.host.Send(c.host.NewProbePooled(c.dstMAC, c.dstIP, StarDataPort, StarDataPort, u))
 	c.Updates++
 }
 

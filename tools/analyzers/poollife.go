@@ -22,7 +22,8 @@ func PoolLife() []*Analyzer { return []*Analyzer{PoolLifeAnalyzer} }
 //   - double-Recycle: recycling the same variable twice on one path
 //     hands the pool an aliased slot.
 //   - retention-without-Adopt: a value drawn from a pool (pool.Clone(p),
-//     pool.NewUDP(...), host.NewPacketPooled(...), p.ClonePooled())
+//     pool.NewUDP(...), pool.NewTPP(...), host.NewPacketPooled(...),
+//     host.NewProbePooled(...), p.ClonePooled())
 //     that is stored into a long-lived structure (a field, a map or slice
 //     element, an append, a channel send, a closure capture) while
 //     still pool-owned can be recycled under the referent; Adopt first.
@@ -483,9 +484,11 @@ func (pl *poolLife) useIdent(e ast.Expr, state poolState) {
 	}
 }
 
-// isPoolDraw reports whether e is a call that draws a packet from a
-// pool: pool.Clone(p) (one argument — p.Clone() is the heap copy),
-// pool.NewUDP(...), host.NewPacketPooled(...) or p.ClonePooled().
+// isPoolDraw reports whether e is a method call that draws a packet
+// from a pool: pool.Clone(p) (one argument — p.Clone() is the heap
+// copy), pool.NewUDP(...), pool.NewTPP(...), host.NewPacketPooled(...),
+// host.NewProbePooled(...) or p.ClonePooled().  A package-qualified call
+// is never a draw: core.NewTPP builds a heap TPP, not a packet.
 func (pl *poolLife) isPoolDraw(e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
@@ -495,8 +498,13 @@ func (pl *poolLife) isPoolDraw(e ast.Expr) bool {
 	if !ok {
 		return false
 	}
+	if id, ok := sel.X.(*ast.Ident); ok {
+		if _, isPkg := pl.pass.Info.Uses[id].(*types.PkgName); isPkg {
+			return false
+		}
+	}
 	switch sel.Sel.Name {
-	case "ClonePooled", "NewUDP", "NewPacketPooled":
+	case "ClonePooled", "NewUDP", "NewTPP", "NewPacketPooled", "NewProbePooled":
 		return true
 	case "Clone":
 		return len(call.Args) == 1

@@ -115,3 +115,22 @@ func recycleAfterSend(h *host, pool *Pool, src *Packet) {
 		p.Recycle() // want "recycled after Send"
 	}
 }
+
+// The program-carrying draws are draws like the rest.
+func retainNewTPP(q *queue, pool *Pool) {
+	p := pool.NewTPP(64)
+	q.head = p // want "stored into a field without Adopt"
+}
+
+func retainNewProbePooled(q *queue, h *host) {
+	p := h.NewProbePooled(64)
+	q.head = p // want "stored into a field without Adopt"
+}
+
+// A probe is sent and forgotten: the fabric may have recycled it by the
+// time Send returns.
+func touchProbeAfterSend(h *host) int {
+	p := h.NewProbePooled(64)
+	h.Send(p)
+	return p.Len // want "use of p after Send"
+}

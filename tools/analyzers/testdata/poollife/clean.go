@@ -1,5 +1,7 @@
 package poollife
 
+import "repro/internal/core"
+
 // Negative cases: the legal lifecycle shapes fabric code actually
 // uses.  None of these may produce a finding.
 
@@ -107,4 +109,19 @@ func sendUnknownProvenance(h *host, p *Packet) int {
 func heapCloneRetained(q *queue, src *Packet) {
 	c := src.Clone()
 	q.head = c
+}
+
+// The prober's shape: draw a probe carrying a copy of the program, fill
+// in the cookie, send, forget.
+func probeFillSend(h *host) bool {
+	p := h.NewProbePooled(64)
+	p.Payload = append(p.Payload, 0, 0, 0, 1)
+	return h.Send(p)
+}
+
+// A package-level constructor is not a draw: core.NewTPP builds a
+// heap program its caller may keep.
+func heapProgramRetained(q *queue) {
+	prog := core.NewTPP(core.AddrStack, nil, 2)
+	q.prog = prog
 }

@@ -23,15 +23,22 @@ type Pool struct{}
 
 func (*Pool) Clone(p *Packet) *Packet { return &Packet{Len: p.Len} }
 func (*Pool) NewUDP(n int) *Packet    { return &Packet{Len: n} }
+func (*Pool) NewTPP(n int) *Packet    { return &Packet{Len: n} }
 
 type host struct{ pool *Pool }
 
 func (h *host) NewPacketPooled(n int) *Packet { return h.pool.NewUDP(n) }
+func (h *host) NewProbePooled(n int) *Packet  { return h.pool.NewTPP(n) }
 func (h *host) Send(p *Packet) bool           { return p != nil }
 
 type queue struct {
+	prog  *TPP
 	head  *Packet
 	items []*Packet
 	byID  map[int]*Packet
 	ch    chan *Packet
 }
+
+// TPP stands in for core.TPP, which a package-level NewTPP builds on the
+// heap: not a pool draw.
+type TPP struct{ Words int }
