@@ -38,8 +38,13 @@ vet:
 # that no count is kept twice — an obs.Counter handle beside the owner's
 # word — outside internal/obs (bench/ probes the handle's cost), a check
 # that only the TCPU and the verifier's abstract interpreter switch on
-# opcodes (everything else reads core.Opcode.Info), a check that no
-# sync.Pool and no call of the bench-only (*Packet).ClonePooled()
+# opcodes (everything else reads core.Opcode.Info), a check that only
+# internal/mem and the ASIC's view switch on a per-statistic word
+# (`case mem.SwitchID:` and its Port/Queue/Packet kin; everything else
+# asks mem's table through Readable, StoreFault and Symbols — namespace
+# switches such as `case mem.NSPort:` and address cases such as
+# `case mem.SwitchBase + mem.SwitchEpoch:` are not matched), a check
+# that no sync.Pool and no call of the bench-only (*Packet).ClonePooled()
 # wrapper appears under internal/ or cmd/ (pooled packets come from the
 # Sim's own core.Pool), plus the repository's own analyzers (see
 # tools/analyzers): the determinism suite over the simulation core and
@@ -54,6 +59,8 @@ lint: vet
 	if [ -n "$$twins" ]; then echo "counter handle outside internal/obs (keep the count as the owner's word and name it in a collect method):"; echo "$$twins"; exit 1; fi
 	@isa=$$(grep -rnE 'case core\.Op' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/core/|^internal/tcpu/tcpu\.go:|^internal/verify/verify\.go:'); \
 	if [ -n "$$isa" ]; then echo "opcode switch outside internal/core, internal/tcpu/tcpu.go and internal/verify/verify.go (read core.Opcode.Info instead):"; echo "$$isa"; exit 1; fi
+	@stats=$$(grep -rnE 'case mem\.(Switch|Port|Queue|Packet)[A-Za-z0-9]*[:,]' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/mem/|^internal/asic/view\.go:'); \
+	if [ -n "$$stats" ]; then echo "per-statistic switch outside internal/mem and internal/asic/view.go (ask mem.Readable, mem.StoreFault or mem.Symbols instead):"; echo "$$stats"; exit 1; fi
 	@pools=$$(grep -rnE 'sync\.Pool|\.ClonePooled\(\)' --include=*.go cmd internal | grep -v '_test\.go:'); \
 	if [ -n "$$pools" ]; then echo "sync.Pool or ClonePooled() under internal/ or cmd/ (draw from the Sim's pool: sim.Pool().Clone / NewUDP, Host.NewPacketPooled):"; echo "$$pools"; exit 1; fi
 	$(GO) run ./tools/analyzers/cmd/determinismlint $(LINT_PKGS)

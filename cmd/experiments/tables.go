@@ -121,16 +121,14 @@ func runTable2(out *output) error {
 	view := sw.ViewForTesting(nil, 1)
 	tbl := trace.NewTable("namespace", "statistic", "byte addr", "writable", "value")
 	f := out.csv("table2.csv", "namespace", "statistic", "byte_addr", "writable", "value")
-	for _, name := range mem.SymbolNames() {
-		a, _ := mem.LookupSymbol(name)
-		v, err := view.Load(a)
+	for _, s := range mem.Symbols() {
+		v, err := view.Load(s.Addr)
 		if err != nil {
 			return err
 		}
-		ns := mem.NamespaceOf(a).String()
-		w := mem.Writable(a)
-		tbl.Row(ns, name, sprintf("%#x", a.ByteAddr()), w, v)
-		f.Row(ns, name, sprintf("%#x", a.ByteAddr()), w, v)
+		row := []any{mem.NamespaceOf(s.Addr).String(), s.Name, sprintf("%#x", s.Addr.ByteAddr()), s.Writable, v}
+		tbl.Row(row...)
+		f.Row(row...)
 	}
 	out.printf("Table 2: statistics namespaces (live values after 1s of traffic)\n%s", tbl.String())
 	return nil

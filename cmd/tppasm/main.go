@@ -180,13 +180,12 @@ func cmdRun(args []string, w io.Writer) error {
 }
 
 func cmdSymbols(w io.Writer) error {
-	for _, name := range mem.SymbolNames() {
-		a, _ := mem.LookupSymbol(name)
+	for _, s := range mem.Symbols() {
 		rw := "ro"
-		if mem.Writable(a) {
+		if s.Writable {
 			rw = "rw"
 		}
-		fmt.Fprintf(w, "%-38s %#06x  %s\n", name, a.ByteAddr(), rw)
+		fmt.Fprintf(w, "%-38s %#06x  %s\n", s.Name, s.Addr.ByteAddr(), rw)
 	}
 	return nil
 }

@@ -195,34 +195,3 @@ func (p *Port) tick() {
 	p.rxUtil.Tick()
 	p.txUtil.Tick()
 }
-
-// stat reads per-port statistic word idx for the TPP memory map.
-func (p *Port) stat(idx int) (uint32, bool) {
-	switch idx {
-	case mem.PortQueueSize:
-		return uint32(p.QueueBytes()), true
-	case mem.PortRXUtil:
-		return p.rxUtil.Rate(), true
-	case mem.PortTXUtil:
-		return p.txUtil.Rate(), true
-	case mem.PortRXBytes:
-		return uint32(p.rxBytes), true
-	case mem.PortTXBytes:
-		return uint32(p.txBytes), true
-	case mem.PortDropBytes:
-		return uint32(p.DropBytes()), true
-	case mem.PortEnqBytes:
-		return uint32(p.EnqBytes()), true
-	case mem.PortCapacity:
-		if p.ch == nil {
-			return 0, true
-		}
-		return p.ch.RateBytes(), true
-	case mem.PortSNR:
-		return p.snr, true
-	}
-	if idx >= mem.PortScratchBase && idx < mem.PortScratchBase+mem.PortScratchWords {
-		return p.scratch[idx-mem.PortScratchBase], true
-	}
-	return 0, false
-}

@@ -26,58 +26,55 @@ var _ interface {
 func (v *view) Load(a mem.Addr) (uint32, error) {
 	switch mem.NamespaceOf(a) {
 	case mem.NSSwitch:
-		if val, ok := v.switchStat(int(a - mem.SwitchBase)); ok {
-			return val, nil
+		if i := int(a - mem.SwitchBase); i < mem.SwitchStatWords {
+			return v.switchStat(i), nil
 		}
 	case mem.NSPort:
-		if val, ok := v.port.stat(int(a - mem.PortBase)); ok {
-			return val, nil
+		if i := int(a - mem.PortBase); i < mem.PortStatWords {
+			return portStat(v.port, i), nil
 		}
 	case mem.NSQueue:
-		if val, ok := v.queueStat(int(a - mem.QueueBase)); ok {
-			return val, nil
+		if i := int(a - mem.QueueBase); i < mem.QueueStatWords {
+			return v.queueStat(i), nil
 		}
 	case mem.NSPacket:
-		if val, ok := v.packetStat(int(a - mem.PacketBase)); ok {
-			return val, nil
+		if i := int(a - mem.PacketBase); i < mem.PacketStatWords {
+			return v.packetStat(i), nil
 		}
 	case mem.NSSRAM:
 		return v.sw.sram[mem.SRAMIndex(a)], nil
 	case mem.NSPortAbs:
 		port, stat := mem.PortAbsDecode(a)
-		if port < len(v.sw.ports) {
-			if val, ok := v.sw.ports[port].stat(stat); ok {
-				return val, nil
-			}
+		if port < len(v.sw.ports) && stat < mem.PortStatWords {
+			return portStat(v.sw.ports[port], stat), nil
 		}
 	}
 	return 0, mem.ErrUnmapped(a, false)
 }
 
-// Store implements mem.View, enforcing the protection map.
-func (v *view) Store(a mem.Addr, val uint32) error {
-	if !mem.Writable(a) {
-		if _, err := v.Load(a); err != nil {
-			return mem.ErrUnmapped(a, true)
-		}
-		return mem.ErrReadOnly(a)
+// storeWord returns the register a TPP store to a writes, or the fault
+// mem.StoreFault decides for it.
+func (v *view) storeWord(a mem.Addr) (*uint32, error) {
+	if f := mem.StoreFault(a, len(v.sw.ports)); f != 0 {
+		return nil, &mem.AccessError{Addr: a, Write: true, Cause: f}
 	}
 	switch mem.NamespaceOf(a) {
 	case mem.NSSRAM:
-		v.sw.sram[mem.SRAMIndex(a)] = val
-		return nil
+		return &v.sw.sram[mem.SRAMIndex(a)], nil
 	case mem.NSPort:
-		v.port.scratch[int(a-mem.PortBase)-mem.PortScratchBase] = val
-		return nil
-	case mem.NSPortAbs:
-		port, stat := mem.PortAbsDecode(a)
-		if port >= len(v.sw.ports) {
-			return mem.ErrUnmapped(a, true)
-		}
-		v.sw.ports[port].scratch[stat-mem.PortScratchBase] = val
-		return nil
+		return &v.port.scratch[int(a-mem.PortBase)-mem.PortScratchBase], nil
 	}
-	return mem.ErrUnmapped(a, true)
+	port, stat := mem.PortAbsDecode(a)
+	return &v.sw.ports[port].scratch[stat-mem.PortScratchBase], nil
+}
+
+// Store implements mem.View, enforcing the protection map.
+func (v *view) Store(a mem.Addr, val uint32) error {
+	w, err := v.storeWord(a)
+	if err == nil {
+		*w = val
+	}
+	return err
 }
 
 // CondStore implements the linearizable compare-and-store behind
@@ -85,20 +82,13 @@ func (v *view) Store(a mem.Addr, val uint32) error {
 // is one simulator event and events run to completion, one at a time:
 // no other TPP's access can fall between them.
 func (v *view) CondStore(a mem.Addr, cond, val uint32) (uint32, error) {
-	if !mem.Writable(a) {
-		if _, err := v.Load(a); err != nil {
-			return 0, mem.ErrUnmapped(a, true)
-		}
-		return 0, mem.ErrReadOnly(a)
-	}
-	old, err := v.Load(a)
+	w, err := v.storeWord(a)
 	if err != nil {
 		return 0, err
 	}
+	old := *w
 	if old == cond {
-		if err := v.Store(a, val); err != nil {
-			return 0, err
-		}
+		*w = val
 		// One commit, one count and one span, so the in-band telemetry
 		// plane can reconcile every applied dataplane update against
 		// what its sweeps later collect.
@@ -108,75 +98,102 @@ func (v *view) CondStore(a mem.Addr, cond, val uint32) (uint32, error) {
 	return old, nil
 }
 
-func (v *view) switchStat(idx int) (uint32, bool) {
+// The per-statistic reads below are the memory map's one semantic
+// switch, as tcpu.exec is the ISA's: Load bounds idx by mem's word
+// counts, so each covers every mapped word of its namespace.
+
+func (v *view) switchStat(idx int) uint32 {
 	s := v.sw
 	switch idx {
 	case mem.SwitchID:
-		return s.cfg.ID, true
+		return s.cfg.ID
 	case mem.SwitchNumPorts:
-		return uint32(len(s.ports)), true
+		return uint32(len(s.ports))
 	case mem.SwitchClockLo:
-		return uint32(uint64(s.sim.Now())), true
+		return uint32(uint64(s.sim.Now()))
 	case mem.SwitchClockHi:
-		return uint32(uint64(s.sim.Now()) >> 32), true
+		return uint32(uint64(s.sim.Now()) >> 32)
 	case mem.SwitchFlowVersion:
-		return s.tcam.Version(), true
+		return s.tcam.Version()
 	case mem.SwitchL2Size:
-		return uint32(s.l2.Size()), true
+		return uint32(s.l2.Size())
 	case mem.SwitchL3Size:
-		return uint32(s.l3.Size()), true
+		return uint32(s.l3.Size())
 	case mem.SwitchTCAMSize:
-		return uint32(s.tcam.Size()), true
+		return uint32(s.tcam.Size())
 	case mem.SwitchPackets:
-		return uint32(s.packets), true
+		return uint32(s.packets)
 	case mem.SwitchTPPs:
-		return uint32(s.tppsExecuted), true
-	case mem.SwitchEpoch:
-		return s.epoch, true
+		return uint32(s.tppsExecuted)
 	}
-	return 0, false
+	return s.epoch // mem.SwitchEpoch, the last word
 }
 
-func (v *view) queueStat(idx int) (uint32, bool) {
+// portStat reads per-port statistic word idx of p, for the context-
+// relative Link namespace and the absolute window alike.
+func portStat(p *Port, idx int) uint32 {
+	switch idx {
+	case mem.PortQueueSize:
+		return uint32(p.QueueBytes())
+	case mem.PortRXUtil:
+		return p.rxUtil.Rate()
+	case mem.PortTXUtil:
+		return p.txUtil.Rate()
+	case mem.PortRXBytes:
+		return uint32(p.rxBytes)
+	case mem.PortTXBytes:
+		return uint32(p.txBytes)
+	case mem.PortDropBytes:
+		return uint32(p.DropBytes())
+	case mem.PortEnqBytes:
+		return uint32(p.EnqBytes())
+	case mem.PortCapacity:
+		if p.ch == nil {
+			return 0
+		}
+		return p.ch.RateBytes()
+	case mem.PortSNR:
+		return p.snr
+	}
+	return p.scratch[idx-mem.PortScratchBase] // the task scratch words
+}
+
+func (v *view) queueStat(idx int) uint32 {
 	q := v.port.queues[v.pkt.Meta.QueueID]
 	switch idx {
 	case mem.QueueBytes:
-		return uint32(q.Bytes()), true
+		return uint32(q.Bytes())
 	case mem.QueueDropBytes:
-		return uint32(q.DropBytes), true
+		return uint32(q.DropBytes)
 	case mem.QueuePackets:
-		return uint32(q.EnqPkts), true
+		return uint32(q.EnqPkts)
 	case mem.QueueDropPackets:
-		return uint32(q.DropPkts), true
-	case mem.QueueMaxBytes:
-		return uint32(q.CapBytes()), true
+		return uint32(q.DropPkts)
 	}
-	return 0, false
+	return uint32(q.CapBytes()) // mem.QueueMaxBytes, the last word
 }
 
-func (v *view) packetStat(idx int) (uint32, bool) {
+func (v *view) packetStat(idx int) uint32 {
 	m := &v.pkt.Meta
 	switch idx {
 	case mem.PacketInputPort:
-		return m.InPort, true
+		return m.InPort
 	case mem.PacketOutputPort:
-		return m.OutPort, true
+		return m.OutPort
 	case mem.PacketMatchedID:
-		return m.MatchedEntry, true
+		return m.MatchedEntry
 	case mem.PacketMatchedVer:
-		return m.MatchedVer, true
+		return m.MatchedVer
 	case mem.PacketQueueID:
-		return m.QueueID, true
+		return m.QueueID
 	case mem.PacketAltRoutes:
-		return m.AltRoutes, true
+		return m.AltRoutes
 	case mem.PacketUIDLo:
-		return uint32(m.UID), true
+		return uint32(m.UID)
 	case mem.PacketUIDHi:
-		return uint32(m.UID >> 32), true
-	case mem.PacketHopLatency:
-		return uint32(int64(v.sw.sim.Now()) - m.EnqueuedAt), true
+		return uint32(m.UID >> 32)
 	}
-	return 0, false
+	return uint32(int64(v.sw.sim.Now()) - m.EnqueuedAt) // mem.PacketHopLatency, the last word
 }
 
 // ViewForTesting builds a memory view bound to outPort with the given

@@ -1,6 +1,7 @@
 package asic_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/asic"
@@ -60,6 +61,12 @@ func TestCondStoreErrorPaths(t *testing.T) {
 	}
 	if _, err := cs.CondStore(mem.SwitchBase+0xF0, 0, 1); err == nil {
 		t.Fatal("CondStore to unmapped word accepted")
+	}
+	// A writable but unmapped word (port 9's scratch on a 4-port switch)
+	// faults as the store it is, like STORE and POP to the same word.
+	var ae *mem.AccessError
+	if _, err := cs.CondStore(mem.PortAbs(9, mem.PortScratchBase), 0, 1); !errors.As(err, &ae) || !ae.Write {
+		t.Fatalf("CondStore beyond the port count: err = %v, want a store fault", err)
 	}
 	// Mismatch leaves the word untouched but reports the old value.
 	a := mem.SRAMBase + 7

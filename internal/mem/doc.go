@@ -21,14 +21,20 @@
 //
 // "These address mappings must be known upfront so that the TPP
 // compiler can convert mnemonics (such as PacketMetadata:InputPort)
-// into addresses": the Symbols table provides that mapping and is
-// shared by the assembler and the disassembler.
+// into addresses": the map is described once, as two tables.  banks
+// has one row per namespace — paper name, base address, mapped word
+// count and writable word range — and Namespace.String, Readable,
+// Writable and StoreFault read it.  spellings lists every mnemonic,
+// each word's canonical name before its aliases, and LookupSymbol,
+// NameOf and Symbols read it; the assembler and the disassembler share
+// it.
 //
 // The package also defines the access-control model of §4: the memory
 // map "isolates critical forwarding state from state modifiable by
 // TPPs".  Statistics namespaces are read-only to TPPs except for
 // designated task scratch words; SRAM is read-write within a task's
-// allocated region.
+// allocated region.  StoreFault is the one store decision: the ASIC's
+// per-packet view and the static verifier both call it.
 //
 // Allocator is the single authority over the scratch bank.  Every live
 // region carries an Owner (a task name or a tenant id) and one

@@ -32,21 +32,10 @@ const (
 
 // String names the namespace using the paper's terminology.
 func (n Namespace) String() string {
-	switch n {
-	case NSSwitch:
-		return "Switch"
-	case NSPort:
-		return "Link"
-	case NSQueue:
-		return "Queue"
-	case NSPacket:
-		return "PacketMetadata"
-	case NSSRAM:
-		return "SRAM"
-	case NSPortAbs:
-		return "PortAbs"
+	if int(n) >= len(banks) {
+		n = NSInvalid
 	}
-	return "Invalid"
+	return banks[n].name
 }
 
 // Region boundaries (word addresses).
@@ -88,7 +77,7 @@ const (
 	// state (re-seed rate registers, re-base accounting deltas).
 	SwitchEpoch = 10
 
-	switchStatWords = 11
+	SwitchStatWords = 11 // words the Switch namespace maps
 )
 
 // Per-port (link) statistic word indexes (offset from PortBase, and from
@@ -112,7 +101,10 @@ const (
 	PortScratchBase  = 8
 	PortScratchWords = 8
 
-	portStatWords = 32
+	// PortStatWords is the readable per-port block: the named
+	// statistics, the task scratch words and the SNR register are
+	// contiguous.
+	PortStatWords = PortSNR + 1
 )
 
 // Per-queue statistic word indexes (offset from QueueBase).
@@ -123,7 +115,7 @@ const (
 	QueueDropPackets = 3 // cumulative packets dropped
 	QueueMaxBytes    = 4 // configured capacity
 
-	queueStatWords = 5
+	QueueStatWords = 5 // words the Queue namespace maps
 )
 
 // Per-packet metadata word indexes (offset from PacketBase).
@@ -138,8 +130,55 @@ const (
 	PacketUIDHi      = 7
 	PacketHopLatency = 8 // ns spent in this switch so far (low 32 bits)
 
-	packetStatWords = 9
+	PacketStatWords = 9 // words the PacketMetadata namespace maps
 )
+
+// A bank is one row of the memory map (Table 2): a namespace's paper
+// name, its base address, how many words from the base a register
+// backs, and the words [wrLo, wrHi) a TPP may store to.  The absolute
+// window repeats the Link row once per port, PortAbsStride words apart.
+type bank struct {
+	name       string
+	base       Addr
+	words      int
+	wrLo, wrHi int
+}
+
+// banks is the memory map, indexed by Namespace.  Every statistics
+// word is read-only to TPPs, which "isolates critical forwarding state
+// from state modifiable by TPPs" (§4); only the per-port task scratch
+// words and scratch SRAM accept stores.
+var banks = [...]bank{
+	NSInvalid: {name: "Invalid"},
+	NSSwitch:  {"Switch", SwitchBase, SwitchStatWords, 0, 0},
+	NSPort:    {"Link", PortBase, PortStatWords, PortScratchBase, PortScratchBase + PortScratchWords},
+	NSQueue:   {"Queue", QueueBase, QueueStatWords, 0, 0},
+	NSPacket:  {"PacketMetadata", PacketBase, PacketStatWords, 0, 0},
+	NSSRAM:    {"SRAM", SRAMBase, SRAMWords, 0, SRAMWords},
+	NSPortAbs: {"PortAbs", PortAbsBase, PortStatWords, PortScratchBase, PortScratchBase + PortScratchWords},
+}
+
+// locate finds a's bank, its port (in the absolute window; 0 elsewhere)
+// and its word offset within that port's block or the bank.  It splits
+// the window itself, not through PortAbsDecode, which keeps it within
+// the inliner's budget, so Readable and StoreFault each cost one call.
+func locate(a Addr) (*bank, int, int) {
+	ns := NamespaceOf(a)
+	b := &banks[ns]
+	off := int(a - b.base)
+	if ns != NSPortAbs {
+		return b, 0, off
+	}
+	return b, off / PortAbsStride, off % PortAbsStride
+}
+
+// mapped reports whether a register backs word off of the bank's block
+// for port on a switch with ports ports (ports <= 0: any port).
+func (b *bank) mapped(port, off, ports int) bool {
+	return off < b.words && (ports <= 0 || port < ports)
+}
+
+func (b *bank) writable(off int) bool { return off >= b.wrLo && off < b.wrHi }
 
 // NamespaceOf classifies a word address.
 func NamespaceOf(a Addr) Namespace {
@@ -186,29 +225,13 @@ func PortAbsDecode(a Addr) (port, stat int) {
 	return off / PortAbsStride, off % PortAbsStride
 }
 
-// Writable reports whether a TPP store to address a is permitted by the
-// memory protection map: scratch SRAM and per-port task scratch words
-// are read-write; every statistics word is read-only, which "isolates
-// critical forwarding state from state modifiable by TPPs" (§4).
+// Writable reports whether the memory protection map permits a TPP
+// store to address a: scratch SRAM and per-port task scratch words are
+// read-write, every statistics word is read-only.
 func Writable(a Addr) bool {
-	switch NamespaceOf(a) {
-	case NSSRAM:
-		return true
-	case NSPort:
-		stat := int(a - PortBase)
-		return stat >= PortScratchBase && stat < PortScratchBase+PortScratchWords
-	case NSPortAbs:
-		_, stat := PortAbsDecode(a)
-		return stat >= PortScratchBase && stat < PortScratchBase+PortScratchWords
-	default:
-		return false
-	}
+	b, _, off := locate(a)
+	return b.writable(off)
 }
-
-// portStatReadable reports whether per-port stat index idx is backed by
-// a register: the named statistics (0..PortCapacity), the task scratch
-// words, and the SNR register form one contiguous readable block.
-func portStatReadable(idx int) bool { return idx >= 0 && idx <= PortSNR }
 
 // Readable reports whether a TPP load of address a is backed by a
 // mapped register, i.e. whether it succeeds rather than faulting with
@@ -222,28 +245,25 @@ func portStatReadable(idx int) bool { return idx >= 0 && idx <= PortSNR }
 // window as mapped (the permissive end-host default, since an injector
 // cannot know the port count of every switch on the path).
 func Readable(a Addr, ports int) bool {
-	switch NamespaceOf(a) {
-	case NSSwitch:
-		return int(a-SwitchBase) < switchStatWords
-	case NSPort:
-		return portStatReadable(int(a - PortBase))
-	case NSQueue:
-		return int(a-QueueBase) < queueStatWords
-	case NSPacket:
-		return int(a-PacketBase) < packetStatWords
-	case NSSRAM:
-		return true
-	case NSPortAbs:
-		port, stat := PortAbsDecode(a)
-		if ports > 0 && port >= ports {
-			return false
-		}
-		return portStatReadable(stat)
+	b, port, off := locate(a)
+	return b.mapped(port, off, ports)
+}
+
+// StoreFault decides a TPP store to address a on a switch with the
+// given port count; it is the one decision the ASIC's view and the
+// verifier share.  It is zero when the store lands, Unmapped when no
+// register backs a, and ReadOnly when the protection map forbids it.
+func StoreFault(a Addr, ports int) Fault {
+	b, port, off := locate(a)
+	switch {
+	case !b.mapped(port, off, ports):
+		return Unmapped
+	case !b.writable(off):
+		return ReadOnly
 	}
-	return false
+	return 0
 }
 
 // StoreOK reports whether a TPP store to address a succeeds on a
-// switch with the given port count: the address must be writable per
-// the protection map and backed by a mapped register.
-func StoreOK(a Addr, ports int) bool { return Writable(a) && Readable(a, ports) }
+// switch with the given port count.
+func StoreOK(a Addr, ports int) bool { return StoreFault(a, ports) == 0 }

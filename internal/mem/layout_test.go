@@ -122,7 +122,7 @@ func TestStatRegionsDoNotOverlapScratch(t *testing.T) {
 		if s >= PortScratchBase && s < PortScratchBase+PortScratchWords {
 			t.Errorf("statistic index %d collides with task scratch", s)
 		}
-		if s >= portStatWords {
+		if s >= PortAbsStride {
 			t.Errorf("statistic index %d exceeds the port block size", s)
 		}
 	}

@@ -7,102 +7,92 @@ import (
 	"strings"
 )
 
-// symbols maps the [Namespace:Statistic] mnemonics used in TPP assembly
-// to virtual addresses.  The table is what the paper calls the mapping
-// "known upfront so that the TPP compiler can convert mnemonics ... into
-// addresses".  Aliases cover the paper's own spellings.
-var symbols = map[string]Addr{
-	// Switch namespace.
-	"Switch:SwitchID":         SwitchBase + SwitchID,
-	"Switch:ID":               SwitchBase + SwitchID, // §2.3 spelling
-	"Switch:NumPorts":         SwitchBase + SwitchNumPorts,
-	"Switch:ClockLo":          SwitchBase + SwitchClockLo,
-	"Switch:ClockHi":          SwitchBase + SwitchClockHi,
-	"Switch:FlowTableVersion": SwitchBase + SwitchFlowVersion,
-	"Switch:L2TableSize":      SwitchBase + SwitchL2Size,
-	"Switch:L3TableSize":      SwitchBase + SwitchL3Size,
-	"Switch:TCAMSize":         SwitchBase + SwitchTCAMSize,
-	"Switch:PacketsSwitched":  SwitchBase + SwitchPackets,
-	"Switch:TPPsExecuted":     SwitchBase + SwitchTPPs,
-	"Switch:Epoch":            SwitchBase + SwitchEpoch,
-
-	// Port / link namespace (context-relative to the egress port).
-	"Link:QueueSize":        PortBase + PortQueueSize,
-	"Link:RX-Utilization":   PortBase + PortRXUtil,
-	"Link:TX-Utilization":   PortBase + PortTXUtil,
-	"Link:RX-Bytes":         PortBase + PortRXBytes,
-	"Link:TX-Bytes":         PortBase + PortTXBytes,
-	"Link:Drop-Bytes":       PortBase + PortDropBytes,
-	"Link:Enq-Bytes":        PortBase + PortEnqBytes,
-	"Link:Capacity":         PortBase + PortCapacity,
-	"Link:SNR":              PortBase + PortSNR,
-	"Link:RCP-RateRegister": PortBase + PortScratchBase,
-	"Link:Scratch0":         PortBase + PortScratchBase,
-	"Link:Scratch1":         PortBase + PortScratchBase + 1,
-	"Link:Scratch2":         PortBase + PortScratchBase + 2,
-	"Link:Scratch3":         PortBase + PortScratchBase + 3,
-
-	// Queue namespace (context-relative to the egress queue).
-	"Queue:QueueSize":      QueueBase + QueueBytes,
-	"Queue:BytesEnqueued":  QueueBase + QueueBytes,
-	"Queue:BytesDropped":   QueueBase + QueueDropBytes,
-	"Queue:Packets":        QueueBase + QueuePackets,
-	"Queue:PacketsDropped": QueueBase + QueueDropPackets,
-	"Queue:MaxBytes":       QueueBase + QueueMaxBytes,
-
-	// Per-packet metadata namespace.
-	"PacketMetadata:InputPort":      PacketBase + PacketInputPort,
-	"PacketMetadata:OutputPort":     PacketBase + PacketOutputPort,
-	"PacketMetadata:MatchedEntryID": PacketBase + PacketMatchedID,
-	"PacketMetadata:MatchedEntryVersion": PacketBase +
-		PacketMatchedVer,
-	"PacketMetadata:QueueID":         PacketBase + PacketQueueID,
-	"PacketMetadata:AlternateRoutes": PacketBase + PacketAltRoutes,
-	"PacketMetadata:UIDLo":           PacketBase + PacketUIDLo,
-	"PacketMetadata:UIDHi":           PacketBase + PacketUIDHi,
-	"PacketMetadata:HopLatency":      PacketBase + PacketHopLatency,
+// A spelling is one [Namespace:Statistic] mnemonic: the statistic's
+// name for word word of namespace ns.
+type spelling struct {
+	ns   Namespace
+	word int
+	stat string
 }
 
-// canonical is the preferred reverse mapping for disassembly; built once
-// from symbols, keeping the lexicographically smallest name that is not
-// an alias duplicate (aliases resolve to the first registered canonical
-// spelling below).
-var canonical = func() map[Addr]string {
-	preferred := []string{
-		"Switch:SwitchID", "Link:QueueSize", "Link:RCP-RateRegister",
-		"Queue:QueueSize", "PacketMetadata:MatchedEntryID",
-	}
-	m := make(map[Addr]string)
-	names := make([]string, 0, len(symbols))
-	for n := range symbols { //lint:allow maporder (sorted before use)
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		a := symbols[n]
-		if _, ok := m[a]; !ok {
-			m[a] = n
-		}
-	}
-	for _, n := range preferred {
-		m[symbols[n]] = n
-	}
-	return m
-}()
+func (s spelling) name() string { return banks[s.ns].name + ":" + s.stat }
+
+func (s spelling) addr() Addr { return banks[s.ns].base + Addr(s.word) }
+
+// spellings is the mapping the paper says must be "known upfront so
+// that the TPP compiler can convert mnemonics ... into addresses",
+// shared by the assembler and the disassembler.  A word's canonical
+// name, the one NameOf prints, comes first; the paper's other spellings
+// follow it as aliases.
+var spellings = [...]spelling{
+	{NSSwitch, SwitchID, "SwitchID"},
+	{NSSwitch, SwitchID, "ID"}, // §2.3 spelling
+	{NSSwitch, SwitchNumPorts, "NumPorts"},
+	{NSSwitch, SwitchClockLo, "ClockLo"},
+	{NSSwitch, SwitchClockHi, "ClockHi"},
+	{NSSwitch, SwitchFlowVersion, "FlowTableVersion"},
+	{NSSwitch, SwitchL2Size, "L2TableSize"},
+	{NSSwitch, SwitchL3Size, "L3TableSize"},
+	{NSSwitch, SwitchTCAMSize, "TCAMSize"},
+	{NSSwitch, SwitchPackets, "PacketsSwitched"},
+	{NSSwitch, SwitchTPPs, "TPPsExecuted"},
+	{NSSwitch, SwitchEpoch, "Epoch"},
+
+	// Port / link namespace (context-relative to the egress port).
+	{NSPort, PortQueueSize, "QueueSize"},
+	{NSPort, PortRXUtil, "RX-Utilization"},
+	{NSPort, PortTXUtil, "TX-Utilization"},
+	{NSPort, PortRXBytes, "RX-Bytes"},
+	{NSPort, PortTXBytes, "TX-Bytes"},
+	{NSPort, PortDropBytes, "Drop-Bytes"},
+	{NSPort, PortEnqBytes, "Enq-Bytes"},
+	{NSPort, PortCapacity, "Capacity"},
+	{NSPort, PortSNR, "SNR"},
+	{NSPort, PortScratchBase, "RCP-RateRegister"},
+	{NSPort, PortScratchBase, "Scratch0"},
+	{NSPort, PortScratchBase + 1, "Scratch1"},
+	{NSPort, PortScratchBase + 2, "Scratch2"},
+	{NSPort, PortScratchBase + 3, "Scratch3"},
+
+	// Queue namespace (context-relative to the egress queue).
+	{NSQueue, QueueBytes, "QueueSize"},
+	{NSQueue, QueueBytes, "BytesEnqueued"},
+	{NSQueue, QueueDropBytes, "BytesDropped"},
+	{NSQueue, QueuePackets, "Packets"},
+	{NSQueue, QueueDropPackets, "PacketsDropped"},
+	{NSQueue, QueueMaxBytes, "MaxBytes"},
+
+	{NSPacket, PacketInputPort, "InputPort"},
+	{NSPacket, PacketOutputPort, "OutputPort"},
+	{NSPacket, PacketMatchedID, "MatchedEntryID"},
+	{NSPacket, PacketMatchedVer, "MatchedEntryVersion"},
+	{NSPacket, PacketQueueID, "QueueID"},
+	{NSPacket, PacketAltRoutes, "AlternateRoutes"},
+	{NSPacket, PacketUIDLo, "UIDLo"},
+	{NSPacket, PacketUIDHi, "UIDHi"},
+	{NSPacket, PacketHopLatency, "HopLatency"},
+}
 
 // LookupSymbol resolves a [Namespace:Statistic] mnemonic (without the
 // brackets) to its virtual address.  Lookup is case-sensitive, matching
 // the paper's spelling conventions.
 func LookupSymbol(name string) (Addr, bool) {
-	a, ok := symbols[name]
-	return a, ok
+	ns, stat, _ := strings.Cut(name, ":")
+	for _, s := range spellings {
+		if s.stat == stat && banks[s.ns].name == ns {
+			return s.addr(), true
+		}
+	}
+	return 0, false
 }
 
 // NameOf returns the canonical mnemonic for address a, or a hex literal
 // ("0x123") when a has no symbolic name.
 func NameOf(a Addr) string {
-	if n, ok := canonical[a]; ok {
-		return n
+	for _, s := range spellings {
+		if s.addr() == a {
+			return s.name()
+		}
 	}
 	if i := SRAMIndex(a); i >= 0 {
 		return fmt.Sprintf("SRAM:%#x", i)
@@ -114,47 +104,71 @@ func NameOf(a Addr) string {
 	return fmt.Sprintf("%#x", uint16(a))
 }
 
-// SymbolNames returns all known mnemonics, sorted; used by the assembler
-// CLI to print the symbol table.
-func SymbolNames() []string {
-	names := make([]string, 0, len(symbols))
-	for n := range symbols { //lint:allow maporder (sorted before return)
-		names = append(names, n)
+// A Symbol is one mnemonic of the memory map, as Table 2 lists it.
+type Symbol struct {
+	Name     string
+	Addr     Addr
+	Writable bool
+}
+
+// Symbols returns every mnemonic, aliases included, sorted by name.
+func Symbols() []Symbol {
+	syms := make([]Symbol, len(spellings))
+	for i, s := range spellings {
+		syms[i] = Symbol{Name: s.name(), Addr: s.addr(), Writable: Writable(s.addr())}
 	}
-	sort.Strings(names)
+	sort.Slice(syms, func(i, j int) bool { return syms[i].Name < syms[j].Name })
+	return syms
+}
+
+// SymbolNames returns all known mnemonics, sorted.
+func SymbolNames() []string {
+	syms := Symbols()
+	names := make([]string, len(syms))
+	for i, s := range syms {
+		names[i] = s.Name
+	}
 	return names
+}
+
+// parseIndex parses an address, SRAM offset, port or statistic number:
+// unsigned digits in base (0: decimal or prefixed, as in Go source)
+// making up the whole string, no sign.
+func parseIndex(s string, base int) (int, bool) {
+	n, err := strconv.ParseUint(s, base, 32)
+	return int(n), err == nil
 }
 
 // ParseSymbolOrAddr resolves either a mnemonic, an "SRAM:<offset>" or
 // "Port<p>:<stat>" locator, or a bare hex/decimal word address.  Numbers
-// are parsed whole: trailing garbage is an error, not ignored.
+// are parsed whole: a sign or trailing garbage is an error, not ignored.
 func ParseSymbolOrAddr(s string) (Addr, error) {
 	if a, ok := LookupSymbol(s); ok {
 		return a, nil
 	}
 	if rest, ok := strings.CutPrefix(s, "SRAM:"); ok {
-		off, err := strconv.ParseInt(rest, 0, 64)
-		if err != nil {
+		off, ok := parseIndex(rest, 0)
+		if !ok {
 			return 0, fmt.Errorf("mem: bad SRAM offset %q", rest)
 		}
-		if off < 0 || off >= SRAMWords {
+		if off >= SRAMWords {
 			return 0, fmt.Errorf("mem: SRAM offset %d out of range", off)
 		}
 		return SRAMBase + Addr(off), nil
 	}
 	if rest, ok := strings.CutPrefix(s, "Port"); ok {
 		p, st, _ := strings.Cut(rest, ":")
-		port, perr := strconv.Atoi(p)
-		stat, serr := strconv.ParseInt(st, 0, 0)
-		if perr == nil && serr == nil {
-			if port < 0 || port >= MaxPorts || stat < 0 || stat >= PortAbsStride {
+		port, pok := parseIndex(p, 10)
+		stat, sok := parseIndex(st, 0)
+		if pok && sok {
+			if port >= MaxPorts || stat >= PortAbsStride {
 				return 0, fmt.Errorf("mem: port window %q out of range", s)
 			}
-			return PortAbs(port, int(stat)), nil
+			return PortAbs(port, stat), nil
 		}
 	}
-	a, err := strconv.ParseUint(s, 0, 32)
-	if err != nil || a >= AddrSpaceWords {
+	a, ok := parseIndex(s, 0)
+	if !ok || a >= AddrSpaceWords {
 		return 0, fmt.Errorf("mem: unknown symbol or address %q", s)
 	}
 	return Addr(a), nil

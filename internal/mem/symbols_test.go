@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -54,11 +55,21 @@ func TestSymbolAddressesLandInTheirNamespace(t *testing.T) {
 }
 
 func TestNameOfRoundTrip(t *testing.T) {
-	for _, name := range []string{"Switch:SwitchID", "Link:QueueSize",
-		"Link:RCP-RateRegister", "Queue:QueueSize"} {
+	// Every mnemonic prints as itself except the three aliases, which
+	// print as the canonical spelling of their word.
+	alias := map[string]string{
+		"Switch:ID":           "Switch:SwitchID",
+		"Queue:BytesEnqueued": "Queue:QueueSize",
+		"Link:Scratch0":       "Link:RCP-RateRegister",
+	}
+	for _, name := range SymbolNames() {
+		want := name
+		if c, ok := alias[name]; ok {
+			want = c
+		}
 		a, _ := LookupSymbol(name)
-		if got := NameOf(a); got != name {
-			t.Errorf("NameOf(%#x) = %q, want preferred name %q", a, got, name)
+		if got := NameOf(a); got != want {
+			t.Errorf("NameOf(LookupSymbol(%q)) = %q, want %q", name, got, want)
 		}
 	}
 	if got := NameOf(SRAMBase + 0x20); got != "SRAM:0x20" {
@@ -95,6 +106,8 @@ func TestParseSymbolOrAddr(t *testing.T) {
 		// A number is the whole token, not its longest numeric prefix.
 		"SRAM:12abc", "0x5junk", "SRAM:1e2", "Port1:3junk", "0x10 0x20",
 		"SRAM:", "SRAM:-1", "Port1:", "Port:3", "Port1x:3", "Port-1:3", "12 ", "",
+		// Nor does it take a sign.
+		"SRAM:+5", "SRAM:-0", "Port+1:3", "Port1:+3", "Port-0:3",
 	} {
 		if _, err := ParseSymbolOrAddr(bad); err == nil {
 			t.Errorf("ParseSymbolOrAddr(%q) should fail", bad)
@@ -103,13 +116,24 @@ func TestParseSymbolOrAddr(t *testing.T) {
 }
 
 func TestSymbolNamesSortedAndComplete(t *testing.T) {
-	names := SymbolNames()
-	if len(names) < 25 {
-		t.Fatalf("symbol table too small: %d entries", len(names))
+	// Exactly the mnemonics `tppasm symbols` prints, in its order.
+	want := []string{
+		"Link:Capacity", "Link:Drop-Bytes", "Link:Enq-Bytes",
+		"Link:QueueSize", "Link:RCP-RateRegister", "Link:RX-Bytes",
+		"Link:RX-Utilization", "Link:SNR", "Link:Scratch0", "Link:Scratch1",
+		"Link:Scratch2", "Link:Scratch3", "Link:TX-Bytes", "Link:TX-Utilization",
+		"PacketMetadata:AlternateRoutes", "PacketMetadata:HopLatency",
+		"PacketMetadata:InputPort", "PacketMetadata:MatchedEntryID",
+		"PacketMetadata:MatchedEntryVersion", "PacketMetadata:OutputPort",
+		"PacketMetadata:QueueID", "PacketMetadata:UIDHi", "PacketMetadata:UIDLo",
+		"Queue:BytesDropped", "Queue:BytesEnqueued", "Queue:MaxBytes",
+		"Queue:Packets", "Queue:PacketsDropped", "Queue:QueueSize",
+		"Switch:ClockHi", "Switch:ClockLo", "Switch:Epoch",
+		"Switch:FlowTableVersion", "Switch:ID", "Switch:L2TableSize",
+		"Switch:L3TableSize", "Switch:NumPorts", "Switch:PacketsSwitched",
+		"Switch:SwitchID", "Switch:TCAMSize", "Switch:TPPsExecuted",
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatal("SymbolNames must be sorted and unique")
-		}
+	if got := SymbolNames(); !slices.Equal(got, want) {
+		t.Fatalf("SymbolNames() = %q\nwant %q", got, want)
 	}
 }

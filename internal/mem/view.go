@@ -14,12 +14,29 @@ type View interface {
 	Store(a Addr, v uint32) error
 }
 
+// A Fault is why a TPP memory access fails.
+type Fault uint8
+
+// The access faults.
+const (
+	Unmapped Fault = iota + 1 // no register backs the address
+	ReadOnly                  // the protection map forbids the store
+)
+
+// String names the fault as AccessError prints it.
+func (f Fault) String() string {
+	if f == ReadOnly {
+		return "read-only"
+	}
+	return "unmapped"
+}
+
 // AccessError describes a faulting TPP memory access; the TCPU converts
 // it into the FlagError bit on the packet.
 type AccessError struct {
 	Addr  Addr
 	Write bool
-	Cause string
+	Cause Fault
 }
 
 // Error implements the error interface.
@@ -28,18 +45,16 @@ func (e *AccessError) Error() string {
 	if e.Write {
 		op = "store"
 	}
-	return fmt.Sprintf("mem: %s %s (%s): %s", op, NameOf(e.Addr), e.Addr.nsString(), e.Cause)
+	return fmt.Sprintf("mem: %s %s (%s): %s", op, NameOf(e.Addr), NamespaceOf(e.Addr), e.Cause)
 }
-
-func (a Addr) nsString() string { return NamespaceOf(a).String() }
 
 // ErrUnmapped builds the error for an access to an address no bank
 // backs.
 func ErrUnmapped(a Addr, write bool) error {
-	return &AccessError{Addr: a, Write: write, Cause: "unmapped"}
+	return &AccessError{Addr: a, Write: write, Cause: Unmapped}
 }
 
 // ErrReadOnly builds the error for a store to protected state.
 func ErrReadOnly(a Addr) error {
-	return &AccessError{Addr: a, Write: true, Cause: "read-only"}
+	return &AccessError{Addr: a, Write: true, Cause: ReadOnly}
 }

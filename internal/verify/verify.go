@@ -371,15 +371,14 @@ func (w *walker) checkGrant(pc int, addr mem.Addr, write bool) {
 }
 
 // checkStore verifies that switch address a accepts TPP stores and,
-// under a tenant grant, that the tenant may write it.
+// under a tenant grant, that the tenant may write it.  The store is
+// decided by mem.StoreFault, the same call the ASIC's view makes.
 func (w *walker) checkStore(pc int, a uint16) {
 	addr := mem.Addr(a)
-	switch {
-	case mem.StoreOK(addr, w.cfg.Ports):
+	switch mem.StoreFault(addr, w.cfg.Ports) {
+	case 0:
 		w.checkGrant(pc, addr, true)
-	case mem.Writable(addr):
-		w.diag(pc, CodeUnmapped, Err, "store to unmapped address %s (%#x)", mem.NameOf(addr), addr.ByteAddr())
-	case mem.Readable(addr, w.cfg.Ports):
+	case mem.ReadOnly:
 		w.diag(pc, CodeReadOnly, Err, "store to protected address %s (%#x): statistics are read-only", mem.NameOf(addr), addr.ByteAddr())
 	default:
 		w.diag(pc, CodeUnmapped, Err, "store to unmapped address %s (%#x)", mem.NameOf(addr), addr.ByteAddr())
