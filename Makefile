@@ -15,9 +15,10 @@ LINT_PKGS = ./internal/netsim ./internal/asic ./internal/tcpu ./internal/faults 
 
 # Packages that handle pooled packets; the poollife ownership analyzer
 # (use-after-Recycle, double-Recycle, retain-without-Adopt,
-# recycle-after-shallow-copy) gates them.
+# recycle-after-shallow-copy, kept-echo) gates them.
 POOL_PKGS = ./internal/core ./internal/netsim ./internal/asic ./internal/endhost ./internal/inband \
-	./internal/fabric ./internal/reflex ./internal/rcp ./internal/aimd
+	./internal/fabric ./internal/reflex ./internal/rcp ./internal/aimd \
+	./internal/ndb ./internal/accounting ./internal/chaos ./cmd/experiments ./cmd/tppsim ./examples/quickstart
 
 # Packages with //alloc:free hot-path annotations; the escape gate
 # pins them against ALLOCGATE.json.
@@ -49,7 +50,7 @@ vet:
 # Sim's own core.Pool), plus the repository's own analyzers (see
 # tools/analyzers): the determinism suite over the simulation core and
 # the soaks, and the poollife packet-ownership suite over the packages
-# that handle pooled packets.
+# that handle pooled packets or take probe echoes.
 lint: vet
 	@unformatted=$$(gofmt -l cmd internal tools bench examples *.go); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
@@ -127,7 +128,7 @@ soak-pooldebug:
 	$(GO) test -race -tags pooldebug -run 'TestChaosSoak|TestHostileSoak|TestReflexSoak' -v -count=1 ./internal/chaos
 	$(GO) test -race -tags pooldebug -run 'TestRebootFlushesLanes' -v -count=1 ./internal/asic
 	$(GO) test -race -tags pooldebug -count=1 ./internal/rcp ./internal/aimd ./internal/endhost \
-		./internal/ndb ./internal/inband ./internal/accounting
+		./internal/ndb ./internal/inband ./internal/accounting ./cmd/experiments
 
 # fuzz smoke-tests the three soundness properties — verified programs
 # never trip a dynamic fault, guest programs never escape their tenant

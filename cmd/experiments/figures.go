@@ -34,7 +34,7 @@ func runFig1(out *output) error {
 	}, 3)
 	prober := endhost.NewProber(src)
 	var echoed *core.TPP
-	prober.Probe(dst.MAC, dst.IP, probe, func(e *core.TPP) { echoed = e })
+	prober.Probe(dst.MAC, dst.IP, probe, func(e *core.TPP) { echoed = e.Clone() })
 	sim.RunUntil(sim.Now() + 200*netsim.Millisecond)
 	if echoed == nil {
 		return fmt.Errorf("probe echo lost")

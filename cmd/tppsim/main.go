@@ -140,7 +140,7 @@ func run(topoName string, switches int, load bool, src string, w, metricsW, trac
 
 	prober := endhost.NewProber(from)
 	var echoed *core.TPP
-	prober.Probe(to.MAC, to.IP, prog.TPP, func(e *core.TPP) { echoed = e })
+	prober.Probe(to.MAC, to.IP, prog.TPP, func(e *core.TPP) { echoed = e.Clone() })
 	sim.RunUntil(sim.Now() + netsim.Second)
 
 	if echoed == nil {

@@ -46,7 +46,7 @@ func main() {
 	//    echoes the executed program back.
 	prober := endhost.NewProber(src)
 	var echoed *core.TPP
-	prober.Probe(dst.MAC, dst.IP, prog.TPP, func(e *core.TPP) { echoed = e })
+	prober.Probe(dst.MAC, dst.IP, prog.TPP, func(e *core.TPP) { echoed = e.Clone() })
 	sim.RunUntil(sim.Now() + netsim.Second)
 	if echoed == nil {
 		log.Fatal("probe lost")

@@ -68,7 +68,7 @@ func TestFigure1QueueWalk(t *testing.T) {
 
 	prober := endhost.NewProber(src)
 	var echoed *core.TPP
-	prober.Probe(dst.MAC, dst.IP, queueProbe(3), func(e *core.TPP) { echoed = e })
+	prober.Probe(dst.MAC, dst.IP, queueProbe(3), func(e *core.TPP) { echoed = e.Clone() })
 	sim.RunUntil(50 * netsim.Millisecond)
 
 	if echoed == nil {
@@ -102,7 +102,7 @@ func TestFigure1SeesCongestion(t *testing.T) {
 	}
 	prober := endhost.NewProber(src)
 	var echoed *core.TPP
-	prober.Probe(dst.MAC, dst.IP, queueProbe(3), func(e *core.TPP) { echoed = e })
+	prober.Probe(dst.MAC, dst.IP, queueProbe(3), func(e *core.TPP) { echoed = e.Clone() })
 	sim.RunUntil(200 * netsim.Millisecond)
 
 	if echoed == nil {
@@ -251,7 +251,7 @@ func TestTCAMForwardingSetsMetadata(t *testing.T) {
 
 	prober := endhost.NewProber(h1)
 	var echoed *core.TPP
-	prober.Probe(h2.MAC, h2.IP, prog, func(e *core.TPP) { echoed = e })
+	prober.Probe(h2.MAC, h2.IP, prog, func(e *core.TPP) { echoed = e.Clone() })
 	sim.RunUntil(20 * netsim.Millisecond)
 
 	if echoed == nil {
@@ -391,7 +391,7 @@ func TestClockAndHopLatency(t *testing.T) {
 	prober := endhost.NewProber(h1)
 	var echoed *core.TPP
 	sentAt := sim.Now()
-	prober.Probe(h2.MAC, h2.IP, prog, func(e *core.TPP) { echoed = e })
+	prober.Probe(h2.MAC, h2.IP, prog, func(e *core.TPP) { echoed = e.Clone() })
 	sim.RunUntil(sentAt + 20*netsim.Millisecond)
 	if echoed == nil {
 		t.Fatal("no echo")
@@ -574,7 +574,7 @@ func TestProgramTooLongFaultsButForwards(t *testing.T) {
 	prog := core.NewTPP(core.AddrStack, ins, 6)
 	prober := endhost.NewProber(h1)
 	var echoed *core.TPP
-	prober.Probe(h2.MAC, h2.IP, prog, func(e *core.TPP) { echoed = e })
+	prober.Probe(h2.MAC, h2.IP, prog, func(e *core.TPP) { echoed = e.Clone() })
 	sim.RunUntil(sim.Now() + 20*netsim.Millisecond)
 	if echoed == nil {
 		t.Fatal("over-long TPP was not forwarded")
@@ -643,7 +643,7 @@ func TestAltRoutesMetadata(t *testing.T) {
 	}, 1)
 	prober := endhost.NewProber(h1)
 	var echoed *core.TPP
-	prober.Probe(h2.MAC, h2.IP, prog, func(e *core.TPP) { echoed = e })
+	prober.Probe(h2.MAC, h2.IP, prog, func(e *core.TPP) { echoed = e.Clone() })
 	sim.RunUntil(sim.Now() + 20*netsim.Millisecond)
 	if echoed == nil {
 		t.Fatal("no echo")
@@ -674,8 +674,8 @@ func TestMAXAggregationAcrossPath(t *testing.T) {
 
 	prober := endhost.NewProber(src)
 	var maxEcho, pushEcho *core.TPP
-	prober.Probe(dst.MAC, dst.IP, maxProg, func(e *core.TPP) { maxEcho = e })
-	prober.Probe(dst.MAC, dst.IP, pushProg, func(e *core.TPP) { pushEcho = e })
+	prober.Probe(dst.MAC, dst.IP, maxProg, func(e *core.TPP) { maxEcho = e.Clone() })
+	prober.Probe(dst.MAC, dst.IP, pushProg, func(e *core.TPP) { pushEcho = e.Clone() })
 	sim.RunUntil(sim.Now() + 200*netsim.Millisecond)
 
 	if maxEcho == nil || pushEcho == nil {

@@ -22,7 +22,7 @@ func TestTCPUDisableToggle(t *testing.T) {
 	prober := endhost.NewProber(src)
 	walk := func() *core.TPP {
 		var echoed *core.TPP
-		prober.Probe(dst.MAC, dst.IP, queueProbe(3), func(e *core.TPP) { echoed = e })
+		prober.Probe(dst.MAC, dst.IP, queueProbe(3), func(e *core.TPP) { echoed = e.Clone() })
 		sim.RunUntil(sim.Now() + 50*netsim.Millisecond)
 		if echoed == nil {
 			t.Fatal("probe echo never arrived")
@@ -63,7 +63,7 @@ func TestTCPUDisableToggle(t *testing.T) {
 	}
 	var echoed *core.TPP
 	long := core.NewTPP(core.AddrStack, make([]core.Instruction, tcpu.MaxCachedInstructions+1), 1)
-	prober.Probe(dst.MAC, dst.IP, long, func(e *core.TPP) { echoed = e })
+	prober.Probe(dst.MAC, dst.IP, long, func(e *core.TPP) { echoed = e.Clone() })
 	sim.RunUntil(sim.Now() + 50*netsim.Millisecond)
 	if echoed == nil || echoed.Flags&core.FlagError == 0 || echoed.Ptr != 0 {
 		t.Fatalf("over-long probe echo = %+v, want FlagError and an untouched stack pointer", echoed)

@@ -112,6 +112,19 @@ func (b *pooledBlock) checkCanary() {
 	}
 }
 
+// Poison fills t's packet memory and instructions with the canary
+// pattern.  An owner that lends t out for the length of a call — the
+// prober's echo — poisons it when the call returns, so a borrower that
+// kept the pointer reads 0xdddddddd words and invalid opcodes instead of
+// the next loan's contents.  Release builds make it a no-op.
+func (t *TPP) Poison() {
+	poisonBytes(t.Mem)
+	ins := t.Ins[:cap(t.Ins)]
+	for i := range ins {
+		ins[i] = Instruction{Op: poisonOp, A: poisonByte, B: poisonByte}
+	}
+}
+
 func poisonBytes(s []byte) {
 	s = s[:cap(s)]
 	for i := range s {

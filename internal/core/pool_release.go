@@ -25,3 +25,6 @@ func (p *Packet) markIssued()      {}
 func (p *Packet) poisonAndRetire() {}
 
 func (b *pooledBlock) checkCanary() {}
+
+// Poison is a no-op in release builds; see pool_debug.go.
+func (t *TPP) Poison() {}

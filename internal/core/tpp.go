@@ -312,27 +312,3 @@ func ParseTPP(b []byte, t *TPP) (int, error) {
 	}
 	return n, nil
 }
-
-// decodedTPP co-allocates a decoded TPP with room for a small program:
-// every probe the experiments send (≤ 5 instructions, ≤ 140 bytes of
-// packet memory) fits with margin.
-type decodedTPP struct {
-	t   TPP
-	ins [8]Instruction
-	mem [160]byte
-}
-
-// DecodeTPP is ParseTPP into a TPP of its own, returned with the number
-// of bytes consumed; the result shares nothing with b.  A program of at
-// most 8 instructions and 160 bytes of packet memory costs one
-// allocation — header, instructions and memory together — and a larger
-// one a further allocation per section that does not fit.
-func DecodeTPP(b []byte) (*TPP, int, error) {
-	d := &decodedTPP{}
-	d.t.Ins, d.t.Mem = d.ins[:0], d.mem[:0]
-	n, err := ParseTPP(b, &d.t)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &d.t, n, nil
-}

@@ -103,7 +103,7 @@ func TestEchoCarriesExecutedState(t *testing.T) {
 
 	prober := NewProber(a)
 	var echoed *core.TPP
-	ok := prober.Probe(b.MAC, b.IP, tpp, func(e *core.TPP) { echoed = e })
+	ok := prober.Probe(b.MAC, b.IP, tpp, func(e *core.TPP) { echoed = e.Clone() })
 	if !ok {
 		t.Fatal("probe send failed")
 	}

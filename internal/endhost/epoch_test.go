@@ -123,7 +123,7 @@ func TestProberScansEchoes(t *testing.T) {
 	// A matched probe's echo is scanned.
 	var echoed *core.TPP
 	cookie, ok := p.ProbeCfg(core.MACFromUint64(2), core.IPv4Addr(10, 0, 0, 2),
-		probeProg(), ProbeConfig{}, func(e *core.TPP) { echoed = e }, nil)
+		probeProg(), ProbeConfig{}, func(e *core.TPP) { echoed = e.Clone() }, nil)
 	if !ok {
 		t.Fatal("probe not registered")
 	}

@@ -69,7 +69,7 @@ func (h *Host) Handle(port uint16, fn Handler) { h.handlers[port] = handler{fn: 
 // the packet: the host returns it to the packet pool the moment fn
 // returns, so fn must not keep the packet or any of its buffers.  The
 // receivers of bulk flows, which read a header word and count bytes,
-// and the prober, which decodes every echo into a program of its own,
+// and the prober, which parses every echo into a TPP of its own,
 // are sinks; that is what lets a sender's pooled packets come back.
 func (h *Host) Sink(port uint16, fn Handler) { h.handlers[port] = handler{fn: fn, sink: true} }
 

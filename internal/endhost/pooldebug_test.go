@@ -32,3 +32,26 @@ func TestSinkMustNotRetain(t *testing.T) {
 	}()
 	stash.WireLen()
 }
+
+// An echo callback borrows the prober's echo TPP.  Under the sanitizer
+// the prober poisons it when the callback returns, so a callback that
+// keeps e reads canary words and opcodes; one that keeps e.Clone()
+// reads what the switch wrote.
+func TestEchoMustNotRetain(t *testing.T) {
+	sim := netsim.New(1)
+	_, hosts := star(sim, 2)
+	a, b := hosts[0], hosts[1]
+	p := NewProber(a)
+	var kept, cloned *core.TPP
+	p.Probe(b.MAC, b.IP, switchIDProg(1), func(e *core.TPP) { kept, cloned = e, e.Clone() })
+	sim.RunUntil(netsim.Millisecond)
+	if cloned == nil {
+		t.Fatal("echo never arrived")
+	}
+	if cloned.Word(0) != 7 || cloned.Ins[0].Op != core.OpPUSH {
+		t.Fatalf("cloned echo: word 0 = %#x, op %v; want switch ID 7 under PUSH", cloned.Word(0), cloned.Ins[0].Op)
+	}
+	if kept.Word(0) != 0xdddddddd || kept.Ins[0].Op == core.OpPUSH {
+		t.Fatalf("kept echo: word 0 = %#x, op %v; want the poison pattern", kept.Word(0), kept.Ins[0].Op)
+	}
+}

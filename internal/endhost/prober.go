@@ -75,12 +75,16 @@ type pendingProbe struct {
 // attempt goes out in a packet drawn from the simulation's pool with
 // its own copy of the program (Host.NewProbePooled), and the echo comes
 // back into a pooled block the host recycles once the prober has
-// decoded it.  The TPP an echo callback receives is decoded into one
-// allocation of its own and is the callback's to keep.  It is not
-// borrowed from a buffer the prober reuses, though that would save the
-// allocation: callers keep echoes past the callback (ndb collects a
-// round of them, tests keep the last one), and a borrowed echo would be
-// overwritten under them without a sound.
+// parsed it.  The echo is parsed into one TPP the prober owns and
+// reuses, and an echo callback borrows it: the *core.TPP it receives is
+// valid only until the callback returns (like Tracer.Each's span), and
+// the next echo overwrites it.  A callback that keeps the echo — in a
+// slice, a struct, a variable outside the closure — keeps e.Clone().
+// The borrow is sound because one goroutine drives the simulation and
+// sending only schedules events, so no other echo is parsed while a
+// callback runs.  Under the pooldebug build tag the prober poisons the
+// echo when the callback returns, so a kept reference reads garbage
+// loudly instead of the next echo's words quietly.
 type Prober struct {
 	host     *Host
 	next     uint32
@@ -88,6 +92,7 @@ type Prober struct {
 	free     []*pendingProbe // resolved entries, reused LIFO
 	defaults ProbeConfig
 	epochs   *EpochTracker
+	echo     core.TPP // every echo is parsed here; callbacks borrow it
 
 	// Sent and Matched count probe transmissions (including
 	// retransmissions) and successfully matched echoes.
@@ -128,7 +133,8 @@ func (p *Prober) After(d netsim.Time, fn func()) { p.host.Sim.After(d, fn) }
 
 // Probe sends tpp toward the destination host; fn runs when the echo
 // returns, with the executed program (its packet memory filled in by
-// the switches on the forward path) decoded into a TPP fn may keep.
+// the switches on the forward path).  fn borrows that TPP: it is valid
+// only until fn returns, so fn keeps e.Clone(), never e.
 // The prober's default ProbeConfig governs deadline and retries; with
 // the zero default, lost probes simply never call fn and Forget can
 // reap them.  Like ProbeCfg, Probe keeps no reference to tpp.
@@ -271,7 +277,7 @@ func (p *Prober) ProbeGroup(dstMAC core.MAC, dstIP uint32, tpps []*core.TPP, fn 
 	for i, tpp := range tpps {
 		i := i
 		_, ok := p.ProbeCfg(dstMAC, dstIP, tpp, p.defaults,
-			func(echoed *core.TPP) { resolve(i, echoed) },
+			func(echoed *core.TPP) { resolve(i, echoed.Clone()) }, // results outlive the borrow
 			func() { resolve(i, nil) })
 		if ok {
 			registered = append(registered, i)
@@ -298,11 +304,13 @@ func (p *Prober) Forget() {
 	clear(p.pending)
 }
 
-// onEcho decodes an echo — the serialized executed TPP followed by the
-// 4-byte cookie — into a TPP of its own; the host recycles the packet
-// when onEcho returns.
+// onEcho parses an echo — the serialized executed TPP followed by the
+// 4-byte cookie — into the prober's own p.echo, which the callback
+// borrows; the host recycles the packet when onEcho returns.
+//
+//alloc:free
 func (p *Prober) onEcho(pkt *core.Packet) {
-	tpp, n, err := core.DecodeTPP(pkt.Payload)
+	n, err := core.ParseTPP(pkt.Payload, &p.echo)
 	if err != nil || len(pkt.Payload) < n+4 {
 		p.Malformed++
 		return
@@ -311,7 +319,7 @@ func (p *Prober) onEcho(pkt *core.Packet) {
 	if p.epochs != nil {
 		// Even a superseded echo carries fresh epochs; scan before the
 		// cookie check so no observation is wasted.
-		p.epochs.ObserveEcho(tpp)
+		p.epochs.ObserveEcho(&p.echo)
 	}
 	pp, ok := p.pending[cookie]
 	if !ok {
@@ -321,7 +329,8 @@ func (p *Prober) onEcho(pkt *core.Packet) {
 	p.Matched++
 	fn := pp.fn
 	p.release(pp)
-	fn(tpp)
+	fn(&p.echo)
+	p.echo.Poison() // pooldebug: a kept echo reads poison; a no-op otherwise
 }
 
 // CollectProgram builds the canonical collect-phase probe: one PUSH per

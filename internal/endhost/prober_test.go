@@ -121,7 +121,7 @@ func TestProbeRetryResendsFreshProgram(t *testing.T) {
 	var echo *core.TPP
 	p.ProbeCfg(b.MAC, b.IP, probeProg(),
 		ProbeConfig{Timeout: 10 * netsim.Millisecond, Retries: 2, Backoff: 2},
-		func(e *core.TPP) { echo = e }, nil)
+		func(e *core.TPP) { echo = e.Clone() }, nil)
 	sim.RunUntil(time100ms)
 	if echo == nil {
 		t.Fatal("no echo")
@@ -358,7 +358,7 @@ func TestProbeKeepsNoReferenceToProgram(t *testing.T) {
 			var echo *core.TPP
 			if _, ok := p.ProbeCfg(b.MAC, b.IP, prog,
 				ProbeConfig{Timeout: 10 * netsim.Millisecond, Retries: 1},
-				func(e *core.TPP) { echo = e }, nil); !ok {
+				func(e *core.TPP) { echo = e.Clone() }, nil); !ok {
 				t.Fatal("probe not registered")
 			}
 			prog.Ins[0] = core.Instruction{Op: core.OpPUSH, A: uint16(mem.QueueBase + mem.QueueBytes)}
@@ -400,7 +400,7 @@ func TestEchoStackPointerPastMemory(t *testing.T) {
 	tr := NewEpochTracker(nil)
 	p.SetEpochTracker(tr)
 	var echo *core.TPP
-	cookie, ok := p.ProbeCfg(b.MAC, b.IP, probeProg(), ProbeConfig{}, func(e *core.TPP) { echo = e }, nil)
+	cookie, ok := p.ProbeCfg(b.MAC, b.IP, probeProg(), ProbeConfig{}, func(e *core.TPP) { echo = e.Clone() }, nil)
 	if !ok {
 		t.Fatal("probe not registered")
 	}
@@ -424,9 +424,9 @@ func TestEchoStackPointerPastMemory(t *testing.T) {
 
 // TestProbeRoundTripAllocs: once warm, a probe round trip with a
 // deadline — send, execute at a switch, echo, match, callback —
-// allocates one object, the echo TPP the callback owns.  The probe and
-// echo packets, the pending entry, its deadline timer and every buffer
-// are reused.
+// allocates nothing.  The probe and echo packets, the pending entry,
+// its deadline timer, the echo TPP the callback borrows and every
+// buffer are reused.
 func TestProbeRoundTripAllocs(t *testing.T) {
 	if core.PoolDebug {
 		t.Skip("the pooldebug sanitizer formats a call site at every Recycle")
@@ -447,8 +447,8 @@ func TestProbeRoundTripAllocs(t *testing.T) {
 	}
 	roundTrip() // warm-up: pool blocks, the entry and its timer, L2 learning
 	roundTrip()
-	if got := testing.AllocsPerRun(100, roundTrip); got > 1 {
-		t.Errorf("a probe round trip allocates %v objects, want at most 1 (the echo TPP)", got)
+	if got := testing.AllocsPerRun(100, roundTrip); got != 0 {
+		t.Errorf("a probe round trip allocates %v objects, want 0", got)
 	}
 	if echoes != 103 || p.Outstanding() != 0 || p.TimedOut != 0 {
 		t.Fatalf("%d echoes, %d outstanding, %d timed out: want every round trip answered", echoes, p.Outstanding(), p.TimedOut)

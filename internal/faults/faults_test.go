@@ -142,7 +142,7 @@ func TestTCPUToggleThroughPlan(t *testing.T) {
 			tpp := core.NewTPP(core.AddrStack, []core.Instruction{
 				{Op: core.OpPUSH, A: uint16(mem.SwitchBase + mem.SwitchID)},
 			}, 2)
-			prober.Probe(r.dst.MAC, r.dst.IP, tpp, func(e *core.TPP) { echoed = e })
+			prober.Probe(r.dst.MAC, r.dst.IP, tpp, func(e *core.TPP) { echoed = e.Clone() })
 		})
 		r.sim.RunUntil(at + 15*netsim.Millisecond)
 		if echoed == nil {

@@ -173,7 +173,7 @@ func RunBlackhole(cfg BlackholeConfig) BlackholeResult {
 					sj, li, hj := sj, li, hj
 					dst := hosts[li][hj]
 					probers[sj].ProbeCfg(dst.MAC, dst.IP, hopTraceProgram(), cfg.Probe,
-						func(e *core.TPP) { outs = append(outs, outcome{sj, li, hj, e}) },
+						func(e *core.TPP) { outs = append(outs, outcome{sj, li, hj, e.Clone()}) },
 						func() { outs = append(outs, outcome{sj, li, hj, nil}) })
 				}
 			}

@@ -89,6 +89,7 @@ func RunFigure2(cfg Fig2Config) Fig2Result {
 		s := Fig2Sample{
 			T:      (h.Sim.Now() - start).Seconds(),
 			ROverC: scheme.FairShare() / h.Capacity,
+			Flows:  make([]float64, 0, len(h.Recv)),
 		}
 		for i, n := range h.Recv {
 			s.Flows = append(s.Flows,

@@ -59,7 +59,7 @@ func TestSNRRegisterVisibleToTPP(t *testing.T) {
 	prober := endhost.NewProber(h1)
 	var echoed *core.TPP
 	var snrAtProbe float64
-	prober.Probe(h2.MAC, h2.IP, SNRProgram(2), func(e *core.TPP) { echoed = e })
+	prober.Probe(h2.MAC, h2.IP, SNRProgram(2), func(e *core.TPP) { echoed = e.Clone() })
 	snrAtProbe = ap.SNRdB()
 	sim.RunUntil(sim.Now() + 10*netsim.Millisecond)
 

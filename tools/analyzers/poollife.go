@@ -29,6 +29,10 @@ func PoolLife() []*Analyzer { return []*Analyzer{PoolLifeAnalyzer} }
 //     still pool-owned can be recycled under the referent; Adopt first.
 //   - recycle-after-shallow-copy: after `c := *p`, c aliases p's
 //     buffers, so p must be abandoned to the GC, never recycled.
+//   - kept-echo: a Probe/ProbeCfg callback borrows its echo TPP until
+//     it returns; assigning it to a variable declared outside the
+//     closure, a field or an element, or putting it in an append or a
+//     composite literal keeps it past the borrow.  Keep e.Clone().
 //
 // The analysis is a forward may-analysis over each function body:
 // branches merge by flag union, loop bodies are traversed twice so
@@ -42,10 +46,14 @@ func PoolLife() []*Analyzer { return []*Analyzer{PoolLifeAnalyzer} }
 // packets it will recycle itself) carry //lint:allow poollife.
 var PoolLifeAnalyzer = &Analyzer{
 	Name: "poollife",
-	Doc:  "enforce pooled-packet ownership: no use after Recycle, no double Recycle, Adopt before retaining, abandon after shallow copy",
+	Doc:  "enforce pooled-packet ownership: no use after Recycle, no double Recycle, Adopt before retaining, abandon after shallow copy, clone a borrowed echo to keep it",
 	Run: func(p *Pass) {
 		for _, f := range p.Files {
+			echoes := &poolLife{pass: p, seen: make(map[token.Pos]bool)}
 			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					echoes.keptEcho(call) // every call, closures' included
+				}
 				fd, ok := n.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					return true
@@ -481,6 +489,47 @@ func (pl *poolLife) useIdent(e ast.Expr, state poolState) {
 		pl.report(id.Pos(), "use of %s after Recycle", id.Name)
 	case fl&flagSent != 0:
 		pl.report(id.Pos(), "use of %s after Send handed it to the fabric; it may already be recycled", id.Name)
+	}
+}
+
+// keptEcho applies the kept-echo rule to the callbacks of a Probe or
+// ProbeCfg call; a name match, as imports are stubbed.
+func (pl *poolLife) keptEcho(call *ast.CallExpr) {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Probe" && sel.Sel.Name != "ProbeCfg" {
+		return
+	}
+	for _, a := range call.Args {
+		fl, ok := a.(*ast.FuncLit)
+		if !ok || len(fl.Type.Params.List) != 1 || len(fl.Type.Params.List[0].Names) != 1 {
+			continue
+		}
+		echo := pl.pass.Info.Defs[fl.Type.Params.List[0].Names[0]] // the callback's one parameter
+		if echo == nil {
+			continue
+		}
+		ast.Inspect(fl.Body, func(n ast.Node) bool {
+			var kept []ast.Expr
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				for i, l := range x.Lhs {
+					if o := pl.obj(l); len(x.Lhs) == len(x.Rhs) && (o == nil || o.Pos() < fl.Pos() || o.Pos() > fl.End()) {
+						kept = append(kept, x.Rhs[i])
+					}
+				}
+			case *ast.CallExpr:
+				if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "append" {
+					kept = x.Args
+				}
+			case *ast.CompositeLit:
+				kept = x.Elts
+			}
+			for _, e := range kept {
+				if id, ok := e.(*ast.Ident); ok && pl.pass.Info.Uses[id] == echo {
+					pl.report(e.Pos(), "probe callback keeps its borrowed echo %s; the prober reuses it when the callback returns, keep %s.Clone()", id.Name, id.Name)
+				}
+			}
+			return true
+		})
 	}
 }
 

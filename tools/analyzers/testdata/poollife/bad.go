@@ -1,5 +1,7 @@
 package poollife
 
+import "repro/internal/core"
+
 // Positive cases: every rule the poollife analyzer enforces, one
 // function per shape.  Each violating line carries a want comment
 // naming a substring of the expected finding; the test harness matches
@@ -133,4 +135,18 @@ func touchProbeAfterSend(h *host) int {
 	p := h.NewProbePooled(64)
 	h.Send(p)
 	return p.Len // want "use of p after Send"
+}
+
+// Probe callbacks that keep the echo they only borrow.
+func keepBorrowedEcho(pr *prober, prog *core.TPP) (*core.TPP, []*core.TPP) {
+	type outcome struct{ echo *core.TPP }
+	var kept *core.TPP
+	var all []*core.TPP
+	var outs []outcome
+	var box struct{ echo *core.TPP }
+	pr.Probe(prog, func(e *core.TPP) { kept = e })                                // want "keeps its borrowed echo e"
+	pr.Probe(prog, func(e *core.TPP) { all = append(all, e) })                    // want "keeps its borrowed echo e"
+	pr.ProbeCfg(prog, func(e *core.TPP) { outs = append(outs, outcome{e}) }, nil) // want "keeps its borrowed echo e"
+	pr.Probe(prog, func(e *core.TPP) { box.echo = e })                            // want "keeps its borrowed echo e"
+	return kept, all
 }

@@ -125,3 +125,16 @@ func heapProgramRetained(q *queue) {
 	prog := core.NewTPP(core.AddrStack, nil, 2)
 	q.prog = prog
 }
+
+// A probe callback that reads its borrowed echo, or keeps a clone,
+// keeps nothing the prober reuses.
+func readOrCloneEcho(pr *prober, prog *core.TPP) (uint32, *core.TPP) {
+	var word uint32
+	var kept *core.TPP
+	pr.Probe(prog, func(e *core.TPP) {
+		local := e
+		word = local.Word(0)
+		kept = e.Clone()
+	})
+	return word, kept
+}

@@ -5,6 +5,8 @@
 // identifiers, so the fixture needs no dependency on the real package.
 package poollife
 
+import "repro/internal/core"
+
 type Packet struct {
 	Len     int
 	Payload []byte
@@ -42,3 +44,11 @@ type queue struct {
 // TPP stands in for core.TPP, which a package-level NewTPP builds on the
 // heap: not a pool draw.
 type TPP struct{ Words int }
+
+// prober stands in for endhost.Prober: its callbacks borrow the echo.
+type prober struct{}
+
+func (*prober) Probe(prog *core.TPP, fn func(*core.TPP)) bool { return prog != nil && fn != nil }
+func (*prober) ProbeCfg(prog *core.TPP, fn func(*core.TPP), onFail func()) bool {
+	return prog != nil && fn != nil && onFail != nil
+}
