@@ -11,7 +11,7 @@ LINT_PKGS = ./internal/netsim ./internal/asic ./internal/tcpu ./internal/faults 
 	./internal/core ./internal/endhost ./internal/inband ./internal/reflex \
 	./internal/fabric ./internal/fabric/scenario ./internal/fabric/yamlite \
 	./internal/mem ./internal/agent ./internal/chaos ./internal/ring ./internal/obs \
-	./internal/rcp ./internal/aimd ./internal/fct ./internal/topo ./internal/trace ./internal/stats
+	./internal/rcp ./internal/aimd ./internal/fct ./internal/topo ./internal/trace ./internal/microburst
 
 # Packages that handle pooled packets; the poollife ownership analyzer
 # (use-after-Recycle, double-Recycle, retain-without-Adopt,

@@ -78,14 +78,9 @@ type Counter struct {
 	// each one is retried rather than trusted.
 	Inconclusive uint64
 
-	// Poll bookkeeping: the last value/epoch pair observed, so deltas
-	// survive a switch crash-restart wiping the tally back to zero.
-	lastValue uint32
-	lastEpoch uint32
-	polled    bool
-	// Discontinuities counts Polls that found the counter re-based —
-	// the switch rebooted (epoch bump) or the value ran backwards.
-	Discontinuities uint64
+	// polls is the tally as a one-word region, so Poll's deltas survive
+	// a switch crash-restart wiping it back to zero.
+	polls endhost.WordPoller
 }
 
 // NewCounter builds a handle for the tally at SRAM address addr on the
@@ -144,33 +139,27 @@ func (c *Counter) readRetry(budget int, fn func(value, epoch uint32)) {
 // Poll reads the counter and reports the change since the previous
 // Poll.  A switch crash-restart wipes the tally back to zero; without
 // the epoch word a poller would compute a large negative delta and
-// corrupt any rate estimate built on it.  Poll instead flags the
-// discontinuity: discont is true (and the delta re-based to the
-// increments accumulated since the wipe) whenever the boot epoch
-// changed — or, belt-and-braces, whenever the value ran backwards.
-// The first Poll establishes the baseline with discont == false.
+// corrupt any rate estimate built on it.  Poll instead folds each read
+// through an endhost.WordPoller: discont is true (and the delta
+// re-based to the increments accumulated since the wipe) whenever the
+// boot epoch changed — or, belt-and-braces, whenever the value ran
+// backwards.  The first Poll is a baseline: delta 0, discont false.
 func (c *Counter) Poll(fn func(value uint32, delta int64, discont bool)) {
 	c.read(func(value, epoch uint32) {
-		first := !c.polled
-		discont := !first && (epoch != c.lastEpoch || value < c.lastValue)
-		var delta int64
-		switch {
-		case first:
+		first := !c.polls.Seen()
+		delta, discont := c.polls.Fold(epoch, value)
+		if first {
 			delta = 0
-		case discont:
-			c.Discontinuities++
-			delta = int64(value)
-		default:
-			delta = int64(value) - int64(c.lastValue)
 		}
-		c.polled = true
-		c.lastValue = value
-		c.lastEpoch = epoch
 		if fn != nil {
-			fn(value, delta, discont)
+			fn(value, int64(delta), discont)
 		}
 	})
 }
+
+// Discontinuities counts Polls that found the counter re-based — the
+// switch rebooted (epoch bump) or the value ran backwards.
+func (c *Counter) Discontinuities() uint64 { return c.polls.Rebases }
 
 func (c *Counter) attempt(old, n uint32, budget int, done func(uint32)) {
 	switch c.proto {

@@ -276,7 +276,7 @@ func Run(cfg Config) Result {
 	res.EpochBumps = ctl.EpochBumps
 	res.Reinits = ctl.Reinits
 	res.RCPTimeouts = ctl.Timeouts
-	res.Discontinuities = acct.poller.Discontinuities
+	res.Discontinuities = acct.poller.Discontinuities()
 	res.FinalTally = acct.Last
 	res.Throttled = leaves[2].TPPsThrottled()
 	res.StreamTimeouts = streamProber.TimedOut

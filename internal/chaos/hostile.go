@@ -305,7 +305,7 @@ func RunHostile(cfg HostileConfig) HostileResult {
 
 	res.Polls, res.NegativeDeltas, res.WriterDone = acct.Polls, acct.NegativeDeltas, acct.WriterDone
 	res.WriterFailures = acct.writer.Failures
-	res.Discontinuities = acct.poller.Discontinuities
+	res.Discontinuities = acct.poller.Discontinuities()
 	res.FinalTally = acct.Last
 	// Read the tally straight out of s1's SRAM through the accounting
 	// tenant's relocation — the word the writer's CSTOREs landed on.

@@ -1,7 +1,6 @@
 package inband
 
 import (
-	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/endhost"
 	"repro/internal/mem"
@@ -41,16 +40,17 @@ type SweepPoint struct {
 // Collector periodically sweeps a dataplane histogram window with
 // gated chunk TPPs (each chunk reads its words and the switch's boot
 // epoch atomically in one execution) and folds the sweeps through an
-// agent.RegionPoller into host-side obs.Histogram accumulations.  A
-// crash-wiped window re-bases instead of going negative, with the same
-// discontinuity semantics as accounting.Counter.Poll; what a wipe
-// destroyed stays in the cumulative histogram, captured by whichever
-// sweeps ran before the crash.
+// endhost.RegionPoller into host-side obs.Histogram accumulations.  A
+// crash-wiped window re-bases on an epoch bump or a value regression
+// instead of going negative, and a bucket's first swept value counts as
+// data, so the cumulative histogram includes what the window held when
+// collection began; what a wipe destroyed stays in it too, captured by
+// whichever sweeps ran before the crash.
 type Collector struct {
 	cfg     CollectorConfig
 	offsets []int // first bucket index of each chunk
 	sizes   []int // word count of each chunk
-	poller  *agent.RegionPoller
+	poller  *endhost.RegionPoller
 	cum     *obs.Histogram
 
 	seq      uint64
@@ -73,7 +73,7 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	}
 	c := &Collector{
 		cfg:    cfg,
-		poller: agent.NewRegionPoller(cfg.Spec.Buckets),
+		poller: endhost.NewRegionPoller(cfg.Spec.Buckets),
 		cum:    obs.NewHistogram(),
 	}
 	per := endhost.GatedChunkWords(cfg.InsLimit)
@@ -173,7 +173,7 @@ func (c *Collector) fold(echoes []*core.TPP) {
 func (c *Collector) Sweeps() uint64 { return c.seq }
 
 // Discontinuities returns how many word re-basings the sweeps observed.
-func (c *Collector) Discontinuities() uint64 { return c.poller.Discontinuities }
+func (c *Collector) Discontinuities() uint64 { return c.poller.Discontinuities() }
 
 // CurrentBucket returns bucket i as of the last sweep that read it —
 // the accumulation within the switch's current boot epoch, i.e. what

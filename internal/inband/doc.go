@@ -20,10 +20,10 @@
 //
 //   - Collector: a control-plane end-host that periodically sweeps the
 //     window with gated LOAD TPPs (epoch and values read atomically per
-//     chunk) and folds the sweeps through agent.RegionPoller into
-//     obs.Histogram accumulations with the same discontinuity semantics
-//     as accounting.Counter.Poll: a wiped word re-bases, deltas are
-//     never negative.
+//     chunk) and folds the sweeps through endhost.RegionPoller into
+//     obs.Histogram accumulations: a word re-bases on an epoch bump or a
+//     value regression, deltas are never negative, and a word's first
+//     swept value counts as data.
 //
 //   - The spin-bit observer (asic.Switch.WatchSpin): a passive,
 //     fixed-function comparator that infers a flow's RTT entirely at the

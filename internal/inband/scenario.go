@@ -283,7 +283,7 @@ func RunHist(cfg HistConfig) HistResult {
 	res.Duplicates = writer.Duplicates
 	res.Adopted = writer.Adopted
 	res.Inconclusive = writer.Inconclusive
-	res.Rebases = writer.Rebases
+	res.Rebases = writer.Rebases()
 	res.WriterFailures = writer.Failures
 	res.Retransmits = writerProber.Retransmits + collProber.Retransmits
 	res.Drained = writer.Drained()

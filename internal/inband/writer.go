@@ -56,7 +56,7 @@ type HistWriter struct {
 	cfg    WriterConfig
 	want   []uint32
 	shadow []uint32
-	epoch  uint32
+	epochs *endhost.EpochTracker
 
 	inFlight bool
 	backoff  netsim.Time
@@ -67,19 +67,20 @@ type HistWriter struct {
 	// echoes showing an unexpected SRAM value (foreign writer or
 	// sentinel alias — zero in a correctly partitioned deployment);
 	// Inconclusive counts echoes where the program never executed at
-	// the gated switch; Rebases counts epoch changes observed; Failures
-	// counts attempts whose send or every retransmission was lost.
+	// the gated switch; Failures counts attempts whose send or every
+	// retransmission was lost.
 	Samples      uint64
 	Applied      uint64
 	Duplicates   uint64
 	Adopted      uint64
 	Inconclusive uint64
-	Rebases      uint64
 	Failures     uint64
 }
 
 // NewHistWriter builds the writer; the window starts (and the switch
-// boots) all-zero, so want, shadow and epoch start all-zero too.
+// boots) all-zero, so want and shadow start all-zero and the epoch
+// tracker is seeded with epoch 0: an echo from a switch that has
+// already rebooted is a rebase.
 func NewHistWriter(cfg WriterConfig) *HistWriter {
 	if cfg.Name == "" {
 		cfg.Name = "writer"
@@ -88,7 +89,9 @@ func NewHistWriter(cfg WriterConfig) *HistWriter {
 		cfg:    cfg,
 		want:   make([]uint32, cfg.Spec.Buckets),
 		shadow: make([]uint32, cfg.Spec.Buckets),
+		epochs: endhost.NewEpochTracker(nil),
 	}
+	w.epochs.Observe(cfg.Spec.SwitchID, 0)
 	cfg.Metrics.Collect(w.collect)
 	return w
 }
@@ -101,7 +104,7 @@ func (w *HistWriter) collect(emit func(name string, v uint64)) {
 	emit(pre+"applied", w.Applied)
 	emit(pre+"duplicates", w.Duplicates)
 	emit(pre+"inconclusive", w.Inconclusive)
-	emit(pre+"rebases", w.Rebases)
+	emit(pre+"rebases", w.Rebases())
 }
 
 // Observe buckets one sample (obs.BucketOf, clipped to the window) and
@@ -200,7 +203,7 @@ func (w *HistWriter) onEcho(i int, cond uint32, e *core.TPP) {
 		return
 	}
 	w.backoff = 0
-	rebased := epoch != w.epoch
+	rebased := w.epochs.Observe(w.cfg.Spec.SwitchID, epoch)
 	if rebased {
 		// The switch crash-restarted since the last conclusive echo:
 		// the window was wiped, so nothing previously confirmed is in
@@ -208,8 +211,6 @@ func (w *HistWriter) onEcho(i int, cond uint32, e *core.TPP) {
 		// which re-offers every confirmed sample for replay into the
 		// new epoch — then fall through to mirror what this echo
 		// proved about bucket i after the wipe.
-		w.Rebases++
-		w.epoch = epoch
 		clear(w.shadow)
 	}
 	switch got {
@@ -237,6 +238,9 @@ func (w *HistWriter) onEcho(i int, cond uint32, e *core.TPP) {
 	}
 	w.pump()
 }
+
+// Rebases counts the epoch changes the writer's echoes revealed.
+func (w *HistWriter) Rebases() uint64 { return w.epochs.Changes }
 
 func (w *HistWriter) nextBackoff() netsim.Time {
 	if w.backoff == 0 {

@@ -1,11 +1,12 @@
 package microburst
 
 import (
+	"sort"
+
 	"repro/internal/asic"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/netsim"
-	"repro/internal/stats"
 	"repro/internal/topo"
 )
 
@@ -83,18 +84,15 @@ func RunBreakdown(cfg BreakdownConfig) BreakdownResult {
 	n.LinkHost(cross, sws[1], edge) // bursts into the S1->S2 hop
 	n.PrimeL2(10 * netsim.Millisecond)
 
-	hists := make([]*stats.Histogram, 3)
-	for i := range hists {
-		hists[i] = &stats.Histogram{}
-	}
+	lats := make([][]float64, 3) // per-hop samples, µs
 	samples := 0
 	dst.HandleDefault(func(pkt *core.Packet) {
 		if pkt.TPP == nil {
 			return
 		}
 		for hop, lat := range HopLatencies(pkt.TPP) {
-			if hop < len(hists) {
-				hists[hop].Add(lat)
+			if hop < len(lats) {
+				lats[hop] = append(lats[hop], lat)
 			}
 		}
 		samples++
@@ -129,8 +127,10 @@ func RunBreakdown(cfg BreakdownConfig) BreakdownResult {
 
 	res := BreakdownResult{Config: cfg, Samples: samples}
 	best := -1.0
-	for i, h := range hists {
-		hs := HopStats{Hop: i, MeanUs: h.Mean(), P99Us: h.Quantile(0.99), MaxUs: h.Quantile(1)}
+	for i, xs := range lats {
+		m := mean(xs) // summed in arrival order, before the sort
+		sort.Float64s(xs)
+		hs := HopStats{Hop: i, MeanUs: m, P99Us: quantile(xs, 0.99), MaxUs: quantile(xs, 1)}
 		res.Hops = append(res.Hops, hs)
 		if hs.MeanUs > best {
 			best = hs.MeanUs
@@ -138,4 +138,31 @@ func RunBreakdown(cfg BreakdownConfig) BreakdownResult {
 		}
 	}
 	return res
+}
+
+// mean returns the samples' mean, 0 when there are none.
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
+// quantile returns the q-quantile (0 <= q <= 1) of sorted samples by
+// linear interpolation, 0 when there are none.
+func quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	if lo == len(sorted)-1 {
+		return sorted[lo]
+	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

@@ -201,7 +201,9 @@ func (a *Arm) collect(emit func(name string, v uint64)) {
 // zeroes SRAM), reset heartbeat bookkeeping so the arm fails open
 // until fresh evidence accumulates, and re-capture every armed entry's
 // live version (the TCAM survives a reboot, but a controller may have
-// rewritten entries while the evidence was dark).
+// rewritten entries while the evidence was dark).  The arm lives inside
+// its switch and reads sw.Epoch() directly, with no echo involved, so it
+// keeps its own epoch word rather than an endhost.EpochTracker.
 func (a *Arm) rebase() error {
 	reg, err := a.sw.Allocator().Alloc(evidenceTask, 2*a.sw.Ports())
 	if err != nil {
