@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race check soak soak-pooldebug scenario allocgate allocgate-baseline fuzz bench reroute experiments results-check clean
+.PHONY: all build vet lint test race budgets check soak soak-pooldebug scenario allocgate allocgate-baseline fuzz bench reroute experiments results-check clean
 
 # Packages whose behavior must be a pure function of inputs and seeds;
 # the determinism analyzers (notime, norand, maporder) gate them.
@@ -23,7 +23,7 @@ POOL_PKGS = ./internal/core ./internal/netsim ./internal/asic ./internal/endhost
 # Packages with //alloc:free hot-path annotations; the escape gate
 # pins them against ALLOCGATE.json.
 ALLOC_PKGS = ./internal/core ./internal/ring ./internal/tcpu ./internal/netsim ./internal/asic ./internal/endhost \
-	./internal/reflex ./internal/obs
+	./internal/reflex ./internal/obs ./internal/accounting
 
 all: check
 
@@ -88,9 +88,14 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# check is the tier-1 gate: vet, build, and the full test suite under
-# the race detector (with shuffled test order).
-check: vet build race
+# budgets reruns the allocation budgets that only hold without the race
+# detector, whose sync.Pool drops a random share of its Puts.
+budgets:
+	$(GO) test -count=1 -run 'TestRunAllocBudget' ./internal/chaos
+
+# check is the tier-1 gate: vet, build, the full test suite under the
+# race detector (with shuffled test order), and the allocation budgets.
+check: vet build race budgets
 
 # soak runs the composed chaos scenarios verbosely: the crash-restart
 # soak (reboots + bursty loss + blackhole + throttling), the

@@ -61,13 +61,20 @@ func backoffDelay(budget int) netsim.Time {
 // Counter is an end-host handle onto a shared SRAM tally reachable
 // through probes toward (dstMAC, dstIP); the counter lives at addr on
 // every switch along the path, gated to one switch by CEXEC.
+//
+// A Counter builds its two programs once and keeps its operations on a
+// free list, so a warm Add or Poll allocates nothing: a send stamps the
+// words that vary and the prober sends a copy.
 type Counter struct {
-	prober   *endhost.Prober
-	dstMAC   core.MAC
-	dstIP    uint32
-	addr     mem.Addr
-	switchID uint32
-	proto    Protocol
+	prober *endhost.Prober
+	dstMAC core.MAC
+	dstIP  uint32
+	proto  Protocol
+
+	// read and write are the counter's two programs, CEXEC gate stamped.
+	read, write *core.TPP
+	// free holds idle operations, reused LIFO.
+	free []*op
 
 	// Retries counts CSTORE conflicts that forced another round trip.
 	Retries uint64
@@ -85,55 +92,97 @@ type Counter struct {
 
 // NewCounter builds a handle for the tally at SRAM address addr on the
 // switch with the given id, along the path toward (dstMAC, dstIP).
+//
+// The read program fetches the value and the switch's boot epoch in one
+// gated TPP:
+//
+//	CEXEC [Switch:SwitchID], 0xFFFFFFFF, $switchID
+//	LOAD  [addr], [Packet:2]
+//	LOAD  [Switch:Epoch], [Packet:3]
+//
+// The write program is the same gate, then CSTORE(addr, cond=[Packet:2],
+// src=[Packet:3]), which leaves the value it found in [Packet:4]
+// (Atomic), or a blind STORE of [Packet:2] (Racy).
 func NewCounter(prober *endhost.Prober, dstMAC core.MAC, dstIP uint32,
 	switchID uint32, addr mem.Addr, proto Protocol) *Counter {
-	return &Counter{prober: prober, dstMAC: dstMAC, dstIP: dstIP,
-		addr: addr, switchID: switchID, proto: proto}
+	gate := core.Instruction{Op: core.OpCEXEC, A: uint16(mem.SwitchBase + mem.SwitchID), B: 0}
+	read := core.NewTPP(core.AddrStack, []core.Instruction{
+		gate,
+		{Op: core.OpLOAD, A: uint16(addr), B: 2},
+		{Op: core.OpLOAD, A: uint16(mem.SwitchBase + mem.SwitchEpoch), B: 3},
+	}, 4)
+	var write *core.TPP
+	if proto == Atomic {
+		write = core.NewTPP(core.AddrStack, []core.Instruction{
+			gate, {Op: core.OpCSTORE, A: uint16(addr), B: 2}}, 5)
+	} else {
+		write = core.NewTPP(core.AddrStack, []core.Instruction{
+			gate, {Op: core.OpSTORE, A: uint16(addr), B: 2}}, 3)
+	}
+	for _, t := range []*core.TPP{read, write} {
+		t.SetWord(0, 0xFFFFFFFF)
+		t.SetWord(1, switchID)
+	}
+	return &Counter{prober: prober, dstMAC: dstMAC, dstIP: dstIP, proto: proto,
+		read: read, write: write}
+}
+
+// phase is where an operation stands.
+type phase uint8
+
+const (
+	pollRead phase = iota // Poll's read
+	addRead               // Add's read, before its write
+	addWrite              // Add's CSTORE (Atomic) or STORE (Racy)
+)
+
+// op is one Add or Poll in flight.  It binds its handlers once, when it
+// is made, and goes back on its counter's free list on every terminal
+// path — resolved, budget exhausted, reaped by the prober, or refused
+// at send — before the caller's callback runs, so a callback that calls
+// Add again may reuse it.
+type op struct {
+	c      *Counter
+	phase  phase
+	budget int    // attempts left in this phase
+	old, n uint32 // expected value and increment (addWrite)
+	done   func(uint32)
+	poll   func(value uint32, delta int64, discont bool)
+
+	// o.onEcho, o.reaped and o.retry bound once: a method value made
+	// per send is a heap closure each.
+	onEchoFn func(*core.TPP)
+	reapedFn func()
+	retryFn  func()
+}
+
+// take draws an op for a new operation starting in phase ph.
+func (c *Counter) take(ph phase) *op {
+	var o *op
+	if n := len(c.free); n > 0 {
+		o = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		o = &op{c: c}
+		o.onEchoFn, o.reapedFn, o.retryFn = o.onEcho, o.reaped, o.retry
+	}
+	o.phase, o.budget = ph, DefaultRetries
+	return o
+}
+
+// release puts a finished op back on the free list.
+func (c *Counter) release(o *op) {
+	o.done, o.poll = nil, nil
+	c.free = append(c.free, o)
 }
 
 // Add increments the shared counter by n; done (optional) runs with the
 // value the counter held after this update was applied (or the last
 // observed value if the update was abandoned).
 func (c *Counter) Add(n uint32, done func(uint32)) {
-	c.read(func(old, _ uint32) { c.attempt(old, n, DefaultRetries, done) })
-}
-
-// read fetches the current value and the switch's boot epoch in one
-// gated TPP.
-//
-//	CEXEC [Switch:SwitchID], 0xFFFFFFFF, $switchID
-//	LOAD  [addr], [Packet:2]
-//	LOAD  [Switch:Epoch], [Packet:3]
-func (c *Counter) read(fn func(value, epoch uint32)) {
-	c.readRetry(DefaultRetries, fn)
-}
-
-// readRetry issues the read probe, retrying up to budget times when
-// the echo shows the program never executed at the gated switch (both
-// result slots still hold the sentinel).  An exhausted budget drops
-// the read silently: the caller's next cycle re-reads anyway.
-func (c *Counter) readRetry(budget int, fn func(value, epoch uint32)) {
-	tpp := core.NewTPP(core.AddrStack, []core.Instruction{
-		{Op: core.OpCEXEC, A: uint16(mem.SwitchBase + mem.SwitchID), B: 0},
-		{Op: core.OpLOAD, A: uint16(c.addr), B: 2},
-		{Op: core.OpLOAD, A: uint16(mem.SwitchBase + mem.SwitchEpoch), B: 3},
-	}, 4)
-	tpp.SetWord(0, 0xFFFFFFFF)
-	tpp.SetWord(1, c.switchID)
-	tpp.SetWord(2, endhost.Unexecuted)
-	tpp.SetWord(3, endhost.Unexecuted)
-	c.prober.Probe(c.dstMAC, c.dstIP, tpp, func(e *core.TPP) {
-		if e.Word(2) == endhost.Unexecuted && e.Word(3) == endhost.Unexecuted {
-			c.Inconclusive++
-			if budget > 1 {
-				c.prober.After(backoffDelay(budget), func() {
-					c.readRetry(budget-1, fn)
-				})
-			}
-			return
-		}
-		fn(e.Word(2), e.Word(3))
-	})
+	o := c.take(addRead)
+	o.n, o.done = n, done
+	o.send()
 }
 
 // Poll reads the counter and reports the change since the previous
@@ -145,86 +194,124 @@ func (c *Counter) readRetry(budget int, fn func(value, epoch uint32)) {
 // boot epoch changed — or, belt-and-braces, whenever the value ran
 // backwards.  The first Poll is a baseline: delta 0, discont false.
 func (c *Counter) Poll(fn func(value uint32, delta int64, discont bool)) {
-	c.read(func(value, epoch uint32) {
-		first := !c.polls.Seen()
-		delta, discont := c.polls.Fold(epoch, value)
-		if first {
-			delta = 0
-		}
-		if fn != nil {
-			fn(value, int64(delta), discont)
-		}
-	})
+	o := c.take(pollRead)
+	o.poll = fn
+	o.send()
 }
 
 // Discontinuities counts Polls that found the counter re-based — the
 // switch rebooted (epoch bump) or the value ran backwards.
 func (c *Counter) Discontinuities() uint64 { return c.polls.Rebases }
 
-func (c *Counter) attempt(old, n uint32, budget int, done func(uint32)) {
-	switch c.proto {
-	case Atomic:
-		// CEXEC gate, then CSTORE(addr, cond=old, src=old+n); the
-		// switch writes the observed old value into the result slot,
-		// which tells us whether we won.
-		tpp := core.NewTPP(core.AddrStack, []core.Instruction{
-			{Op: core.OpCEXEC, A: uint16(mem.SwitchBase + mem.SwitchID), B: 0},
-			{Op: core.OpCSTORE, A: uint16(c.addr), B: 2},
-		}, 5)
-		tpp.SetWord(0, 0xFFFFFFFF)
-		tpp.SetWord(1, c.switchID)
-		tpp.SetWord(2, old)   // cond
-		tpp.SetWord(3, old+n) // src
-		tpp.SetWord(4, endhost.Unexecuted)
-		c.prober.Probe(c.dstMAC, c.dstIP, tpp, func(e *core.TPP) {
-			observed := e.Word(4)
-			if observed == endhost.Unexecuted {
-				// The CSTORE never ran at the gated switch (throttled
-				// or stripped en route): the attempt is inconclusive,
-				// not lost — retry with the same expected value.
-				c.Inconclusive++
-				if budget <= 1 {
-					c.Failures++
-					if done != nil {
-						done(old)
-					}
-					return
-				}
-				c.prober.After(backoffDelay(budget), func() {
-					c.attempt(old, n, budget-1, done)
-				})
-				return
+// send stamps the words of the op's program that vary per send and
+// probes with it.  Result slots start as the sentinel, so an echo that
+// never executed at the gated switch reads as inconclusive.
+//
+//alloc:free
+func (o *op) send() {
+	c := o.c
+	t := c.read
+	switch {
+	case o.phase != addWrite:
+		t.SetWord(2, endhost.Unexecuted)
+		t.SetWord(3, endhost.Unexecuted)
+	case c.proto == Atomic:
+		t = c.write
+		t.SetWord(2, o.old)     // cond
+		t.SetWord(3, o.old+o.n) // src
+		t.SetWord(4, endhost.Unexecuted)
+	default:
+		t = c.write
+		t.SetWord(2, o.old+o.n)
+	}
+	if _, ok := c.prober.ProbeCfg(c.dstMAC, c.dstIP, t, c.prober.Defaults(), o.onEchoFn, o.reapedFn); !ok {
+		c.release(o)
+	}
+}
+
+// retry spends one more attempt of the phase's budget.
+func (o *op) retry() {
+	o.budget--
+	o.send()
+}
+
+// reaped runs when the prober gives up on the op's probe: the operation
+// ends without a callback, as a lost echo always has.
+func (o *op) reaped() { o.c.release(o) }
+
+// onEcho advances the op by one echo.
+//
+//alloc:free
+func (o *op) onEcho(e *core.TPP) {
+	c := o.c
+	if o.phase != addWrite {
+		value, epoch := e.Word(2), e.Word(3)
+		if value == endhost.Unexecuted && epoch == endhost.Unexecuted {
+			// The read never executed at the gated switch: retry after
+			// a backoff, or drop it once the budget is spent — the
+			// caller's next cycle re-reads anyway.
+			c.Inconclusive++
+			if o.budget > 1 {
+				c.prober.After(backoffDelay(o.budget), o.retryFn)
+			} else {
+				c.release(o)
 			}
-			if observed == old {
-				if done != nil {
-					done(old + n)
-				}
-				return
-			}
-			// Lost the race: retry from the freshly observed value.
-			c.Retries++
-			if budget <= 1 {
-				c.Failures++
-				if done != nil {
-					done(observed)
-				}
-				return
-			}
-			c.attempt(observed, n, budget-1, done)
-		})
-	case Racy:
-		// Blind STORE of old+n: concurrent updates are silently lost.
-		tpp := core.NewTPP(core.AddrStack, []core.Instruction{
-			{Op: core.OpCEXEC, A: uint16(mem.SwitchBase + mem.SwitchID), B: 0},
-			{Op: core.OpSTORE, A: uint16(c.addr), B: 2},
-		}, 3)
-		tpp.SetWord(0, 0xFFFFFFFF)
-		tpp.SetWord(1, c.switchID)
-		tpp.SetWord(2, old+n)
-		c.prober.Probe(c.dstMAC, c.dstIP, tpp, func(e *core.TPP) {
-			if done != nil {
-				done(old + n)
-			}
-		})
+			return
+		}
+		if o.phase == addRead {
+			o.phase, o.budget, o.old = addWrite, DefaultRetries, value
+			o.send()
+			return
+		}
+		first := !c.polls.Seen()
+		delta, discont := c.polls.Fold(epoch, value)
+		if first {
+			delta = 0
+		}
+		fn := o.poll
+		c.release(o)
+		if fn != nil {
+			fn(value, int64(delta), discont)
+		}
+		return
+	}
+	if c.proto == Racy {
+		o.finish(o.old + o.n)
+		return
+	}
+	switch observed := e.Word(4); observed {
+	case endhost.Unexecuted:
+		// The CSTORE never ran at the gated switch (throttled or
+		// stripped en route): the attempt is inconclusive, not lost —
+		// retry with the same expected value.
+		c.Inconclusive++
+		if o.budget <= 1 {
+			c.Failures++
+			o.finish(o.old)
+			return
+		}
+		c.prober.After(backoffDelay(o.budget), o.retryFn)
+	case o.old:
+		o.finish(o.old + o.n)
+	default:
+		// Lost the race: retry from the freshly observed value.
+		c.Retries++
+		if o.budget <= 1 {
+			c.Failures++
+			o.finish(observed)
+			return
+		}
+		o.old = observed
+		o.retry()
+	}
+}
+
+// finish ends an Add with value v: the op goes back on the free list,
+// then done runs.
+func (o *op) finish(v uint32) {
+	c, done := o.c, o.done
+	c.release(o)
+	if done != nil {
+		done(v)
 	}
 }

@@ -1,0 +1,38 @@
+package chaos
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// raceDetector is set by race_test.go in -race builds.
+var raceDetector bool
+
+// TestRunAllocBudget pins what one warm chaos run allocates, as a
+// count: set-up, per-run state and the probers' pending entries, but
+// nothing per accounting round trip — each Counter builds its programs
+// once and keeps its operations on a free list (3 449 objects per run
+// at seed 1 while every Add and Poll built its own programs and
+// closures; 2 105 since).  The count repeats to a few objects, so the
+// budget is checked in plain builds only: `make check` runs the test
+// without -race for that.  Under -race sync.Pool drops a random share of
+// its Puts (≈ +180 objects, varying run to run), and under -tags
+// pooldebug the sanitizer formats a call-site string at every Recycle.
+func TestRunAllocBudget(t *testing.T) {
+	if core.PoolDebug || raceDetector {
+		t.Skip("allocation counts do not repeat under pooldebug or the race detector")
+	}
+	cfg := Default(1)
+	Run(cfg) // warm-up: lazily grown runtime and package state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Run(cfg)
+	runtime.ReadMemStats(&after)
+	n := after.Mallocs - before.Mallocs
+	t.Logf("one chaos run allocates %d objects", n)
+	if n > 2200 {
+		t.Errorf("one chaos run allocates %d objects, budget 2 200", n)
+	}
+}

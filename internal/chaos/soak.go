@@ -71,18 +71,19 @@ func newTally(writerHost, writerDst, pollerHost, pollerDst *endhost.Host, home *
 // SRAM word can let every in-flight CSTORE chain resolve first.
 func (t *tally) start(sim *netsim.Sim, writeUntil netsim.Time) {
 	added := func(uint32) { t.WriterDone++ }
+	polled := func(value uint32, delta int64, discont bool) {
+		t.Polls++
+		if delta < 0 {
+			t.NegativeDeltas++
+		}
+		t.Last = value
+	}
 	sim.Every(20*netsim.Millisecond, 25*netsim.Millisecond, func() {
 		if writeUntil == 0 || sim.Now() < writeUntil {
 			t.writer.Add(1, added)
 		}
 	})
 	sim.Every(60*netsim.Millisecond, 100*netsim.Millisecond, func() {
-		t.poller.Poll(func(value uint32, delta int64, discont bool) {
-			t.Polls++
-			if delta < 0 {
-				t.NegativeDeltas++
-			}
-			t.Last = value
-		})
+		t.poller.Poll(polled)
 	})
 }

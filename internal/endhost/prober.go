@@ -116,6 +116,9 @@ func NewProber(h *Host) *Prober {
 // SetDefaults installs the ProbeConfig that Probe and ProbeGroup use.
 func (p *Prober) SetDefaults(cfg ProbeConfig) { p.defaults = cfg }
 
+// Defaults returns the ProbeConfig that Probe and ProbeGroup use.
+func (p *Prober) Defaults() ProbeConfig { return p.defaults }
+
 // SetEpochTracker attaches a tracker that scans every parseable echo —
 // matched or not — for per-hop boot epochs, so any collect probe that
 // happens to read [Switch:Epoch] doubles as a crash detector.  Pass nil

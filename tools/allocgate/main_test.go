@@ -186,16 +186,11 @@ func TestRepoBaselineCleanAndCurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the repo with -gcflags=-m")
 	}
+	// The Makefile's ALLOC_PKGS, run from the repo root for stable keys.
 	pkgs := []string{
-		"../../internal/core", "../../internal/ring", "../../internal/tcpu", "../../internal/netsim",
-		"../../internal/asic", "../../internal/endhost", "../../internal/reflex", "../../internal/obs",
-	}
-	anns, allowed, err := collectAnnotations(pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(anns) == 0 {
-		t.Fatal("no //alloc:free annotations found in the repo")
+		"./internal/core", "./internal/ring", "./internal/tcpu", "./internal/netsim",
+		"./internal/asic", "./internal/endhost", "./internal/reflex", "./internal/obs",
+		"./internal/accounting",
 	}
 	wd, err := os.Getwd()
 	if err != nil {
@@ -205,19 +200,14 @@ func TestRepoBaselineCleanAndCurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer os.Chdir(wd)
-	out, err := buildDiagnostics([]string{
-		"./internal/core", "./internal/ring", "./internal/tcpu", "./internal/netsim",
-		"./internal/asic", "./internal/endhost", "./internal/reflex", "./internal/obs",
-	})
+	anns, allowed, err := collectAnnotations(pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// collectAnnotations ran from tools/allocgate, so its keys carry
-	// the ../../ prefix; rebuild from the repo root for stable keys.
-	anns, allowed, err = collectAnnotations([]string{
-		"internal/core", "internal/ring", "internal/tcpu", "internal/netsim",
-		"internal/asic", "internal/endhost", "internal/reflex", "internal/obs",
-	})
+	if len(anns) == 0 {
+		t.Fatal("no //alloc:free annotations found in the repo")
+	}
+	out, err := buildDiagnostics(pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,10 @@ func PoolLife() []*Analyzer { return []*Analyzer{PoolLifeAnalyzer} }
 //     buffers, so p must be abandoned to the GC, never recycled.
 //   - kept-echo: a Probe/ProbeCfg callback borrows its echo TPP until
 //     it returns; assigning it to a variable declared outside the
-//     closure, a field or an element, or putting it in an append or a
-//     composite literal keeps it past the borrow.  Keep e.Clone().
+//     callback, a field or an element, or putting it in an append or a
+//     composite literal keeps it past the borrow.  Keep e.Clone().  A
+//     callback is a function literal, a method value, or a field the
+//     package assigns method values to; a method's body is checked.
 //
 // The analysis is a forward may-analysis over each function body:
 // branches merge by flag union, loop bodies are traversed twice so
@@ -48,8 +50,11 @@ var PoolLifeAnalyzer = &Analyzer{
 	Name: "poollife",
 	Doc:  "enforce pooled-packet ownership: no use after Recycle, no double Recycle, Adopt before retaining, abandon after shallow copy, clone a borrowed echo to keep it",
 	Run: func(p *Pass) {
+		// One kept-echo checker per package: a handler method may be
+		// declared in another file than the call that passes it.
+		echoes := &poolLife{pass: p, seen: make(map[token.Pos]bool)}
+		echoes.indexHandlers()
 		for _, f := range p.Files {
-			echoes := &poolLife{pass: p, seen: make(map[token.Pos]bool)}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
 					echoes.keptEcho(call) // every call, closures' included
@@ -102,6 +107,13 @@ type poolLife struct {
 	// seen dedupes reports: loop bodies are analyzed twice, and a
 	// second traversal must not double-report the same position.
 	seen map[token.Pos]bool
+
+	// methods maps the package's methods to their declarations, and
+	// fields each field to the methods the package assigns to it (the
+	// bound-once handler, c.onCollectFn = c.onCollect): the kept-echo
+	// rule follows a callback that is not a literal through them.
+	methods map[*types.Func]*ast.FuncDecl
+	fields  map[*types.Var][]*ast.FuncDecl
 }
 
 func (pl *poolLife) report(pos token.Pos, format string, args ...any) {
@@ -493,39 +505,101 @@ func (pl *poolLife) useIdent(e ast.Expr, state poolState) {
 }
 
 // keptEcho applies the kept-echo rule to the callbacks of a Probe or
-// ProbeCfg call; a name match, as imports are stubbed.
+// ProbeCfg call; a name match, as imports are stubbed.  A callback is a
+// function literal, a method value (x.onEcho), or a field the package
+// assigns method values to (x.onEchoFn); the rule reads the literal's
+// body or each method's.
 func (pl *poolLife) keptEcho(call *ast.CallExpr) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Probe" && sel.Sel.Name != "ProbeCfg" {
 		return
 	}
 	for _, a := range call.Args {
-		fl, ok := a.(*ast.FuncLit)
-		if !ok || len(fl.Type.Params.List) != 1 || len(fl.Type.Params.List[0].Names) != 1 {
-			continue
-		}
-		echo := pl.pass.Info.Defs[fl.Type.Params.List[0].Names[0]] // the callback's one parameter
-		if echo == nil {
-			continue
-		}
-		ast.Inspect(fl.Body, func(n ast.Node) bool {
-			var kept []ast.Expr
-			switch x := n.(type) {
-			case *ast.AssignStmt:
-				for i, l := range x.Lhs {
-					if o := pl.obj(l); len(x.Lhs) == len(x.Rhs) && (o == nil || o.Pos() < fl.Pos() || o.Pos() > fl.End()) {
-						kept = append(kept, x.Rhs[i])
-					}
+		switch x := a.(type) {
+		case *ast.FuncLit:
+			pl.keptIn(x, x.Type, x.Body)
+		case *ast.SelectorExpr:
+			switch o := pl.pass.Info.Uses[x.Sel].(type) {
+			case *types.Func:
+				if fd := pl.methods[o]; fd != nil {
+					pl.keptIn(fd, fd.Type, fd.Body)
 				}
-			case *ast.CallExpr:
-				if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "append" {
-					kept = x.Args
+			case *types.Var:
+				for _, fd := range pl.fields[o] {
+					pl.keptIn(fd, fd.Type, fd.Body)
 				}
-			case *ast.CompositeLit:
-				kept = x.Elts
 			}
-			for _, e := range kept {
-				if id, ok := e.(*ast.Ident); ok && pl.pass.Info.Uses[id] == echo {
-					pl.report(e.Pos(), "probe callback keeps its borrowed echo %s; the prober reuses it when the callback returns, keep %s.Clone()", id.Name, id.Name)
+		}
+	}
+}
+
+// keptIn reports where a one-parameter callback keeps its parameter,
+// the borrowed echo, past the call: fn spans the callback, and a
+// variable declared outside that span outlives it.
+func (pl *poolLife) keptIn(fn ast.Node, ft *ast.FuncType, body *ast.BlockStmt) {
+	if len(ft.Params.List) != 1 || len(ft.Params.List[0].Names) != 1 {
+		return
+	}
+	echo := pl.pass.Info.Defs[ft.Params.List[0].Names[0]]
+	if echo == nil {
+		return
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		var kept []ast.Expr
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for i, l := range x.Lhs {
+				if o := pl.obj(l); len(x.Lhs) == len(x.Rhs) && (o == nil || o.Pos() < fn.Pos() || o.Pos() > fn.End()) {
+					kept = append(kept, x.Rhs[i])
+				}
+			}
+		case *ast.CallExpr:
+			if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "append" {
+				kept = x.Args
+			}
+		case *ast.CompositeLit:
+			kept = x.Elts
+		}
+		for _, e := range kept {
+			if id, ok := e.(*ast.Ident); ok && pl.pass.Info.Uses[id] == echo {
+				pl.report(e.Pos(), "probe callback keeps its borrowed echo %s; the prober reuses it when the callback returns, keep %s.Clone()", id.Name, id.Name)
+			}
+		}
+		return true
+	})
+}
+
+// indexHandlers fills methods and fields from the package's files.
+func (pl *poolLife) indexHandlers() {
+	pl.methods = make(map[*types.Func]*ast.FuncDecl)
+	pl.fields = make(map[*types.Var][]*ast.FuncDecl)
+	for _, f := range pl.pass.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Body != nil {
+				if m, ok := pl.pass.Info.Defs[fd.Name].(*types.Func); ok {
+					pl.methods[m] = fd
+				}
+			}
+		}
+	}
+	selected := func(e ast.Expr) types.Object {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			return pl.pass.Info.Uses[sel.Sel]
+		}
+		return nil
+	}
+	for _, f := range pl.pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != len(as.Rhs) {
+				return true
+			}
+			for i, l := range as.Lhs {
+				field, ok := selected(l).(*types.Var)
+				if !ok {
+					continue
+				}
+				if m, ok := selected(as.Rhs[i]).(*types.Func); ok && pl.methods[m] != nil {
+					pl.fields[field] = append(pl.fields[field], pl.methods[m])
 				}
 			}
 			return true

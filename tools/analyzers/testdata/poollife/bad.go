@@ -150,3 +150,20 @@ func keepBorrowedEcho(pr *prober, prog *core.TPP) (*core.TPP, []*core.TPP) {
 	pr.Probe(prog, func(e *core.TPP) { box.echo = e })                            // want "keeps its borrowed echo e"
 	return kept, all
 }
+
+// A handler passed as a method value, or through a field the package
+// assigns one to, is a callback like a literal.
+type echoKeeper struct {
+	pr   *prober
+	last *core.TPP
+	onFn func(*core.TPP)
+}
+
+func (k *echoKeeper) keep(e *core.TPP)  { k.last = e } // want "keeps its borrowed echo e"
+func (k *echoKeeper) stash(e *core.TPP) { k.last = e } // want "keeps its borrowed echo e"
+
+func (k *echoKeeper) probeBound(prog *core.TPP) {
+	k.onFn = k.stash
+	k.pr.Probe(prog, k.keep)
+	k.pr.ProbeCfg(prog, k.onFn, nil)
+}

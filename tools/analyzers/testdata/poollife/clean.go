@@ -138,3 +138,24 @@ func readOrCloneEcho(pr *prober, prog *core.TPP) (uint32, *core.TPP) {
 	})
 	return word, kept
 }
+
+// Bound handlers that read the echo or keep a clone are clean, and a
+// method that keeps its parameter is no callback unless it is passed as
+// one.
+type echoReader struct {
+	pr   *prober
+	word uint32
+	kept *core.TPP
+	onFn func(*core.TPP)
+}
+
+func (r *echoReader) read(e *core.TPP)  { r.word = e.Word(0) }
+func (r *echoReader) clone(e *core.TPP) { r.kept = e.Clone() }
+func (r *echoReader) store(t *core.TPP) { r.kept = t }
+
+func (r *echoReader) probeBound(prog *core.TPP) {
+	r.onFn = r.clone
+	r.pr.Probe(prog, r.read)
+	r.pr.ProbeCfg(prog, r.onFn, nil)
+	r.store(prog)
+}
