@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race budgets check soak soak-pooldebug scenario allocgate allocgate-baseline fuzz bench reroute experiments results-check clean
+.PHONY: all build vet lint test race budgets check soak soak-pooldebug scenario allocgate allocgate-baseline fuzz bench reroute experiments results-check size clean
 
 # Packages whose behavior must be a pure function of inputs and seeds;
 # the determinism analyzers (notime, norand, maporder) gate them.
@@ -92,6 +92,7 @@ race:
 # detector, whose sync.Pool drops a random share of its Puts.
 budgets:
 	$(GO) test -count=1 -run 'TestRunAllocBudget' ./internal/chaos
+	$(GO) test -count=1 -run 'TestFigure2AllocBudget' ./internal/rcp
 
 # check is the tier-1 gate: vet, build, the full test suite under the
 # race detector (with shuffled test order), and the allocation budgets.
@@ -178,6 +179,11 @@ results-check:
 	diff -r results "$$tmp/results" && \
 	diff experiments_output.txt "$$tmp/stdout.txt" && \
 	echo "results-check: results/ and experiments_output.txt regenerate byte for byte"
+
+# size prints each package's code lines under internal/ and cmd/ (non-blank,
+# non-comment lines of non-test Go files) and their total.
+size:
+	$(GO) run ./tools/size internal cmd
 
 clean:
 	rm -rf out .bench_build bench/out

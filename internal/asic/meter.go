@@ -11,8 +11,8 @@ type meter struct {
 	rate   float64 // bytes per second
 }
 
-func newMeter(gain, windowSec float64) *meter {
-	return &meter{gain: gain, window: windowSec}
+func newMeter(gain, windowSec float64) meter {
+	return meter{gain: gain, window: windowSec}
 }
 
 // Add records n bytes in the current window.

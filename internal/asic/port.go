@@ -9,13 +9,15 @@ import (
 
 // Port is one switch port: the egress side owns the queues and the
 // transmit channel; the ingress side feeds the pipeline and maintains
-// receive counters.
+// receive counters.  A switch's ports are one array, its queues another
+// and both meters sit inside the port, so building a switch allocates
+// per kind, not per port.
 type Port struct {
 	sw *Switch
 	id int
 
 	ch     *netsim.Channel // egress channel; nil while unwired
-	queues []*Queue
+	queues []*Queue        // this port's window of the switch's queue array
 
 	// Trusted marks whether TPPs arriving on this port are executed
 	// and forwarded.  Untrusted edge ports strip TPPs (§4: "the
@@ -27,8 +29,8 @@ type Port struct {
 	rxBytes uint64
 	txBytes uint64
 
-	rxUtil *meter // traffic entering the egress link (enqueue rate)
-	txUtil *meter // traffic leaving on the wire
+	rxUtil meter // traffic entering the egress link (enqueue rate)
+	txUtil meter // traffic leaving on the wire
 
 	// scratch is the per-port task scratch area ([Link:Scratch*]);
 	// word 0 is the conventional RCP rate register.

@@ -262,27 +262,41 @@ func New(sim *netsim.Sim, cfg Config) *Switch {
 		s.guard = guard.NewTable(s.alloc)
 		s.tenantDenied = make(map[guard.TenantID]uint64)
 	}
-	reg := cfg.Metrics // nil registry hands out nil (no-op) handles
-	s.m = switchMetrics{
-		tcpuCycles: reg.Histogram(fmt.Sprintf("switch/%d/tcpu_cycles", cfg.ID)),
-		hopLatency: reg.Histogram(fmt.Sprintf("switch/%d/hop_latency_ns", cfg.ID)),
+	// Like the ASIC's per-port, per-queue registers, the ports, their
+	// queues and the pointers to both are fixed arrays sized once: one
+	// allocation per kind, whatever the port count.
+	ports := make([]Port, cfg.Ports)
+	queues := make([]Queue, cfg.Ports*cfg.QueuesPerPort)
+	queuePtrs := make([]*Queue, len(queues))
+	for j := range queues {
+		queues[j].capBytes = cfg.QueueCapBytes
+		queuePtrs[j] = &queues[j]
 	}
-	for i := 0; i < cfg.Ports; i++ {
-		p := &Port{
+	s.ports = make([]*Port, cfg.Ports)
+	for i := range ports {
+		lo, hi := i*cfg.QueuesPerPort, (i+1)*cfg.QueuesPerPort
+		ports[i] = Port{
 			sw:      s,
 			id:      i,
+			queues:  queuePtrs[lo:hi:hi],
 			trusted: true,
 			rxUtil:  newMeter(utilGain, statsInterval.Seconds()),
 			txUtil:  newMeter(utilGain, statsInterval.Seconds()),
-
-			mQueueDepth: reg.Histogram(fmt.Sprintf("switch/%d/port/%d/queue_depth_bytes", cfg.ID, i)),
 		}
-		for q := 0; q < cfg.QueuesPerPort; q++ {
-			p.queues = append(p.queues, NewQueue(cfg.QueueCapBytes))
-		}
-		s.ports = append(s.ports, p)
+		s.ports[i] = &ports[i]
 	}
-	reg.Collect(s.collect)
+	// Metric names are formatted only for a registry that will keep
+	// them: disabled telemetry costs nothing per port.
+	if reg := cfg.Metrics; reg != nil {
+		s.m = switchMetrics{
+			tcpuCycles: reg.Histogram(fmt.Sprintf("switch/%d/tcpu_cycles", cfg.ID)),
+			hopLatency: reg.Histogram(fmt.Sprintf("switch/%d/hop_latency_ns", cfg.ID)),
+		}
+		for _, p := range s.ports {
+			p.mQueueDepth = reg.Histogram(fmt.Sprintf("switch/%d/port/%d/queue_depth_bytes", cfg.ID, p.id))
+		}
+		reg.Collect(s.collect)
+	}
 	sim.Every(statsInterval, statsInterval, s.housekeeping)
 	return s
 }

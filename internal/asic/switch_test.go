@@ -703,3 +703,33 @@ func TestMAXAggregationAcrossPath(t *testing.T) {
 		t.Fatalf("memory: %d vs %d words", maxEcho.MemWords(), pushEcho.MemWords())
 	}
 }
+
+// Building a switch allocates per kind, not per port: the ports, their
+// queues and their meters are carved from arrays sized once, and with
+// telemetry disabled no metric name is formatted (obs/doc.go: disabled
+// telemetry costs nothing).  Every port still gets queues of its own.
+func TestSwitchBuildCostIndependentOfPorts(t *testing.T) {
+	build := func(ports int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			asic.New(netsim.New(1), asic.Config{Ports: ports, QueuesPerPort: 2})
+		})
+	}
+	if few, many := build(4), build(32); few != many {
+		t.Errorf("building a switch allocates %v objects with 4 ports and %v with 32, want the same", few, many)
+	}
+
+	sw := asic.New(netsim.New(1), asic.Config{Ports: 32, QueuesPerPort: 2})
+	seen := map[*asic.Queue]bool{}
+	for i := 0; i < sw.Ports(); i++ {
+		p := sw.Port(i)
+		if p.ID() != i || p.Queues() != 2 {
+			t.Fatalf("port %d: id %d with %d queues, want id %d with 2", i, p.ID(), p.Queues(), i)
+		}
+		for q := 0; q < p.Queues(); q++ {
+			if seen[p.Queue(q)] {
+				t.Fatalf("port %d queue %d is shared with another port or queue", i, q)
+			}
+			seen[p.Queue(q)] = true
+		}
+	}
+}

@@ -76,8 +76,14 @@ type pooledBlock struct {
 // (its blocks point back at it) and is not safe for concurrent use.
 type Pool struct {
 	free  []*pooledBlock // LIFO: the block recycled last is drawn first
+	slab  []pooledBlock  // blocks allocated but never yet issued
 	stats PoolStats
 }
+
+// slabBlocks is the pool's allocation unit: grow carves blocks from
+// slabs of this many.  The garbage collector frees a slab only when
+// none of its blocks is referenced, so an adopted block pins its slab.
+const slabBlocks = 16
 
 // PoolStats are a pool's always-on counts, cumulative since its first
 // draw.
@@ -85,7 +91,7 @@ type PoolStats struct {
 	Issued    uint64 // draws (Clone, NewUDP, NewTPP)
 	Recycled  uint64 // blocks returned to the free list
 	Adopted   uint64 // blocks handed to a holder for good
-	Allocated uint64 // draws the free list could not serve
+	Allocated uint64 // draws the free list could not serve (blocks, not slabs)
 }
 
 // Stats returns the pool's counts.
@@ -106,14 +112,22 @@ func (pl *Pool) get() *pooledBlock {
 	return b
 }
 
-// grow is the pool's one allocation: a miss, at most once per packet in
-// flight at once.  It stays out of line so the draws around it stay
-// escape-free (tools/allocgate).
+// grow serves a miss with the next never-issued block, carving a fresh
+// slab of slabBlocks when the last one is used up: the pool's one
+// allocation, once per slabBlocks packets in flight at once.  It stays
+// out of line so the draws around it stay escape-free
+// (tools/allocgate).
 //
 //go:noinline
 func (pl *Pool) grow() *pooledBlock {
 	pl.stats.Allocated++
-	return &pooledBlock{pool: pl}
+	if len(pl.slab) == 0 {
+		pl.slab = make([]pooledBlock, slabBlocks)
+	}
+	b := &pl.slab[0]
+	pl.slab = pl.slab[1:]
+	b.pool = pl
+	return b
 }
 
 // Clone deep-copies p like Packet.Clone, but into a block of this pool,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -252,4 +253,96 @@ func TestClonePooledCompatibility(t *testing.T) {
 	if after := compatPool.Stats(); after.Issued != before.Issued+1 || after.Recycled != before.Recycled+1 {
 		t.Errorf("compatibility pool stats %+v -> %+v, want one draw and one recycle", before, after)
 	}
+}
+
+// Blocks carved from one slab are as independent as blocks allocated
+// one by one: 40 draws span three slabs, each block keeps its own
+// program and payload through a round of recycling and redrawing, no
+// two live packets share a buffer, and Allocated counts blocks, not
+// slabs.  Under pooldebug a write through a stale alias is still caught
+// when its block sits next to a live one in the same slab.
+func TestPoolSlabBlocksIndependent(t *testing.T) {
+	var pool Pool
+	eth := Ethernet{Type: EtherTypeTPP}
+	ip := IPv4{TTL: 64, Proto: ProtoUDP, Src: 1, Dst: 2}
+	draw := func(id int) *Packet {
+		prog := NewTPP(AddrStack, []Instruction{{Op: OpPUSH, A: uint16(id)}}, 2)
+		prog.SetWord(0, uint32(id))
+		p := pool.NewTPP(eth, ip, UDP{SrcPort: uint16(id)}, prog)
+		p.Payload = append(p.Payload, byte(id), byte(id>>8))
+		return p
+	}
+	holds := func(p *Packet, id int) bool {
+		return p.TPP.Ins[0].A == uint16(id) && p.TPP.Word(0) == uint32(id) && p.UDP.SrcPort == uint16(id) &&
+			len(p.Payload) == 2 && p.Payload[0] == byte(id) && p.Payload[1] == byte(id>>8)
+	}
+
+	const n = 40 // 16 + 16 + 8: three slabs
+	live := make([]*Packet, n)
+	for i := range live {
+		live[i] = draw(i)
+	}
+	for i := 0; i < n; i += 2 {
+		live[i].Recycle()
+		live[i] = nil
+	}
+	for i := 0; i < n; i += 2 {
+		live[i] = draw(n + i)
+	}
+
+	blocks := map[*pooledBlock]bool{}
+	bufs := map[any]int{}
+	for i, p := range live {
+		id := i
+		if i%2 == 0 {
+			id = n + i
+		}
+		if !holds(p, id) {
+			t.Fatalf("packet %d does not hold what was drawn into it: %+v carrying %+v", i, p, p.TPP)
+		}
+		if blocks[p.block] {
+			t.Fatalf("packet %d shares its block with another live packet", i)
+		}
+		blocks[p.block] = true
+		for _, b := range []any{&p.Payload[0], &p.TPP.Ins[0], &p.TPP.Mem[0], p.TPP, p.IP, p.UDP} {
+			if j, ok := bufs[b]; ok {
+				t.Fatalf("packets %d and %d share a buffer", j, i)
+			}
+			bufs[b] = i
+		}
+	}
+	if st := pool.Stats(); st.Allocated != n || st.Issued != n+n/2 || st.Recycled != n/2 {
+		t.Errorf("Stats() = %+v, want %d blocks allocated, %d draws, %d recycled", st, n, n+n/2, n/2)
+	}
+	for _, p := range live {
+		p.Recycle()
+	}
+
+	if !PoolDebug {
+		return
+	}
+	var fresh Pool
+	stale := fresh.Clone(poolFixture())
+	neighbour := &fresh.slab[0] // the next block of the same slab
+	live0 := fresh.Clone(poolFixture())
+	if live0.block != neighbour {
+		t.Fatal("the second draw from a fresh pool is not the first block's slab neighbour")
+	}
+	alias := stale.Payload
+	stale.Recycle()
+	alias[0] = 'X' // the violation: writing after the death point
+	live0.Payload[0] = 'Y'
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "clobbered after Recycle") {
+				t.Errorf("drawing the clobbered block panicked with %q, want the canary's report", msg)
+			}
+		}()
+		fresh.NewUDP(Ethernet{}, IPv4{}, UDP{})
+	}()
+	if live0.Payload[0] != 'Y' || live0.Payload[1] != 'o' {
+		t.Error("the stale write or the canary check touched the live neighbour")
+	}
+	live0.Recycle()
 }

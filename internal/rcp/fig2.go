@@ -83,14 +83,25 @@ func RunFigure2(cfg Fig2Config) Fig2Result {
 	}
 	start := h.Launch(scheme, Staggered(cfg.FlowStarts))
 
-	result := Fig2Result{Config: cfg}
-	lastBytes := make([]uint64, len(h.Recv))
+	// The sampler fires every SampleEvery up to and including the end of
+	// the run, so the series is sized once and every Flows row is a
+	// window of one backing array, capped so that appending to one row
+	// cannot write into the next.
+	flows := len(h.Recv)
+	ticks := 0
+	if cfg.SampleEvery > 0 {
+		ticks = max(0, int(cfg.Duration/cfg.SampleEvery))
+	}
+	result := Fig2Result{Config: cfg, Samples: make([]Fig2Sample, 0, ticks)}
+	rows := make([]float64, ticks*flows)
+	lastBytes := make([]uint64, flows)
 	h.Sim.Every(start+cfg.SampleEvery, cfg.SampleEvery, func() {
 		s := Fig2Sample{
 			T:      (h.Sim.Now() - start).Seconds(),
 			ROverC: scheme.FairShare() / h.Capacity,
-			Flows:  make([]float64, 0, len(h.Recv)),
+			Flows:  rows[:0:flows],
 		}
+		rows = rows[flows:]
 		for i, n := range h.Recv {
 			s.Flows = append(s.Flows,
 				float64(n-lastBytes[i])/cfg.SampleEvery.Seconds())

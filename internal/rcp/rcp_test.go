@@ -184,3 +184,40 @@ func TestFigure2StarTracksBaseline(t *testing.T) {
 		}
 	}
 }
+
+// The sampler sizes the series once: one sample per tick, every Flows
+// row a capped window of one backing array, so appending to a row
+// reallocates it instead of writing into its neighbour.
+func TestFigure2SamplesDoNotAlias(t *testing.T) {
+	cfg := DefaultFig2Config(VariantStar)
+	cfg.Duration = 3*netsim.Second + 100*netsim.Millisecond
+	cfg.SampleEvery = 200 * netsim.Millisecond
+	cfg.FlowStarts = []netsim.Time{0, netsim.Second, 2 * netsim.Second}
+	res := RunFigure2(cfg)
+
+	// The sampler fires at 0.2, 0.4, ... 3.0 s after the start.
+	const ticks = 15
+	if len(res.Samples) != ticks {
+		t.Fatalf("%d samples, want one per tick: %d", len(res.Samples), ticks)
+	}
+	if cap(res.Samples) != ticks {
+		t.Errorf("cap(Samples) = %d, want the %d it was sized to", cap(res.Samples), ticks)
+	}
+	for i, s := range res.Samples {
+		if want := 0.2 * float64(i+1); math.Abs(s.T-want) > 1e-9 {
+			t.Fatalf("sample %d at t=%v, want %v", i, s.T, want)
+		}
+		if len(s.Flows) != len(cfg.FlowStarts) || cap(s.Flows) != len(cfg.FlowStarts) {
+			t.Fatalf("sample %d: Flows len %d cap %d, want %d", i, len(s.Flows), cap(s.Flows), len(cfg.FlowStarts))
+		}
+	}
+	for i := 0; i+1 < len(res.Samples); i++ {
+		next := append([]float64(nil), res.Samples[i+1].Flows...)
+		res.Samples[i].Flows = append(res.Samples[i].Flows, -1)
+		for j, f := range res.Samples[i+1].Flows {
+			if f != next[j] {
+				t.Fatalf("appending to sample %d's Flows rewrote sample %d's flow %d: %v -> %v", i, i+1, j, next[j], f)
+			}
+		}
+	}
+}

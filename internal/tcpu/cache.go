@@ -53,12 +53,14 @@ type Cache struct {
 }
 
 // NewCache builds a compiled-program cache for a device with config c.
-// capacity <= 0 selects DefaultCacheCapacity.
+// capacity <= 0 selects DefaultCacheCapacity.  The map is not presized:
+// it grows with the programs the device actually sees, which for most
+// devices is a handful, not capacity.
 func NewCache(c Config, capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	return &Cache{cfg: c, capacity: capacity, m: make(map[cacheKey]*centry, capacity)}
+	return &Cache{cfg: c, capacity: capacity, m: make(map[cacheKey]*centry)}
 }
 
 // Config returns the device configuration the cache compiles under.
