@@ -92,7 +92,7 @@ race:
 # detector, whose sync.Pool drops a random share of its Puts.
 budgets:
 	$(GO) test -count=1 -run 'TestRunAllocBudget' ./internal/chaos
-	$(GO) test -count=1 -run 'TestFigure2AllocBudget' ./internal/rcp
+	$(GO) test -count=1 -run 'TestFigure2AllocBudget|TestStarRunBudgets' ./internal/rcp
 
 # check is the tier-1 gate: vet, build, the full test suite under the
 # race detector (with shuffled test order), and the allocation budgets.

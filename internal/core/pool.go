@@ -1,12 +1,29 @@
 package core
 
+import "slices"
+
 // The packet pool: who owns a packet block, and when it comes back.
 //
 // A Pool is a free list of packet blocks that belongs to one
 // simulation (netsim.Sim.Pool()).  One goroutine drives a Sim and
-// everything wired to it (DESIGN §6), so the list is a plain LIFO slice
-// with no locking, its hit rate is a function of the seed and nothing
-// else, and two Sims in one process share no block.
+// everything wired to it (DESIGN §6), so the list is a plain LIFO stack
+// threaded through the blocks, with no locking; its hit rate is a
+// function of the seed and nothing else, and two Sims in one process
+// share no block.
+//
+// Where a block's memory comes from.  Blocks are carved from slabs of
+// slabBlocks, and every buffer a block owns — payload, IP options, its
+// TPP's instructions and packet memory — is carved from one of the
+// pool's two arenas, a byte chunk and an instruction chunk.  A carve is
+// a three-index slice, so its capacity is exactly its own: appending
+// past it reallocates like any slice, and pooldebug's poison, which
+// fills a recycled block's buffers to capacity, never reaches a
+// neighbour's.  A block keeps its buffers across incarnations and
+// carves a new one only when an incarnation outgrows the old.  The
+// garbage collector frees a slab or a chunk only when nothing in it is
+// referenced, so an adopted block pins its slab and the chunks its
+// buffers came from.  Allocated still counts blocks, not slabs or
+// chunks.
 //
 // Who may draw.  The fabric draws with Pool.Clone when it must copy a
 // packet it forwards (a flood egress, a stripped TPP).  A sender draws
@@ -67,23 +84,37 @@ type pooledBlock struct {
 	ip  IPv4
 	udp UDP
 
-	pool *Pool      // where Recycle returns the block
-	dbg  blockDebug // pooldebug state; zero-sized in release builds
+	pool *Pool        // where Recycle returns the block
+	next *pooledBlock // the free list's link while the block sits in the pool
+	dbg  blockDebug   // pooldebug state; zero-sized in release builds
 }
 
 // Pool is a free list of packet blocks.  The zero value is an empty
 // pool ready for use; a Pool must not be copied after its first draw
 // (its blocks point back at it) and is not safe for concurrent use.
 type Pool struct {
-	free  []*pooledBlock // LIFO: the block recycled last is drawn first
-	slab  []pooledBlock  // blocks allocated but never yet issued
+	free  *pooledBlock  // LIFO: the block recycled last is drawn first
+	slab  []pooledBlock // blocks allocated but never yet issued
+	bytes []byte        // uncarved tail of the byte arena
+	ins   []Instruction // uncarved tail of the instruction arena
 	stats PoolStats
 }
 
-// slabBlocks is the pool's allocation unit: grow carves blocks from
-// slabs of this many.  The garbage collector frees a slab only when
-// none of its blocks is referenced, so an adopted block pins its slab.
-const slabBlocks = 16
+// The pool's allocation units.  grow carves blocks from slabs of
+// slabBlocks, and each arena chunk holds a slab's worth of buffers.
+// Bytes: the largest buffer a block takes in the experiments is an
+// RCP* echo's payload (12 header + 5 instructions × 4 + 140 bytes of
+// memory + the 4-byte cookie = 176), most take a 4-byte cookie or rate
+// header, so 128 bytes a block makes a 2 KB chunk.  Instructions: no
+// program the experiments send has more than five, so 8 a block makes
+// a 128-instruction chunk (768 bytes).  A request larger than a chunk
+// gets a chunk of its own size; the tail of the chunk it replaces is
+// never carved.
+const (
+	slabBlocks = 16
+	chunkBytes = slabBlocks * 128
+	chunkIns   = slabBlocks * 8
+)
 
 // PoolStats are a pool's always-on counts, cumulative since its first
 // draw.
@@ -101,22 +132,19 @@ func (pl *Pool) Stats() PoolStats { return pl.stats }
 // the list is empty.
 func (pl *Pool) get() *pooledBlock {
 	pl.stats.Issued++
-	n := len(pl.free)
-	if n == 0 {
+	b := pl.free
+	if b == nil {
 		return pl.grow()
 	}
-	b := pl.free[n-1]
-	pl.free[n-1] = nil
-	pl.free = pl.free[:n-1]
+	pl.free, b.next = b.next, nil
 	b.checkCanary()
 	return b
 }
 
 // grow serves a miss with the next never-issued block, carving a fresh
-// slab of slabBlocks when the last one is used up: the pool's one
-// allocation, once per slabBlocks packets in flight at once.  It stays
-// out of line so the draws around it stay escape-free
-// (tools/allocgate).
+// slab of slabBlocks when the last one is used up: one allocation per
+// slabBlocks packets in flight at once.  It stays out of line so the
+// draws around it stay escape-free (tools/allocgate).
 //
 //go:noinline
 func (pl *Pool) grow() *pooledBlock {
@@ -128,6 +156,51 @@ func (pl *Pool) grow() *pooledBlock {
 	pl.slab = pl.slab[1:]
 	b.pool = pl
 	return b
+}
+
+// byteBuf returns buf emptied when it holds n bytes, or an empty carve
+// of capacity n from the byte arena when it does not.
+func (pl *Pool) byteBuf(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return pl.carveBytes(n)
+	}
+	return buf[:0]
+}
+
+// carveBytes cuts an empty buffer of capacity n from the byte arena,
+// starting a new chunk when the tail is too short.  Like grow it stays
+// out of line so the draws around it stay escape-free.
+//
+//go:noinline
+func (pl *Pool) carveBytes(n int) []byte {
+	if len(pl.bytes) < n {
+		pl.bytes = make([]byte, max(chunkBytes, n))
+	}
+	b := pl.bytes[:0:n]
+	pl.bytes = pl.bytes[n:]
+	return b
+}
+
+// carveIns is carveBytes for the instruction arena.
+//
+//go:noinline
+func (pl *Pool) carveIns(n int) []Instruction {
+	if len(pl.ins) < n {
+		pl.ins = make([]Instruction, max(chunkIns, n))
+	}
+	b := pl.ins[:0:n]
+	pl.ins = pl.ins[n:]
+	return b
+}
+
+// copyTPP makes t, a block's TPP, a deep copy of src, first carving
+// whichever of its buffers is too small for src's from the arenas.
+func (pl *Pool) copyTPP(t, src *TPP) {
+	if cap(t.Ins) < len(src.Ins) {
+		t.Ins = pl.carveIns(len(src.Ins))
+	}
+	t.Mem = pl.byteBuf(t.Mem, len(src.Mem))
+	t.CopyFrom(src)
 }
 
 // Clone deep-copies p like Packet.Clone, but into a block of this pool,
@@ -144,15 +217,15 @@ func (pl *Pool) Clone(p *Packet) *Packet {
 	*c = *p
 	c.pooled = true
 	c.block = b
-	c.Payload = append(payload[:0], p.Payload...)
+	c.Payload = append(pl.byteBuf(payload, len(p.Payload)), p.Payload...)
 	if p.TPP != nil {
-		b.tpp.CopyFrom(p.TPP)
+		pl.copyTPP(&b.tpp, p.TPP)
 		c.TPP = &b.tpp
 	}
 	if p.IP != nil {
 		ip := &b.ip
 		*ip = *p.IP
-		ip.Options = append(opts[:0], p.IP.Options...)
+		ip.Options = append(pl.byteBuf(opts, len(p.IP.Options)), p.IP.Options...)
 		c.IP = ip
 	}
 	if p.UDP != nil {
@@ -166,9 +239,9 @@ func (pl *Pool) Clone(p *Packet) *Packet {
 
 // NewUDP builds the Eth+IP+UDP data packet NewUDPPacket builds, in a
 // block of this pool.  The payload is empty but keeps the block's
-// buffer, so appending a header word to it allocates nothing.  The
-// packet must end in Recycle or Adopt; a sender hands it to Send and
-// forgets it.
+// buffer, so appending a header word to it allocates nothing once
+// GrowPayload has made room.  The packet must end in Recycle or Adopt;
+// a sender hands it to Send and forgets it.
 //
 //alloc:free
 func (pl *Pool) NewUDP(eth Ethernet, ip IPv4, udp UDP) *Packet {
@@ -177,7 +250,7 @@ func (pl *Pool) NewUDP(eth Ethernet, ip IPv4, udp UDP) *Packet {
 	opts, payload := b.ip.Options, c.Payload
 	*c = Packet{Eth: eth, IP: &b.ip, UDP: &b.udp, Payload: payload[:0], pooled: true, block: b}
 	b.ip = ip
-	b.ip.Options = append(opts[:0], ip.Options...)
+	b.ip.Options = append(pl.byteBuf(opts, len(ip.Options)), ip.Options...)
 	b.udp = udp
 	c.markIssued()
 	return c
@@ -185,7 +258,8 @@ func (pl *Pool) NewUDP(eth Ethernet, ip IPv4, udp UDP) *Packet {
 
 // NewTPP builds the packet NewUDP builds, carrying a copy of *t in the
 // block's own TPP: the instructions and packet memory go into the
-// block's retained buffers, never aliased, so the network may execute
+// block's retained buffers (carved from the arenas when t outgrows
+// them), never aliased, so the network may execute
 // and mutate the copy while t stays the caller's, unchanged.  (Sharing
 // t.Ins would not do even though the network never writes instructions:
 // a recycled block's buffers are the pool's, and pooldebug poisons
@@ -194,9 +268,25 @@ func (pl *Pool) NewUDP(eth Ethernet, ip IPv4, udp UDP) *Packet {
 //alloc:free
 func (pl *Pool) NewTPP(eth Ethernet, ip IPv4, udp UDP, t *TPP) *Packet {
 	c := pl.NewUDP(eth, ip, udp)
-	c.block.tpp.CopyFrom(t)
+	pl.copyTPP(&c.block.tpp, t)
 	c.TPP = &c.block.tpp
 	return c
+}
+
+// GrowPayload makes room for n more payload bytes, like slices.Grow,
+// so the appends that follow allocate nothing.  A pooled packet's new
+// buffer is carved from its pool's byte arena and becomes the block's
+// for later incarnations; any other packet's comes from slices.Grow.
+func (p *Packet) GrowPayload(n int) {
+	p.checkLive("GrowPayload")
+	if cap(p.Payload)-len(p.Payload) >= n {
+		return
+	}
+	if !p.pooled {
+		p.Payload = slices.Grow(p.Payload, n)
+		return
+	}
+	p.Payload = append(p.block.pool.carveBytes(len(p.Payload)+n), p.Payload...)
 }
 
 // compatPool serves ClonePooled.  Nothing under internal/ or cmd/ may
@@ -242,7 +332,8 @@ func (p *Packet) Recycle() {
 // release puts a pooled packet's block back on its pool's free list.
 // It stays out of line: Recycle is inlined at every death point of the
 // forwarding path, where it should cost a test and, rarely, a call —
-// not the free list's append in the middle of a hot function.
+// not the free list's push (and pooldebug's poisoning) in the middle of
+// a hot function.
 //
 //go:noinline
 //alloc:free
@@ -257,6 +348,7 @@ func (p *Packet) release() {
 		return
 	}
 	p.poisonAndRetire()
-	b.pool.stats.Recycled++
-	b.pool.free = append(b.pool.free, b)
+	pl := b.pool
+	pl.stats.Recycled++
+	b.next, pl.free = pl.free, b
 }

@@ -1,9 +1,21 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// freeLen counts the blocks on pl's free list.
+func freeLen(pl *Pool) int {
+	n := 0
+	for b := pl.free; b != nil; b = b.next {
+		n++
+	}
+	return n
+}
 
 func poolFixture() *Packet {
 	return &Packet{
@@ -228,8 +240,8 @@ func TestPoolsShareNoBlock(t *testing.T) {
 	ca, cb := a.Clone(src), b.Clone(src)
 	ca.Recycle()
 	cb.Recycle()
-	if len(a.free) != 1 || len(b.free) != 1 || a.free[0] == b.free[0] {
-		t.Fatalf("free lists hold %d and %d blocks, want one each, distinct", len(a.free), len(b.free))
+	if freeLen(&a) != 1 || freeLen(&b) != 1 || a.free == b.free {
+		t.Fatalf("free lists hold %d and %d blocks, want one each, distinct", freeLen(&a), freeLen(&b))
 	}
 	if ca2 := a.Clone(src); ca2.block != ca.block {
 		t.Error("pool a did not get its own block back")
@@ -345,4 +357,196 @@ func TestPoolSlabBlocksIndependent(t *testing.T) {
 		t.Error("the stale write or the canary check touched the live neighbour")
 	}
 	live0.Recycle()
+}
+
+// Buffers carved from one arena chunk are as independent as buffers
+// allocated one by one.  A fresh pool draws eight probes and their
+// echoes, so their payloads, memories and instruction sections sit back
+// to back in shared chunks; filling any one of them to capacity, or
+// appending past it, leaves every neighbour as it was, and under
+// pooldebug recycling one block poisons its own buffers only while a
+// write through a stale alias is still caught.
+func TestPoolArenaCarvesAreDisjoint(t *testing.T) {
+	var pool Pool
+	eth := Ethernet{Type: EtherTypeTPP}
+	ip := IPv4{TTL: 64, Proto: ProtoUDP, Src: 1, Dst: 2}
+	const n = 8
+	var live []*Packet
+	for i := range n {
+		prog := NewTPP(AddrStack, []Instruction{{Op: OpPUSH, A: uint16(i)}, {Op: OpPUSH, A: uint16(i + 1)}}, 3)
+		for w := range prog.MemWords() {
+			prog.SetWord(w, uint32(i<<8|w))
+		}
+		probe := pool.NewTPP(eth, ip, UDP{SrcPort: uint16(i)}, prog)
+		probe.GrowPayload(4)
+		probe.Payload = append(probe.Payload, byte(i), 0, 0, 1)
+		echo := pool.NewUDP(eth, ip, UDP{SrcPort: uint16(i)})
+		echo.GrowPayload(probe.TPP.WireLen() + len(probe.Payload))
+		echo.Payload = probe.TPP.AppendTo(echo.Payload)
+		echo.Payload = append(echo.Payload, probe.Payload...)
+		live = append(live, probe, echo)
+	}
+
+	// bufs lists every buffer a live packet owns, each to capacity.
+	type buf struct {
+		name  string
+		bytes []byte
+		ins   []Instruction
+	}
+	bufs := func(p *Packet) []buf {
+		out := []buf{{name: "Payload", bytes: p.Payload[:cap(p.Payload)]}}
+		if p.TPP != nil {
+			out = append(out, buf{name: "Mem", bytes: p.TPP.Mem[:cap(p.TPP.Mem)]},
+				buf{name: "Ins", ins: p.TPP.Ins[:cap(p.TPP.Ins)]})
+		}
+		return out
+	}
+	var starts []uintptr
+	for _, p := range live {
+		for _, b := range bufs(p) {
+			if b.bytes != nil {
+				starts = append(starts, uintptr(unsafe.Pointer(unsafe.SliceData(b.bytes))))
+			}
+		}
+	}
+	slices.Sort(starts)
+	near := 0
+	for i := 1; i < len(starts); i++ {
+		if starts[i]-starts[i-1] <= 256 {
+			near++
+		}
+	}
+	if near < len(starts)/2 {
+		t.Fatalf("only %d of %d byte buffers start near another: the draws did not share a chunk", near, len(starts))
+	}
+
+	snapshot := func() [][]string {
+		out := make([][]string, len(live))
+		for i, p := range live {
+			if p == nil {
+				continue
+			}
+			for _, b := range bufs(p) {
+				out[i] = append(out[i], fmt.Sprint(b.bytes, b.ins))
+			}
+		}
+		return out
+	}
+	unchanged := func(before [][]string, except int, what string) {
+		t.Helper()
+		after := snapshot()
+		for i := range live {
+			if i != except && live[i] != nil && !slices.Equal(before[i], after[i]) {
+				t.Fatalf("%s changed packet %d's buffers", what, i)
+			}
+		}
+	}
+
+	// Filling each buffer to capacity stays inside its carve.
+	for i, p := range live {
+		before := snapshot()
+		for _, b := range bufs(p) {
+			for k := range b.bytes {
+				b.bytes[k] = 0xee
+			}
+			for k := range b.ins {
+				b.ins[k] = Instruction{Op: OpNOP, A: 0xeee, B: 0xeee}
+			}
+		}
+		unchanged(before, i, fmt.Sprintf("filling packet %d to capacity", i))
+	}
+
+	// Appending past a carve's capacity moves the buffer and writes
+	// nothing into the neighbour.
+	for i, p := range live {
+		before := snapshot()
+		old := unsafe.SliceData(p.Payload)
+		p.Payload = append(p.Payload[:cap(p.Payload)], 0xaa)
+		if unsafe.SliceData(p.Payload) == old {
+			t.Fatalf("appending past packet %d's payload capacity did not reallocate", i)
+		}
+		if p.TPP != nil {
+			p.TPP.Mem = append(p.TPP.Mem[:cap(p.TPP.Mem)], 0xaa)
+			p.TPP.Ins = append(p.TPP.Ins[:cap(p.TPP.Ins)], Instruction{Op: OpNOP})
+		}
+		unchanged(before, i, fmt.Sprintf("appending past packet %d's capacity", i))
+	}
+	for _, p := range live {
+		p.Recycle()
+	}
+
+	if !PoolDebug {
+		return
+	}
+	// A fresh set of neighbours, then one of them recycled.
+	var fresh Pool
+	live = live[:0]
+	for i := range 4 {
+		p := fresh.NewTPP(eth, ip, UDP{}, NewTPP(AddrStack, []Instruction{{Op: OpPUSH, A: uint16(i)}}, 2))
+		p.GrowPayload(4)
+		p.Payload = append(p.Payload, byte(i), 1, 2, 3)
+		live = append(live, p)
+	}
+	const dead = 1
+	before := snapshot()
+	stale := bufs(live[dead])
+	live[dead].Recycle()
+	live[dead] = nil
+	unchanged(before, dead, "recycling a neighbour")
+	for _, b := range stale {
+		for k, v := range b.bytes {
+			if v != 0xdd { // pooldebug's poison byte
+				t.Fatalf("recycled %s[%d] = %#x, want poison", b.name, k, v)
+			}
+		}
+	}
+	stale[0].bytes[0] = 'X' // the violation: writing after the death point
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "clobbered after Recycle") {
+				t.Errorf("drawing the clobbered block panicked with %q, want the canary's report", msg)
+			}
+		}()
+		fresh.NewUDP(Ethernet{}, IPv4{}, UDP{})
+	}()
+	unchanged(before, dead, "the stale write and the canary check")
+	for _, p := range live {
+		if p != nil {
+			p.Recycle()
+		}
+	}
+}
+
+// A fresh pool's cold draws allocate per chunk, not per buffer: 16
+// copies of RCP*'s 5-instruction, 140-byte collect program and 16 echo
+// payloads of 176 bytes take one Pool, two 16-block slabs, one
+// instruction chunk (80 of 128) and three byte chunks (2 240 + 2 816
+// bytes in 2 KB chunks) — 7 allocations, where a buffer apiece and a
+// free list that grew by append took 57.
+func TestPoolFreshDrawsAllocs(t *testing.T) {
+	if PoolDebug {
+		t.Skip("pooldebug formats a call site at every Recycle")
+	}
+	prog := NewTPP(AddrStack, make([]Instruction, 5), 35)
+	eth := Ethernet{Type: EtherTypeTPP}
+	ip := IPv4{TTL: 64, Proto: ProtoUDP, Src: 1, Dst: 2}
+	var live [32]*Packet
+	got := testing.AllocsPerRun(20, func() {
+		pool := new(Pool)
+		for i := range 16 {
+			live[i] = pool.NewTPP(eth, ip, UDP{}, prog)
+		}
+		for i := 16; i < 32; i++ {
+			live[i] = pool.NewUDP(eth, ip, UDP{})
+			live[i].GrowPayload(176)
+		}
+		for i, p := range live {
+			p.Recycle()
+			live[i] = nil
+		}
+	})
+	if got != 7 {
+		t.Errorf("32 cold draws from a fresh pool allocate %v objects, want 7", got)
+	}
 }

@@ -109,8 +109,12 @@ type TPP struct {
 // tppBlock co-allocates a TPP with its packet memory; per-packet
 // instrumentation (e.g. the §2.1 telemetry probe on every data packet)
 // builds a fresh TPP per send, and one allocation instead of two is
-// measurable at line rate.  128 bytes covers every experiment's memory
-// section (the largest, ndb's 5-hop trace, uses 80).
+// measurable at line rate.  128 bytes covers most experiments' memory
+// sections (ndb's 5-hop trace uses 80), not all: RCP*'s collect program
+// (endhost.CollectProgram, 5 statistics × rcp.MaxHops 7 words) takes
+// 140 and gets the separately allocated fallback.  RCP* builds it once
+// per process, so the array stays at 128 rather than add bytes to every
+// NewTPP.
 type tppBlock struct {
 	t   TPP
 	mem [128]byte

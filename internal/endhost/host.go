@@ -1,8 +1,6 @@
 package endhost
 
 import (
-	"slices"
-
 	"repro/internal/core"
 	"repro/internal/netsim"
 )
@@ -122,10 +120,11 @@ func (h *Host) echoProbe(pkt *core.Packet) {
 	if pkt.IP == nil {
 		return
 	}
-	// The echo is a pooled block: its payload buffer, grown at most once
-	// here, takes the serialised program and the probe cookie after it.
+	// The echo is a pooled block: its payload buffer, carved from the
+	// pool's arena at most once here, takes the serialised program and
+	// the probe cookie after it.
 	echo := h.NewPacketPooled(pkt.Eth.Src, pkt.IP.Src, ProbeEchoPort, EchoReplyPort, 0)
-	echo.Payload = slices.Grow(echo.Payload, pkt.TPP.WireLen()+len(pkt.Payload))
+	echo.GrowPayload(pkt.TPP.WireLen() + len(pkt.Payload))
 	echo.Payload = pkt.TPP.AppendTo(echo.Payload)
 	echo.Payload = append(echo.Payload, pkt.Payload...)
 	h.EchoesSent++

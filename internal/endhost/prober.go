@@ -214,6 +214,7 @@ func (p *Prober) release(pp *pendingProbe) {
 // a copy of tpp, the cookie in its payload.
 func (p *Prober) send(cookie uint32, dstMAC core.MAC, dstIP uint32, tpp *core.TPP) bool {
 	pkt := p.host.NewProbePooled(dstMAC, dstIP, EchoReplyPort, ProbeEchoPort, tpp)
+	pkt.GrowPayload(4)
 	pkt.Payload = binary.BigEndian.AppendUint32(pkt.Payload, cookie)
 	if !p.host.Send(pkt) {
 		return false

@@ -109,6 +109,7 @@ func (f *PacedFlow) pump() {
 	// returns the block, header word's buffer included.
 	pkt := f.host.NewPacketPooled(f.dstMAC, f.dstIP, f.port, f.port, f.size)
 	if f.header != nil {
+		pkt.GrowPayload(RateHeaderLen)
 		pkt.Payload = binary.BigEndian.AppendUint32(pkt.Payload, f.header())
 		pkt.PadLen -= RateHeaderLen
 	}

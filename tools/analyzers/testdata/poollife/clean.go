@@ -119,6 +119,15 @@ func probeFillSend(h *host) bool {
 	return h.Send(p)
 }
 
+// Making room in a pooled packet's payload neither retains nor hands
+// it off: the sender still fills it in and sends it.
+func growFillSend(h *host) bool {
+	p := h.NewPacketPooled(64)
+	p.GrowPayload(4)
+	p.Payload = append(p.Payload, 1, 2, 3, 4)
+	return h.Send(p)
+}
+
 // A package-level constructor is not a draw: core.NewTPP builds a
 // heap program its caller may keep.
 func heapProgramRetained(q *queue) {

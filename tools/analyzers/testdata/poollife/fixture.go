@@ -18,6 +18,7 @@ func (p *Packet) Recycle()             {}
 func (p *Packet) Adopt()               {}
 func (p *Packet) WireLen() int         { return p.Len }
 func (p *Packet) Serialize() []byte    { return p.Payload }
+func (p *Packet) GrowPayload(int)      {}
 
 // Pool and host stand in for core.Pool and endhost.Host: the draws
 // beside ClonePooled, and the Send that hands a pooled packet off.
