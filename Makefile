@@ -10,7 +10,7 @@ GO ?= go
 LINT_PKGS = ./internal/netsim ./internal/asic ./internal/tcpu ./internal/faults ./internal/guard \
 	./internal/core ./internal/endhost ./internal/inband ./internal/reflex \
 	./internal/fabric ./internal/fabric/scenario ./internal/fabric/yamlite \
-	./internal/mem ./internal/agent ./internal/chaos ./internal/ring ./internal/obs \
+	./internal/mem ./internal/chaos ./internal/ring ./internal/obs \
 	./internal/rcp ./internal/aimd ./internal/fct ./internal/topo ./internal/trace ./internal/microburst
 
 # Packages that handle pooled packets; the poollife ownership analyzer
@@ -47,7 +47,12 @@ vet:
 # `case mem.SwitchBase + mem.SwitchEpoch:` are not matched), a check
 # that no sync.Pool and no call of the bench-only (*Packet).ClonePooled()
 # wrapper appears under internal/ or cmd/ (pooled packets come from the
-# Sim's own core.Pool), plus the repository's own analyzers (see
+# Sim's own core.Pool), a check that only internal/fabric and
+# internal/reflex call Allocator().Alloc( (SRAM layout has one owner:
+# network tasks are services the fabric controller provisions, whose
+# Verify holds a service named on several switches to one base; the
+# reflex arm's evidence region is the one dataplane-owned task), plus
+# the repository's own analyzers (see
 # tools/analyzers): the determinism suite over the simulation core and
 # the soaks, and the poollife packet-ownership suite over the packages
 # that handle pooled packets or take probe echoes.
@@ -64,6 +69,8 @@ lint: vet
 	if [ -n "$$stats" ]; then echo "per-statistic switch outside internal/mem and internal/asic/view.go (ask mem.Readable, mem.StoreFault or mem.Symbols instead):"; echo "$$stats"; exit 1; fi
 	@pools=$$(grep -rnE 'sync\.Pool|\.ClonePooled\(\)' --include=*.go cmd internal | grep -v '_test\.go:'); \
 	if [ -n "$$pools" ]; then echo "sync.Pool or ClonePooled() under internal/ or cmd/ (draw from the Sim's pool: sim.Pool().Clone / NewUDP, Host.NewPacketPooled):"; echo "$$pools"; exit 1; fi
+	@allocs=$$(grep -rnE 'Allocator\(\)\.Alloc\(' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/fabric/|^internal/reflex/'); \
+	if [ -n "$$allocs" ]; then echo "SRAM allocated outside internal/fabric and internal/reflex (provision a fabric.Service through the controller):"; echo "$$allocs"; exit 1; fi
 	$(GO) run ./tools/analyzers/cmd/determinismlint $(LINT_PKGS)
 	$(GO) run ./tools/analyzers/cmd/poollifelint $(POOL_PKGS)
 

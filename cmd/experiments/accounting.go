@@ -1,10 +1,12 @@
 package main
 
 import (
+	"fmt"
+
 	"repro/internal/accounting"
-	"repro/internal/agent"
 	"repro/internal/asic"
 	"repro/internal/endhost"
+	"repro/internal/fabric"
 	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/topo"
@@ -31,12 +33,18 @@ func runAccounting(out *output) error {
 		n.LinkHost(target, sw, topo.Mbps(100, 50*netsim.Microsecond))
 		n.PrimeL2(5 * netsim.Millisecond)
 
-		a := agent.New(sw)
-		task, err := a.Register("accounting", 1, 0)
-		if err != nil {
-			panic(err)
+		// The counter's SRAM word is a controller-provisioned service; a
+		// clean first converge finishes before the call returns, so
+		// the bound of zero lets no simulated time pass.
+		ctl := fabric.New(sim)
+		ctl.Register("sw", sw)
+		spec := fabric.Spec{Devices: []fabric.DeviceSpec{{Device: "sw",
+			Services: []fabric.Service{{Name: "accounting", Words: 1}}}}}
+		if res, _ := ctl.ConvergeWithin(spec, fabric.ConvergeConfig{}, 0); !res.Converged {
+			panic(fmt.Sprintf("accounting: provisioning: %+v", res.Pending))
 		}
-		addr := task.Region.Base
+		st, _ := ctl.ReadState("sw")
+		addr := st.Services[0].Region.Base
 
 		counters := make([]*accounting.Counter, len(writers))
 		for i := range writers {

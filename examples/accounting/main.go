@@ -10,9 +10,9 @@ import (
 	"fmt"
 
 	"repro/internal/accounting"
-	"repro/internal/agent"
 	"repro/internal/asic"
 	"repro/internal/endhost"
+	"repro/internal/fabric"
 	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/topo"
@@ -57,17 +57,23 @@ func run(proto accounting.Protocol) (final uint32, retries uint64) {
 	n.LinkHost(target, sw, topo.Mbps(100, 50*netsim.Microsecond))
 	n.PrimeL2(5 * netsim.Millisecond)
 
-	// The control-plane agent carves out the counter's SRAM word.
-	ag := agent.New(sw)
-	task, err := ag.Register("accounting", 1, 0)
-	if err != nil {
-		panic(err)
+	// The fabric controller carves out the counter's SRAM word as a
+	// service.  A clean first converge finishes before the call
+	// returns, so a bound of zero simulated time is enough.
+	ctl := fabric.New(sim)
+	ctl.Register("sw", sw)
+	spec := fabric.Spec{Devices: []fabric.DeviceSpec{{Device: "sw",
+		Services: []fabric.Service{{Name: "accounting", Words: 1}}}}}
+	if res, _ := ctl.ConvergeWithin(spec, fabric.ConvergeConfig{}, 0); !res.Converged {
+		panic(fmt.Sprintf("provisioning the counter: %+v", res.Pending))
 	}
+	st, _ := ctl.ReadState("sw")
+	addr := st.Services[0].Region.Base
 
 	counters := make([]*accounting.Counter, writers)
 	for i := range hosts {
 		c := accounting.NewCounter(probers[i], target.MAC, target.IP,
-			sw.ID(), task.Region.Base, proto)
+			sw.ID(), addr, proto)
 		counters[i] = c
 		remaining := incsPerWriter
 		var next func(uint32)
@@ -84,5 +90,5 @@ func run(proto accounting.Protocol) (final uint32, retries uint64) {
 	for _, c := range counters {
 		retries += c.Retries
 	}
-	return sw.SRAM(mem.SRAMIndex(task.Region.Base)), retries
+	return sw.SRAM(mem.SRAMIndex(addr)), retries
 }

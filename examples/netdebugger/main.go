@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/ndb"
 )
@@ -20,8 +21,14 @@ func main() {
 
 	fmt.Println("phase 2: a leaf's flow entry is rerouted in hardware (controller unaware)")
 	fmt.Printf("  %d journeys flagged:\n", res.BadTraces)
-	for kind, count := range res.ViolationKinds {
-		fmt.Printf("    %-14s x%d\n", kind, count)
+	// Map order is random; print the kinds sorted so the output repeats.
+	kinds := make([]ndb.ViolationKind, 0, len(res.ViolationKinds))
+	for kind := range res.ViolationKinds {
+		kinds = append(kinds, kind)
+	}
+	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
+	for _, kind := range kinds {
+		fmt.Printf("    %-14s x%d\n", kind, res.ViolationKinds[kind])
 	}
 	if len(res.BadViolations) > 0 {
 		fmt.Printf("  example: %s\n\n", res.BadViolations[0])

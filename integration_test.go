@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/accounting"
-	"repro/internal/agent"
 	"repro/internal/asic"
 	"repro/internal/core"
 	"repro/internal/endhost"
+	"repro/internal/fabric"
 	"repro/internal/guard"
 	"repro/internal/mem"
 	"repro/internal/microburst"
@@ -21,7 +21,7 @@ import (
 // TestMultipleTasksCoexist is the §3.2 "Multiple tasks" claim end to
 // end: RCP* congestion control, ndb forwarding verification and a
 // CSTORE accounting counter run concurrently on one network, with the
-// control-plane agent keeping their switch state disjoint.  Each task
+// fabric controller keeping their switch state disjoint.  Each task
 // must behave exactly as it does alone.
 func TestMultipleTasksCoexist(t *testing.T) {
 	sim := netsim.New(1)
@@ -53,27 +53,30 @@ func TestMultipleTasksCoexist(t *testing.T) {
 	dbgPort := n.LinkHost(dbgDst, b, edge)
 	n.PrimeL2(50 * netsim.Millisecond)
 
-	// The agent partitions switch state between the tasks.
-	ag := agent.New(a, b)
-	acctTask, err := ag.Register("accounting", 4, 0)
-	if err != nil {
-		t.Fatal(err)
+	// The fabric controller provisions the accounting counter on both
+	// switches, and its Verify holds the region to one base on each;
+	// the RCP rate registers are seeded with every wired port's
+	// capacity, the §2.2 control-plane initialization.
+	fab := fabric.New(sim)
+	fab.Register("a", a)
+	fab.Register("b", b)
+	acctSpec := []fabric.Service{{Name: "accounting", Words: 4}}
+	spec := fabric.Spec{Devices: []fabric.DeviceSpec{
+		{Device: "a", Services: acctSpec},
+		{Device: "b", Services: acctSpec},
+	}}
+	if res, finished := fab.ConvergeWithin(spec, fabric.ConvergeConfig{}, netsim.Second); !finished || !res.Converged {
+		t.Fatalf("provisioning: finished=%v %+v", finished, res)
 	}
-	rcpTask, err := ag.Register("rcp", 0, 1)
-	if err != nil {
-		t.Fatal(err)
+	st, derr := fab.ReadState("b")
+	if derr != nil {
+		t.Fatal(derr)
 	}
-	if addr, _ := rcpTask.ScratchAddr(0); addr != mem.PortBase+mem.PortScratchBase {
-		t.Fatalf("rcp task got scratch %v, the RCP-RateRegister convention", addr)
-	}
-	if err := ag.SeedScratchFunc(rcpTask, 0, func(sw *asic.Switch, port int) uint32 {
-		return sw.Port(port).Channel().RateBytes()
-	}); err != nil {
-		t.Fatal(err)
-	}
+	acct := st.Services[0].Region
+	rcp.InitRateRegisters(a, b)
 
 	// A tenant partition on b, carved by the same allocator after the
-	// agent's congruent task regions.
+	// controller's congruent service regions.
 	grant, err := b.GrantTenant(7, guard.DefaultACL(), 32, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -114,10 +117,10 @@ func TestMultipleTasksCoexist(t *testing.T) {
 		dbgSrc.Send(pkt)
 	})
 
-	// Task 3: an accounting counter in the agent-allocated SRAM on
+	// Task 3: an accounting counter in the controller-provisioned SRAM on
 	// switch b, incremented across the bottleneck.
 	counter := accounting.NewCounter(endhost.NewProber(dbgSrc),
-		dbgDst.MAC, dbgDst.IP, b.ID(), acctTask.Region.Base, accounting.Atomic)
+		dbgDst.MAC, dbgDst.IP, b.ID(), acct.Base, accounting.Atomic)
 	increments := 0
 	var pump func(uint32)
 	pump = func(uint32) {
@@ -152,7 +155,7 @@ func TestMultipleTasksCoexist(t *testing.T) {
 	}
 
 	// Accounting: exact.
-	if got := b.SRAM(mem.SRAMIndex(acctTask.Region.Base)); got != 40 {
+	if got := b.SRAM(mem.SRAMIndex(acct.Base)); got != 40 {
 		t.Fatalf("counter = %d, want 40", got)
 	}
 	if counter.Failures != 0 {
@@ -161,14 +164,14 @@ func TestMultipleTasksCoexist(t *testing.T) {
 
 	// Isolation: the accounting region and the RCP rate registers are
 	// disjoint; the counter value never leaked into a rate register.
-	if owner, ok := b.Allocator().Owner(acctTask.Region.Base); !ok || owner != (mem.Owner{Task: "accounting"}) {
+	if owner, ok := b.Allocator().Owner(acct.Base); !ok || owner != (mem.Owner{Task: "fabric/accounting"}) {
 		t.Fatal("SRAM ownership lost")
 	}
 	if owner, ok := b.Allocator().Owner(grant.Partition.Base); !ok || owner != (mem.Owner{Tenant: 7}) {
 		t.Fatalf("tenant partition owner = %v, %v", owner, ok)
 	}
-	if grant.Partition.Base < acctTask.Region.End() {
-		t.Fatalf("tenant partition %+v overlaps the accounting region %+v", grant.Partition, acctTask.Region)
+	if grant.Partition.Base < acct.End() {
+		t.Fatalf("tenant partition %+v overlaps the accounting region %+v", grant.Partition, acct)
 	}
 	if reg := a.Port(aPort).Scratch(0); reg == 40 {
 		t.Fatal("rate register holds the counter value: state collided")

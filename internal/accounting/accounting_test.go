@@ -3,16 +3,17 @@ package accounting
 import (
 	"testing"
 
-	"repro/internal/agent"
 	"repro/internal/asic"
 	"repro/internal/endhost"
+	"repro/internal/fabric"
 	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/topo"
 )
 
 // fixture: three writer hosts and one target host around one switch;
-// the shared counter lives in switch SRAM allocated by the agent.
+// the shared counter lives in switch SRAM the fabric controller
+// provisions.
 type fixture struct {
 	sim      *netsim.Sim
 	sw       *asic.Switch
@@ -39,12 +40,18 @@ func setup(t *testing.T) *fixture {
 	n.LinkHost(f.target, sw, topo.Mbps(100, 50*netsim.Microsecond))
 	n.PrimeL2(5 * netsim.Millisecond)
 
-	a := agent.New(sw)
-	task, err := a.Register("accounting", 4, 0)
-	if err != nil {
-		t.Fatal(err)
+	ctl := fabric.New(sim)
+	ctl.Register("sw", sw)
+	spec := fabric.Spec{Devices: []fabric.DeviceSpec{{Device: "sw",
+		Services: []fabric.Service{{Name: "accounting", Words: 4}}}}}
+	if res, finished := ctl.ConvergeWithin(spec, fabric.ConvergeConfig{}, netsim.Second); !finished || !res.Converged {
+		t.Fatalf("provisioning: finished=%v %+v", finished, res)
 	}
-	f.addr = task.Region.Base
+	st, derr := ctl.ReadState("sw")
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	f.addr = st.Services[0].Region.Base
 	f.sramSlot = mem.SRAMIndex(f.addr)
 	return f
 }

@@ -87,9 +87,9 @@ func (p *Port) QueueBytes() int {
 // Scratch returns task scratch word i ([Link:Scratch<i>]).
 func (p *Port) Scratch(i int) uint32 { return p.scratch[i] }
 
-// SetScratch writes task scratch word i; the control-plane agent uses
-// this to initialize task state (e.g. seeding the RCP rate register
-// with the link capacity, §2.2 footnote).
+// SetScratch writes task scratch word i; the control plane uses this
+// to initialize task state (rcp.InitRateRegisters seeds the RCP rate
+// register with the link capacity, §2.2 footnote).
 func (p *Port) SetScratch(i int, v uint32) { p.scratch[i] = v }
 
 // SetSNR updates the wireless SNR register (centi-dB).

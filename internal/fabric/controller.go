@@ -60,6 +60,14 @@ func (c *Controller) Diff(spec Spec) (ChangeSet, []DeviceError, error) {
 	if err != nil {
 		return ChangeSet{}, nil, err
 	}
+	cs, errs := c.diff(ns, nil)
+	return cs, errs, nil
+}
+
+// diff is Diff over a normalized spec.  A non-nil seats sees every
+// device state the diff reads back, so Verify checks congruence
+// without a second read.
+func (c *Controller) diff(ns Spec, seats *seating) (ChangeSet, []DeviceError) {
 	var cs ChangeSet
 	var errs []DeviceError
 	for _, d := range ns.Devices {
@@ -67,6 +75,9 @@ func (c *Controller) Diff(spec Spec) (ChangeSet, []DeviceError, error) {
 		if derr != nil {
 			errs = append(errs, *derr)
 			continue
+		}
+		if seats != nil {
+			seats.check(d, st)
 		}
 		ops, derr := diffDevice(d, st, c.detoursFor(d.Device))
 		if derr == nil {
@@ -84,7 +95,7 @@ func (c *Controller) Diff(spec Spec) (ChangeSet, []DeviceError, error) {
 			})
 		}
 	}
-	return cs, errs, nil
+	return cs, errs
 }
 
 // checkPorts rejects a route or prefix that forwards to a port the
@@ -467,7 +478,10 @@ func verifyOp(sw *asic.Switch, op Op) string {
 			return verifyDetail(fmt.Sprintf("tenant %d burst", op.Tenant.ID), op.Tenant.Burst, g.Burst)
 		}
 	case OpFreeService:
-		if _, ok := sw.Allocator().Lookup(taskPrefix + op.Service.Name); ok {
+		// A resize frees and re-allocates the name in one change, at a
+		// different size; only a region still at the freed size means
+		// the free did not land.
+		if reg, ok := sw.Allocator().Lookup(taskPrefix + op.Service.Name); ok && reg.Words == op.Service.Words {
 			return fmt.Sprintf("service %s still allocated", op.Service.Name)
 		}
 	case OpAllocService:
@@ -579,12 +593,23 @@ func (c *Controller) rollback(dev string, snap DeviceState, snapWords map[string
 
 // Verify re-reads every device the spec names and reports the ones
 // whose live state still differs from spec, field-for-field, as typed
-// errors.  nil means converged.
+// errors, and the ones that break congruence: a service the spec names
+// on two or more devices must sit at the same live base on each, so
+// one compiled TPP addresses it network-wide.  First fit lands equal
+// requests alike only on equally used switches; a device whose SRAM
+// holds something the others' does not (a tenant partition, a foreign
+// task) can seat the service elsewhere, and is ErrIncongruent.  nil
+// means converged.
 func (c *Controller) Verify(spec Spec) []DeviceError {
-	cs, errs, err := c.Diff(spec)
+	ns, err := spec.Normalize()
 	if err != nil {
 		return []DeviceError{{Kind: ErrSpecInvalid, Detail: err.Error()}}
 	}
+	var seats *seating
+	if sharesService(ns) {
+		seats = &seating{first: make(map[string]seat)}
+	}
+	cs, errs := c.diff(ns, seats)
 	for _, dc := range cs.Devices {
 		// Informational detour ops are not drift: a device whose only
 		// divergence from spec is a standing reflex detour verifies
@@ -605,5 +630,70 @@ func (c *Controller) Verify(spec Spec) []DeviceError {
 		detail := fmt.Sprintf("%d ops short of spec (first: %s)", muts, first)
 		errs = append(errs, DeviceError{Device: dc.Device, Kind: ErrVerifyFailed, Detail: detail})
 	}
+	if seats != nil {
+		errs = append(errs, seats.errs...)
+	}
 	return errs
+}
+
+// sharesService reports whether the spec names some service on two or
+// more devices — the only case congruence constrains.  It allocates
+// nothing, so a spec without shared services verifies as cheaply as
+// before the rule existed.
+func sharesService(ns Spec) bool {
+	for i, d := range ns.Devices {
+		for _, s := range d.Services {
+			for _, o := range ns.Devices[i+1:] {
+				if _, ok := findService(o.Services, s.Name); ok {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// findService finds a service by name in a name-sorted slice.
+func findService(svcs []Service, name string) (Service, bool) {
+	i := sort.Search(len(svcs), func(i int) bool { return svcs[i].Name >= name })
+	if i < len(svcs) && svcs[i].Name == name {
+		return svcs[i], true
+	}
+	return Service{}, false
+}
+
+// seat is where the first device checked holds a service.
+type seat struct {
+	device string
+	base   mem.Addr
+}
+
+// seating collects live service bases across devices and the
+// congruence violations among them.
+type seating struct {
+	first map[string]seat
+	errs  []DeviceError
+}
+
+// check compares the bases of d's services, as read back in st, with
+// the first device seen holding each.  A service not yet live at its
+// spec'd size is drift, which Verify reports on its own; it seats
+// nothing.
+func (g *seating) check(d DeviceSpec, st DeviceState) {
+	for _, live := range st.Services {
+		want, ok := findService(d.Services, live.Name)
+		if !ok || want.Words != live.Region.Words {
+			continue
+		}
+		f, ok := g.first[live.Name]
+		if !ok {
+			g.first[live.Name] = seat{device: d.Device, base: live.Region.Base}
+			continue
+		}
+		if f.base != live.Region.Base {
+			g.errs = append(g.errs, DeviceError{Device: d.Device, Kind: ErrIncongruent,
+				Detail: fmt.Sprintf("service %s at %#x, but at %#x on %s",
+					live.Name, live.Region.Base, f.base, f.device)})
+		}
+	}
 }

@@ -22,6 +22,12 @@
 //     wiped switch), any failed write rolls the device back to the
 //     snapshot, and every op's effect is re-read and verified
 //     field-by-field before the device counts as applied.
+//   - Verify is the diff read as a verdict: a device whose live state
+//     differs from spec is ErrVerifyFailed, and a service the spec
+//     names on two or more devices must sit at the same live base on
+//     each — congruence, so one compiled TPP addresses it network-wide.
+//     A device that seats it elsewhere is ErrIncongruent, which no retry
+//     can fix.
 //   - Converge loops diff/apply with a bounded attempt budget and
 //     exponential backoff (the endhost.Prober deadline discipline), so
 //     an apply that races a faults.SwitchReboot rolls forward: the next

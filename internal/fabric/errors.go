@@ -27,6 +27,11 @@ const (
 	// ErrVerifyFailed: every op applied but the re-read disagreed with
 	// what was written; the device was rolled back.
 	ErrVerifyFailed
+	// ErrIncongruent: a service the spec names on several devices sits
+	// at different live bases, so no one compiled TPP addresses it on
+	// all of them.  Not retryable: the layout is settled, and only a
+	// changed spec (or freed SRAM) can move it.
+	ErrIncongruent
 )
 
 var errKindNames = [...]string{
@@ -36,6 +41,7 @@ var errKindNames = [...]string{
 	ErrEpochRaced:    "epoch-raced",
 	ErrWriteFailed:   "write-failed",
 	ErrVerifyFailed:  "verify-failed",
+	ErrIncongruent:   "incongruent",
 }
 
 // String names the kind.

@@ -21,8 +21,8 @@ const (
 )
 
 // taskPrefix marks allocator tasks the controller owns.  Services are
-// allocated under it so fabric never frees a region some other
-// control-plane agent carved.
+// allocated under it so fabric never frees a region another owner
+// carved (the reflex arm's evidence region, a test's own task).
 const taskPrefix = "fabric/"
 
 // Policy names a tenant ACL preset.

@@ -2,11 +2,12 @@ package inband
 
 import (
 	"fmt"
+	"strconv"
 
-	"repro/internal/agent"
 	"repro/internal/asic"
 	"repro/internal/core"
 	"repro/internal/endhost"
+	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/guard"
 	"repro/internal/mem"
@@ -393,14 +394,25 @@ func RunSpin(cfg SpinConfig) SpinResult {
 	}, nil)
 	mid := sws[1]
 
-	// The observer's window comes from the control-plane agent, like
-	// any other network task's SRAM.
-	ag := agent.New(sws...)
-	task, err := ag.Register("inband/spin", obs.NumBuckets, 0)
-	if err != nil {
-		panic(fmt.Sprintf("inband: agent.Register: %v", err))
+	// The observer's window is a service the fabric controller
+	// provisions on every switch of the line, like any other network
+	// task's SRAM; Verify holds it to one base on all three.  A clean
+	// first converge finishes before the call returns, so a bound of
+	// zero simulated time is enough.
+	ctl := fabric.New(sim)
+	spec := fabric.Spec{Devices: make([]fabric.DeviceSpec, len(sws))}
+	for i, sw := range sws {
+		name := "s" + strconv.Itoa(i)
+		ctl.Register(name, sw)
+		spec.Devices[i] = fabric.DeviceSpec{Device: name,
+			Services: []fabric.Service{{Name: "inband/spin", Words: obs.NumBuckets}}}
 	}
-	mid.WatchSpin(client.IP, server.IP, task.Region.Base)
+	if res, _ := ctl.ConvergeWithin(spec, fabric.ConvergeConfig{}, 0); !res.Converged {
+		panic(fmt.Sprintf("inband: provisioning the spin window: %+v", res.Pending))
+	}
+	st, _ := ctl.ReadState("s1")
+	window := st.Services[0].Region.Base
+	mid.WatchSpin(client.IP, server.IP, window)
 
 	n.PrimeL2(5 * netsim.Millisecond)
 
@@ -421,7 +433,7 @@ func RunSpin(cfg SpinConfig) SpinResult {
 		Timeout: 25 * netsim.Millisecond, Retries: 2, Backoff: 2})
 	coll := NewCollector(CollectorConfig{
 		Prober: collProber, DstMAC: server.MAC, DstIP: server.IP,
-		Spec:    HistSpec{SwitchID: mid.ID(), Base: task.Region.Base, Buckets: obs.NumBuckets},
+		Spec:    HistSpec{SwitchID: mid.ID(), Base: window, Buckets: obs.NumBuckets},
 		Metrics: reg, Tracer: tracer, Name: "spincollector",
 		Now: func() int64 { return int64(sim.Now()) },
 	})
@@ -433,7 +445,7 @@ func RunSpin(cfg SpinConfig) SpinResult {
 	res.Flips = flow.Flips
 	for i := 0; i < obs.NumBuckets; i++ {
 		res.Truth[i] = flow.Truth.Bucket(i)
-		res.SRAM[i] = uint64(mid.SRAM(mem.SRAMIndex(task.Region.Base + mem.Addr(i))))
+		res.SRAM[i] = uint64(mid.SRAM(mem.SRAMIndex(window + mem.Addr(i))))
 		res.Current[i] = uint64(coll.CurrentBucket(i))
 		res.Cumulative[i] = coll.CumulativeBucket(i)
 		res.TruthTotal += res.Truth[i]

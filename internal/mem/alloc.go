@@ -41,10 +41,12 @@ type Held struct {
 	Region Region
 }
 
-// Allocator is the control-plane agent of §3.2 that partitions switch
-// SRAM and isolates concurrently executing network tasks: "if end-hosts
-// implement both RCP and ndb, the agent would allocate a non-overlapping
-// set of SRAM addresses to RCP and ndb".  It is the only carver of the
+// Allocator is one switch's half of the §3.2 control-plane agent that
+// partitions switch SRAM and isolates concurrently executing network
+// tasks: "if end-hosts implement both RCP and ndb, the agent would
+// allocate a non-overlapping set of SRAM addresses to RCP and ndb" (the
+// fabric controller is the other half, placing tasks on every switch
+// at one base).  It is the only carver of the
 // scratch bank: operator task regions (Alloc/Free) and tenant
 // partitions (Grant/Revoke, driven by guard.Table) live in one map
 // keyed by Owner and are placed by one first-fit search, so two live

@@ -95,9 +95,9 @@ const (
 	PortSNR       = 16 // wireless channel SNR, centi-dB (access points)
 
 	// PortScratchBase..+PortScratchWords-1 are task scratch words that
-	// TPPs may write; the control-plane agent assigns them to tasks.
-	// Word PortScratchBase is conventionally the RCP fair-share rate
-	// register ([Link:RCP-RateRegister]).
+	// TPPs may write.  Word PortScratchBase is conventionally the RCP
+	// fair-share rate register ([Link:RCP-RateRegister]), which
+	// rcp.InitRateRegisters seeds.
 	PortScratchBase  = 8
 	PortScratchWords = 8
 
