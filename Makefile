@@ -77,7 +77,8 @@ lint: vet
 # allocgate asserts that every //alloc:free function still compiles
 # without heap escapes, pinned against the committed ALLOCGATE.json
 # baseline (any drift — regression, improvement, or annotation change —
-# fails until the baseline is consciously regenerated).
+# fails until the baseline is consciously regenerated), and that every
+# //alloc:inline function is still inlinable.
 allocgate:
 	$(GO) run ./tools/allocgate $(ALLOC_PKGS)
 

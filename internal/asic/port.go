@@ -142,7 +142,7 @@ func (p *Port) enqueue(pkt *core.Packet, qid int) bool {
 		qid = 0
 	}
 	wire := pkt.WireLen()
-	if !p.queues[qid].Enqueue(pkt) {
+	if !p.queues[qid].push(pkt, wire) {
 		p.sw.span(pkt, obs.StageDrop, uint64(qid), uint64(wire))
 		pkt.Recycle() // tail drop: the fabric destroys the packet here
 		return false
@@ -170,8 +170,7 @@ func (p *Port) kick() {
 		return
 	}
 	for qi, q := range p.queues {
-		if pkt := q.Dequeue(); pkt != nil {
-			wire := pkt.WireLen()
+		if pkt, wire := q.pop(); pkt != nil {
 			p.txBytes += uint64(wire)
 			p.txUtil.Add(wire)
 			lat := uint64(int64(p.sw.sim.Now()) - pkt.Meta.EnqueuedAt)

@@ -50,8 +50,13 @@ func (q *Queue) Len() int { return q.pkts.Len() }
 // dropped (drop-tail) and false is returned.
 //
 //alloc:free
-func (q *Queue) Enqueue(p *core.Packet) bool {
-	n := p.WireLen()
+func (q *Queue) Enqueue(p *core.Packet) bool { return q.push(p, p.WireLen()) }
+
+// push is Enqueue for a packet whose wire length n the caller has
+// already computed.
+//
+//alloc:free
+func (q *Queue) push(p *core.Packet, n int) bool {
 	if q.bytes+n > q.capBytes {
 		q.DropBytes += uint64(n)
 		q.DropPkts++
@@ -91,13 +96,21 @@ func (q *Queue) Flush(each func(*core.Packet)) int {
 //
 //alloc:free
 func (q *Queue) Dequeue() *core.Packet {
+	p, _ := q.pop()
+	return p
+}
+
+// pop is Dequeue that also returns the packet's wire length.
+//
+//alloc:free
+func (q *Queue) pop() (*core.Packet, int) {
 	p := q.pkts.Pop()
 	if p == nil {
-		return nil
+		return nil, 0
 	}
 	n := p.WireLen()
 	q.bytes -= n
 	q.DeqBytes += uint64(n)
 	q.DeqPkts++
-	return p
+	return p, n
 }

@@ -336,11 +336,25 @@ func (s *Switch) collect(emit func(name string, v uint64)) {
 }
 
 // span records one lifecycle event for pkt at the current simulated
-// time.  It compiles to nothing observable when tracing is disabled:
-// the tracer is nil and Record returns immediately.
+// time.  It is the tracing gate, inlined into every stage: with tracing
+// disabled a stage pays one nil branch, and neither the event nor a call
+// is made.  A stage whose arguments cost work to compute (a WireLen, a
+// QueueBytes sum) tests s.tracer itself before computing them.
 //
 //alloc:free
+//alloc:inline
 func (s *Switch) span(pkt *core.Packet, stage obs.Stage, a, b uint64) {
+	if s.tracer != nil {
+		s.recordSpan(pkt, stage, a, b)
+	}
+}
+
+// recordSpan is span's body, kept out of line so that span stays
+// within the inlining budget.
+//
+//alloc:free
+//go:noinline
+func (s *Switch) recordSpan(pkt *core.Packet, stage obs.Stage, a, b uint64) {
 	s.tracer.Record(obs.SpanEvent{
 		At: int64(s.sim.Now()), UID: pkt.Meta.UID, Node: s.cfg.ID,
 		Stage: stage, A: a, B: b,
@@ -502,7 +516,9 @@ func (s *Switch) Reboot(bootDelay netsim.Time) {
 		port := p.ID()
 		for _, q := range p.queues {
 			flushed := q.Flush(func(pkt *core.Packet) {
-				s.span(pkt, obs.StageRebootDrop, uint64(port), uint64(pkt.WireLen()))
+				if s.tracer != nil {
+					s.span(pkt, obs.StageRebootDrop, uint64(port), uint64(pkt.WireLen()))
+				}
 			})
 			s.rebootDrops += uint64(flushed)
 		}
@@ -550,7 +566,9 @@ func (s *Switch) bootDone() {
 //alloc:free
 func (s *Switch) dropRebooted(pkt *core.Packet, port int) {
 	s.rebootDrops++
-	s.span(pkt, obs.StageRebootDrop, uint64(port), uint64(pkt.WireLen()))
+	if s.tracer != nil {
+		s.span(pkt, obs.StageRebootDrop, uint64(port), uint64(pkt.WireLen()))
+	}
 	pkt.Recycle()
 }
 
@@ -573,9 +591,9 @@ func (s *Switch) Receive(pkt *core.Packet, port int) {
 		s.dropRebooted(pkt, port)
 		return
 	}
-	p := s.ports[port]
-	p.rxBytes += uint64(pkt.WireLen())
-	s.span(pkt, obs.StageParser, uint64(port), uint64(pkt.WireLen()))
+	p, wire := s.ports[port], uint64(pkt.WireLen())
+	p.rxBytes += wire
+	s.span(pkt, obs.StageParser, uint64(port), wire)
 
 	// §4 security: untrusted edge ports strip TPPs.
 	if pkt.TPP != nil && !p.trusted {
@@ -807,7 +825,9 @@ func (s *Switch) deliver(pkt *core.Packet, inPort, outPort int) {
 	// The memory manager admits the packet into shared buffer memory
 	// just after the TCPU; A carries the target queue, B the occupancy
 	// it sees before this packet is admitted.
-	s.span(pkt, obs.StageMemMgr, uint64(pkt.Meta.QueueID), uint64(s.ports[outPort].QueueBytes()))
+	if s.tracer != nil {
+		s.span(pkt, obs.StageMemMgr, uint64(pkt.Meta.QueueID), uint64(s.ports[outPort].QueueBytes()))
+	}
 	s.ports[outPort].enqueue(pkt, int(pkt.Meta.QueueID))
 }
 

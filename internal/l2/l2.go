@@ -4,6 +4,8 @@
 //
 // The table learns source addresses as packets arrive and ages entries
 // out after a configurable lifetime, like a commodity switching ASIC.
+// It is keyed by the address as an integer (core.MAC.Uint64), so a
+// learn or a lookup hashes one machine word rather than a 6-byte array.
 package l2
 
 import (
@@ -23,7 +25,7 @@ type entry struct {
 // package stays independent of the simulator.
 type Table struct {
 	age     int64
-	entries map[core.MAC]entry
+	entries map[uint64]entry // keyed by core.MAC.Uint64
 }
 
 // New builds a table with entry lifetime age (nanoseconds); age <= 0
@@ -32,7 +34,7 @@ func New(age int64) *Table {
 	if age <= 0 {
 		age = DefaultAge
 	}
-	return &Table{age: age, entries: make(map[core.MAC]entry)}
+	return &Table{age: age, entries: make(map[uint64]entry)}
 }
 
 // Learn records that mac was seen on port at time now.  Relearning
@@ -42,18 +44,19 @@ func (t *Table) Learn(mac core.MAC, port int, now int64) {
 	if mac.IsBroadcast() {
 		return
 	}
-	t.entries[mac] = entry{port: port, learnedAt: now}
+	t.entries[mac.Uint64()] = entry{port: port, learnedAt: now}
 }
 
 // Lookup returns the port mac was last seen on, if the entry is still
 // fresh at time now.  Stale entries are removed on access.
 func (t *Table) Lookup(mac core.MAC, now int64) (port int, ok bool) {
-	e, ok := t.entries[mac]
+	key := mac.Uint64()
+	e, ok := t.entries[key]
 	if !ok {
 		return 0, false
 	}
 	if now-e.learnedAt > t.age {
-		delete(t.entries, mac)
+		delete(t.entries, key)
 		return 0, false
 	}
 	return e.port, true
@@ -69,9 +72,9 @@ func (t *Table) Flush() { clear(t.entries) }
 // Expire removes all entries stale at time now; switches run this
 // periodically from their housekeeping timer.
 func (t *Table) Expire(now int64) {
-	for mac, e := range t.entries { //lint:allow maporder (pure deletion, order-free)
+	for key, e := range t.entries { //lint:allow maporder (pure deletion, order-free)
 		if now-e.learnedAt > t.age {
-			delete(t.entries, mac)
+			delete(t.entries, key)
 		}
 	}
 }

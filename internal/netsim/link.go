@@ -216,10 +216,7 @@ func (c *Channel) Send(pkt *core.Packet) Time {
 	c.busyUntil = done
 	c.BytesSent += uint64(wire)
 	c.PacketsSent++
-	c.trace.Record(obs.SpanEvent{
-		At: int64(c.sim.Now()), UID: pkt.Meta.UID, Node: c.traceID,
-		Stage: obs.StageLinkTx, A: uint64(wire), B: uint64(ser),
-	})
+	c.span(pkt, obs.StageLinkTx, uint64(wire), uint64(ser))
 	// The frame's fate is decided now (loss models are sampled in
 	// transmission order, keeping runs seed-replayable), but counted
 	// and recorded when the last bit would have arrived.  The fate and
@@ -257,38 +254,54 @@ const (
 )
 
 // DeliverAt implements PacketDelivery: the frame's last bit arrives.
-// A Tracer records through a nil receiver as a no-op, so none of the
-// arrival paths need a nil guard.
+// On the delivery path the frame's length is a span argument only, so it
+// is computed only when tracing is on.
 //
 //alloc:free
 func (c *Channel) DeliverAt(pkt *core.Packet, arg uint64) {
 	if arg&argIdle != 0 {
 		c.notifyIdle()
 	}
-	wire := pkt.WireLen()
 	switch {
 	case arg&argDown != 0, c.down, c.downEpoch != arg>>3:
 		// Sent into, or overtaken by, a dead link.
 		c.PacketsDownDrops++
-		c.trace.Record(obs.SpanEvent{
-			At: int64(c.sim.Now()), UID: pkt.Meta.UID, Node: c.traceID,
-			Stage: obs.StageLinkDown, A: uint64(wire),
-		})
+		c.span(pkt, obs.StageLinkDown, uint64(pkt.WireLen()), 0)
 		pkt.Recycle()
 	case arg&argLost != 0:
 		// The frame occupied the wire but arrives corrupted and is
 		// discarded by the receiver's FCS check.
 		c.PacketsLost++
-		c.trace.Record(obs.SpanEvent{
-			At: int64(c.sim.Now()), UID: pkt.Meta.UID, Node: c.traceID,
-			Stage: obs.StageLinkLoss, A: uint64(wire),
-		})
+		c.span(pkt, obs.StageLinkLoss, uint64(pkt.WireLen()), 0)
 		pkt.Recycle()
 	default:
-		c.trace.Record(obs.SpanEvent{
-			At: int64(c.sim.Now()), UID: pkt.Meta.UID, Node: c.traceID,
-			Stage: obs.StageLinkRx, A: uint64(c.dstPort), B: uint64(wire),
-		})
+		if c.trace != nil {
+			c.span(pkt, obs.StageLinkRx, uint64(c.dstPort), uint64(pkt.WireLen()))
+		}
 		c.dst.Receive(pkt, c.dstPort)
 	}
+}
+
+// span records one lifecycle event for pkt on this link.  Like the
+// switch's, it is the tracing gate, inlined into every site: with
+// tracing disabled a site pays one nil branch and builds no event.
+//
+//alloc:free
+//alloc:inline
+func (c *Channel) span(pkt *core.Packet, stage obs.Stage, a, b uint64) {
+	if c.trace != nil {
+		c.recordSpan(pkt, stage, a, b)
+	}
+}
+
+// recordSpan is span's body, kept out of line so that span stays
+// within the inlining budget.
+//
+//alloc:free
+//go:noinline
+func (c *Channel) recordSpan(pkt *core.Packet, stage obs.Stage, a, b uint64) {
+	c.trace.Record(obs.SpanEvent{
+		At: int64(c.sim.Now()), UID: pkt.Meta.UID, Node: c.traceID,
+		Stage: stage, A: a, B: b,
+	})
 }

@@ -110,7 +110,10 @@ type Histogram struct {
 // without a full telemetry setup.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-// Observe folds one value in.  No-op on a nil receiver.
+// Observe folds one value in.  No-op on a nil receiver; it is inlined,
+// so a disabled histogram costs its caller one branch.
+//
+//alloc:inline
 func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return

@@ -1,8 +1,9 @@
 // Command allocgate is the escape-regression gate: it asserts that
 // functions annotated //alloc:free report no heap escapes under the
-// compiler's escape analysis (go build -gcflags=-m), pinned against a
+// compiler's escape analysis (go build -gcflags=-m=2), pinned against a
 // committed baseline so regressions fail CI instead of silently
-// re-introducing allocations on the fabric hot path.
+// re-introducing allocations on the fabric hot path.  It also asserts
+// that functions annotated //alloc:inline stay inlinable.
 //
 // Usage:
 //
@@ -15,6 +16,10 @@
 //	//alloc:allow <reason>  (same line as the diagnostic or directly above)
 //	    exempts one diagnosed line, for sanctioned cold-path or
 //	    amortized allocations.
+//	//alloc:inline          (in a function's doc comment)
+//	    the compiler must report "can inline" for the function: a gate
+//	    whose whole point is to cost its caller one branch must not
+//	    grow past the inlining budget into a call.
 //
 // Diagnostics on lines inside a panic(...) call are exempt
 // automatically: fmt argument boxing on a path that aborts the
@@ -25,7 +30,8 @@
 // Check mode fails when the computed state differs from the baseline
 // in any way — a new escape, a fixed one, or an annotated function
 // added or removed — forcing the diff through a conscious
-// `allocgate -write` commit.
+// `allocgate -write` commit.  Inline pins have no baseline: both modes
+// fail while one of them is not inlinable.
 package main
 
 import (
@@ -43,21 +49,29 @@ import (
 	"strings"
 )
 
-// annotation is one //alloc:free function: where it lives and the
-// line spans exempted inside it.
+// annotation is one //alloc:free or //alloc:inline function: where it
+// lives, which gates apply and the line spans exempted inside it.
 type annotation struct {
 	key        string // file.go:(*Recv).Name — the baseline key
+	name       string // (*Recv).Name, as the compiler prints it
 	file       string // repo-root-relative path
-	start, end int    // body line span, inclusive
+	start, end int    // declaration line span, inclusive
+	free       bool   // //alloc:free: escapes gated against the baseline
+	inline     bool   // //alloc:inline: must stay inlinable
 	panicSpans [][2]int
 }
 
 // escapeRe matches the two diagnostic shapes that mean a heap
 // allocation: "moved to heap: x" and "expr escapes to heap".  Lines
 // like "x does not escape" and "leaking param: p" never match.
+// At -m=2 the compiler also explains each escape in lines ending in a
+// colon, which escapeRe does not match, and reports inlinability as
+// "can inline NAME with cost N as: ..." or "cannot inline NAME: why".
 var (
 	diagRe   = regexp.MustCompile(`^(\S+\.go):(\d+):\d+: (.*)$`)
 	escapeRe = regexp.MustCompile(`(^moved to heap: )|( escapes to heap$)`)
+	inlineRe = regexp.MustCompile(`^(can|cannot) inline (\S+?)(:| |$)(.*)$`)
+	typeArgs = regexp.MustCompile(`\[[^\]]*\]`)
 )
 
 func main() {
@@ -90,6 +104,10 @@ func main() {
 		os.Exit(2)
 	}
 	state := attribute(anns, allowed, out)
+	notInlined := checkInline(anns, out)
+	for _, p := range notInlined {
+		fmt.Println("allocgate:", p)
+	}
 
 	if *write {
 		if err := writeBaseline(*baselinePath, state); err != nil {
@@ -102,6 +120,10 @@ func main() {
 		}
 		fmt.Printf("allocgate: baseline %s written: %d gated function(s), %d accepted escape(s)\n",
 			*baselinePath, len(state), escapes)
+		if len(notInlined) > 0 {
+			fmt.Printf("allocgate: FAIL: %d //alloc:inline function(s) not inlinable\n", len(notInlined))
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -117,14 +139,20 @@ func main() {
 	if len(problems) > 0 {
 		fmt.Printf("allocgate: FAIL: %d drift(s) from %s; run `make allocgate-baseline` after auditing\n",
 			len(problems), *baselinePath)
+	}
+	if len(notInlined) > 0 {
+		fmt.Printf("allocgate: FAIL: %d //alloc:inline function(s) not inlinable\n", len(notInlined))
+	}
+	if len(problems) > 0 || len(notInlined) > 0 {
 		os.Exit(1)
 	}
-	fmt.Printf("allocgate: ok: %d gated function(s) match %s\n", len(state), *baselinePath)
+	fmt.Printf("allocgate: ok: %d gated function(s) match %s, %d inline pin(s) hold\n",
+		len(state), *baselinePath, inlinePins(anns))
 }
 
 // collectAnnotations parses every non-test Go file under the package
-// dirs and returns the //alloc:free functions plus the set of
-// //alloc:allow-exempted file:line positions.
+// dirs and returns the //alloc:free and //alloc:inline functions plus
+// the set of //alloc:allow-exempted file:line positions.
 func collectAnnotations(pkgs []string) ([]annotation, map[string]bool, error) {
 	var anns []annotation
 	allowed := make(map[string]bool)
@@ -157,14 +185,21 @@ func collectAnnotations(pkgs []string) ([]annotation, map[string]bool, error) {
 			}
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || !hasAllocFree(fd.Doc) {
+				if !ok || fd.Body == nil {
+					continue
+				}
+				free, inline := hasDirective(fd.Doc, "//alloc:free"), hasDirective(fd.Doc, "//alloc:inline")
+				if !free && !inline {
 					continue
 				}
 				ann := annotation{
-					key:   fmt.Sprintf("%s:%s", rel, funcName(fd)),
-					file:  rel,
-					start: fset.Position(fd.Pos()).Line,
-					end:   fset.Position(fd.End()).Line,
+					key:    fmt.Sprintf("%s:%s", rel, funcName(fd)),
+					name:   funcName(fd),
+					file:   rel,
+					start:  fset.Position(fd.Pos()).Line,
+					end:    fset.Position(fd.End()).Line,
+					free:   free,
+					inline: inline,
 				}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
@@ -187,16 +222,26 @@ func collectAnnotations(pkgs []string) ([]annotation, map[string]bool, error) {
 	return anns, allowed, nil
 }
 
-func hasAllocFree(doc *ast.CommentGroup) bool {
+func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	if doc == nil {
 		return false
 	}
 	for _, c := range doc.List {
-		if strings.HasPrefix(c.Text, "//alloc:free") {
+		if strings.HasPrefix(c.Text, directive) {
 			return true
 		}
 	}
 	return false
+}
+
+func inlinePins(anns []annotation) int {
+	n := 0
+	for _, a := range anns {
+		if a.inline {
+			n++
+		}
+	}
+	return n
 }
 
 // funcName renders a FuncDecl as (*Recv).Name / Recv.Name / Name; a
@@ -221,16 +266,57 @@ func funcName(fd *ast.FuncDecl) string {
 	return fd.Name.Name
 }
 
-// buildDiagnostics runs the compiler's escape analysis over the
-// packages and returns its raw output.  The Go build cache replays
-// these diagnostics on cached builds, so repeat runs stay cheap.
+// buildDiagnostics runs the compiler's escape analysis and inlining
+// report over the packages and returns its raw output.  The Go build
+// cache replays these diagnostics on cached builds, so repeat runs stay
+// cheap.
 func buildDiagnostics(pkgs []string) (string, error) {
-	cmd := exec.Command("go", append([]string{"build", "-gcflags=-m"}, pkgs...)...)
+	cmd := exec.Command("go", append([]string{"build", "-gcflags=-m=2"}, pkgs...)...)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		return "", fmt.Errorf("go build -gcflags=-m: %v\n%s", err, out)
+		return "", fmt.Errorf("go build -gcflags=-m=2: %v\n%s", err, out)
 	}
 	return string(out), nil
+}
+
+// checkInline returns one problem per //alloc:inline function the
+// compiler did not report as inlinable, with the compiler's reason when
+// it gave one.  A report matches a function by file, declaration line
+// and name, so a closure declared on the same line does not stand in
+// for it.
+func checkInline(anns []annotation, buildOut string) []string {
+	can := make(map[string]bool)
+	why := make(map[string]string)
+	for _, line := range strings.Split(buildOut, "\n") {
+		m := diagRe.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		im := inlineRe.FindStringSubmatch(m[3])
+		if im == nil {
+			continue
+		}
+		at := fmt.Sprintf("%s:%s:%s", filepath.ToSlash(m[1]), m[2], typeArgs.ReplaceAllString(im[2], ""))
+		if im[1] == "can" {
+			can[at] = true
+		} else {
+			why[at] = strings.TrimSpace(im[4])
+		}
+	}
+	var problems []string
+	for _, a := range anns {
+		at := fmt.Sprintf("%s:%d:%s", a.file, a.start, a.name)
+		if !a.inline || can[at] {
+			continue
+		}
+		reason := why[at]
+		if reason == "" {
+			reason = "no inlining report"
+		}
+		problems = append(problems, fmt.Sprintf("%s: //alloc:inline but not inlinable: %s", a.key, reason))
+	}
+	sort.Strings(problems)
+	return problems
 }
 
 // attribute maps each escape diagnostic to the //alloc:free function
@@ -240,7 +326,9 @@ func buildDiagnostics(pkgs []string) (string, error) {
 func attribute(anns []annotation, allowed map[string]bool, buildOut string) map[string][]string {
 	state := make(map[string][]string, len(anns))
 	for _, a := range anns {
-		state[a.key] = []string{}
+		if a.free {
+			state[a.key] = []string{}
+		}
 	}
 	for _, line := range strings.Split(buildOut, "\n") {
 		m := diagRe.FindStringSubmatch(line)
@@ -255,7 +343,7 @@ func attribute(anns []annotation, allowed map[string]bool, buildOut string) map[
 		}
 		for i := range anns {
 			a := &anns[i]
-			if a.file != file || ln < a.start || ln > a.end {
+			if !a.free || a.file != file || ln < a.start || ln > a.end {
 				continue
 			}
 			if inPanicSpan(a, ln) {

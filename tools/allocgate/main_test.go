@@ -254,3 +254,84 @@ func (H[A, B]) gen2() {}
 		t.Fatalf("funcName = %v, want %v", got, want)
 	}
 }
+
+// inlineFixture pins two functions inlinable: small is, big makes two
+// calls the compiler will not inline, which prices it past the budget.
+// free is gated for escapes only, so its inlinability is not checked.
+const inlineFixture = `package fix
+
+import "fmt"
+
+//alloc:inline
+func small(n int) int { return n + 1 }
+
+// big is pinned but is not inlinable.
+//
+//alloc:inline
+func big(n int) string {
+	return fmt.Sprint(n) + fmt.Sprint(n+1)
+}
+
+//alloc:free
+func free(n int) string { return fmt.Sprint(n) + fmt.Sprint(n+1) }
+`
+
+// The inline pin against the real compiler: the gate passes an
+// inlinable pinned function and fails a pinned one that is not,
+// quoting the compiler's reason.
+func TestInlinePins(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module fix\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "fix"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "fix", "fix.go"), []byte(inlineFixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+
+	pkgs := []string{"./fix"}
+	anns, _, err := collectAnnotations(pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(anns) != 3 || inlinePins(anns) != 2 {
+		t.Fatalf("annotations = %+v, want three with two inline pins", anns)
+	}
+	out, err := buildDiagnostics(pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems := checkInline(anns, out)
+	if len(problems) != 1 {
+		t.Fatalf("problems = %q, want exactly big's", problems)
+	}
+	if p := problems[0]; !strings.HasPrefix(p, "fix/fix.go:big: //alloc:inline but not inlinable: ") ||
+		!strings.Contains(p, "exceeds budget") {
+		t.Fatalf("problem = %q, want big named with the compiler's budget reason", p)
+	}
+}
+
+// A "can inline" report for a closure declared on the pinned
+// function's line does not stand in for the function itself.
+func TestInlinePinMatchesName(t *testing.T) {
+	anns := []annotation{{key: "p/a.go:f", name: "f", file: "p/a.go", start: 3, inline: true}}
+	out := "p/a.go:3:6: cannot inline f: function too complex: cost 90 exceeds budget 80\n" +
+		"p/a.go:3:20: can inline f.func1 with cost 2 as: func() {  }\n"
+	problems := checkInline(anns, out)
+	if len(problems) != 1 || !strings.HasSuffix(problems[0], "function too complex: cost 90 exceeds budget 80") {
+		t.Fatalf("problems = %q", problems)
+	}
+	if problems := checkInline(anns, "p/a.go:3:6: can inline f with cost 4 as: func() {  }\n"); len(problems) != 0 {
+		t.Fatalf("inlinable pin reported: %q", problems)
+	}
+}
