@@ -152,11 +152,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "fabricctl: %v\n", err)
 		return 2
 	}
-	for _, k := range root.Keys() {
-		if k != "topology" && k != "spec" {
-			fmt.Fprintf(stderr, "fabricctl: unknown key %q (allowed: topology, spec)\n", k)
-			return 2
-		}
+	if err := root.CheckKeys("topology", "spec"); err != nil {
+		fmt.Fprintf(stderr, "fabricctl: %v\n", err)
+		return 2
 	}
 	topoSpec, err := decodeTopology(root.Get("topology"))
 	if err != nil {

@@ -24,10 +24,7 @@ type guardedView struct {
 	denies uint64
 }
 
-var _ interface {
-	mem.View
-	CondStore(mem.Addr, uint32, uint32) (uint32, error)
-} = (*guardedView)(nil)
+var _ mem.View = (*guardedView)(nil)
 
 func (g *guardedView) deny(a mem.Addr, write bool) {
 	g.denies++

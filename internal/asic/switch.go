@@ -874,10 +874,7 @@ func (s *Switch) admitTPP(id guard.TenantID) bool {
 //alloc:free
 func (s *Switch) execTPP(pkt *core.Packet, outPort int) {
 	s.execView = view{sw: s, pkt: pkt, port: s.ports[outPort]}
-	var v interface {
-		mem.View
-		CondStore(mem.Addr, uint32, uint32) (uint32, error)
-	} = &s.execView
+	var v mem.View = &s.execView
 	var gv *guardedView
 	if s.guard != nil {
 		g, _ := s.guard.Lookup(guard.TenantID(pkt.TPP.Tenant)) // unknown: zero grant, deny-all

@@ -17,10 +17,7 @@ type view struct {
 	port *Port
 }
 
-var _ interface {
-	mem.View
-	CondStore(mem.Addr, uint32, uint32) (uint32, error)
-} = (*view)(nil)
+var _ mem.View = (*view)(nil)
 
 // Load implements mem.View.
 func (v *view) Load(a mem.Addr) (uint32, error) {

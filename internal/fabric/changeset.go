@@ -117,6 +117,9 @@ type DeviceChange struct {
 	Device    string
 	BaseEpoch uint32
 	Ops       []Op
+	// spec is the normalized device spec the diff computed Ops from;
+	// Apply re-diffs the written device against it.
+	spec DeviceSpec
 }
 
 // ChangeSet is the full diff output: per-device mutations in device
@@ -150,13 +153,36 @@ func (cs ChangeSet) Ops() int {
 func (cs ChangeSet) Mutations() int {
 	n := 0
 	for _, d := range cs.Devices {
-		for _, op := range d.Ops {
-			if op.Kind != OpDetour {
-				n++
-			}
-		}
+		m, _ := mutations(d.Ops)
+		n += m
 	}
 	return n
+}
+
+// mutations counts the ops that are not informational detours and
+// returns the first of them.
+func mutations(ops []Op) (n int, first Op) {
+	for _, op := range ops {
+		if op.Kind == OpDetour {
+			continue
+		}
+		if n == 0 {
+			first = op
+		}
+		n++
+	}
+	return n, first
+}
+
+// shortOfSpec is the verdict on a device whose diff is ops: empty when
+// every op is an informational detour.  Verify and Apply's read-back
+// both judge a device by it.
+func shortOfSpec(ops []Op) string {
+	n, first := mutations(ops)
+	if n == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%d ops short of spec (first: %s)", n, first)
 }
 
 // Detours collects the informational detour ops across all devices, in

@@ -92,6 +92,7 @@ func (c *Controller) diff(ns Spec, seats *seating) (ChangeSet, []DeviceError) {
 				Device:    d.Device,
 				BaseEpoch: st.Epoch,
 				Ops:       ops,
+				spec:      d,
 			})
 		}
 	}
@@ -318,10 +319,11 @@ func (r ApplyReport) Errors() []DeviceError {
 func (r ApplyReport) OK() bool { return len(r.Errors()) == 0 }
 
 // Apply executes a ChangeSet, one device at a time, each device
-// all-or-nothing: epoch-checked before any write, snapshotted, applied,
-// epoch-rechecked, then every op verified by read-back.  A failure
-// rolls the device back to its pre-apply snapshot and surfaces as a
-// typed DeviceError; other devices still apply.
+// all-or-nothing: snapshotted and epoch-checked before any write,
+// applied, then read back and re-diffed against the spec the diff
+// started from.  A failure rolls the device back to its pre-apply
+// snapshot and surfaces as a typed DeviceError; other devices still
+// apply.
 func (c *Controller) Apply(cs ChangeSet) ApplyReport {
 	var rep ApplyReport
 	for _, dc := range cs.Devices {
@@ -332,34 +334,23 @@ func (c *Controller) Apply(cs ChangeSet) ApplyReport {
 
 func (c *Controller) applyDevice(dc DeviceChange) DeviceReport {
 	rep := DeviceReport{Device: dc.Device}
-	sw, ok := c.devices[dc.Device]
-	if !ok {
-		rep.Err = &DeviceError{Device: dc.Device, Kind: ErrUnknownDevice}
-		return rep
-	}
-
-	// Epoch stamp: the writes below are valid only against the state
-	// the diff read.  A bumped epoch means a crash-restart wiped that
-	// state — don't touch the device; the next converge round re-diffs.
-	epoch, up := sw.ReadWord(mem.SwitchBase + mem.SwitchEpoch)
-	if !up {
-		rep.Err = &DeviceError{Device: dc.Device, Kind: ErrDeviceDark,
-			Detail: "no read-back (mid-boot)"}
-		return rep
-	}
-	if epoch != dc.BaseEpoch {
-		rep.Err = &DeviceError{Device: dc.Device, Kind: ErrEpochRaced,
-			Detail: fmt.Sprintf("base epoch %d, live %d", dc.BaseEpoch, epoch)}
-		return rep
-	}
 
 	// Pre-apply snapshot: config state plus the managed SRAM contents,
-	// so rollback restores service regions byte-for-byte.
+	// so rollback restores service regions byte-for-byte.  Its epoch is
+	// the stamp: the writes below are valid only against the state the
+	// diff read, and a bumped epoch means a crash-restart wiped that
+	// state — don't touch the device; the next converge round re-diffs.
 	snap, derr := c.ReadState(dc.Device)
 	if derr != nil {
 		rep.Err = derr
 		return rep
 	}
+	if snap.Epoch != dc.BaseEpoch {
+		rep.Err = &DeviceError{Device: dc.Device, Kind: ErrEpochRaced,
+			Detail: fmt.Sprintf("base epoch %d, live %d", dc.BaseEpoch, snap.Epoch)}
+		return rep
+	}
+	sw := c.devices[dc.Device]
 	snapWords := make(map[string][]uint32, len(snap.Services))
 	for _, s := range snap.Services {
 		words := make([]uint32, s.Region.Words)
@@ -389,24 +380,39 @@ func (c *Controller) applyDevice(dc DeviceChange) DeviceReport {
 	// The writes are in; make sure the device we wrote is still the
 	// device we diffed.  A reboot mid-apply wiped some of the writes —
 	// don't trust any of them.
-	epoch, up = sw.ReadWord(mem.SwitchBase + mem.SwitchEpoch)
-	if !up {
-		rep.Err = &DeviceError{Device: dc.Device, Kind: ErrDeviceDark,
-			Detail: "went dark mid-apply"}
+	st, derr := c.ReadState(dc.Device)
+	if derr != nil {
+		rep.Err = derr
 		return rep
 	}
-	if epoch != dc.BaseEpoch {
+	if st.Epoch != dc.BaseEpoch {
 		rep.Err = &DeviceError{Device: dc.Device, Kind: ErrEpochRaced,
-			Detail: fmt.Sprintf("rebooted mid-apply: base epoch %d, live %d", dc.BaseEpoch, epoch)}
+			Detail: fmt.Sprintf("rebooted mid-apply: base epoch %d, live %d", dc.BaseEpoch, st.Epoch)}
 		return rep
 	}
 
-	for i, op := range dc.Ops {
-		if op.Kind == OpDetour {
+	// Verify by the diff itself: the written device must be at spec,
+	// whole — drift outside the ops written (a stale ChangeSet) fails
+	// as surely as a write that did not land.
+	ops, derr := diffDevice(dc.spec, st, c.detoursFor(dc.Device))
+	if derr != nil {
+		return fail(ErrVerifyFailed, derr.Detail)
+	}
+	if detail := shortOfSpec(ops); detail != "" {
+		return fail(ErrVerifyFailed, detail)
+	}
+	// Seed words are the one thing the diff ignores (workloads own a
+	// live region's contents), so the ones just written are read back
+	// here.
+	for _, op := range dc.Ops {
+		if op.Kind != OpAllocService {
 			continue
 		}
-		if detail := verifyOp(sw, op); detail != "" {
-			return fail(ErrVerifyFailed, fmt.Sprintf("op %d (%s): %s", i, op, detail))
+		reg, _ := sw.Allocator().Lookup(taskPrefix + op.Service.Name) // live: the re-diff found it
+		for i, want := range op.Service.Seed {
+			if got := sw.SRAM(mem.SRAMIndex(reg.Base) + i); got != want {
+				return fail(ErrVerifyFailed, fmt.Sprintf("service %s word %d: wrote %v, read back %v", op.Service.Name, i, want, got))
+			}
 		}
 	}
 	return rep
@@ -452,105 +458,6 @@ func applyOp(sw *asic.Switch, op Op) error {
 		return sw.L3().Insert(op.Prefix.Addr, op.Prefix.Len, l3.Route{OutPort: op.Prefix.OutPort})
 	}
 	return fmt.Errorf("unknown op kind %d", op.Kind)
-}
-
-// verifyOp re-reads one op's effect and compares field-by-field;
-// returns "" when the read-back matches what was written.
-func verifyOp(sw *asic.Switch, op Op) string {
-	switch op.Kind {
-	case OpRevokeTenant:
-		if _, ok := sw.Guard().Lookup(op.Tenant.ID); ok {
-			return fmt.Sprintf("tenant %d still granted", op.Tenant.ID)
-		}
-	case OpGrantTenant:
-		g, ok := sw.Guard().Lookup(op.Tenant.ID)
-		if !ok {
-			return fmt.Sprintf("tenant %d not granted", op.Tenant.ID)
-		}
-		switch {
-		case g.ACL != op.ACL:
-			return verifyDetail(fmt.Sprintf("tenant %d acl", op.Tenant.ID), op.ACL, g.ACL)
-		case g.Partition.Words != op.Tenant.Words:
-			return verifyDetail(fmt.Sprintf("tenant %d words", op.Tenant.ID), op.Tenant.Words, g.Partition.Words)
-		case g.Weight != op.Tenant.Weight:
-			return verifyDetail(fmt.Sprintf("tenant %d weight", op.Tenant.ID), op.Tenant.Weight, g.Weight)
-		case g.Burst != op.Tenant.Burst:
-			return verifyDetail(fmt.Sprintf("tenant %d burst", op.Tenant.ID), op.Tenant.Burst, g.Burst)
-		}
-	case OpFreeService:
-		// A resize frees and re-allocates the name in one change, at a
-		// different size; only a region still at the freed size means
-		// the free did not land.
-		if reg, ok := sw.Allocator().Lookup(taskPrefix + op.Service.Name); ok && reg.Words == op.Service.Words {
-			return fmt.Sprintf("service %s still allocated", op.Service.Name)
-		}
-	case OpAllocService:
-		reg, ok := sw.Allocator().Lookup(taskPrefix + op.Service.Name)
-		if !ok {
-			return fmt.Sprintf("service %s not allocated", op.Service.Name)
-		}
-		if reg.Words != op.Service.Words {
-			return verifyDetail(fmt.Sprintf("service %s words", op.Service.Name), op.Service.Words, reg.Words)
-		}
-		// Seed words read back through the dataplane path a collect
-		// TPP's LOAD would take.
-		for i, want := range op.Service.Seed {
-			got, up := sw.ReadWord(reg.Base + mem.Addr(i))
-			if !up || got != want {
-				return verifyDetail(fmt.Sprintf("service %s word %d", op.Service.Name, i), want, got)
-			}
-		}
-	case OpAddRoute:
-		if detail := verifyRoute(sw, op.Route); detail != "" {
-			return detail
-		}
-	case OpUpdateRoute:
-		e, ok := sw.TCAM().Get(op.EntryID)
-		if !ok {
-			return fmt.Sprintf("entry %d vanished", op.EntryID)
-		}
-		if e.Action != op.Route.action() {
-			return verifyDetail(fmt.Sprintf("route %s prio %d action", ipString(op.Route.DstIP), op.Route.Priority),
-				op.Route.action(), e.Action)
-		}
-	case OpRemoveRoute:
-		if _, ok := sw.TCAM().Get(op.EntryID); ok {
-			return fmt.Sprintf("entry %d still present", op.EntryID)
-		}
-	case OpAddPrefix:
-		for _, pr := range sw.L3().Routes() {
-			if pr.Prefix == op.Prefix.Addr && pr.Len == op.Prefix.Len {
-				if pr.Route.OutPort != op.Prefix.OutPort {
-					return verifyDetail(fmt.Sprintf("prefix %s/%d port", ipString(op.Prefix.Addr), op.Prefix.Len),
-						op.Prefix.OutPort, pr.Route.OutPort)
-				}
-				return ""
-			}
-		}
-		return fmt.Sprintf("prefix %s/%d not present", ipString(op.Prefix.Addr), op.Prefix.Len)
-	case OpRemovePrefix:
-		for _, pr := range sw.L3().Routes() {
-			if pr.Prefix == op.Prefix.Addr && pr.Len == op.Prefix.Len {
-				return fmt.Sprintf("prefix %s/%d still present", ipString(op.Prefix.Addr), op.Prefix.Len)
-			}
-		}
-	}
-	return ""
-}
-
-// verifyRoute finds the live band entry for r and checks its action.
-func verifyRoute(sw *asic.Switch, r Route) string {
-	want := BandBase + r.Priority
-	for _, e := range sw.TCAM().Entries() {
-		if e.Priority == want && e.Value[tcam.KeyDstIP] == r.DstIP && e.Mask[tcam.KeyDstIP] == tcam.ExactMask {
-			if e.Action != r.action() {
-				return verifyDetail(fmt.Sprintf("route %s prio %d action", ipString(r.DstIP), r.Priority),
-					r.action(), e.Action)
-			}
-			return ""
-		}
-	}
-	return fmt.Sprintf("route %s prio %d not present", ipString(r.DstIP), r.Priority)
 }
 
 // rollback restores device dev to its pre-apply snapshot: re-diff the
@@ -614,21 +521,9 @@ func (c *Controller) Verify(spec Spec) []DeviceError {
 		// Informational detour ops are not drift: a device whose only
 		// divergence from spec is a standing reflex detour verifies
 		// clean (the operator ratifies or the reflex reverts).
-		muts, first := 0, Op{}
-		for _, op := range dc.Ops {
-			if op.Kind == OpDetour {
-				continue
-			}
-			if muts == 0 {
-				first = op
-			}
-			muts++
+		if detail := shortOfSpec(dc.Ops); detail != "" {
+			errs = append(errs, DeviceError{Device: dc.Device, Kind: ErrVerifyFailed, Detail: detail})
 		}
-		if muts == 0 {
-			continue
-		}
-		detail := fmt.Sprintf("%d ops short of spec (first: %s)", muts, first)
-		errs = append(errs, DeviceError{Device: dc.Device, Kind: ErrVerifyFailed, Detail: detail})
 	}
 	if seats != nil {
 		errs = append(errs, seats.errs...)

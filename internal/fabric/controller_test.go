@@ -1,6 +1,7 @@
 package fabric_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -361,6 +362,50 @@ func TestApplyEpochStamp(t *testing.T) {
 	}
 }
 
+// A ChangeSet whose device drifted after the diff, inside the same
+// epoch, lands every op it carries — and still leaves the device off
+// spec.  Apply's read-back must see the whole device, not just the ops
+// it wrote.
+func TestApplyRejectsStaleChangeSet(t *testing.T) {
+	h := newHarness(1)
+	spec := testSpec()
+	cs, errs, err := h.ctl.Diff(spec)
+	if err != nil || len(errs) > 0 {
+		t.Fatalf("Diff: err=%v device errs=%v", err, errs)
+	}
+
+	// A foreign entry lands in spine0's band after the diff; no reboot,
+	// so the epoch still matches.
+	v, m := dstRule(core.IPv4Addr(99, 9, 9, 9))
+	h.spine.TCAM().Insert(fabric.BandBase+7, v, m, asicAction(1))
+	before, _ := h.ctl.ReadState("spine0")
+
+	rep := h.ctl.Apply(cs)
+	var spineErr *fabric.DeviceError
+	for _, d := range rep.Devices {
+		if d.Device == "spine0" {
+			spineErr = d.Err
+		} else if d.Err != nil {
+			t.Fatalf("%s: %v", d.Device, d.Err)
+		}
+	}
+	if spineErr == nil || spineErr.Kind != fabric.ErrVerifyFailed || !spineErr.RolledBack {
+		t.Fatalf("stale apply on spine0: got %v, want a rolled-back verify-failed", spineErr)
+	}
+	after, _ := h.ctl.ReadState("spine0")
+	if !reflect.DeepEqual(before.Routes, after.Routes) {
+		t.Fatalf("spine0 routes not rolled back:\nbefore %+v\nafter  %+v", before.Routes, after.Routes)
+	}
+
+	res, finished := h.ctl.ConvergeWithin(spec, fabric.ConvergeConfig{}, netsim.Second)
+	if !finished || !res.Converged {
+		t.Fatalf("converge after stale apply: finished=%v %+v", finished, res)
+	}
+	if errs := h.ctl.Verify(spec); len(errs) > 0 {
+		t.Fatalf("Verify: %v", errs)
+	}
+}
+
 func TestDiffErrors(t *testing.T) {
 	h := newHarness(1)
 
@@ -415,6 +460,8 @@ func TestDiffErrors(t *testing.T) {
 	for _, bad := range []fabric.Spec{
 		{Devices: []fabric.DeviceSpec{{Device: "leaf0"}, {Device: "leaf0"}}},
 		{Devices: []fabric.DeviceSpec{{Device: "leaf0", Tenants: []fabric.Tenant{{ID: 0, Words: 8}}}}},
+		{Devices: []fabric.DeviceSpec{{Device: "leaf0", Tenants: []fabric.Tenant{{ID: 1, Words: 8, Weight: math.NaN()}}}}},
+		{Devices: []fabric.DeviceSpec{{Device: "leaf0", Tenants: []fabric.Tenant{{ID: 1, Words: 8, Weight: math.Inf(1)}}}}},
 		{Devices: []fabric.DeviceSpec{{Device: "leaf0", Routes: []fabric.Route{{Priority: fabric.BandSize}}}}},
 		{Devices: []fabric.DeviceSpec{{Device: "leaf0", Services: []fabric.Service{{Name: "s", Words: 0}}}}},
 	} {

@@ -15,13 +15,16 @@
 //     allocator) — never from a cached copy — and emits an ordered
 //     ChangeSet of per-device mutations.  An empty ChangeSet is the
 //     converged fixpoint.
-//   - Apply executes each device's ops all-or-nothing: the device state
-//     is snapshotted first, writes are epoch-stamped (a device whose
-//     [Switch:Epoch] moved since the diff is not touched — the race
-//     surfaces as a typed ErrEpochRaced instead of writes landing on a
-//     wiped switch), any failed write rolls the device back to the
-//     snapshot, and every op's effect is re-read and verified
-//     field-by-field before the device counts as applied.
+//   - Apply executes each device's ops all-or-nothing.  The device is
+//     read back first: that read is the snapshot a rollback restores,
+//     and a device whose [Switch:Epoch] moved since the diff is not
+//     touched (a typed ErrEpochRaced instead of writes landing on a
+//     wiped switch).  A failed write rolls the device back.  After the
+//     writes the device is read back again and re-diffed against the
+//     spec the diff started from: anything short of spec other than an
+//     informational detour is ErrVerifyFailed and a rollback, so drift
+//     outside the ops written fails too.  Seed words, which the diff
+//     ignores, are read back on their own.
 //   - Verify is the diff read as a verdict: a device whose live state
 //     differs from spec is ErrVerifyFailed, and a service the spec
 //     names on two or more devices must sit at the same live base on

@@ -24,8 +24,9 @@ const (
 	// ErrWriteFailed: an op failed mid-apply; the device was rolled
 	// back to its pre-apply snapshot.
 	ErrWriteFailed
-	// ErrVerifyFailed: every op applied but the re-read disagreed with
-	// what was written; the device was rolled back.
+	// ErrVerifyFailed: the device reads back short of spec.  From
+	// Apply: every op was written, the re-diff still found ops to do,
+	// and the device was rolled back.
 	ErrVerifyFailed
 	// ErrIncongruent: a service the spec names on several devices sits
 	// at different live bases, so no one compiled TPP addresses it on

@@ -42,8 +42,8 @@ func Parse(src string, vars map[string]string) (Scenario, error) {
 	if err != nil {
 		return Scenario{}, err
 	}
-	if err := knownKeys(root, "name", "spec", "phases"); err != nil {
-		return Scenario{}, err
+	if err := root.CheckKeys("name", "spec", "phases"); err != nil {
+		return Scenario{}, fmt.Errorf("scenario: %w", err)
 	}
 	sc := Scenario{Name: root.Get("name").Str()}
 	if sn := root.Get("spec"); sn != nil {
@@ -87,9 +87,9 @@ func substitute(src string, vars map[string]string) string {
 }
 
 func decodePhase(n *yamlite.Node) (Phase, error) {
-	if err := knownKeys(n, "name", "kind", "needs", "repeat",
+	if err := n.CheckKeys("name", "kind", "needs", "repeat",
 		"budget", "backoff", "applydelay", "bound", "events", "hooks", "until"); err != nil {
-		return Phase{}, err
+		return Phase{}, fmt.Errorf("scenario: %w", err)
 	}
 	p := Phase{Name: n.Get("name").Str(), Kind: Kind(n.Get("kind").Str())}
 	for _, need := range n.Get("needs").Items() {
@@ -147,10 +147,10 @@ func kindByName(name string) (faults.Kind, error) {
 }
 
 func decodeEvent(n *yamlite.Node) (faults.Event, error) {
-	if err := knownKeys(n, "at", "kind", "target", "p",
+	if err := n.CheckKeys("at", "kind", "target", "p",
 		"pgoodbad", "pbadgood", "lossgood", "lossbad",
 		"dstip", "bootdelay", "pps", "dstmac", "dir"); err != nil {
-		return faults.Event{}, err
+		return faults.Event{}, fmt.Errorf("scenario: %w", err)
 	}
 	var ev faults.Event
 	var err error
@@ -223,20 +223,4 @@ func durationKey(n *yamlite.Node, key string) (netsim.Time, error) {
 		return 0, nil
 	}
 	return fabric.ParseDuration(v.Str())
-}
-
-func knownKeys(n *yamlite.Node, allowed ...string) error {
-	if n == nil {
-		return fmt.Errorf("scenario: expected a map")
-	}
-outer:
-	for _, k := range n.Keys() {
-		for _, a := range allowed {
-			if k == a {
-				continue outer
-			}
-		}
-		return fmt.Errorf("scenario: unknown key %q (allowed: %s)", k, strings.Join(allowed, ", "))
-	}
-	return nil
 }

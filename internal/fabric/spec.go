@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/guard"
@@ -181,6 +182,11 @@ func normalizeDevice(d DeviceSpec) (DeviceSpec, error) {
 		}
 		if t.Words <= 0 {
 			return DeviceSpec{}, fmt.Errorf("fabric: %s: tenant %d wants %d words", d.Device, t.ID, t.Words)
+		}
+		// A non-finite weight poisons the guard's weight sum, and a NaN
+		// never compares equal to its own read-back.
+		if math.IsNaN(t.Weight) || math.IsInf(t.Weight, 0) {
+			return DeviceSpec{}, fmt.Errorf("fabric: %s: tenant %d weight %g", d.Device, t.ID, t.Weight)
 		}
 		// Resolve the guard's registration defaults so spec and
 		// read-back compare field-for-field.

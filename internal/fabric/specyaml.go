@@ -48,8 +48,8 @@ func DecodeSpec(root *yamlite.Node) (Spec, error) {
 	if root == nil {
 		return Spec{}, fmt.Errorf("fabric: no spec")
 	}
-	if err := knownKeys(root, "devices"); err != nil {
-		return Spec{}, err
+	if err := root.CheckKeys("devices"); err != nil {
+		return Spec{}, fmt.Errorf("fabric: %w", err)
 	}
 	var spec Spec
 	devs, err := listOf(root, "devices")
@@ -82,8 +82,8 @@ func listOf(n *yamlite.Node, key string) ([]*yamlite.Node, error) {
 }
 
 func decodeDevice(n *yamlite.Node) (DeviceSpec, error) {
-	if err := knownKeys(n, "device", "tenants", "services", "routes", "prefixes"); err != nil {
-		return DeviceSpec{}, err
+	if err := n.CheckKeys("device", "tenants", "services", "routes", "prefixes"); err != nil {
+		return DeviceSpec{}, fmt.Errorf("fabric: %w", err)
 	}
 	d := DeviceSpec{Device: n.Get("device").Str()}
 	wrap := func(err error) error { return fmt.Errorf("device %s: %w", d.Device, err) }
@@ -135,8 +135,8 @@ func decodeDevice(n *yamlite.Node) (DeviceSpec, error) {
 }
 
 func decodeTenant(n *yamlite.Node) (Tenant, error) {
-	if err := knownKeys(n, "id", "policy", "words", "weight", "burst"); err != nil {
-		return Tenant{}, err
+	if err := n.CheckKeys("id", "policy", "words", "weight", "burst"); err != nil {
+		return Tenant{}, fmt.Errorf("fabric: %w", err)
 	}
 	id, err := intKey(n, "id", true)
 	if err != nil {
@@ -163,8 +163,8 @@ func decodeTenant(n *yamlite.Node) (Tenant, error) {
 }
 
 func decodeService(n *yamlite.Node) (Service, error) {
-	if err := knownKeys(n, "name", "words", "seed"); err != nil {
-		return Service{}, err
+	if err := n.CheckKeys("name", "words", "seed"); err != nil {
+		return Service{}, fmt.Errorf("fabric: %w", err)
 	}
 	words, err := intKey(n, "words", true)
 	if err != nil {
@@ -186,8 +186,8 @@ func decodeService(n *yamlite.Node) (Service, error) {
 }
 
 func decodeRoute(n *yamlite.Node) (Route, error) {
-	if err := knownKeys(n, "dst", "prio", "port", "drop"); err != nil {
-		return Route{}, err
+	if err := n.CheckKeys("dst", "prio", "port", "drop"); err != nil {
+		return Route{}, fmt.Errorf("fabric: %w", err)
 	}
 	dst, err := ParseIP(n.Get("dst").Str())
 	if err != nil {
@@ -219,8 +219,8 @@ func decodeRoute(n *yamlite.Node) (Route, error) {
 }
 
 func decodePrefix(n *yamlite.Node) (Prefix, error) {
-	if err := knownKeys(n, "prefix", "port"); err != nil {
-		return Prefix{}, err
+	if err := n.CheckKeys("prefix", "port"); err != nil {
+		return Prefix{}, fmt.Errorf("fabric: %w", err)
 	}
 	addr, plen, err := ParsePrefix(n.Get("prefix").Str())
 	if err != nil {
@@ -231,23 +231,6 @@ func decodePrefix(n *yamlite.Node) (Prefix, error) {
 		return Prefix{}, err
 	}
 	return Prefix{Addr: addr, Len: plen, OutPort: int(port)}, nil
-}
-
-// knownKeys rejects map keys outside the allowed set.
-func knownKeys(n *yamlite.Node, allowed ...string) error {
-	if n == nil {
-		return fmt.Errorf("fabric: expected a map")
-	}
-outer:
-	for _, k := range n.Keys() {
-		for _, a := range allowed {
-			if k == a {
-				continue outer
-			}
-		}
-		return fmt.Errorf("fabric: unknown key %q (allowed: %s)", k, strings.Join(allowed, ", "))
-	}
-	return nil
 }
 
 func intKey(n *yamlite.Node, key string, required bool) (int64, error) {

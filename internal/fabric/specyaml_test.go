@@ -1,11 +1,14 @@
 package fabric_test
 
 import (
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/fabric/yamlite"
 	"repro/internal/netsim"
 )
 
@@ -75,22 +78,70 @@ func TestParseSpec(t *testing.T) {
 	mustConverge(t, h, spec)
 }
 
+// specErrCases are spec documents ParseSpec must refuse, each with a
+// substring of its error.
+var specErrCases = []struct{ src, want string }{
+	{"devices:\n  - device: x\n    bogus: 1", "unknown key"},
+	{"devices:\n  - device: x\n    routes:\n      - dst: 10.0.0.1\n        prio: 1", "needs port or drop"},
+	{"devices:\n  - device: x\n    routes:\n      - dst: 300.0.0.1\n        prio: 1\n        port: 0", "dotted quad"},
+	{"devices:\n  - device: x\n    prefixes:\n      - prefix: 10.0.0.0/40\n        port: 0", "prefix length"},
+	{"devices:\n  - device: x\n    tenants:\n      - id: 1", "missing key"},
+	// A list-valued key written as a map must fail loudly, not
+	// decode as zero items.
+	{"devices:\n  leaf0:\n    routes: []", "devices must be a list"},
+	{"devices:\n  - device: x\n    routes:\n      r0:\n        dst: 10.0.0.1", "routes must be a list"},
+}
+
 func TestParseSpecErrors(t *testing.T) {
-	for _, tc := range []struct{ src, want string }{
-		{"devices:\n  - device: x\n    bogus: 1", "unknown key"},
-		{"devices:\n  - device: x\n    routes:\n      - dst: 10.0.0.1\n        prio: 1", "needs port or drop"},
-		{"devices:\n  - device: x\n    routes:\n      - dst: 300.0.0.1\n        prio: 1\n        port: 0", "dotted quad"},
-		{"devices:\n  - device: x\n    prefixes:\n      - prefix: 10.0.0.0/40\n        port: 0", "prefix length"},
-		{"devices:\n  - device: x\n    tenants:\n      - id: 1", "missing key"},
-		// A list-valued key written as a map must fail loudly, not
-		// decode as zero items.
-		{"devices:\n  leaf0:\n    routes: []", "devices must be a list"},
-		{"devices:\n  - device: x\n    routes:\n      r0:\n        dst: 10.0.0.1", "routes must be a list"},
-	} {
+	for _, tc := range specErrCases {
 		if _, err := fabric.ParseSpec(tc.src); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ParseSpec(%q) err = %v, want %q", tc.src, err, tc.want)
 		}
 	}
+}
+
+// FuzzDecodeSpec feeds arbitrary text through the controller's
+// untrusted-input path — yamlite.Parse, DecodeSpec, Normalize — which
+// must refuse what it cannot take and never panic.  A spec Normalize
+// accepts is canonical: normalizing it again changes nothing, the
+// fixpoint the diff's field-for-field comparison relies on.  A
+// document with a top-level "spec:" key (fabricctl's file format)
+// decodes that key.
+func FuzzDecodeSpec(f *testing.F) {
+	example, err := os.ReadFile("../../examples/fabric/fabric.yaml")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(example))
+	f.Add(specSrc)
+	f.Add("devices:\n  - device: x\n    tenants:\n      - id: 1\n        words: 8\n        weight: nan")
+	for _, tc := range specErrCases {
+		f.Add(tc.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		root, err := yamlite.Parse(src)
+		if err != nil {
+			return
+		}
+		if sn := root.Get("spec"); sn != nil {
+			root = sn
+		}
+		spec, err := fabric.DecodeSpec(root)
+		if err != nil {
+			return
+		}
+		ns, err := spec.Normalize()
+		if err != nil {
+			return
+		}
+		again, err := ns.Normalize()
+		if err != nil {
+			t.Fatalf("normalized spec refused: %v\n%+v", err, ns)
+		}
+		if !reflect.DeepEqual(ns, again) {
+			t.Fatalf("Normalize is not idempotent:\nonce  %+v\ntwice %+v", ns, again)
+		}
+	})
 }
 
 func TestParseDuration(t *testing.T) {

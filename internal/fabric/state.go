@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -143,11 +142,6 @@ func specFromState(st DeviceState) DeviceSpec {
 	}
 	d.Prefixes = append(d.Prefixes, st.Prefixes...)
 	return d
-}
-
-// verifyDetail renders a field-level mismatch for a verify failure.
-func verifyDetail(what string, want, got any) string {
-	return fmt.Sprintf("%s: wrote %v, read back %v", what, want, got)
 }
 
 func sortRouteStates(rs []RouteState) {

@@ -11,6 +11,7 @@ package yamlite
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -85,6 +86,22 @@ func (n *Node) Get(key string) *Node {
 	for i, k := range n.keys {
 		if k == key {
 			return n.vals[i]
+		}
+	}
+	return nil
+}
+
+// CheckKeys rejects a map key outside allowed, naming the key and the
+// allowed set; a nil n (no value where a map belongs) is an error too.
+// Spec and scenario files reject unknown keys so that a typo fails
+// loudly instead of silently under-configuring the fabric.
+func (n *Node) CheckKeys(allowed ...string) error {
+	if n == nil {
+		return fmt.Errorf("expected a map")
+	}
+	for _, k := range n.keys {
+		if !slices.Contains(allowed, k) {
+			return fmt.Errorf("unknown key %q (allowed: %s)", k, strings.Join(allowed, ", "))
 		}
 	}
 	return nil

@@ -12,6 +12,11 @@ type View interface {
 	// Store writes the word at address a, subject to the protection
 	// map (Writable).
 	Store(a Addr, v uint32) error
+	// CondStore is CSTORE's compare-and-store: it writes v at a only if
+	// the word there equals cond, and returns the word it found.  The
+	// compare and the store are one atomic step, the "stronger
+	// (linearizable) notion of consistency for memory updates" of §2.2.
+	CondStore(a Addr, cond, v uint32) (old uint32, err error)
 }
 
 // A Fault is why a TPP memory access fails.

@@ -34,6 +34,14 @@ func (v *faultyView) Load(a mem.Addr) (uint32, error) {
 
 func (v *faultyView) Store(a mem.Addr, val uint32) error { return v.access() }
 
+func (v *faultyView) CondStore(a mem.Addr, cond, val uint32) (uint32, error) {
+	old, err := v.Load(a)
+	if err == nil && old == cond {
+		err = v.Store(a, val)
+	}
+	return old, err
+}
+
 func TestEveryOpcodeSurfacesMemoryFaults(t *testing.T) {
 	sram := uint16(mem.SRAMBase)
 	cases := []struct {

@@ -42,16 +42,6 @@ func (c Config) maxIns() int {
 	return c.MaxInstructions
 }
 
-// ConditionalStorer is implemented by memory views that can perform the
-// CSTORE compare-and-store atomically, giving the "stronger
-// (linearizable) notion of consistency for memory updates" of §2.2.
-// When a view does not implement it, Exec falls back to a non-atomic
-// load/store pair, which is sufficient under a single-threaded
-// dataplane.
-type ConditionalStorer interface {
-	CondStore(a mem.Addr, cond, v uint32) (old uint32, err error)
-}
-
 // Result reports what a TCPU did with one TPP.
 type Result struct {
 	// Executed counts instructions that entered the execute stage
@@ -355,33 +345,19 @@ func stepArith(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr, b in
 	return c.putWord(t, r, b, cur)
 }
 
-// condStore performs the compare-and-store, atomically when the view
-// supports it.
+// condStore performs the view's atomic compare-and-store and counts
+// its accesses: one load, and one store (with its stall) when it
+// commits.
 func (c Config) condStore(view mem.View, a mem.Addr, cond, src uint32, r *Result) (uint32, error) {
-	if cs, ok := view.(ConditionalStorer); ok {
-		old, err := cs.CondStore(a, cond, src)
-		if err == nil {
-			r.Loads++
-			if old == cond {
-				r.Stores++
-				r.cstoreStalls++
-			}
+	old, err := view.CondStore(a, cond, src)
+	if err == nil {
+		r.Loads++
+		if old == cond {
+			r.Stores++
+			r.cstoreStalls++
 		}
-		return old, err
 	}
-	old, err := view.Load(a)
-	if err != nil {
-		return 0, err
-	}
-	r.Loads++
-	if old == cond {
-		if err := view.Store(a, src); err != nil {
-			return 0, err
-		}
-		r.Stores++
-		r.cstoreStalls++
-	}
-	return old, nil
+	return old, err
 }
 
 // getWord reads packet-memory word i with bounds checking; on a

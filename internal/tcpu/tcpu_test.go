@@ -36,6 +36,14 @@ func (v *fakeView) Store(a mem.Addr, val uint32) error {
 	return nil
 }
 
+func (v *fakeView) CondStore(a mem.Addr, cond, val uint32) (uint32, error) {
+	old, err := v.Load(a)
+	if err == nil && old == cond {
+		err = v.Store(a, val)
+	}
+	return old, err
+}
+
 // lockedView adds an atomic CondStore, as the ASIC's memory bus does.
 type lockedView struct {
 	mu sync.Mutex
