@@ -11,7 +11,8 @@ LINT_PKGS = ./internal/netsim ./internal/asic ./internal/tcpu ./internal/faults 
 	./internal/core ./internal/endhost ./internal/inband ./internal/reflex \
 	./internal/fabric ./internal/fabric/scenario ./internal/fabric/yamlite \
 	./internal/mem ./internal/chaos ./internal/ring ./internal/obs \
-	./internal/rcp ./internal/aimd ./internal/fct ./internal/topo ./internal/trace ./internal/microburst
+	./internal/rcp ./internal/aimd ./internal/fct ./internal/topo ./internal/trace ./internal/microburst \
+	./internal/l2 ./internal/l3 ./internal/tcam
 
 # Packages that handle pooled packets; the poollife ownership analyzer
 # (use-after-Recycle, double-Recycle, retain-without-Adopt,
@@ -23,7 +24,7 @@ POOL_PKGS = ./internal/core ./internal/netsim ./internal/asic ./internal/endhost
 # Packages with //alloc:free hot-path annotations; the escape gate
 # pins them against ALLOCGATE.json.
 ALLOC_PKGS = ./internal/core ./internal/ring ./internal/tcpu ./internal/netsim ./internal/asic ./internal/endhost \
-	./internal/reflex ./internal/obs ./internal/accounting
+	./internal/reflex ./internal/obs ./internal/accounting ./internal/l2
 
 all: check
 

@@ -143,12 +143,11 @@ func TestRunTelemetry(t *testing.T) {
 		if strings.HasSuffix(m.Name, "tcpu_cycles") && m.Count > 0 {
 			found["tcpu_cycles"] = true
 		}
-		if strings.HasPrefix(m.Name, "netsim/") && m.Kind == "gauge" && m.Value > 0 {
-			found[m.Name] = true
-		}
-		// The packet pool's counts are counter rows (a 2-switch line
-		// never floods over more than one egress, so they may read 0).
-		if strings.HasPrefix(m.Name, "netsim/pool_") && m.Kind == "counter" {
+		// The engine's and the packet pool's counts are counter rows,
+		// pulled at snapshot; the pool's may read 0 (a 2-switch line
+		// never floods over more than one egress).
+		if strings.HasPrefix(m.Name, "netsim/") && m.Kind == "counter" &&
+			(m.Value > 0 || strings.HasPrefix(m.Name, "netsim/pool_")) {
 			found[m.Name] = true
 		}
 		// The watcher about itself: every recorded span was exported.

@@ -56,7 +56,11 @@ func (t *mapModel) Expire(now int64) {
 // the same seeded operation sequence — learns (broadcast sources and
 // station moves included), lookups exactly at and one past the age
 // boundary, expiries and flushes — and requires the same port, ok and
-// Size after every step.
+// Size after every step.  Part of the mix aims at the memo of the last
+// source learned: back-to-back relearns of that source, some moving
+// it to another port; lookups of it at and one past the age boundary
+// of its newest, memo-only refresh; and expiries and flushes right
+// after such a refresh, while the map's copy is out of date.
 func TestTableMatchesMapModel(t *testing.T) {
 	const age = 1000
 	// Stations: small addresses, addresses that differ only in the
@@ -69,6 +73,42 @@ func TestTableMatchesMapModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		got, want := New(age), newMapModel(age)
 		now := int64(0)
+		last := stations[0] // the last source learned
+		// boundary is now, the last fresh instant of m's entry or its
+		// first stale one, a third of the time each.
+		boundary := func(m core.MAC) int64 {
+			if e, ok := want.entries[m]; ok {
+				switch rng.Intn(3) {
+				case 0:
+					return e.learnedAt + age
+				case 1:
+					return e.learnedAt + age + 1
+				}
+			}
+			return now
+		}
+		learn := func(m core.MAC, port int) {
+			got.Learn(m, port, now)
+			want.Learn(m, port, now)
+			if !m.IsBroadcast() {
+				last = m
+			}
+		}
+		// relearn refreshes the last source one to three times, a step
+		// apart; a quarter of the refreshes move it to another port.
+		relearn := func() {
+			port := 0
+			if e, ok := want.entries[last]; ok {
+				port = e.port
+			}
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				now += 1 + rng.Int63n(age/4)
+				if rng.Intn(4) == 0 {
+					port = (port + 1 + rng.Intn(3)) % 4 // a station move
+				}
+				learn(last, port)
+			}
+		}
 		for step := 0; step < 5000; step++ {
 			now += rng.Int63n(age / 4)
 			m := stations[rng.Intn(len(stations))]
@@ -76,26 +116,29 @@ func TestTableMatchesMapModel(t *testing.T) {
 			var gotPort, wantPort int
 			var gotOK, wantOK bool
 			switch r := rng.Intn(100); {
-			case r < 45:
+			case r < 35:
 				op = "learn"
-				port := rng.Intn(4) // relearning on another port is a station move
-				got.Learn(m, port, now)
-				want.Learn(m, port, now)
-			case r < 90:
+				learn(m, rng.Intn(4)) // relearning on another port is a station move
+			case r < 45:
+				op, m = "relearn", last
+				relearn()
+			case r < 75:
 				op = "lookup"
-				at := now
-				if e, ok := want.entries[m]; ok {
-					switch rng.Intn(3) {
-					case 0:
-						at = e.learnedAt + age // last fresh instant
-					case 1:
-						at = e.learnedAt + age + 1 // first stale instant
-					}
-				}
+				at := boundary(m)
 				gotPort, gotOK = got.Lookup(m, at)
 				wantPort, wantOK = want.Lookup(m, at)
-			case r < 98:
+			case r < 85:
+				op, m = "relearn+lookup", last
+				relearn()
+				at := boundary(m)
+				gotPort, gotOK = got.Lookup(m, at)
+				wantPort, wantOK = want.Lookup(m, at)
+			case r < 95:
 				op = "expire"
+				if rng.Intn(2) == 0 {
+					op, m = "relearn+expire", last
+					relearn()
+				}
 				at := now
 				if e, ok := want.entries[m]; ok {
 					at = e.learnedAt + age + rng.Int63n(2) // m at or one past its boundary
@@ -104,12 +147,28 @@ func TestTableMatchesMapModel(t *testing.T) {
 				want.Expire(at)
 			default:
 				op = "flush"
+				if rng.Intn(2) == 0 {
+					op, m = "relearn+flush", last
+					relearn()
+				}
 				got.Flush()
 				want.Flush()
 			}
 			if gotPort != wantPort || gotOK != wantOK || got.Size() != want.Size() {
 				t.Fatalf("seed %d step %d: %s %v: table (port %d, ok %v, size %d), model (port %d, ok %v, size %d)",
 					seed, step, op, m, gotPort, gotOK, got.Size(), wantPort, wantOK, want.Size())
+			}
+			// Every entry the model holds answers the same at now,
+			// before the next step moves the clock.
+			for _, st := range stations {
+				e, held := want.entries[st]
+				if !held || now-e.learnedAt > age {
+					continue
+				}
+				if p, ok := got.Lookup(st, now); !ok || p != e.port {
+					t.Fatalf("seed %d step %d: after %s %v: %v answers (port %d, ok %v), model holds port %d",
+						seed, step, op, m, st, p, ok, e.port)
+				}
 			}
 		}
 	}

@@ -13,9 +13,6 @@ func TestUnitsAndFormatting(t *testing.T) {
 	if Seconds(1.5) != 1500*Millisecond {
 		t.Error("Seconds conversion wrong")
 	}
-	if Milliseconds(2) != 2*Millisecond {
-		t.Error("Milliseconds conversion wrong")
-	}
 	if got := (1500 * Millisecond).Seconds(); got != 1.5 {
 		t.Errorf("Time.Seconds = %v", got)
 	}
@@ -449,5 +446,43 @@ func TestSimsOwnTheirPools(t *testing.T) {
 	if sa, sb := a.Pool().Stats(), b.Pool().Stats(); sa != (core.PoolStats{Issued: 2, Recycled: 1, Allocated: 1}) ||
 		sb != (core.PoolStats{Issued: 1, Allocated: 1}) {
 		t.Errorf("pool counts leaked between Sims: a %+v, b %+v", sa, sb)
+	}
+}
+
+// Collect pulls the engine's Stats and the pool's counts by name at
+// snapshot time, not a copy taken earlier.
+func TestCollectReadsStatsAtCall(t *testing.T) {
+	s := New(1)
+	got := map[string]uint64{}
+	collect := func() {
+		clear(got)
+		s.Collect(func(name string, v uint64) { got[name] = v })
+	}
+	collect()
+	for _, name := range []string{"netsim/events_executed", "netsim/heap_peak", "netsim/pending_peak",
+		"netsim/arms_discarded", "netsim/pool_issued", "netsim/pool_recycled", "netsim/pool_adopted", "netsim/pool_allocated"} {
+		if v, ok := got[name]; !ok || v != 0 {
+			t.Fatalf("fresh Sim: %s = %d (emitted %v), want 0", name, v, ok)
+		}
+	}
+	tm := s.NewTimer(func() {})
+	tm.Reset(5)
+	tm.Reset(6) // the first arm is discarded
+	s.At(1, func() {})
+	s.At(2, func() {})
+	s.Run()
+	collect()
+	st := s.Stats()
+	want := map[string]uint64{
+		"netsim/events_executed": st.Executed, "netsim/heap_peak": uint64(st.HeapPeak),
+		"netsim/pending_peak": uint64(st.PendingPeak), "netsim/arms_discarded": st.Discarded,
+	}
+	if st.Executed != 3 || st.Discarded != 1 || st.HeapPeak != 4 || st.PendingPeak != 3 {
+		t.Fatalf("Stats = %+v, want 3 executed, 1 discarded, heap peak 4, pending peak 3", st)
+	}
+	for name, v := range want {
+		if got[name] != v {
+			t.Errorf("%s = %d, Stats says %d", name, got[name], v)
+		}
 	}
 }

@@ -56,15 +56,27 @@ func (r *Buf[T]) grow() {
 //
 //alloc:free
 func (r *Buf[T]) Pop() T {
-	var zero T
-	if r.n == 0 {
-		return zero
+	var v T
+	if r.n > 0 {
+		v = r.buf[r.head]
+		r.Drop()
 	}
-	v := r.buf[r.head]
+	return v
+}
+
+// Drop removes the head entry without returning it, zeroing its slot;
+// on an empty Buf it does nothing.  A reader that took what it needed
+// through At(0) drops the entry instead of copying it out with Pop.
+//
+//alloc:free
+func (r *Buf[T]) Drop() {
+	if r.n == 0 {
+		return
+	}
+	var zero T
 	r.buf[r.head] = zero
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	return v
 }
 
 // At returns the i'th queued entry, 0 being the head; i must be in

@@ -8,7 +8,8 @@ import (
 type item struct{ id int }
 
 // Property: a Buf hands entries back in arrival order through every
-// mix of growth and wrap-around, checked against a plain slice.
+// mix of growth and wrap-around, whether they leave by Pop or by At(0)
+// and Drop, and At reads every position, checked against a plain slice.
 func TestBufMatchesSliceModel(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	var f Buf[*item]
@@ -28,12 +29,19 @@ func TestBufMatchesSliceModel(t *testing.T) {
 				}
 				want, model = model[0], model[1:]
 			}
-			if got := f.Pop(); got != want {
+			if r.Intn(2) == 0 {
+				f.Drop() // the head was checked through At(0) above
+			} else if got := f.Pop(); got != want {
 				t.Fatalf("step %d: Pop = %v, want %v", i, got, want)
 			}
 		}
 		if f.Len() != len(model) {
 			t.Fatalf("step %d: Len = %d, model holds %d", i, f.Len(), len(model))
+		}
+		if len(model) > 0 {
+			if k := r.Intn(len(model)); *f.At(k) != model[k] {
+				t.Fatalf("step %d: At(%d) = %v, want %v", i, k, *f.At(k), model[k])
+			}
 		}
 	}
 	if f.Cap() < 64 {

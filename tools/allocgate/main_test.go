@@ -190,7 +190,7 @@ func TestRepoBaselineCleanAndCurrent(t *testing.T) {
 	pkgs := []string{
 		"./internal/core", "./internal/ring", "./internal/tcpu", "./internal/netsim",
 		"./internal/asic", "./internal/endhost", "./internal/reflex", "./internal/obs",
-		"./internal/accounting",
+		"./internal/accounting", "./internal/l2",
 	}
 	wd, err := os.Getwd()
 	if err != nil {
