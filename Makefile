@@ -24,7 +24,8 @@ POOL_PKGS = ./internal/core ./internal/netsim ./internal/asic ./internal/endhost
 # Packages with //alloc:free hot-path annotations; the escape gate
 # pins them against ALLOCGATE.json.
 ALLOC_PKGS = ./internal/core ./internal/ring ./internal/tcpu ./internal/netsim ./internal/asic ./internal/endhost \
-	./internal/reflex ./internal/obs ./internal/accounting ./internal/l2
+	./internal/reflex ./internal/obs ./internal/accounting ./internal/l2 \
+	./internal/mem ./internal/guard ./internal/tcam
 
 all: check
 

@@ -32,8 +32,8 @@ func TestStaticAddressModelMatchesView(t *testing.T) {
 					ports, mem.NameOf(addr), addr.ByteAddr(), !ok, ok)
 			}
 			storeErr := v.Store(addr, 0)
-			if got, want := mem.StoreOK(addr, ports), storeErr == nil; got != want {
-				t.Fatalf("ports=%d addr %s (%#x): StoreOK=%v but view store err=%v",
+			if got, want := mem.StoreFault(addr, ports) == 0, storeErr == nil; got != want {
+				t.Fatalf("ports=%d addr %s (%#x): StoreFault==0 is %v but view store err=%v",
 					ports, mem.NameOf(addr), addr.ByteAddr(), got, storeErr)
 			}
 		}

@@ -1,6 +1,7 @@
 package asic_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/asic"
@@ -272,6 +273,24 @@ func TestGuardPerTenantAdmission(t *testing.T) {
 	}
 	if got := sw.Guard().Throttled(1); got != uint64(rogueThrottled) {
 		t.Fatalf("table Throttled(1) = %d, flags saw %d", got, rogueThrottled)
+	}
+}
+
+// GrantTenant passes a NaN or infinite weight to the guard, which
+// refuses it: such a weight would switch off admission control for
+// every tenant on the switch.
+func TestGrantTenantRejectsNonFiniteWeight(t *testing.T) {
+	sw := topo.NewNetwork(netsim.New(1)).AddSwitch(asic.Config{Ports: 2, Guard: true, TPPRate: 10})
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := sw.GrantTenant(1, guard.DefaultACL(), 8, w, 2); err == nil {
+			t.Fatalf("GrantTenant accepted weight %v", w)
+		}
+		if _, ok := sw.Guard().Lookup(1); ok {
+			t.Fatalf("weight %v left tenant 1 registered", w)
+		}
+	}
+	if _, err := sw.GrantTenant(1, guard.DefaultACL(), 8, 1, 2); err != nil {
+		t.Fatalf("finite weight after the rejections: %v", err)
 	}
 }
 

@@ -676,15 +676,15 @@ func (s *Switch) forward(pkt *core.Packet, inPort int) {
 
 	// Lookup precedence mirrors §3.1's pipeline: the TCAM slices see
 	// the packet first, then L3 LPM, then the L2 hash table.
-	if out, meta, decided := s.lookupTCAM(pkt, inPort); decided {
-		s.span(pkt, obs.StageLookupTCAM, uint64(meta.ID), uint64(meta.Version))
-		if meta.Action.Drop {
+	if e := s.lookupTCAM(pkt, inPort); e != nil {
+		s.span(pkt, obs.StageLookupTCAM, uint64(e.ID), uint64(e.Version))
+		if e.Action.Drop {
 			pkt.Recycle()
 			return // dropped by rule (its journey ends at the lookup span)
 		}
-		pkt.Meta.MatchedEntry = meta.ID
-		pkt.Meta.MatchedVer = meta.Version
-		s.deliver(pkt, inPort, out)
+		pkt.Meta.MatchedEntry = e.ID
+		pkt.Meta.MatchedVer = e.Version
+		s.deliver(pkt, inPort, e.Action.OutPort)
 		return
 	}
 
@@ -705,10 +705,13 @@ func (s *Switch) forward(pkt *core.Packet, inPort int) {
 	s.forwardL2(pkt, inPort)
 }
 
+// lookupTCAM returns the rule that decides pkt, or nil when no rule
+// covers it.
+//
 //alloc:free
-func (s *Switch) lookupTCAM(pkt *core.Packet, inPort int) (out int, e tcam.Entry, decided bool) {
+func (s *Switch) lookupTCAM(pkt *core.Packet, inPort int) *tcam.Entry {
 	if s.tcam.Size() == 0 || pkt.IP == nil {
-		return 0, tcam.Entry{}, false
+		return nil
 	}
 	key := tcam.Key{
 		tcam.KeyDstIP:  pkt.IP.Dst,
@@ -716,14 +719,13 @@ func (s *Switch) lookupTCAM(pkt *core.Packet, inPort int) (out int, e tcam.Entry
 		tcam.KeyProto:  uint32(pkt.IP.Proto),
 		tcam.KeyInPort: uint32(inPort),
 	}
-	e, ok := s.tcam.Match(key)
-	if !ok {
-		return 0, tcam.Entry{}, false
+	e, n := s.tcam.Lookup(key)
+	if e != nil {
+		// Table 2: "alternate routes for a packet" — every installed
+		// rule covering this packet is a forwarding alternative.
+		pkt.Meta.AltRoutes = uint32(n)
 	}
-	// Table 2: "alternate routes for a packet" — every installed rule
-	// covering this packet is a forwarding alternative.
-	pkt.Meta.AltRoutes = uint32(s.tcam.MatchCount(key))
-	return e.Action.OutPort, e, true
+	return e
 }
 
 //alloc:free

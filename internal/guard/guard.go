@@ -33,19 +33,13 @@ const (
 	PermRW         = PermRead | PermWrite
 )
 
-// CanRead reports the read bit.
-func (p Perm) CanRead() bool { return p&PermRead != 0 }
-
-// CanWrite reports the write bit.
-func (p Perm) CanWrite() bool { return p&PermWrite != 0 }
-
 // String renders the pair as "r-", "-w", "rw" or "--".
 func (p Perm) String() string {
 	s := [2]byte{'-', '-'}
-	if p.CanRead() {
+	if p&PermRead != 0 {
 		s[0] = 'r'
 	}
-	if p.CanWrite() {
+	if p&PermWrite != 0 {
 		s[1] = 'w'
 	}
 	return string(s[:])
@@ -66,33 +60,29 @@ type ACL struct {
 	PortAbs Perm // the absolute per-port statistics window
 }
 
-// perm returns the entry governing namespace ns.  Unknown or invalid
-// namespaces carry no permissions.
-func (a ACL) perm(ns mem.Namespace) Perm {
-	switch ns {
-	case mem.NSSwitch:
-		return a.Switch
-	case mem.NSPort:
-		return a.Port
-	case mem.NSQueue:
-		return a.Queue
-	case mem.NSPacket:
-		return a.Packet
-	case mem.NSSRAM:
-		return a.SRAM
-	case mem.NSPortAbs:
-		return a.PortAbs
-	}
-	return 0
+// bits packs the six permission pairs into one mask, two bits per
+// namespace at bit 2*ns (read) and 2*ns+1 (write).  NSInvalid's pair
+// and every namespace past PortAbs stay zero: they carry no
+// permissions.
+func (a ACL) bits() uint16 {
+	return uint16(a.Switch&PermRW)<<(2*mem.NSSwitch) |
+		uint16(a.Port&PermRW)<<(2*mem.NSPort) |
+		uint16(a.Queue&PermRW)<<(2*mem.NSQueue) |
+		uint16(a.Packet&PermRW)<<(2*mem.NSPacket) |
+		uint16(a.SRAM&PermRW)<<(2*mem.NSSRAM) |
+		uint16(a.PortAbs&PermRW)<<(2*mem.NSPortAbs)
 }
 
 // Allows reports whether the ACL grants the access class (write=false
-// is a load) on namespace ns.
+// is a load) on namespace ns: one bit test on the packed mask.
+//
+//alloc:free
 func (a ACL) Allows(ns mem.Namespace, write bool) bool {
+	bit := 2 * uint(ns)
 	if write {
-		return a.perm(ns).CanWrite()
+		bit++
 	}
-	return a.perm(ns).CanRead()
+	return a.bits()>>bit&1 != 0
 }
 
 // DefaultACL is the standard tenant policy: every statistics namespace
@@ -175,15 +165,20 @@ func (g *Grant) Relocate(a mem.Addr) (mem.Addr, bool) {
 // CheckLoad decides a LOAD of address a under this grant: phys is the
 // (possibly relocated) address to read, ok is false when the guard
 // denies the access.  Non-SRAM addresses are never relocated.
+//
+//alloc:free
 func (g *Grant) CheckLoad(a mem.Addr) (phys mem.Addr, ok bool) {
 	return g.check(a, false)
 }
 
 // CheckStore decides a STORE to address a under this grant.
+//
+//alloc:free
 func (g *Grant) CheckStore(a mem.Addr) (phys mem.Addr, ok bool) {
 	return g.check(a, true)
 }
 
+//alloc:free
 func (g *Grant) check(a mem.Addr, write bool) (mem.Addr, bool) {
 	ns := mem.NamespaceOf(a)
 	if !g.ACL.Allows(ns, write) {

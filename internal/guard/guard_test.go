@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/mem"
@@ -258,5 +259,38 @@ func TestTableDeniedAccounting(t *testing.T) {
 	}
 	if got := tb.Denied(99); got != 0 {
 		t.Fatalf("Denied(99) = %d, want 0", got)
+	}
+}
+
+// TestRegisterRejectsNonFiniteWeight: a NaN or infinite weight would
+// poison the weight sum, and with it every tenant's refill share, so
+// Register refuses it and leaves the table as it was.
+func TestRegisterRejectsNonFiniteWeight(t *testing.T) {
+	tb := NewTable(mem.NewAllocator())
+	if _, err := tb.Register(1, DefaultACL(), 8, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := tb.Register(2, DefaultACL(), 8, w, 0); err == nil {
+			t.Fatalf("Register accepted weight %v", w)
+		}
+		if _, ok := tb.Lookup(2); ok {
+			t.Fatalf("weight %v left tenant 2 registered", w)
+		}
+	}
+	// Tenant 1 still throttles: its share was not poisoned.
+	const now = netsim.Time(1)
+	admitted := 0
+	for i := 0; i < 1000; i++ {
+		if tb.Admit(1, now, 4000) {
+			admitted++
+		}
+	}
+	if admitted != 2 {
+		t.Fatalf("tenant 1 admitted %d of 1000 at t = 1 ns, want its burst of 2", admitted)
+	}
+	// The partition a rejected Register would have carved is still free.
+	if g, err := tb.Register(2, DefaultACL(), 8, 1, 0); err != nil || g.Partition.Base != mem.SRAMBase+8 {
+		t.Fatalf("Register after rejections = %+v, %v; want the words right after tenant 1", g, err)
 	}
 }

@@ -2,7 +2,7 @@ package guard
 
 import (
 	"fmt"
-	"slices"
+	"math"
 
 	"repro/internal/mem"
 	"repro/internal/netsim"
@@ -39,8 +39,11 @@ type tenantState struct {
 // single-threaded per switch and the control plane serializes tenancy
 // changes.
 type Table struct {
-	sram      *mem.Allocator
-	tenants   map[TenantID]*tenantState
+	sram *mem.Allocator
+	// tenants is indexed by TenantID; a nil slot, or an id past the
+	// end, is an unregistered tenant.  The slice grows to the largest
+	// id ever registered and never shrinks.
+	tenants   []*tenantState
 	weightSum float64
 }
 
@@ -48,10 +51,15 @@ type Table struct {
 // from sram — the switch's one SRAM allocator, shared with operator
 // tasks, so a partition and a task region can never overlap.
 func NewTable(sram *mem.Allocator) *Table {
-	return &Table{
-		sram:    sram,
-		tenants: make(map[TenantID]*tenantState),
+	return &Table{sram: sram}
+}
+
+// state returns tenant id's record, or nil when id is not registered.
+func (t *Table) state(id TenantID) *tenantState {
+	if int(id) < len(t.tenants) {
+		return t.tenants[id]
 	}
+	return nil
 }
 
 // Register admits tenant id with the given policy: acl governs its
@@ -59,13 +67,19 @@ func NewTable(sram *mem.Allocator) *Table {
 // the switch's aggregate TPP admission rate, and burst its bucket
 // depth.  Zero weight resolves to 1 and zero burst to DefaultBurst.
 // The new bucket starts full.  Registering the operator or an already
-// registered tenant fails without changing state.
+// registered tenant, or with a NaN or infinite weight, fails without
+// changing state.
 func (t *Table) Register(id TenantID, acl ACL, words int, weight float64, burst int) (Grant, error) {
 	if id == Operator {
 		return Grant{}, fmt.Errorf("guard: the operator tenant is built in")
 	}
-	if _, ok := t.tenants[id]; ok {
+	if t.state(id) != nil {
 		return Grant{}, fmt.Errorf("guard: tenant %d already registered", id)
+	}
+	// A NaN weight would poison weightSum, and with it every tenant's
+	// refill share: no bucket would ever read empty again.
+	if math.IsNaN(weight) || math.IsInf(weight, 0) {
+		return Grant{}, fmt.Errorf("guard: tenant %d weight %g is not finite", id, weight)
 	}
 	if weight <= 0 {
 		weight = 1
@@ -78,6 +92,9 @@ func (t *Table) Register(id TenantID, acl ACL, words int, weight float64, burst 
 		return Grant{}, err
 	}
 	g := Grant{ACL: acl, Partition: reg, Weight: weight, Burst: burst}
+	if int(id) >= len(t.tenants) {
+		t.tenants = append(t.tenants, make([]*tenantState, int(id)+1-len(t.tenants))...)
+	}
 	t.tenants[id] = &tenantState{grant: g, tokens: float64(burst)}
 	t.weightSum += weight
 	return g, nil
@@ -86,27 +103,29 @@ func (t *Table) Register(id TenantID, acl ACL, words int, weight float64, burst 
 // Deregister removes tenant id, returning its partition so the caller
 // can zero the words before they are re-granted.
 func (t *Table) Deregister(id TenantID) (mem.Region, error) {
-	st, ok := t.tenants[id]
-	if !ok {
+	st := t.state(id)
+	if st == nil {
 		return mem.Region{}, fmt.Errorf("guard: tenant %d not registered", id)
 	}
 	if err := t.sram.Revoke(uint8(id)); err != nil {
 		return mem.Region{}, err
 	}
 	t.weightSum -= st.grant.Weight
-	delete(t.tenants, id)
+	t.tenants[id] = nil
 	return st.grant.Partition, nil
 }
 
 // Lookup returns tenant id's grant.  The operator always resolves to
 // its built-in whole-bank grant; an unregistered tenant resolves to
 // nothing, and the guard denies it everything.
+//
+//alloc:free
 func (t *Table) Lookup(id TenantID) (Grant, bool) {
 	if id == Operator {
 		return OperatorGrant(), true
 	}
-	st, ok := t.tenants[id]
-	if !ok {
+	st := t.state(id)
+	if st == nil {
 		return Grant{}, false
 	}
 	return st.grant, true
@@ -118,12 +137,14 @@ func (t *Table) Lookup(id TenantID) (Grant, bool) {
 // tenant drains only its own bucket.  The operator is exempt, a
 // non-positive rate disables the gate, and an unregistered tenant has
 // no bucket to charge — its TPPs are throttled, not executed.
+//
+//alloc:free
 func (t *Table) Admit(id TenantID, now netsim.Time, rate float64) bool {
 	if id == Operator || rate <= 0 {
 		return true
 	}
-	st, ok := t.tenants[id]
-	if !ok {
+	st := t.state(id)
+	if st == nil {
 		return false
 	}
 	if now > st.refillAt {
@@ -148,14 +169,14 @@ func (t *Table) Admit(id TenantID, now netsim.Time, rate float64) bool {
 // its denials are dropped: Denied reads 0 for it, while the switch still
 // counts them, in total and under the tenant id the TPP carried.
 func (t *Table) NoteDenied(id TenantID) {
-	if st, ok := t.tenants[id]; ok {
+	if st := t.state(id); st != nil {
 		st.denied++
 	}
 }
 
 // Denied returns tenant id's cumulative denied-access count.
 func (t *Table) Denied(id TenantID) uint64 {
-	if st, ok := t.tenants[id]; ok {
+	if st := t.state(id); st != nil {
 		return st.denied
 	}
 	return 0
@@ -163,7 +184,7 @@ func (t *Table) Denied(id TenantID) uint64 {
 
 // Throttled returns how many of tenant id's TPPs its bucket declined.
 func (t *Table) Throttled(id TenantID) uint64 {
-	if st, ok := t.tenants[id]; ok {
+	if st := t.state(id); st != nil {
 		return st.throttled
 	}
 	return 0
@@ -173,17 +194,18 @@ func (t *Table) Throttled(id TenantID) uint64 {
 // built in and not listed).
 func (t *Table) Tenants() []TenantID {
 	ids := make([]TenantID, 0, len(t.tenants))
-	for id := range t.tenants { //lint:allow maporder (sorted before return)
-		ids = append(ids, id)
+	for id, st := range t.tenants {
+		if st != nil {
+			ids = append(ids, TenantID(id))
+		}
 	}
-	slices.Sort(ids)
 	return ids
 }
 
 // Partition returns tenant id's physical SRAM region.
 func (t *Table) Partition(id TenantID) (mem.Region, bool) {
-	st, ok := t.tenants[id]
-	if !ok {
+	st := t.state(id)
+	if st == nil {
 		return mem.Region{}, false
 	}
 	return st.grant.Partition, true
@@ -194,8 +216,10 @@ func (t *Table) Partition(id TenantID) (mem.Region, bool) {
 // them full just like the global gate.  Grants and cumulative denial
 // accounting survive: they are config and host-visible history.
 func (t *Table) ResetBuckets(now netsim.Time) {
-	for _, st := range t.tenants { //lint:allow maporder (each bucket set independently)
-		st.tokens = float64(st.grant.Burst)
-		st.refillAt = now
+	for _, st := range t.tenants {
+		if st != nil {
+			st.tokens = float64(st.grant.Burst)
+			st.refillAt = now
+		}
 	}
 }

@@ -24,7 +24,8 @@
 // into addresses": the map is described once, as two tables.  banks
 // has one row per namespace — paper name, base address, mapped word
 // count and writable word range — and Namespace.String, Readable,
-// Writable and StoreFault read it.  spellings lists every mnemonic,
+// Writable and StoreFault read it; NamespaceOf reads the page table
+// derived from its bases.  spellings lists every mnemonic,
 // each word's canonical name before its aliases, and LookupSymbol,
 // NameOf and Symbols read it; the assembler and the disassembler share
 // it.

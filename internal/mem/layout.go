@@ -180,24 +180,32 @@ func (b *bank) mapped(port, off, ports int) bool {
 
 func (b *bank) writable(off int) bool { return off >= b.wrLo && off < b.wrHi }
 
-// NamespaceOf classifies a word address.
-func NamespaceOf(a Addr) Namespace {
-	switch {
-	case a >= AddrSpaceWords:
-		return NSInvalid
-	case a >= PortAbsBase:
-		return NSPortAbs
-	case a >= SRAMBase:
-		return NSSRAM
-	case a >= PacketBase:
-		return NSPacket
-	case a >= QueueBase:
-		return NSQueue
-	case a >= PortBase:
-		return NSPort
-	default:
-		return NSSwitch
+// pageShift splits an address into its 0x100-word page and the word
+// within it; every bank boundary is a multiple of a page.
+const pageShift = 8
+
+// pages maps each page of the address space to its namespace, read off
+// banks (listed in address order): a page belongs to the last bank
+// whose base is at or below it.
+var pages = func() (p [AddrSpaceWords >> pageShift]Namespace) {
+	for pg := range p {
+		for ns := NSSwitch; int(ns) < len(banks); ns++ {
+			if Addr(pg<<pageShift) >= banks[ns].base {
+				p[pg] = ns
+			}
+		}
 	}
+	return p
+}()
+
+// NamespaceOf classifies a word address.
+//
+//alloc:free
+func NamespaceOf(a Addr) Namespace {
+	if a >= AddrSpaceWords {
+		return NSInvalid
+	}
+	return pages[a>>pageShift]
 }
 
 // SRAMIndex converts an SRAM address to its word offset within the SRAM
@@ -263,7 +271,3 @@ func StoreFault(a Addr, ports int) Fault {
 	}
 	return 0
 }
-
-// StoreOK reports whether a TPP store to address a succeeds on a
-// switch with the given port count.
-func StoreOK(a Addr, ports int) bool { return StoreFault(a, ports) == 0 }

@@ -29,6 +29,38 @@ func TestNamespaceOf(t *testing.T) {
 	}
 }
 
+// namespaceChain is NamespaceOf as a chain of comparisons, the form it
+// had before the page table; the table must agree with it everywhere.
+func namespaceChain(a Addr) Namespace {
+	switch {
+	case a >= AddrSpaceWords:
+		return NSInvalid
+	case a >= PortAbsBase:
+		return NSPortAbs
+	case a >= SRAMBase:
+		return NSSRAM
+	case a >= PacketBase:
+		return NSPacket
+	case a >= QueueBase:
+		return NSQueue
+	case a >= PortBase:
+		return NSPort
+	default:
+		return NSSwitch
+	}
+}
+
+// TestNamespaceOfMatchesChain checks the page table against the
+// comparison chain on every one of the 65 536 Addr values, in range and
+// out of it.
+func TestNamespaceOfMatchesChain(t *testing.T) {
+	for a := 0; a <= 0xFFFF; a++ {
+		if got, want := NamespaceOf(Addr(a)), namespaceChain(Addr(a)); got != want {
+			t.Fatalf("NamespaceOf(%#x) = %v, want %v", a, got, want)
+		}
+	}
+}
+
 func TestNamespaceString(t *testing.T) {
 	if NSPort.String() != "Link" || NSPacket.String() != "PacketMetadata" {
 		t.Error("namespace names must match the paper's terminology")

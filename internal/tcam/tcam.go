@@ -10,8 +10,9 @@
 package tcam
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // KeyWords is the width of the match vector.
@@ -48,22 +49,21 @@ type Entry struct {
 	Action   Action
 }
 
-// Matches reports whether the entry covers key.
-func (e *Entry) Matches(key Key) bool {
-	for i := 0; i < KeyWords; i++ {
-		if key[i]&e.Mask[i] != e.Value[i]&e.Mask[i] {
-			return false
-		}
-	}
-	return true
+// A rule is one entry compiled for the lookup: its value pre-masked,
+// so a key matches when key & mask == value word for word, and a
+// pointer back to the entry, whose Action and Version Update rewrites
+// in place.
+type rule struct {
+	value, mask Key
+	e           *Entry
 }
 
 // Table is a ternary match table.
 type Table struct {
 	entries map[uint32]*Entry
-	// ordered caches entries sorted by (priority desc, id asc); nil
-	// when invalidated by a mutation.
-	ordered []*Entry
+	// rules is the entries compiled in match order (priority desc, id
+	// asc); nil when Insert or Remove invalidated it.
+	rules   []rule
 	version uint32
 	nextID  uint32
 }
@@ -89,7 +89,7 @@ func (t *Table) Insert(priority int, value, mask Key, action Action) uint32 {
 		ID: id, Version: 1, Priority: priority,
 		Value: value, Mask: mask, Action: action,
 	}
-	t.ordered = nil
+	t.rules = nil
 	return id
 }
 
@@ -148,7 +148,7 @@ func (t *Table) Remove(id uint32) error {
 	}
 	delete(t.entries, id)
 	t.version++
-	t.ordered = nil
+	t.rules = nil
 	return nil
 }
 
@@ -163,52 +163,65 @@ func (t *Table) Get(id uint32) (Entry, bool) {
 
 // Entries returns copies of all rules in match order.
 func (t *Table) Entries() []Entry {
-	t.sortEntries()
-	out := make([]Entry, len(t.ordered))
-	for i, e := range t.ordered {
-		out[i] = *e
+	t.compile()
+	out := make([]Entry, len(t.rules))
+	for i, r := range t.rules {
+		out[i] = *r.e
 	}
 	return out
 }
 
 // Match finds the highest-priority rule covering key.
 func (t *Table) Match(key Key) (Entry, bool) {
-	t.sortEntries()
-	for _, e := range t.ordered {
-		if e.Matches(key) {
-			return *e, true
-		}
+	if e, _ := t.Lookup(key); e != nil {
+		return *e, true
 	}
 	return Entry{}, false
 }
 
-// MatchCount returns how many installed rules cover key — the number
-// of forwarding alternatives the dataplane knows for the packet, which
-// Table 2 exposes as PacketMetadata:AlternateRoutes.
-func (t *Table) MatchCount(key Key) int {
-	t.sortEntries()
+// Lookup is the dataplane's one pass over the rules: it returns the
+// highest-priority rule covering key (nil when none does) and how many
+// installed rules cover it — the number of forwarding alternatives the
+// dataplane knows for the packet, which Table 2 exposes as
+// PacketMetadata:AlternateRoutes.  The entry is the table's own: the
+// caller must not modify it, and Update rewrites it in place.
+//
+//alloc:free
+func (t *Table) Lookup(key Key) (*Entry, int) {
+	t.compile()
+	var win *Entry
 	n := 0
-	for _, e := range t.ordered {
-		if e.Matches(key) {
+	for i := range t.rules {
+		r := &t.rules[i]
+		if key[0]&r.mask[0] == r.value[0] && key[1]&r.mask[1] == r.value[1] &&
+			key[2]&r.mask[2] == r.value[2] && key[3]&r.mask[3] == r.value[3] {
+			if n == 0 {
+				win = r.e
+			}
 			n++
 		}
 	}
-	return n
+	return win, n
 }
 
-func (t *Table) sortEntries() {
-	if t.ordered != nil {
+// compile rebuilds rules after Insert or Remove invalidated them.
+func (t *Table) compile() {
+	if t.rules != nil {
 		return
 	}
-	t.ordered = make([]*Entry, 0, len(t.entries))
+	t.rules = make([]rule, 0, len(t.entries))
 	for _, e := range t.entries { //lint:allow maporder (sorted below)
-		t.ordered = append(t.ordered, e)
-	}
-	sort.Slice(t.ordered, func(i, j int) bool {
-		if t.ordered[i].Priority != t.ordered[j].Priority {
-			return t.ordered[i].Priority > t.ordered[j].Priority
+		r := rule{mask: e.Mask, e: e}
+		for i := range r.value {
+			r.value[i] = e.Value[i] & e.Mask[i]
 		}
-		return t.ordered[i].ID < t.ordered[j].ID
+		t.rules = append(t.rules, r)
+	}
+	slices.SortFunc(t.rules, func(a, b rule) int {
+		if c := cmp.Compare(b.e.Priority, a.e.Priority); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.e.ID, b.e.ID)
 	})
 }
 

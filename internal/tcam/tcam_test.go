@@ -1,7 +1,9 @@
 package tcam
 
 import (
+	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -139,12 +141,24 @@ func TestEntriesOrdered(t *testing.T) {
 	}
 }
 
+// covers is the ternary match by definition, word by word from the
+// entry's own value and mask: the reference the compiled rules must
+// agree with.
+func covers(e Entry, key Key) bool {
+	for i := 0; i < KeyWords; i++ {
+		if key[i]&e.Mask[i] != e.Value[i]&e.Mask[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // naiveMatch is the reference implementation for the property test.
 func naiveMatch(entries []Entry, key Key) (Entry, bool) {
 	best := -1
 	var out Entry
 	for _, e := range entries {
-		if !e.Matches(key) {
+		if !covers(e, key) {
 			continue
 		}
 		if e.Priority > best || (e.Priority == best && e.ID < out.ID) {
@@ -206,14 +220,114 @@ func TestMatchCount(t *testing.T) {
 	tbl.Insert(10, v, m, Action{OutPort: 2})
 
 	key := Key{KeyDstIP: core.IPv4Addr(10, 0, 0, 2)}
-	if got := tbl.MatchCount(key); got != 2 {
-		t.Fatalf("MatchCount = %d, want 2", got)
+	if _, got := tbl.Lookup(key); got != 2 {
+		t.Fatalf("match count = %d, want 2", got)
 	}
 	key[KeyDstIP]++
-	if got := tbl.MatchCount(key); got != 1 {
-		t.Fatalf("MatchCount = %d, want 1 (wildcard only)", got)
+	if _, got := tbl.Lookup(key); got != 1 {
+		t.Fatalf("match count = %d, want 1 (wildcard only)", got)
 	}
-	if got := New().MatchCount(key); got != 0 {
-		t.Fatalf("empty table MatchCount = %d", got)
+	if e, got := New().Lookup(key); got != 0 || e != nil {
+		t.Fatalf("empty table Lookup = %v, %d", e, got)
+	}
+}
+
+// TestLookupAgainstModel runs a seeded sequence of every mutation
+// interleaved with lookups.  After each step the table's Entries must
+// equal a map model kept by the test, and Lookup's one pass must return
+// the winner and the match count of a naive walk of Entries: the
+// highest-priority covering rule (lowest id on a tie) and every covering
+// rule counted.  Values carry bits outside their masks, so a compiled
+// rule that skipped the pre-mask would miss keys it covers.
+func TestLookupAgainstModel(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	tbl := New()
+	model := map[uint32]Entry{}
+	ids := func() []uint32 {
+		out := make([]uint32, 0, len(model))
+		for id := range model {
+			out = append(out, id)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	for step := 0; step < 3000; step++ {
+		switch op := r.Intn(10); {
+		case op < 4 || len(model) == 0:
+			var v, m Key
+			for w := 0; w < KeyWords; w++ {
+				v[w] = uint32(r.Intn(8))
+				m[w] = [4]uint32{0, 0x1, 0x3, ExactMask}[r.Intn(4)]
+			}
+			a := Action{Drop: r.Intn(8) == 0, OutPort: r.Intn(16)}
+			prio := r.Intn(6)
+			id := tbl.Insert(prio, v, m, a)
+			model[id] = Entry{ID: id, Version: 1, Priority: prio, Value: v, Mask: m, Action: a}
+		case op < 6:
+			all := ids()
+			id := all[r.Intn(len(all))]
+			a := Action{OutPort: r.Intn(16)}
+			if err := tbl.Update(id, a); err != nil {
+				t.Fatal(err)
+			}
+			e := model[id]
+			e.Action, e.Version = a, e.Version+1
+			model[id] = e
+		case op < 8:
+			all := ids()
+			id := all[r.Intn(len(all))]
+			e := model[id]
+			expect := e.Version
+			if r.Intn(3) == 0 {
+				expect-- // a stale writer: refused, nothing changes
+			}
+			a := Action{OutPort: r.Intn(16)}
+			err := tbl.UpdateIfVersion(id, expect, a)
+			if expect != e.Version {
+				if !errors.Is(err, ErrVersionRaced) {
+					t.Fatalf("stale UpdateIfVersion: err = %v", err)
+				}
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Action, e.Version = a, e.Version+1
+			model[id] = e
+		default:
+			all := ids()
+			id := all[r.Intn(len(all))]
+			if err := tbl.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+			delete(model, id)
+		}
+
+		ref := tbl.Entries()
+		if len(ref) != len(model) {
+			t.Fatalf("step %d: Entries has %d rules, model %d", step, len(ref), len(model))
+		}
+		for _, e := range ref {
+			if e != model[e.ID] {
+				t.Fatalf("step %d: Entries holds %+v, model %+v", step, e, model[e.ID])
+			}
+		}
+		for i := 0; i < 8; i++ {
+			var key Key
+			for w := 0; w < KeyWords; w++ {
+				key[w] = uint32(r.Intn(8))
+			}
+			want, wok := naiveMatch(ref, key)
+			n := 0
+			for j := range ref {
+				if covers(ref[j], key) {
+					n++
+				}
+			}
+			got, gn := tbl.Lookup(key)
+			if gn != n || (got != nil) != wok || (wok && *got != want) {
+				t.Fatalf("step %d: Lookup(%v) = %+v, %d; naive %+v, %v, %d", step, key, got, gn, want, wok, n)
+			}
+		}
 	}
 }

@@ -191,6 +191,7 @@ func TestRepoBaselineCleanAndCurrent(t *testing.T) {
 		"./internal/core", "./internal/ring", "./internal/tcpu", "./internal/netsim",
 		"./internal/asic", "./internal/endhost", "./internal/reflex", "./internal/obs",
 		"./internal/accounting", "./internal/l2",
+		"./internal/mem", "./internal/guard", "./internal/tcam",
 	}
 	wd, err := os.Getwd()
 	if err != nil {
