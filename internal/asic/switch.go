@@ -85,9 +85,8 @@ type Config struct {
 	// Trace records packet-lifecycle span events at every pipeline
 	// stage (parser, lookup, TCPU, memory manager, egress queue,
 	// scheduler).  Nil disables tracing.  The TCPU stage is one span
-	// per execution (cycles, instructions); per-instruction spans are
-	// tcpu.Config.RecordSpans, which the switch does not turn on.  The
-	// tracer has one writer: the goroutine that runs the simulator.
+	// per execution (cycles, instructions).  The tracer has one
+	// writer: the goroutine that runs the simulator.
 	Trace *obs.Tracer
 }
 

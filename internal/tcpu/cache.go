@@ -23,7 +23,6 @@ type cacheKey struct {
 	mode    core.AddrMode
 	version uint8
 	maxIns  int
-	spans   bool
 	ins     [MaxCachedInstructions]uint32
 }
 
@@ -79,7 +78,6 @@ func (c *Cache) Get(t *core.TPP) *Program {
 	k.mode = t.Mode
 	k.version = t.Version
 	k.maxIns = c.cfg.maxIns()
-	k.spans = c.cfg.RecordSpans
 	for i, in := range t.Ins {
 		k.ins[i] = in.Word()
 	}

@@ -42,7 +42,7 @@ func Compile(c Config, t *core.TPP) *Program {
 	// In Config.Exec's exact order: the device length limit first, then
 	// the head validation.
 	if p.n > c.maxIns() {
-		p.preFault = c.faultTooLong(p.n)
+		p.preFault = ErrProgramTooLong
 	} else if p.preFault = t.ValidateHead(); p.preFault == nil {
 		p.insFault = t.ValidateIns()
 	}
@@ -53,7 +53,7 @@ func Compile(c Config, t *core.TPP) *Program {
 // configuration equivalent to c, i.e. whether executing with it on a
 // device configured with c is behaviorally identical to Config.Exec.
 func (p *Program) Matches(c Config) bool {
-	return p.cfg.maxIns() == c.maxIns() && p.cfg.RecordSpans == c.RecordSpans
+	return p.cfg.maxIns() == c.maxIns()
 }
 
 // MatchesTPP reports whether t carries the static shape this program

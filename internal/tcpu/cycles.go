@@ -1,7 +1,5 @@
 package tcpu
 
-import "repro/internal/core"
-
 // Pipeline timing model of Figure 5: "a five stage pipeline: (a)
 // instruction fetch, (b) instruction decode, (c) execute, (d) memory
 // read and (e) memory write.  The header parser completes stage (a) by
@@ -38,50 +36,9 @@ func cyclesFor(r *Result) int {
 	return cycles
 }
 
-// CyclesForProgram returns the modeled execution time in cycles of a
-// k-instruction TPP with s successful conditional stores.  Exposed for
-// the Figure 5 experiment harness.
-func CyclesForProgram(k, s int) int {
-	if k <= 0 {
-		return 0
-	}
-	return PipelineLatency + k - 1 + s
-}
-
 // WithinBudget reports whether an execution fits the §3.3 cut-through
 // cycle budget.
 func (r Result) WithinBudget() bool { return r.Cycles <= BudgetCycles }
-
-// InsSpan is one instruction's execution span, recorded when
-// Config.RecordSpans is set: where in the Figure 5 pipeline timeline
-// the instruction retired and what memory traffic it generated, so a
-// program's fit against the §3.3 line-rate budget can be audited
-// instruction by instruction.
-type InsSpan struct {
-	// Index is the instruction's position in the program.
-	Index int
-	// Op is the executed opcode.
-	Op core.Opcode
-	// RetireCycle is the pipeline cycle at which the instruction
-	// retired: the first instruction retires at PipelineLatency, each
-	// subsequent one a cycle later, plus one cycle per CSTORE stall.
-	RetireCycle int
-	// Loads and Stores count switch-memory accesses this instruction
-	// performed.
-	Loads, Stores int
-	// Stall marks a successful CSTORE, which occupies both memory
-	// stages and costs one extra cycle.
-	Stall bool
-	// Fault marks the instruction that faulted (execution stopped).
-	Fault bool
-	// Halted marks a failed CEXEC predicate (execution stopped, not
-	// an error).
-	Halted bool
-}
-
-// OverBudget reports whether this instruction retired past the §3.3
-// cut-through cycle budget.
-func (s InsSpan) OverBudget() bool { return s.RetireCycle > BudgetCycles }
 
 // LineRateCheck quantifies the §1/§3.3 feasibility argument: "A 64-port
 // 10GbE switch has to process about a billion 64-byte-packets/second to

@@ -27,12 +27,6 @@ type Config struct {
 	// longer program faults (end-hosts are expected to split work
 	// across multiple TPPs).  Zero means DefaultMaxInstructions.
 	MaxInstructions int
-	// RecordSpans makes Exec fill Result.Spans with one entry per
-	// executed instruction (retire cycle, memory accesses, stalls),
-	// so executions can be audited against the §3.3 line-rate budget.
-	// Off by default, and never turned on by a switch: span recording
-	// allocates.
-	RecordSpans bool
 }
 
 func (c Config) maxIns() int {
@@ -59,9 +53,6 @@ type Result struct {
 	Fault error
 	// Cycles is the pipeline occupancy per the Figure 5 timing model.
 	Cycles int
-	// Spans holds per-instruction execution spans when
-	// Config.RecordSpans is set (nil otherwise).
-	Spans []InsSpan
 
 	// cstoreStalls counts successful conditional stores, each of
 	// which occupies both memory stages (one extra stall cycle).
@@ -118,7 +109,7 @@ func exec(c Config, p *Program, t *core.TPP, view mem.View) (r Result) {
 		}
 	} else {
 		if len(t.Ins) > c.maxIns() {
-			r.Fault = c.faultTooLong(len(t.Ins))
+			r.Fault = ErrProgramTooLong
 			return r
 		}
 		if err := t.Validate(); err != nil {
@@ -139,57 +130,37 @@ func exec(c Config, p *Program, t *core.TPP, view mem.View) (r Result) {
 	// defeat escape analysis of &r and heap-allocate every execution.
 	for _, in := range t.Ins {
 		r.Executed++
-		loads, stores, stalls := r.Loads, r.Stores, r.cstoreStalls
 		a, b := mem.Addr(in.A), hopBase+int(in.B)
 		ok := false
 		switch in.Op {
 		case core.OpNOP:
 			ok = true
 		case core.OpLOAD:
-			ok = stepLOAD(c, t, view, &r, a, b)
+			ok = stepLOAD(t, view, &r, a, b)
 		case core.OpSTORE:
-			ok = stepSTORE(c, t, view, &r, a, b)
+			ok = stepSTORE(t, view, &r, a, b)
 		case core.OpPUSH:
 			if t.Mode != core.AddrStack {
-				//alloc:allow fault detail boxes the opcode; faulting programs leave the hot path
-				r.Fault = c.faultMode(in.Op)
+				r.Fault = ErrModeMismatch
 			} else {
-				ok = stepPUSH(c, t, view, &r, a)
+				ok = stepPUSH(t, view, &r, a)
 			}
 		case core.OpPOP:
 			if t.Mode != core.AddrStack {
-				//alloc:allow fault detail boxes the opcode; faulting programs leave the hot path
-				r.Fault = c.faultMode(in.Op)
+				r.Fault = ErrModeMismatch
 			} else {
-				ok = stepPOP(c, t, view, &r, a)
+				ok = stepPOP(t, view, &r, a)
 			}
 		case core.OpCSTORE:
-			ok = stepCSTORE(c, t, view, &r, a, b)
+			ok = stepCSTORE(t, view, &r, a, b)
 		case core.OpCEXEC:
-			ok = stepCEXEC(c, t, view, &r, a, b)
+			ok = stepCEXEC(t, view, &r, a, b)
 		case core.OpADD, core.OpSUB, core.OpMAX:
-			ok = stepArith(c, t, view, &r, a, b, in.Op)
+			ok = stepArith(t, view, &r, a, b, in.Op)
 		default:
 			// Unreachable while core.Instruction.Validate rejects the
 			// same opcodes; kept so a divergence faults, not panics.
-			//alloc:allow fault detail boxes the opcode; faulting programs leave the hot path
-			r.Fault = c.faultOpcode(in.Op)
-		}
-		if c.RecordSpans {
-			if r.Spans == nil {
-				//alloc:allow per-instruction spans allocate only for callers that set RecordSpans
-				r.Spans = make([]InsSpan, 0, len(t.Ins))
-			}
-			r.Spans = append(r.Spans, InsSpan{
-				Index:       r.Executed - 1,
-				Op:          in.Op,
-				RetireCycle: PipelineLatency + r.Executed - 1 + r.cstoreStalls,
-				Loads:       r.Loads - loads,
-				Stores:      r.Stores - stores,
-				Stall:       r.cstoreStalls > stalls,
-				Fault:       r.Fault != nil,
-				Halted:      r.Halted,
-			})
+			r.Fault = ErrUnknownOpcode
 		}
 		if !ok {
 			return r
@@ -204,19 +175,19 @@ func exec(c Config, p *Program, t *core.TPP, view mem.View) (r Result) {
 // failed CEXEC predicate.
 
 //alloc:free
-func stepLOAD(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr, b int) bool {
+func stepLOAD(t *core.TPP, view mem.View, r *Result, a mem.Addr, b int) bool {
 	v, err := view.Load(a)
 	if err != nil {
 		r.Fault = err
 		return false
 	}
 	r.Loads++
-	return c.putWord(t, r, b, v)
+	return putWord(t, r, b, v)
 }
 
 //alloc:free
-func stepSTORE(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr, b int) bool {
-	v, ok := c.getWord(t, r, b)
+func stepSTORE(t *core.TPP, view mem.View, r *Result, a mem.Addr, b int) bool {
+	v, ok := getWord(t, r, b)
 	if !ok {
 		return false
 	}
@@ -229,7 +200,7 @@ func stepSTORE(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr, b in
 }
 
 //alloc:free
-func stepPUSH(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr) bool {
+func stepPUSH(t *core.TPP, view mem.View, r *Result, a mem.Addr) bool {
 	v, err := view.Load(a)
 	if err != nil {
 		r.Fault = err
@@ -237,8 +208,7 @@ func stepPUSH(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr) bool 
 	}
 	r.Loads++
 	if int(t.Ptr)+4 > len(t.Mem) {
-		//alloc:allow fault detail boxes the operands; faulting programs leave the hot path
-		r.Fault = c.faultStackOverflow(t.Ptr, len(t.Mem))
+		r.Fault = ErrStackOverflow
 		return false
 	}
 	t.SetWord(int(t.Ptr)/4, v)
@@ -247,18 +217,16 @@ func stepPUSH(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr) bool 
 }
 
 //alloc:free
-func stepPOP(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr) bool {
+func stepPOP(t *core.TPP, view mem.View, r *Result, a mem.Addr) bool {
 	if t.Ptr < 4 {
-		//alloc:allow fault detail boxes the operands; faulting programs leave the hot path
-		r.Fault = c.faultStackUnderflow(t.Ptr)
+		r.Fault = ErrStackUnderflow
 		return false
 	}
 	if int(t.Ptr) > len(t.Mem) {
 		// A wire-supplied stack pointer can point past packet
 		// memory; faulting (not panicking) keeps the dataplane
 		// robust against crafted frames.
-		//alloc:allow fault detail boxes the operands; faulting programs leave the hot path
-		r.Fault = c.faultStackOOB(t.Ptr, len(t.Mem))
+		r.Fault = ErrStackOOB
 		return false
 	}
 	t.Ptr -= 4
@@ -276,21 +244,21 @@ func stepPOP(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr) bool {
 // end-host observes success/failure.
 //
 //alloc:free
-func stepCSTORE(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr, b int) bool {
-	cond, ok := c.getWord(t, r, b)
+func stepCSTORE(t *core.TPP, view mem.View, r *Result, a mem.Addr, b int) bool {
+	cond, ok := getWord(t, r, b)
 	if !ok {
 		return false
 	}
-	src, ok := c.getWord(t, r, b+1)
+	src, ok := getWord(t, r, b+1)
 	if !ok {
 		return false
 	}
-	old, err := c.condStore(view, a, cond, src, r)
+	old, err := condStore(view, a, cond, src, r)
 	if err != nil {
 		r.Fault = err
 		return false
 	}
-	return c.putWord(t, r, b+2, old)
+	return putWord(t, r, b+2, old)
 }
 
 // stepCEXEC is CEXEC reg,mask,value: execute the rest only if
@@ -298,12 +266,12 @@ func stepCSTORE(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr, b i
 // b+1.
 //
 //alloc:free
-func stepCEXEC(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr, b int) bool {
-	mask, ok := c.getWord(t, r, b)
+func stepCEXEC(t *core.TPP, view mem.View, r *Result, a mem.Addr, b int) bool {
+	mask, ok := getWord(t, r, b)
 	if !ok {
 		return false
 	}
-	val, ok := c.getWord(t, r, b+1)
+	val, ok := getWord(t, r, b+1)
 	if !ok {
 		return false
 	}
@@ -321,14 +289,14 @@ func stepCEXEC(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr, b in
 }
 
 //alloc:free
-func stepArith(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr, b int, op core.Opcode) bool {
+func stepArith(t *core.TPP, view mem.View, r *Result, a mem.Addr, b int, op core.Opcode) bool {
 	v, err := view.Load(a)
 	if err != nil {
 		r.Fault = err
 		return false
 	}
 	r.Loads++
-	cur, ok := c.getWord(t, r, b)
+	cur, ok := getWord(t, r, b)
 	if !ok {
 		return false
 	}
@@ -342,13 +310,13 @@ func stepArith(c Config, t *core.TPP, view mem.View, r *Result, a mem.Addr, b in
 			cur = v
 		}
 	}
-	return c.putWord(t, r, b, cur)
+	return putWord(t, r, b, cur)
 }
 
 // condStore performs the view's atomic compare-and-store and counts
 // its accesses: one load, and one store (with its stall) when it
 // commits.
-func (c Config) condStore(view mem.View, a mem.Addr, cond, src uint32, r *Result) (uint32, error) {
+func condStore(view mem.View, a mem.Addr, cond, src uint32, r *Result) (uint32, error) {
 	old, err := view.CondStore(a, cond, src)
 	if err == nil {
 		r.Loads++
@@ -362,18 +330,18 @@ func (c Config) condStore(view mem.View, a mem.Addr, cond, src uint32, r *Result
 
 // getWord reads packet-memory word i with bounds checking; on a
 // violation it faults the result and returns ok=false.
-func (c Config) getWord(t *core.TPP, r *Result, i int) (uint32, bool) {
+func getWord(t *core.TPP, r *Result, i int) (uint32, bool) {
 	if !t.InRange(i) {
-		r.Fault = c.faultPacketMem(i, t.MemWords())
+		r.Fault = ErrPacketMemOOB
 		return 0, false
 	}
 	return t.Word(i), true
 }
 
 // putWord writes packet-memory word i with bounds checking.
-func (c Config) putWord(t *core.TPP, r *Result, i int, v uint32) bool {
+func putWord(t *core.TPP, r *Result, i int, v uint32) bool {
 	if !t.InRange(i) {
-		r.Fault = c.faultPacketMem(i, t.MemWords())
+		r.Fault = ErrPacketMemOOB
 		return false
 	}
 	t.SetWord(i, v)

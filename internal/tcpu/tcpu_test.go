@@ -415,9 +415,6 @@ func TestCyclesModel(t *testing.T) {
 	if want := PipelineLatency + 1; res.Cycles != want {
 		t.Errorf("CSTORE cycles = %d, want %d", res.Cycles, want)
 	}
-	if CyclesForProgram(5, 1) != 9 || CyclesForProgram(0, 0) != 0 {
-		t.Error("CyclesForProgram formula wrong")
-	}
 }
 
 func TestConcurrentCSTOREExactlyOneWinner(t *testing.T) {

@@ -11,12 +11,9 @@
 //
 // Annotations:
 //
-//	//alloc:free            (in a function's doc comment)
+//	//alloc:free    (in a function's doc comment)
 //	    every escape diagnostic inside the function body is gated.
-//	//alloc:allow <reason>  (same line as the diagnostic or directly above)
-//	    exempts one diagnosed line, for sanctioned cold-path or
-//	    amortized allocations.
-//	//alloc:inline          (in a function's doc comment)
+//	//alloc:inline  (in a function's doc comment)
 //	    the compiler must report "can inline" for the function: a gate
 //	    whose whole point is to cost its caller one branch must not
 //	    grow past the inlining budget into a call.
@@ -88,7 +85,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	anns, allowed, err := collectAnnotations(pkgs)
+	anns, err := collectAnnotations(pkgs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "allocgate:", err)
 		os.Exit(2)
@@ -103,7 +100,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "allocgate:", err)
 		os.Exit(2)
 	}
-	state := attribute(anns, allowed, out)
+	state := attribute(anns, out)
 	notInlined := checkInline(anns, out)
 	for _, p := range notInlined {
 		fmt.Println("allocgate:", p)
@@ -151,17 +148,15 @@ func main() {
 }
 
 // collectAnnotations parses every non-test Go file under the package
-// dirs and returns the //alloc:free and //alloc:inline functions plus
-// the set of //alloc:allow-exempted file:line positions.
-func collectAnnotations(pkgs []string) ([]annotation, map[string]bool, error) {
+// dirs and returns the //alloc:free and //alloc:inline functions.
+func collectAnnotations(pkgs []string) ([]annotation, error) {
 	var anns []annotation
-	allowed := make(map[string]bool)
 	fset := token.NewFileSet()
 	for _, pkg := range pkgs {
 		dir := strings.TrimPrefix(pkg, "./")
 		entries, err := os.ReadDir(dir)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, e := range entries {
 			name := e.Name()
@@ -171,18 +166,9 @@ func collectAnnotations(pkgs []string) ([]annotation, map[string]bool, error) {
 			path := filepath.Join(dir, name)
 			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			rel := filepath.ToSlash(path)
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if strings.HasPrefix(c.Text, "//alloc:allow") {
-						line := fset.Position(c.Pos()).Line
-						allowed[fmt.Sprintf("%s:%d", rel, line)] = true
-						allowed[fmt.Sprintf("%s:%d", rel, line+1)] = true
-					}
-				}
-			}
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -219,7 +205,7 @@ func collectAnnotations(pkgs []string) ([]annotation, map[string]bool, error) {
 		}
 	}
 	sort.Slice(anns, func(i, j int) bool { return anns[i].key < anns[j].key })
-	return anns, allowed, nil
+	return anns, nil
 }
 
 func hasDirective(doc *ast.CommentGroup, directive string) bool {
@@ -320,10 +306,10 @@ func checkInline(anns []annotation, buildOut string) []string {
 }
 
 // attribute maps each escape diagnostic to the //alloc:free function
-// whose body span contains it, skipping allowed lines and panic call
-// sites.  Every annotated function gets an entry (empty when clean),
-// so removing an annotation is visible as baseline drift.
-func attribute(anns []annotation, allowed map[string]bool, buildOut string) map[string][]string {
+// whose body span contains it, skipping panic call sites.  Every
+// annotated function gets an entry (empty when clean), so removing an
+// annotation is visible as baseline drift.
+func attribute(anns []annotation, buildOut string) map[string][]string {
 	state := make(map[string][]string, len(anns))
 	for _, a := range anns {
 		if a.free {
@@ -338,9 +324,6 @@ func attribute(anns []annotation, allowed map[string]bool, buildOut string) map[
 		file, msg := filepath.ToSlash(m[1]), m[3]
 		var ln int
 		fmt.Sscanf(m[2], "%d", &ln)
-		if allowed[fmt.Sprintf("%s:%d", file, ln)] {
-			continue
-		}
 		for i := range anns {
 			a := &anns[i]
 			if !a.free || a.file != file || ln < a.start || ln > a.end {

@@ -11,8 +11,9 @@ import (
 )
 
 // fixture is a small annotated source file: one gated function with a
-// panic call and an allowed line, one gated clean function, and one
-// unannotated function whose escapes must be ignored.
+// panic call and an allocation under a retired //alloc:allow waiver,
+// one gated clean function, and one unannotated function whose escapes
+// must be ignored.
 const fixture = `package fix
 
 import "fmt"
@@ -25,7 +26,7 @@ func hot(n int) int {
 		panic(fmt.Sprintf("hot: negative %d",
 			n))
 	}
-	//alloc:allow amortized scratch growth
+	//alloc:allow is no directive: this escape is gated like any other
 	buf := make([]byte, n)
 	return len(buf) + leak(n)
 }
@@ -49,7 +50,7 @@ func writeFixture(t *testing.T) (dir string, file string) {
 
 func TestCollectAnnotations(t *testing.T) {
 	dir, file := writeFixture(t)
-	anns, allowed, err := collectAnnotations([]string{dir})
+	anns, err := collectAnnotations([]string{dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,40 +68,28 @@ func TestCollectAnnotations(t *testing.T) {
 	if s := hot.panicSpans[0]; s[1] != s[0]+1 {
 		t.Fatalf("panic span %v does not cover the continuation line", s)
 	}
-	// The allow covers its own line and the next.
-	if len(allowed) != 2 {
-		t.Fatalf("allowed = %v, want the alloc:allow line and its successor", allowed)
-	}
 }
 
 func TestAttribute(t *testing.T) {
 	dir, file := writeFixture(t)
-	anns, allowed, err := collectAnnotations([]string{dir})
+	anns, err := collectAnnotations([]string{dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hot := anns[1]
 	panicLine := hot.panicSpans[0][1] // Sprintf continuation inside panic
-	var allowLine int
-	for k := range allowed {
-		var f string
-		var l int
-		splitKey(k, &f, &l)
-		if l > allowLine {
-			allowLine = l // the make([]byte, n) line
-		}
-	}
+	makeLine := hot.start + 6         // the make([]byte, n) line
 	out := "" +
 		diag(file, panicLine, "n escapes to heap") + // panic path: exempt
-		diag(file, allowLine, "make([]byte, n) escapes to heap") + // allowed
+		diag(file, makeLine, "make([]byte, n) escapes to heap") + // no waiver
 		diag(file, hot.start+8, "moved to heap: x") + // real regression
 		diag(file, hot.end+5, "&n escapes to heap") + // outside any gated span
 		diag(file, hot.start+8, "n does not escape") + // not an escape
 		diag(file, hot.start+8, "leaking param: n") // not an allocation
 
-	state := attribute(anns, allowed, out)
-	if got := state[file+":hot"]; len(got) != 1 || got[0] != "moved to heap: x" {
-		t.Fatalf("hot escapes = %v, want only the real regression", got)
+	state := attribute(anns, out)
+	if got := state[file+":hot"]; len(got) != 2 || got[0] != "make([]byte, n) escapes to heap" || got[1] != "moved to heap: x" {
+		t.Fatalf("hot escapes = %v, want the formerly waived make and the real regression", got)
 	}
 	if got := state[file+":clean"]; len(got) != 0 {
 		t.Fatalf("clean escapes = %v, want none", got)
@@ -121,20 +110,6 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b)
-}
-
-func splitKey(k string, file *string, line *int) {
-	for i := len(k) - 1; i >= 0; i-- {
-		if k[i] == ':' {
-			*file = k[:i]
-			n := 0
-			for _, c := range k[i+1:] {
-				n = n*10 + int(c-'0')
-			}
-			*line = n
-			return
-		}
-	}
 }
 
 // The golden round-trip: a written baseline reads back identical, a
@@ -201,7 +176,7 @@ func TestRepoBaselineCleanAndCurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer os.Chdir(wd)
-	anns, allowed, err := collectAnnotations(pkgs)
+	anns, err := collectAnnotations(pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +187,7 @@ func TestRepoBaselineCleanAndCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := attribute(anns, allowed, out)
+	state := attribute(anns, out)
 	for key, msgs := range state {
 		if len(msgs) != 0 {
 			t.Errorf("%s: gated function allocates: %v", key, msgs)
@@ -301,7 +276,7 @@ func TestInlinePins(t *testing.T) {
 	defer os.Chdir(wd)
 
 	pkgs := []string{"./fix"}
-	anns, _, err := collectAnnotations(pkgs)
+	anns, err := collectAnnotations(pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
