@@ -28,14 +28,11 @@ func main() {
 
 	// 2. A tiny packet program, in the paper's assembly syntax: record
 	//    the switch id and the egress queue occupancy at every hop.
-	prog, err := asm.Assemble(`
+	prog := asm.MustAssemble(`
 		.mem 6                   # 2 words/hop x 3 hops
 		PUSH [Switch:SwitchID]
 		PUSH [Queue:QueueSize]
 	`)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	// 3. Some cross traffic, so there is a queue to observe.
 	for i := 0; i < 20; i++ {

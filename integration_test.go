@@ -2,6 +2,7 @@ package repro
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/accounting"
@@ -164,11 +165,12 @@ func TestMultipleTasksCoexist(t *testing.T) {
 
 	// Isolation: the accounting region and the RCP rate registers are
 	// disjoint; the counter value never leaked into a rate register.
-	if owner, ok := b.Allocator().Owner(acct.Base); !ok || owner != (mem.Owner{Task: "fabric/accounting"}) {
-		t.Fatal("SRAM ownership lost")
+	held := b.Allocator().Held()
+	if !slices.Contains(held, mem.Held{Owner: mem.Owner{Task: "fabric/accounting"}, Region: acct}) {
+		t.Fatalf("SRAM ownership lost: held %v", held)
 	}
-	if owner, ok := b.Allocator().Owner(grant.Partition.Base); !ok || owner != (mem.Owner{Tenant: 7}) {
-		t.Fatalf("tenant partition owner = %v, %v", owner, ok)
+	if !slices.Contains(held, mem.Held{Owner: mem.Owner{Tenant: 7}, Region: grant.Partition}) {
+		t.Fatalf("tenant partition lost: held %v", held)
 	}
 	if grant.Partition.Base < acct.End() {
 		t.Fatalf("tenant partition %+v overlaps the accounting region %+v", grant.Partition, acct)

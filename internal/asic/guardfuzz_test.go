@@ -102,8 +102,8 @@ func FuzzGuard(f *testing.F) {
 		deniedBefore := swA.TPPsDenied()
 
 		tppA, tppB := tpp.Clone(), tpp.Clone()
-		resA := tcpu.Exec(tppA, swA.GuardedViewForTesting(nil, 0, tid))
-		resB := tcpu.Exec(tppB, swB.GuardedViewForTesting(nil, 0, tid))
+		resA := tcpu.Config{}.Exec(tppA, swA.GuardedViewForTesting(nil, 0, tid))
+		resB := tcpu.Config{}.Exec(tppB, swB.GuardedViewForTesting(nil, 0, tid))
 
 		// 1. Containment: nothing outside the partition moved, and the
 		// partition itself evolved identically on both switches.

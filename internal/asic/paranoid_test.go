@@ -1,6 +1,7 @@
 package asic_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/asic"
@@ -53,9 +54,6 @@ func TestParanoidModeStripsFaultingTPP(t *testing.T) {
 	if sawTPP != 0 || sawPlain != 1 {
 		t.Fatalf("faulting TPP: sawTPP=%d sawPlain=%d", sawTPP, sawPlain)
 	}
-	if sw.TPPsRejected() != 1 {
-		t.Fatalf("TPPsRejected = %d", sw.TPPsRejected())
-	}
 	if sw.TPPsExecuted() != 0 {
 		t.Fatal("rejected TPP still executed")
 	}
@@ -71,8 +69,8 @@ func TestParanoidModeStripsFaultingTPP(t *testing.T) {
 	if sw.TPPsExecuted() != 1 {
 		t.Fatalf("TPPsExecuted = %d", sw.TPPsExecuted())
 	}
-	if sw.TPPsRejected() != 1 {
-		t.Fatalf("TPPsRejected moved to %d on a good program", sw.TPPsRejected())
+	if v := counterRow(t, reg, "switch/7/tpps_rejected"); v != 1 {
+		t.Fatalf("tpps_rejected moved to %d on a good program", v)
 	}
 }
 
@@ -81,8 +79,9 @@ func TestParanoidModeStripsFaultingTPP(t *testing.T) {
 // rejected even though the verifier config left MaxInstructions zero.
 func TestParanoidModeUsesDeviceLimits(t *testing.T) {
 	sim := netsim.New(1)
+	reg := obs.NewRegistry()
 	n := topo.NewNetwork(sim)
-	sw := n.AddSwitch(asic.Config{Ports: 4, Verify: &verify.Config{}})
+	sw := n.AddSwitch(asic.Config{Ports: 4, Verify: &verify.Config{}, Metrics: reg})
 	h1, h2 := n.AddHost(), n.AddHost()
 	n.LinkHost(h1, sw, edge)
 	n.LinkHost(h2, sw, edge)
@@ -100,8 +99,8 @@ func TestParanoidModeUsesDeviceLimits(t *testing.T) {
 	})
 	sim.RunUntil(20 * netsim.Millisecond)
 
-	if sw.TPPsRejected() != 1 {
-		t.Fatalf("TPPsRejected = %d", sw.TPPsRejected())
+	if v := counterRow(t, reg, fmt.Sprintf("switch/%d/tpps_rejected", sw.ID())); v != 1 {
+		t.Fatalf("tpps_rejected = %d", v)
 	}
 	if sw.TPPsExecuted() != 0 {
 		t.Fatal("over-length TPP executed")

@@ -48,11 +48,10 @@ type Port struct {
 // ID returns the port number.
 func (p *Port) ID() int { return p.id }
 
-// Trusted reports whether TPPs may enter on this port.
-func (p *Port) Trusted() bool { return p.trusted }
-
 // SetTrusted marks the port as a trusted (internal) or untrusted (edge)
 // port for TPP admission.
+//
+//api:safety the §4 untrusted-edge strip, TestUntrustedPortStripsTPP
 func (p *Port) SetTrusted(v bool) { p.trusted = v }
 
 // Wire attaches the egress channel; the channel's idle callback drives
@@ -94,16 +93,6 @@ func (p *Port) SetScratch(i int, v uint32) { p.scratch[i] = v }
 
 // SetSNR updates the wireless SNR register (centi-dB).
 func (p *Port) SetSNR(v uint32) { p.snr = v }
-
-// SNR reads the wireless SNR register.
-func (p *Port) SNR() uint32 { return p.snr }
-
-// RXUtil returns the smoothed rate of traffic entering the egress link
-// (bytes/sec) — the [Link:RX-Utilization] register.
-func (p *Port) RXUtil() uint32 { return p.rxUtil.Rate() }
-
-// TXUtil returns the smoothed transmitted rate (bytes/sec).
-func (p *Port) TXUtil() uint32 { return p.txUtil.Rate() }
 
 // DropBytes returns cumulative bytes dropped across the port's queues.
 func (p *Port) DropBytes() uint64 {

@@ -2,6 +2,7 @@ package asic
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -110,7 +111,10 @@ func TestQueueBackingBoundedByOccupancy(t *testing.T) {
 			t.Fatalf("step %d: enqueue/dequeue at occupancy <= 2 failed", i)
 		}
 	}
-	if q.Len() != 1 || q.pkts.Cap() > 8 {
-		t.Fatalf("len %d, backing array %d entries after 1e6 packets", q.Len(), q.pkts.Cap())
+	// The ring keeps its backing array to itself; its length is read
+	// through reflect.
+	backing := reflect.ValueOf(&q.pkts).Elem().FieldByName("buf").Len()
+	if q.Len() != 1 || backing > 8 {
+		t.Fatalf("len %d, backing array %d entries after 1e6 packets", q.Len(), backing)
 	}
 }

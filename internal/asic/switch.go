@@ -435,9 +435,6 @@ func (s *Switch) InjectLocal(pkt *core.Packet, out int) bool {
 // forward unmodified (no loads, stores or hop records).
 func (s *Switch) SetTCPUEnabled(v bool) { s.tcpuOff = !v }
 
-// TCPUEnabled reports whether this switch executes TPPs.
-func (s *Switch) TCPUEnabled() bool { return !s.tcpuOff }
-
 // PacketsSwitched returns the cumulative forwarded-packet count.
 func (s *Switch) PacketsSwitched() uint64 { return s.packets }
 
@@ -451,18 +448,8 @@ func (s *Switch) CStoreCommits() uint64 { return s.cstores }
 // TPPsExecuted returns how many TPPs the TCPU has run.
 func (s *Switch) TPPsExecuted() uint64 { return s.tppsExecuted }
 
-// TPPFaults returns how many executions ended in a TCPU fault.
-func (s *Switch) TPPFaults() uint64 { return s.tppFaults }
-
-// TCPUOverBudget returns how many executions overran the TCPU's cycle
-// budget.
-func (s *Switch) TCPUOverBudget() uint64 { return s.tcpuOverBudget }
-
 // TPPsStripped returns how many TPPs were removed at untrusted ports.
 func (s *Switch) TPPsStripped() uint64 { return s.tppsStripped }
-
-// TPPsRejected returns how many TPPs the paranoid verifier stripped.
-func (s *Switch) TPPsRejected() uint64 { return s.tppsRejected }
 
 // TPPsThrottled returns how many TPPs the admission gate declined to
 // execute (their packets forwarded unmodified).

@@ -333,10 +333,9 @@ func TestViewCoversTable2(t *testing.T) {
 	sim.RunUntil(time1ms())
 
 	view := sw.ViewForTesting(nil, 0)
-	for _, name := range mem.SymbolNames() {
-		a, _ := mem.LookupSymbol(name)
-		if _, err := view.Load(a); err != nil {
-			t.Errorf("Load(%s) failed: %v", name, err)
+	for _, s := range mem.Symbols() {
+		if _, err := view.Load(s.Addr); err != nil {
+			t.Errorf("Load(%s) failed: %v", s.Name, err)
 		}
 	}
 	// Absolute window mirrors the relative namespace.

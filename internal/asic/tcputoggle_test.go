@@ -1,11 +1,14 @@
 package asic_test
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/asic"
 	"repro/internal/core"
 	"repro/internal/endhost"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/tcpu"
 	"repro/internal/topo"
 )
@@ -16,7 +19,11 @@ import (
 // re-enabling restores full traces.
 func TestTCPUDisableToggle(t *testing.T) {
 	sim := netsim.New(1)
-	n, src, dst, sws := topo.Line(sim, 3, edge, backbone, nil, nil)
+	reg := obs.NewRegistry()
+	n, src, dst, sws := topo.Line(sim, 3, edge, backbone, topo.Uniform(asic.Config{Metrics: reg}), nil)
+	faults := func(sw *asic.Switch) uint64 {
+		return counterRow(t, reg, fmt.Sprintf("switch/%d/tpp_faults", sw.ID()))
+	}
 	n.PrimeL2(5 * netsim.Millisecond)
 
 	prober := endhost.NewProber(src)
@@ -30,14 +37,12 @@ func TestTCPUDisableToggle(t *testing.T) {
 		return echoed
 	}
 
+	// The TCPU defaults to enabled: every hop records.
 	if e := walk(); e.Ptr != 12 {
 		t.Fatalf("healthy walk recorded %d bytes, want 12", e.Ptr)
 	}
 
 	mid := sws[1]
-	if !mid.TCPUEnabled() {
-		t.Fatal("TCPU should default to enabled")
-	}
 	mid.SetTCPUEnabled(false)
 	execsBefore := mid.TPPsExecuted()
 	if e := walk(); e.Ptr != 8 {
@@ -57,9 +62,9 @@ func TestTCPUDisableToggle(t *testing.T) {
 	// Config.Exec: it faults against the device limit at each live
 	// TCPU, executes nowhere, and a killed TCPU ignores it like any TPP.
 	mid.SetTCPUEnabled(false)
-	var faults [3]uint64
+	var before [3]uint64
 	for i, sw := range sws {
-		faults[i] = sw.TPPFaults()
+		before[i] = faults(sw)
 	}
 	var echoed *core.TPP
 	long := core.NewTPP(core.AddrStack, make([]core.Instruction, tcpu.MaxCachedInstructions+1), 1)
@@ -69,12 +74,12 @@ func TestTCPUDisableToggle(t *testing.T) {
 		t.Fatalf("over-long probe echo = %+v, want FlagError and an untouched stack pointer", echoed)
 	}
 	for i, sw := range sws {
-		want := faults[i] + 1
+		want := before[i] + 1
 		if sw == mid {
-			want = faults[i]
+			want = before[i]
 		}
-		if got := sw.TPPFaults(); got != want {
-			t.Errorf("switch %d: TPPFaults = %d, want %d", i, got, want)
+		if got := faults(sw); got != want {
+			t.Errorf("switch %d: tpp_faults = %d, want %d", i, got, want)
 		}
 	}
 }

@@ -85,7 +85,7 @@ func TestPortAccessors(t *testing.T) {
 	p := n.LinkHost(h, sw, edge)
 
 	port := sw.Port(p)
-	if port.ID() != p || !port.Trusted() || !port.Wired() {
+	if port.ID() != p || !port.Wired() {
 		t.Fatal("port accessors wrong")
 	}
 	if port.Queues() != 2 || port.Queue(1) == nil {
@@ -94,16 +94,19 @@ func TestPortAccessors(t *testing.T) {
 	if port.Channel().Rate() != edge.RateBps {
 		t.Fatal("channel accessor wrong")
 	}
+	view := sw.ViewForTesting(nil, p)
 	port.SetSNR(2500)
-	if port.SNR() != 2500 {
-		t.Fatal("SNR register wrong")
+	if snr, err := view.Load(mem.PortBase + mem.PortSNR); err != nil || snr != 2500 {
+		t.Fatalf("[Link:SNR] = %d, %v; want 2500", snr, err)
 	}
 	port.SetScratch(3, 9)
 	if port.Scratch(3) != 9 {
 		t.Fatal("scratch accessor wrong")
 	}
-	if port.RXUtil() != 0 || port.TXUtil() != 0 {
-		t.Fatal("fresh meters nonzero")
+	rx, _ := view.Load(mem.PortBase + mem.PortRXUtil)
+	tx, _ := view.Load(mem.PortBase + mem.PortTXUtil)
+	if rx != 0 || tx != 0 {
+		t.Fatalf("fresh meters read rx %d tx %d, want 0", rx, tx)
 	}
 	if sw.Now() != sim.Now() {
 		t.Fatal("clock accessor wrong")

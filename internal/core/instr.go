@@ -41,10 +41,10 @@ const (
 type Access uint8
 
 const (
-	AccessNone  Access = iota
-	AccessLoad         // reads sw[A]
-	AccessStore        // writes sw[A]
-	AccessCond         // reads sw[A] and writes it when the compare holds
+	_           Access = iota // the zero Access touches no switch memory
+	AccessLoad                // reads sw[A]
+	AccessStore               // writes sw[A]
+	AccessCond                // reads sw[A] and writes it when the compare holds
 )
 
 // OpInfo is everything about an opcode that is not its semantics: how
@@ -159,18 +159,6 @@ func (i Instruction) Validate() error {
 		return fmt.Errorf("core: operand B %#x exceeds %d bits", i.B, OperandBits)
 	}
 	return nil
-}
-
-// UsesB reports whether the opcode consumes the B operand.
-func (o Opcode) UsesB() bool {
-	info, _ := o.Info()
-	return info.Form >= FormAB
-}
-
-// Writes reports whether the opcode can write switch memory.
-func (o Opcode) Writes() bool {
-	info, _ := o.Info()
-	return info.Access >= AccessStore
 }
 
 // String formats the instruction in raw (symbol-free) assembly syntax.

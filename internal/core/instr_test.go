@@ -94,8 +94,9 @@ func TestOpcodeUsesB(t *testing.T) {
 		OpSUB: true, OpMAX: true,
 	}
 	for op, want := range usesB {
-		if got := op.UsesB(); got != want {
-			t.Errorf("%s.UsesB() = %v, want %v", op, got, want)
+		info, _ := op.Info()
+		if got := info.Form >= FormAB; got != want {
+			t.Errorf("%s.Info().Form = %v: uses B %v, want %v", op, info.Form, got, want)
 		}
 	}
 }
@@ -107,8 +108,9 @@ func TestOpcodeWrites(t *testing.T) {
 		OpSUB: false, OpMAX: false,
 	}
 	for op, want := range writes {
-		if got := op.Writes(); got != want {
-			t.Errorf("%s.Writes() = %v, want %v", op, got, want)
+		info, _ := op.Info()
+		if got := info.Access >= AccessStore; got != want {
+			t.Errorf("%s.Info().Access = %v: writes %v, want %v", op, info.Access, got, want)
 		}
 	}
 }

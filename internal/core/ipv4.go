@@ -8,11 +8,9 @@ import (
 // IPv4HeaderLen is the length of the (option-less) IPv4 header we model.
 const IPv4HeaderLen = 20
 
-// IP protocol numbers used by the simulated stack.
-const (
-	ProtoUDP uint8 = 17
-	ProtoTCP uint8 = 6
-)
+// ProtoUDP is the IP protocol number of the simulated stack's one
+// transport.
+const ProtoUDP uint8 = 17
 
 // IPv4 is a minimal IPv4 header: enough for routing (L3 LPM lookups),
 // flow classification (TCAM matches), congestion experiments, and the
@@ -57,11 +55,6 @@ const (
 // IPv4Addr packs four octets into the uint32 address representation.
 func IPv4Addr(a, b, c, d byte) uint32 {
 	return uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d)
-}
-
-// IPv4String formats a uint32 address in dotted-quad notation.
-func IPv4String(ip uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
 }
 
 // AppendTo serializes the header (and any options) onto b.  Option

@@ -123,6 +123,8 @@ func (p *Packet) Clone() *Packet {
 // Serialize produces the full wire representation of the frame.  Layers
 // are emitted outermost first (the inverse of Decode); zero Length
 // fields in IP and UDP headers are filled from the actual sizes.
+//
+//api:oracle the wire encoding the pool and packet tests round-trip through Decode
 func (p *Packet) Serialize() []byte {
 	p.checkLive("Serialize")
 	b := make([]byte, 0, p.WireLen())
@@ -159,6 +161,8 @@ func (p *Packet) Serialize() []byte {
 // after the Ethernet (and optional TPP) header are decoded when their
 // EtherType/protocol is understood; unknown payloads are kept as opaque
 // bytes.
+//
+//api:oracle the wire decoding the pool and packet tests round-trip through Serialize
 func Decode(b []byte) (*Packet, error) {
 	p := &Packet{}
 	n, err := ParseEthernet(b, &p.Eth)

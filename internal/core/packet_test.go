@@ -60,8 +60,8 @@ func TestIPv4RoundTripAndChecksum(t *testing.T) {
 
 func TestIPv4AddrFormatting(t *testing.T) {
 	ip := IPv4Addr(192, 168, 1, 200)
-	if got := IPv4String(ip); got != "192.168.1.200" {
-		t.Errorf("IPv4String = %q", got)
+	if ip != 0xC0A801C8 {
+		t.Errorf("IPv4Addr(192, 168, 1, 200) = %#08x", ip)
 	}
 }
 

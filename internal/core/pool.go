@@ -301,6 +301,8 @@ func (p *Packet) ClonePooled() *Packet { return compatPool.Clone(p) }
 
 // Pooled reports whether the packet is owned by a packet pool (drawn
 // and neither recycled nor adopted).
+//
+//api:harness where the ownership tests see a packet's pool state
 func (p *Packet) Pooled() bool { return p.pooled }
 
 // Adopt transfers ownership of a pooled packet to the caller: the

@@ -24,6 +24,8 @@ import (
 // PoolDebug reports which pool implementation this binary carries;
 // tests use it to pick the expected violation behavior (and to skip an
 // allocation budget: the sanitizer formats a call site per Recycle).
+//
+//api:harness the build-tag switch the pool and budget tests read
 const PoolDebug = true
 
 // poolDebug is the per-packet-copy sanitizer state: the slot

@@ -11,6 +11,8 @@ package core
 // PoolDebug reports which pool implementation this binary carries;
 // tests use it to pick the expected violation behavior (and to skip an
 // allocation budget: the sanitizer formats a call site per Recycle).
+//
+//api:harness the build-tag switch the pool and budget tests read
 const PoolDebug = false
 
 // poolDebug is the per-packet-copy sanitizer state (empty in release).

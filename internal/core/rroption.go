@@ -21,6 +21,8 @@ const MaxRecordRouteSlots = (MaxIPv4Options - rrHeaderLen - 1) / 4 // 9
 // NewRecordRouteOption builds an empty Record Route option with the
 // given number of address slots (clamped to MaxRecordRouteSlots),
 // padded to 4-byte alignment with End-of-Options.
+//
+//api:paper the §4 Record Route comparator, TestRecordRouteStampsSwitchIDs
 func NewRecordRouteOption(slots int) []byte {
 	if slots < 1 {
 		slots = 1
@@ -57,6 +59,8 @@ func RecordRouteAppend(opts []byte, addr uint32) bool {
 }
 
 // RecordRouteAddrs extracts the recorded addresses.
+//
+//api:paper the §4 Record Route comparator, TestRecordRouteStampsSwitchIDs
 func RecordRouteAddrs(opts []byte) []uint32 {
 	if len(opts) < rrHeaderLen || opts[0] != optRecordRoute {
 		return nil

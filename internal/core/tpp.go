@@ -37,9 +37,6 @@ const (
 	// exhausted, bad address, or a store to protected state).  The
 	// packet still forwards; end-hosts inspect the flag.
 	FlagError uint8 = 1 << 0
-	// FlagStripped marks a TPP whose instructions were removed at an
-	// untrusted edge port (§4); kept for observability in traces.
-	FlagStripped uint8 = 1 << 1
 	// FlagThrottled is set by a switch whose TCPU admission gate ran
 	// out of tokens: the packet was forwarded without executing its
 	// program, degrading to plain forwarding as the line-rate argument

@@ -97,12 +97,6 @@ func (t *EpochTracker) Observe(switchID, epoch uint32) bool {
 	return true
 }
 
-// Last returns the most recently observed epoch of switchID.
-func (t *EpochTracker) Last(switchID uint32) (uint32, bool) {
-	e, ok := t.last[switchID]
-	return e, ok
-}
-
 // ObserveEcho scans one executed echo for (switch id, epoch) pairs and
 // feeds them to Observe; probes whose programs don't carry the epoch
 // word are ignored.  It returns how many epoch bumps the echo revealed.

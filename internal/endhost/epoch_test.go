@@ -98,7 +98,7 @@ func TestEpochTrackerObserve(t *testing.T) {
 			t.Fatalf("callback %d = %+v, want %+v", i, fired[i], want[i])
 		}
 	}
-	if e, ok := tr.Last(7); !ok || e != 1 {
+	if e, ok := tr.last[7]; !ok || e != 1 {
 		t.Fatalf("Last(7) = %d,%v, want 1,true", e, ok)
 	}
 }
@@ -137,7 +137,7 @@ func TestProberScansEchoes(t *testing.T) {
 	if tr.Observed != 2 || tr.Changes != 1 {
 		t.Fatalf("Observed=%d Changes=%d, want 2 and 1", tr.Observed, tr.Changes)
 	}
-	if e, _ := tr.Last(1); e != 3 {
+	if e := tr.last[1]; e != 3 {
 		t.Fatalf("Last(1) = %d, want 3", e)
 	}
 }

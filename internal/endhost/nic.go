@@ -106,9 +106,6 @@ func (n *NIC) SetTenant(id uint8) {
 	n.vcache = nil // verdicts may depend on the sealed identity
 }
 
-// Tenant returns the sealed tenant id.
-func (n *NIC) Tenant() uint8 { return n.tenant }
-
 // Send queues the packet for transmission, returning false on a tail
 // drop or a verifier rejection.  Both are death points: a pooled packet
 // goes back to its pool (its sender has already let go of it), any

@@ -69,9 +69,6 @@ func NewRegionPoller(words int) *RegionPoller {
 	return &RegionPoller{words: make([]WordPoller, words)}
 }
 
-// Words returns the tracked region size.
-func (p *RegionPoller) Words() int { return len(p.words) }
-
 // Fold applies one atomically-read chunk: vals[i] is the value of word
 // offset+i, and epoch is the boot epoch read in the same TPP execution.
 // It returns the per-word deltas this sweep contributed (never

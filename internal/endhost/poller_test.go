@@ -4,8 +4,8 @@ import "testing"
 
 func TestRegionPollerBaselineAndDeltas(t *testing.T) {
 	p := NewRegionPoller(4)
-	if p.Words() != 4 {
-		t.Fatalf("Words() = %d", p.Words())
+	if len(p.words) != 4 {
+		t.Fatalf("tracked %d words", len(p.words))
 	}
 	// Baseline sweep: pre-existing values count into cumulative.
 	deltas, discont := p.Fold(0, 0, []uint32{3, 0, 7, 1})

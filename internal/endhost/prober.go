@@ -123,9 +123,13 @@ func (p *Prober) Defaults() ProbeConfig { return p.defaults }
 // matched or not — for per-hop boot epochs, so any collect probe that
 // happens to read [Switch:Epoch] doubles as a crash detector.  Pass nil
 // to detach.
+//
+//api:harness where the crash-detection tests attach their tracker
 func (p *Prober) SetEpochTracker(t *EpochTracker) { p.epochs = t }
 
 // Outstanding returns the number of probes awaiting echoes.
+//
+//api:harness where the prober tests see what is still pending
 func (p *Prober) Outstanding() int { return len(p.pending) }
 
 // After runs fn once d has elapsed on the host's clock.  Probe clients
@@ -224,7 +228,7 @@ func (p *Prober) send(cookie uint32, dstMAC core.MAC, dstIP uint32, tpp *core.TP
 }
 
 // expire runs when an attempt's deadline passes with the probe still
-// pending — an echo, Cancel or Forget would have stopped the timer — and
+// pending — an echo or Forget would have stopped the timer — and
 // retransmits or reaps it.
 func (pp *pendingProbe) expire() {
 	p := pp.p
@@ -245,17 +249,6 @@ func (pp *pendingProbe) expire() {
 	// deadline fires the next attempt (or the reaper).
 	p.send(pp.cookie, pp.dstMAC, pp.dstIP, &pp.prog)
 	pp.deadline.Reset(p.host.Sim.Now() + pp.timeout)
-}
-
-// Cancel drops one outstanding probe by cookie; neither of its
-// callbacks will run.  It reports whether the cookie was pending.
-func (p *Prober) Cancel(cookie uint32) bool {
-	pp, ok := p.pending[cookie]
-	if ok {
-		delete(p.pending, cookie)
-		p.release(pp)
-	}
-	return ok
 }
 
 // ProbeGroup sends several TPPs as one logical multi-packet program
@@ -354,6 +347,8 @@ func CollectProgram(stats []mem.Addr, maxHops, insLimit int) (*core.TPP, error) 
 
 // SplitCollect splits a statistic list into as many collect TPPs as the
 // instruction limit requires: the multi-packet TPP mechanism.
+//
+//api:paper the §2 multi-packet TPP, TestSplitCollect
 func SplitCollect(stats []mem.Addr, maxHops, insLimit int) ([]*core.TPP, error) {
 	if insLimit <= 0 {
 		return nil, fmt.Errorf("endhost: instruction limit must be positive")

@@ -225,6 +225,18 @@ func TestProbeGroupAllSendsFail(t *testing.T) {
 	}
 }
 
+// Cancel drops one outstanding probe by cookie, the way an echo or
+// Forget resolves it: neither of its callbacks will run.  It reports
+// whether the cookie was pending.
+func (p *Prober) Cancel(cookie uint32) bool {
+	pp, ok := p.pending[cookie]
+	if ok {
+		delete(p.pending, cookie)
+		p.release(pp)
+	}
+	return ok
+}
+
 // TestProbeCancel: a cancelled cookie runs neither callback; its armed
 // deadline is called off with it.
 func TestProbeCancel(t *testing.T) {
@@ -417,7 +429,7 @@ func TestEchoStackPointerPastMemory(t *testing.T) {
 	if echo.Ptr != 64 || echo.Hop(2) != 1 {
 		t.Fatalf("echo SP %d, Hop(2) = %d: want the header as sent and the one frame memory holds", echo.Ptr, echo.Hop(2))
 	}
-	if e, _ := tr.Last(4); tr.Observed != 1 || e != 1 {
+	if e := tr.last[4]; tr.Observed != 1 || e != 1 {
 		t.Fatalf("tracker Observed=%d, switch 4 at epoch %d: want the one hop memory holds", tr.Observed, e)
 	}
 }

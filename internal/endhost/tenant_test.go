@@ -16,8 +16,8 @@ func TestNICSealsTenant(t *testing.T) {
 	sim := netsim.New(1)
 	a, b := pair(sim, 8_000_000)
 	a.NIC.SetTenant(4)
-	if a.NIC.Tenant() != 4 {
-		t.Fatalf("Tenant() = %d", a.NIC.Tenant())
+	if a.NIC.tenant != 4 {
+		t.Fatalf("sealed tenant = %d", a.NIC.tenant)
 	}
 
 	forged := core.NewTPP(core.AddrStack, []core.Instruction{

@@ -17,7 +17,6 @@ import (
 type Controller struct {
 	sim     *netsim.Sim
 	devices map[string]*asic.Switch
-	names   []string
 	detours map[string]DetourSource
 }
 
@@ -29,25 +28,7 @@ func New(sim *netsim.Sim) *Controller {
 
 // Register names a switch for spec addressing.  Re-registering a name
 // replaces the mapping.
-func (c *Controller) Register(name string, sw *asic.Switch) {
-	if _, ok := c.devices[name]; !ok {
-		c.names = append(c.names, name)
-		sort.Strings(c.names)
-	}
-	c.devices[name] = sw
-}
-
-// Devices returns the registered device names, sorted.
-func (c *Controller) Devices() []string {
-	return append([]string(nil), c.names...)
-}
-
-// Device returns the registered switch, for scenario hooks that need
-// the hardware handle.
-func (c *Controller) Device(name string) (*asic.Switch, bool) {
-	sw, ok := c.devices[name]
-	return sw, ok
-}
+func (c *Controller) Register(name string, sw *asic.Switch) { c.devices[name] = sw }
 
 // Diff reads every device the spec names back live and computes the
 // ordered ChangeSet that would move it to spec.  Per-device read

@@ -21,7 +21,7 @@ import (
 //
 //	name: converge-under-churn
 //	spec:
-//	  devices: ...          # fabric.ParseSpec format (optional)
+//	  devices: ...          # fabric.DecodeSpec format (optional)
 //	phases:
 //	  - name: provision
 //	    kind: provision

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -10,7 +11,8 @@ import (
 	"repro/internal/netsim"
 )
 
-// ParseSpec parses a YAML spec document:
+// DecodeSpec decodes a parsed spec document (the value of a top-level
+// document, or of a scenario's "spec:" key), which reads in YAML:
 //
 //	devices:
 //	  - device: leaf0
@@ -34,16 +36,6 @@ import (
 //
 // Unknown keys are rejected — a typo in a spec must fail loudly, not
 // silently under-configure the fabric.
-func ParseSpec(src string) (Spec, error) {
-	root, err := yamlite.Parse(src)
-	if err != nil {
-		return Spec{}, err
-	}
-	return DecodeSpec(root)
-}
-
-// DecodeSpec decodes a parsed spec document (the value of a top-level
-// document, or of a scenario's "spec:" key).
 func DecodeSpec(root *yamlite.Node) (Spec, error) {
 	if root == nil {
 		return Spec{}, fmt.Errorf("fabric: no spec")
@@ -278,7 +270,9 @@ func ParsePrefix(s string) (addr uint32, plen int, err error) {
 }
 
 // ParseDuration parses "250ns", "10us", "50ms", "1.5s" into simulated
-// time (longest-suffix match, so "ms" is not read as "s").
+// time (longest-suffix match, so "ms" is not read as "s").  Durations
+// simulated time cannot hold — negative, NaN, infinite, or past
+// math.MaxInt64 ns — are refused.
 func ParseDuration(s string) (netsim.Time, error) {
 	s = strings.TrimSpace(s)
 	for _, u := range []struct {
@@ -298,7 +292,11 @@ func ParseDuration(s string) (netsim.Time, error) {
 		if err != nil {
 			return 0, fmt.Errorf("fabric: bad duration %q", s)
 		}
-		return netsim.Time(v * float64(u.unit)), nil
+		d := v * float64(u.unit)
+		if !(d >= 0 && d < math.MaxInt64) {
+			return 0, fmt.Errorf("fabric: duration %q out of range", s)
+		}
+		return netsim.Time(d), nil
 	}
 	return 0, fmt.Errorf("fabric: duration %q needs a ns/us/ms/s suffix", s)
 }

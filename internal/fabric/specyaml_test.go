@@ -3,6 +3,7 @@ package fabric_test
 import (
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -42,8 +43,18 @@ devices:
         port: 0
 `
 
+// parseSpec is the path spec text takes in fabricctl and the scenario
+// runner: yamlite.Parse, then fabric.DecodeSpec.
+func parseSpec(src string) (fabric.Spec, error) {
+	root, err := yamlite.Parse(src)
+	if err != nil {
+		return fabric.Spec{}, err
+	}
+	return fabric.DecodeSpec(root)
+}
+
 func TestParseSpec(t *testing.T) {
-	spec, err := fabric.ParseSpec(specSrc)
+	spec, err := parseSpec(specSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +89,7 @@ func TestParseSpec(t *testing.T) {
 	mustConverge(t, h, spec)
 }
 
-// specErrCases are spec documents ParseSpec must refuse, each with a
+// specErrCases are spec documents parseSpec must refuse, each with a
 // substring of its error.
 var specErrCases = []struct{ src, want string }{
 	{"devices:\n  - device: x\n    bogus: 1", "unknown key"},
@@ -94,8 +105,8 @@ var specErrCases = []struct{ src, want string }{
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, tc := range specErrCases {
-		if _, err := fabric.ParseSpec(tc.src); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("ParseSpec(%q) err = %v, want %q", tc.src, err, tc.want)
+		if _, err := parseSpec(tc.src); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("parseSpec(%q) err = %v, want %q", tc.src, err, tc.want)
 		}
 	}
 }
@@ -148,18 +159,28 @@ func TestParseDuration(t *testing.T) {
 	for _, tc := range []struct {
 		src  string
 		want netsim.Time
+		bad  bool // refused, with an error naming src
 	}{
-		{"250ns", 250},
-		{"10us", 10 * netsim.Microsecond},
-		{"50ms", 50 * netsim.Millisecond},
-		{"1.5s", netsim.Time(1.5 * float64(netsim.Second))},
+		{src: "250ns", want: 250},
+		{src: "10us", want: 10 * netsim.Microsecond},
+		{src: "50ms", want: 50 * netsim.Millisecond},
+		{src: "1.5s", want: netsim.Time(1.5 * float64(netsim.Second))},
+		{src: "0s", want: 0},
+		{src: "9223372036854775807ns", bad: true}, // rounds to 2^63 ns
+		{src: "9223372036s", want: 9223372036 * netsim.Second},
+		{src: "7", bad: true}, // no unit
+		{src: "-5ms", bad: true},
+		{src: "NaNms", bad: true},
+		{src: "Infs", bad: true},
+		{src: "-Infus", bad: true},
+		{src: "1e30s", bad: true},
 	} {
 		got, err := fabric.ParseDuration(tc.src)
-		if err != nil || got != tc.want {
+		switch {
+		case tc.bad && (err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.src))):
+			t.Errorf("ParseDuration(%q) = %v, %v; want an error naming the text", tc.src, got, err)
+		case !tc.bad && (err != nil || got != tc.want):
 			t.Errorf("ParseDuration(%q) = %v, %v; want %v", tc.src, got, err, tc.want)
 		}
-	}
-	if _, err := fabric.ParseDuration("7"); err == nil {
-		t.Error("bare number parsed as duration")
 	}
 }

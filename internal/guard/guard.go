@@ -141,14 +141,6 @@ type Grant struct {
 // Words returns the partition size in words.
 func (g *Grant) Words() int { return g.Partition.Words }
 
-// InPartition reports whether tenant-relative SRAM address a (an
-// NSSRAM address whose offset is interpreted relative to the grant)
-// falls inside the partition's bounds.
-func (g *Grant) InPartition(a mem.Addr) bool {
-	k := mem.SRAMIndex(a)
-	return k >= 0 && k < g.Partition.Words
-}
-
 // Relocate applies base+bounds relocation to tenant-relative SRAM
 // address a, returning the physical address.  ok is false when a is
 // outside the partition (or not an SRAM address at all).  Relocation

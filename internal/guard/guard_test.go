@@ -146,8 +146,8 @@ func TestTableGrantRevoke(t *testing.T) {
 	if ids := tb.Tenants(); len(ids) != 2 || ids[0] != 2 || ids[1] != 3 {
 		t.Fatalf("Tenants() = %v, want [2 3]", ids)
 	}
-	if p, ok := tb.Partition(3); !ok || p != r3 {
-		t.Fatalf("Partition(3) = %+v, %v; want %+v", p, ok, r3)
+	if g, ok := tb.Lookup(3); !ok || g.Partition != r3 {
+		t.Fatalf("Lookup(3).Partition = %+v, %v; want %+v", g.Partition, ok, r3)
 	}
 }
 

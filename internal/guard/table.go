@@ -202,15 +202,6 @@ func (t *Table) Tenants() []TenantID {
 	return ids
 }
 
-// Partition returns tenant id's physical SRAM region.
-func (t *Table) Partition(id TenantID) (mem.Region, bool) {
-	st := t.state(id)
-	if st == nil {
-		return mem.Region{}, false
-	}
-	return st.grant.Partition, true
-}
-
 // ResetBuckets refills every tenant's bucket and rebases its refill
 // clock — the buckets are switch soft state, so a crash-restart boots
 // them full just like the global gate.  Grants and cumulative denial

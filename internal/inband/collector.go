@@ -183,15 +183,3 @@ func (c *Collector) CurrentBucket(i int) uint32 { return c.poller.Current(i) }
 // CumulativeBucket returns everything ever folded for bucket i, across
 // wipes; never less than CurrentBucket.
 func (c *Collector) CumulativeBucket(i int) uint64 { return c.poller.Cumulative(i) }
-
-// Cumulative returns the across-wipes histogram accumulation.
-func (c *Collector) Cumulative() *obs.Histogram { return c.cum }
-
-// Current materializes the current-epoch view as a histogram.
-func (c *Collector) Current() *obs.Histogram {
-	h := obs.NewHistogram()
-	for i := 0; i < c.cfg.Spec.Buckets; i++ {
-		h.ObserveBucket(i, uint64(c.poller.Current(i)))
-	}
-	return h
-}

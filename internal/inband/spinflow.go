@@ -70,9 +70,6 @@ func (f *SpinFlow) Start() {
 	f.send()
 }
 
-// Done reports whether the flow has completed its MaxFlips exchanges.
-func (f *SpinFlow) Done() bool { return f.stopped }
-
 func (f *SpinFlow) send() {
 	pkt := f.cfg.Client.NewPacket(f.cfg.Server.MAC, f.cfg.Server.IP,
 		SpinReplyPort, SpinDataPort, f.cfg.PayloadLen)

@@ -26,8 +26,8 @@ func TestBasicLookup(t *testing.T) {
 	for _, c := range cases {
 		r, ok := tbl.Lookup(c.ip)
 		if ok != c.ok || (ok && r.OutPort != c.port) {
-			t.Errorf("Lookup(%s) = %+v, %v; want port %d ok=%v",
-				core.IPv4String(c.ip), r, ok, c.port, c.ok)
+			t.Errorf("Lookup(%#08x) = %+v, %v; want port %d ok=%v",
+				c.ip, r, ok, c.port, c.ok)
 		}
 	}
 	if tbl.Size() != 3 {
@@ -179,8 +179,8 @@ func TestTrieMatchesNaiveReference(t *testing.T) {
 			got, gok := tbl.Lookup(ip)
 			want, wok := naiveLookup(entries, ip)
 			if gok != wok || got != want {
-				t.Fatalf("Lookup(%s) = %+v,%v; naive %+v,%v",
-					core.IPv4String(ip), got, gok, want, wok)
+				t.Fatalf("Lookup(%#08x) = %+v,%v; naive %+v,%v",
+					ip, got, gok, want, wok)
 			}
 		}
 	}

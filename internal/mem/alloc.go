@@ -157,13 +157,3 @@ func (al *Allocator) Held() []Held {
 	})
 	return out
 }
-
-// Owner returns the holder of the region containing address a, if any.
-func (al *Allocator) Owner(a Addr) (Owner, bool) {
-	for o, r := range al.regions { //lint:allow maporder (regions are disjoint)
-		if r.Contains(a) {
-			return o, true
-		}
-	}
-	return Owner{}, false
-}

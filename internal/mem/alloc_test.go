@@ -22,18 +22,18 @@ func TestAllocatorBasic(t *testing.T) {
 	if got, ok := al.Lookup("rcp"); !ok || got != rcp {
 		t.Fatal("Lookup mismatch")
 	}
-	if owner, ok := al.Owner(rcp.Base + 3); !ok || owner != (Owner{Task: "rcp"}) {
-		t.Fatalf("Owner = %v, %v", owner, ok)
+	if owner, ok := ownerOf(al, rcp.Base+3); !ok || owner != (Owner{Task: "rcp"}) {
+		t.Fatalf("owner = %v, %v", owner, ok)
 	}
-	if _, ok := al.Owner(SRAMBase + SRAMWords - 1); ok {
+	if _, ok := ownerOf(al, SRAMBase+SRAMWords-1); ok {
 		t.Fatal("unallocated address has an owner")
 	}
 	tenant, err := al.Grant(3, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if owner, ok := al.Owner(tenant.Base); !ok || owner != (Owner{Tenant: 3}) {
-		t.Fatalf("Owner = %v, %v", owner, ok)
+	if owner, ok := ownerOf(al, tenant.Base); !ok || owner != (Owner{Tenant: 3}) {
+		t.Fatalf("owner = %v, %v", owner, ok)
 	}
 	want := []Held{{Owner{Task: "ndb"}, ndb}, {Owner{Task: "rcp"}, rcp}, {Owner{Tenant: 3}, tenant}}
 	if got := al.Held(); !reflect.DeepEqual(got, want) {
@@ -150,9 +150,9 @@ func TestRegionContains(t *testing.T) {
 }
 
 func TestAccessErrorMessages(t *testing.T) {
-	e := ErrReadOnly(PortBase + PortQueueSize)
+	e := &AccessError{Addr: PortBase + PortQueueSize, Write: true, Cause: ReadOnly}
 	if msg := e.Error(); msg == "" || !contains(msg, "read-only") || !contains(msg, "Link") {
-		t.Errorf("ErrReadOnly message = %q", msg)
+		t.Errorf("read-only message = %q", msg)
 	}
 	u := ErrUnmapped(0x50, false)
 	if msg := u.Error(); !contains(msg, "unmapped") || !contains(msg, "load") {
@@ -171,4 +171,15 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
+}
+
+// ownerOf returns the holder of the region containing address a, read
+// off Held.
+func ownerOf(al *Allocator, a Addr) (Owner, bool) {
+	for _, h := range al.Held() {
+		if h.Region.Contains(a) {
+			return h.Owner, true
+		}
+	}
+	return Owner{}, false
 }

@@ -34,8 +34,8 @@ func TestAllocatorSequenceProperty(t *testing.T) {
 				if r.Words <= 0 || r.Base < SRAMBase || int(r.End()) > int(SRAMBase)+SRAMWords {
 					t.Fatalf("seed %d step %d: %v region %+v outside the SRAM bank", seed, step, h.Owner, r)
 				}
-				if o, ok := al.Owner(r.Base); !ok || o != h.Owner {
-					t.Fatalf("seed %d step %d: Owner(%#x) = %v, %v; want %v", seed, step, r.Base, o, ok, h.Owner)
+				if o, ok := ownerOf(al, r.Base); !ok || o != h.Owner {
+					t.Fatalf("seed %d step %d: owner of %#x = %v, %v; want %v", seed, step, r.Base, o, ok, h.Owner)
 				}
 				for _, other := range held[i+1:] {
 					if b := other.Region; r.Base < b.End() && b.Base < r.End() {

@@ -121,16 +121,6 @@ func Symbols() []Symbol {
 	return syms
 }
 
-// SymbolNames returns all known mnemonics, sorted.
-func SymbolNames() []string {
-	syms := Symbols()
-	names := make([]string, len(syms))
-	for i, s := range syms {
-		names[i] = s.Name
-	}
-	return names
-}
-
 // parseIndex parses an address, SRAM offset, port or statistic number:
 // unsigned digits in base (0: decimal or prefixed, as in Go source)
 // making up the whole string, no sign.

@@ -40,7 +40,7 @@ func TestSymbolAliases(t *testing.T) {
 }
 
 func TestSymbolAddressesLandInTheirNamespace(t *testing.T) {
-	for _, name := range SymbolNames() {
+	for _, name := range symbolNames() {
 		a, _ := LookupSymbol(name)
 		ns := NamespaceOf(a)
 		prefix := strings.SplitN(name, ":", 2)[0]
@@ -62,7 +62,7 @@ func TestNameOfRoundTrip(t *testing.T) {
 		"Queue:BytesEnqueued": "Queue:QueueSize",
 		"Link:Scratch0":       "Link:RCP-RateRegister",
 	}
-	for _, name := range SymbolNames() {
+	for _, name := range symbolNames() {
 		want := name
 		if c, ok := alias[name]; ok {
 			want = c
@@ -133,7 +133,16 @@ func TestSymbolNamesSortedAndComplete(t *testing.T) {
 		"Switch:L3TableSize", "Switch:NumPorts", "Switch:PacketsSwitched",
 		"Switch:SwitchID", "Switch:TCAMSize", "Switch:TPPsExecuted",
 	}
-	if got := SymbolNames(); !slices.Equal(got, want) {
-		t.Fatalf("SymbolNames() = %q\nwant %q", got, want)
+	if got := symbolNames(); !slices.Equal(got, want) {
+		t.Fatalf("Symbols() names = %q\nwant %q", got, want)
 	}
+}
+
+// symbolNames is the Name column of Symbols, in its order.
+func symbolNames() []string {
+	var names []string
+	for _, s := range Symbols() {
+		names = append(names, s.Name)
+	}
+	return names
 }

@@ -58,8 +58,3 @@ func (e *AccessError) Error() string {
 func ErrUnmapped(a Addr, write bool) error {
 	return &AccessError{Addr: a, Write: write, Cause: Unmapped}
 }
-
-// ErrReadOnly builds the error for a store to protected state.
-func ErrReadOnly(a Addr) error {
-	return &AccessError{Addr: a, Write: true, Cause: ReadOnly}
-}

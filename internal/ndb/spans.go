@@ -13,6 +13,8 @@ import "repro/internal/obs"
 // Link-level events (serialization, loss, delivery) are skipped; a hop
 // that never reached its lookup stage (stripped, dropped at the parser)
 // still appears, with a zero entry id and version.
+//
+//api:oracle the out-of-band journey the tests hold the in-band hop records to
 func JourneyFromSpans(events []obs.SpanEvent) []HopRecord {
 	var out []HopRecord
 	cur := -1

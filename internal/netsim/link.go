@@ -161,9 +161,6 @@ func (c *Channel) SetLoss(p float64, seed int64) {
 // operation); see Bernoulli and GilbertElliott.
 func (c *Channel) SetLossModel(m LossModel) { c.loss = m }
 
-// Up reports whether the link is up.
-func (c *Channel) Up() bool { return !c.down }
-
 // SetUp raises or severs the link.  Taking the link down drops every
 // frame currently in flight and every frame transmitted while down;
 // the transmitter keeps serializing (so the owner's queue drains and

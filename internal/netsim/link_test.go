@@ -99,7 +99,7 @@ func TestChannelDownDropsInFlightAndFuture(t *testing.T) {
 	if ch.PacketsDownDrops != 2 {
 		t.Fatalf("PacketsDownDrops = %d, want 2", ch.PacketsDownDrops)
 	}
-	if !ch.Up() {
+	if ch.down {
 		t.Fatal("link should be up after recovery")
 	}
 }

@@ -73,9 +73,6 @@ func NewGilbertElliott(pGoodBad, pBadGood, lossGood, lossBad float64, seed int64
 	}
 }
 
-// Bad reports whether the channel is currently in the Bad state.
-func (g *GilbertElliott) Bad() bool { return g.bad }
-
 // Lost implements LossModel: advance the state machine one frame, then
 // sample the current state's drop probability.
 func (g *GilbertElliott) Lost() bool {

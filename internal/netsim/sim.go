@@ -35,9 +35,6 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// Seconds converts a float second count into simulated time.
-func Seconds(s float64) Time { return Time(s * float64(Second)) }
-
 // Seconds returns the time as float seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 

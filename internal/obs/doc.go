@@ -28,13 +28,12 @@
 //     internal/ndb debugger.
 //
 // Both halves export snapshots as JSONL (one object per line, for
-// ingestion) and CSV (via internal/trace, for the experiment
-// harnesses), and Diff produces counter/histogram deltas for tests.
+// ingestion).
 //
 // Concurrency: counter handles, gauges and histogram buckets are atomics
 // and the registry's name maps are mutex-guarded, so handles may be
 // touched from any goroutine.  The Tracer is single-writer: the simulator
-// is one goroutine by construction, so Record and Reset belong to the
+// is one goroutine by construction, so Record belongs to the
 // goroutine that runs it, and Each, Events, Journey and the exporters are
 // called when it is quiescent (between RunUntil calls, or after the run).
 // Snapshot is under the same contract, because the collectors it runs

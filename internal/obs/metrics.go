@@ -44,14 +44,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add shifts the value by d.
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -20,7 +20,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 		c.Inc()
 		c.Add(3)
 		g.Set(5)
-		g.Add(-1)
 		h.Observe(1234)
 		tr.Record(SpanEvent{At: 1, UID: 2, Stage: StageEnqueue})
 	})
@@ -48,7 +47,7 @@ func TestCounterGauge(t *testing.T) {
 	}
 	g := r.Gauge("switch/1/rate")
 	g.Set(100)
-	g.Add(-30)
+	g.Set(70)
 	if g.Value() != 70 {
 		t.Fatalf("gauge = %d", g.Value())
 	}
@@ -124,23 +123,22 @@ func TestSnapshotAndDiff(t *testing.T) {
 	if m, ok := after.Get("a/packets"); !ok || m.Value != 15 {
 		t.Fatalf("after counter: %+v", m)
 	}
-	d := Diff(before, after)
-	if m, _ := d.Get("a/packets"); m.Value != 5 {
-		t.Fatalf("diff counter = %d", m.Value)
+	if m, _ := before.Get("a/packets"); m.Value != 10 {
+		t.Fatalf("before counter = %d: a snapshot is a copy", m.Value)
 	}
-	if m, _ := d.Get("a/rate"); m.Value != 40 {
-		t.Fatalf("diff gauge = %d (gauges keep the after value)", m.Value)
+	if m, _ := after.Get("a/rate"); m.Value != 40 {
+		t.Fatalf("after gauge = %d", m.Value)
 	}
-	m, _ := d.Get("a/depth")
-	if m.Count != 2 || m.Sum != 300 {
-		t.Fatalf("diff histogram: %+v", m)
+	m, _ := after.Get("a/depth")
+	if m.Count != 3 || m.Sum != 400 || m.Max != 200 {
+		t.Fatalf("after histogram: %+v", m)
 	}
 	var n uint64
 	for _, b := range m.Buckets {
 		n += b.N
 	}
-	if n != 2 {
-		t.Fatalf("diff buckets hold %d observations: %+v", n, m.Buckets)
+	if n != 3 {
+		t.Fatalf("buckets hold %d observations: %+v", n, m.Buckets)
 	}
 }
 
@@ -165,14 +163,6 @@ func TestSnapshotExport(t *testing.T) {
 	if m.Name != "sw/pkts" || m.Kind != KindCounter || m.Value != 3 || m.AtNs != 7 {
 		t.Fatalf("decoded metric: %+v", m)
 	}
-
-	var cb strings.Builder
-	if err := s.WriteCSV(&cb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(cb.String(), "sw/depth,histogram") {
-		t.Fatalf("csv:\n%s", cb.String())
-	}
 }
 
 func TestTracerRingAndJourney(t *testing.T) {
@@ -190,10 +180,6 @@ func TestTracerRingAndJourney(t *testing.T) {
 	j := tr.Journey(1)
 	if len(j) != 2 || j[0].At != 3 || j[1].At != 5 {
 		t.Fatalf("journey: %+v", j)
-	}
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatal("reset did not clear")
 	}
 }
 
@@ -216,13 +202,6 @@ func TestTracerExport(t *testing.T) {
 	}
 	if !strings.Contains(jb.String(), `"stage":"enqueue"`) {
 		t.Fatalf("jsonl: %s", jb.String())
-	}
-	var cb strings.Builder
-	if err := tr.WriteCSV(&cb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(cb.String(), "10,1,2,enqueue,0,1500") {
-		t.Fatalf("csv: %s", cb.String())
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-
-	"repro/internal/trace"
 )
 
 // Registry holds the metric namespace.  Names are hierarchical,
@@ -126,35 +124,6 @@ type Metric struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// Quantile estimates the q-quantile of a histogram metric from its
-// snapshotted buckets (0 for other kinds or empty histograms).
-func (m Metric) Quantile(q float64) uint64 {
-	if m.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(q * float64(m.Count))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for _, b := range m.Buckets {
-		cum += b.N
-		if cum >= target {
-			if m.Max < b.High {
-				return m.Max
-			}
-			return b.High
-		}
-	}
-	return m.Max
-}
-
 // Snapshot is a point-in-time copy of every registered metric, sorted
 // by name.
 type Snapshot struct {
@@ -223,62 +192,4 @@ func (s Snapshot) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteCSV emits the snapshot as CSV rows: histogram distributions are
-// summarized as count/sum/max plus approximate p50 and p99.
-func (s Snapshot) WriteCSV(w io.Writer) error {
-	c := trace.NewCSV(w, "name", "kind", "value", "count", "sum", "max", "p50", "p99")
-	for _, m := range s.Metrics {
-		if m.Kind == KindHistogram {
-			c.Row(m.Name, m.Kind, "", m.Count, m.Sum, m.Max, m.Quantile(0.5), m.Quantile(0.99))
-		} else {
-			c.Row(m.Name, m.Kind, m.Value, "", "", "", "", "")
-		}
-	}
-	return c.Err()
-}
-
-// Diff returns after minus before: counter and histogram counts become
-// deltas (metrics only in after pass through; gauges and histogram
-// maxima keep the after value, as they are not meaningfully
-// subtractable).  Tests use it to assert what one operation contributed.
-func Diff(before, after Snapshot) Snapshot {
-	prev := make(map[string]Metric, len(before.Metrics))
-	for _, m := range before.Metrics {
-		prev[m.Name] = m
-	}
-	out := Snapshot{AtNs: after.AtNs}
-	for _, m := range after.Metrics {
-		p, ok := prev[m.Name]
-		if ok && p.Kind == m.Kind {
-			switch m.Kind {
-			case KindCounter:
-				m.Value -= p.Value
-			case KindHistogram:
-				m.Count -= p.Count
-				m.Sum -= p.Sum
-				m.Buckets = diffBuckets(p.Buckets, m.Buckets)
-			}
-		}
-		out.Metrics = append(out.Metrics, m)
-	}
-	return out
-}
-
-// diffBuckets subtracts the before counts bucket-by-bucket, dropping
-// buckets that end up empty.
-func diffBuckets(before, after []Bucket) []Bucket {
-	prev := make(map[uint64]uint64, len(before))
-	for _, b := range before {
-		prev[b.Low] = b.N
-	}
-	var out []Bucket
-	for _, b := range after {
-		b.N -= prev[b.Low]
-		if b.N > 0 {
-			out = append(out, b)
-		}
-	}
-	return out
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/trace"
 )
 
 // Stage identifies where in a packet's lifecycle a span event was
@@ -196,7 +194,7 @@ const chunkEvents = 1 << 12
 // capacity.  Past capacity the oldest events are overwritten in place
 // (Dropped counts them).
 //
-// A Tracer has one writer: Record and Reset are called from the
+// A Tracer has one writer: Record is called from the
 // goroutine that runs the simulator, and the read methods are called
 // when that goroutine is not recording.  All methods are no-ops on a
 // nil receiver.
@@ -339,15 +337,6 @@ func (t *Tracer) Journey(uid uint64) []SpanEvent {
 	return out
 }
 
-// Reset discards all retained events; the chunks already born are
-// kept and refilled.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.cur, t.pos, t.n, t.ci = nil, 0, 0, -1
-}
-
 // ReportSelf says what an export of the log is worth, for the CLIs to
 // call before writing one: the gauges obs/spans_total and
 // obs/spans_dropped are set in reg (a nil reg takes none), and if events
@@ -392,13 +381,4 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		}
 	})
 	return err
-}
-
-// WriteCSV emits the retained events as CSV rows.
-func (t *Tracer) WriteCSV(w io.Writer) error {
-	c := trace.NewCSV(w, "at_ns", "uid", "node", "stage", "a", "b")
-	t.Each(func(ev *SpanEvent) {
-		c.Row(ev.At, ev.UID, ev.Node, ev.Stage.String(), ev.A, ev.B)
-	})
-	return c.Err()
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // modelTracer is the naive reference the chunked log is compared with:
-// every event ever recorded since the last reset, in one slice, the
+// every event ever recorded into the log, in one slice, the
 // retained ones being the last limit of them.
 type modelTracer struct {
 	limit int
@@ -62,7 +62,7 @@ func checkAgainst(t *testing.T, tr *Tracer, m *modelTracer, where string) {
 	}
 }
 
-// TestTracerMatchesModel drives seeded Record/Reset/read sequences
+// TestTracerMatchesModel drives seeded Record/read sequences
 // through the chunked log and the slice reference, at capacities on
 // both sides of every chunk boundary and totals below, at and far
 // beyond capacity.
@@ -85,18 +85,18 @@ func TestTracerMatchesModel(t *testing.T) {
 				}
 				checkAgainst(t, tr, m, "empty")
 				// Totals below, just under, at, just over and far beyond
-				// capacity, each reached in one burst after a reset, then
-				// random bursts with occasional resets.
+				// capacity, each reached in one burst into a fresh log, then
+				// random bursts with occasional fresh logs.
 				for _, n := range []int{limit / 2, limit - 1, limit, limit + 1, 2*limit + 1, 5*limit + 3} {
-					tr.Reset()
+					tr = NewTracer(limit)
 					m.all = m.all[:0]
-					checkAgainst(t, tr, m, "after reset")
+					checkAgainst(t, tr, m, "fresh log")
 					record(n)
 					checkAgainst(t, tr, m, fmt.Sprintf("burst of %d", n))
 				}
 				for step := 0; step < 40; step++ {
 					if rng.Intn(8) == 0 {
-						tr.Reset()
+						tr = NewTracer(limit)
 						m.all = m.all[:0]
 					}
 					record(rng.Intn(limit + chunkEvents/2))

@@ -1,0 +1,16 @@
+package reflex
+
+// Evidence returns one monitored port's raw SRAM evidence words.
+func (a *Arm) Evidence(port int) (hbEcho, queueEWMA uint32) {
+	return a.sw.SRAM(a.hbIdx(port)), a.sw.SRAM(a.ewmaIdx(port))
+}
+
+// Lag returns how many heartbeats the port's echo trails the send
+// counter — the arm's deadness measure.
+func (a *Arm) Lag(port int) uint32 {
+	m := a.monitors[port]
+	if m == nil {
+		return 0
+	}
+	return m.sent - a.sw.SRAM(a.hbIdx(port))
+}

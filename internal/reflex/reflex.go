@@ -517,6 +517,8 @@ func (a *Arm) span(uid uint64, st obs.Stage, x, y uint64) {
 // from the live table.  The operator calls it after controller writes
 // it sanctioned (a converge, a ratification) so stale backups come back
 // into service against the new versions.
+//
+//api:safety a stale arm stands down until re-armed, TestControllerRestoresStaleArm
 func (a *Arm) Rearm() {
 	for _, b := range a.backups {
 		a.recapture(b)
@@ -574,21 +576,6 @@ func (a *Arm) ActiveDetours() []fabric.Detour {
 	return out
 }
 
-// Evidence returns one monitored port's raw SRAM evidence words.
-func (a *Arm) Evidence(port int) (hbEcho, queueEWMA uint32) {
-	return a.sw.SRAM(a.hbIdx(port)), a.sw.SRAM(a.ewmaIdx(port))
-}
-
-// Lag returns how many heartbeats the port's echo trails the send
-// counter — the arm's deadness measure.
-func (a *Arm) Lag(port int) uint32 {
-	m := a.monitors[port]
-	if m == nil {
-		return 0
-	}
-	return m.sent - a.sw.SRAM(a.hbIdx(port))
-}
-
 // Detoured reports whether the named authorization currently stands
 // detoured.
 func (a *Arm) Detoured(name string) bool {
@@ -623,8 +610,7 @@ func (a *Arm) EntryOf(name string) (uint32, bool) {
 }
 
 // Counters: lifetime totals, the words the metrics registry reads.
-func (a *Arm) Fires() uint64         { return a.fires }
-func (a *Arm) Reverts() uint64       { return a.reverts }
-func (a *Arm) StaleWrites() uint64   { return a.stale }
-func (a *Arm) BudgetRefused() uint64 { return a.budgetRefused }
-func (a *Arm) ProbesSent() uint64    { return a.probesSent }
+func (a *Arm) Fires() uint64       { return a.fires }
+func (a *Arm) Reverts() uint64     { return a.reverts }
+func (a *Arm) StaleWrites() uint64 { return a.stale }
+func (a *Arm) ProbesSent() uint64  { return a.probesSent }

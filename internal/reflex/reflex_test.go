@@ -1,6 +1,7 @@
 package reflex_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/asic"
@@ -270,6 +271,7 @@ func TestCASRaceStandsDown(t *testing.T) {
 func TestBudgetBoundsBlastRadius(t *testing.T) {
 	cfg := baseConfig(nil)
 	cfg.Budget = 1
+	cfg.Metrics = obs.NewRegistry()
 	r := newRig(t, cfg)
 	if err := r.arm.Authorize("h11-via-spine1", r.h11.IP, 0, 1); err != nil {
 		t.Fatalf("Authorize h11: %v", err)
@@ -280,8 +282,9 @@ func TestBudgetBoundsBlastRadius(t *testing.T) {
 	if r.arm.Fires() != 1 {
 		t.Fatalf("fires=%d, want exactly 1 under Budget 1", r.arm.Fires())
 	}
-	if r.arm.BudgetRefused() == 0 {
-		t.Fatal("no budget refusal recorded")
+	row := fmt.Sprintf("switch/%d/reflex_budget_refused", r.leaf[0].ID())
+	if m, ok := cfg.Metrics.Snapshot(0).Get(row); !ok || m.Value == 0 {
+		t.Fatalf("no budget refusal recorded: %s = %+v (ok=%v)", row, m, ok)
 	}
 	detoured := 0
 	for _, name := range []string{"h10-via-spine1", "h11-via-spine1"} {
@@ -442,8 +445,8 @@ func TestGuardBlocksForgedEvidence(t *testing.T) {
 	if got := leaves[0].SRAM(mem.SRAMIndex(reg.Base)); got == 0xDEADBEEF {
 		t.Fatal("guest tenant forged the heartbeat evidence")
 	}
-	part, _ := leaves[0].Guard().Partition(1)
-	if got := leaves[0].SRAM(mem.SRAMIndex(part.Base)); got != 0xDEADBEEF {
+	grant, _ := leaves[0].Guard().Lookup(1)
+	if got := leaves[0].SRAM(mem.SRAMIndex(grant.Partition.Base)); got != 0xDEADBEEF {
 		t.Fatalf("guest store did not relocate into its sandbox: word=%08x", got)
 	}
 

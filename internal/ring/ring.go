@@ -21,9 +21,6 @@ type Buf[T any] struct {
 // Len returns the number of queued entries.
 func (r *Buf[T]) Len() int { return r.n }
 
-// Cap returns the length of the backing buffer.
-func (r *Buf[T]) Cap() int { return len(r.buf) }
-
 // Push appends v at the tail.
 //
 //alloc:free

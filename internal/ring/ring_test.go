@@ -44,8 +44,8 @@ func TestBufMatchesSliceModel(t *testing.T) {
 			}
 		}
 	}
-	if f.Cap() < 64 {
-		t.Fatalf("buffer never grew past %d: the test did not exercise growth", f.Cap())
+	if len(f.buf) < 64 {
+		t.Fatalf("buffer never grew past %d: the test did not exercise growth", len(f.buf))
 	}
 }
 
@@ -59,8 +59,8 @@ func TestBufBoundedByOccupancy(t *testing.T) {
 		f.Push(p) // occupancy 2
 		f.Pop()   // occupancy 1: never drains
 	}
-	if f.Cap() > 8 {
-		t.Fatalf("buffer is %d entries after 1e6 at occupancy <= 2", f.Cap())
+	if len(f.buf) > 8 {
+		t.Fatalf("buffer is %d entries after 1e6 at occupancy <= 2", len(f.buf))
 	}
 }
 

@@ -89,7 +89,7 @@ func TestEveryOpcodeSurfacesMemoryFaults(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			tpp := c.tpp()
-			res := Exec(tpp, &faultyView{okOps: c.ok})
+			res := Config{}.Exec(tpp, &faultyView{okOps: c.ok})
 			if res.Fault == nil {
 				t.Fatal("fault not surfaced")
 			}
@@ -109,14 +109,14 @@ func TestCSTOREOutOfRangeOperands(t *testing.T) {
 	tpp := core.NewTPP(core.AddrStack, []core.Instruction{
 		{Op: core.OpCSTORE, A: uint16(sramAddr), B: 0},
 	}, 2)
-	if res := Exec(tpp, view); res.Fault == nil {
+	if res := (Config{}).Exec(tpp, view); res.Fault == nil {
 		t.Fatal("out-of-range CSTORE result slot accepted")
 	}
 	// cond slot itself out of range.
 	tpp2 := core.NewTPP(core.AddrStack, []core.Instruction{
 		{Op: core.OpCSTORE, A: uint16(sramAddr), B: 5},
 	}, 2)
-	if res := Exec(tpp2, view); res.Fault == nil {
+	if res := (Config{}).Exec(tpp2, view); res.Fault == nil {
 		t.Fatal("out-of-range CSTORE cond slot accepted")
 	}
 }
@@ -126,7 +126,7 @@ func TestCEXECOutOfRangeOperands(t *testing.T) {
 	tpp := core.NewTPP(core.AddrStack, []core.Instruction{
 		{Op: core.OpCEXEC, A: uint16(switchIDAddr), B: 1},
 	}, 2) // value slot B+1 = 2 out of range
-	if res := Exec(tpp, view); res.Fault == nil {
+	if res := (Config{}).Exec(tpp, view); res.Fault == nil {
 		t.Fatal("out-of-range CEXEC operand accepted")
 	}
 }
@@ -137,7 +137,7 @@ func TestLoadStoreOutOfRangeOperands(t *testing.T) {
 		tpp := core.NewTPP(core.AddrStack, []core.Instruction{
 			{Op: op, A: uint16(sramAddr), B: 9},
 		}, 2)
-		if res := Exec(tpp, view); res.Fault == nil {
+		if res := (Config{}).Exec(tpp, view); res.Fault == nil {
 			t.Fatalf("%v with out-of-range packet word accepted", op)
 		}
 	}
@@ -147,7 +147,7 @@ func TestInvalidTPPFaultsBeforeExecution(t *testing.T) {
 	view := newFakeView()
 	tpp := core.NewTPP(core.AddrStack, nil, 1)
 	tpp.Mode = 9 // structurally invalid
-	res := Exec(tpp, view)
+	res := Config{}.Exec(tpp, view)
 	if res.Fault == nil || res.Executed != 0 {
 		t.Fatalf("invalid TPP executed: %+v", res)
 	}
@@ -162,11 +162,11 @@ func TestHopModeOutOfRangeEffectiveAddress(t *testing.T) {
 	// Two hops fit in the 4-word memory; the third hop's effective
 	// word (4) is out of range.
 	for hop := 0; hop < 2; hop++ {
-		if res := Exec(tpp, view); res.Fault != nil {
+		if res := (Config{}).Exec(tpp, view); res.Fault != nil {
 			t.Fatalf("hop %d faulted early: %v", hop, res.Fault)
 		}
 	}
-	res := Exec(tpp, view)
+	res := Config{}.Exec(tpp, view)
 	if res.Fault == nil {
 		t.Fatal("overflowing hop write accepted")
 	}
@@ -190,7 +190,7 @@ func TestPOPWithStackPointerPastMemoryFaults(t *testing.T) {
 			t.Fatalf("POP panicked: %v", r)
 		}
 	}()
-	res := Exec(tpp, view)
+	res := Config{}.Exec(tpp, view)
 	if res.Fault == nil {
 		t.Fatal("POP past packet memory accepted")
 	}

@@ -59,11 +59,6 @@ type Result struct {
 	cstoreStalls int
 }
 
-// Exec runs the TPP against view with the default configuration.
-func Exec(t *core.TPP, view mem.View) Result {
-	return Config{}.Exec(t, view)
-}
-
 // Exec runs every instruction of the TPP sequentially, updating packet
 // memory, switch memory (through view) and the TPP header (stack
 // pointer or hop counter).  It never panics on malformed programs; any

@@ -30,7 +30,7 @@ func (v *fakeView) Store(a mem.Addr, val uint32) error {
 		return mem.ErrUnmapped(a, true)
 	}
 	if !mem.Writable(a) {
-		return mem.ErrReadOnly(a)
+		return &mem.AccessError{Addr: a, Write: true, Cause: mem.ReadOnly}
 	}
 	v.words[a] = val
 	return nil
@@ -87,7 +87,7 @@ func TestPushAdvancesSP(t *testing.T) {
 	}, 3)
 	for hop, q := range []uint32{0x00, 0xa0, 0x0e} {
 		view.words[queueSizeAddr] = q
-		res := Exec(tpp, view)
+		res := Config{}.Exec(tpp, view)
 		if res.Fault != nil || res.Halted {
 			t.Fatalf("hop %d: %+v", hop, res)
 		}
@@ -107,10 +107,10 @@ func TestPushOverflowFaults(t *testing.T) {
 	tpp := core.NewTPP(core.AddrStack, []core.Instruction{
 		{Op: core.OpPUSH, A: uint16(queueSizeAddr)},
 	}, 1)
-	if res := Exec(tpp, view); res.Fault != nil {
+	if res := (Config{}).Exec(tpp, view); res.Fault != nil {
 		t.Fatalf("first push failed: %v", res.Fault)
 	}
-	res := Exec(tpp, view)
+	res := Config{}.Exec(tpp, view)
 	if res.Fault == nil {
 		t.Fatal("overflowing push did not fault")
 	}
@@ -126,7 +126,7 @@ func TestPopMovesValueToSwitch(t *testing.T) {
 	}, 2)
 	tpp.SetWord(0, 1234)
 	tpp.Ptr = 4
-	res := Exec(tpp, view)
+	res := Config{}.Exec(tpp, view)
 	if res.Fault != nil {
 		t.Fatal(res.Fault)
 	}
@@ -143,7 +143,7 @@ func TestPopEmptyStackFaults(t *testing.T) {
 	tpp := core.NewTPP(core.AddrStack, []core.Instruction{
 		{Op: core.OpPOP, A: uint16(sramAddr)},
 	}, 2)
-	if res := Exec(tpp, view); res.Fault == nil {
+	if res := (Config{}).Exec(tpp, view); res.Fault == nil {
 		t.Fatal("POP on empty stack did not fault")
 	}
 }
@@ -153,7 +153,7 @@ func TestPushPopRequireStackMode(t *testing.T) {
 	for _, op := range []core.Opcode{core.OpPUSH, core.OpPOP} {
 		tpp := core.NewTPP(core.AddrHop, []core.Instruction{{Op: op, A: uint16(sramAddr)}}, 4)
 		tpp.HopLen = 4
-		if res := Exec(tpp, view); res.Fault == nil {
+		if res := (Config{}).Exec(tpp, view); res.Fault == nil {
 			t.Errorf("%v in hop mode did not fault", op)
 		}
 	}
@@ -169,7 +169,7 @@ func TestLoadHopAddressing(t *testing.T) {
 	}, 8)
 	tpp.HopLen = 16 // 4 words per hop
 	view.words[switchIDAddr] = 0xA
-	res := Exec(tpp, view)
+	res := Config{}.Exec(tpp, view)
 	if res.Fault != nil {
 		t.Fatal(res.Fault)
 	}
@@ -177,7 +177,7 @@ func TestLoadHopAddressing(t *testing.T) {
 		t.Fatalf("hop counter = %d, want 1", tpp.Ptr)
 	}
 	view.words[switchIDAddr] = 0xB
-	if res := Exec(tpp, view); res.Fault != nil {
+	if res := (Config{}).Exec(tpp, view); res.Fault != nil {
 		t.Fatal(res.Fault)
 	}
 	if got := tpp.Word(1); got != 0xA {
@@ -194,7 +194,7 @@ func TestStoreWritesSwitchMemory(t *testing.T) {
 		{Op: core.OpSTORE, A: uint16(rateRegAddr), B: 0},
 	}, 1)
 	tpp.SetWord(0, 125_000)
-	res := Exec(tpp, view)
+	res := Config{}.Exec(tpp, view)
 	if res.Fault != nil {
 		t.Fatal(res.Fault)
 	}
@@ -211,7 +211,7 @@ func TestStoreToReadOnlyFaults(t *testing.T) {
 	tpp := core.NewTPP(core.AddrStack, []core.Instruction{
 		{Op: core.OpSTORE, A: uint16(queueSizeAddr), B: 0},
 	}, 1)
-	res := Exec(tpp, view)
+	res := Config{}.Exec(tpp, view)
 	if res.Fault == nil {
 		t.Fatal("store to a statistics word must fault")
 	}
@@ -236,13 +236,13 @@ func TestCEXECGate(t *testing.T) {
 		return tpp
 	}
 
-	res := Exec(mk(7), view)
+	res := Config{}.Exec(mk(7), view)
 	if res.Halted || res.Fault != nil || view.words[rateRegAddr] != 999 {
 		t.Fatalf("matching CEXEC: %+v, reg=%d", res, view.words[rateRegAddr])
 	}
 
 	view.words[rateRegAddr] = 0
-	res = Exec(mk(8), view)
+	res = Config{}.Exec(mk(8), view)
 	if !res.Halted {
 		t.Fatal("non-matching CEXEC did not halt")
 	}
@@ -266,7 +266,7 @@ func TestCEXECMasking(t *testing.T) {
 	}, 3)
 	tpp.SetWord(0, 0x0000FF00) // mask: third byte
 	tpp.SetWord(1, 0x00005600)
-	res := Exec(tpp, view)
+	res := Config{}.Exec(tpp, view)
 	if res.Halted {
 		t.Fatal("masked compare should match")
 	}
@@ -289,7 +289,7 @@ func TestCSTORESemantics(t *testing.T) {
 
 	// Matching condition: store happens, old value written back.
 	tpp := mk(10, 42)
-	res := Exec(tpp, view)
+	res := Config{}.Exec(tpp, view)
 	if res.Fault != nil {
 		t.Fatal(res.Fault)
 	}
@@ -305,7 +305,7 @@ func TestCSTORESemantics(t *testing.T) {
 
 	// Non-matching condition: no store, old value still reported.
 	tpp = mk(10, 7)
-	res = Exec(tpp, view)
+	res = Config{}.Exec(tpp, view)
 	if res.Fault != nil {
 		t.Fatal(res.Fault)
 	}
@@ -327,11 +327,37 @@ func TestADDAccumulates(t *testing.T) {
 		{Op: core.OpADD, A: uint16(queueSizeAddr), B: 0},
 	}, 1)
 	tpp.SetWord(0, 11)
-	if res := Exec(tpp, view); res.Fault != nil {
+	if res := (Config{}).Exec(tpp, view); res.Fault != nil {
 		t.Fatal(res.Fault)
 	}
 	if got := tpp.Word(0); got != 111 {
 		t.Fatalf("ADD result = %d", got)
+	}
+}
+
+// TestSUBSubtracts: SUB sets pkt[B] -= sw[A] in uint32 arithmetic,
+// wrapping below zero, with one switch-memory load.
+func TestSUBSubtracts(t *testing.T) {
+	view := newFakeView()
+	view.words[queueSizeAddr] = 100
+	for _, tc := range []struct{ pkt, want uint32 }{
+		{150, 50},
+		{11, 1<<32 - 89}, // 11 - 100 wraps
+	} {
+		tpp := core.NewTPP(core.AddrStack, []core.Instruction{
+			{Op: core.OpSUB, A: uint16(queueSizeAddr), B: 0},
+		}, 1)
+		tpp.SetWord(0, tc.pkt)
+		res := (Config{}).Exec(tpp, view)
+		if res.Fault != nil {
+			t.Fatal(res.Fault)
+		}
+		if got := tpp.Word(0); got != tc.want || res.Loads != 1 {
+			t.Fatalf("%d - 100 = %d with %d loads, want %d with 1", tc.pkt, got, res.Loads, tc.want)
+		}
+		if view.words[queueSizeAddr] != 100 {
+			t.Fatalf("SUB wrote switch memory: %d", view.words[queueSizeAddr])
+		}
 	}
 }
 
@@ -342,7 +368,7 @@ func TestProgramLengthLimit(t *testing.T) {
 		ins[i] = core.Instruction{Op: core.OpNOP}
 	}
 	tpp := core.NewTPP(core.AddrStack, ins, 1)
-	if res := Exec(tpp, view); res.Fault == nil {
+	if res := (Config{}).Exec(tpp, view); res.Fault == nil {
 		t.Fatal("6 instructions must exceed the default 5-instruction limit")
 	}
 	if res := (Config{MaxInstructions: 16}).Exec(tpp, view); res.Fault != nil {
@@ -355,7 +381,7 @@ func TestUnmappedAddressFaults(t *testing.T) {
 	tpp := core.NewTPP(core.AddrStack, []core.Instruction{
 		{Op: core.OpPUSH, A: 0xFFF}, // inside PortAbs window: mapped
 	}, 1)
-	if res := Exec(tpp, view); res.Fault != nil {
+	if res := (Config{}).Exec(tpp, view); res.Fault != nil {
 		t.Fatalf("PortAbs read should work on fake view: %v", res.Fault)
 	}
 }
@@ -369,7 +395,7 @@ func TestHopCounterAdvancesEvenWhenHalted(t *testing.T) {
 	tpp.HopLen = 8
 	tpp.SetWord(0, 0xFFFFFFFF)
 	tpp.SetWord(1, 99) // never matches
-	res := Exec(tpp, view)
+	res := Config{}.Exec(tpp, view)
 	if !res.Halted {
 		t.Fatal("expected halt")
 	}
@@ -388,7 +414,7 @@ func TestCyclesModel(t *testing.T) {
 			ins[i] = core.Instruction{Op: core.OpPUSH, A: uint16(queueSizeAddr)}
 		}
 		tpp := core.NewTPP(core.AddrStack, ins, k)
-		res := Exec(tpp, view)
+		res := Config{}.Exec(tpp, view)
 		if res.Fault != nil {
 			t.Fatal(res.Fault)
 		}
@@ -401,14 +427,14 @@ func TestCyclesModel(t *testing.T) {
 	}
 	// Empty program: zero cycles.
 	empty := core.NewTPP(core.AddrStack, nil, 0)
-	if res := Exec(empty, view); res.Cycles != 0 {
+	if res := (Config{}).Exec(empty, view); res.Cycles != 0 {
 		t.Errorf("empty program cycles = %d", res.Cycles)
 	}
 	// A successful CSTORE stalls one extra cycle.
 	tpp := core.NewTPP(core.AddrStack, []core.Instruction{
 		{Op: core.OpCSTORE, A: uint16(sramAddr), B: 0},
 	}, 3)
-	res := Exec(tpp, view)
+	res := Config{}.Exec(tpp, view)
 	if res.Fault != nil {
 		t.Fatal(res.Fault)
 	}
@@ -438,7 +464,7 @@ func TestConcurrentCSTOREExactlyOneWinner(t *testing.T) {
 				}, 3)
 				tpp.SetWord(0, 0)  // cond: unclaimed
 				tpp.SetWord(1, id) // src: my id
-				res := Exec(tpp, view)
+				res := Config{}.Exec(tpp, view)
 				if res.Fault != nil {
 					t.Errorf("writer %d: %v", id, res.Fault)
 					return
@@ -470,7 +496,7 @@ func TestExecResultCounts(t *testing.T) {
 		{Op: core.OpPUSH, A: uint16(queueSizeAddr)},
 		{Op: core.OpPOP, A: uint16(sramAddr)},
 	}, 4)
-	res := Exec(tpp, view)
+	res := Config{}.Exec(tpp, view)
 	if res.Executed != 3 || res.Loads != 2 || res.Stores != 1 {
 		t.Fatalf("counts = %+v", res)
 	}

@@ -67,6 +67,16 @@ func (r *fabricRig) arrival(t *testing.T, ch *netsim.Channel) (node uint32, port
 	return node, port, host
 }
 
+// dark reports whether ch drops what it carries: one frame sent on it
+// moves its PacketsDownDrops.
+func (r *fabricRig) dark(ch *netsim.Channel) bool {
+	before := ch.PacketsDownDrops
+	src := r.Hosts[0]
+	ch.Send(src.NewPacket(src.MAC, src.IP, 1, 2, 10))
+	r.Sim.RunUntil(r.Sim.Now() + netsim.Millisecond)
+	return ch.PacketsDownDrops != before
+}
+
 // TestLeafSpineDescribesItsNetwork holds the fabric value to the network
 // it built: accessors name real wires, names round-trip, and the
 // destination routing — as a converged spec or as raw inserts, the same
@@ -114,10 +124,12 @@ func TestLeafSpineDescribesItsNetwork(t *testing.T) {
 // them on without flooding.
 func checkWiring(t *testing.T, r *fabricRig) {
 	t.Helper()
+	registered := switchNames{}
+	r.Register(registered, nil)
 	names := map[string]bool{}
 	for i, leaf := range r.Leaves {
 		names[topo.LeafName(i)] = true
-		if sw, _ := r.ctl.Device(topo.LeafName(i)); sw != leaf {
+		if registered[topo.LeafName(i)] != leaf {
 			t.Fatalf("%s is not leaf %d", topo.LeafName(i), i)
 		}
 		if tier, idx, ok := r.Locate(leaf.ID()); !ok || tier != topo.Leaf || idx != i {
@@ -143,8 +155,8 @@ func checkWiring(t *testing.T, r *fabricRig) {
 				t.Fatal(err)
 			}
 			r.Sim.RunUntil(r.Sim.Now() + 1)
-			if up.Up() || !down.Up() {
-				t.Fatalf("gray Dir 0 on %s: up=%v down=%v, want the leaf→spine channel dark", gray.Target, up.Up(), down.Up())
+			if upDark, downDark := r.dark(up), r.dark(down); !upDark || downDark {
+				t.Fatalf("gray Dir 0 on %s: up dark=%v down dark=%v, want the leaf→spine channel dark", gray.Target, upDark, downDark)
 			}
 			up.SetUp(true)
 		}
@@ -156,18 +168,23 @@ func checkWiring(t *testing.T, r *fabricRig) {
 	}
 	for j, spine := range r.Spines {
 		names[topo.SpineName(j)] = true
-		if sw, _ := r.ctl.Device(topo.SpineName(j)); sw != spine {
+		if registered[topo.SpineName(j)] != spine {
 			t.Fatalf("%s is not spine %d", topo.SpineName(j), j)
 		}
 		if tier, idx, ok := r.Locate(spine.ID()); !ok || tier != topo.Spine || idx != j {
 			t.Fatalf("Locate(spine %d) = %v %d %v", j, tier, idx, ok)
 		}
 	}
-	if want := len(r.Switches) + len(r.Leaves)*len(r.Spines); len(names) != want || len(r.ctl.Devices()) != len(r.Switches) {
+	if want := len(r.Switches) + len(r.Leaves)*len(r.Spines); len(names) != want || len(registered) != len(r.Switches) {
 		t.Fatalf("%d distinct names (%d devices registered), want %d (%d)",
-			len(names), len(r.ctl.Devices()), want, len(r.Switches))
+			len(names), len(registered), want, len(r.Switches))
 	}
 }
+
+// switchNames records what Register names each switch.
+type switchNames map[string]*asic.Switch
+
+func (s switchNames) Register(name string, sw *asic.Switch) { s[name] = sw }
 
 // checkReachability sends one packet between every ordered host pair of
 // a fabric that was never L2-primed.

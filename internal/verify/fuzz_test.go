@@ -66,7 +66,7 @@ func FuzzVerify(f *testing.F) {
 		// safety cannot depend on memory contents, so any reachable
 		// state is fair game.
 		view := sw.ViewForTesting(nil, 0)
-		r := tcpu.Exec(&tpp, view)
+		r := tcpu.Config{}.Exec(&tpp, view)
 		if r.Fault != nil {
 			t.Fatalf("verified program faulted: %v\nprogram: %+v", r.Fault, tpp)
 		}

@@ -16,8 +16,6 @@ type Code string
 
 // Diagnostic codes.
 const (
-	// CodeWireFormat: the raw bytes do not parse as a TPP section.
-	CodeWireFormat Code = "wire-format"
 	// CodeMisaligned: a section violates 4-byte alignment (packet
 	// memory length, stack pointer, or per-hop record size).
 	CodeMisaligned Code = "misaligned"
@@ -61,8 +59,6 @@ const (
 	// CodeZeroHopLen (warning): hop addressing with a zero per-hop
 	// record size, so every hop overwrites the same words.
 	CodeZeroHopLen Code = "zero-hop-record"
-	// CodeTrailingBytes (warning): bytes after the TPP section.
-	CodeTrailingBytes Code = "trailing-bytes"
 )
 
 // Severity splits diagnostics into rejections and lints.
@@ -141,7 +137,8 @@ type Config struct {
 	// tcpu.DefaultMaxInstructions.
 	MaxInstructions int
 	// BudgetCycles is the per-packet execution budget; zero means
-	// tcpu.BudgetCycles.  Derive a line-rate budget with ForLineRate.
+	// tcpu.BudgetCycles.  A line-rate budget is the PerPacketBudgetCycles
+	// of tcpu.CheckLineRate.
 	BudgetCycles int
 	// Ports bounds the absolute per-port statistics window; zero
 	// means unknown (the whole window is assumed mapped, the
@@ -169,18 +166,6 @@ func (c Config) budget() int {
 		return tcpu.BudgetCycles
 	}
 	return c.BudgetCycles
-}
-
-// ForLineRate derives a Config whose cycle budget is the per-packet
-// budget of the given line-rate feasibility check: a program the
-// verifier accepts under it provably sustains that switch's worst-case
-// packet rate on the modeled TCPU pipelines.
-func ForLineRate(lr tcpu.LineRateCheck) Config {
-	b := int(lr.PerPacketBudgetCycles)
-	if b < 1 {
-		b = 1
-	}
-	return Config{BudgetCycles: b}
 }
 
 // Verify runs the full static check over a parsed TPP at its current
@@ -290,15 +275,6 @@ func (w *walker) run() {
 	}
 }
 
-// effective resolves a packet operand to a word index at the hop being
-// verified, mirroring core.TPP.EffectiveWord.
-func (w *walker) effective(b uint16) int {
-	if w.t.Mode == core.AddrHop {
-		return int(w.t.Ptr)*(int(w.t.HopLen)/4) + int(b)
-	}
-	return int(b)
-}
-
 // markWrite records that the program overwrote word i: the word is now
 // initialized, and its injection-time contents no longer constant.
 func (w *walker) markWrite(i int) {
@@ -404,13 +380,13 @@ func (w *walker) step(pc int, in core.Instruction) (halts, known bool) {
 
 	case core.OpLOAD:
 		w.checkLoad(pc, in.A)
-		i := w.effective(in.B)
+		i := w.t.EffectiveWord(in.B)
 		if w.checkPkt(pc, i, "LOAD writes") {
 			w.markWrite(i)
 		}
 
 	case core.OpSTORE:
-		i := w.effective(in.B)
+		i := w.t.EffectiveWord(in.B)
 		w.checkPkt(pc, i, "STORE reads")
 		w.checkStore(pc, in.A)
 
@@ -446,7 +422,7 @@ func (w *walker) step(pc int, in core.Instruction) (halts, known bool) {
 		w.checkStore(pc, in.A)
 
 	case core.OpCSTORE:
-		base := w.effective(in.B)
+		base := w.t.EffectiveWord(in.B)
 		ok := w.checkPkt(pc, base, "CSTORE condition") &&
 			w.checkPkt(pc, base+1, "CSTORE source") &&
 			w.checkPkt(pc, base+2, "CSTORE result")
@@ -462,7 +438,7 @@ func (w *walker) step(pc int, in core.Instruction) (halts, known bool) {
 		w.stalls++
 
 	case core.OpCEXEC:
-		base := w.effective(in.B)
+		base := w.t.EffectiveWord(in.B)
 		ok := w.checkPkt(pc, base, "CEXEC mask") && w.checkPkt(pc, base+1, "CEXEC value")
 		w.checkLoad(pc, in.A)
 		if !ok {
@@ -484,32 +460,10 @@ func (w *walker) step(pc int, in core.Instruction) (halts, known bool) {
 
 	case core.OpADD, core.OpSUB, core.OpMAX:
 		w.checkLoad(pc, in.A)
-		i := w.effective(in.B)
+		i := w.t.EffectiveWord(in.B)
 		if w.checkPkt(pc, i, in.Op.String()+" updates") {
 			w.markWrite(i)
 		}
 	}
 	return false, false
-}
-
-// VerifyWire checks a raw TPP section: wire-format sanity first (a
-// section that does not parse is rejected with a single wire-format
-// diagnostic), then the full static verification of the decoded
-// program.  The decoded TPP is returned when parsing succeeded.
-func VerifyWire(b []byte, cfg Config) (Result, *core.TPP) {
-	var t core.TPP
-	n, err := core.ParseTPP(b, &t)
-	if err != nil {
-		return Result{Diags: []Diagnostic{{
-			PC: -1, Code: CodeWireFormat, Severity: Err, Msg: err.Error(),
-		}}}, nil
-	}
-	r := Verify(&t, cfg)
-	if n < len(b) {
-		r.Diags = append(r.Diags, Diagnostic{
-			PC: -1, Code: CodeTrailingBytes, Severity: Warn,
-			Msg: fmt.Sprintf("%d trailing bytes after the TPP section", len(b)-n),
-		})
-	}
-	return r, &t
 }

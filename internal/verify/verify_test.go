@@ -83,7 +83,7 @@ func TestRejectsOverBudgetProgram(t *testing.T) {
 	// across 5 pipelines: ~5 cycles of budget per packet.  A
 	// five-instruction program needs 8.
 	lr := tcpu.CheckLineRate(64, 10, 64, 5, 1.0)
-	cfg := ForLineRate(lr)
+	cfg := Config{BudgetCycles: int(lr.PerPacketBudgetCycles)}
 	if cfg.BudgetCycles >= tcpu.PipelineLatency+5-1 {
 		t.Fatalf("line-rate budget %d too generous for the test premise", cfg.BudgetCycles)
 	}
@@ -335,18 +335,20 @@ func TestAcceptsExperimentPrograms(t *testing.T) {
 			t.Errorf("%s rejected:\n%s", name, r)
 		}
 		// The wire round-trip must verify identically.
-		if r, parsed := VerifyWire(tpp.AppendTo(nil), cfg); parsed == nil || !r.OK() {
+		var parsed core.TPP
+		if _, err := core.ParseTPP(tpp.AppendTo(nil), &parsed); err != nil {
+			t.Errorf("%s does not parse off the wire: %v", name, err)
+		} else if r := Verify(&parsed, cfg); !r.OK() {
 			t.Errorf("%s rejected on the wire:\n%s", name, r)
 		}
 	}
 }
 
+// TestVerifyWireRejectsGarbage: a section that does not parse never
+// reaches the verifier; core.ParseTPP refuses it.
 func TestVerifyWireRejectsGarbage(t *testing.T) {
-	r, tpp := VerifyWire([]byte{1, 2, 3}, Config{})
-	if tpp != nil || r.OK() {
-		t.Fatalf("truncated section verified: %v\n%s", tpp, r)
-	}
-	if !hasErr(r, -1, CodeWireFormat) {
-		t.Fatalf("want %s, got:\n%s", CodeWireFormat, r)
+	var tpp core.TPP
+	if n, err := core.ParseTPP([]byte{1, 2, 3}, &tpp); err == nil {
+		t.Fatalf("truncated section parsed (%d bytes): %+v", n, tpp)
 	}
 }

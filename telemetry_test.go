@@ -99,15 +99,17 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatal("no tcpu_cycles samples in snapshot")
 	}
 
-	// Diff isolates the traffic window: every sent packet crossed the
-	// first switch (echo traffic can only add to it).
-	d, ok := obs.Diff(before, after).Get(fmt.Sprintf("switch/%d/packets", sws[0].ID()))
+	// The two snapshots bracket the traffic window: every sent packet
+	// crossed the first switch (echo traffic can only add to it).
+	name := fmt.Sprintf("switch/%d/packets", sws[0].ID())
+	p0, _ := before.Get(name)
+	p1, ok := after.Get(name)
 	if !ok {
-		t.Fatal("packets counter missing from diff")
+		t.Fatal("packets counter missing from snapshot")
 	}
-	if d.Value < background+1 {
-		t.Fatalf("diff shows %d packets at switch %d, want >= %d",
-			d.Value, sws[0].ID(), background+1)
+	if d := p1.Value - p0.Value; d < background+1 {
+		t.Fatalf("window shows %d packets at switch %d, want >= %d",
+			d, sws[0].ID(), background+1)
 	}
 }
 
