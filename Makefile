@@ -40,8 +40,8 @@ vet:
 # (bench/ builds its lines on topo.Network's incremental API), a check
 # that no count is kept twice — an obs.Counter handle beside the owner's
 # word — outside internal/obs (bench/ probes the handle's cost), a check
-# that only the TCPU and the verifier's abstract interpreter switch on
-# opcodes (everything else reads core.Opcode.Info), a check that only
+# that only the TCPU switches on opcodes (everything else, the
+# verifier included, reads core.Opcode.Info), a check that only
 # internal/mem and the ASIC's view switch on a per-statistic word
 # (`case mem.SwitchID:` and its Port/Queue/Packet kin; everything else
 # asks mem's table through Readable, StoreFault and Symbols — namespace
@@ -65,8 +65,8 @@ lint: vet
 	if [ -n "$$wired" ]; then echo "hand-wired topology outside internal/topo:"; echo "$$wired"; exit 1; fi
 	@twins=$$(grep -rnE 'obs\.Counter|\.Counter\(' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/obs/'); \
 	if [ -n "$$twins" ]; then echo "counter handle outside internal/obs (keep the count as the owner's word and name it in a collect method):"; echo "$$twins"; exit 1; fi
-	@isa=$$(grep -rnE 'case core\.Op' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/core/|^internal/tcpu/tcpu\.go:|^internal/verify/verify\.go:'); \
-	if [ -n "$$isa" ]; then echo "opcode switch outside internal/core, internal/tcpu/tcpu.go and internal/verify/verify.go (read core.Opcode.Info instead):"; echo "$$isa"; exit 1; fi
+	@isa=$$(grep -rnE 'case core\.Op' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/core/|^internal/tcpu/tcpu\.go:'); \
+	if [ -n "$$isa" ]; then echo "opcode switch outside internal/core and internal/tcpu/tcpu.go (read core.Opcode.Info instead):"; echo "$$isa"; exit 1; fi
 	@stats=$$(grep -rnE 'case mem\.(Switch|Port|Queue|Packet)[A-Za-z0-9]*[:,]' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/mem/|^internal/asic/view\.go:'); \
 	if [ -n "$$stats" ]; then echo "per-statistic switch outside internal/mem and internal/asic/view.go (ask mem.Readable, mem.StoreFault or mem.Symbols instead):"; echo "$$stats"; exit 1; fi
 	@pools=$$(grep -rnE 'sync\.Pool|\.ClonePooled\(\)' --include=*.go cmd internal | grep -v '_test\.go:'); \

@@ -3,14 +3,15 @@ package repro
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
-	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -25,10 +26,9 @@ import (
 // accepts.  An //api: line on a name that has a reader is stale and
 // fails too, so the list only shrinks.
 //
-// The scan is syntactic (go/parser, no type checking).  In its own
-// package a plain identifier reads a name; elsewhere a selector on an
-// import of its package does; a method is read by any selector of its
-// name, so a method that shares its name with a live one is not seen.
+// A reader is a use the type checker resolves to the declaration
+// (go/types, the standard library imported from source), so a method
+// is matched by its receiver type, not by its name.
 func TestExportedNamesHaveReaders(t *testing.T) {
 	m := scanModule(t, "internal", "cmd", "bench", "examples", "tools")
 	var bad []string
@@ -36,12 +36,12 @@ func TestExportedNamesHaveReaders(t *testing.T) {
 		read := m.hasReader(d)
 		switch {
 		case d.api == "" && !read:
-			bad = append(bad, d.pos+" "+d.name+": no reader outside _test.go and no //api: line")
+			bad = append(bad, d.at+" "+d.name+": no reader outside _test.go and no //api: line")
 		case d.api != "" && read:
-			bad = append(bad, d.pos+" "+d.name+": //api: line on a name that has a reader")
+			bad = append(bad, d.at+" "+d.name+": //api: line on a name that has a reader")
 		case d.api != "":
 			if why := m.checkAPI(d); why != "" {
-				bad = append(bad, d.pos+" "+d.name+": "+why)
+				bad = append(bad, d.at+" "+d.name+": "+why)
 			}
 		}
 	}
@@ -57,111 +57,193 @@ var (
 	testName = regexp.MustCompile(`\bTest[A-Z]\w*`)
 )
 
+const module = "repro"
+
 // exportDecl is one exported top-level name under internal/.
 type exportDecl struct {
-	pkg    string // import path of the declaring package
-	name   string // Name, or Recv.Name for a method
-	ident  string // the identifier a reader spells
-	method bool
-	pos    string // file:line
-	api    string // the //api: line, or ""
+	pos  token.Pos // of the declaring identifier, the object's Pos
+	name string    // Name, or Recv.Name for a method
+	at   string    // file:line
+	api  string    // the //api: line, or ""
 }
 
-// goFile is one parsed file and what its import names resolve to.
-type goFile struct {
-	pkg     string // import path of its directory
-	name    string // package clause
-	ast     *ast.File
-	imports map[string]string // local name -> import path
+// goPkg is one package directory of the module as go/build sees it
+// under the default build tags.
+type goPkg struct {
+	src, tests, xtests []*ast.File
+	checked            *types.Package // the non-test files, as importers see it
 }
 
 type moduleScan struct {
+	t            *testing.T
 	fset         *token.FileSet
-	src, tests   []*goFile
-	pkgNames     map[string]string // import path -> package name
-	ifaceNames   map[string]bool   // method names some interface declares
+	std          types.Importer
+	pkgs         map[string]*goPkg             // import path -> package
+	readers      map[token.Pos]map[string]bool // declaration -> files that use it
+	tests        []*ast.File
+	ifaceNames   map[string]bool // method names some interface declares
 	decls        []*exportDecl
 	ifaceMethods int // exported methods exempt as interface methods
 }
 
-// scanModule parses every .go file under dirs, skipping testdata, and
+// scanModule type-checks every package under dirs, skipping testdata,
+// with its tests, records which files use each declaration, and
 // collects the exported names declared under internal/.
 func scanModule(t *testing.T, dirs ...string) *moduleScan {
 	t.Helper()
 	m := &moduleScan{
+		t:          t,
 		fset:       token.NewFileSet(),
-		pkgNames:   map[string]string{},
+		pkgs:       map[string]*goPkg{},
+		readers:    map[token.Pos]map[string]bool{},
 		ifaceNames: map[string]bool{"String": true, "Error": true},
 	}
+	m.std = importer.ForCompiler(m.fset, "source", nil)
 	for _, dir := range dirs {
 		err := filepath.WalkDir(dir, func(p string, e fs.DirEntry, err error) error {
-			if err != nil || e.IsDir() || !strings.HasSuffix(p, ".go") {
-				if err == nil && e.IsDir() && e.Name() == "testdata" {
-					return filepath.SkipDir
-				}
+			if err != nil || !e.IsDir() {
 				return err
 			}
-			f, err := parser.ParseFile(m.fset, p, nil, parser.ParseComments)
-			if err != nil {
+			if e.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			bp, err := build.ImportDir(p, 0)
+			if _, ok := err.(*build.NoGoError); ok {
+				return nil
+			} else if err != nil {
 				return err
 			}
-			g := &goFile{pkg: "repro/" + filepath.ToSlash(filepath.Dir(p)), name: f.Name.Name, ast: f}
-			if strings.HasSuffix(p, "_test.go") {
-				m.tests = append(m.tests, g)
-			} else {
-				m.src = append(m.src, g)
-				m.pkgNames[g.pkg] = g.name
+			g := &goPkg{
+				src:    m.parse(p, bp.GoFiles),
+				tests:  m.parse(p, bp.TestGoFiles),
+				xtests: m.parse(p, bp.XTestGoFiles),
 			}
+			m.tests = append(append(m.tests, g.tests...), g.xtests...)
+			m.pkgs[module+"/"+filepath.ToSlash(p)] = g
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, g := range append(append([]*goFile(nil), m.src...), m.tests...) {
-		g.imports = map[string]string{}
-		for _, im := range g.ast.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			local := m.pkgNames[p]
-			if local == "" {
-				local = path.Base(p)
-			}
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			g.imports[local] = p
-		}
+	paths := make([]string, 0, len(m.pkgs))
+	for path := range m.pkgs {
+		paths = append(paths, path)
 	}
-	for _, g := range m.src {
-		ast.Inspect(g.ast, func(n ast.Node) bool {
-			if it, ok := n.(*ast.InterfaceType); ok {
-				for _, f := range it.Methods.List {
-					for _, id := range f.Names {
-						m.ifaceNames[id.Name] = true
+	sort.Strings(paths)
+	for _, path := range paths {
+		g := m.pkgs[path]
+		if _, err := m.Import(path); err != nil {
+			t.Fatal(err)
+		}
+		// A package's own tests see it with its in-package test files;
+		// its external tests import that variant, as go test builds it.
+		self := g.checked
+		if len(g.tests) > 0 {
+			files := append(append([]*ast.File(nil), g.src...), g.tests...)
+			self = m.check(path, files, m, false)
+		}
+		if len(g.xtests) > 0 {
+			m.check(path+"_test", g.xtests, importerFunc(func(p string) (*types.Package, error) {
+				if p == path {
+					return self, nil
+				}
+				return m.Import(p)
+			}), false)
+		}
+		for _, f := range g.src {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					for _, f := range it.Methods.List {
+						for _, id := range f.Names {
+							m.ifaceNames[id.Name] = true
+						}
 					}
 				}
-			}
-			return true
-		})
-	}
-	for _, g := range m.src {
-		if strings.HasPrefix(g.pkg, "repro/internal/") {
-			m.collect(g)
+				return true
+			})
 		}
 	}
-	sort.Slice(m.decls, func(i, j int) bool { return m.decls[i].pos < m.decls[j].pos })
+	for _, path := range paths {
+		if strings.HasPrefix(path, module+"/internal/") {
+			for _, f := range m.pkgs[path].src {
+				m.collect(f)
+			}
+		}
+	}
+	sort.Slice(m.decls, func(i, j int) bool { return m.decls[i].at < m.decls[j].at })
 	return m
 }
 
-// collect records g's exported top-level names.
-func (m *moduleScan) collect(g *goFile) {
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// Import returns a module package type-checked from its non-test files,
+// checking it on first use; anything else comes from the standard
+// library's source importer.
+func (m *moduleScan) Import(path string) (*types.Package, error) {
+	g := m.pkgs[path]
+	if g == nil {
+		if strings.HasPrefix(path, module+"/") {
+			return nil, fmt.Errorf("package %s is outside the scanned directories", path)
+		}
+		return m.std.Import(path)
+	}
+	if g.checked == nil {
+		g.checked = m.check(path, g.src, m, true)
+	}
+	return g.checked, nil
+}
+
+func (m *moduleScan) parse(dir string, names []string) []*ast.File {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			m.t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
+// check type-checks files as package path and records, for each module
+// declaration a file uses, that file.  Type errors fail the scan when
+// strict; a test package tolerates them, since its external tests may
+// meet the package in both variants.
+func (m *moduleScan) check(path string, files []*ast.File, imp types.Importer, strict bool) *types.Package {
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	var errs []string
+	conf := types.Config{Importer: imp, Error: func(err error) { errs = append(errs, err.Error()) }}
+	pkg, _ := conf.Check(path, m.fset, files, info)
+	if strict && len(errs) > 0 {
+		m.t.Fatalf("type-checking %s:\n%s", path, strings.Join(errs, "\n"))
+	}
+	for id, obj := range info.Uses {
+		if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), module+"/") {
+			continue
+		}
+		if f, ok := obj.(*types.Func); ok {
+			obj = f.Origin()
+		}
+		file := m.fset.Position(id.Pos()).Filename
+		if m.readers[obj.Pos()] == nil {
+			m.readers[obj.Pos()] = map[string]bool{}
+		}
+		m.readers[obj.Pos()][file] = true
+	}
+	return pkg
+}
+
+// collect records f's exported top-level names.
+func (m *moduleScan) collect(f *ast.File) {
 	add := func(id *ast.Ident, recv string, docs ...*ast.CommentGroup) {
 		if !id.IsExported() {
 			return
 		}
 		p := m.fset.Position(id.Pos())
-		d := &exportDecl{pkg: g.pkg, name: id.Name, ident: id.Name, method: recv != "",
-			pos: fmt.Sprintf("%s:%d", p.Filename, p.Line)}
+		d := &exportDecl{pos: id.Pos(), name: id.Name, at: fmt.Sprintf("%s:%d", p.Filename, p.Line)}
 		if recv != "" {
 			d.name = recv + "." + id.Name
 		}
@@ -177,7 +259,7 @@ func (m *moduleScan) collect(g *goFile) {
 		}
 		m.decls = append(m.decls, d)
 	}
-	for _, decl := range g.ast.Decls {
+	for _, decl := range f.Decls {
 		switch decl := decl.(type) {
 		case *ast.FuncDecl:
 			switch {
@@ -225,72 +307,14 @@ func recvName(e ast.Expr) string {
 	}
 }
 
-// hasReader reports whether a non-test file reads d.
+// hasReader reports whether a non-test file uses d.
 func (m *moduleScan) hasReader(d *exportDecl) bool {
-	for _, g := range m.src {
-		if m.reads(g, d) {
+	for file := range m.readers[d.pos] {
+		if !strings.HasSuffix(file, "_test.go") {
 			return true
 		}
 	}
 	return false
-}
-
-// reads reports whether file g refers to d anywhere but where a name is
-// declared.
-func (m *moduleScan) reads(g *goFile, d *exportDecl) bool {
-	local := g.pkg == d.pkg && g.name == m.pkgNames[d.pkg]
-	found := false
-	var walk func(n ast.Node) bool
-	each := func(n ast.Node) { ast.Inspect(n, walk) }
-	walk = func(n ast.Node) bool {
-		if found || n == nil {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if n.Sel.Name == d.ident {
-				if x, ok := n.X.(*ast.Ident); d.method || ok && !local && g.imports[x.Name] == d.pkg {
-					found = true
-					return false
-				}
-			}
-			each(n.X) // n.Sel is a field or method of n.X, never d
-			return false
-		case *ast.FuncDecl: // not its name
-			if n.Recv != nil {
-				each(n.Recv)
-			}
-			each(n.Type)
-			if n.Body != nil {
-				each(n.Body)
-			}
-			return false
-		case *ast.Field: // not its names
-			each(n.Type)
-			return false
-		case *ast.TypeSpec: // not its name
-			if n.TypeParams != nil {
-				each(n.TypeParams)
-			}
-			each(n.Type)
-			return false
-		case *ast.ValueSpec: // not its names
-			if n.Type != nil {
-				each(n.Type)
-			}
-			for _, v := range n.Values {
-				each(v)
-			}
-			return false
-		case *ast.Ident:
-			found = local && !d.method && n.Name == d.ident
-		}
-		return true
-	}
-	for _, decl := range g.ast.Decls {
-		each(decl)
-	}
-	return found
 }
 
 // checkAPI holds d's //api: line, written //api:<reason> <why> (gofmt
@@ -314,13 +338,7 @@ func (m *moduleScan) checkAPI(d *exportDecl) string {
 			return "//api:paper line names " + name + ", which no _test.go declares"
 		}
 	case "harness":
-		n := 0
-		for _, g := range m.tests {
-			if m.reads(g, d) {
-				n++
-			}
-		}
-		if n < 3 {
+		if n := len(m.readers[d.pos]); n < 3 {
 			return fmt.Sprintf("//api:harness name read by %d test files, want at least 3", n)
 		}
 	default:
@@ -331,8 +349,8 @@ func (m *moduleScan) checkAPI(d *exportDecl) string {
 
 // declaresTest reports whether some _test.go declares func name.
 func (m *moduleScan) declaresTest(name string) bool {
-	for _, g := range m.tests {
-		for _, decl := range g.ast.Decls {
+	for _, f := range m.tests {
+		for _, decl := range f.Decls {
 			if f, ok := decl.(*ast.FuncDecl); ok && f.Recv == nil && f.Name.Name == name {
 				return true
 			}

@@ -322,7 +322,7 @@ func TestGuardReboot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drain the bucket.
-	now := sw.Now()
+	now := sim.Now()
 	sw.Guard().Admit(5, now, 10)
 	sw.Guard().Admit(5, now, 10)
 	if sw.Guard().Admit(5, now, 10) {
@@ -339,7 +339,7 @@ func TestGuardReboot(t *testing.T) {
 	if sw.SRAM(mem.SRAMIndex(g.Partition.Base)) != 0 {
 		t.Fatal("partition content survived the wipe")
 	}
-	if !sw.Guard().Admit(5, sw.Now(), 10) {
+	if !sw.Guard().Admit(5, sim.Now(), 10) {
 		t.Fatal("bucket not refilled by boot")
 	}
 	// The task region is soft state and went with the wipe; the

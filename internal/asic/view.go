@@ -3,7 +3,6 @@ package asic
 import (
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 )
 
@@ -202,9 +201,6 @@ func (s *Switch) ViewForTesting(pkt *core.Packet, outPort int) mem.View {
 	}
 	return &view{sw: s, pkt: pkt, port: s.ports[outPort]}
 }
-
-// Now exposes the switch's dataplane clock for tests.
-func (s *Switch) Now() netsim.Time { return s.sim.Now() }
 
 // ReadWord is the control plane's read-back path: it reads one word of
 // the unified memory map through the same per-packet view machinery a

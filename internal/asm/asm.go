@@ -105,7 +105,7 @@ type pendingIns struct {
 	pkt    uint16   // explicit packet word (or hop offset)
 	imms   []uint32 // immediates to pool (stack mode)
 	poolAt int      // filled in at finish: pool slot of imms[0]
-	extra  int      // extra pool words after the immediates (core.OpInfo.ImmResult)
+	extra  int      // extra pool words after the immediates (len(core.OpInfo.Writes))
 }
 
 type assembler struct {
@@ -282,7 +282,7 @@ func (a *assembler) instruction(line string) error {
 			return err
 		}
 		p.imms = []uint32{v1, v2}
-		p.extra = info.ImmResult
+		p.extra = len(info.Writes)
 	default:
 		return fmt.Errorf("%s wants 2 or 3 operands", op)
 	}

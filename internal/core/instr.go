@@ -48,29 +48,44 @@ const (
 )
 
 // OpInfo is everything about an opcode that is not its semantics: how
-// it is spelled, which operands it takes and whether it can write.  The
-// semantics live in two places only, the TCPU (internal/tcpu) and the
-// verifier's abstract interpreter (internal/verify).
+// it is spelled, which operands it takes, which packet and switch words
+// it touches and what it costs.  The semantics live in one place, the
+// TCPU (internal/tcpu); the verifier (internal/verify) judges a program
+// against these rows alone, and TestOpInfoMatchesExec holds every row
+// to what the TCPU does.
 type OpInfo struct {
 	Name   string
 	Form   OperandForm
 	Access Access
-	// ImmResult is the number of packet words the immediate form
-	// reserves after its two immediates (CSTORE's old-value slot).
-	ImmResult int
+	// Reads and Writes are the packet-memory words the opcode reads and
+	// writes, as word offsets from its base: the stack pointer's word
+	// for an opcode that moves it, B's effective word for every other.
+	// The immediate form (FormABOrImm) reserves a pool word for each
+	// write after its two immediates (CSTORE's old-value slot).
+	Reads, Writes []int
+	// SP is the stack-pointer move in words.  An opcode that moves the
+	// stack pointer runs only in stack addressing mode.
+	SP int
+	// Halts marks a guard: unless (sw[A] & pkt[Reads[0]]) ==
+	// pkt[Reads[1]], the program stops here, without a fault.
+	Halts bool
+	// Stall is the extra pipeline cycles the opcode costs when it
+	// commits a write (Figure 5: CSTORE occupies both memory stages in
+	// one instruction).
+	Stall int
 }
 
 var opTable = [...]OpInfo{
 	OpNOP:    {Name: "NOP", Form: FormNone},
-	OpLOAD:   {Name: "LOAD", Form: FormAB, Access: AccessLoad},
-	OpSTORE:  {Name: "STORE", Form: FormAB, Access: AccessStore},
-	OpPUSH:   {Name: "PUSH", Form: FormA, Access: AccessLoad},
-	OpPOP:    {Name: "POP", Form: FormA, Access: AccessStore},
-	OpCSTORE: {Name: "CSTORE", Form: FormABOrImm, Access: AccessCond, ImmResult: 1},
-	OpCEXEC:  {Name: "CEXEC", Form: FormABOrImm, Access: AccessLoad},
-	OpADD:    {Name: "ADD", Form: FormAB, Access: AccessLoad},
-	OpSUB:    {Name: "SUB", Form: FormAB, Access: AccessLoad},
-	OpMAX:    {Name: "MAX", Form: FormAB, Access: AccessLoad},
+	OpLOAD:   {Name: "LOAD", Form: FormAB, Access: AccessLoad, Writes: []int{0}},
+	OpSTORE:  {Name: "STORE", Form: FormAB, Access: AccessStore, Reads: []int{0}},
+	OpPUSH:   {Name: "PUSH", Form: FormA, Access: AccessLoad, Writes: []int{0}, SP: 1},
+	OpPOP:    {Name: "POP", Form: FormA, Access: AccessStore, Reads: []int{-1}, SP: -1},
+	OpCSTORE: {Name: "CSTORE", Form: FormABOrImm, Access: AccessCond, Reads: []int{0, 1}, Writes: []int{2}, Stall: 1},
+	OpCEXEC:  {Name: "CEXEC", Form: FormABOrImm, Access: AccessLoad, Reads: []int{0, 1}, Halts: true},
+	OpADD:    {Name: "ADD", Form: FormAB, Access: AccessLoad, Reads: []int{0}, Writes: []int{0}},
+	OpSUB:    {Name: "SUB", Form: FormAB, Access: AccessLoad, Reads: []int{0}, Writes: []int{0}},
+	OpMAX:    {Name: "MAX", Form: FormAB, Access: AccessLoad, Reads: []int{0}, Writes: []int{0}},
 }
 
 // Valid reports whether the opcode is part of the instruction set.

@@ -95,31 +95,6 @@ func (p *Packet) WireLen() int {
 	return n + p.PayloadLen()
 }
 
-// Clone deep-copies the packet, including its TPP and payload, so that a
-// flooded or mirrored copy executes and mutates independently.
-func (p *Packet) Clone() *Packet {
-	p.checkLive("Clone")
-	c := *p
-	// The copy is heap-owned regardless of p's provenance: it shares no
-	// buffers with p's pool slot, so it must not inherit the back
-	// pointer (or the sanitizer's generation pin) either.
-	c.pooled, c.block, c.dbg = false, nil, poolDebug{}
-	if p.TPP != nil {
-		c.TPP = p.TPP.Clone()
-	}
-	if p.IP != nil {
-		ip := *p.IP
-		ip.Options = append([]byte(nil), p.IP.Options...)
-		c.IP = &ip
-	}
-	if p.UDP != nil {
-		u := *p.UDP
-		c.UDP = &u
-	}
-	c.Payload = append([]byte(nil), p.Payload...)
-	return &c
-}
-
 // Serialize produces the full wire representation of the frame.  Layers
 // are emitted outermost first (the inverse of Decode); zero Length
 // fields in IP and UDP headers are filled from the actual sizes.

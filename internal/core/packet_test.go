@@ -6,6 +6,32 @@ import (
 	"testing/quick"
 )
 
+// Clone deep-copies the packet, including its TPP and payload, into a
+// heap packet the tests mutate independently (the simulation copies
+// through its pool, Pool.Clone).
+func (p *Packet) Clone() *Packet {
+	p.checkLive("Clone")
+	c := *p
+	// The copy is heap-owned regardless of p's provenance: it shares no
+	// buffers with p's pool slot, so it must not inherit the back
+	// pointer (or the sanitizer's generation pin) either.
+	c.pooled, c.block, c.dbg = false, nil, poolDebug{}
+	if p.TPP != nil {
+		c.TPP = p.TPP.Clone()
+	}
+	if p.IP != nil {
+		ip := *p.IP
+		ip.Options = append([]byte(nil), p.IP.Options...)
+		c.IP = &ip
+	}
+	if p.UDP != nil {
+		u := *p.UDP
+		c.UDP = &u
+	}
+	c.Payload = append([]byte(nil), p.Payload...)
+	return &c
+}
+
 func TestMACBasics(t *testing.T) {
 	m := MACFromUint64(0x0000123456789abc)
 	if got := m.String(); got != "12:34:56:78:9a:bc" {

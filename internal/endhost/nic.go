@@ -19,11 +19,10 @@ const DefaultNICQueue = 256
 
 // NIC is a host network interface: a FIFO transmit queue in front of
 // one egress channel.  The NIC is also the trusted edge of the TPP
-// architecture: it seals tenant identities, statically verifies
-// programs at injection (§3.5), and — since verification proves a
-// program safe exactly once — compiles it exactly once too, caching
-// both by the program's wire bytes so repeated flows pay neither cost
-// again.
+// architecture: it seals tenant identities, statically verifies every
+// program at injection (§3.5), and compiles each program shape once,
+// caching the compilation by its wire shape so repeated flows do not
+// pay for it again.
 type NIC struct {
 	ch    *netsim.Channel
 	queue ring.Buf[*core.Packet] // packets waiting to transmit
@@ -32,13 +31,11 @@ type NIC struct {
 	verifier *verify.Config
 	tenant   uint8
 
-	// progCache compiles injected programs once, keyed by wire bytes
+	// progCache compiles injected programs once, keyed by wire shape
 	// (built lazily on the first TPP send so the config can account
-	// for the verifier's device limits).  vcache memoizes verification
-	// results by the full static shape of the TPP; both reset when the
-	// verifier or tenant changes.
+	// for the verifier's device limits); it resets when the verifier
+	// changes.
 	progCache *tcpu.Cache
-	vcache    map[verifyKey]verify.Result
 
 	// Drops counts transmit-queue tail drops.
 	Drops uint64
@@ -89,10 +86,7 @@ func (n *NIC) QueueLen() int { return n.queue.Len() }
 // disables verification (the default).
 func (n *NIC) SetVerifier(cfg *verify.Config) {
 	n.verifier = cfg
-	// Cached verdicts and compilations were produced under the old
-	// config; drop them.
-	n.progCache = nil
-	n.vcache = nil
+	n.progCache = nil // compiled under the old device limit
 }
 
 // SetTenant binds the NIC to an isolation principal.  The NIC is the
@@ -103,7 +97,6 @@ func (n *NIC) SetVerifier(cfg *verify.Config) {
 // infrastructure (operator, id 0) NIC.
 func (n *NIC) SetTenant(id uint8) {
 	n.tenant = id
-	n.vcache = nil // verdicts may depend on the sealed identity
 }
 
 // Send queues the packet for transmission, returning false on a tail
@@ -117,7 +110,7 @@ func (n *NIC) Send(pkt *core.Packet) bool {
 		// will actually run as.
 		pkt.TPP.Tenant = n.tenant
 		if n.verifier != nil {
-			n.LastVerify = n.verifyCached(pkt.TPP)
+			n.LastVerify = verify.Verify(pkt.TPP, *n.verifier)
 			if !n.LastVerify.OK() {
 				n.Rejected++
 				pkt.Recycle()
@@ -146,49 +139,6 @@ func (n *NIC) Send(pkt *core.Packet) bool {
 	n.queue.Push(pkt)
 	n.kick()
 	return true
-}
-
-// verifyKey is the full static shape verification judges: every TPP
-// field Verify reads except packet-memory contents (which it never
-// inspects).  The verifier config and sealed tenant are fixed per NIC
-// and reset the cache when they change.
-type verifyKey struct {
-	n        uint8
-	mode     core.AddrMode
-	version  uint8
-	tenant   uint8
-	ptr      uint16
-	hopLen   uint16
-	memWords uint16
-	ins      [tcpu.MaxCachedInstructions]uint32
-}
-
-// maxVerifyCache bounds the memoized verdict map; NICs see a handful
-// of distinct programs, so overflow means an adversarial workload and
-// a full reset is the simplest safe answer.
-const maxVerifyCache = 1024
-
-func (n *NIC) verifyCached(t *core.TPP) verify.Result {
-	if len(t.Ins) > tcpu.MaxCachedInstructions {
-		return verify.Verify(t, *n.verifier)
-	}
-	k := verifyKey{
-		n: uint8(len(t.Ins)), mode: t.Mode, version: t.Version,
-		tenant: t.Tenant, ptr: t.Ptr, hopLen: t.HopLen,
-		memWords: uint16(t.MemWords()),
-	}
-	for i, in := range t.Ins {
-		k.ins[i] = in.Word()
-	}
-	if res, ok := n.vcache[k]; ok {
-		return res
-	}
-	res := verify.Verify(t, *n.verifier)
-	if n.vcache == nil || len(n.vcache) >= maxVerifyCache {
-		n.vcache = make(map[verifyKey]verify.Result, 64)
-	}
-	n.vcache[k] = res
-	return res
 }
 
 // kick starts a transmission if the channel is idle and a packet is

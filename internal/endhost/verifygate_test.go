@@ -72,4 +72,30 @@ func TestNICVerifierGate(t *testing.T) {
 	if a.NIC.Rejected != 1 {
 		t.Fatalf("Rejected moved to %d with verifier off", a.NIC.Rejected)
 	}
+
+	// A verdict depends on packet memory as well as instructions: a
+	// CEXEC whose guard words can never pass (value bits outside the
+	// mask) leaves the STORE after it unreachable, while the same
+	// instructions behind a passable guard store into read-only
+	// switch statistics and must be refused.
+	a.NIC.SetVerifier(&verify.Config{})
+	guarded := func(mask uint32) *core.TPP {
+		tpp := core.NewTPP(core.AddrHop, []core.Instruction{
+			{Op: core.OpCEXEC, A: uint16(mem.SwitchBase + mem.SwitchID), B: 0},
+			{Op: core.OpSTORE, A: uint16(mem.SwitchBase + mem.SwitchID), B: 2},
+		}, 3)
+		tpp.HopLen = 12
+		tpp.SetWord(0, mask)
+		tpp.SetWord(1, 1)
+		return tpp
+	}
+	if !a.Send(tppPacket(guarded(0))) {
+		t.Fatalf("NIC rejected a STORE behind a guard that never passes: %v", a.NIC.LastVerify)
+	}
+	if a.Send(tppPacket(guarded(0xffffffff))) {
+		t.Fatal("NIC accepted a STORE to switch statistics behind a passable guard")
+	}
+	if a.NIC.Rejected != 2 {
+		t.Fatalf("Rejected = %d, want 2", a.NIC.Rejected)
+	}
 }

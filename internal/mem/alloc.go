@@ -16,6 +16,8 @@ type Region struct {
 func (r Region) End() Addr { return r.Base + Addr(r.Words) }
 
 // Contains reports whether address a falls inside the region.
+//
+//api:oracle the bounds the guard's partition property test holds its translation to
 func (r Region) Contains(a Addr) bool { return a >= r.Base && a < r.End() }
 
 // Owner identifies the holder of a region.  There are two classes: an

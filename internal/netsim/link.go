@@ -95,9 +95,6 @@ func (c *Channel) notifyIdle() {
 	}
 }
 
-// Rate returns the channel capacity in bits per second.
-func (c *Channel) Rate() int64 { return c.rate }
-
 // RateBytes returns the channel capacity in bytes per second, the unit
 // the TPP memory map exposes ([Link:Capacity]).  The register is 32
 // bits wide, so capacities beyond ~34.4 Gb/s saturate at MaxUint32
@@ -109,9 +106,6 @@ func (c *Channel) RateBytes() uint32 {
 	}
 	return uint32(bytesPerSec)
 }
-
-// Delay returns the propagation delay.
-func (c *Channel) Delay() Time { return c.delay }
 
 // SetOnIdle registers the transmit-complete callback; the owner uses it
 // to dequeue the next packet.  It is guaranteed to run at the end of a

@@ -114,7 +114,7 @@ type Sim struct {
 	stale   int     // heap keys of timer arms that were stopped or superseded
 	seq     uint64
 	rng     *rand.Rand
-	stopped bool
+	stopped bool // set by Stop, a test hook: Run and RunUntil return
 	stats   Stats
 	pool    core.Pool
 }
@@ -153,6 +153,8 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 func (s *Sim) Pending() int { return len(s.keys) + s.backlog - s.stale }
 
 // Stats returns the engine's self-metrics.
+//
+//api:harness the engine counts the netsim, asic and budget tests assert on (Collect names them as rows)
 func (s *Sim) Stats() Stats { return s.stats }
 
 // Pool returns the simulation's packet pool: the free list every
@@ -318,10 +320,10 @@ func (s *Sim) dropRoot() {
 	siftDown(s.keys, 0)
 }
 
-// Stop makes Run and RunUntil return after the current event.
-func (s *Sim) Stop() { s.stopped = true }
-
-// Run processes events until the queue drains or Stop is called.
+// Run processes events until the queue drains or a test's Stop hook
+// (sim_test.go) ends it.
+//
+//api:harness the run-to-drain driver the engine and host tests step a simulation with
 func (s *Sim) Run() {
 	s.stopped = false
 	for len(s.keys) > 0 && !s.stopped {

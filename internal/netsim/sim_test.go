@@ -124,6 +124,9 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// Stop makes Run and RunUntil return after the current event.
+func (s *Sim) Stop() { s.stopped = true }
+
 func TestStop(t *testing.T) {
 	s := New(1)
 	count := 0
@@ -323,7 +326,7 @@ func TestChannelValidation(t *testing.T) {
 		}()
 	}
 	ch := NewChannel(s, 8000, 5, k, 1)
-	if ch.Rate() != 8000 || ch.RateBytes() != 1000 || ch.Delay() != 5 {
+	if ch.rate != 8000 || ch.RateBytes() != 1000 || ch.delay != 5 {
 		t.Fatal("accessors wrong")
 	}
 	if d := ch.SerializationDelay(1000); d != Second {

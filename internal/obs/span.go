@@ -316,6 +316,8 @@ func (t *Tracer) Each(fn func(*SpanEvent)) {
 }
 
 // Events returns a copy of the retained events, oldest first.
+//
+//api:harness the span log as the asic, faults, netsim and obs tests read it
 func (t *Tracer) Events() []SpanEvent {
 	if t == nil {
 		return nil

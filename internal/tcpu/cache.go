@@ -62,9 +62,6 @@ func NewCache(c Config, capacity int) *Cache {
 	return &Cache{cfg: c, capacity: capacity, m: make(map[cacheKey]*centry)}
 }
 
-// Config returns the device configuration the cache compiles under.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Get returns the Program for t's program, compiling on first sight.
 // It returns nil when the program is too long to key
 // (len(Ins) > MaxCachedInstructions); callers fall back to Config.Exec,
@@ -115,9 +112,6 @@ func (c *Cache) Invalidate() {
 // Stats returns the hit/miss counters since construction (invalidation
 // does not reset them, so tests can observe re-compilations).
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-// Len returns the number of cached compilations.
-func (c *Cache) Len() int { return len(c.m) }
 
 func (c *Cache) pushFront(e *centry) {
 	e.prev = nil

@@ -521,8 +521,8 @@ func TestCacheInvalidate(t *testing.T) {
 		t.Fatalf("stats = %d/%d, want 1 hit, 1 miss", h, m)
 	}
 	c.Invalidate()
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after Invalidate, want 0", c.Len())
+	if len(c.m) != 0 {
+		t.Fatalf("%d entries after Invalidate, want 0", len(c.m))
 	}
 	p2 := c.Get(tpp)
 	if h, m := c.Stats(); h != 1 || m != 2 {
@@ -544,8 +544,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	c.Get(mk(2))
 	c.Get(mk(1)) // 1 is now most recent
 	c.Get(mk(3)) // evicts 2
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if len(c.m) != 2 {
+		t.Fatalf("%d entries, want 2", len(c.m))
 	}
 	_, misses := c.Stats()
 	c.Get(mk(1))

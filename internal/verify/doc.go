@@ -2,7 +2,10 @@
 // enter the network, in the spirit of the eBPF verifier: a single-pass
 // abstract interpretation over a parsed core.TPP that proves the
 // program is memory-safe and cheap enough to run at line rate, or
-// reports exactly why not, instruction by instruction.
+// reports exactly why not, instruction by instruction.  It knows no
+// opcode by name: each instruction is judged against its row of the
+// opcode table (core.Opcode.Info), which internal/tcpu's tests hold to
+// what the TCPU does.
 //
 // The paper's feasibility argument (§3.3) and its security story (§3.5
 // "TPP whitelisting") both assume switches only see programs that are

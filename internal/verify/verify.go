@@ -244,13 +244,12 @@ type walker struct {
 	sp       int    // abstract stack pointer, bytes (stack mode)
 	sp0Words int    // words below the initial SP count as initialized
 	written  []bool // packet-memory words written by earlier instructions
-	stalls   int    // worst-case CSTORE stall cycles accrued so far
+	stalls   int    // worst-case stall cycles accrued so far
 }
 
 func (w *walker) run() {
 	t := w.t
-	words := t.MemWords()
-	w.written = make([]bool, words)
+	w.written = make([]bool, t.MemWords())
 	if t.Mode == core.AddrStack {
 		w.sp = int(t.Ptr)
 		w.sp0Words = int(t.Ptr) / 4
@@ -258,7 +257,7 @@ func (w *walker) run() {
 
 	budget := w.cfg.budget()
 	for pc, in := range t.Ins {
-		if halts, known := w.step(pc, in); halts && known {
+		if w.step(pc, in) {
 			if pc+1 < len(t.Ins) {
 				w.diag(pc+1, CodeDeadCode, Warn,
 					"instructions %d..%d are unreachable: the CEXEC at pc %d can never pass", pc+1, len(t.Ins)-1, pc)
@@ -266,8 +265,8 @@ func (w *walker) run() {
 			return
 		}
 		// Figure 5 pipeline: instruction pc retires at cycle
-		// PipelineLatency+pc, plus one stall per (worst-case
-		// successful) CSTORE at or before it.
+		// PipelineLatency+pc, plus the stalls of every (worst-case
+		// committing) instruction at or before it.
 		if retire := tcpu.PipelineLatency + pc + w.stalls; retire > budget {
 			w.diag(pc, CodeOverBudget, Err,
 				"instruction retires at cycle %d, past the %d-cycle per-packet budget", retire, budget)
@@ -275,32 +274,75 @@ func (w *walker) run() {
 	}
 }
 
-// markWrite records that the program overwrote word i: the word is now
-// initialized, and its injection-time contents no longer constant.
-func (w *walker) markWrite(i int) {
-	if i >= 0 && i < len(w.written) {
-		w.written[i] = true
+// step checks one instruction against its row of the opcode table
+// (core.Opcode.Info), the only per-opcode fact it reads: the stack mode
+// a stack move needs, the packet words it reads and writes, and
+// its switch-memory access.  It reports whether the instruction is a
+// guard over constants that can never pass, which makes everything
+// after it dead code.
+func (w *walker) step(pc int, in core.Instruction) (dead bool) {
+	t := w.t
+	info, _ := in.Op.Info()
+	base := t.EffectiveWord(in.B)
+	if info.SP != 0 {
+		if t.Mode != core.AddrStack {
+			w.diag(pc, CodeModeMismatch, Err, "%s requires stack addressing mode", in.Op)
+			return false
+		}
+		base = w.sp / 4
 	}
+	ok := w.inRange(pc, in.Op, base, info.Reads, "reads") &&
+		w.inRange(pc, in.Op, base, info.Writes, "writes")
+	switch info.Access {
+	case core.AccessLoad:
+		w.checkLoad(pc, in.A)
+	case core.AccessStore, core.AccessCond:
+		w.checkStore(pc, in.A)
+	}
+	w.stalls += info.Stall // worst case: the store commits
+	if !ok {
+		return false
+	}
+	// A guard's and a conditional store's reads are compared, not
+	// copied: a word nothing initialized makes the compare arbitrary.
+	if info.Halts || info.Access == core.AccessCond {
+		for _, o := range info.Reads {
+			w.guardRead(pc, in.Op, base+o)
+		}
+	}
+	for _, o := range info.Writes {
+		w.written[base+o] = true
+	}
+	w.sp += 4 * info.SP
+	if !info.Halts {
+		return false
+	}
+	// If both guard words still hold their injection-time contents,
+	// the predicate is a compile-time constant in value bits outside
+	// the mask: (reg & mask) can never equal a value with bits the
+	// mask clears.
+	m, v := base+info.Reads[0], base+info.Reads[1]
+	return !w.written[m] && !w.written[v] && t.Word(v)&^t.Word(m) != 0
 }
 
 // initialized reports whether word i provably holds a meaningful value
 // when read: pre-set nonzero memory, anything below the initial stack
 // pointer, or a word an earlier instruction wrote.
 func (w *walker) initialized(i int) bool {
-	if i < 0 || i >= len(w.written) {
-		return false
-	}
 	return w.written[i] || w.t.Word(i) != 0 || (w.t.Mode == core.AddrStack && i < w.sp0Words)
 }
 
-// checkPkt bounds-checks packet-memory word i for instruction pc.
-func (w *walker) checkPkt(pc, i int, what string) bool {
-	if i >= 0 && i < w.t.MemWords() {
-		return true
+// inRange bounds-checks the packet words op reads or writes, at offsets
+// offs from word base, reporting the first outside packet memory.
+func (w *walker) inRange(pc int, op core.Opcode, base int, offs []int, verb string) bool {
+	for _, o := range offs {
+		if !w.t.InRange(base + o) {
+			w.diag(pc, CodeOOBPacketMem, Err,
+				"%s %s packet-memory word %d out of range (%d words)", op, verb, base+o, w.t.MemWords())
+			return false
+		}
 	}
-	w.diag(pc, CodeOOBPacketMem, Err,
-		"%s packet-memory word %d out of range (%d words)", what, i, w.t.MemWords())
-	return false
+	return true
 }
 
 // checkLoad verifies that switch address a is a mapped register and,
@@ -362,108 +404,9 @@ func (w *walker) checkStore(pc int, a uint16) {
 }
 
 // guardRead lint-checks a CEXEC/CSTORE guard word.
-func (w *walker) guardRead(pc, i int, what string) {
+func (w *walker) guardRead(pc int, op core.Opcode, i int) {
 	if !w.initialized(i) {
 		w.diag(pc, CodeUninitGuard, Warn,
-			"%s reads packet-memory word %d, which nothing initialized", what, i)
+			"%s guard reads packet-memory word %d, which nothing initialized", op, i)
 	}
-}
-
-// step analyzes one instruction.  halts reports that execution cannot
-// continue past it; known reports the halt is statically certain (a
-// CEXEC over constants that can never pass), which makes everything
-// after it dead code.
-func (w *walker) step(pc int, in core.Instruction) (halts, known bool) {
-	t := w.t
-	switch in.Op {
-	case core.OpNOP:
-
-	case core.OpLOAD:
-		w.checkLoad(pc, in.A)
-		i := w.t.EffectiveWord(in.B)
-		if w.checkPkt(pc, i, "LOAD writes") {
-			w.markWrite(i)
-		}
-
-	case core.OpSTORE:
-		i := w.t.EffectiveWord(in.B)
-		w.checkPkt(pc, i, "STORE reads")
-		w.checkStore(pc, in.A)
-
-	case core.OpPUSH:
-		if t.Mode != core.AddrStack {
-			w.diag(pc, CodeModeMismatch, Err, "PUSH requires stack addressing mode")
-			return false, false
-		}
-		w.checkLoad(pc, in.A)
-		if w.sp+4 > len(t.Mem) {
-			w.diag(pc, CodeOOBPacketMem, Err,
-				"PUSH exhausts packet memory at the first hop (SP=%d, %d bytes)", w.sp, len(t.Mem))
-			return false, false
-		}
-		w.markWrite(w.sp / 4)
-		w.sp += 4
-
-	case core.OpPOP:
-		if t.Mode != core.AddrStack {
-			w.diag(pc, CodeModeMismatch, Err, "POP requires stack addressing mode")
-			return false, false
-		}
-		if w.sp < 4 {
-			w.diag(pc, CodeOOBPacketMem, Err, "POP on an empty stack")
-			return false, false
-		}
-		if w.sp > len(t.Mem) {
-			w.diag(pc, CodeOOBPacketMem, Err,
-				"POP reads past packet memory (SP=%d, %d bytes)", w.sp, len(t.Mem))
-			return false, false
-		}
-		w.sp -= 4
-		w.checkStore(pc, in.A)
-
-	case core.OpCSTORE:
-		base := w.t.EffectiveWord(in.B)
-		ok := w.checkPkt(pc, base, "CSTORE condition") &&
-			w.checkPkt(pc, base+1, "CSTORE source") &&
-			w.checkPkt(pc, base+2, "CSTORE result")
-		w.checkStore(pc, in.A)
-		if ok {
-			w.guardRead(pc, base, "CSTORE condition")
-			w.guardRead(pc, base+1, "CSTORE source")
-			w.markWrite(base + 2)
-		}
-		// Worst case the compare succeeds: one extra stall cycle in
-		// the Figure 5 pipeline (memory read + write in one
-		// instruction).
-		w.stalls++
-
-	case core.OpCEXEC:
-		base := w.t.EffectiveWord(in.B)
-		ok := w.checkPkt(pc, base, "CEXEC mask") && w.checkPkt(pc, base+1, "CEXEC value")
-		w.checkLoad(pc, in.A)
-		if !ok {
-			return false, false
-		}
-		w.guardRead(pc, base, "CEXEC mask")
-		w.guardRead(pc, base+1, "CEXEC value")
-		// If both guard words still hold their injection-time
-		// contents, the predicate is a compile-time constant in
-		// value bits outside the mask: (reg & mask) can never equal
-		// a value with bits the mask clears.
-		if !w.written[base] && !w.written[base+1] {
-			mask, val := t.Word(base), t.Word(base+1)
-			if val&^mask != 0 {
-				return true, true
-			}
-		}
-		return true, false // may halt at runtime; successors stay reachable
-
-	case core.OpADD, core.OpSUB, core.OpMAX:
-		w.checkLoad(pc, in.A)
-		i := w.t.EffectiveWord(in.B)
-		if w.checkPkt(pc, i, in.Op.String()+" updates") {
-			w.markWrite(i)
-		}
-	}
-	return false, false
 }
