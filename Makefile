@@ -53,7 +53,11 @@ vet:
 # internal/reflex call Allocator().Alloc( (SRAM layout has one owner:
 # network tasks are services the fabric controller provisions, whose
 # Verify holds a service named on several switches to one base; the
-# reflex arm's evidence region is the one dataplane-owned task), plus
+# reflex arm's evidence region is the one dataplane-owned task), a check
+# that no non-test code under internal/ or cmd/ imports "sync" or
+# "sync/atomic" (DESIGN §6: one goroutine drives a Sim and everything
+# wired to it, its registry and tracer included, so every word is plain
+# and nothing locks), plus
 # the repository's own analyzers (see
 # tools/analyzers): the determinism suite over the simulation core and
 # the soaks, and the poollife packet-ownership suite over the packages
@@ -73,6 +77,8 @@ lint: vet
 	if [ -n "$$pools" ]; then echo "sync.Pool or ClonePooled() under internal/ or cmd/ (draw from the Sim's pool: sim.Pool().Clone / NewUDP, Host.NewPacketPooled):"; echo "$$pools"; exit 1; fi
 	@allocs=$$(grep -rnE 'Allocator\(\)\.Alloc\(' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/fabric/|^internal/reflex/'); \
 	if [ -n "$$allocs" ]; then echo "SRAM allocated outside internal/fabric and internal/reflex (provision a fabric.Service through the controller):"; echo "$$allocs"; exit 1; fi
+	@locks=$$(grep -rnE '"sync(/atomic)?"' --include=*.go cmd internal | grep -v '_test\.go:'); \
+	if [ -n "$$locks" ]; then echo "sync or sync/atomic imported under internal/ or cmd/ (one goroutine drives a Sim and everything wired to it: keep plain words, DESIGN §6):"; echo "$$locks"; exit 1; fi
 	$(GO) run ./tools/analyzers/cmd/determinismlint $(LINT_PKGS)
 	$(GO) run ./tools/analyzers/cmd/poollifelint $(POOL_PKGS)
 

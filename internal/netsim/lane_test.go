@@ -34,9 +34,6 @@ type orderRig struct {
 	budget      int          // scheduling calls left
 	outstanding map[int]Time // id -> firing time, for live events not yet run
 	zombies     int          // useLanes false: called-off arms still queued as guarded closures
-	stopID      int          // the first event to run with an id this high calls Stop
-	stopper     int          // the id of the event that did, or -1
-	stopped     bool
 
 	fired     []firedEvent
 	fallbacks int // Lane.At calls that took the non-monotone heap path
@@ -66,7 +63,7 @@ func newOrderRig(t *testing.T, seed int64, useLanes bool) *orderRig {
 	g := &orderRig{
 		t: t, s: New(1), r: rand.New(rand.NewSource(seed)), useLanes: useLanes,
 		laneLast: make([]Time, orderLanes), budget: 3000,
-		outstanding: map[int]Time{}, stopID: 700, stopper: -1,
+		outstanding: map[int]Time{},
 	}
 	for k := 0; k < orderTimers; k++ {
 		k := k
@@ -215,11 +212,6 @@ func (g *orderRig) ran(id int) {
 		g.schedule()
 		g.checkPending()
 	}
-	if id >= g.stopID && g.stopper < 0 {
-		g.s.Stop()
-		g.stopper = id
-		g.stopped = true
-	}
 }
 
 func (g *orderRig) checkPending() {
@@ -251,15 +243,6 @@ func (g *orderRig) run() []firedEvent {
 		}
 		g.s.RunUntil(target)
 		g.checkPending()
-		if g.stopped {
-			// Stop returns after the stopping event and leaves the
-			// clock at it; everything else is still queued.
-			g.stopped = false
-			if last := g.fired[len(g.fired)-1]; last.ID != g.stopper || g.s.Now() != last.At {
-				g.t.Fatalf("Stop: last event %+v, now %v", last, g.s.Now())
-			}
-			continue
-		}
 		if g.s.Now() != target {
 			g.t.Fatalf("RunUntil(%v) left the clock at %v", target, g.s.Now())
 		}
@@ -300,9 +283,9 @@ func TestLaneOrderDifferential(t *testing.T) {
 			t.Fatalf("seed %d: schedule took %d fallbacks and %d lane-splitting RunUntil targets; want both",
 				seed, laned.fallbacks, laned.splits)
 		}
-		if laned.calledOff < 50 || laned.restacked == 0 || laned.rearmed == 0 || laned.stopper < 0 {
-			t.Fatalf("seed %d: %d arms called off (%d by a Reset while armed), %d re-armed from their callback, Stop by event %d; want all four",
-				seed, laned.calledOff, laned.restacked, laned.rearmed, laned.stopper)
+		if laned.calledOff < 50 || laned.restacked == 0 || laned.rearmed == 0 {
+			t.Fatalf("seed %d: %d arms called off (%d by a Reset while armed), %d re-armed from their callback; want all three",
+				seed, laned.calledOff, laned.restacked, laned.rearmed)
 		}
 		st := laned.s.Stats()
 		if st.Executed != uint64(len(got)) || st.Discarded != uint64(laned.calledOff) || st.PendingPeak < 200 {

@@ -114,7 +114,6 @@ type Sim struct {
 	stale   int     // heap keys of timer arms that were stopped or superseded
 	seq     uint64
 	rng     *rand.Rand
-	stopped bool // set by Stop, a test hook: Run and RunUntil return
 	stats   Stats
 	pool    core.Pool
 }
@@ -320,13 +319,11 @@ func (s *Sim) dropRoot() {
 	siftDown(s.keys, 0)
 }
 
-// Run processes events until the queue drains or a test's Stop hook
-// (sim_test.go) ends it.
+// Run processes events until the queue drains.
 //
 //api:harness the run-to-drain driver the engine and host tests step a simulation with
 func (s *Sim) Run() {
-	s.stopped = false
-	for len(s.keys) > 0 && !s.stopped {
+	for len(s.keys) > 0 {
 		s.step()
 	}
 }
@@ -334,11 +331,10 @@ func (s *Sim) Run() {
 // RunUntil processes every event scheduled at or before t, then
 // advances the clock to exactly t.
 func (s *Sim) RunUntil(t Time) {
-	s.stopped = false
-	for len(s.keys) > 0 && !s.stopped && s.keys[0].at <= t {
+	for len(s.keys) > 0 && s.keys[0].at <= t {
 		s.step()
 	}
-	if !s.stopped && t > s.now {
+	if t > s.now {
 		s.now = t
 	}
 }

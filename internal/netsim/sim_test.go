@@ -124,17 +124,20 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-// Stop makes Run and RunUntil return after the current event.
-func (s *Sim) Stop() { s.stopped = true }
-
+// TestStop stops a run midway the one way there is, a bounded RunUntil:
+// the events after its bound stay queued for the next run.
 func TestStop(t *testing.T) {
 	s := New(1)
 	count := 0
-	s.At(1, func() { count++; s.Stop() })
+	s.At(1, func() { count++ })
 	s.At(2, func() { count++ })
+	s.RunUntil(1)
+	if count != 1 || s.Pending() != 1 || s.Now() != 1 {
+		t.Fatalf("count = %d, pending = %d, now = %v after RunUntil(1)", count, s.Pending(), s.Now())
+	}
 	s.Run()
-	if count != 1 {
-		t.Fatalf("count = %d, Stop ignored", count)
+	if count != 2 || s.Now() != 2 {
+		t.Fatalf("count = %d, now = %v after Run", count, s.Now())
 	}
 }
 
@@ -185,10 +188,11 @@ func TestDeterminism(t *testing.T) {
 	run := func() []int64 {
 		s := New(42)
 		var vals []int64
-		s.Every(0, 7, func() {
+		var tk *Ticker
+		tk = s.Every(0, 7, func() {
 			vals = append(vals, s.Rand().Int63n(1000))
 			if len(vals) >= 50 {
-				s.Stop()
+				tk.Stop()
 			}
 		})
 		s.Run()

@@ -30,13 +30,13 @@
 // Both halves export snapshots as JSONL (one object per line, for
 // ingestion).
 //
-// Concurrency: counter handles, gauges and histogram buckets are atomics
-// and the registry's name maps are mutex-guarded, so handles may be
-// touched from any goroutine.  The Tracer is single-writer: the simulator
-// is one goroutine by construction, so Record belongs to the
-// goroutine that runs it, and Each, Events, Journey and the exporters are
-// called when it is quiescent (between RunUntil calls, or after the run).
-// Snapshot is under the same contract, because the collectors it runs
-// read their owners' plain words.  The race-detector test run (make race)
-// is the proof that no caller records concurrently.
+// Concurrency: nothing here locks.  Counters, gauges and histograms are
+// plain words and the registry's name maps are plain maps, so a Registry
+// and its handles, like a Tracer, belong to the one goroutine that runs
+// the simulation they are wired to (DESIGN §6): Observe, Set and Record
+// are called from it, and Each, Events, Journey, Snapshot and the
+// exporters are called when it is quiescent (between RunUntil calls, or
+// after the run).  Two simulations share no registry and no tracer, so
+// they may run on two goroutines; the race-detector test run (make race,
+// with chaos.TestSimsRunSideBySide) is the proof that nothing is shared.
 package obs

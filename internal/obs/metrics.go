@@ -3,13 +3,14 @@ package obs
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 )
 
 // Counter is a monotonically increasing metric.  All methods are no-ops
 // on a nil receiver, so disabled telemetry costs one predictable branch.
+// Like every metric here it is a plain word: one goroutine drives the
+// simulation that updates it (DESIGN §6).
 type Counter struct {
-	v atomic.Uint64
+	v uint64
 }
 
 // Inc adds one.
@@ -20,7 +21,7 @@ func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	c.v.Add(n)
+	c.v += n
 }
 
 // Value returns the current count (0 on nil).
@@ -28,12 +29,12 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v
 }
 
 // Gauge is a metric that can go up and down.
 type Gauge struct {
-	v atomic.Int64
+	v int64
 }
 
 // Set replaces the value.
@@ -41,7 +42,7 @@ func (g *Gauge) Set(v int64) {
 	if g == nil {
 		return
 	}
-	g.v.Store(v)
+	g.v = v
 }
 
 // Value returns the current value (0 on nil).
@@ -49,7 +50,7 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.v.Load()
+	return g.v
 }
 
 // NumBuckets is the histogram bucket count: bucket 0 holds the value 0
@@ -92,9 +93,9 @@ func bucketOf(v uint64) int { return BucketOf(v) }
 // observation count is not stored: it is the sum of the buckets, so a
 // count always agrees with the buckets it is read beside.
 type Histogram struct {
-	sum     atomic.Uint64
-	max     atomic.Uint64
-	buckets [NumBuckets]atomic.Uint64
+	sum     uint64
+	max     uint64
+	buckets [NumBuckets]uint64
 }
 
 // NewHistogram builds a standalone histogram (outside any registry);
@@ -110,13 +111,10 @@ func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
-	h.buckets[bucketOf(v)].Add(1)
-	h.sum.Add(v)
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			return
-		}
+	h.buckets[bucketOf(v)]++
+	h.sum += v
+	if v > h.max {
+		h.max = v
 	}
 }
 
@@ -131,14 +129,11 @@ func (h *Histogram) ObserveBucket(i int, n uint64) {
 	if h == nil || n == 0 || i < 0 || i >= NumBuckets {
 		return
 	}
-	h.buckets[i].Add(n)
+	h.buckets[i] += n
 	rep := BucketLow(i)
-	h.sum.Add(rep * n)
-	for {
-		cur := h.max.Load()
-		if rep <= cur || h.max.CompareAndSwap(cur, rep) {
-			return
-		}
+	h.sum += rep * n
+	if rep > h.max {
+		h.max = rep
 	}
 }
 
@@ -149,7 +144,7 @@ func (h *Histogram) Count() uint64 {
 	}
 	var n uint64
 	for i := range h.buckets {
-		n += h.buckets[i].Load()
+		n += h.buckets[i]
 	}
 	return n
 }
@@ -159,7 +154,7 @@ func (h *Histogram) Sum() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.sum.Load()
+	return h.sum
 }
 
 // Max returns the largest observed value.
@@ -167,7 +162,7 @@ func (h *Histogram) Max() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.max.Load()
+	return h.max
 }
 
 // Mean returns the average observed value (0 when empty).
@@ -184,7 +179,7 @@ func (h *Histogram) Bucket(i int) uint64 {
 	if h == nil || i < 0 || i >= NumBuckets {
 		return 0
 	}
-	return h.buckets[i].Load()
+	return h.buckets[i]
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) from the buckets,
@@ -207,7 +202,7 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	}
 	var cum uint64
 	for i := 0; i < NumBuckets; i++ {
-		cum += h.buckets[i].Load()
+		cum += h.buckets[i]
 		if cum >= target {
 			hi := BucketHigh(i)
 			if m := h.Max(); m < hi {

@@ -86,25 +86,29 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramConcurrent holds the single-writer contract: metrics are
+// plain words, so goroutines do not share a histogram or a registry, and
+// eight that each drive their own are exact (make race checks that no
+// word is shared underneath).
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram()
+	const workers, n = 8, 1000
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				h.Observe(uint64(i))
+			reg := NewRegistry()
+			h := reg.Histogram("h")
+			for i := 0; i < n; i++ {
+				h.Observe(uint64(w*n + i))
+			}
+			want := uint64(w*n*n + n*(n-1)/2)
+			if m, _ := reg.Snapshot(0).Get("h"); m.Count != n || m.Sum != want || m.Max != uint64(w*n+n-1) {
+				t.Errorf("worker %d: %+v, want count %d sum %d max %d", w, m, n, want, w*n+n-1)
 			}
 		}()
 	}
 	wg.Wait()
-	if h.Count() != 8000 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Max() != 999 {
-		t.Fatalf("max = %d", h.Max())
-	}
 }
 
 func TestSnapshotAndDiff(t *testing.T) {

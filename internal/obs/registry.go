@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"sync"
 )
 
 // Registry holds the metric namespace.  Names are hierarchical,
@@ -12,12 +11,13 @@ import (
 // two edges.  Counts are pulled: the owner of a statistic keeps it as a
 // plain word and registers a collector (Collect) that names it, and
 // Snapshot reads the word — the only copy.  Histograms and gauges are
-// pushed: handles are resolved once, at construction time, and used
-// lock-free on the hot path.  All methods are safe on a nil *Registry;
-// lookups then return nil handles, whose operations are no-ops — the
+// pushed: handles are resolved once, at construction time, and updated
+// as plain words on the hot path.  A Registry and its handles belong to
+// the goroutine that drives the simulation wired to them (DESIGN §6):
+// nothing here locks.  All methods are safe on a nil *Registry; lookups
+// then return nil handles, whose operations are no-ops — the
 // disabled-telemetry fast path.
 type Registry struct {
-	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
@@ -38,8 +38,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
@@ -59,8 +57,6 @@ func (r *Registry) Collect(fn func(emit func(name string, v uint64))) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.collectors = append(r.collectors, fn)
 }
 
@@ -69,8 +65,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{}
@@ -84,8 +78,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
 		h = NewHistogram()
@@ -137,8 +129,6 @@ func (r *Registry) Snapshot(atNs int64) Snapshot {
 	if r == nil {
 		return s
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	counts := make(map[string]uint64, len(r.counters))
 	emit := func(name string, v uint64) { counts[name] += v }
 	for name, c := range r.counters { //lint:allow maporder (summed into a map)

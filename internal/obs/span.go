@@ -185,8 +185,40 @@ type SpanEvent struct {
 // journeys of a dozen-plus events each.
 const DefaultTraceCap = 1 << 16
 
-// chunkEvents is the span log's allocation unit (160 KiB of events).
+// chunkEvents is the span log's allocation unit (128 KiB of records).
 const chunkEvents = 1 << 12
+
+// spanRec is a SpanEvent as the log stores it, in 32 bytes instead of
+// 40.  w holds At in its low 56 bits and Stage in bits 56..61; recHighB
+// says B's high word is all ones (a negative value cast to uint64), and
+// otherwise it is zero.  An event that fits none of these slots — At
+// negative or at least 2^56, Stage 64 or more, or a B whose high word is
+// neither zero nor all ones — is never truncated: its record carries
+// recSpilled and the event itself waits, whole, on the tracer's spill
+// list.
+type spanRec struct {
+	w    uint64
+	uid  uint64
+	a    uint64
+	b    uint32
+	node uint32
+}
+
+const (
+	recAtMask  = 1<<56 - 1
+	recSpilled = 1 << 62
+	recHighB   = 1 << 63
+)
+
+// decode rebuilds the event a record that did not spill holds.
+func (r *spanRec) decode(ev *SpanEvent) {
+	b := uint64(r.b)
+	if r.w&recHighB != 0 {
+		b |= 0xffffffff << 32
+	}
+	*ev = SpanEvent{At: int64(r.w & recAtMask), UID: r.uid, Node: r.node,
+		Stage: Stage(r.w >> 56 & 0x3f), A: r.a, B: b}
+}
 
 // Tracer is a bounded log of span events held in fixed-size chunks
 // that are allocated the first time recording reaches them, so a tracer
@@ -199,12 +231,14 @@ const chunkEvents = 1 << 12
 // when that goroutine is not recording.  All methods are no-ops on a
 // nil receiver.
 type Tracer struct {
-	cur    []SpanEvent   // chunk being filled; nil before the first Record
-	pos    int           // next free slot in cur
-	n      uint64        // total events ever recorded
-	chunks [][]SpanEvent // chunks born so far, in ring order
-	ci     int           // index of cur in chunks (-1 before the first Record)
-	limit  int           // capacity in events; the last chunk may be short
+	cur    []spanRec   // chunk being filled; nil before the first Record
+	pos    int         // next free slot in cur
+	n      uint64      // total events ever recorded
+	chunks [][]spanRec // chunks born so far, in ring order
+	ci     int         // index of cur in chunks (-1 before the first Record)
+	limit  int         // capacity in events; the last chunk may be short
+	spill  []SpanEvent // the retained spilled events, oldest first
+	lent   SpanEvent   // the decoded copy Each lends its callback
 }
 
 // NewTracer builds a tracer holding up to capacity events
@@ -237,13 +271,34 @@ func (t *Tracer) record(ev SpanEvent) {
 	if t.pos >= len(t.cur) {
 		t.advance()
 	}
+	r := &t.cur[t.pos]
+	if r.w&recSpilled != 0 {
+		// The oldest retained event is overwritten, and it spilled.
+		t.spill = t.spill[1:]
+	}
 	// Field by field: the compiler keeps a six-field struct argument in
 	// memory, and a whole-struct copy reads it back with wide loads that
-	// cannot forward from the narrow stores that spilled it.
-	e := &t.cur[t.pos]
-	e.At, e.UID, e.Node, e.Stage, e.A, e.B = ev.At, ev.UID, ev.Node, ev.Stage, ev.A, ev.B
+	// cannot forward from the narrow stores that put it there.  hi is
+	// zero or all ones when the event fits, so hi<<63 is recHighB or 0.
+	hi := ev.B >> 32
+	if uint64(ev.At) <= recAtMask && ev.Stage < 64 && (hi == 0 || hi == 0xffffffff) {
+		r.w = uint64(ev.At) | uint64(ev.Stage)<<56 | hi<<63
+		r.uid, r.a, r.b, r.node = ev.UID, ev.A, uint32(ev.B), ev.Node
+	} else {
+		t.spillEvent(r, ev)
+	}
 	t.pos++
 	t.n++
+}
+
+// spillEvent keeps an event that does not fit a record whole on the
+// spill list, and marks its record.  It is out of line, like advance,
+// so the escape gate finds no allocation in record.
+//
+//go:noinline
+func (t *Tracer) spillEvent(r *spanRec, ev SpanEvent) {
+	*r = spanRec{w: recSpilled}
+	t.spill = append(t.spill, ev)
 }
 
 // advance moves recording to the start of the next chunk, wrapping to
@@ -259,7 +314,7 @@ func (t *Tracer) advance() {
 		next = 0
 	}
 	if next == len(t.chunks) {
-		t.chunks = append(t.chunks, make([]SpanEvent, min(chunkEvents, t.limit-next*chunkEvents)))
+		t.chunks = append(t.chunks, make([]spanRec, min(chunkEvents, t.limit-next*chunkEvents)))
 	}
 	t.ci, t.cur, t.pos = next, t.chunks[next], 0
 }
@@ -289,15 +344,22 @@ func (t *Tracer) Dropped() uint64 {
 	return t.n - uint64(t.Len())
 }
 
-// Each calls fn on every retained event in place, oldest first.  The
-// pointer is valid only during the call.
+// Each calls fn on every retained event, oldest first.  fn gets a
+// pointer to a decoded copy that the next event overwrites: fn must not
+// keep the pointer or write through it, nor call Each itself.
 func (t *Tracer) Each(fn func(*SpanEvent)) {
 	if t == nil || t.n == 0 {
 		return
 	}
-	each := func(evs []SpanEvent) {
-		for i := range evs {
-			fn(&evs[i])
+	spill := t.spill
+	each := func(recs []spanRec) {
+		for i := range recs {
+			if r := &recs[i]; r.w&recSpilled != 0 {
+				t.lent, spill = spill[0], spill[1:]
+			} else {
+				r.decode(&t.lent)
+			}
+			fn(&t.lent)
 		}
 	}
 	if t.Dropped() > 0 {

@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -107,8 +110,77 @@ func TestTracerMatchesModel(t *testing.T) {
 	}
 }
 
+// TestSpanRecordRoundTrip records the values the 32-byte record packs
+// at its edges — every stage, At at zero, at the top of its 56 bits and
+// past them, A and Node at their maxima, and B as a negative port cast
+// to uint64, a 5 s delay in ns, 2^32 and MaxUint64 — across a chunk
+// boundary and on past wrap-around, and holds every reader to the plain
+// SpanEvent reference: Each, Events, Journey, WriteJSONL, Len, Total
+// and Dropped.  The values that fit no slot take the spill list, so the
+// overwrites that pop it are checked too.
+func TestSpanRecordRoundTrip(t *testing.T) {
+	ats := []int64{0, 1, 1<<56 - 1, 1 << 56, -1, math.MaxInt64}
+	as := []uint64{0, 7, math.MaxUint64}
+	nodes := []uint32{0, 3, math.MaxUint32}
+	bs := []uint64{0, 1500, math.MaxUint64 - 2, 5_000_000_000, 1 << 32, math.MaxUint64,
+		1<<32 - 1, 0xffffffff_00000000}
+	stages := []Stage{64, 255}
+	for s := range stageNames {
+		stages = append(stages, Stage(s))
+	}
+	event := func(i int) SpanEvent {
+		return SpanEvent{At: ats[i%len(ats)], UID: uint64(i % 3), Node: nodes[i/2%len(nodes)],
+			Stage: stages[i%len(stages)], A: as[i/3%len(as)], B: bs[i/5%len(bs)]}
+	}
+	jsonl := func(evs []SpanEvent) string {
+		var b strings.Builder
+		enc := json.NewEncoder(&b)
+		for _, ev := range evs {
+			if err := enc.Encode(spanJSON{At: ev.At, UID: ev.UID, Node: ev.Node,
+				Stage: ev.Stage.String(), A: ev.A, B: ev.B}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.String()
+	}
+
+	limit := chunkEvents + 7
+	tr, m := NewTracer(limit), &modelTracer{limit: limit}
+	for i, stop := range []int{5, chunkEvents + 3, limit, limit + 1, 2*limit + chunkEvents/2, 4*limit + 11} {
+		for n := len(m.all); n < stop; n++ {
+			ev := event(n)
+			tr.Record(ev)
+			m.all = append(m.all, ev)
+		}
+		where := fmt.Sprintf("after %d events", stop)
+		checkAgainst(t, tr, m, where)
+		var got strings.Builder
+		if err := tr.WriteJSONL(&got); err != nil {
+			t.Fatal(err)
+		}
+		if want := jsonl(m.retained()); got.String() != want {
+			t.Fatalf("%s: WriteJSONL differs from the reference", where)
+		}
+		if i == 0 && len(tr.spill) == 0 {
+			t.Fatal("no event took the spill list")
+		}
+	}
+	spilled := 0
+	for _, ev := range m.retained() {
+		if uint64(ev.At) > recAtMask || ev.Stage >= 64 || (ev.B>>32 != 0 && ev.B>>32 != 0xffffffff) {
+			spilled++
+		}
+	}
+	if len(tr.spill) != spilled {
+		t.Fatalf("spill list holds %d events, %d retained events spilled", len(tr.spill), spilled)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { tr.Each(func(*SpanEvent) {}) }); allocs != 0 {
+		t.Fatalf("Each allocates %.1f times per call", allocs)
+	}
+}
+
 // TestTracerHoldsMemoryForEventsRecorded bounds what a large, nearly
-// empty tracer retains: one chunk, not the 42 MB its capacity names.
+// empty tracer retains: one chunk, not the 33 MB its capacity names.
 func TestTracerHoldsMemoryForEventsRecorded(t *testing.T) {
 	live := func() uint64 {
 		runtime.GC()
@@ -125,7 +197,7 @@ func TestTracerHoldsMemoryForEventsRecorded(t *testing.T) {
 	if len(tr.chunks) != 1 || len(tr.chunks[0]) != chunkEvents {
 		t.Fatalf("100 events hold %d chunks, want one of %d events", len(tr.chunks), chunkEvents)
 	}
-	if limit := int64(2 * chunkEvents * 40); held > limit {
+	if limit := int64(2 * chunkEvents * 32); held > limit {
 		t.Fatalf("tracer with 100 events holds %d bytes of heap, want <= %d", held, limit)
 	}
 	if tr.Len() != 100 || tr.Dropped() != 0 {

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -148,7 +149,10 @@ func TestTelemetryDisabledNoExtraAllocs(t *testing.T) {
 // and histogram updates add none — and a delivered TPP packet on an
 // n-switch line records exactly 6n + 2(n+1) span events: parser,
 // lookup, TCPU, memory manager, enqueue and scheduler at each switch,
-// serialization and delivery on each of the n+1 links.
+// serialization and delivery on each of the n+1 links.  The log holds
+// those events in at most 32 bytes each: replayed into a fresh log, a
+// 5-hop line's events grow the heap by no more than that per event, so
+// the stored record cannot silently grow back to a SpanEvent's 40.
 func TestTelemetryEnabledPriceAsCounts(t *testing.T) {
 	type line struct {
 		sim      *netsim.Sim
@@ -183,6 +187,7 @@ func TestTelemetryEnabledPriceAsCounts(t *testing.T) {
 		t.Fatalf("delivered %d packets with telemetry off, %d with it on", off.dst.Received, on.dst.Received)
 	}
 
+	var recorded []obs.SpanEvent
 	for _, hops := range []int{1, 2, 5} {
 		tr := obs.NewTracer(1 << 12)
 		l := build(hops, asic.Config{Trace: tr})
@@ -198,5 +203,26 @@ func TestTelemetryEnabledPriceAsCounts(t *testing.T) {
 		if got := tr.Total() - before; got != want {
 			t.Fatalf("%d hops: %d spans for %d packets, want %d (6n + 2(n+1) each)", hops, got, packets, want)
 		}
+		if hops == 5 {
+			recorded = tr.Events()
+		}
 	}
+
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const events = 1 << 14
+	fresh := obs.NewTracer(1 << 20)
+	fresh.Record(recorded[0])
+	before := live()
+	for i := 1; i <= events; i++ {
+		fresh.Record(recorded[i%len(recorded)])
+	}
+	if perEvent := (int64(live()) - int64(before)) / events; perEvent > 32 {
+		t.Fatalf("the span log holds %d bytes per event, want <= 32", perEvent)
+	}
+	runtime.KeepAlive(fresh)
 }
