@@ -15,13 +15,13 @@ func runBlackhole(out *output) error {
 	res := ndb.RunBlackhole(cfg)
 
 	out.printf("ndb blackhole localization on a %dx%d leaf-spine\n\n",
-		cfg.Leaves, cfg.Spines)
+		ndb.BlackholeLeaves, ndb.BlackholeSpines)
 	out.printf("injected fault: %s down from %v to %v\n\n",
 		ndb.LinkID{Leaf: cfg.FailLeaf, Spine: cfg.FailSpine},
-		cfg.FailAt, cfg.RecoverAt)
+		ndb.FailAt, ndb.RecoverAt)
 
 	tbl := trace.NewTable("round", "walks answered")
-	walks := cfg.Spines * (cfg.Leaves - 1) * cfg.Spines
+	walks := ndb.BlackholeSpines * (ndb.BlackholeLeaves - 1) * ndb.BlackholeSpines
 	tbl.Row("healthy baseline", res.BaselinePaths)
 	// Every dead walk is reaped exactly once, so the fault round
 	// answered walks - timeouts.

@@ -17,9 +17,9 @@ func runRTTHist(out *output) error {
 	res := inband.RunHist(cfg)
 
 	out.printf("in-band RTT histogram on a 2-leaf/1-spine fabric (%v, seed %d)\n",
-		cfg.Duration, cfg.Seed)
+		inband.HistDuration, cfg.Seed)
 	out.printf("faults: spine reboot at %v (boot %v), bursty loss %v-%v\n\n",
-		cfg.RebootAt, cfg.BootDelay, cfg.LossFrom, cfg.LossTo)
+		cfg.RebootAt, inband.HistBootDelay, cfg.LossFrom, cfg.LossTo)
 
 	tbl := trace.NewTable("metric", "value")
 	tbl.Row("RTT samples observed", res.Samples)

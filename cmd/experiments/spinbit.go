@@ -14,11 +14,11 @@ import (
 // flip-interval measurements — with zero end-host instrumentation on
 // the measured path.
 func runSpinBit(out *output) error {
-	cfg := inband.DefaultSpin(1)
-	res := inband.RunSpin(cfg)
+	const seed = 1
+	res := inband.RunSpin(seed)
 
 	out.printf("passive spin-bit RTT observer on a 3-switch line (%v, seed %d, %d flips)\n\n",
-		cfg.Duration, cfg.Seed, cfg.MaxFlips)
+		inband.SpinDuration, seed, inband.SpinMaxFlips)
 
 	tbl := trace.NewTable("metric", "value")
 	tbl.Row("client spin flips (ground truth)", res.Flips)

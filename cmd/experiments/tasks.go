@@ -22,11 +22,11 @@ func runMicroburst(out *output) error {
 	res := microburst.Run(cfg)
 
 	out.printf("§2.1 micro-burst detection: 8-to-1 incast, %d bursts of %d bytes every %v\n\n",
-		res.BurstsGenerated, res.Config.BurstBytes*res.Config.Senders, res.Config.Period)
+		res.BurstsGenerated, microburst.BurstBytes*microburst.Senders, microburst.Period)
 	tbl := trace.NewTable("monitor", "samples", "bursts detected", "detection rate", "peak queue (B)")
 	tbl.Row("TPP per-packet telemetry", res.TelemetrySamples,
 		len(res.Episodes), sprintf("%.0f%%", 100*res.DetectionRateTPP()), res.TelemetryPeak)
-	tbl.Row(sprintf("polling every %v", res.Config.PollEvery), res.PollerPolls,
+	tbl.Row(sprintf("polling every %v", microburst.PollEvery), res.PollerPolls,
 		res.PollerDetections, sprintf("%.0f%%", 100*res.DetectionRatePoller()), res.PollerPeak)
 	out.printf("%s\nmean detected burst duration: %.0fus (invisible at 1s polling)\n\n",
 		tbl.String(), res.MeanEpisodeUs)
@@ -54,9 +54,7 @@ func runMicroburst(out *output) error {
 // against controller intent and catch an injected stale rule, at zero
 // extra packets versus the copy-based baseline.
 func runNdb(out *output) error {
-	cfg := ndb.DefaultConfig()
-	cfg.Metrics, cfg.Trace = out.metrics, out.tracer
-	res := ndb.Run(cfg)
+	res := ndb.Run(ndb.Config{Metrics: out.metrics, Trace: out.tracer})
 
 	out.printf("§2.3 forwarding-plane debugger on a 2x2 leaf-spine\n\n")
 	tbl := trace.NewTable("phase", "traces", "violations")
@@ -97,7 +95,7 @@ func runWireless(out *output) error {
 	n.LinkHost(h1, sw, topo.Mbps(100, 0))
 	p2 := n.LinkHost(h2, sw, topo.Mbps(100, 0))
 	n.PrimeL2(netsim.Millisecond)
-	ap := wireless.NewAP(sim, sw, p2, wireless.DefaultAPConfig())
+	ap := wireless.NewAP(sim, sw, p2)
 
 	var perPacketErr, polledErr, count float64
 	polled := ap.SNRdB()

@@ -123,6 +123,9 @@ func run(topoName string, switches int, load bool, src string, w, metricsW, trac
 	var from, to *endhost.Host
 	switch topoName {
 	case "line":
+		if switches < 1 {
+			return fmt.Errorf("-switches %d: a line needs at least one switch", switches)
+		}
 		n, from, to, _ = topo.Line(sim, switches, edge, backbone, swCfg, tracer)
 	case "dumbbell":
 		d := topo.Dumbbell(sim, 2, edge, backbone, swCfg, tracer)

@@ -57,6 +57,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run("line", 3, false, "NOT A PROGRAM", &b, nil, nil); err == nil {
 		t.Error("bad program accepted")
 	}
+	for _, n := range []int{0, -1} {
+		if err := run("line", n, false, probe, &b, nil, nil); err == nil {
+			t.Errorf("line of %d switches accepted", n)
+		}
+	}
 }
 
 // TestRunTelemetry is the acceptance scenario: a probe through a

@@ -21,7 +21,7 @@ func main() {
 	res := microburst.Run(cfg)
 
 	fmt.Printf("workload: %d senders x %d bytes, %d bursts, one every %v\n\n",
-		cfg.Senders, cfg.BurstBytes, cfg.Bursts, cfg.Period)
+		microburst.Senders, microburst.BurstBytes, cfg.Bursts, microburst.Period)
 
 	fmt.Printf("TPP telemetry:  %d samples, %d/%d bursts detected (peak queue %d bytes)\n",
 		res.TelemetrySamples, len(res.Episodes), res.BurstsGenerated, res.TelemetryPeak)

@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	res := ndb.Run(ndb.DefaultConfig())
+	res := ndb.Run(ndb.Config{})
 
 	fmt.Println("phase 1: conforming 2x2 leaf-spine fabric")
 	fmt.Printf("  %d packet journeys verified, %d violations\n\n",

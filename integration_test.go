@@ -84,7 +84,6 @@ func TestMultipleTasksCoexist(t *testing.T) {
 	}
 
 	// Task 1: RCP* congestion control.
-	params := rcp.DefaultParams()
 	recvBytes := make([]uint64, 2)
 	for i := 0; i < 2; i++ {
 		i := i
@@ -93,7 +92,7 @@ func TestMultipleTasksCoexist(t *testing.T) {
 		})
 		ctl := rcp.NewStarController(sim, rcpSenders[i],
 			endhost.NewProber(rcpSenders[i]),
-			rcpReceivers[i].MAC, rcpReceivers[i].IP, params)
+			rcpReceivers[i].MAC, rcpReceivers[i].IP)
 		ctl.Start()
 	}
 

@@ -32,32 +32,23 @@ const (
 // SegmentSize is the payload bytes per datagram (1000-byte frames).
 const SegmentSize = rcp.PacketSize
 
-// Params tunes the control loop.
-type Params struct {
-	// FeedbackEvery is the receiver's feedback period (an RTT-scale
-	// clock, like TCP's ACK feedback).
-	FeedbackEvery netsim.Time
-	// Decrease is the multiplicative back-off factor on loss.
-	Decrease float64
-	// MinRate floors the sending rate, bytes/sec.
-	MinRate float64
-}
-
-// DefaultParams mirrors TCP Reno-style behaviour at the Figure 2
+// The control loop mirrors TCP Reno-style behaviour at the Figure 2
 // timescales.
-func DefaultParams() Params {
-	return Params{
-		FeedbackEvery: 50 * netsim.Millisecond,
-		Decrease:      0.5,
-		MinRate:       SegmentSize, // one segment/sec
-	}
-}
+const (
+	// feedbackEvery is the receiver's feedback period (an RTT-scale
+	// clock, like TCP's ACK feedback).
+	feedbackEvery = 50 * netsim.Millisecond
+	// decrease is the multiplicative back-off factor on loss.
+	decrease = 0.5
+	// minRate floors the sending rate at one segment/sec, in
+	// bytes/sec.
+	minRate = SegmentSize
+)
 
 // Sender is one AIMD flow: the AIMD rule retuning a paced flow whose
 // datagrams open with a sequence number.
 type Sender struct {
 	*rcp.PacedFlow
-	params Params
 
 	// Telemetry.
 	Backoffs   uint64
@@ -66,8 +57,8 @@ type Sender struct {
 
 // NewSender builds a sender; feedback from the receiver arrives on
 // FeedbackPort and retunes the rate.
-func NewSender(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dstIP uint32, params Params, initialRate float64) *Sender {
-	s := &Sender{params: params}
+func NewSender(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dstIP uint32, initialRate float64) *Sender {
+	s := &Sender{}
 	s.PacedFlow = rcp.NewPacedFlow(sim, host, dstMAC, dstIP, DataPort,
 		func() uint32 { return uint32(s.Sent) + 1 })
 	s.SetRate(initialRate)
@@ -83,16 +74,16 @@ func (s *Sender) onFeedback(pkt *core.Packet) {
 	}
 	rate := s.Rate()
 	if lost := binary.BigEndian.Uint32(pkt.Payload[4:8]); lost > 0 {
-		rate *= s.params.Decrease
+		rate *= decrease
 		s.Backoffs++
 	} else {
 		// Additive increase: one segment per feedback interval, the
 		// rate-based analogue of TCP's one-MSS-per-RTT window growth.
-		rate += SegmentSize / s.params.FeedbackEvery.Seconds()
+		rate += SegmentSize / feedbackEvery.Seconds()
 		s.Increments++
 	}
-	if rate < s.params.MinRate {
-		rate = s.params.MinRate
+	if rate < minRate {
+		rate = minRate
 	}
 	s.SetRate(rate)
 }
@@ -113,9 +104,9 @@ type Receiver struct {
 
 // NewReceiver builds the receiver side on host; whoever owns the host's
 // DataPort handler feeds it each datagram through onData.
-func NewReceiver(sim *netsim.Sim, host *endhost.Host, params Params) *Receiver {
+func NewReceiver(sim *netsim.Sim, host *endhost.Host) *Receiver {
 	r := &Receiver{host: host, sim: sim}
-	sim.Every(sim.Now()+params.FeedbackEvery, params.FeedbackEvery, r.feedback)
+	sim.Every(sim.Now()+feedbackEvery, feedbackEvery, r.feedback)
 	return r
 }
 
@@ -157,11 +148,10 @@ type scheme struct{}
 func (scheme) Install(*rcp.Harness) {}
 
 func (scheme) Attach(h *rcp.Harness, pair int) rcp.Flow {
-	params := DefaultParams()
 	snd, rcv := h.Senders[pair], h.Receivers[pair]
-	r := NewReceiver(h.Sim, rcv, params)
-	s := NewSender(h.Sim, snd, rcv.MAC, rcv.IP, params,
-		float64(SegmentSize)/params.FeedbackEvery.Seconds())
+	r := NewReceiver(h.Sim, rcv)
+	s := NewSender(h.Sim, snd, rcv.MAC, rcv.IP,
+		float64(SegmentSize)/feedbackEvery.Seconds())
 	return rcp.Flow{Port: DataPort, Receive: r.onData, Start: s.Start, Stop: s.Stop}
 }
 

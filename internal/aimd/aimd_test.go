@@ -20,14 +20,13 @@ func TestSingleFlowFindsCapacity(t *testing.T) {
 	n.LinkHost(h2, sw, topo.Mbps(10, netsim.Millisecond))
 	n.PrimeL2(10 * netsim.Millisecond)
 
-	params := DefaultParams()
-	rcv := NewReceiver(sim, h2, params)
+	rcv := NewReceiver(sim, h2)
 	var rcvd uint64
 	h2.Handle(DataPort, func(p *core.Packet) {
 		rcvd += uint64(p.PayloadLen())
 		rcv.onData(p)
 	})
-	snd := NewSender(sim, h1, h2.MAC, h2.IP, params, 20_000)
+	snd := NewSender(sim, h1, h2.MAC, h2.IP, 20_000)
 	snd.Start()
 	sim.RunUntil(sim.Now() + 30*netsim.Second)
 
@@ -54,9 +53,8 @@ func TestLossDetectionTriggersDecrease(t *testing.T) {
 	n.LinkHost(h2, sw, topo.Mbps(1, 0)) // tiny queue, slow drain: drops
 	n.PrimeL2(10 * netsim.Millisecond)
 
-	params := DefaultParams()
-	h2.Handle(DataPort, NewReceiver(sim, h2, params).onData)
-	snd := NewSender(sim, h1, h2.MAC, h2.IP, params, 1_000_000) // way over capacity
+	h2.Handle(DataPort, NewReceiver(sim, h2).onData)
+	snd := NewSender(sim, h1, h2.MAC, h2.IP, 1_000_000) // way over capacity
 	before := snd.Rate()
 	snd.Start()
 	sim.RunUntil(sim.Now() + 2*netsim.Second)
@@ -77,7 +75,7 @@ func TestStopHaltsSender(t *testing.T) {
 	n.LinkHost(h2, sw, topo.Mbps(100, 0))
 	n.PrimeL2(10 * netsim.Millisecond)
 
-	snd := NewSender(sim, h1, h2.MAC, h2.IP, DefaultParams(), 100_000)
+	snd := NewSender(sim, h1, h2.MAC, h2.IP, 100_000)
 	snd.Start()
 	sim.RunUntil(sim.Now() + netsim.Second)
 	snd.Stop()

@@ -6,23 +6,17 @@ import (
 )
 
 // CompareConfig parameterizes the AIMD-vs-RCP* comparison: the Figure 2
-// dumbbell, identical for every scheme.
+// dumbbell at seed 1, identical for every scheme.
 type CompareConfig struct {
-	Duration       netsim.Time
-	FlowStarts     []netsim.Time
-	BottleneckMbps float64
-	EdgeMbps       float64
-	Seed           int64
+	Duration   netsim.Time
+	FlowStarts []netsim.Time
 }
 
 // DefaultCompareConfig mirrors the Figure 2 setup.
 func DefaultCompareConfig() CompareConfig {
 	return CompareConfig{
-		Duration:       30 * netsim.Second,
-		FlowStarts:     []netsim.Time{0, 10 * netsim.Second, 20 * netsim.Second},
-		BottleneckMbps: 10,
-		EdgeMbps:       100,
-		Seed:           1,
+		Duration:   30 * netsim.Second,
+		FlowStarts: []netsim.Time{0, 10 * netsim.Second, 20 * netsim.Second},
 	}
 }
 
@@ -48,8 +42,7 @@ type CompareResult struct {
 // before the end.
 func RunComparison(scheme rcp.Variant, cfg CompareConfig) CompareResult {
 	flows := len(cfg.FlowStarts)
-	h := rcp.NewHarness(flows, cfg.BottleneckMbps, cfg.EdgeMbps,
-		rcp.DefaultParams(), cfg.Seed, nil)
+	h := rcp.NewHarness(flows, 1, nil)
 	start := h.Launch(SchemeFor(scheme), rcp.Staggered(cfg.FlowStarts))
 
 	var qSum float64

@@ -38,8 +38,7 @@ import (
 	"repro/internal/topo"
 )
 
-// Config parameterizes the soak.  Zero values select the canonical
-// scenario via Default.
+// Config parameterizes the soak; Default is the canonical scenario.
 type Config struct {
 	Seed     int64
 	Duration netsim.Time
@@ -132,9 +131,6 @@ type Result struct {
 
 // Run executes the scenario.
 func Run(cfg Config) Result {
-	if cfg.Duration <= 0 {
-		cfg = Default(cfg.Seed)
-	}
 	sim := netsim.New(cfg.Seed)
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(1 << 19)
@@ -185,10 +181,9 @@ func Run(cfg Config) Result {
 
 	// Workload 1: one RCP* flow hosts[0][0] -> hosts[1][0], bottlenecked
 	// on the fabric and riding spine 0 — squarely in the crash zone.
-	params := rcp.DefaultParams()
 	ctlProber := endhost.NewProber(hosts[0][0])
 	ctl := rcp.NewStarController(sim, hosts[0][0], ctlProber,
-		hosts[1][0].MAC, hosts[1][0].IP, params)
+		hosts[1][0].MAC, hosts[1][0].IP)
 
 	// Workload 2: a shared accounting tally in spine 0's SRAM, written
 	// from leaf 0 and polled from leaf 1 straight through the crashes.
@@ -250,7 +245,7 @@ func Run(cfg Config) Result {
 				})
 				for i, at := range cfg.RebootAt {
 					i := i
-					sim.At(at+30*params.T, func() { res.RateAfterReboot[i] = ctl.LastRate })
+					sim.At(at+30*rcp.ControlPeriod, func() { res.RateAfterReboot[i] = ctl.LastRate })
 				}
 				return nil
 			},

@@ -25,8 +25,8 @@ const (
 	rogueTenant   = guard.TenantID(9) // the hostile flood
 )
 
-// HostileConfig parameterizes the hostile-tenant soak.  Zero values
-// select the canonical scenario via DefaultHostile.
+// HostileConfig parameterizes the hostile-tenant soak; DefaultHostile
+// is the canonical scenario.
 type HostileConfig struct {
 	Seed     int64
 	Duration netsim.Time
@@ -127,9 +127,6 @@ func hostileTenants() []fabric.Tenant {
 
 // RunHostile executes the hostile-tenant scenario.
 func RunHostile(cfg HostileConfig) HostileResult {
-	if cfg.Duration <= 0 {
-		cfg = DefaultHostile(cfg.Seed)
-	}
 	sim := netsim.New(cfg.Seed)
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(1 << 19)
@@ -169,9 +166,8 @@ func RunHostile(cfg HostileConfig) HostileResult {
 
 	// Victim workload 1+2: two RCP* flows sharing the bottleneck, so
 	// each must converge to C/2.
-	params := rcp.DefaultParams()
-	ctl1 := rcp.NewStarController(sim, v1, endhost.NewProber(v1), d1.MAC, d1.IP, params)
-	ctl2 := rcp.NewStarController(sim, v2, endhost.NewProber(v2), d2.MAC, d2.IP, params)
+	ctl1 := rcp.NewStarController(sim, v1, endhost.NewProber(v1), d1.MAC, d1.IP)
+	ctl2 := rcp.NewStarController(sim, v2, endhost.NewProber(v2), d2.MAC, d2.IP)
 
 	// Victim workload 3: a shared tally in s1's SRAM (tenant-relative
 	// word 16 of the accounting tenant's partition).  Writer and

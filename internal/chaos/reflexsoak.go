@@ -17,8 +17,8 @@ import (
 // leaf-spine fabric whose primary uplink gray-flaps repeatedly (in
 // seeded directions and with seeded jitter) while the home leaf
 // crash-restarts mid-detour, racing the reflex arm's evidence and TCAM
-// writes against the reboot wipe.  Zero values select the canonical
-// scenario via DefaultReflexSoak.
+// writes against the reboot wipe.  DefaultReflexSoak is the canonical
+// scenario.
 type ReflexSoakConfig struct {
 	Seed     int64
 	Duration netsim.Time
@@ -118,9 +118,6 @@ func flapPlan(cfg ReflexSoakConfig) []faults.Event {
 
 // RunReflexSoak executes the reflex fast-reroute soak.
 func RunReflexSoak(cfg ReflexSoakConfig) ReflexSoakResult {
-	if cfg.Duration <= 0 {
-		cfg = DefaultReflexSoak(cfg.Seed)
-	}
 	sim := netsim.New(cfg.Seed)
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(1 << 16)

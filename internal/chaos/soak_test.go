@@ -2,9 +2,18 @@ package chaos
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 )
+
+// resultDigest is the FNV-64 hash of a result's %+v: a pin that any
+// moved field, counter or trajectory sample breaks.
+func resultDigest(v any) uint64 {
+	h := fnv.New64()
+	fmt.Fprintf(h, "%+v", v)
+	return h.Sum64()
+}
 
 // TestChaosSoak runs the composed reboot + bursty-loss + blackhole +
 // throttle scenario for three pinned seeds and asserts the robustness
@@ -12,6 +21,9 @@ import (
 // identical, word for word — the whole point of a seeded chaos plan is
 // exact replay.
 func TestChaosSoak(t *testing.T) {
+	// Each seed's whole result is pinned: a change that is not meant
+	// to move the soak must leave these digests as they are.
+	pinned := map[int64]uint64{1: 0x8e618fa669633eee, 7: 0x58d7291a750d7f74, 42: 0x16b2a9951c2c8ffa}
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -19,6 +31,9 @@ func TestChaosSoak(t *testing.T) {
 			res := Run(cfg)
 			if again := Run(cfg); !reflect.DeepEqual(res, again) {
 				t.Fatalf("non-deterministic soak:\nfirst  %+v\nsecond %+v", res, again)
+			}
+			if d := resultDigest(res); d != pinned[seed] {
+				t.Errorf("result digest %#x, pinned %#x:\n%+v", d, pinned[seed], res)
 			}
 			checkSoak(t, cfg, res)
 		})

@@ -19,24 +19,16 @@ import (
 
 // Config parameterizes one FCT measurement.
 type Config struct {
-	Scheme         rcp.Variant
-	FlowBytes      uint64 // size of the measured flow
-	Background     int    // long-running flows already on the link
-	BottleneckMbps float64
-	EdgeMbps       float64
-	Seed           int64
+	Scheme    rcp.Variant
+	FlowBytes uint64 // size of the measured flow
 }
 
-// DefaultConfig measures a 50 KB flow against two background flows.
+// background is the number of long-running flows already on the link.
+const background = 2
+
+// DefaultConfig measures a 50 KB flow.
 func DefaultConfig(scheme rcp.Variant) Config {
-	return Config{
-		Scheme:         scheme,
-		FlowBytes:      50_000,
-		Background:     2,
-		BottleneckMbps: 10,
-		EdgeMbps:       100,
-		Seed:           1,
-	}
+	return Config{Scheme: scheme, FlowBytes: 50_000}
 }
 
 // Result is one measurement.
@@ -70,9 +62,8 @@ func (r Result) Slowdown() float64 {
 // pushing through losses; the extra packets stand in for
 // retransmissions) and the receiver-side completion stops it.
 func Run(cfg Config) Result {
-	pairs := cfg.Background + 1
-	h := rcp.NewHarness(pairs, cfg.BottleneckMbps, cfg.EdgeMbps,
-		rcp.DefaultParams(), cfg.Seed, nil)
+	const pairs = background + 1
+	h := rcp.NewHarness(pairs, 1, nil)
 
 	res := Result{Config: cfg}
 	res.Ideal = netsim.Time(float64(cfg.FlowBytes) / h.Capacity * float64(netsim.Second))

@@ -16,9 +16,6 @@ type CollectorConfig struct {
 	// transit it and echo back.
 	DstIP uint32
 	Spec  HistSpec
-	// InsLimit is the device instruction limit that sizes sweep chunks
-	// (tcpu.DefaultMaxInstructions when zero).
-	InsLimit int
 	// Metrics (optional) registers inband/<Name>/* counters; Tracer
 	// (optional) receives one StageSweep span per completed sweep.
 	Metrics *obs.Registry
@@ -68,15 +65,13 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	if cfg.Name == "" {
 		cfg.Name = "collector"
 	}
-	if cfg.InsLimit <= 0 {
-		cfg.InsLimit = tcpu.DefaultMaxInstructions
-	}
 	c := &Collector{
 		cfg:    cfg,
 		poller: endhost.NewRegionPoller(cfg.Spec.Buckets),
 		cum:    obs.NewHistogram(),
 	}
-	per := endhost.GatedChunkWords(cfg.InsLimit)
+	// The device instruction limit sizes sweep chunks.
+	per := endhost.GatedChunkWords(tcpu.DefaultMaxInstructions)
 	for off := 0; off < cfg.Spec.Buckets; off += per {
 		n := min(per, cfg.Spec.Buckets-off)
 		c.offsets = append(c.offsets, off)
@@ -117,7 +112,7 @@ func (c *Collector) Sweep() bool {
 		for j := range addrs {
 			addrs[j] = c.cfg.Spec.BucketAddr(off + j)
 		}
-		tpp, err := endhost.GatedChunkProgram(c.cfg.Spec.SwitchID, addrs, c.cfg.InsLimit)
+		tpp, err := endhost.GatedChunkProgram(c.cfg.Spec.SwitchID, addrs, tcpu.DefaultMaxInstructions)
 		if err != nil {
 			return false // impossible by construction
 		}

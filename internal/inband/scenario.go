@@ -23,50 +23,48 @@ import (
 // admissible before it enters the fabric.
 const histTenant guard.TenantID = 7
 
-// HistConfig parameterizes the RTT-histogram scenario.  Zero values
-// select the canonical run via DefaultHist.
+// HistConfig parameterizes the RTT-histogram scenario.
 type HistConfig struct {
-	Seed     int64
-	Duration netsim.Time
-
-	// RTT sampling: one probe every SampleEvery from SampleFrom until
-	// SampleUntil, leaving the tail of the run for the writer to drain
-	// and the collector to observe the settled window.
-	SampleFrom, SampleEvery, SampleUntil netsim.Time
-
-	// SweepEvery paces the collector (first sweep after one period).
-	SweepEvery netsim.Time
+	Seed int64
 
 	// RebootAt crash-restarts the histogram's home switch; zero
 	// disables the crash.
-	RebootAt, BootDelay netsim.Time
+	RebootAt netsim.Time
 
 	// Bursty loss window on the writer-side fabric link, exercising
 	// probe retransmission and CSTORE duplicate detection.
 	LossFrom, LossTo netsim.Time
-
-	// Probe bounds every probe attempt in the scenario.
-	Probe endhost.ProbeConfig
 }
 
-// DefaultHist is the canonical scenario: 2 simulated seconds over a
-// two-leaf, one-spine fabric; RTT sampled every 5ms for 1.2s with
-// bursty cross traffic varying queueing delay; a 200ms bursty-loss
-// window on the writer's fabric link; one spine crash-restart at 600ms.
+// The RTT-histogram scenario runs HistDuration over a two-leaf,
+// one-spine fabric; a crashed spine boots in HistBootDelay.
+const (
+	HistDuration  = 2 * netsim.Second
+	HistBootDelay = 10 * netsim.Millisecond
+
+	// RTT sampling: one probe every histSampleEvery from
+	// histSampleFrom until histSampleUntil, leaving the tail of the
+	// run for the writer to drain and the collector to observe the
+	// settled window.
+	histSampleFrom  = 20 * netsim.Millisecond
+	histSampleEvery = 5 * netsim.Millisecond
+	histSampleUntil = 1200 * netsim.Millisecond
+
+	// histSweepEvery paces the collector (first sweep after one
+	// period).
+	histSweepEvery = 100 * netsim.Millisecond
+)
+
+// DefaultHist is the canonical scenario: RTT sampled every 5ms for
+// 1.2s with bursty cross traffic varying queueing delay; a 200ms
+// bursty-loss window on the writer's fabric link; one spine
+// crash-restart at 600ms.
 func DefaultHist(seed int64) HistConfig {
 	return HistConfig{
-		Seed:        seed,
-		Duration:    2 * netsim.Second,
-		SampleFrom:  20 * netsim.Millisecond,
-		SampleEvery: 5 * netsim.Millisecond,
-		SampleUntil: 1200 * netsim.Millisecond,
-		SweepEvery:  100 * netsim.Millisecond,
-		RebootAt:    600 * netsim.Millisecond,
-		BootDelay:   10 * netsim.Millisecond,
-		LossFrom:    300 * netsim.Millisecond,
-		LossTo:      500 * netsim.Millisecond,
-		Probe: endhost.ProbeConfig{
-			Timeout: 25 * netsim.Millisecond, Retries: 3, Backoff: 2},
+		Seed:     seed,
+		RebootAt: 600 * netsim.Millisecond,
+		LossFrom: 300 * netsim.Millisecond,
+		LossTo:   500 * netsim.Millisecond,
 	}
 }
 
@@ -125,9 +123,6 @@ type HistResult struct {
 // sweeps the window, and one crash-restart in the middle proves the
 // accounting is exact across the wipe.
 func RunHist(cfg HistConfig) HistResult {
-	if cfg.Duration <= 0 {
-		cfg = DefaultHist(cfg.Seed)
-	}
 	sim := netsim.New(cfg.Seed)
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(1 << 19)
@@ -170,21 +165,23 @@ func RunHist(cfg HistConfig) HistResult {
 	seal(writerHost)
 	seal(collHost)
 
+	// Every probe attempt in the scenario is bounded the same way.
+	probe := endhost.ProbeConfig{Timeout: 25 * netsim.Millisecond, Retries: 3, Backoff: 2}
 	writerProber := endhost.NewProber(writerHost)
-	writerProber.SetDefaults(cfg.Probe)
+	writerProber.SetDefaults(probe)
 	writer := NewHistWriter(WriterConfig{
 		Prober: writerProber, DstMAC: targetHost.MAC, DstIP: targetHost.IP,
-		Spec: spec, Probe: cfg.Probe, Metrics: reg,
+		Spec: spec, Metrics: reg,
 	})
 
 	collProber := endhost.NewProber(collHost)
-	collProber.SetDefaults(cfg.Probe)
+	collProber.SetDefaults(probe)
 	coll := NewCollector(CollectorConfig{
 		Prober: collProber, DstMAC: targetHost.MAC, DstIP: targetHost.IP,
 		Spec: spec, Metrics: reg, Tracer: tracer,
 		Now: func() int64 { return int64(sim.Now()) },
 	})
-	sim.Every(cfg.SweepEvery, cfg.SweepEvery, func() { coll.Sweep() })
+	sim.Every(histSweepEvery, histSweepEvery, func() { coll.Sweep() })
 
 	// RTT sampling: a 1-instruction probe measures the round trip on
 	// the host clock; the sample goes to both the host-side truth
@@ -197,24 +194,23 @@ func RunHist(cfg HistConfig) HistResult {
 		tpp.SetWord(0, 0)
 		return tpp
 	}
-	sim.Every(cfg.SampleFrom, cfg.SampleEvery, func() {
-		if sim.Now() > cfg.SampleUntil {
+	sim.Every(histSampleFrom, histSampleEvery, func() {
+		if sim.Now() > histSampleUntil {
 			return
 		}
 		t0 := sim.Now()
-		writerProber.ProbeCfg(targetHost.MAC, targetHost.IP, measure(), cfg.Probe,
-			func(*core.TPP) {
-				rtt := uint64(sim.Now() - t0)
-				truth.Observe(rtt)
-				writer.Observe(rtt)
-			}, nil)
+		writerProber.Probe(targetHost.MAC, targetHost.IP, measure(), func(*core.TPP) {
+			rtt := uint64(sim.Now() - t0)
+			truth.Observe(rtt)
+			writer.Observe(rtt)
+		})
 	})
 
 	// Bursty cross traffic through the spine, so sampled RTTs spread
 	// across several power-of-two buckets.
 	tick := 0
 	sim.Every(20*netsim.Millisecond, 10*netsim.Millisecond, func() {
-		if sim.Now() > cfg.SampleUntil {
+		if sim.Now() > histSampleUntil {
 			return
 		}
 		tick++
@@ -236,7 +232,7 @@ func RunHist(cfg HistConfig) HistResult {
 	}
 	if cfg.RebootAt > 0 {
 		events = append(events, faults.Event{At: cfg.RebootAt, Kind: faults.SwitchReboot,
-			Target: "spine0", BootDelay: cfg.BootDelay})
+			Target: "spine0", BootDelay: HistBootDelay})
 	}
 	if len(events) > 0 {
 		if err := inj.Schedule(faults.Plan{Seed: cfg.Seed, Events: events}); err != nil {
@@ -259,7 +255,7 @@ func RunHist(cfg HistConfig) HistResult {
 		sim.RunUntil(cfg.RebootAt - 1)
 		readWindow(&res.CapturedAtWipe)
 	}
-	sim.RunUntil(cfg.Duration)
+	sim.RunUntil(HistDuration)
 
 	// Harvest.
 	readWindow(&res.FinalSRAM)
@@ -318,30 +314,15 @@ func RunHist(cfg HistConfig) HistResult {
 	return res
 }
 
-// SpinConfig parameterizes the spin-bit scenario.
-type SpinConfig struct {
-	Seed     int64
-	Duration netsim.Time
-	// MaxFlips bounds the ping-pong exchange.
-	MaxFlips int
-	// SweepFrom starts the collector sweeps; DefaultSpin places it
-	// after the flow quiesces so sweep probes never queue behind flow
-	// packets and perturb the intervals being measured.
-	SweepFrom, SweepEvery netsim.Time
-}
-
-// DefaultSpin is the canonical run: 400 flips over a 3-switch line
-// with deterministic server think-time variation, swept after the flow
-// completes.
-func DefaultSpin(seed int64) SpinConfig {
-	return SpinConfig{
-		Seed:       seed,
-		Duration:   2 * netsim.Second,
-		MaxFlips:   400,
-		SweepFrom:  1500 * netsim.Millisecond,
-		SweepEvery: 50 * netsim.Millisecond,
-	}
-}
+// The spin-bit scenario runs SpinDuration, and sweeps the observer's
+// window every 50ms from 1.5s on: after the flow quiesces, so sweep
+// probes never queue behind flow packets and perturb the intervals
+// being measured.
+const (
+	SpinDuration   = 2 * netsim.Second
+	spinSweepFrom  = 1500 * netsim.Millisecond
+	spinSweepEvery = 50 * netsim.Millisecond
+)
 
 // SpinResult is the spin scenario's observable outcome.
 type SpinResult struct {
@@ -373,11 +354,8 @@ type SpinResult struct {
 // constant per-hop delay (no loss, no competing traffic, equal-size
 // packets) the observer's intervals equal the client's exactly, so the
 // dataplane histogram matches ground truth bucket-for-bucket.
-func RunSpin(cfg SpinConfig) SpinResult {
-	if cfg.Duration <= 0 {
-		cfg = DefaultSpin(cfg.Seed)
-	}
-	sim := netsim.New(cfg.Seed)
+func RunSpin(seed int64) SpinResult {
+	sim := netsim.New(seed)
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(1 << 19)
 
@@ -416,16 +394,7 @@ func RunSpin(cfg SpinConfig) SpinResult {
 
 	n.PrimeL2(5 * netsim.Millisecond)
 
-	flow := NewSpinFlow(SpinFlowConfig{
-		Client: client, Server: server,
-		// Deterministic think-time variation spreads intervals across
-		// buckets: 100µs + {0..28}*37µs.
-		ReplyDelay: func(i int) netsim.Time {
-			return 100*netsim.Microsecond + netsim.Time((i*37)%29)*37*netsim.Microsecond
-		},
-		MaxFlips:   cfg.MaxFlips,
-		PayloadLen: 200,
-	})
+	flow := NewSpinFlow(SpinFlowConfig{Client: client, Server: server})
 	flow.Start()
 
 	collProber := endhost.NewProber(client)
@@ -437,9 +406,9 @@ func RunSpin(cfg SpinConfig) SpinResult {
 		Metrics: reg, Tracer: tracer, Name: "spincollector",
 		Now: func() int64 { return int64(sim.Now()) },
 	})
-	sim.Every(cfg.SweepFrom, cfg.SweepEvery, func() { coll.Sweep() })
+	sim.Every(spinSweepFrom, spinSweepEvery, func() { coll.Sweep() })
 
-	sim.RunUntil(cfg.Duration)
+	sim.RunUntil(SpinDuration)
 
 	var res SpinResult
 	res.Flips = flow.Flips

@@ -1,9 +1,19 @@
 package inband
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 )
+
+// resultDigest is the FNV-64 hash of a result's %+v: a pin that any
+// moved field, counter or bucket breaks.
+func resultDigest(v any) uint64 {
+	h := fnv.New64()
+	fmt.Fprintf(h, "%+v", v)
+	return h.Sum64()
+}
 
 // TestHistScenario is the tentpole reconciliation: the dataplane-
 // collected RTT histogram matches host-side ground truth bucket for
@@ -11,11 +21,17 @@ import (
 // counter, metric and span — including across a crash-restart that
 // wipes the window — and the whole run is deterministic per seed.
 func TestHistScenario(t *testing.T) {
+	// Each seed's whole result is pinned: a change that is not meant
+	// to move the scenario must leave these digests as they are.
+	pinned := map[int64]uint64{1: 0x85569d7ff2c11a43, 42: 0x7a8c58bc9e52c8fe}
 	for _, seed := range []int64{1, 42} {
 		a := RunHist(DefaultHist(seed))
 		b := RunHist(DefaultHist(seed))
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: two runs diverged:\n%+v\nvs\n%+v", seed, a, b)
+		}
+		if d := resultDigest(a); d != pinned[seed] {
+			t.Errorf("seed %d: result digest %#x, pinned %#x:\n%+v", seed, d, pinned[seed], a)
 		}
 
 		if a.Samples == 0 || a.TruthTotal != a.Samples {
@@ -147,11 +163,16 @@ func TestHistScenarioNoFaults(t *testing.T) {
 // client's own flip-interval measurements exactly, reconciled across
 // SRAM, collector sweeps, switch counters, metrics and spans.
 func TestSpinScenario(t *testing.T) {
+	// The flow draws nothing at random, so both seeds pin one digest.
+	pinned := map[int64]uint64{1: 0x7ba37b23356169b1, 42: 0x7ba37b23356169b1}
 	for _, seed := range []int64{1, 42} {
-		a := RunSpin(DefaultSpin(seed))
-		b := RunSpin(DefaultSpin(seed))
+		a := RunSpin(seed)
+		b := RunSpin(seed)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: two runs diverged:\n%+v\nvs\n%+v", seed, a, b)
+		}
+		if d := resultDigest(a); d != pinned[seed] {
+			t.Errorf("seed %d: result digest %#x, pinned %#x:\n%+v", seed, d, pinned[seed], a)
 		}
 
 		if a.Flips == 0 || a.TruthTotal != a.Flips {

@@ -14,19 +14,26 @@ const (
 	SpinReplyPort = 7091
 )
 
+const (
+	// SpinMaxFlips bounds the exchange; the flow stops after that many
+	// spin transitions.
+	SpinMaxFlips = 400
+	// spinPayloadLen pads every data and reply packet to the same
+	// size, so serialization delay is constant and intervals compare
+	// exactly.
+	spinPayloadLen = 200
+)
+
+// spinReplyDelay is the server's think time before reflecting packet
+// i: deterministic variation, 100µs + {0..28}*37µs, spreads the flow's
+// RTT across histogram buckets.
+func spinReplyDelay(i int) netsim.Time {
+	return 100*netsim.Microsecond + netsim.Time((i*37)%29)*37*netsim.Microsecond
+}
+
 // SpinFlowConfig wires a SpinFlow to its two endpoints.
 type SpinFlowConfig struct {
 	Client, Server *endhost.Host
-	// ReplyDelay is the server's think time before reflecting packet i
-	// (nil for immediate reflection); deterministic variation here
-	// spreads the flow's RTT across histogram buckets.
-	ReplyDelay func(i int) netsim.Time
-	// MaxFlips bounds the exchange; the flow stops after that many
-	// spin transitions.
-	MaxFlips int
-	// PayloadLen pads every data and reply packet to the same size, so
-	// serialization delay is constant and intervals compare exactly.
-	PayloadLen int
 }
 
 // SpinFlow is the endpoint half of the QUIC-style spin-bit protocol:
@@ -72,7 +79,7 @@ func (f *SpinFlow) Start() {
 
 func (f *SpinFlow) send() {
 	pkt := f.cfg.Client.NewPacket(f.cfg.Server.MAC, f.cfg.Server.IP,
-		SpinReplyPort, SpinDataPort, f.cfg.PayloadLen)
+		SpinReplyPort, SpinDataPort, spinPayloadLen)
 	pkt.IP.TOS |= f.bit
 	f.cfg.Client.Send(pkt)
 }
@@ -85,24 +92,16 @@ func (f *SpinFlow) onData(pkt *core.Packet) {
 	bit := pkt.IP.TOS & core.SpinBit
 	reflect := func() {
 		r := f.cfg.Server.NewPacket(f.cfg.Client.MAC, f.cfg.Client.IP,
-			SpinDataPort, SpinReplyPort, f.cfg.PayloadLen)
+			SpinDataPort, SpinReplyPort, spinPayloadLen)
 		r.IP.TOS |= bit
 		f.cfg.Server.Send(r)
 	}
-	var d netsim.Time
-	if f.cfg.ReplyDelay != nil {
-		d = f.cfg.ReplyDelay(i)
-	}
-	if d > 0 {
-		f.cfg.Server.Sim.After(d, reflect)
-	} else {
-		reflect()
-	}
+	f.cfg.Server.Sim.After(spinReplyDelay(i), reflect)
 }
 
 // onReply is the client: seeing its own current spin value reflected
 // completes a round trip — record the interval, flip, send the next
-// edge.  The final edge packet is still sent after MaxFlips so the
+// edge.  The final edge packet is still sent after SpinMaxFlips so the
 // on-path observer sees every interval the client recorded; its
 // reflection is then ignored.
 func (f *SpinFlow) onReply(pkt *core.Packet) {
@@ -118,7 +117,7 @@ func (f *SpinFlow) onReply(pkt *core.Packet) {
 	f.lastFlip = now
 	f.bit ^= core.SpinBit
 	f.send()
-	if f.cfg.MaxFlips > 0 && f.Flips >= uint64(f.cfg.MaxFlips) {
+	if f.Flips >= SpinMaxFlips {
 		f.stopped = true
 	}
 }

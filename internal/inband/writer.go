@@ -23,13 +23,8 @@ type WriterConfig struct {
 	// probes transit it and echo back.
 	DstIP uint32
 	Spec  HistSpec
-	// Probe bounds each increment attempt; a nonzero Timeout with
-	// retries is what makes the duplicate-detection path reachable.
-	Probe endhost.ProbeConfig
-	// Metrics (optional) registers inband/<Name>/* counters.
+	// Metrics (optional) registers inband/writer/* counters.
 	Metrics *obs.Registry
-	// Name defaults to "writer".
-	Name string
 }
 
 // HistWriter folds locally measured samples into a switch-resident
@@ -82,9 +77,6 @@ type HistWriter struct {
 // tracker is seeded with epoch 0: an echo from a switch that has
 // already rebooted is a rebase.
 func NewHistWriter(cfg WriterConfig) *HistWriter {
-	if cfg.Name == "" {
-		cfg.Name = "writer"
-	}
 	w := &HistWriter{
 		cfg:    cfg,
 		want:   make([]uint32, cfg.Spec.Buckets),
@@ -99,12 +91,11 @@ func NewHistWriter(cfg WriterConfig) *HistWriter {
 // collect names the writer's exported counts for the registry's pull
 // edge.
 func (w *HistWriter) collect(emit func(name string, v uint64)) {
-	pre := "inband/" + w.cfg.Name + "/"
-	emit(pre+"samples", w.Samples)
-	emit(pre+"applied", w.Applied)
-	emit(pre+"duplicates", w.Duplicates)
-	emit(pre+"inconclusive", w.Inconclusive)
-	emit(pre+"rebases", w.Rebases())
+	emit("inband/writer/samples", w.Samples)
+	emit("inband/writer/applied", w.Applied)
+	emit("inband/writer/duplicates", w.Duplicates)
+	emit("inband/writer/inconclusive", w.Inconclusive)
+	emit("inband/writer/rebases", w.Rebases())
 }
 
 // Observe buckets one sample (obs.BucketOf, clipped to the window) and
@@ -174,7 +165,9 @@ func (w *HistWriter) pump() {
 	tpp.SetWord(3, cond+1)
 	tpp.SetWord(4, endhost.Unexecuted)
 	tpp.SetWord(5, endhost.Unexecuted)
-	_, ok := w.cfg.Prober.ProbeCfg(w.cfg.DstMAC, w.cfg.DstIP, tpp, w.cfg.Probe,
+	// The prober's defaults bound each attempt; a nonzero Timeout with
+	// retries is what makes the duplicate-detection path reachable.
+	_, ok := w.cfg.Prober.ProbeCfg(w.cfg.DstMAC, w.cfg.DstIP, tpp, w.cfg.Prober.Defaults(),
 		func(e *core.TPP) { w.onEcho(i, cond, e) },
 		func() { w.onAttemptLost() })
 	if !ok {

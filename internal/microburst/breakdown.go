@@ -40,18 +40,20 @@ func HopLatencies(t *core.TPP) []float64 {
 }
 
 // BreakdownConfig parameterizes the latency-breakdown experiment: a
-// 3-switch path whose middle switch also carries bursty cross traffic,
-// so one hop dominates the end-to-end queueing latency.
+// 3-switch path whose middle switch also carries 20 bursts of 30 KB
+// cross traffic, so one hop dominates the end-to-end queueing latency.
 type BreakdownConfig struct {
-	Packets     int
-	CrossBursts int
-	CrossBytes  int
-	Seed        int64
+	Packets int // instrumented probes, one every 2ms
 }
+
+const (
+	crossBursts = 20
+	crossBytes  = 30_000
+)
 
 // DefaultBreakdownConfig is the canonical run.
 func DefaultBreakdownConfig() BreakdownConfig {
-	return BreakdownConfig{Packets: 400, CrossBursts: 20, CrossBytes: 30_000, Seed: 1}
+	return BreakdownConfig{Packets: 400}
 }
 
 // HopStats summarizes one hop's queueing-latency distribution.
@@ -64,8 +66,7 @@ type HopStats struct {
 
 // BreakdownResult is the per-hop latency breakdown.
 type BreakdownResult struct {
-	Config BreakdownConfig
-	Hops   []HopStats
+	Hops []HopStats
 	// DominantHop is the hop index (0-based) with the largest mean
 	// queueing latency; the experiment arranges for it to be hop 1
 	// (the cross-traffic switch).
@@ -75,7 +76,7 @@ type BreakdownResult struct {
 
 // RunBreakdown executes the experiment.
 func RunBreakdown(cfg BreakdownConfig) BreakdownResult {
-	sim := netsim.New(cfg.Seed)
+	sim := netsim.New(1)
 	edge := topo.Mbps(100, 10*netsim.Microsecond)
 	fabric := topo.Mbps(20, 10*netsim.Microsecond)
 	n, src, dst, sws := topo.Line(sim, 3, edge, fabric,
@@ -101,8 +102,8 @@ func RunBreakdown(cfg BreakdownConfig) BreakdownResult {
 	// Cross bursts toward dst: they share only the S1 egress with the
 	// probe stream.
 	start := sim.Now()
-	crossPkts := (cfg.CrossBytes + 957) / 958
-	for b := 0; b < cfg.CrossBursts; b++ {
+	crossPkts := (crossBytes + 957) / 958
+	for b := 0; b < crossBursts; b++ {
 		at := start + netsim.Time(b)*50*netsim.Millisecond
 		sim.At(at, func() {
 			for i := 0; i < crossPkts; i++ {
@@ -125,7 +126,7 @@ func RunBreakdown(cfg BreakdownConfig) BreakdownResult {
 	sim.RunUntil(start + netsim.Time(cfg.Packets)*2*netsim.Millisecond + netsim.Second)
 	tick.Stop()
 
-	res := BreakdownResult{Config: cfg, Samples: samples}
+	res := BreakdownResult{Samples: samples}
 	best := -1.0
 	for i, xs := range lats {
 		m := mean(xs) // summed in arrival order, before the sort

@@ -8,25 +8,29 @@ import (
 	"repro/internal/topo"
 )
 
-// Config parameterizes the micro-burst experiment: an incast workload
-// (the canonical datacenter source of micro-bursts) on a star topology,
-// observed simultaneously by per-packet TPP telemetry and by a coarse
-// poller.
+// The micro-burst experiment is an 8-to-1 incast (the canonical
+// datacenter source of micro-bursts) of 15 KB bursts every 100ms on a
+// star of 100 Mb/s links, observed simultaneously by per-packet TPP
+// telemetry and by a 1-second poller.
+const (
+	Senders    = 8                        // incast fan-in
+	BurstBytes = 15_000                   // bytes each sender contributes per burst
+	Period     = 100 * netsim.Millisecond // burst repetition period
+	PollEvery  = netsim.Second            // baseline polling interval
+
+	edgeMbps    = 100                      // link speed
+	threshold   = 10_000                   // burst threshold, bytes of queue
+	jitterMax   = 200 * netsim.Microsecond // per-sender start jitter within a burst
+	packetBytes = 958                      // payload bytes per data packet
+)
+
+// Config parameterizes the micro-burst experiment.
 type Config struct {
-	Senders     int         // incast fan-in
-	BurstBytes  int         // bytes each sender contributes per burst
-	Period      netsim.Time // burst repetition period
-	Bursts      int         // number of synchronized bursts
-	EdgeMbps    float64     // link speed
-	Threshold   uint32      // burst threshold, bytes of queue
-	PollEvery   netsim.Time // baseline polling interval
-	JitterMax   netsim.Time // per-sender start jitter within a burst
-	PacketBytes int         // payload bytes per data packet
+	Bursts int // number of synchronized bursts
 	// SampleEvery instruments every k-th data packet with the
 	// telemetry TPP (1 = per-packet, the §2.1 design point; larger
 	// values model cheaper, sparser sampling).  Zero means 1.
 	SampleEvery int
-	Seed        int64
 
 	// Metrics and Trace thread the telemetry subsystem through the
 	// switch and register the detector's queue-depth histogram under
@@ -35,21 +39,9 @@ type Config struct {
 	Trace   *obs.Tracer
 }
 
-// DefaultConfig is the canonical run: an 8-to-1 incast of 15 KB bursts
-// every 100ms on 100 Mb/s links, against a 1-second poller.
+// DefaultConfig is the canonical run: 50 bursts.
 func DefaultConfig() Config {
-	return Config{
-		Senders:     8,
-		BurstBytes:  15_000,
-		Period:      100 * netsim.Millisecond,
-		Bursts:      50,
-		EdgeMbps:    100,
-		Threshold:   10_000,
-		PollEvery:   netsim.Second,
-		JitterMax:   200 * netsim.Microsecond,
-		PacketBytes: 958,
-		Seed:        1,
-	}
+	return Config{Bursts: 50}
 }
 
 // Result summarizes one run.
@@ -88,17 +80,17 @@ func (r Result) DetectionRatePoller() float64 {
 
 // Run executes the experiment.
 func Run(cfg Config) Result {
-	sim := netsim.New(cfg.Seed)
-	edge := topo.Mbps(cfg.EdgeMbps, 10*netsim.Microsecond)
-	n, hosts, sw := topo.Star(sim, cfg.Senders+1, edge,
+	sim := netsim.New(1)
+	edge := topo.Mbps(edgeMbps, 10*netsim.Microsecond)
+	n, hosts, sw := topo.Star(sim, Senders+1, edge,
 		topo.Uniform(asic.Config{QueueCapBytes: 500_000, Metrics: cfg.Metrics, Trace: cfg.Trace}), cfg.Trace)
-	receiver := hosts[cfg.Senders]
-	senders := hosts[:cfg.Senders]
+	receiver := hosts[Senders]
+	senders := hosts[:Senders]
 	n.PrimeL2(10 * netsim.Millisecond)
 
 	rcvPort := n.AttachmentOf(receiver).Port
 
-	detector := NewDetector(cfg.Threshold, 10*netsim.Millisecond)
+	detector := NewDetector(threshold, 10*netsim.Millisecond)
 	if cfg.Metrics != nil {
 		// Register the distribution so it appears in metric snapshots
 		// alongside the switch's own queue histograms.
@@ -114,24 +106,24 @@ func Run(cfg Config) Result {
 	})
 
 	var poller Poller
-	poller.Attach(sim, sw, rcvPort, cfg.Threshold, cfg.PollEvery)
+	poller.Attach(sim, sw, rcvPort, threshold, PollEvery)
 
 	// Synchronized incast bursts with small per-sender jitter.
 	every := cfg.SampleEvery
 	if every <= 0 {
 		every = 1
 	}
-	pkts := (cfg.BurstBytes + cfg.PacketBytes - 1) / cfg.PacketBytes
+	pkts := (BurstBytes + packetBytes - 1) / packetBytes
 	start := sim.Now()
 	sent := 0
 	for b := 0; b < cfg.Bursts; b++ {
-		at := start + netsim.Time(b)*cfg.Period
+		at := start + netsim.Time(b)*Period
 		for _, s := range senders {
 			s := s
-			jitter := netsim.Time(sim.Rand().Int63n(int64(cfg.JitterMax) + 1))
+			jitter := netsim.Time(sim.Rand().Int63n(int64(jitterMax) + 1))
 			sim.At(at+jitter, func() {
 				for i := 0; i < pkts; i++ {
-					pkt := s.NewPacket(receiver.MAC, receiver.IP, 4000, 4001, cfg.PacketBytes)
+					pkt := s.NewPacket(receiver.MAC, receiver.IP, 4000, 4001, packetBytes)
 					if sent%every == 0 {
 						Instrument(pkt, 4)
 					}
@@ -141,7 +133,7 @@ func Run(cfg Config) Result {
 			})
 		}
 	}
-	sim.RunUntil(start + netsim.Time(cfg.Bursts)*cfg.Period + netsim.Second)
+	sim.RunUntil(start + netsim.Time(cfg.Bursts)*Period + netsim.Second)
 
 	episodes := detector.Episodes()
 	var meanUs float64

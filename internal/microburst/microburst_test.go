@@ -94,7 +94,7 @@ func TestIncastExperimentShape(t *testing.T) {
 	if rate := res.DetectionRatePoller(); rate > 0.3 {
 		t.Fatalf("poller detection rate = %.2f, want << 1", rate)
 	}
-	if res.TelemetryPeak < cfg.Threshold {
+	if res.TelemetryPeak < threshold {
 		t.Fatalf("telemetry peak = %d below threshold", res.TelemetryPeak)
 	}
 	if res.TelemetryPeak < res.PollerPeak {

@@ -22,36 +22,27 @@ import (
 // on the paths of probes that died, minus links proven alive by probes
 // that returned.
 type BlackholeConfig struct {
-	Leaves int // number of leaf switches (>= 3 to disambiguate fully)
-	Spines int // number of spine switches; also hosts per leaf
-
-	EdgeMbps float64
-	Seed     int64
-
 	// FailLeaf/FailSpine name the fabric link that silently dies at
 	// FailAt and recovers at RecoverAt.
 	FailLeaf, FailSpine int
-	FailAt, RecoverAt   netsim.Time
-
-	// Probe resilience: deadline, bounded retries, backoff.
-	Probe endhost.ProbeConfig
 
 	// Trace, when non-nil, receives fault and packet spans.
 	Trace *obs.Tracer
 }
 
-// DefaultBlackholeConfig is the canonical run: 3 leaves x 2 spines,
-// link leaf1-spine0 down from 50ms to 150ms.
+// The blackhole fabric has 3 leaves (enough to disambiguate fully) and
+// 2 spines, with one host per spine on every leaf, all links 100 Mb/s;
+// the failed link is down from 50ms to 150ms.
+const (
+	BlackholeLeaves = 3
+	BlackholeSpines = 2
+	FailAt          = 50 * netsim.Millisecond
+	RecoverAt       = 150 * netsim.Millisecond
+)
+
+// DefaultBlackholeConfig is the canonical run: link leaf1-spine0 fails.
 func DefaultBlackholeConfig() BlackholeConfig {
-	return BlackholeConfig{
-		Leaves: 3, Spines: 2,
-		EdgeMbps: 100, Seed: 1,
-		FailLeaf: 1, FailSpine: 0,
-		FailAt: 50 * netsim.Millisecond, RecoverAt: 150 * netsim.Millisecond,
-		Probe: endhost.ProbeConfig{
-			Timeout: 5 * netsim.Millisecond, Retries: 2, Backoff: 2,
-		},
-	}
+	return BlackholeConfig{FailLeaf: 1, FailSpine: 0}
 }
 
 // LinkID names one leaf-spine fabric link.
@@ -63,8 +54,6 @@ func (l LinkID) String() string { return topo.FabricLinkName(l.Leaf, l.Spine) }
 
 // BlackholeResult summarizes one localization run.
 type BlackholeResult struct {
-	Config BlackholeConfig
-
 	// Healthy baseline round: every path answers.
 	BaselinePaths int
 
@@ -100,15 +89,12 @@ func hopTraceProgram() *core.TPP {
 
 // RunBlackhole executes the experiment.
 func RunBlackhole(cfg BlackholeConfig) BlackholeResult {
-	if cfg.Leaves < 2 || cfg.Spines < 1 {
-		panic("ndb: blackhole fabric needs >= 2 leaves and >= 1 spine")
-	}
-	sim := netsim.New(cfg.Seed)
-	edge := topo.Mbps(cfg.EdgeMbps, 10*netsim.Microsecond)
-	fabric := topo.Mbps(cfg.EdgeMbps, 10*netsim.Microsecond)
+	sim := netsim.New(1)
+	edge := topo.Mbps(100, 10*netsim.Microsecond)
+	fabric := topo.Mbps(100, 10*netsim.Microsecond)
 	// One host per spine on every leaf: host j is reached via spine j,
 	// so probing every host exercises every fabric link.
-	net := topo.LeafSpine(sim, cfg.Leaves, cfg.Spines, cfg.Spines, edge, fabric,
+	net := topo.LeafSpine(sim, BlackholeLeaves, BlackholeSpines, BlackholeSpines, edge, fabric,
 		topo.Uniform(asic.Config{Trace: cfg.Trace}), cfg.Trace)
 	hosts := net.LeafHosts
 	topo.InstallRoutes(net.Routes(topo.HostSpine), 0)
@@ -135,8 +121,8 @@ func RunBlackhole(cfg BlackholeConfig) BlackholeResult {
 	inj := faults.NewInjector(sim, cfg.Trace)
 	net.Register(nil, inj)
 	fail := LinkID{Leaf: cfg.FailLeaf, Spine: cfg.FailSpine}
-	if err := inj.Schedule(faults.Plan{Seed: cfg.Seed, Events: faults.Flap(
-		fail.String(), cfg.FailAt, cfg.RecoverAt-cfg.FailAt)}); err != nil {
+	if err := inj.Schedule(faults.Plan{Seed: 1, Events: faults.Flap(
+		fail.String(), FailAt, RecoverAt-FailAt)}); err != nil {
 		panic(err)
 	}
 
@@ -144,10 +130,13 @@ func RunBlackhole(cfg BlackholeConfig) BlackholeResult {
 	// the hunt conclusive: the echo to host (0, sj) rides spine sj on
 	// the way back, so only a sweep from every source host observes
 	// every fabric link on a leg it can reason about.
-	probers := make([]*endhost.Prober, cfg.Spines)
+	// Probe resilience: a 5ms deadline, two retries, doubling backoff.
+	probers := make([]*endhost.Prober, BlackholeSpines)
 	for sj := range probers {
 		probers[sj] = endhost.NewProber(hosts[0][sj])
-		probers[sj].SetDefaults(cfg.Probe)
+		probers[sj].SetDefaults(endhost.ProbeConfig{
+			Timeout: 5 * netsim.Millisecond, Retries: 2, Backoff: 2,
+		})
 	}
 
 	// A probe from host (0, sj) to host (li, hj) rides spine hj out and
@@ -167,12 +156,12 @@ func RunBlackhole(cfg BlackholeConfig) BlackholeResult {
 	}
 	round := func() []outcome {
 		var outs []outcome
-		for sj := 0; sj < cfg.Spines; sj++ {
-			for li := 1; li < cfg.Leaves; li++ {
-				for hj := 0; hj < cfg.Spines; hj++ {
+		for sj := 0; sj < BlackholeSpines; sj++ {
+			for li := 1; li < BlackholeLeaves; li++ {
+				for hj := 0; hj < BlackholeSpines; hj++ {
 					sj, li, hj := sj, li, hj
 					dst := hosts[li][hj]
-					probers[sj].ProbeCfg(dst.MAC, dst.IP, hopTraceProgram(), cfg.Probe,
+					probers[sj].ProbeCfg(dst.MAC, dst.IP, hopTraceProgram(), probers[sj].Defaults(),
 						func(e *core.TPP) { outs = append(outs, outcome{sj, li, hj, e.Clone()}) },
 						func() { outs = append(outs, outcome{sj, li, hj, nil}) })
 				}
@@ -184,7 +173,7 @@ func RunBlackhole(cfg BlackholeConfig) BlackholeResult {
 		return outs
 	}
 
-	res := BlackholeResult{Config: cfg}
+	var res BlackholeResult
 
 	// Round 1 (healthy): establish that every path answers.
 	for _, o := range round() {
@@ -198,7 +187,7 @@ func RunBlackhole(cfg BlackholeConfig) BlackholeResult {
 	// clears the links its hop trace recorded (forward, from the TPP)
 	// and the links its echo must have ridden home (reverse, from the
 	// routing).
-	sim.RunUntil(cfg.FailAt + 5*netsim.Millisecond)
+	sim.RunUntil(FailAt + 5*netsim.Millisecond)
 	candidates := map[LinkID]bool{}
 	proven := map[LinkID]bool{}
 	for _, o := range round() {
@@ -228,7 +217,7 @@ func RunBlackhole(cfg BlackholeConfig) BlackholeResult {
 	res.Localized = len(res.Suspects) == 1
 
 	// Round 3 (recovered): the same paths answer again.
-	sim.RunUntil(cfg.RecoverAt + 5*netsim.Millisecond)
+	sim.RunUntil(RecoverAt + 5*netsim.Millisecond)
 	for _, o := range round() {
 		if o.echo != nil {
 			res.RecoveredPaths++

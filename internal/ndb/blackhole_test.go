@@ -14,7 +14,7 @@ func TestBlackholeLocalizesFailedLink(t *testing.T) {
 	cfg.Trace = obs.NewTracer(1 << 14)
 	res := RunBlackhole(cfg)
 
-	walks := cfg.Spines * (cfg.Leaves - 1) * cfg.Spines
+	walks := BlackholeSpines * (BlackholeLeaves - 1) * BlackholeSpines
 	if res.BaselinePaths != walks {
 		t.Fatalf("baseline round answered %d/%d walks", res.BaselinePaths, walks)
 	}

@@ -9,13 +9,10 @@ import (
 	"repro/internal/topo"
 )
 
-// Config parameterizes the forwarding-plane-debugger experiment on a
-// 2x2 leaf-spine fabric.
+// Config wires the forwarding-plane-debugger experiment, 200
+// instrumented data packets traced across a 2x2 leaf-spine fabric of
+// 100 Mb/s links, to telemetry.
 type Config struct {
-	Packets  int // instrumented data packets to trace
-	EdgeMbps float64
-	Seed     int64
-
 	// Metrics and Trace, when non-nil, thread the telemetry subsystem
 	// through every switch in the fabric (see internal/obs); the span
 	// log then provides an out-of-band journey to cross-check the
@@ -24,15 +21,8 @@ type Config struct {
 	Trace   *obs.Tracer
 }
 
-// DefaultConfig is the canonical run.
-func DefaultConfig() Config {
-	return Config{Packets: 200, EdgeMbps: 100, Seed: 1}
-}
-
 // Result summarizes one run.
 type Result struct {
-	Config Config
-
 	// Phase 1: conforming network.
 	CleanTraces     int
 	CleanViolations int
@@ -60,9 +50,9 @@ type Result struct {
 // Run executes the experiment: trace a conforming fabric, inject a
 // stale-rule misconfiguration, and show the TPP traces catching it.
 func Run(cfg Config) Result {
-	sim := netsim.New(cfg.Seed)
-	edge := topo.Mbps(cfg.EdgeMbps, 10*netsim.Microsecond)
-	fabric := topo.Mbps(cfg.EdgeMbps, 10*netsim.Microsecond)
+	sim := netsim.New(1)
+	edge := topo.Mbps(100, 10*netsim.Microsecond)
+	fabric := topo.Mbps(100, 10*netsim.Microsecond)
 	net := topo.LeafSpine(sim, 2, 2, 1, edge, fabric,
 		topo.Uniform(asic.Config{Metrics: cfg.Metrics, Trace: cfg.Trace}), cfg.Trace)
 	leaves, spines := net.Leaves, net.Spines
@@ -90,7 +80,7 @@ func Run(cfg Config) Result {
 		copyCollector.AttachTo(sw)
 	}
 
-	res := Result{Config: cfg, ViolationKinds: make(map[ViolationKind]int)}
+	res := Result{ViolationKinds: make(map[ViolationKind]int)}
 	var lastTrace []HopRecord
 	var lastUID uint64
 	verify := func(pkt *core.Packet) {
@@ -123,8 +113,8 @@ func Run(cfg Config) Result {
 		sim.RunUntil(sim.Now() + 500*netsim.Millisecond)
 	}
 
-	// Phase 1: conforming fabric.
-	send(cfg.Packets / 2)
+	// Phase 1: conforming fabric, half of the 200 packets.
+	send(100)
 	res.CleanViolations = len(res.BadViolations)
 
 	// The TPP journey and the baseline copy journey must agree.
@@ -137,7 +127,7 @@ func Run(cfg Config) Result {
 	// shadow state is stale.
 	intended := ctl.Expected(dst.IP)
 	leaves[0].TCAM().Update(intended[0].EntryID, tcam.Action{OutPort: net.Uplink(1)})
-	send(cfg.Packets / 2)
+	send(100)
 
 	res.BaselineCopies = copyCollector.Copies
 	res.BaselineCopyBytes = copyCollector.CopyBytes

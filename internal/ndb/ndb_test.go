@@ -110,7 +110,7 @@ func TestInstrument(t *testing.T) {
 }
 
 func TestExperimentDetectsInjectedMisconfiguration(t *testing.T) {
-	res := Run(DefaultConfig())
+	res := Run(Config{})
 
 	// Phase 1: the conforming fabric produces clean traces only.
 	if res.CleanViolations != 0 {
@@ -154,8 +154,8 @@ func TestExperimentDetectsInjectedMisconfiguration(t *testing.T) {
 }
 
 func TestExperimentDeterminism(t *testing.T) {
-	a := Run(DefaultConfig())
-	b := Run(DefaultConfig())
+	a := Run(Config{})
+	b := Run(Config{})
 	if a.CleanTraces != b.CleanTraces || a.BadTraces != b.BadTraces ||
 		a.BaselineCopies != b.BaselineCopies {
 		t.Fatal("same seed produced different results")

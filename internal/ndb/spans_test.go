@@ -36,7 +36,7 @@ func TestJourneyFromSpans(t *testing.T) {
 // reconstructs exactly the journey the in-band TPP recorded — the two
 // telemetry mechanisms cross-validate.
 func TestSpanJourneyMatchesTPPTrace(t *testing.T) {
-	cfg := DefaultConfig()
+	var cfg Config
 	cfg.Metrics = obs.NewRegistry()
 	cfg.Trace = obs.NewTracer(1 << 18)
 	res := Run(cfg)

@@ -20,15 +20,13 @@ import (
 // ingress byte rate and average queue, and stamps min(header, R) into
 // the congestion header of every baseline data packet crossing it.
 type Baseline struct {
-	sim    *netsim.Sim
-	params Params
-	links  map[*asic.Switch]map[int]*BaselineLink
+	sim   *netsim.Sim
+	links map[*asic.Switch]map[int]*BaselineLink
 }
 
 // NewBaseline builds the baseline controller.
-func NewBaseline(sim *netsim.Sim, params Params) *Baseline {
-	return &Baseline{sim: sim, params: params,
-		links: make(map[*asic.Switch]map[int]*BaselineLink)}
+func NewBaseline(sim *netsim.Sim) *Baseline {
+	return &Baseline{sim: sim, links: make(map[*asic.Switch]map[int]*BaselineLink)}
 }
 
 // BaselineLink is the per-link RCP state of a native router.
@@ -36,8 +34,7 @@ type BaselineLink struct {
 	sw   *asic.Switch
 	port int
 
-	params Params
-	rate   float64 // R(t), bytes/sec
+	rate float64 // R(t), bytes/sec
 
 	lastEnqBytes uint64
 	qSamples     float64
@@ -51,7 +48,7 @@ func (l *BaselineLink) Rate() float64 { return l.rate }
 // stamping hook.  All managed ports of one switch share one mirror.
 func (b *Baseline) Manage(sw *asic.Switch, port int) *BaselineLink {
 	capacity := float64(sw.Port(port).Channel().RateBytes())
-	l := &BaselineLink{sw: sw, port: port, params: b.params, rate: capacity}
+	l := &BaselineLink{sw: sw, port: port, rate: capacity}
 	if b.links[sw] == nil {
 		b.links[sw] = make(map[int]*BaselineLink)
 		links := b.links[sw]
@@ -65,8 +62,8 @@ func (b *Baseline) Manage(sw *asic.Switch, port int) *BaselineLink {
 
 	// Sample the queue 8 times per control interval for q(t) ("q(t)
 	// is the average queue size").
-	b.sim.Every(b.sim.Now()+b.params.T/8, b.params.T/8, l.sampleQueue)
-	b.sim.Every(b.sim.Now()+b.params.T, b.params.T, l.update)
+	b.sim.Every(b.sim.Now()+ControlPeriod/8, ControlPeriod/8, l.sampleQueue)
+	b.sim.Every(b.sim.Now()+ControlPeriod, ControlPeriod, l.update)
 	return l
 }
 
@@ -80,7 +77,7 @@ func (l *BaselineLink) sampleQueue() {
 func (l *BaselineLink) update() {
 	p := l.sw.Port(l.port)
 	enq := p.EnqBytes()
-	y := float64(enq-l.lastEnqBytes) / l.params.T.Seconds()
+	y := float64(enq-l.lastEnqBytes) / ControlPeriod.Seconds()
 	l.lastEnqBytes = enq
 
 	q := 0.0
@@ -90,7 +87,7 @@ func (l *BaselineLink) update() {
 	l.qSamples, l.qCount = 0, 0
 
 	c := float64(p.Channel().RateBytes())
-	l.rate = l.params.Update(l.rate, y, q, c)
+	l.rate = nextRate(l.rate, y, q, c)
 }
 
 // stamp writes min(header, R) into a baseline data packet's congestion
@@ -121,11 +118,11 @@ type BaselineReceiver struct {
 }
 
 // NewBaselineReceiver builds the receiver side on host, sending
-// feedback every period; whoever owns the host's BaselineDataPort
-// handler feeds it each data packet through onData.
-func NewBaselineReceiver(sim *netsim.Sim, host *endhost.Host, period netsim.Time) *BaselineReceiver {
+// feedback every control period; whoever owns the host's
+// BaselineDataPort handler feeds it each data packet through onData.
+func NewBaselineReceiver(sim *netsim.Sim, host *endhost.Host) *BaselineReceiver {
 	r := &BaselineReceiver{host: host, sim: sim, minSeen: ^uint32(0)}
-	sim.Every(sim.Now()+period, period, r.feedback)
+	sim.Every(sim.Now()+ControlPeriod, ControlPeriod, r.feedback)
 	return r
 }
 
@@ -176,12 +173,12 @@ func NewBaselineSender(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dst
 type baselineScheme struct{ link *BaselineLink }
 
 func (s *baselineScheme) Install(h *Harness) {
-	s.link = NewBaseline(h.Sim, h.Params).Manage(h.A, h.APort)
+	s.link = NewBaseline(h.Sim).Manage(h.A, h.APort)
 }
 
 func (s *baselineScheme) Attach(h *Harness, pair int) Flow {
 	snd, rcv := h.Senders[pair], h.Receivers[pair]
-	r := NewBaselineReceiver(h.Sim, rcv, h.Params.T)
+	r := NewBaselineReceiver(h.Sim, rcv)
 	f := NewBaselineSender(h.Sim, snd, rcv.MAC, rcv.IP, h.Capacity)
 	return Flow{Port: BaselineDataPort, Receive: r.onData, Start: f.Start, Stop: f.Stop}
 }

@@ -63,7 +63,7 @@ func TestFigure2AllocBudget(t *testing.T) {
 // every Recycle.
 func TestStarRunBudgets(t *testing.T) {
 	cfg := DefaultFig2Config(VariantStar)
-	h := NewHarness(3, cfg.BottleneckMbps, cfg.EdgeMbps, cfg.Params, cfg.Seed, nil)
+	h := NewHarness(3, cfg.Seed, nil)
 	second := netsim.Second
 	start := h.Launch(SchemeFor(VariantStar), Staggered([]netsim.Time{0, second, 2 * second}))
 

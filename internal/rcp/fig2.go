@@ -12,14 +12,11 @@ import (
 // bottleneck link shared by three flows ... one flow each at t=0s,
 // t=10s and t=20s".
 type Fig2Config struct {
-	Variant        Variant
-	Duration       netsim.Time
-	FlowStarts     []netsim.Time
-	BottleneckMbps float64
-	EdgeMbps       float64
-	SampleEvery    netsim.Time
-	Params         Params
-	Seed           int64
+	Variant     Variant
+	Duration    netsim.Time
+	FlowStarts  []netsim.Time
+	SampleEvery netsim.Time
+	Seed        int64
 	// LossRate injects random frame loss on the bottleneck link
 	// (both data and probes), for robustness experiments; zero means
 	// lossless.
@@ -37,14 +34,11 @@ type Fig2Config struct {
 // DefaultFig2Config returns the paper's setup.
 func DefaultFig2Config(v Variant) Fig2Config {
 	return Fig2Config{
-		Variant:        v,
-		Duration:       30 * netsim.Second,
-		FlowStarts:     []netsim.Time{0, 10 * netsim.Second, 20 * netsim.Second},
-		BottleneckMbps: 10,
-		EdgeMbps:       100,
-		SampleEvery:    100 * netsim.Millisecond,
-		Params:         DefaultParams(),
-		Seed:           1,
+		Variant:     v,
+		Duration:    30 * netsim.Second,
+		FlowStarts:  []netsim.Time{0, 10 * netsim.Second, 20 * netsim.Second},
+		SampleEvery: 100 * netsim.Millisecond,
+		Seed:        1,
 	}
 }
 
@@ -66,8 +60,7 @@ type Fig2Result struct {
 // flow's goodput.
 func RunFigure2(cfg Fig2Config) Fig2Result {
 	scheme := SchemeFor(cfg.Variant)
-	h := NewHarness(len(cfg.FlowStarts), cfg.BottleneckMbps, cfg.EdgeMbps,
-		cfg.Params, cfg.Seed, cfg.Metrics)
+	h := NewHarness(len(cfg.FlowStarts), cfg.Seed, cfg.Metrics)
 	fwd, rev := h.A.Port(h.APort).Channel(), h.B.Port(h.BPort).Channel()
 	if cfg.LossRate > 0 {
 		fwd.SetLoss(cfg.LossRate, cfg.Seed+100)

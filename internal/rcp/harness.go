@@ -77,6 +77,13 @@ func Staggered(at []netsim.Time) []FlowStart {
 	return starts
 }
 
+// The Figure 2 dumbbell: "a 10Mb/s bottleneck link" between 100 Mb/s
+// edge links.
+const (
+	bottleneckMbps = 10
+	edgeMbps       = 100
+)
+
 // Harness is the shared test bed of the §2.2 experiments: sender and
 // receiver pairs across the Figure 2 dumbbell (1 ms edge links, a 10 ms
 // bottleneck buffered for one bandwidth-delay product), a scheme
@@ -85,7 +92,6 @@ func Staggered(at []netsim.Time) []FlowStart {
 // Launch and the end of the run.
 type Harness struct {
 	*topo.DumbbellNet
-	Params  Params
 	Metrics *obs.Registry
 	// Capacity is the bottleneck rate in bytes/sec.
 	Capacity float64
@@ -101,16 +107,16 @@ type Harness struct {
 
 // NewHarness builds the dumbbell; nothing runs until Launch, so callers
 // can still register faults or loss on the bottleneck at time zero.
-// params.D sizes the queues; metrics (may be nil) receives the
-// switches' dataplane metrics and each RCP* controller's.
-func NewHarness(pairs int, bottleneckMbps, edgeMbps float64, params Params, seed int64, metrics *obs.Registry) *Harness {
+// The flow RTT scale d sizes the queues; metrics (may be nil) receives
+// the switches' dataplane metrics and each RCP* controller's.
+func NewHarness(pairs int, seed int64, metrics *obs.Registry) *Harness {
 	capacity := bottleneckMbps * 1e6 / 8
 	return &Harness{
 		DumbbellNet: topo.Dumbbell(netsim.New(seed), pairs,
 			topo.Mbps(edgeMbps, netsim.Millisecond),
 			topo.Mbps(bottleneckMbps, 10*netsim.Millisecond),
-			topo.Uniform(asic.Config{Ports: 8, QueueCapBytes: int(capacity * params.D.Seconds()), Metrics: metrics}), nil),
-		Params: params, Metrics: metrics, Capacity: capacity,
+			topo.Uniform(asic.Config{Ports: 8, QueueCapBytes: int(capacity * rttScale.Seconds()), Metrics: metrics}), nil),
+		Metrics: metrics, Capacity: capacity,
 		Recv: make([]uint64, pairs), Flows: make([]Flow, pairs),
 	}
 }

@@ -14,53 +14,39 @@
 //
 // where y(t) is the average ingress link utilization, q(t) the average
 // queue size, d the average round-trip time of flows on the link, C the
-// link capacity, and α, β configurable gains (the paper uses α = 0.5,
-// β = 1).
+// link capacity, and α, β the control gains (α = 0.5, β = 1, as in the
+// paper).
 package rcp
 
 import (
 	"repro/internal/netsim"
 )
 
-// DefaultAlpha and DefaultBeta are the gains of Figure 2 ("we set
-// α = 0.5, β = 1 for both").
+// The Figure 2 control loop: the gains α = 0.5 and β = 1 ("we set
+// α = 0.5, β = 1 for both"), the control period T ("computed
+// periodically (every T seconds)") and d, the average round-trip time
+// of flows traversing the link.
 const (
-	DefaultAlpha = 0.5
-	DefaultBeta  = 1.0
+	alpha         = 0.5
+	beta          = 1.0
+	ControlPeriod = 50 * netsim.Millisecond
+	rttScale      = 100 * netsim.Millisecond
 )
 
 // MinRateFraction floors the fair-share rate at a small fraction of
 // capacity so the control loop can always recover.
 const MinRateFraction = 0.01
 
-// Params holds the control-loop constants shared by a set of flows.
-type Params struct {
-	// Alpha and Beta are the control gains.
-	Alpha, Beta float64
-	// T is the control period ("computed periodically (every T
-	// seconds)").
-	T netsim.Time
-	// D is the average round-trip time of flows traversing the link.
-	D netsim.Time
-}
-
-// DefaultParams returns the Figure 2 configuration: α = 0.5, β = 1,
-// T = 50ms against a 100ms flow RTT scale.
-func DefaultParams() Params {
-	return Params{Alpha: DefaultAlpha, Beta: DefaultBeta,
-		T: 50 * netsim.Millisecond, D: 100 * netsim.Millisecond}
-}
-
-// Update applies the RCP control equation.  r, y and c are in
+// nextRate applies the RCP control equation.  r, y and c are in
 // bytes/second, q in bytes.  The result is clamped to
 // [MinRateFraction*c, c].
-func (p Params) Update(r, y, q, c float64) float64 {
+func nextRate(r, y, q, c float64) float64 {
 	if c <= 0 {
 		return 0
 	}
-	t := p.T.Seconds()
-	d := p.D.Seconds()
-	feedback := (t / d) * (p.Alpha*(y-c) + p.Beta*q/d) / c
+	t := ControlPeriod.Seconds()
+	d := rttScale.Seconds()
+	feedback := (t / d) * (alpha*(y-c) + beta*q/d) / c
 	r = r * (1 - feedback)
 	if min := MinRateFraction * c; r < min {
 		r = min

@@ -15,7 +15,7 @@ import (
 // many data packets the receivers counted.
 func poolRun(v rcp.Variant) (atLaunch, drained core.PoolStats, delivered uint64) {
 	cfg := rcp.DefaultFig2Config(v)
-	h := rcp.NewHarness(3, cfg.BottleneckMbps, cfg.EdgeMbps, cfg.Params, cfg.Seed, nil)
+	h := rcp.NewHarness(3, cfg.Seed, nil)
 	second := netsim.Second
 	start := h.Launch(aimd.SchemeFor(v), rcp.Staggered([]netsim.Time{0, second / 2, second}))
 	atLaunch = h.Sim.Pool().Stats()

@@ -11,41 +11,38 @@ import (
 
 func TestUpdateEquilibrium(t *testing.T) {
 	// At y == C and empty queue the rate is a fixed point.
-	p := DefaultParams()
 	c := 1_250_000.0
-	r := p.Update(c/2, c, 0, c)
+	r := nextRate(c/2, c, 0, c)
 	if math.Abs(r-c/2) > 1 {
 		t.Fatalf("fixed point drifted: %f", r)
 	}
 }
 
 func TestUpdateDirection(t *testing.T) {
-	p := DefaultParams()
 	c := 1_250_000.0
 	// Overload (y > C) must reduce R.
-	if r := p.Update(c, 2*c, 0, c); r >= c {
+	if r := nextRate(c, 2*c, 0, c); r >= c {
 		t.Fatalf("overload did not reduce R: %f", r)
 	}
 	// Underload (y < C, empty queue) must increase R.
-	if r := p.Update(c/2, c/4, 0, c); r <= c/2 {
+	if r := nextRate(c/2, c/4, 0, c); r <= c/2 {
 		t.Fatalf("underload did not increase R: %f", r)
 	}
 	// Standing queue must reduce R even at y == C.
-	if r := p.Update(c/2, c, 50_000, c); r >= c/2 {
+	if r := nextRate(c/2, c, 50_000, c); r >= c/2 {
 		t.Fatalf("standing queue did not reduce R: %f", r)
 	}
 }
 
 func TestUpdateClamping(t *testing.T) {
-	p := DefaultParams()
 	c := 1_250_000.0
-	if r := p.Update(c, 100*c, 1e9, c); r < MinRateFraction*c-1 {
+	if r := nextRate(c, 100*c, 1e9, c); r < MinRateFraction*c-1 {
 		t.Fatalf("rate below floor: %f", r)
 	}
-	if r := p.Update(c, 0, 0, c); r > c {
+	if r := nextRate(c, 0, 0, c); r > c {
 		t.Fatalf("rate above capacity: %f", r)
 	}
-	if r := p.Update(c, c, 0, 0); r != 0 {
+	if r := nextRate(c, c, 0, 0); r != 0 {
 		t.Fatalf("zero capacity must yield 0, got %f", r)
 	}
 }
@@ -53,7 +50,6 @@ func TestUpdateClamping(t *testing.T) {
 func TestUpdateConvergesToFairShare(t *testing.T) {
 	// Iterating the closed loop with N flows tracking R must settle
 	// at R = C/N.
-	p := DefaultParams()
 	c := 1_250_000.0
 	for _, flows := range []int{1, 2, 3, 5} {
 		r := c
@@ -61,11 +57,11 @@ func TestUpdateConvergesToFairShare(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			y := float64(flows) * r
 			// Crude queue integration: excess load accumulates.
-			q += (y - c) * p.T.Seconds()
+			q += (y - c) * ControlPeriod.Seconds()
 			if q < 0 {
 				q = 0
 			}
-			r = p.Update(r, y, q, c)
+			r = nextRate(r, y, q, c)
 		}
 		want := c / float64(flows)
 		if math.Abs(r-want)/want > 0.1 {
@@ -105,7 +101,7 @@ func TestPacedFlowRate(t *testing.T) {
 
 func TestStampedHeaderTakesMinimum(t *testing.T) {
 	sim := netsim.New(1)
-	base := NewBaseline(sim, DefaultParams())
+	base := NewBaseline(sim)
 	_ = base
 	l := &BaselineLink{rate: 500}
 	pkt := &core.Packet{

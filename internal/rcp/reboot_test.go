@@ -18,7 +18,6 @@ import (
 // without any out-of-band signal.
 func TestStarControllerSurvivesSwitchReboot(t *testing.T) {
 	sim := netsim.New(1)
-	params := DefaultParams()
 	n := topo.Dumbbell(sim, 1,
 		topo.Mbps(100, netsim.Millisecond), topo.Mbps(10, 10*netsim.Millisecond),
 		topo.Uniform(asic.Config{Ports: 8, QueueCapBytes: 125_000}), nil)
@@ -38,7 +37,7 @@ func TestStarControllerSurvivesSwitchReboot(t *testing.T) {
 
 	prober := endhost.NewProber(senders[0])
 	ctl := NewStarController(sim, senders[0], prober,
-		receivers[0].MAC, receivers[0].IP, params)
+		receivers[0].MAC, receivers[0].IP)
 	ctl.Start()
 	defer ctl.Stop()
 
@@ -63,7 +62,7 @@ func TestStarControllerSurvivesSwitchReboot(t *testing.T) {
 	// Detection and re-seeding are bounded: within a handful of control
 	// intervals after boot, the epoch bump is observed, the register is
 	// re-seeded, and the loop re-converges.
-	deadline := rebootAt + 20*params.T
+	deadline := rebootAt + 20*ControlPeriod
 	sim.RunUntil(deadline)
 	if ctl.EpochBumps == 0 {
 		t.Fatal("controller never noticed the epoch bump")

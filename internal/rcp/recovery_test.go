@@ -41,7 +41,7 @@ func TestFigure2StarRecoversFromLinkFlap(t *testing.T) {
 		"bottleneck", 8*netsim.Second, 4*netsim.Second)}
 	res := RunFigure2(cfg)
 
-	capacity := cfg.BottleneckMbps * 1e6 / 8
+	capacity := bottleneckMbps * 1e6 / 8
 
 	// Converged before the fault: one flow owns the whole link.
 	if rc := res.MeanROverC(4, 8); rc < 0.65 || rc > 1.01 {
@@ -78,7 +78,6 @@ func TestFigure2StarRecoversFromLinkFlap(t *testing.T) {
 // the link returns the loop finds the fair share again.
 func TestStarControllerDegradesAndRecovers(t *testing.T) {
 	sim := netsim.New(1)
-	params := DefaultParams()
 	n := topo.Dumbbell(sim, 1,
 		topo.Mbps(100, netsim.Millisecond), topo.Mbps(10, 10*netsim.Millisecond),
 		topo.Uniform(asic.Config{Ports: 8, QueueCapBytes: 125_000}), nil)
@@ -95,7 +94,7 @@ func TestStarControllerDegradesAndRecovers(t *testing.T) {
 
 	prober := endhost.NewProber(senders[0])
 	ctl := NewStarController(sim, senders[0], prober,
-		receivers[0].MAC, receivers[0].IP, params)
+		receivers[0].MAC, receivers[0].IP)
 	ctl.Start()
 	defer ctl.Stop()
 
@@ -109,7 +108,7 @@ func TestStarControllerDegradesAndRecovers(t *testing.T) {
 	}
 	// Pending is bounded by the probes still inside their deadline
 	// window (timeout / T of them), not by every probe ever sent.
-	if max := int(2*params.D/params.T) + 2; prober.Outstanding() > max {
+	if max := int(probeTimeout/ControlPeriod) + 2; prober.Outstanding() > max {
 		t.Fatalf("pending grew to %d (> %d): probes leak during outage", prober.Outstanding(), max)
 	}
 

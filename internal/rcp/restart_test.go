@@ -30,7 +30,7 @@ func TestPacedFlowRestart(t *testing.T) {
 			return rcp.NewBaselineSender(sim, a, b.MAC, b.IP, rate)
 		}},
 		{rcp.VariantAIMD, func(sim *netsim.Sim, a, b *endhost.Host) *rcp.PacedFlow {
-			return aimd.NewSender(sim, a, b.MAC, b.IP, aimd.DefaultParams(), rate).PacedFlow
+			return aimd.NewSender(sim, a, b.MAC, b.IP, rate).PacedFlow
 		}},
 	} {
 		t.Run(string(tc.scheme), func(t *testing.T) {

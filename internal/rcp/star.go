@@ -90,7 +90,6 @@ type StarController struct {
 	sim    *netsim.Sim
 	host   *endhost.Host
 	prober *endhost.Prober
-	params Params
 
 	dstMAC core.MAC
 	dstIP  uint32
@@ -148,9 +147,9 @@ func (c *StarController) EnableMetrics(reg *obs.Registry, name string) {
 // NewStarController builds the controller for one sender/receiver
 // pair.  The caller starts the flow and the control loop with Start.
 func NewStarController(sim *netsim.Sim, host *endhost.Host, prober *endhost.Prober,
-	dstMAC core.MAC, dstIP uint32, params Params) *StarController {
+	dstMAC core.MAC, dstIP uint32) *StarController {
 	c := &StarController{
-		sim: sim, host: host, prober: prober, params: params,
+		sim: sim, host: host, prober: prober,
 		dstMAC: dstMAC, dstIP: dstIP,
 		epochs: endhost.NewEpochTracker(nil),
 		Flow:   NewPacedFlow(sim, host, dstMAC, dstIP, StarDataPort, nil),
@@ -165,7 +164,7 @@ func NewStarController(sim *netsim.Sim, host *endhost.Host, prober *endhost.Prob
 // new flow "converges quickly to its fair share" instead of probing
 // from zero.
 func (c *StarController) Start() {
-	c.ticker = c.sim.Every(c.sim.Now(), c.params.T, c.tick)
+	c.ticker = c.sim.Every(c.sim.Now(), ControlPeriod, c.tick)
 }
 
 // Stop halts the control loop and the flow (e.g. when a finite flow
@@ -186,19 +185,13 @@ func (c *StarController) tick() {
 	c.probeCollect()
 }
 
-// probeCfg bounds every control probe's lifetime so the pending set
-// stays bounded on a faulty network.  The deadline must exceed the
+// probeTimeout bounds every control probe's lifetime so the pending
+// set stays bounded on a faulty network.  The deadline must exceed the
 // worst-case echo RTT — propagation plus a full queue, i.e. the RTT
-// scale D — or healthy probes get reaped just before their echoes;
-// twice D leaves comfortable slack while still reaping within a few
+// scale d — or healthy probes get reaped just before their echoes;
+// twice d leaves comfortable slack while still reaping within a few
 // control periods.
-func (c *StarController) probeCfg() endhost.ProbeConfig {
-	timeout := 2 * c.params.D
-	if m := 2 * c.params.T; m > timeout {
-		timeout = m
-	}
-	return endhost.ProbeConfig{Timeout: timeout}
-}
+const probeTimeout = 2 * rttScale
 
 // onMiss degrades gracefully: the flow holds its last-known rate (no
 // sample means no evidence the fair share moved), and after
@@ -217,7 +210,7 @@ func (c *StarController) onMiss() {
 // (link capacities are static, so they need not burden the steady-state
 // probe, keeping it within the 5-instruction device limit).
 func (c *StarController) probeCapacities() {
-	c.prober.ProbeCfg(c.dstMAC, c.dstIP, capacityProbe, c.probeCfg(), c.onCapacitiesFn, c.onMissFn)
+	c.prober.ProbeCfg(c.dstMAC, c.dstIP, capacityProbe, endhost.ProbeConfig{Timeout: probeTimeout}, c.onCapacitiesFn, c.onMissFn)
 }
 
 func (c *StarController) onCapacities(e *core.TPP) {
@@ -236,7 +229,7 @@ func (c *StarController) onCapacities(e *core.TPP) {
 
 // probeCollect is phase 1; the echo handler runs phases 2 and 3.
 func (c *StarController) probeCollect() {
-	c.prober.ProbeCfg(c.dstMAC, c.dstIP, collectProbe, c.probeCfg(), c.onCollectFn, c.onMissFn)
+	c.prober.ProbeCfg(c.dstMAC, c.dstIP, collectProbe, endhost.ProbeConfig{Timeout: probeTimeout}, c.onCollectFn, c.onMissFn)
 }
 
 // hopSample is one hop's record from a collect echo.
@@ -310,7 +303,7 @@ func (c *StarController) onCollect(e *core.TPP) {
 	var bottleneckRate float64
 	for i, s := range samples {
 		c.qAvg[i] = 0.5*s.Queue + 0.5*c.qAvg[i]
-		r := c.params.Update(s.RateReg, s.Util, c.qAvg[i], c.caps[i])
+		r := nextRate(s.RateReg, s.Util, c.qAvg[i], c.caps[i])
 		if r < minR {
 			minR = r
 			bottleneck = i
@@ -368,7 +361,7 @@ func (s *starScheme) Install(h *Harness) {
 
 func (s *starScheme) Attach(h *Harness, pair int) Flow {
 	snd, rcv := h.Senders[pair], h.Receivers[pair]
-	ctl := NewStarController(h.Sim, snd, endhost.NewProber(snd), rcv.MAC, rcv.IP, h.Params)
+	ctl := NewStarController(h.Sim, snd, endhost.NewProber(snd), rcv.MAC, rcv.IP)
 	if h.Metrics != nil {
 		ctl.EnableMetrics(h.Metrics, fmt.Sprintf("flow%d", pair))
 	}

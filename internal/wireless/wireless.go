@@ -19,34 +19,23 @@ import (
 	"repro/internal/netsim"
 )
 
-// APConfig parameterizes the simulated channel.
-type APConfig struct {
-	// MeanSNRdB is the long-run mean SNR in dB.
-	MeanSNRdB float64
-	// Reversion is the OU mean-reversion rate (1/s).
-	Reversion float64
-	// Volatility is the OU noise magnitude (dB/sqrt(s)).
-	Volatility float64
-	// UpdateEvery is how often the channel state advances.
-	UpdateEvery netsim.Time
-}
-
-// DefaultAPConfig returns a fast-fading channel around 25 dB.
-func DefaultAPConfig() APConfig {
-	return APConfig{
-		MeanSNRdB:   25,
-		Reversion:   50,
-		Volatility:  40,
-		UpdateEvery: netsim.Millisecond,
-	}
-}
+// The simulated channel fades fast around 25 dB.
+const (
+	// meanSNRdB is the long-run mean SNR in dB.
+	meanSNRdB = 25.0
+	// reversion is the OU mean-reversion rate (1/s).
+	reversion = 50
+	// volatility is the OU noise magnitude (dB/sqrt(s)).
+	volatility = 40
+	// updateEvery is how often the channel state advances.
+	updateEvery = netsim.Millisecond
+)
 
 // AP is an access point: a switch port whose SNR register tracks the
 // simulated channel.
 type AP struct {
 	sim  *netsim.Sim
 	port *asic.Port
-	cfg  APConfig
 	snr  float64
 
 	// Updates counts channel-state advances.
@@ -55,10 +44,10 @@ type AP struct {
 
 // NewAP attaches an access-point channel model to (sw, port) and starts
 // updating it.
-func NewAP(sim *netsim.Sim, sw *asic.Switch, port int, cfg APConfig) *AP {
-	ap := &AP{sim: sim, port: sw.Port(port), cfg: cfg, snr: cfg.MeanSNRdB}
+func NewAP(sim *netsim.Sim, sw *asic.Switch, port int) *AP {
+	ap := &AP{sim: sim, port: sw.Port(port), snr: meanSNRdB}
 	ap.publish()
-	sim.Every(sim.Now()+cfg.UpdateEvery, cfg.UpdateEvery, ap.step)
+	sim.Every(sim.Now()+updateEvery, updateEvery, ap.step)
 	return ap
 }
 
@@ -66,9 +55,9 @@ func NewAP(sim *netsim.Sim, sw *asic.Switch, port int, cfg APConfig) *AP {
 func (ap *AP) SNRdB() float64 { return ap.snr }
 
 func (ap *AP) step() {
-	dt := ap.cfg.UpdateEvery.Seconds()
-	noise := ap.sim.Rand().NormFloat64() * ap.cfg.Volatility * math.Sqrt(dt)
-	ap.snr += ap.cfg.Reversion*(ap.cfg.MeanSNRdB-ap.snr)*dt + noise
+	dt := updateEvery.Seconds()
+	noise := ap.sim.Rand().NormFloat64() * volatility * math.Sqrt(dt)
+	ap.snr += reversion*(meanSNRdB-ap.snr)*dt + noise
 	if ap.snr < 0 {
 		ap.snr = 0
 	}

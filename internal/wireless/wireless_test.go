@@ -18,8 +18,7 @@ func TestOUProcessStatistics(t *testing.T) {
 	h := n.AddHost()
 	port := n.LinkHost(h, sw, topo.Mbps(100, 0))
 
-	cfg := DefaultAPConfig()
-	ap := NewAP(sim, sw, port, cfg)
+	ap := NewAP(sim, sw, port)
 
 	var sum, sumsq float64
 	samples := 0
@@ -32,8 +31,8 @@ func TestOUProcessStatistics(t *testing.T) {
 
 	mean := sum / float64(samples)
 	std := math.Sqrt(sumsq/float64(samples) - mean*mean)
-	if math.Abs(mean-cfg.MeanSNRdB) > 3 {
-		t.Fatalf("mean SNR = %.1f dB, want ~%.0f", mean, cfg.MeanSNRdB)
+	if math.Abs(mean-meanSNRdB) > 3 {
+		t.Fatalf("mean SNR = %.1f dB, want ~%.0f", mean, meanSNRdB)
 	}
 	// The channel must actually fluctuate (that is the point).
 	if std < 1 {
@@ -53,7 +52,7 @@ func TestSNRRegisterVisibleToTPP(t *testing.T) {
 	p2 := n.LinkHost(h2, sw, topo.Mbps(100, 0))
 	n.PrimeL2(netsim.Millisecond)
 
-	ap := NewAP(sim, sw, p2, DefaultAPConfig())
+	ap := NewAP(sim, sw, p2)
 	sim.RunUntil(sim.Now() + 100*netsim.Millisecond)
 
 	prober := endhost.NewProber(h1)
@@ -88,7 +87,7 @@ func TestPerPacketSamplingTracksFastChannel(t *testing.T) {
 	n.LinkHost(h1, sw, topo.Mbps(100, 0))
 	p2 := n.LinkHost(h2, sw, topo.Mbps(100, 0))
 	n.PrimeL2(netsim.Millisecond)
-	ap := NewAP(sim, sw, p2, DefaultAPConfig())
+	ap := NewAP(sim, sw, p2)
 
 	var perPacketErr, polledErr, count float64
 	polled := ap.SNRdB()
