@@ -11,14 +11,14 @@ LINT_PKGS = ./internal/netsim ./internal/asic ./internal/tcpu ./internal/faults 
 	./internal/core ./internal/endhost ./internal/inband ./internal/reflex \
 	./internal/fabric ./internal/fabric/scenario ./internal/fabric/yamlite \
 	./internal/mem ./internal/chaos ./internal/ring ./internal/obs \
-	./internal/rcp ./internal/aimd ./internal/fct ./internal/topo ./internal/trace ./internal/microburst \
+	./internal/rcp ./internal/fct ./internal/topo ./internal/trace ./internal/microburst \
 	./internal/l2 ./internal/l3 ./internal/tcam
 
 # Packages that handle pooled packets; the poollife ownership analyzer
 # (use-after-Recycle, double-Recycle, retain-without-Adopt,
 # recycle-after-shallow-copy, kept-echo) gates them.
 POOL_PKGS = ./internal/core ./internal/netsim ./internal/asic ./internal/endhost ./internal/inband \
-	./internal/fabric ./internal/reflex ./internal/rcp ./internal/aimd \
+	./internal/fabric ./internal/reflex ./internal/rcp \
 	./internal/ndb ./internal/accounting ./internal/chaos ./cmd/experiments ./cmd/tppsim ./examples/quickstart
 
 # Packages with //alloc:free hot-path annotations; the escape gate
@@ -149,7 +149,7 @@ scenario:
 soak-pooldebug:
 	$(GO) test -race -tags pooldebug -run 'TestChaosSoak|TestHostileSoak|TestReflexSoak' -v -count=1 ./internal/chaos
 	$(GO) test -race -tags pooldebug -run 'TestRebootFlushesLanes' -v -count=1 ./internal/asic
-	$(GO) test -race -tags pooldebug -count=1 ./internal/rcp ./internal/aimd ./internal/endhost \
+	$(GO) test -race -tags pooldebug -count=1 ./internal/rcp ./internal/endhost \
 		./internal/ndb ./internal/inband ./internal/accounting ./cmd/experiments
 
 # fuzz smoke-tests the three soundness properties — verified programs

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"repro/internal/aimd"
 	"repro/internal/rcp"
 	"repro/internal/trace"
 )
@@ -11,14 +10,14 @@ import (
 // version of the paper's motivation that loss-driven congestion control
 // fills queues to find the fair share while RCP-style control reads it.
 func runAIMD(out *output) error {
-	cfg := aimd.DefaultCompareConfig()
-	aimdRes := aimd.RunComparison(rcp.VariantAIMD, cfg)
-	rcpRes := aimd.RunComparison(rcp.VariantStar, cfg)
+	cfg := rcp.DefaultCompareConfig()
+	aimdRes := rcp.RunComparison(rcp.VariantAIMD, cfg)
+	rcpRes := rcp.RunComparison(rcp.VariantStar, cfg)
 
 	out.printf("extension: RCP* vs TCP-style AIMD on the Figure 2 dumbbell (3 staggered flows, 30s)\n\n")
 	tbl := trace.NewTable("scheme", "utilization", "Jain fairness",
 		"mean queue (B)", "drops", "flow goodputs (Mb/s)")
-	for _, r := range []aimd.CompareResult{rcpRes, aimdRes} {
+	for _, r := range []rcp.CompareResult{rcpRes, aimdRes} {
 		g := ""
 		for i, f := range r.FlowGoodput {
 			if i > 0 {
@@ -33,7 +32,7 @@ func runAIMD(out *output) error {
 		tbl.String())
 
 	c := out.csv("aimd.csv", "scheme", "utilization", "jain", "mean_queue_bytes", "drops")
-	for _, r := range []aimd.CompareResult{rcpRes, aimdRes} {
+	for _, r := range []rcp.CompareResult{rcpRes, aimdRes} {
 		c.Row(string(r.Scheme), r.Utilization, r.JainIndex, r.MeanQueueBytes, r.DropPkts)
 	}
 	return nil

@@ -14,11 +14,10 @@ import (
 // flip-interval measurements — with zero end-host instrumentation on
 // the measured path.
 func runSpinBit(out *output) error {
-	const seed = 1
-	res := inband.RunSpin(seed)
+	res := inband.RunSpin()
 
-	out.printf("passive spin-bit RTT observer on a 3-switch line (%v, seed %d, %d flips)\n\n",
-		inband.SpinDuration, seed, inband.SpinMaxFlips)
+	out.printf("passive spin-bit RTT observer on a 3-switch line (%v, seed 1, %d flips)\n\n",
+		inband.SpinDuration, inband.SpinMaxFlips)
 
 	tbl := trace.NewTable("metric", "value")
 	tbl.Row("client spin flips (ground truth)", res.Flips)

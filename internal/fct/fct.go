@@ -12,7 +12,6 @@
 package fct
 
 import (
-	"repro/internal/aimd"
 	"repro/internal/netsim"
 	"repro/internal/rcp"
 )
@@ -83,8 +82,13 @@ func Run(cfg Config) Result {
 			h.Flows[0].Stop()
 		}
 	}
-	flowStart := h.Launch(aimd.SchemeFor(cfg.Scheme), starts) + measureStart
-	h.Sim.RunUntil(flowStart + 120*netsim.Second)
+	flowStart := h.Launch(rcp.SchemeFor(cfg.Scheme), starts) + measureStart
+	// The result is fixed once the flow finishes, so the run stops there
+	// (checked once per control period) or at the deadline.
+	deadline := flowStart + 120*netsim.Second
+	for finishAt < 0 && h.Sim.Now() < deadline {
+		h.Sim.RunUntil(min(h.Sim.Now()+rcp.ControlPeriod, deadline))
+	}
 	if finishAt >= 0 {
 		res.Completed = true
 		res.FCT = finishAt - flowStart

@@ -163,52 +163,48 @@ func TestHistScenarioNoFaults(t *testing.T) {
 // client's own flip-interval measurements exactly, reconciled across
 // SRAM, collector sweeps, switch counters, metrics and spans.
 func TestSpinScenario(t *testing.T) {
-	// The flow draws nothing at random, so both seeds pin one digest.
-	pinned := map[int64]uint64{1: 0x7ba37b23356169b1, 42: 0x7ba37b23356169b1}
-	for _, seed := range []int64{1, 42} {
-		a := RunSpin(seed)
-		b := RunSpin(seed)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("seed %d: two runs diverged:\n%+v\nvs\n%+v", seed, a, b)
-		}
-		if d := resultDigest(a); d != pinned[seed] {
-			t.Errorf("seed %d: result digest %#x, pinned %#x:\n%+v", seed, d, pinned[seed], a)
-		}
+	a := RunSpin()
+	b := RunSpin()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two runs diverged:\n%+v\nvs\n%+v", a, b)
+	}
+	if d, pinned := resultDigest(a), uint64(0x7ba37b23356169b1); d != pinned {
+		t.Errorf("result digest %#x, pinned %#x:\n%+v", d, pinned, a)
+	}
 
-		if a.Flips == 0 || a.TruthTotal != a.Flips {
-			t.Fatalf("seed %d: %d flips but truth holds %d", seed, a.Flips, a.TruthTotal)
-		}
-		if a.Truth != a.SRAM {
-			t.Fatalf("seed %d: observer diverged from client truth\ntruth %v\nsram  %v",
-				seed, a.Truth, a.SRAM)
-		}
-		if a.Truth != a.Current || a.Truth != a.Cumulative {
-			t.Fatalf("seed %d: collector diverged from truth\ntruth %v\ncur %v\ncum %v",
-				seed, a.Truth, a.Current, a.Cumulative)
-		}
-		if nonZeroBuckets(a.Truth[:]) < 2 {
-			t.Fatalf("seed %d: interval spread too narrow: %v", seed, a.Truth)
-		}
+	if a.Flips == 0 || a.TruthTotal != a.Flips {
+		t.Fatalf("%d flips but truth holds %d", a.Flips, a.TruthTotal)
+	}
+	if a.Truth != a.SRAM {
+		t.Fatalf("observer diverged from client truth\ntruth %v\nsram  %v",
+			a.Truth, a.SRAM)
+	}
+	if a.Truth != a.Current || a.Truth != a.Cumulative {
+		t.Fatalf("collector diverged from truth\ntruth %v\ncur %v\ncum %v",
+			a.Truth, a.Current, a.Cumulative)
+	}
+	if nonZeroBuckets(a.Truth[:]) < 2 {
+		t.Fatalf("interval spread too narrow: %v", a.Truth)
+	}
 
-		if a.Edges != a.Flips || a.Samples != a.Flips {
-			t.Fatalf("seed %d: flips %d, edges %d, samples %d", seed, a.Flips, a.Edges, a.Samples)
-		}
-		if int64(a.Edges) != a.EdgesMetric || int(a.Edges) != a.EdgeSpans {
-			t.Fatalf("seed %d: edges %d, metric %d, spans %d",
-				seed, a.Edges, a.EdgesMetric, a.EdgeSpans)
-		}
-		if int64(a.Samples) != a.SamplesMetric {
-			t.Fatalf("seed %d: samples %d != metric %d", seed, a.Samples, a.SamplesMetric)
-		}
-		if a.Sweeps == 0 || int(a.Sweeps) != a.SweepSpans {
-			t.Fatalf("seed %d: sweeps %d, spans %d", seed, a.Sweeps, a.SweepSpans)
-		}
-		if a.Discontinuities != 0 {
-			t.Fatalf("seed %d: %d discontinuities without a crash", seed, a.Discontinuities)
-		}
-		if a.SpansDropped != 0 {
-			t.Fatalf("seed %d: tracer dropped %d spans", seed, a.SpansDropped)
-		}
+	if a.Edges != a.Flips || a.Samples != a.Flips {
+		t.Fatalf("flips %d, edges %d, samples %d", a.Flips, a.Edges, a.Samples)
+	}
+	if int64(a.Edges) != a.EdgesMetric || int(a.Edges) != a.EdgeSpans {
+		t.Fatalf("edges %d, metric %d, spans %d",
+			a.Edges, a.EdgesMetric, a.EdgeSpans)
+	}
+	if int64(a.Samples) != a.SamplesMetric {
+		t.Fatalf("samples %d != metric %d", a.Samples, a.SamplesMetric)
+	}
+	if a.Sweeps == 0 || int(a.Sweeps) != a.SweepSpans {
+		t.Fatalf("sweeps %d, spans %d", a.Sweeps, a.SweepSpans)
+	}
+	if a.Discontinuities != 0 {
+		t.Fatalf("%d discontinuities without a crash", a.Discontinuities)
+	}
+	if a.SpansDropped != 0 {
+		t.Fatalf("tracer dropped %d spans", a.SpansDropped)
 	}
 }
 

@@ -109,44 +109,33 @@ func (l *BaselineLink) stamp(pkt *core.Packet) {
 // packets and periodically feeds the minimum back to the sender, the
 // way RCP receivers echo the header in ACKs.
 type BaselineReceiver struct {
-	host    *endhost.Host
-	sim     *netsim.Sim
+	feedbackLoop
 	minSeen uint32
-	srcMAC  core.MAC
-	srcIP   uint32
-	have    bool
 }
 
 // NewBaselineReceiver builds the receiver side on host, sending
 // feedback every control period; whoever owns the host's
 // BaselineDataPort handler feeds it each data packet through onData.
 func NewBaselineReceiver(sim *netsim.Sim, host *endhost.Host) *BaselineReceiver {
-	r := &BaselineReceiver{host: host, sim: sim, minSeen: ^uint32(0)}
-	sim.Every(sim.Now()+ControlPeriod, ControlPeriod, r.feedback)
+	r := &BaselineReceiver{minSeen: ^uint32(0)}
+	r.start(sim, host, FeedbackPort, r.report)
 	return r
 }
 
 func (r *BaselineReceiver) onData(pkt *core.Packet) {
-	if len(pkt.Payload) < RateHeaderLen || pkt.IP == nil {
-		return
-	}
-	rate := binary.BigEndian.Uint32(pkt.Payload)
-	if rate < r.minSeen {
+	if rate, ok := r.heard(pkt); ok && rate < r.minSeen {
 		r.minSeen = rate
 	}
-	r.srcMAC, r.srcIP = pkt.Eth.Src, pkt.IP.Src
-	r.have = true
 }
 
-func (r *BaselineReceiver) feedback() {
-	if !r.have {
-		return
-	}
-	fb := r.host.NewPacket(r.srcMAC, r.srcIP, FeedbackPort, FeedbackPort, 0)
-	fb.Payload = binary.BigEndian.AppendUint32(nil, r.minSeen)
-	r.host.Send(fb)
+// report echoes the lowest rate stamped since the last report, then
+// starts the next window afresh: the sender is learned again from the
+// next data packet.
+func (r *BaselineReceiver) report() []byte {
+	words := binary.BigEndian.AppendUint32(nil, r.minSeen)
 	r.minSeen = ^uint32(0)
 	r.have = false
+	return words
 }
 
 // NewBaselineSender builds the sender side of one baseline flow: a

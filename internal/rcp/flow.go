@@ -18,6 +18,11 @@ const (
 	// FeedbackPort carries the receiver's rate feedback back to the
 	// sender in the native-RCP baseline.
 	FeedbackPort = 8002
+
+	// aimdDataPort and aimdFeedbackPort carry the AIMD comparator's
+	// sequence-numbered data and its loss feedback.
+	aimdDataPort     = 8100
+	aimdFeedbackPort = 8101
 )
 
 // RateHeaderLen is the congestion header carried at the front of
@@ -123,4 +128,38 @@ func (f *PacedFlow) pump() {
 		gap = netsim.Microsecond
 	}
 	f.next.Reset(f.sim.Now() + gap)
+}
+
+// feedbackLoop is the receiver half that native RCP and AIMD share: it
+// learns the sender's address from data packets and, every
+// ControlPeriod once it has one, sends the words the scheme's report
+// supplies back on the scheme's feedback port.
+type feedbackLoop struct {
+	srcMAC core.MAC
+	srcIP  uint32
+	have   bool
+}
+
+// start arms the loop's timer on host.
+func (l *feedbackLoop) start(sim *netsim.Sim, host *endhost.Host, port uint16, report func() []byte) {
+	sim.Every(sim.Now()+ControlPeriod, ControlPeriod, func() {
+		if !l.have {
+			return
+		}
+		fb := host.NewPacket(l.srcMAC, l.srcIP, port, port, 0)
+		fb.Payload = report()
+		host.Send(fb)
+	})
+}
+
+// heard learns the sender of a data packet and returns the header word
+// the packet opens with; ok is false, and nothing is learned, for a
+// packet too short to carry one.
+func (l *feedbackLoop) heard(pkt *core.Packet) (word uint32, ok bool) {
+	if len(pkt.Payload) < RateHeaderLen || pkt.IP == nil {
+		return 0, false
+	}
+	l.srcMAC, l.srcIP = pkt.Eth.Src, pkt.IP.Src
+	l.have = true
+	return binary.BigEndian.Uint32(pkt.Payload), true
 }

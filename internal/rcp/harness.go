@@ -12,9 +12,8 @@ import (
 // Variant names a congestion-control scheme of the §2.2 experiments.
 type Variant string
 
-// The schemes.  RCP* and native RCP are the two curves of Figure 2 and
-// live here; the TCP-style comparator is implemented by package aimd,
-// which layers on this one (aimd.SchemeFor resolves all three).
+// The schemes.  RCP* and native RCP are the two curves of Figure 2;
+// AIMD is the TCP-style comparator the paper argues against.
 const (
 	VariantStar     Variant = "rcpstar"  // TPP + end-host implementation
 	VariantBaseline Variant = "baseline" // native in-switch RCP (ns-2 stand-in)
@@ -22,7 +21,7 @@ const (
 )
 
 // Scheme is one congestion-control implementation as a Harness drives
-// it.  There are exactly three: RCP*, native RCP, and aimd's.
+// it.  There are exactly three: RCP*, native RCP and AIMD.
 type Scheme interface {
 	// Install sets up switch-side state once, after L2 learning has
 	// settled and before any pair is attached.
@@ -37,13 +36,15 @@ type Scheme interface {
 	FairShare() float64
 }
 
-// SchemeFor returns a fresh instance of one of this package's schemes.
+// SchemeFor returns a fresh instance of one of the three schemes.
 func SchemeFor(v Variant) Scheme {
 	switch v {
 	case VariantStar:
 		return &starScheme{}
 	case VariantBaseline:
 		return &baselineScheme{}
+	case VariantAIMD:
+		return aimdScheme{}
 	}
 	panic("rcp: no scheme for variant " + string(v))
 }
@@ -107,8 +108,8 @@ type Harness struct {
 
 // NewHarness builds the dumbbell; nothing runs until Launch, so callers
 // can still register faults or loss on the bottleneck at time zero.
-// The flow RTT scale d sizes the queues; metrics (may be nil) receives
-// the switches' dataplane metrics and each RCP* controller's.
+// metrics (may be nil) receives the switches' dataplane metrics and each
+// RCP* controller's.
 func NewHarness(pairs int, seed int64, metrics *obs.Registry) *Harness {
 	capacity := bottleneckMbps * 1e6 / 8
 	return &Harness{

@@ -1,12 +1,11 @@
 // Package rcp implements the §2.2 congestion-control experiments: three
-// schemes on one harness.  Two live here — the Rate Control Protocol as
-// RCP* ("an end-host implementation of RCP" built from TPP probes) and
-// as the native in-switch baseline standing in for the paper's ns-2
-// reference simulation; package aimd adds the TCP-style comparator.
-// All of them run on Harness (the Figure 2 dumbbell, one delivered-bytes
-// count per flow) and send through PacedFlow; an experiment — Figure 2
-// here, aimd.RunComparison, fct.Run — is the harness plus what it
-// samples.
+// schemes on one harness — the Rate Control Protocol as RCP* ("an
+// end-host implementation of RCP" built from TPP probes), as the native
+// in-switch baseline standing in for the paper's ns-2 reference
+// simulation, and the TCP-style AIMD comparator.  All of them run on
+// Harness (the Figure 2 dumbbell, one delivered-bytes count per flow)
+// and send through PacedFlow; an experiment — RunFigure2,
+// RunComparison, fct.Run — is the harness plus what it samples.
 //
 // Both RCP variants share the control equation:
 //

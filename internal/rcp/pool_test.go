@@ -3,7 +3,6 @@ package rcp_test
 import (
 	"testing"
 
-	"repro/internal/aimd"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/rcp"
@@ -17,7 +16,7 @@ func poolRun(v rcp.Variant) (atLaunch, drained core.PoolStats, delivered uint64)
 	cfg := rcp.DefaultFig2Config(v)
 	h := rcp.NewHarness(3, cfg.Seed, nil)
 	second := netsim.Second
-	start := h.Launch(aimd.SchemeFor(v), rcp.Staggered([]netsim.Time{0, second / 2, second}))
+	start := h.Launch(rcp.SchemeFor(v), rcp.Staggered([]netsim.Time{0, second / 2, second}))
 	atLaunch = h.Sim.Pool().Stats()
 	h.Sim.RunUntil(start + 3*second)
 	for _, f := range h.Flows {

@@ -1,13 +1,11 @@
-package rcp_test
+package rcp
 
 import (
 	"testing"
 
-	"repro/internal/aimd"
 	"repro/internal/core"
 	"repro/internal/endhost"
 	"repro/internal/netsim"
-	"repro/internal/rcp"
 )
 
 // TestPacedFlowRestart pins Stop/Start on every scheme's sender: a
@@ -18,19 +16,19 @@ import (
 func TestPacedFlowRestart(t *testing.T) {
 	const rate = 100_000 // bytes/sec: one 1000-byte frame every 10 ms
 	for _, tc := range []struct {
-		scheme rcp.Variant
-		build  func(sim *netsim.Sim, a, b *endhost.Host) *rcp.PacedFlow
+		scheme Variant
+		build  func(sim *netsim.Sim, a, b *endhost.Host) *PacedFlow
 	}{
-		{rcp.VariantStar, func(sim *netsim.Sim, a, b *endhost.Host) *rcp.PacedFlow {
-			f := rcp.NewPacedFlow(sim, a, b.MAC, b.IP, rcp.StarDataPort, nil)
+		{VariantStar, func(sim *netsim.Sim, a, b *endhost.Host) *PacedFlow {
+			f := NewPacedFlow(sim, a, b.MAC, b.IP, StarDataPort, nil)
 			f.SetRate(rate)
 			return f
 		}},
-		{rcp.VariantBaseline, func(sim *netsim.Sim, a, b *endhost.Host) *rcp.PacedFlow {
-			return rcp.NewBaselineSender(sim, a, b.MAC, b.IP, rate)
+		{VariantBaseline, func(sim *netsim.Sim, a, b *endhost.Host) *PacedFlow {
+			return NewBaselineSender(sim, a, b.MAC, b.IP, rate)
 		}},
-		{rcp.VariantAIMD, func(sim *netsim.Sim, a, b *endhost.Host) *rcp.PacedFlow {
-			return aimd.NewSender(sim, a, b.MAC, b.IP, rate).PacedFlow
+		{VariantAIMD, func(sim *netsim.Sim, a, b *endhost.Host) *PacedFlow {
+			return newAIMDSender(sim, a, b.MAC, b.IP, rate).PacedFlow
 		}},
 	} {
 		t.Run(string(tc.scheme), func(t *testing.T) {
@@ -80,7 +78,7 @@ func TestPacedFlowStartedAtRateZeroSendsAfterSetRate(t *testing.T) {
 	a.NIC.Attach(netsim.NewChannel(sim, 100_000_000, 0, b, 0))
 	b.NIC.Attach(netsim.NewChannel(sim, 100_000_000, 0, a, 0))
 
-	f := rcp.NewPacedFlow(sim, a, b.MAC, b.IP, rcp.StarDataPort, nil)
+	f := NewPacedFlow(sim, a, b.MAC, b.IP, StarDataPort, nil)
 	f.Start()
 	sim.RunUntil(netsim.Second)
 	if f.Sent != 0 || !f.Running() {

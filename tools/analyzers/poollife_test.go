@@ -187,7 +187,6 @@ func TestPoolLifeRealPackagesClean(t *testing.T) {
 		"../../internal/fabric",
 		"../../internal/reflex",
 		"../../internal/rcp",
-		"../../internal/aimd",
 	} {
 		fs, err := Dir(dir, PoolLife())
 		if err != nil {
