@@ -157,8 +157,8 @@ soak-pooldebug:
 # grant (and, verified against it, are never denied), and a TPP executes
 # identically under a cached validation verdict (Program.Exec) and a
 # fresh one (Config.Exec) — and two robustness properties: no bytes on
-# a prober's echo-reply port make it, its epoch tracker or a collect
-# callback panic, and no spec text makes the controller's decode path
+# a prober's echo-reply port make it, or a collect callback that feeds
+# an epoch tracker, panic, and no spec text makes the controller's decode path
 # (yamlite.Parse, DecodeSpec, Normalize) panic, while every spec it
 # accepts normalizes to a fixpoint.
 fuzz:

@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/asic"
@@ -102,6 +103,14 @@ func decodeTopology(n *yamlite.Node) (topology, error) {
 	}
 	if t.Leaves < 1 || t.Spines < 1 || t.Hosts < 0 {
 		return t, fmt.Errorf("topology: needs at least one leaf and one spine")
+	}
+	// A NaN rate would admit every TPP and a negative one would switch
+	// the gate off; a negative burst would silently become the default.
+	if math.IsNaN(t.TPPRate) || math.IsInf(t.TPPRate, 0) || t.TPPRate < 0 {
+		return t, fmt.Errorf("topology: tpprate: %v is not a finite, non-negative rate", t.TPPRate)
+	}
+	if t.TPPBurst < 0 {
+		return t, fmt.Errorf("topology: tppburst: %d is negative", t.TPPBurst)
 	}
 	return t, nil
 }

@@ -116,6 +116,10 @@ func TestExitCodes(t *testing.T) {
 		{name: "bad yaml", doc: "spec:\n\tdevices:", want: 2, msg: "tabs"},
 		{name: "unknown top key", doc: "stuff:\n  x: 1", want: 2, msg: "unknown key"},
 		{name: "bad topology", doc: "topology:\n  leaves: 0", want: 2, msg: "at least one leaf"},
+		{name: "NaN tpprate", doc: "topology:\n  tpprate: NaN", want: 2, msg: "tpprate: NaN is not a finite"},
+		{name: "infinite tpprate", doc: "topology:\n  tpprate: +Inf", want: 2, msg: "tpprate: +Inf is not a finite"},
+		{name: "negative tpprate", doc: "topology:\n  tpprate: -5", want: 2, msg: "tpprate: -5 is not a finite"},
+		{name: "negative tppburst", doc: "topology:\n  tpprate: 1000\n  tppburst: -3", want: 2, msg: "tppburst: -3 is negative"},
 		{name: "bad spec", doc: "spec:\n  devices:\n    - device: leaf0\n      routes:\n        - dst: 10.0.0.1\n          prio: 1", want: 2, msg: "needs port or drop"},
 		{
 			name: "unknown device",

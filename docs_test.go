@@ -1,12 +1,38 @@
 package repro
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 )
+
+// proseDocs are the documents a reader takes the tree's word from.
+var proseDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "bench/README.md"}
+
+// scanProse calls fn with every line of the prose documents that lies
+// outside a fenced block, numbered from 1.
+func scanProse(t *testing.T, fn func(doc string, n int, line string)) {
+	t.Helper()
+	for _, doc := range proseDocs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for i, line := range strings.Split(string(text), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if !fenced {
+				fn(doc, i+1, line)
+			}
+		}
+	}
+}
 
 // docPath matches a code span that opens with a repo path.
 var docPath = regexp.MustCompile("`((?:internal|cmd|tools|examples|bench|results)/[^`\n]*)`")
@@ -18,29 +44,66 @@ var docPath = regexp.MustCompile("`((?:internal|cmd|tools|examples|bench|results
 // span with a <placeholder> names a family of files a run writes, not a
 // path, and is not checked.
 func TestDocsNamePaths(t *testing.T) {
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "bench/README.md"} {
-		text, err := os.ReadFile(doc)
+	scanProse(t, func(doc string, n int, line string) {
+		for _, m := range docPath.FindAllStringSubmatch(line, -1) {
+			path := strings.Fields(m[1])[0]
+			if strings.Contains(path, "<") {
+				continue
+			}
+			if found, err := filepath.Glob(path); err != nil || len(found) == 0 {
+				t.Errorf("%s:%d: `%s` names no file or directory", doc, n, m[1])
+			}
+		}
+	})
+}
+
+var (
+	// codeSpan matches one backticked span on a line.
+	codeSpan = regexp.MustCompile("`[^`\n]+`")
+	// docTestName matches a test or fuzz target's name inside a span.
+	docTestName = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z0-9_]\w*`)
+	// testDecl matches a test or fuzz target's declaration.
+	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+)
+
+// TestDocsNameTests holds the prose documents to the test suite: every
+// test or fuzz target a code span outside a fenced block names
+// (`TestSmoke`, `rcp.TestStarRunBudgets`, `go test -run TestX`) is
+// declared by some _test.go file in the module.
+func TestDocsNameTests(t *testing.T) {
+	declared := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		fenced := false
-		for i, line := range strings.Split(string(text), "\n") {
-			if strings.HasPrefix(strings.TrimSpace(line), "```") {
-				fenced = !fenced
-				continue
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
 			}
-			if fenced {
-				continue
-			}
-			for _, m := range docPath.FindAllStringSubmatch(line, -1) {
-				path := strings.Fields(m[1])[0]
-				if strings.Contains(path, "<") {
-					continue
-				}
-				if found, err := filepath.Glob(path); err != nil || len(found) == 0 {
-					t.Errorf("%s:%d: `%s` names no file or directory", doc, i+1, m[1])
-				}
-			}
+			return nil
 		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testDecl.FindAllStringSubmatch(string(src), -1) {
+			declared[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	scanProse(t, func(doc string, n int, line string) {
+		for _, span := range codeSpan.FindAllString(line, -1) {
+			for _, name := range docTestName.FindAllString(span, -1) {
+				if !declared[name] {
+					t.Errorf("%s:%d: %s names %s, which no _test.go declares", doc, n, span, name)
+				}
+			}
+		}
+	})
 }

@@ -151,17 +151,12 @@ func TestCollectRowsAreTheAccessorsWords(t *testing.T) {
 			sw.TPPsDenied(), sw.TPPsThrottled(), sw.CStoreCommits(), sw.SpinEdges(h2.IP, h1.IP))
 	}
 	for i := 0; i < sw.Ports(); i++ {
-		p := sw.Port(i)
-		var tx, drops uint64
-		for q := 0; q < p.Queues(); q++ {
-			tx += p.Queue(q).DeqBytes
-			drops += p.Queue(q).DropPkts
+		q := sw.Port(i).Queue()
+		if got := counterRow(t, reg, fmt.Sprintf("switch/1/port/%d/tx_bytes", i)); got != q.DeqBytes || q.DeqBytes == 0 {
+			t.Errorf("port %d tx_bytes row = %d, queue dequeued %d bytes", i, got, q.DeqBytes)
 		}
-		if got := counterRow(t, reg, fmt.Sprintf("switch/1/port/%d/tx_bytes", i)); got != tx || tx == 0 {
-			t.Errorf("port %d tx_bytes row = %d, queues dequeued %d bytes", i, got, tx)
-		}
-		if got := counterRow(t, reg, fmt.Sprintf("switch/1/port/%d/drops", i)); got != drops {
-			t.Errorf("port %d drops row = %d, queues dropped %d", i, got, drops)
+		if got := counterRow(t, reg, fmt.Sprintf("switch/1/port/%d/drops", i)); got != q.DropPkts {
+			t.Errorf("port %d drops row = %d, queue dropped %d", i, got, q.DropPkts)
 		}
 	}
 

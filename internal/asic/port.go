@@ -7,17 +7,17 @@ import (
 	"repro/internal/obs"
 )
 
-// Port is one switch port: the egress side owns the queues and the
+// Port is one switch port: the egress side owns the queue and the
 // transmit channel; the ingress side feeds the pipeline and maintains
-// receive counters.  A switch's ports are one array, its queues another
-// and both meters sit inside the port, so building a switch allocates
-// per kind, not per port.
+// receive counters.  A switch's ports are one array, and the queue and
+// both meters sit inside the port, so building a switch allocates per
+// kind, not per port.
 type Port struct {
 	sw *Switch
 	id int
 
-	ch     *netsim.Channel // egress channel; nil while unwired
-	queues []*Queue        // this port's window of the switch's queue array
+	ch    *netsim.Channel // egress channel; nil while unwired
+	queue Queue           // the one drop-tail egress FIFO
 
 	// Trusted marks whether TPPs arriving on this port are executed
 	// and forwarded.  Untrusted edge ports strip TPPs (§4: "the
@@ -67,21 +67,12 @@ func (p *Port) Wired() bool { return p.ch != nil }
 // Channel returns the egress channel (nil while unwired).
 func (p *Port) Channel() *netsim.Channel { return p.ch }
 
-// Queue returns egress queue i.
-func (p *Port) Queue(i int) *Queue { return p.queues[i] }
+// Queue returns the egress queue.
+func (p *Port) Queue() *Queue { return &p.queue }
 
-// Queues returns the number of egress queues.
-func (p *Port) Queues() int { return len(p.queues) }
-
-// QueueBytes returns the instantaneous occupancy summed over the
-// port's queues — the [Link:QueueSize] register.
-func (p *Port) QueueBytes() int {
-	n := 0
-	for _, q := range p.queues {
-		n += q.Bytes()
-	}
-	return n
-}
+// QueueBytes returns the egress queue's instantaneous occupancy — the
+// [Link:QueueSize] register.
+func (p *Port) QueueBytes() int { return p.queue.Bytes() }
 
 // Scratch returns task scratch word i ([Link:Scratch<i>]).
 func (p *Port) Scratch(i int) uint32 { return p.scratch[i] }
@@ -94,60 +85,37 @@ func (p *Port) SetScratch(i int, v uint32) { p.scratch[i] = v }
 // SetSNR updates the wireless SNR register (centi-dB).
 func (p *Port) SetSNR(v uint32) { p.snr = v }
 
-// DropBytes returns cumulative bytes dropped across the port's queues.
-func (p *Port) DropBytes() uint64 {
-	var n uint64
-	for _, q := range p.queues {
-		n += q.DropBytes
-	}
-	return n
-}
+// DropBytes returns cumulative bytes tail-dropped at the egress queue.
+func (p *Port) DropBytes() uint64 { return p.queue.DropBytes }
 
-// dropPkts returns cumulative packets tail-dropped across the port's
-// queues.
-func (p *Port) dropPkts() uint64 {
-	var n uint64
-	for _, q := range p.queues {
-		n += q.DropPkts
-	}
-	return n
-}
+// dropPkts returns cumulative packets tail-dropped at the egress queue.
+func (p *Port) dropPkts() uint64 { return p.queue.DropPkts }
 
-// EnqBytes returns cumulative bytes enqueued across the port's queues.
-func (p *Port) EnqBytes() uint64 {
-	var n uint64
-	for _, q := range p.queues {
-		n += q.EnqBytes
-	}
-	return n
-}
+// EnqBytes returns cumulative bytes enqueued at the egress queue.
+func (p *Port) EnqBytes() uint64 { return p.queue.EnqBytes }
 
-// enqueue commits a packet to egress queue qid, then kicks the
+// enqueue commits a packet to the egress queue, then kicks the
 // scheduler.  It returns false when the queue dropped the packet.
 //
 //alloc:free
-func (p *Port) enqueue(pkt *core.Packet, qid int) bool {
-	if qid < 0 || qid >= len(p.queues) {
-		qid = 0
-	}
+func (p *Port) enqueue(pkt *core.Packet) bool {
 	wire := pkt.WireLen()
-	if !p.queues[qid].push(pkt, wire) {
-		p.sw.span(pkt, obs.StageDrop, uint64(qid), uint64(wire))
+	if !p.queue.push(pkt, wire) {
+		p.sw.span(pkt, obs.StageDrop, 0, uint64(wire))
 		pkt.Recycle() // tail drop: the fabric destroys the packet here
 		return false
 	}
-	p.mQueueDepth.Observe(uint64(p.queues[qid].Bytes()))
-	p.sw.span(pkt, obs.StageEnqueue, uint64(qid), uint64(p.queues[qid].Bytes()))
+	p.mQueueDepth.Observe(uint64(p.queue.Bytes()))
+	p.sw.span(pkt, obs.StageEnqueue, 0, uint64(p.queue.Bytes()))
 	p.rxUtil.Add(wire) // demand entering the egress link
 	p.kick()
 	return true
 }
 
 // kick starts a transmission if the channel is idle and a packet is
-// waiting.  The scheduler is strict priority: queue 0 first.  Whenever
-// it leaves a packet waiting — the channel is busy, or took one frame
-// of several — it asks the channel for the transmit-complete wake-up,
-// which does not come unasked.
+// waiting, in arrival order.  Whenever it leaves a packet waiting — the
+// channel is busy, or took one frame of several — it asks the channel
+// for the transmit-complete wake-up, which does not come unasked.
 //
 //alloc:free
 func (p *Port) kick() {
@@ -158,23 +126,18 @@ func (p *Port) kick() {
 		p.ch.WakeWhenIdle()
 		return
 	}
-	for qi, q := range p.queues {
-		if pkt, wire := q.pop(); pkt != nil {
-			p.txBytes += uint64(wire)
-			p.txUtil.Add(wire)
-			lat := uint64(int64(p.sw.sim.Now()) - pkt.Meta.EnqueuedAt)
-			p.sw.m.hopLatency.Observe(lat)
-			p.sw.span(pkt, obs.StageSched, uint64(qi), lat)
-			p.ch.Send(pkt)
-			// Queues before qi were just found empty.
-			for _, rest := range p.queues[qi:] {
-				if rest.Len() > 0 {
-					p.ch.WakeWhenIdle()
-					break
-				}
-			}
-			return
-		}
+	pkt, wire := p.queue.pop()
+	if pkt == nil {
+		return
+	}
+	p.txBytes += uint64(wire)
+	p.txUtil.Add(wire)
+	lat := uint64(int64(p.sw.sim.Now()) - pkt.Meta.EnqueuedAt)
+	p.sw.m.hopLatency.Observe(lat)
+	p.sw.span(pkt, obs.StageSched, 0, lat)
+	p.ch.Send(pkt)
+	if p.queue.Len() > 0 {
+		p.ch.WakeWhenIdle()
 	}
 }
 

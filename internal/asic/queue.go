@@ -5,7 +5,7 @@ import (
 	"repro/internal/ring"
 )
 
-// Queue is one drop-tail egress queue.  The ASIC memory manager
+// Queue is a port's one drop-tail egress FIFO.  The ASIC memory manager
 // "already keeps track of per-port, per-queue occupancies in its
 // registers" (§2.1); those registers are the exported counters here.
 type Queue struct {

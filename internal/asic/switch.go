@@ -21,10 +21,7 @@ type Config struct {
 	ID uint32
 	// Ports is the port count.
 	Ports int
-	// QueuesPerPort selects the number of egress queues per port
-	// (default 1; the scheduler serves them in strict priority).
-	QueuesPerPort int
-	// QueueCapBytes is each egress queue's capacity (default 150000,
+	// QueueCapBytes is each port's egress queue capacity (default 150000,
 	// one hundred 1500-byte frames).
 	QueueCapBytes int
 	// PipelineLatency is the fixed parse+lookup latency before a
@@ -93,9 +90,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.Ports <= 0 {
 		c.Ports = 4
-	}
-	if c.QueuesPerPort <= 0 {
-		c.QueuesPerPort = 1
 	}
 	if c.QueueCapBytes <= 0 {
 		c.QueueCapBytes = 150_000
@@ -261,23 +255,16 @@ func New(sim *netsim.Sim, cfg Config) *Switch {
 		s.guard = guard.NewTable(s.alloc)
 		s.tenantDenied = make(map[guard.TenantID]uint64)
 	}
-	// Like the ASIC's per-port, per-queue registers, the ports, their
-	// queues and the pointers to both are fixed arrays sized once: one
+	// Like the ASIC's per-port registers, the ports (each holding its
+	// queue) and the pointers to them are fixed arrays sized once: one
 	// allocation per kind, whatever the port count.
 	ports := make([]Port, cfg.Ports)
-	queues := make([]Queue, cfg.Ports*cfg.QueuesPerPort)
-	queuePtrs := make([]*Queue, len(queues))
-	for j := range queues {
-		queues[j].capBytes = cfg.QueueCapBytes
-		queuePtrs[j] = &queues[j]
-	}
 	s.ports = make([]*Port, cfg.Ports)
 	for i := range ports {
-		lo, hi := i*cfg.QueuesPerPort, (i+1)*cfg.QueuesPerPort
 		ports[i] = Port{
 			sw:      s,
 			id:      i,
-			queues:  queuePtrs[lo:hi:hi],
+			queue:   Queue{capBytes: cfg.QueueCapBytes},
 			trusted: true,
 			rxUtil:  newMeter(utilGain, statsInterval.Seconds()),
 			txUtil:  newMeter(utilGain, statsInterval.Seconds()),
@@ -425,9 +412,8 @@ func (s *Switch) InjectLocal(pkt *core.Packet, out int) bool {
 		return false
 	}
 	pkt.Meta.OutPort = uint32(out)
-	pkt.Meta.QueueID = 0
 	pkt.Meta.EnqueuedAt = int64(s.sim.Now())
-	return s.ports[out].enqueue(pkt, 0)
+	return s.ports[out].enqueue(pkt)
 }
 
 // SetTCPUEnabled toggles TPP execution on this switch — the fault
@@ -500,14 +486,12 @@ func (s *Switch) Reboot(bootDelay netsim.Time) {
 		p.scratch = [mem.PortScratchWords]uint32{}
 		p.snr = 0
 		port := p.ID()
-		for _, q := range p.queues {
-			flushed := q.Flush(func(pkt *core.Packet) {
-				if s.tracer != nil {
-					s.span(pkt, obs.StageRebootDrop, uint64(port), uint64(pkt.WireLen()))
-				}
-			})
-			s.rebootDrops += uint64(flushed)
-		}
+		flushed := p.queue.Flush(func(pkt *core.Packet) {
+			if s.tracer != nil {
+				s.span(pkt, obs.StageRebootDrop, uint64(port), uint64(pkt.WireLen()))
+			}
+		})
+		s.rebootDrops += uint64(flushed)
 	}
 	// Spin-observer edge tracking is soft state too: the wipe loses
 	// which bit was last seen, so the first post-boot packet re-anchors
@@ -760,9 +744,9 @@ func (s *Switch) forwardL2(pkt *core.Packet, inPort int) {
 //alloc:free
 func (s *Switch) deliver(pkt *core.Packet, inPort, outPort int) {
 	// The reflex hook may override the egress decision: when the chosen
-	// port's next-hop is dead or persistently congested, the arm fires
-	// its CAS-checked TCAM rewrite and re-steers this very packet onto
-	// the backup — sub-RTT recovery includes the triggering packet.
+	// port's next-hop is dead, the arm fires its CAS-checked TCAM
+	// rewrite and re-steers this very packet onto the backup — sub-RTT
+	// recovery includes the triggering packet.
 	if s.reflex != nil {
 		outPort = s.reflex.Transit(pkt, outPort)
 	}
@@ -773,7 +757,6 @@ func (s *Switch) deliver(pkt *core.Packet, inPort, outPort int) {
 		return
 	}
 	pkt.Meta.OutPort = uint32(outPort)
-	pkt.Meta.QueueID = s.classify(pkt)
 
 	if s.mirror != nil {
 		s.mirror(pkt, inPort, outPort)
@@ -811,12 +794,12 @@ func (s *Switch) deliver(pkt *core.Packet, inPort, outPort int) {
 	}
 
 	// The memory manager admits the packet into shared buffer memory
-	// just after the TCPU; A carries the target queue, B the occupancy
-	// it sees before this packet is admitted.
+	// just after the TCPU; A is 0 (the port's one queue), B the
+	// occupancy it sees before this packet is admitted.
 	if s.tracer != nil {
-		s.span(pkt, obs.StageMemMgr, uint64(pkt.Meta.QueueID), uint64(s.ports[outPort].QueueBytes()))
+		s.span(pkt, obs.StageMemMgr, 0, uint64(s.ports[outPort].QueueBytes()))
 	}
-	s.ports[outPort].enqueue(pkt, int(pkt.Meta.QueueID))
+	s.ports[outPort].enqueue(pkt)
 }
 
 // admitTPP charges the admission gate one token, refilling the bucket
@@ -907,21 +890,6 @@ func (s *Switch) compiledFor(t *core.TPP) *tcpu.Program {
 // ProgCacheStats exposes the ingress program cache's hit/miss counters
 // for tests and capacity planning.
 func (s *Switch) ProgCacheStats() (hits, misses uint64) { return s.progCache.Stats() }
-
-// classify selects the egress queue: the top three TOS bits, clamped to
-// the configured queue count (everything defaults to queue 0).
-//
-//alloc:free
-func (s *Switch) classify(pkt *core.Packet) uint32 {
-	if pkt.IP == nil || s.cfg.QueuesPerPort == 1 {
-		return 0
-	}
-	q := int(pkt.IP.TOS >> 5)
-	if q >= s.cfg.QueuesPerPort {
-		q = s.cfg.QueuesPerPort - 1
-	}
-	return uint32(q)
-}
 
 // Wire connects port i to ch (the egress direction).  Panics on an
 // invalid port: mis-wiring is a topology construction bug.

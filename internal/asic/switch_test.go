@@ -423,7 +423,7 @@ func TestQueueByteConservationEndToEnd(t *testing.T) {
 	sim.RunUntil(sim.Now() + 50*netsim.Millisecond)
 
 	port := sw.Port(p2)
-	q := port.Queue(0)
+	q := port.Queue()
 	if q.DropPkts == 0 {
 		t.Fatal("overload produced no drops")
 	}
@@ -470,41 +470,37 @@ func TestUtilizationMeters(t *testing.T) {
 	}
 }
 
+// Every egress port has one FIFO: the TOS bits select no queue, so
+// frames leave in arrival order whatever they are marked.
 func TestStrictPriorityQueues(t *testing.T) {
 	sim := netsim.New(1)
 	n := topo.NewNetwork(sim)
-	sw := n.AddSwitch(asic.Config{Ports: 4, QueuesPerPort: 2})
+	sw := n.AddSwitch(asic.Config{Ports: 4})
 	h1, h2 := n.AddHost(), n.AddHost()
 	n.LinkHost(h1, sw, topo.Mbps(100, 0))
 	n.LinkHost(h2, sw, topo.Mbps(1, 0)) // slow egress: queueing
 	n.PrimeL2(time1ms())
 
-	var order []uint8
-	h2.HandleDefault(func(p *core.Packet) { order = append(order, p.IP.TOS) })
+	var order []uint16
+	h2.HandleDefault(func(p *core.Packet) { order = append(order, p.UDP.SrcPort) })
 
-	// Ten low-priority frames (TOS 0xE0 -> queue 1), then one
-	// high-priority (TOS 0 -> queue 0).  The high-priority frame must
-	// overtake the queued low-priority ones.
+	// Ten frames marked TOS 0xE0, then one TOS 0 frame that a
+	// priority scheduler would let overtake them.
 	for i := 0; i < 10; i++ {
-		pkt := h1.NewPacket(h2.MAC, h2.IP, 1, 2, 500)
+		pkt := h1.NewPacket(h2.MAC, h2.IP, uint16(i), 2, 500)
 		pkt.IP.TOS = 0xE0
 		h1.Send(pkt)
 	}
-	hi := h1.NewPacket(h2.MAC, h2.IP, 1, 2, 500)
-	h1.Send(hi)
+	h1.Send(h1.NewPacket(h2.MAC, h2.IP, 10, 2, 500))
 	sim.RunUntil(sim.Now() + netsim.Second)
 
 	if len(order) != 11 {
 		t.Fatalf("delivered %d", len(order))
 	}
-	pos := -1
-	for i, tos := range order {
-		if tos == 0 {
-			pos = i
+	for i, src := range order {
+		if src != uint16(i) {
+			t.Fatalf("frames left out of arrival order: %v", order)
 		}
-	}
-	if pos < 0 || pos > 3 {
-		t.Fatalf("high-priority frame delivered at position %d: %v", pos, order)
 	}
 }
 
@@ -703,32 +699,31 @@ func TestMAXAggregationAcrossPath(t *testing.T) {
 	}
 }
 
-// Building a switch allocates per kind, not per port: the ports, their
-// queues and their meters are carved from arrays sized once, and with
-// telemetry disabled no metric name is formatted (obs/doc.go: disabled
-// telemetry costs nothing).  Every port still gets queues of its own.
+// Building a switch allocates per kind, not per port: the ports, with
+// their queues and meters inside, are carved from one array sized once,
+// and with telemetry disabled no metric name is formatted (obs/doc.go:
+// disabled telemetry costs nothing).  Every port still gets a queue of
+// its own.
 func TestSwitchBuildCostIndependentOfPorts(t *testing.T) {
 	build := func(ports int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			asic.New(netsim.New(1), asic.Config{Ports: ports, QueuesPerPort: 2})
+			asic.New(netsim.New(1), asic.Config{Ports: ports})
 		})
 	}
 	if few, many := build(4), build(32); few != many {
 		t.Errorf("building a switch allocates %v objects with 4 ports and %v with 32, want the same", few, many)
 	}
 
-	sw := asic.New(netsim.New(1), asic.Config{Ports: 32, QueuesPerPort: 2})
+	sw := asic.New(netsim.New(1), asic.Config{Ports: 32})
 	seen := map[*asic.Queue]bool{}
 	for i := 0; i < sw.Ports(); i++ {
 		p := sw.Port(i)
-		if p.ID() != i || p.Queues() != 2 {
-			t.Fatalf("port %d: id %d with %d queues, want id %d with 2", i, p.ID(), p.Queues(), i)
+		if p.ID() != i {
+			t.Fatalf("port %d: id %d", i, p.ID())
 		}
-		for q := 0; q < p.Queues(); q++ {
-			if seen[p.Queue(q)] {
-				t.Fatalf("port %d queue %d is shared with another port or queue", i, q)
-			}
-			seen[p.Queue(q)] = true
+		if seen[p.Queue()] {
+			t.Fatalf("port %d's queue is shared with another port", i)
 		}
+		seen[p.Queue()] = true
 	}
 }

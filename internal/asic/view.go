@@ -155,7 +155,7 @@ func portStat(p *Port, idx int) uint32 {
 }
 
 func (v *view) queueStat(idx int) uint32 {
-	q := v.port.queues[v.pkt.Meta.QueueID]
+	q := &v.port.queue
 	switch idx {
 	case mem.QueueBytes:
 		return uint32(q.Bytes())
@@ -181,7 +181,7 @@ func (v *view) packetStat(idx int) uint32 {
 	case mem.PacketMatchedVer:
 		return m.MatchedVer
 	case mem.PacketQueueID:
-		return m.QueueID
+		return 0 // every port has one egress queue
 	case mem.PacketAltRoutes:
 		return m.AltRoutes
 	case mem.PacketUIDLo:

@@ -80,7 +80,7 @@ func TestCondStoreErrorPaths(t *testing.T) {
 func TestPortAccessors(t *testing.T) {
 	sim := netsim.New(1)
 	n := topo.NewNetwork(sim)
-	sw := n.AddSwitch(asic.Config{Ports: 4, QueuesPerPort: 2})
+	sw := n.AddSwitch(asic.Config{Ports: 4, QueueCapBytes: 7_000})
 	h := n.AddHost()
 	p := n.LinkHost(h, sw, edge)
 
@@ -88,7 +88,7 @@ func TestPortAccessors(t *testing.T) {
 	if port.ID() != p || !port.Wired() {
 		t.Fatal("port accessors wrong")
 	}
-	if port.Queues() != 2 || port.Queue(1) == nil {
+	if q := port.Queue(); q == nil || q != port.Queue() || q.CapBytes() != 7_000 || port.QueueBytes() != 0 {
 		t.Fatal("queue accessors wrong")
 	}
 	if port.Channel().RateBytes() != uint32(edge.RateBps/8) {

@@ -26,16 +26,13 @@ func soakPhases(faultsName string, events []faults.Event, workloads []string,
 }
 
 // leaked is the conservation audit (see Result.Leaked) summed over every
-// queue of the given switches.
+// port's queue of the given switches.
 func leaked(switches ...*asic.Switch) int64 {
 	var n int64
 	for _, sw := range switches {
 		for p := 0; p < sw.Ports(); p++ {
-			port := sw.Port(p)
-			for q := 0; q < port.Queues(); q++ {
-				qu := port.Queue(q)
-				n += int64(qu.EnqPkts) - int64(qu.DeqPkts+qu.FlushedPkts+uint64(qu.Len()))
-			}
+			q := sw.Port(p).Queue()
+			n += int64(q.EnqPkts) - int64(q.DeqPkts+q.FlushedPkts+uint64(q.Len()))
 		}
 	}
 	return n

@@ -44,8 +44,7 @@ const (
 )
 
 // SpinBit is the latency spin bit, carried in TOS bit 2 — above the two
-// ECN codepoints and below the three queue-classification bits, so it
-// composes with both.  Endpoints maintain it QUIC-style (one alternation
+// ECN codepoints, so it composes with them.  Endpoints maintain it QUIC-style (one alternation
 // per round trip) and any on-path observer can infer the flow's RTT from
 // the bit's edge-to-edge interval with zero end-host cooperation.
 const (

@@ -14,7 +14,6 @@ type Metadata struct {
 	UID          uint64 // simulator-unique packet id, for tracing
 	InPort       uint32 // ingress port at the current switch
 	OutPort      uint32 // egress port selected by the lookup pipeline
-	QueueID      uint32 // egress queue selected by the scheduler
 	MatchedEntry uint32 // id of the matched flow-table entry (ndb)
 	MatchedVer   uint32 // version number of the matched entry (ndb)
 	AltRoutes    uint32 // number of alternate routes for the packet

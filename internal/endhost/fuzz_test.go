@@ -10,10 +10,10 @@ import (
 )
 
 // FuzzProberEcho: whatever bytes arrive on the echo-reply port, a
-// prober with an epoch tracker and a collect callback attached — the
-// way RCP* and the soaks run it — counts them as malformed, ignores
-// them or hands them to the callback; it never panics, and neither do
-// the tracker and a callback that index hop records by TPP.Hop.
+// prober with a collect callback attached counts them as malformed,
+// ignores them or hands them to the callback; it never panics, and
+// neither does a callback that indexes hop records by TPP.Hop and feeds
+// their (switch id, epoch) words to an epoch tracker.
 func FuzzProberEcho(f *testing.F) {
 	collect, err := CollectProgram([]mem.Addr{mem.SwitchBase + mem.SwitchID, mem.SwitchBase + mem.SwitchEpoch}, 2, 5)
 	if err != nil {
@@ -34,13 +34,14 @@ func FuzzProberEcho(f *testing.F) {
 		sim := netsim.New(1)
 		a, b := pair(sim, 8_000_000)
 		p := NewProber(a)
-		p.SetEpochTracker(NewEpochTracker(nil))
+		tr := NewEpochTracker()
 		read := func(e *core.TPP) {
 			frame := max(len(e.Ins), 1)
 			for h := 0; h < e.Hop(frame); h++ {
 				for w := 0; w < frame; w++ {
 					_ = e.Word(h*frame + w)
 				}
+				tr.Observe(e.Word(h*frame), e.Word(h*frame+frame-1))
 			}
 		}
 		if _, ok := p.ProbeCfg(b.MAC, b.IP, collect, ProbeConfig{}, read, nil); !ok {

@@ -91,7 +91,6 @@ type Prober struct {
 	pending  map[uint32]*pendingProbe
 	free     []*pendingProbe // resolved entries, reused LIFO
 	defaults ProbeConfig
-	epochs   *EpochTracker
 	echo     core.TPP // every echo is parsed here; callbacks borrow it
 
 	// Sent and Matched count probe transmissions (including
@@ -118,14 +117,6 @@ func (p *Prober) SetDefaults(cfg ProbeConfig) { p.defaults = cfg }
 
 // Defaults returns the ProbeConfig that Probe and ProbeGroup use.
 func (p *Prober) Defaults() ProbeConfig { return p.defaults }
-
-// SetEpochTracker attaches a tracker that scans every parseable echo —
-// matched or not — for per-hop boot epochs, so any collect probe that
-// happens to read [Switch:Epoch] doubles as a crash detector.  Pass nil
-// to detach.
-//
-//api:harness where the crash-detection tests attach their tracker
-func (p *Prober) SetEpochTracker(t *EpochTracker) { p.epochs = t }
 
 // Outstanding returns the number of probes awaiting echoes.
 //
@@ -313,11 +304,6 @@ func (p *Prober) onEcho(pkt *core.Packet) {
 		return
 	}
 	cookie := binary.BigEndian.Uint32(pkt.Payload[n:])
-	if p.epochs != nil {
-		// Even a superseded echo carries fresh epochs; scan before the
-		// cookie check so no observation is wasted.
-		p.epochs.ObserveEcho(&p.echo)
-	}
 	pp, ok := p.pending[cookie]
 	if !ok {
 		return // superseded or duplicate

@@ -402,21 +402,26 @@ func TestProbeKeepsNoReferenceToProgram(t *testing.T) {
 
 // TestEchoStackPointerPastMemory: an echo whose header claims a stack
 // pointer past its memory — a stray datagram; no TCPU writes one — is
-// counted by the attached epoch tracker and matched by the prober
-// without a panic, and both see only the frame its memory holds.
+// matched by the prober without a panic, and a callback that feeds its
+// hop records to an epoch tracker, as RCP* does, sees only the frame
+// its memory holds.
 func TestEchoStackPointerPastMemory(t *testing.T) {
 	sim := netsim.New(1)
 	a, b, up := lossyPair(sim, 8_000_000)
 	up.SetUp(false) // the real probe never arrives; only the stray echo does
 	p := NewProber(a)
-	tr := NewEpochTracker(nil)
-	p.SetEpochTracker(tr)
+	tr := NewEpochTracker()
 	var echo *core.TPP
-	cookie, ok := p.ProbeCfg(b.MAC, b.IP, probeProg(), ProbeConfig{}, func(e *core.TPP) { echo = e.Clone() }, nil)
+	cookie, ok := p.ProbeCfg(b.MAC, b.IP, probeProg(), ProbeConfig{}, func(e *core.TPP) {
+		echo = e.Clone()
+		for h := 0; h < e.Hop(2); h++ {
+			tr.Observe(e.Word(2*h), e.Word(2*h+1))
+		}
+	}, nil)
 	if !ok {
 		t.Fatal("probe not registered")
 	}
-	stray := epochCollect(t, 1, []HopEpoch{{SwitchID: 4, Epoch: 1}}) // two words of memory
+	stray := epochCollect(t, 1, []hopEpoch{{SwitchID: 4, Epoch: 1}}) // two words of memory
 	stray.Ptr = 64
 	pkt := b.NewPacket(a.MAC, a.IP, ProbeEchoPort, EchoReplyPort, 0)
 	pkt.Payload = binary.BigEndian.AppendUint32(stray.AppendTo(nil), cookie)
@@ -429,8 +434,8 @@ func TestEchoStackPointerPastMemory(t *testing.T) {
 	if echo.Ptr != 64 || echo.Hop(2) != 1 {
 		t.Fatalf("echo SP %d, Hop(2) = %d: want the header as sent and the one frame memory holds", echo.Ptr, echo.Hop(2))
 	}
-	if e := tr.last[4]; tr.Observed != 1 || e != 1 {
-		t.Fatalf("tracker Observed=%d, switch 4 at epoch %d: want the one hop memory holds", tr.Observed, e)
+	if e, ok := tr.last[4]; len(tr.last) != 1 || !ok || e != 1 {
+		t.Fatalf("tracker saw %d switches, switch 4 at epoch %d: want the one hop memory holds", len(tr.last), e)
 	}
 }
 

@@ -81,7 +81,7 @@ func NewHistWriter(cfg WriterConfig) *HistWriter {
 		cfg:    cfg,
 		want:   make([]uint32, cfg.Spec.Buckets),
 		shadow: make([]uint32, cfg.Spec.Buckets),
-		epochs: endhost.NewEpochTracker(nil),
+		epochs: endhost.NewEpochTracker(),
 	}
 	w.epochs.Observe(cfg.Spec.SwitchID, 0)
 	cfg.Metrics.Collect(w.collect)

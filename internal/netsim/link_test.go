@@ -212,8 +212,8 @@ func TestGilbertElliottOnChannel(t *testing.T) {
 	}
 }
 
-// wakeOwner is an in-test channel owner shaped like a switch port: two
-// strict-priority FIFO queues in front of one channel, driven by kick.
+// wakeOwner is an in-test channel owner driven by kick like a switch
+// port, but with two strict-priority FIFO queues in front of its channel.
 // With always set it asks for the transmit-complete wake-up after every
 // Send, which queues the event unconditionally at the seq Send reserved
 // — the contract the channel had when Send scheduled it itself.

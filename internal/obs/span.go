@@ -31,7 +31,8 @@ const (
 	// pipeline cycles, B=instructions executed.
 	StageTCPU
 	// StageMemMgr: the memory manager admitted the packet toward its
-	// egress queue.  A=queue id, B=queue bytes before admission.
+	// egress queue.  A=queue id (0: a port has one queue), B=queue
+	// bytes before admission.
 	StageMemMgr
 	// StageEnqueue: the packet was stored in its egress queue.
 	// A=queue id, B=queue bytes after (the depth the packet sees).

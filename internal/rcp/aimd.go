@@ -56,7 +56,7 @@ type aimdSender struct {
 // aimdFeedbackPort and retunes the rate.
 func newAIMDSender(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dstIP uint32, initialRate float64) *aimdSender {
 	s := &aimdSender{}
-	s.PacedFlow = NewPacedFlow(sim, host, dstMAC, dstIP, aimdDataPort,
+	s.PacedFlow = newPacedFlow(sim, host, dstMAC, dstIP, aimdDataPort,
 		func() uint32 { return uint32(s.Sent) + 1 })
 	s.SetRate(initialRate)
 	host.Handle(aimdFeedbackPort, s.onFeedback)

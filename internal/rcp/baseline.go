@@ -21,16 +21,16 @@ import (
 // the congestion header of every baseline data packet crossing it.
 type Baseline struct {
 	sim   *netsim.Sim
-	links map[*asic.Switch]map[int]*BaselineLink
+	links map[*asic.Switch]map[int]*baselineLink
 }
 
-// NewBaseline builds the baseline controller.
-func NewBaseline(sim *netsim.Sim) *Baseline {
-	return &Baseline{sim: sim, links: make(map[*asic.Switch]map[int]*BaselineLink)}
+// newBaseline builds the baseline controller.
+func newBaseline(sim *netsim.Sim) *Baseline {
+	return &Baseline{sim: sim, links: make(map[*asic.Switch]map[int]*baselineLink)}
 }
 
-// BaselineLink is the per-link RCP state of a native router.
-type BaselineLink struct {
+// baselineLink is the per-link RCP state of a native router.
+type baselineLink struct {
 	sw   *asic.Switch
 	port int
 
@@ -42,15 +42,15 @@ type BaselineLink struct {
 }
 
 // Rate returns R(t) in bytes/sec.
-func (l *BaselineLink) Rate() float64 { return l.rate }
+func (l *baselineLink) Rate() float64 { return l.rate }
 
 // Manage starts RCP on the egress link (sw, port) and installs the
 // stamping hook.  All managed ports of one switch share one mirror.
-func (b *Baseline) Manage(sw *asic.Switch, port int) *BaselineLink {
+func (b *Baseline) Manage(sw *asic.Switch, port int) *baselineLink {
 	capacity := float64(sw.Port(port).Channel().RateBytes())
-	l := &BaselineLink{sw: sw, port: port, rate: capacity}
+	l := &baselineLink{sw: sw, port: port, rate: capacity}
 	if b.links[sw] == nil {
-		b.links[sw] = make(map[int]*BaselineLink)
+		b.links[sw] = make(map[int]*baselineLink)
 		links := b.links[sw]
 		sw.SetMirror(func(pkt *core.Packet, in, out int) {
 			if ml, ok := links[out]; ok {
@@ -67,14 +67,14 @@ func (b *Baseline) Manage(sw *asic.Switch, port int) *BaselineLink {
 	return l
 }
 
-func (l *BaselineLink) sampleQueue() {
+func (l *baselineLink) sampleQueue() {
 	l.qSamples += float64(l.sw.Port(l.port).QueueBytes())
 	l.qCount++
 }
 
 // update applies the control equation with y measured as the exact
 // bytes enqueued toward this link during the last interval.
-func (l *BaselineLink) update() {
+func (l *baselineLink) update() {
 	p := l.sw.Port(l.port)
 	enq := p.EnqBytes()
 	y := float64(enq-l.lastEnqBytes) / ControlPeriod.Seconds()
@@ -94,8 +94,8 @@ func (l *BaselineLink) update() {
 // header: "each router checks if its estimate of R(t) is smaller than
 // the flow's fair-share (indicated on each packet's header); if so, it
 // replaces the flow's fair share header value with R(t)".
-func (l *BaselineLink) stamp(pkt *core.Packet) {
-	if pkt.UDP == nil || pkt.UDP.DstPort != BaselineDataPort || len(pkt.Payload) < RateHeaderLen {
+func (l *baselineLink) stamp(pkt *core.Packet) {
+	if pkt.UDP == nil || pkt.UDP.DstPort != BaselineDataPort || len(pkt.Payload) < rateHeaderLen {
 		return
 	}
 	cur := binary.BigEndian.Uint32(pkt.Payload)
@@ -105,24 +105,24 @@ func (l *BaselineLink) stamp(pkt *core.Packet) {
 	}
 }
 
-// BaselineReceiver aggregates the stamped rates of arriving data
+// baselineReceiver aggregates the stamped rates of arriving data
 // packets and periodically feeds the minimum back to the sender, the
 // way RCP receivers echo the header in ACKs.
-type BaselineReceiver struct {
+type baselineReceiver struct {
 	feedbackLoop
 	minSeen uint32
 }
 
-// NewBaselineReceiver builds the receiver side on host, sending
+// newBaselineReceiver builds the receiver side on host, sending
 // feedback every control period; whoever owns the host's
 // BaselineDataPort handler feeds it each data packet through onData.
-func NewBaselineReceiver(sim *netsim.Sim, host *endhost.Host) *BaselineReceiver {
-	r := &BaselineReceiver{minSeen: ^uint32(0)}
+func newBaselineReceiver(sim *netsim.Sim, host *endhost.Host) *baselineReceiver {
+	r := &baselineReceiver{minSeen: ^uint32(0)}
 	r.start(sim, host, FeedbackPort, r.report)
 	return r
 }
 
-func (r *BaselineReceiver) onData(pkt *core.Packet) {
+func (r *baselineReceiver) onData(pkt *core.Packet) {
 	if rate, ok := r.heard(pkt); ok && rate < r.minSeen {
 		r.minSeen = rate
 	}
@@ -131,23 +131,23 @@ func (r *BaselineReceiver) onData(pkt *core.Packet) {
 // report echoes the lowest rate stamped since the last report, then
 // starts the next window afresh: the sender is learned again from the
 // next data packet.
-func (r *BaselineReceiver) report() []byte {
+func (r *baselineReceiver) report() []byte {
 	words := binary.BigEndian.AppendUint32(nil, r.minSeen)
 	r.minSeen = ^uint32(0)
 	r.have = false
 	return words
 }
 
-// NewBaselineSender builds the sender side of one baseline flow: a
+// newBaselineSender builds the sender side of one baseline flow: a
 // paced flow whose packets open with the congestion header (initialized
 // to "no limit" so the first switch's stamp always applies), retuned to
 // the network's fair share by each feedback packet.
-func NewBaselineSender(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dstIP uint32, initialRate float64) *PacedFlow {
-	f := NewPacedFlow(sim, host, dstMAC, dstIP, BaselineDataPort,
+func newBaselineSender(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dstIP uint32, initialRate float64) *PacedFlow {
+	f := newPacedFlow(sim, host, dstMAC, dstIP, BaselineDataPort,
 		func() uint32 { return ^uint32(0) })
 	f.SetRate(initialRate)
 	host.Handle(FeedbackPort, func(pkt *core.Packet) {
-		if len(pkt.Payload) >= RateHeaderLen {
+		if len(pkt.Payload) >= rateHeaderLen {
 			r := binary.BigEndian.Uint32(pkt.Payload)
 			if r != ^uint32(0) {
 				f.SetRate(float64(r))
@@ -159,16 +159,16 @@ func NewBaselineSender(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dst
 
 // baselineScheme runs native RCP on a Harness: the bottleneck switch
 // computes R(t) and stamps it, receivers echo it, senders adopt it.
-type baselineScheme struct{ link *BaselineLink }
+type baselineScheme struct{ link *baselineLink }
 
 func (s *baselineScheme) Install(h *Harness) {
-	s.link = NewBaseline(h.Sim).Manage(h.A, h.APort)
+	s.link = newBaseline(h.Sim).Manage(h.A, h.APort)
 }
 
 func (s *baselineScheme) Attach(h *Harness, pair int) Flow {
 	snd, rcv := h.Senders[pair], h.Receivers[pair]
-	r := NewBaselineReceiver(h.Sim, rcv)
-	f := NewBaselineSender(h.Sim, snd, rcv.MAC, rcv.IP, h.Capacity)
+	r := newBaselineReceiver(h.Sim, rcv)
+	f := newBaselineSender(h.Sim, snd, rcv.MAC, rcv.IP, h.Capacity)
 	return Flow{Port: BaselineDataPort, Receive: r.onData, Start: f.Start, Stop: f.Stop}
 }
 

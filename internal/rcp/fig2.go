@@ -176,7 +176,7 @@ func RunComparison(scheme Variant, cfg CompareConfig) CompareResult {
 	if qCount > 0 {
 		res.MeanQueueBytes = qSum / float64(qCount)
 	}
-	res.DropPkts = bn.Queue(0).DropPkts
+	res.DropPkts = bn.Queue().DropPkts
 	res.Utilization = sum / h.Capacity
 	return res
 }

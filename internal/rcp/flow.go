@@ -25,9 +25,9 @@ const (
 	aimdFeedbackPort = 8101
 )
 
-// RateHeaderLen is the congestion header carried at the front of
+// rateHeaderLen is the congestion header carried at the front of
 // baseline data payloads: the fair-share rate in bytes/sec.
-const RateHeaderLen = 4
+const rateHeaderLen = 4
 
 // PacketSize is the data packet payload size used by the experiment
 // (1000-byte frames on the wire once headers are added).
@@ -58,9 +58,9 @@ type PacedFlow struct {
 	SentBytes uint64
 }
 
-// NewPacedFlow builds a flow from host toward the destination.  header
+// newPacedFlow builds a flow from host toward the destination.  header
 // may be nil (RCP* data packets carry no header word).
-func NewPacedFlow(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dstIP uint32, port uint16, header func() uint32) *PacedFlow {
+func newPacedFlow(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dstIP uint32, port uint16, header func() uint32) *PacedFlow {
 	f := &PacedFlow{
 		sim: sim, host: host, dstMAC: dstMAC, dstIP: dstIP,
 		port: port, size: PacketSize, header: header,
@@ -114,9 +114,9 @@ func (f *PacedFlow) pump() {
 	// returns the block, header word's buffer included.
 	pkt := f.host.NewPacketPooled(f.dstMAC, f.dstIP, f.port, f.port, f.size)
 	if f.header != nil {
-		pkt.GrowPayload(RateHeaderLen)
+		pkt.GrowPayload(rateHeaderLen)
 		pkt.Payload = binary.BigEndian.AppendUint32(pkt.Payload, f.header())
-		pkt.PadLen -= RateHeaderLen
+		pkt.PadLen -= rateHeaderLen
 	}
 	f.host.Send(pkt)
 	f.Sent++
@@ -156,7 +156,7 @@ func (l *feedbackLoop) start(sim *netsim.Sim, host *endhost.Host, port uint16, r
 // the packet opens with; ok is false, and nothing is learned, for a
 // packet too short to carry one.
 func (l *feedbackLoop) heard(pkt *core.Packet) (word uint32, ok bool) {
-	if len(pkt.Payload) < RateHeaderLen || pkt.IP == nil {
+	if len(pkt.Payload) < rateHeaderLen || pkt.IP == nil {
 		return 0, false
 	}
 	l.srcMAC, l.srcIP = pkt.Eth.Src, pkt.IP.Src

@@ -80,7 +80,7 @@ func TestPacedFlowRate(t *testing.T) {
 	var rcvd uint64
 	b.Handle(StarDataPort, func(p *core.Packet) { rcvd += uint64(p.PayloadLen()) })
 
-	f := NewPacedFlow(sim, a, b.MAC, b.IP, StarDataPort, nil)
+	f := newPacedFlow(sim, a, b.MAC, b.IP, StarDataPort, nil)
 	f.SetRate(125_000) // 1 Mb/s
 	f.Start()
 	sim.RunUntil(10 * netsim.Second)
@@ -101,9 +101,9 @@ func TestPacedFlowRate(t *testing.T) {
 
 func TestStampedHeaderTakesMinimum(t *testing.T) {
 	sim := netsim.New(1)
-	base := NewBaseline(sim)
+	base := newBaseline(sim)
 	_ = base
-	l := &BaselineLink{rate: 500}
+	l := &baselineLink{rate: 500}
 	pkt := &core.Packet{
 		UDP:     &core.UDP{DstPort: BaselineDataPort},
 		Payload: []byte{0, 0, 3, 0xE8}, // 1000

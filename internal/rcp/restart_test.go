@@ -20,12 +20,12 @@ func TestPacedFlowRestart(t *testing.T) {
 		build  func(sim *netsim.Sim, a, b *endhost.Host) *PacedFlow
 	}{
 		{VariantStar, func(sim *netsim.Sim, a, b *endhost.Host) *PacedFlow {
-			f := NewPacedFlow(sim, a, b.MAC, b.IP, StarDataPort, nil)
+			f := newPacedFlow(sim, a, b.MAC, b.IP, StarDataPort, nil)
 			f.SetRate(rate)
 			return f
 		}},
 		{VariantBaseline, func(sim *netsim.Sim, a, b *endhost.Host) *PacedFlow {
-			return NewBaselineSender(sim, a, b.MAC, b.IP, rate)
+			return newBaselineSender(sim, a, b.MAC, b.IP, rate)
 		}},
 		{VariantAIMD, func(sim *netsim.Sim, a, b *endhost.Host) *PacedFlow {
 			return newAIMDSender(sim, a, b.MAC, b.IP, rate).PacedFlow
@@ -78,7 +78,7 @@ func TestPacedFlowStartedAtRateZeroSendsAfterSetRate(t *testing.T) {
 	a.NIC.Attach(netsim.NewChannel(sim, 100_000_000, 0, b, 0))
 	b.NIC.Attach(netsim.NewChannel(sim, 100_000_000, 0, a, 0))
 
-	f := NewPacedFlow(sim, a, b.MAC, b.IP, StarDataPort, nil)
+	f := newPacedFlow(sim, a, b.MAC, b.IP, StarDataPort, nil)
 	f.Start()
 	sim.RunUntil(netsim.Second)
 	if f.Sent != 0 || !f.Running() {

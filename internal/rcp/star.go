@@ -151,8 +151,8 @@ func NewStarController(sim *netsim.Sim, host *endhost.Host, prober *endhost.Prob
 	c := &StarController{
 		sim: sim, host: host, prober: prober,
 		dstMAC: dstMAC, dstIP: dstIP,
-		epochs: endhost.NewEpochTracker(nil),
-		Flow:   NewPacedFlow(sim, host, dstMAC, dstIP, StarDataPort, nil),
+		epochs: endhost.NewEpochTracker(),
+		Flow:   newPacedFlow(sim, host, dstMAC, dstIP, StarDataPort, nil),
 		update: core.NewTPP(core.AddrStack, updateIns, 3),
 	}
 	c.onCollectFn, c.onCapacitiesFn, c.onMissFn = c.onCollect, c.onCapacities, c.onMiss

@@ -1,9 +1,7 @@
 package reflex
 
-// Evidence returns one monitored port's raw SRAM evidence words.
-func (a *Arm) Evidence(port int) (hbEcho, queueEWMA uint32) {
-	return a.sw.SRAM(a.hbIdx(port)), a.sw.SRAM(a.ewmaIdx(port))
-}
+// Evidence returns one monitored port's raw SRAM heartbeat echo word.
+func (a *Arm) Evidence(port int) uint32 { return a.sw.SRAM(a.hbIdx(port)) }
 
 // Lag returns how many heartbeats the port's echo trails the send
 // counter — the arm's deadness measure.

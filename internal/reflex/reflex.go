@@ -3,17 +3,15 @@
 // the central controller's control loop.
 //
 // Each armed switch maintains per-egress liveness evidence in its own
-// SRAM statistics region: a heartbeat echo counter written by small
-// round-trip TPPs the arm injects out every monitored egress, and a
-// queue-depth EWMA refreshed on every transit packet.  The heartbeat
-// TPP is CEXEC-gated on [Switch:SwitchID], so its STORE commits only
-// when the packet has made it out the monitored egress and *back* to
-// its home switch — a round trip that proves the egress direction
-// works, which unidirectional (gray) failures cannot fake.
+// SRAM statistics region: one heartbeat echo word per port, written by
+// small round-trip TPPs the arm injects out every monitored egress.
+// The heartbeat TPP is CEXEC-gated on [Switch:SwitchID], so its STORE
+// commits only when the packet has made it out the monitored egress and
+// *back* to its home switch — a round trip that proves the egress
+// direction works, which unidirectional (gray) failures cannot fake.
 //
-// When the evidence says an egress is dead (heartbeat echoes stopped)
-// or persistently congested (EWMA above threshold past a dwell), the
-// reflex fires: a version-checked TCAM rewrite (compare-and-swap
+// When the evidence says an egress is dead (heartbeat echoes stopped),
+// the reflex fires: a version-checked TCAM rewrite (compare-and-swap
 // against the entry version captured at arming time) steers the
 // affected prefix onto a precomputed loop-free backup next-hop.  The
 // write discipline keeps the reflex safe against every concurrent
@@ -54,8 +52,8 @@ import (
 // from the prober's echo ports so reflector sinks can tell them apart.
 const HeartbeatPort = 7077
 
-// evidenceTask names the arm's SRAM allocation: two words per port
-// (heartbeat echo, queue-depth EWMA).
+// evidenceTask names the arm's SRAM allocation: one heartbeat echo
+// word per port.
 const evidenceTask = "reflex/evidence"
 
 // Config tunes one switch's reflex arm.  Zero values take defaults.
@@ -69,16 +67,6 @@ type Config struct {
 	// divided by HeartbeatEvery, plus the burst of loss the operator
 	// wants ridden out.
 	DeadAfter uint32
-	// EWMAShift is the queue-depth EWMA gain: new = old + (sample-old)
-	// >> shift (default 2).
-	EWMAShift uint
-	// CongestBytes arms the congestion reflex: an egress whose EWMA
-	// stays at or above this many queued bytes for CongestDwell is
-	// treated like a dead one.  0 (the default) disables it.
-	CongestBytes uint32
-	// CongestDwell is how long the EWMA must stay above CongestBytes
-	// before the congestion reflex may fire (default 10 heartbeats).
-	CongestDwell netsim.Time
 	// RevertDwell is the flap damping: the minimum time a detour
 	// stands before healthy evidence may revert it (default 20
 	// heartbeats).
@@ -97,12 +85,6 @@ func (c Config) resolve() Config {
 	}
 	if c.DeadAfter == 0 {
 		c.DeadAfter = 4
-	}
-	if c.EWMAShift == 0 {
-		c.EWMAShift = 2
-	}
-	if c.CongestDwell <= 0 {
-		c.CongestDwell = 10 * c.HeartbeatEvery
 	}
 	if c.RevertDwell <= 0 {
 		c.RevertDwell = 20 * c.HeartbeatEvery
@@ -126,10 +108,7 @@ type monitor struct {
 	dstMAC core.MAC
 	dstIP  uint32
 	sent   uint32 // heartbeat sequence last injected
-	// congestion bookkeeping (derived from the EWMA evidence word)
-	congested      bool
-	congestedSince netsim.Time
-	ticker         *netsim.Ticker
+	ticker *netsim.Ticker
 }
 
 // backup is one pre-authorized (prefix, primary, backup) triple with
@@ -205,7 +184,7 @@ func (a *Arm) collect(emit func(name string, v uint64)) {
 // its switch and reads sw.Epoch() directly, with no echo involved, so it
 // keeps its own epoch word rather than an endhost.EpochTracker.
 func (a *Arm) rebase() error {
-	reg, err := a.sw.Allocator().Alloc(evidenceTask, 2*a.sw.Ports())
+	reg, err := a.sw.Allocator().Alloc(evidenceTask, a.sw.Ports())
 	if err != nil {
 		return fmt.Errorf("reflex: evidence alloc: %w", err)
 	}
@@ -215,7 +194,6 @@ func (a *Arm) rebase() error {
 	for _, m := range a.monitors {
 		if m != nil {
 			m.sent = 0
-			m.congested = false
 		}
 	}
 	for _, b := range a.backups {
@@ -323,12 +301,10 @@ func (a *Arm) findEntry(dstIP uint32, port int) (tcam.Entry, bool) {
 	return tcam.Entry{}, false
 }
 
-func (a *Arm) hbIdx(port int) int   { return a.base + 2*port }
-func (a *Arm) ewmaIdx(port int) int { return a.base + 2*port + 1 }
+func (a *Arm) hbIdx(port int) int { return a.base + port }
 
-// tick is one monitor's heartbeat: refresh the queue evidence, inject
-// the round-trip TPP, and run the dead/congested and revert checks that
-// don't need a transit packet.
+// tick is one monitor's heartbeat: inject the round-trip TPP, and run
+// the dead and revert checks that don't need a transit packet.
 func (a *Arm) tick(m *monitor) {
 	if a.sw.Booting() {
 		return
@@ -339,12 +315,11 @@ func (a *Arm) tick(m *monitor) {
 		}
 	}
 	now := a.sim.Now()
-	a.updateEWMA(m, now)
 	m.sent++
 	a.probesSent++
 	a.sw.InjectLocal(a.heartbeat(m), m.port)
 
-	if a.evidenceBad(m, now) {
+	if a.evidenceBad(m) {
 		// Fire without waiting for a transit packet, so recovery is
 		// bounded by the heartbeat period even on idle prefixes.
 		for _, b := range a.backups {
@@ -365,7 +340,7 @@ func (a *Arm) tick(m *monitor) {
 func (a *Arm) heartbeat(m *monitor) *core.Packet {
 	t := core.NewTPP(core.AddrStack, []core.Instruction{
 		{Op: core.OpCEXEC, A: uint16(mem.SwitchBase + mem.SwitchID), B: 0},
-		{Op: core.OpSTORE, A: uint16(a.region.Base) + uint16(2*m.port), B: 2},
+		{Op: core.OpSTORE, A: uint16(a.region.Base) + uint16(m.port), B: 2},
 	}, 3)
 	t.SetWord(0, ^uint32(0)) // CEXEC mask: compare the full ID word
 	t.SetWord(1, a.sw.ID())  // CEXEC operand: home switch id
@@ -388,46 +363,19 @@ func (a *Arm) srcMAC() core.MAC {
 	return core.MAC{0x06, 0x5F, 0x00, byte(id >> 16), byte(id >> 8), byte(id)}
 }
 
-// updateEWMA folds the egress queue depth into the evidence word and
-// tracks the congestion dwell.  Called from both the heartbeat tick and
-// the per-packet transit path, so the annotation is load-bearing.
+// evidenceBad reports whether the monitored egress is dead: its
+// heartbeat echoes trail the sends by more than DeadAfter.
 //
 //alloc:free
-func (a *Arm) updateEWMA(m *monitor, now netsim.Time) {
-	idx := a.ewmaIdx(m.port)
-	q := uint32(a.sw.Port(m.port).QueueBytes())
-	e := a.sw.SRAM(idx)
-	e = uint32(int32(e) + ((int32(q) - int32(e)) >> a.cfg.EWMAShift))
-	a.sw.SetSRAM(idx, e)
-	if a.cfg.CongestBytes == 0 {
-		return
-	}
-	if e >= a.cfg.CongestBytes {
-		if !m.congested {
-			m.congested = true
-			m.congestedSince = now
-		}
-	} else {
-		m.congested = false
-	}
-}
-
-// evidenceBad reports whether the monitored egress is dead (heartbeat
-// echoes stopped) or persistently congested.
-//
-//alloc:free
-func (a *Arm) evidenceBad(m *monitor, now netsim.Time) bool {
-	if m.sent-a.sw.SRAM(a.hbIdx(m.port)) > a.cfg.DeadAfter {
-		return true
-	}
-	return m.congested && now-m.congestedSince >= a.cfg.CongestDwell
+func (a *Arm) evidenceBad(m *monitor) bool {
+	return m.sent-a.sw.SRAM(a.hbIdx(m.port)) > a.cfg.DeadAfter
 }
 
 // Transit is the asic.ReflexHook: called by the egress pipeline with
-// every packet's selected output port, it refreshes queue evidence and
-// — when the evidence is bad and a pre-authorized backup exists for the
-// packet's destination — fires the reroute, steering this very packet
-// onto the backup.  The healthy path is allocation-free.
+// every packet's selected output port, it fires the reroute when the
+// evidence is bad and a pre-authorized backup exists for the packet's
+// destination, steering this very packet onto the backup.  The healthy
+// path is allocation-free.
 //
 //alloc:free
 func (a *Arm) Transit(pkt *core.Packet, out int) int {
@@ -443,16 +391,14 @@ func (a *Arm) Transit(pkt *core.Packet, out int) int {
 		// heartbeat tick rebases it.
 		return out
 	}
-	now := a.sim.Now()
-	a.updateEWMA(m, now)
-	if !a.evidenceBad(m, now) {
+	if !a.evidenceBad(m) {
 		return out
 	}
 	b := a.byDst[pkt.IP.Dst]
 	if b == nil || b.primaryPort != out || b.state != stateArmed {
 		return out
 	}
-	return a.fire(b, pkt.Meta.UID, now)
+	return a.fire(b, pkt.Meta.UID, a.sim.Now())
 }
 
 // fire performs the guarded rewrite: budget check, then a CAS against
