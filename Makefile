@@ -140,7 +140,7 @@ scenario:
 # sanitizer compiled in (Recycle poisons buffers and bumps slot
 # generations; stale references and clobbered canaries panic at the
 # offending call site) under the race detector, plus the crash of a
-# switch whose pipeline and ingress-link lanes hold pooled packets: each
+# switch whose ingress-link lane holds pooled packets: each
 # must be recycled exactly once, at its firing time; plus the packages
 # on the sender-draws / sink-returns edge: every paced data packet of
 # the three rate-control schemes, and every probe, echo and RCP* update

@@ -14,7 +14,9 @@
 //
 // The model is deliberately event-accurate rather than cycle-accurate:
 // link serialization, propagation, queue occupancy and drops are exact;
-// the fixed pipeline latency stands in for the parse/lookup stages, and
-// internal/tcpu separately accounts TCPU cycles for the §3.3
+// the fixed pipeline latency stands in for the parse/lookup stages — the
+// link into a port hands the switch a frame that long after its last
+// bit arrived, and Switch.Receive runs the whole hop in that one event —
+// and internal/tcpu separately accounts TCPU cycles for the §3.3
 // feasibility claims.
 package asic

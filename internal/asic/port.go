@@ -1,6 +1,8 @@
 package asic
 
 import (
+	"math"
+
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/netsim"
@@ -17,13 +19,8 @@ type Port struct {
 	id int
 
 	ch    *netsim.Channel // egress channel; nil while unwired
+	in    *netsim.Channel // ingress channel; nil while unwired
 	queue Queue           // the one drop-tail egress FIFO
-
-	// Trusted marks whether TPPs arriving on this port are executed
-	// and forwarded.  Untrusted edge ports strip TPPs (§4: "the
-	// ingress switches at the network edge ... can strip TPPs
-	// injected by VMs, or those TPPs received from the Internet").
-	trusted bool
 
 	// Cumulative byte counters (wrap in the 32-bit register view).
 	rxBytes uint64
@@ -40,6 +37,14 @@ type Port struct {
 	// by access-point models (internal/wireless).
 	snr uint32
 
+	// Trusted marks whether TPPs arriving on this port are executed
+	// and forwarded.  Untrusted edge ports strip TPPs (§4: "the
+	// ingress switches at the network edge ... can strip TPPs
+	// injected by VMs, or those TPPs received from the Internet").
+	// It shares snr's word, which keeps Port at 280 bytes: a switch's
+	// four ports in one 1 152-byte allocation.
+	trusted bool
+
 	// mQueueDepth is resolved at construction (nil when metrics are
 	// disabled — recording through it is then a no-op).
 	mQueueDepth *obs.Histogram // occupancy in bytes after each enqueue
@@ -55,10 +60,12 @@ func (p *Port) ID() int { return p.id }
 func (p *Port) SetTrusted(v bool) { p.trusted = v }
 
 // Wire attaches the egress channel; the channel's idle callback drives
-// the output scheduler.
+// the output scheduler.  It is never fused with an arrival, so the
+// pipeline stage can run it early (Switch.settle).
 func (p *Port) Wire(ch *netsim.Channel) {
 	p.ch = ch
 	ch.SetOnIdle(p.kick)
+	ch.Unfuse()
 }
 
 // Wired reports whether the port has an egress channel.
@@ -94,12 +101,34 @@ func (p *Port) dropPkts() uint64 { return p.queue.DropPkts }
 // EnqBytes returns cumulative bytes enqueued at the egress queue.
 func (p *Port) EnqBytes() uint64 { return p.queue.EnqBytes }
 
+// rxBytesNow is the [Link:RX-Bytes] register: the bytes counted at the
+// parser, plus those of the frames whose last bit has arrived but which
+// the ingress link hands over only when the pipeline latency has
+// elapsed, less those that landed while the switch was booting, which
+// it never counts.
+func (p *Port) rxBytesNow() uint64 {
+	n := p.rxBytes
+	if p.in == nil {
+		return n
+	}
+	s, now := p.sw, p.sw.sim.Stamp()
+	n += p.in.ArrivedBytes(netsim.Stamp{At: math.MinInt64}, now)
+	if s.reboots > 0 {
+		end := s.bootEnd
+		if s.booting {
+			end = now
+		}
+		n -= p.in.ArrivedBytes(s.rebootAt, end)
+	}
+	return n
+}
+
 // enqueue commits a packet to the egress queue, then kicks the
 // scheduler.  It returns false when the queue dropped the packet.
 //
 //alloc:free
 func (p *Port) enqueue(pkt *core.Packet) bool {
-	wire := pkt.WireLen()
+	wire := int(pkt.Meta.WireLen)
 	if !p.queue.push(pkt, wire) {
 		p.sw.span(pkt, obs.StageDrop, 0, uint64(wire))
 		pkt.Recycle() // tail drop: the fabric destroys the packet here
@@ -123,7 +152,7 @@ func (p *Port) kick() {
 		return
 	}
 	if p.ch.Busy() {
-		p.ch.WakeWhenIdle()
+		p.wake()
 		return
 	}
 	pkt, wire := p.queue.pop()
@@ -135,9 +164,20 @@ func (p *Port) kick() {
 	lat := uint64(int64(p.sw.sim.Now()) - pkt.Meta.EnqueuedAt)
 	p.sw.m.hopLatency.Observe(lat)
 	p.sw.span(pkt, obs.StageSched, 0, lat)
-	p.ch.Send(pkt)
+	p.ch.SendLen(pkt, wire)
 	if p.queue.Len() > 0 {
-		p.ch.WakeWhenIdle()
+		p.wake()
+	}
+}
+
+// wake asks the busy channel for its transmit-complete and moves the
+// switch's horizon of asked ones (see Switch.settle) out to it.
+//
+//alloc:free
+func (p *Port) wake() {
+	p.ch.WakeWhenIdle()
+	if t := p.ch.IdleAt(); t > p.sw.wakeHorizon {
+		p.sw.wakeHorizon = t
 	}
 }
 

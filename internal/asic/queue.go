@@ -47,13 +47,17 @@ func (q *Queue) Bytes() int { return q.bytes }
 func (q *Queue) Len() int { return q.pkts.Len() }
 
 // Enqueue appends the packet if it fits; otherwise the packet is
-// dropped (drop-tail) and false is returned.
+// dropped (drop-tail) and false is returned.  It stamps the packet's
+// wire length into its metadata, where the switch's parser puts it.
 //
 //alloc:free
-func (q *Queue) Enqueue(p *core.Packet) bool { return q.push(p, p.WireLen()) }
+func (q *Queue) Enqueue(p *core.Packet) bool {
+	p.Meta.WireLen = uint32(p.WireLen())
+	return q.push(p, int(p.Meta.WireLen))
+}
 
-// push is Enqueue for a packet whose wire length n the caller has
-// already computed.
+// push is Enqueue for a packet whose wire length n is stamped in its
+// metadata already.
 //
 //alloc:free
 func (q *Queue) push(p *core.Packet, n int) bool {
@@ -79,7 +83,7 @@ func (q *Queue) push(p *core.Packet, n int) bool {
 func (q *Queue) Flush(each func(*core.Packet)) int {
 	n := q.Len()
 	for p := q.pkts.Pop(); p != nil; p = q.pkts.Pop() {
-		q.FlushedBytes += uint64(p.WireLen())
+		q.FlushedBytes += uint64(p.Meta.WireLen)
 		if each != nil {
 			each(p)
 		}
@@ -100,7 +104,8 @@ func (q *Queue) Dequeue() *core.Packet {
 	return p
 }
 
-// pop is Dequeue that also returns the packet's wire length.
+// pop is Dequeue that also returns the packet's wire length, read from
+// the stamp in its metadata.
 //
 //alloc:free
 func (q *Queue) pop() (*core.Packet, int) {
@@ -108,7 +113,7 @@ func (q *Queue) pop() (*core.Packet, int) {
 	if p == nil {
 		return nil, 0
 	}
-	n := p.WireLen()
+	n := int(p.Meta.WireLen)
 	q.bytes -= n
 	q.DeqBytes += uint64(n)
 	q.DeqPkts++

@@ -263,11 +263,11 @@ func TestThrottleRefill(t *testing.T) {
 	}
 }
 
-// TestRebootFlushesLanes crashes a switch while packets wait in both
-// kinds of netsim.Lane that feed it: N inside its own parse/lookup
-// pipeline and M in flight on its ingress link.  The pipeline's packets
-// carry the old boot epoch and the link's arrive inside the boot
-// window, so all N+M become RebootDrops at their firing times, none is
+// TestRebootFlushesLanes crashes a switch while packets wait in the
+// netsim.Lane of its ingress link: N whose last bit has arrived, inside
+// the parse/lookup pipeline latency, and M still in flight.  The first
+// arrived before the crash and the rest arrive inside the boot window,
+// so all N+M become RebootDrops at their firing times, none is
 // forwarded, the event queue returns to the housekeeping ticker alone,
 // and every pooled packet has left the pool's books.  It runs in the
 // soak-pooldebug set too, where a lane handing a packet over twice (or
@@ -330,7 +330,8 @@ func TestRebootFlushesLanes(t *testing.T) {
 		t.Fatalf("RebootDrops = %d right after the crash: lane-held packets die at their firing time", got)
 	}
 
-	// The pipeline lane has fired by crashAt+pipeline.
+	// Every frame that arrived by the crash has been delivered by
+	// crashAt+pipeline.
 	sim.RunUntil(start + crashAt + pipeline)
 	if got := sw.RebootDrops(); got < uint64(inPipeline) {
 		t.Fatalf("RebootDrops = %d once the pipeline emptied, want >= %d", got, inPipeline)

@@ -26,7 +26,8 @@ type Config struct {
 	QueueCapBytes int
 	// PipelineLatency is the fixed parse+lookup latency before a
 	// packet reaches the queues (default 500ns, of which the §3.3
-	// TCPU budget is a part).
+	// TCPU budget is a part): the link into a port hands the switch a
+	// frame this long after its last bit arrived.
 	PipelineLatency netsim.Time
 	// TCPU configures the tiny CPU (instruction limit).
 	TCPU tcpu.Config
@@ -132,14 +133,14 @@ type Switch struct {
 	sim *netsim.Sim
 	cfg Config
 
-	// pipeline holds the packets inside the parse/lookup stages: the
-	// latency is fixed, so they leave in the order they arrived.
-	pipeline *netsim.Lane
-
 	ports []*Port
 	l2    *l2.Table
 	l3    *l3.Table
 	tcam  *tcam.Table
+
+	// wakeHorizon is the latest time a port's asked transmit-complete
+	// is due at: before it, settle has nothing to look for.
+	wakeHorizon netsim.Time
 
 	alloc *mem.Allocator
 	sram  []uint32
@@ -161,10 +162,14 @@ type Switch struct {
 	// exposed at [Switch:Epoch]; it increments on every Reboot so
 	// end-hosts can detect that soft state was wiped.  booting is set
 	// for the boot-delay window, during which the switch eats every
-	// arriving frame.
+	// arriving frame.  rebootAt and bootEnd are where the latest Reboot
+	// and the end of its boot delay ran in the event order: a frame
+	// delivered a pipeline latency after its arrival checks them.
 	epoch       uint32
 	booting     bool
 	bootTimer   *netsim.Timer // ends the boot delay; a newer Reboot re-arms it
+	rebootAt    netsim.Stamp
+	bootEnd     netsim.Stamp
 	reboots     uint64
 	rebootDrops uint64 // packets eaten while down or wiped mid-pipeline
 
@@ -247,7 +252,6 @@ func New(sim *netsim.Sim, cfg Config) *Switch {
 		sram:   make([]uint32, mem.SRAMWords),
 		tracer: cfg.Trace,
 	}
-	s.pipeline = sim.NewLane(s)
 	s.bootTimer = sim.NewTimer(s.bootDone)
 	s.progCache = tcpu.NewCache(cfg.TCPU, 0)
 	s.tppTokens = float64(cfg.TPPBurst) // the gate starts full
@@ -331,7 +335,19 @@ func (s *Switch) collect(emit func(name string, v uint64)) {
 //alloc:inline
 func (s *Switch) span(pkt *core.Packet, stage obs.Stage, a, b uint64) {
 	if s.tracer != nil {
-		s.recordSpan(pkt, stage, a, b)
+		s.recordSpan(pkt, s.sim.Now(), stage, a, b)
+	}
+}
+
+// spanAt is span for a stage that happened at an earlier time: the
+// parse-side stages run when the pipeline latency has elapsed, but are
+// recorded at the frame's arrival.
+//
+//alloc:free
+//alloc:inline
+func (s *Switch) spanAt(pkt *core.Packet, at netsim.Time, stage obs.Stage, a, b uint64) {
+	if s.tracer != nil {
+		s.recordSpan(pkt, at, stage, a, b)
 	}
 }
 
@@ -340,9 +356,9 @@ func (s *Switch) span(pkt *core.Packet, stage obs.Stage, a, b uint64) {
 //
 //alloc:free
 //go:noinline
-func (s *Switch) recordSpan(pkt *core.Packet, stage obs.Stage, a, b uint64) {
+func (s *Switch) recordSpan(pkt *core.Packet, at netsim.Time, stage obs.Stage, a, b uint64) {
 	s.tracer.Record(obs.SpanEvent{
-		At: int64(s.sim.Now()), UID: pkt.Meta.UID, Node: s.cfg.ID,
+		At: int64(at), UID: pkt.Meta.UID, Node: s.cfg.ID,
 		Stage: stage, A: a, B: b,
 	})
 }
@@ -402,7 +418,7 @@ func (s *Switch) SetReflex(h ReflexHook) { s.reflex = h }
 // the egress queue dropped the frame.
 func (s *Switch) InjectLocal(pkt *core.Packet, out int) bool {
 	if s.booting {
-		s.dropRebooted(pkt, out)
+		s.dropRebooted(pkt, out, s.sim.Now())
 		return false
 	}
 	if out < 0 || out >= len(s.ports) || !s.ports[out].Wired() {
@@ -412,6 +428,7 @@ func (s *Switch) InjectLocal(pkt *core.Packet, out int) bool {
 		return false
 	}
 	pkt.Meta.OutPort = uint32(out)
+	pkt.Meta.WireLen = uint32(pkt.WireLen())
 	pkt.Meta.EnqueuedAt = int64(s.sim.Now())
 	return s.ports[out].enqueue(pkt)
 }
@@ -476,6 +493,7 @@ func (s *Switch) Reboot(bootDelay netsim.Time) {
 	s.epoch++
 	s.booting = true
 	s.reboots++
+	s.rebootAt = s.sim.Stamp()
 
 	// Wipe soft state.  Flushed queue packets count as reboot drops so
 	// packet conservation stays provable across the crash.
@@ -525,19 +543,21 @@ func (s *Switch) Reboot(bootDelay netsim.Time) {
 // bootDone ends the boot delay of the latest Reboot.
 func (s *Switch) bootDone() {
 	s.booting = false
+	s.bootEnd = s.sim.Stamp()
 	s.tracer.Record(obs.SpanEvent{
 		At: int64(s.sim.Now()), UID: 0, Node: s.cfg.ID,
 		Stage: obs.StageSwitchUp, A: uint64(s.epoch),
 	})
 }
 
-// dropRebooted counts and records one packet eaten by a crash-restart.
+// dropRebooted counts and records one packet eaten by a crash-restart
+// at time at.
 //
 //alloc:free
-func (s *Switch) dropRebooted(pkt *core.Packet, port int) {
+func (s *Switch) dropRebooted(pkt *core.Packet, port int, at netsim.Time) {
 	s.rebootDrops++
 	if s.tracer != nil {
-		s.span(pkt, obs.StageRebootDrop, uint64(port), uint64(pkt.WireLen()))
+		s.spanAt(pkt, at, obs.StageRebootDrop, uint64(port), uint64(pkt.WireLen()))
 	}
 	pkt.Recycle()
 }
@@ -549,30 +569,45 @@ func (s *Switch) housekeeping() {
 	s.l2.Expire(int64(s.sim.Now()))
 }
 
+// Inbound implements netsim.Pipelined: c feeds port, and hands the
+// switch each frame a pipeline latency after its last bit arrived.
+func (s *Switch) Inbound(port int, c *netsim.Channel) netsim.Time {
+	s.ports[port].in = c
+	return s.cfg.PipelineLatency
+}
+
 // Receive implements netsim.Receiver: the packet's last bit arrived on
-// port.  The fixed pipeline latency covers the parser and lookup
-// stages; forwarding happens after it elapses.
+// port one pipeline latency ago.  The link hands a frame over once the
+// fixed parse/lookup latency has elapsed, so this one event does the
+// whole hop: it parses, strips and verifies as of the arrival (their
+// spans and the packet's EnqueuedAt carry that time), then looks up,
+// runs the TCPU and enqueues now.
 //
 //alloc:free
 func (s *Switch) Receive(pkt *core.Packet, port int) {
-	// A switch mid-boot is electrically absent: frames arriving during
-	// the boot delay vanish without any further processing.
-	if s.booting {
-		s.dropRebooted(pkt, port)
+	arr := s.sim.Stamp()
+	arr.At -= s.cfg.PipelineLatency
+	// A crash-restart eats a frame that arrived while the switch was
+	// booting — electrically absent, it never parses the frame — and
+	// one that was in the parse/lookup stages when it crashed.
+	wiped := s.booting || s.reboots > 0 && arr.Before(s.bootEnd)
+	if wiped && s.rebootAt.Before(arr) {
+		s.dropRebooted(pkt, port, arr.At)
 		return
 	}
-	p, wire := s.ports[port], uint64(pkt.WireLen())
-	p.rxBytes += wire
-	s.span(pkt, obs.StageParser, uint64(port), wire)
+	p, wire := s.ports[port], pkt.WireLen()
+	p.rxBytes += uint64(wire)
+	s.spanAt(pkt, arr.At, obs.StageParser, uint64(port), uint64(wire))
 
 	// §4 security: untrusted edge ports strip TPPs.
 	if pkt.TPP != nil && !p.trusted {
-		s.span(pkt, obs.StageStrip, uint64(port), 0)
+		s.spanAt(pkt, arr.At, obs.StageStrip, uint64(port), 0)
 		pkt = s.stripTPP(pkt)
 		s.tppsStripped++
 		if pkt == nil {
 			return // nothing remained to forward
 		}
+		wire = pkt.WireLen()
 	}
 
 	// Paranoid parser: statically reject programs that would fault or
@@ -580,41 +615,58 @@ func (s *Switch) Receive(pkt *core.Packet, port int) {
 	// TCPU.
 	if pkt.TPP != nil && s.cfg.Verify != nil {
 		if res := verify.Verify(pkt.TPP, *s.cfg.Verify); !res.OK() {
-			s.span(pkt, obs.StageVerifyReject, uint64(port), uint64(len(res.Errors())))
+			s.spanAt(pkt, arr.At, obs.StageVerifyReject, uint64(port), uint64(len(res.Errors())))
 			pkt = s.stripTPP(pkt)
 			s.tppsRejected++
 			if pkt == nil {
 				return
 			}
+			wire = pkt.WireLen()
 		}
 	}
 
 	pkt.Meta = core.Metadata{
 		UID:        pkt.Meta.UID,
 		InPort:     uint32(port),
-		EnqueuedAt: int64(s.sim.Now()),
+		WireLen:    uint32(wire),
+		EnqueuedAt: int64(arr.At),
 	}
-	// Capture the boot epoch: a crash while the packet sits in the
-	// parse/lookup pipeline wipes it along with the rest of the
-	// switch's volatile state.  The epoch and ingress port ride in the
-	// event's arg word (see DeliverAt) so the pipeline stage schedules
-	// without allocating.
-	s.pipeline.At(s.sim.Now()+s.cfg.PipelineLatency, pkt,
-		uint64(port)|uint64(s.epoch)<<32)
-}
-
-// DeliverAt implements netsim.PacketDelivery: the parse/lookup pipeline
-// latency elapsed.  arg carries the ingress port in the low word and
-// the boot epoch captured at arrival in the high word.
-//
-//alloc:free
-func (s *Switch) DeliverAt(pkt *core.Packet, arg uint64) {
-	port := int(uint32(arg))
-	if s.booting || s.epoch != uint32(arg>>32) {
-		s.dropRebooted(pkt, port)
+	s.settle(arr)
+	if wiped {
+		s.dropRebooted(pkt, port, s.sim.Now())
 		return
 	}
 	s.forward(pkt, port)
+}
+
+// settle runs, in their queued order, the transmit-completes of this
+// switch's ports that are due now and were reserved before the frame
+// arriving at arr did: the ones that ran ahead of its pipeline stage
+// when the stage was an event of its own, queued on arrival.  The
+// stage reads what they change (queue occupancy for ECN, the TCPU and
+// the tail-drop check, transmit counters, the channel's busy state).
+//
+//alloc:free
+func (s *Switch) settle(arr netsim.Stamp) {
+	if s.wakeHorizon < s.sim.Now() {
+		return
+	}
+	for {
+		var next *netsim.Channel
+		var first uint64
+		for _, p := range s.ports {
+			if p.ch == nil {
+				continue
+			}
+			if seq, due := p.ch.DueBefore(arr); due && (next == nil || seq < first) {
+				next, first = p.ch, seq
+			}
+		}
+		if next == nil {
+			return
+		}
+		next.CompleteNow()
+	}
 }
 
 // stripTPP removes the TPP section, leaving the encapsulated payload as

@@ -136,7 +136,7 @@ func portStat(p *Port, idx int) uint32 {
 	case mem.PortTXUtil:
 		return p.txUtil.Rate()
 	case mem.PortRXBytes:
-		return uint32(p.rxBytes)
+		return uint32(p.rxBytesNow())
 	case mem.PortTXBytes:
 		return uint32(p.txBytes)
 	case mem.PortDropBytes:

@@ -17,7 +17,8 @@ type Metadata struct {
 	MatchedEntry uint32 // id of the matched flow-table entry (ndb)
 	MatchedVer   uint32 // version number of the matched entry (ndb)
 	AltRoutes    uint32 // number of alternate routes for the packet
-	EnqueuedAt   int64  // sim time ns when enqueued at current switch
+	WireLen      uint32 // frame length in bytes, stamped by the parser
+	EnqueuedAt   int64  // sim time ns the packet entered the current switch
 }
 
 // Packet is a fully decoded frame moving through the simulator.  Layers

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // Clone deep-copies the packet, including its TPP and payload, into a
@@ -114,6 +115,16 @@ func samplePacket() *Packet {
 			Src: IPv4Addr(10, 0, 0, 1), Dst: IPv4Addr(10, 0, 0, 2)},
 		UDP:     &UDP{SrcPort: 9000, DstPort: 9001},
 		Payload: []byte("probe"),
+	}
+}
+
+// TestMetadataSize pins the per-packet registers at 40 bytes.  The
+// parser's wire-length stamp fills the padding hole between AltRoutes
+// and EnqueuedAt, so carrying it grew no Packet: every pooled block and
+// every fresh packet a sweep builds holds one.
+func TestMetadataSize(t *testing.T) {
+	if got := unsafe.Sizeof(Metadata{}); got != 40 {
+		t.Fatalf("core.Metadata is %d bytes, want 40", got)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // Lane is a FIFO event source for a scheduler whose firing times never
-// decrease — a fixed-latency switch pipeline, one direction of a
-// serializing link.  Such events are born sorted by (at, seq), so they
+// decrease — one direction of a serializing link, whose deliveries
+// follow the transmitter's order.  Such events are born sorted by (at, seq), so they
 // wait in the lane's ring in arrival order and only the head entry
 // holds a key in the Sim's heap; the order events execute in is exactly
 // the order AtPacket would have given them.  A Lane belongs to the Sim

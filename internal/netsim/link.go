@@ -11,9 +11,22 @@ import (
 // Receiver is anything that can accept a packet from a link: a switch
 // ingress pipeline or a host NIC.
 type Receiver interface {
-	// Receive is called when the last bit of the packet arrives on
-	// the receiver's port.
+	// Receive is called when the last bit of the packet has arrived on
+	// the receiver's port — for a Pipelined receiver, once its pipeline
+	// latency has elapsed after that.
 	Receive(pkt *core.Packet, port int)
+}
+
+// Pipelined is a Receiver with a fixed-latency ingress pipeline, a
+// switch's parse/lookup stages.  A Channel into one delivers each frame
+// when that latency has elapsed after its last bit arrived, in one
+// event: the receiver does its arrival-time work then, at arrival time
+// now − latency.
+type Pipelined interface {
+	Receiver
+	// Inbound tells the receiver that c feeds port and returns its
+	// pipeline latency.
+	Inbound(port int, c *Channel) Time
 }
 
 // Channel is one direction of a link: a serializing transmitter with a
@@ -30,31 +43,41 @@ type Channel struct {
 
 	dst     Receiver
 	dstPort int
+	// lat is the receiver's pipeline latency (Pipelined), 0 for a host:
+	// a frame is delivered lat after its last bit arrives.
+	lat Time
 
 	busyUntil Time
 	onIdle    func()
-	idleFn    func() // c.notifyIdle bound once; queued when a wake-up is asked
+	idleFn    func() // c.fireIdle bound once; queued when a wake-up is asked
 
 	// The transmit-complete event of the transmission in progress: Send
-	// reserves its seq, WakeWhenIdle queues it.  idleAsked starts set —
-	// before the first Send there is nothing to ask for — and stays set
-	// on a zero-delay link, whose arrival event carries the callback.
+	// reserves its seq, WakeWhenIdle queues it (into idleSlot until it
+	// runs).  idleAsked starts set — before the first Send there is
+	// nothing to ask for — and stays set on a fused link, whose arrival
+	// event carries the callback.  sentAt is where the reserving Send
+	// ran, which CompleteNow's callers compare against.
 	idleSeq   uint64
+	sentAt    Stamp
+	idleSlot  int32
 	idleAsked bool
-
-	// arrivals holds the frames on the wire: the transmitter
-	// serializes, so last-bit arrival times never decrease.
-	arrivals *Lane
-
-	loss LossModel
-
+	// fused is set on a zero-delay link into a host: the transmit-
+	// complete and the last-bit arrival are one instant, so they share
+	// one event (see Unfuse).
+	fused bool
 	// down is set while the link is administratively or physically
 	// down (fault injection).  The transmitter keeps clocking frames
 	// out — the owner's queue must not stall — but nothing arrives.
-	// downEpoch increments on every transition to down so frames in
-	// flight at that moment are dropped too.
-	down      bool
-	downEpoch uint64
+	// Frames sent while down, and those still on the wire when the link
+	// goes down, carry argDown.
+	down bool
+
+	// arrivals holds the frames on the wire and, on a link into a
+	// Pipelined receiver, those in its pipeline: the transmitter
+	// serializes, so delivery times never decrease.
+	arrivals *Lane
+
+	loss LossModel
 
 	// Packet-lifecycle tracing (nil when telemetry is disabled).
 	trace   *obs.Tracer
@@ -64,8 +87,8 @@ type Channel struct {
 	BytesSent   uint64
 	PacketsSent uint64
 	// WakeupsAsked counts transmit-complete events queued on request
-	// (WakeWhenIdle): on a link with propagation delay, the sends that
-	// ended with a frame waiting behind them.
+	// (WakeWhenIdle): on a link that is not fused, the sends that ended
+	// with a frame waiting behind them.
 	WakeupsAsked uint64
 	// PacketsLost counts frames corrupted in flight by the loss model.
 	PacketsLost uint64
@@ -83,8 +106,13 @@ func NewChannel(sim *Sim, rate int64, delay Time, dst Receiver, dstPort int) *Ch
 	if delay < 0 {
 		panic("netsim: negative propagation delay")
 	}
-	c := &Channel{sim: sim, rate: rate, delay: delay, dst: dst, dstPort: dstPort, idleAsked: true}
-	c.idleFn = c.notifyIdle
+	c := &Channel{sim: sim, rate: rate, delay: delay, dst: dst, dstPort: dstPort,
+		idleSlot: disarmed, idleAsked: true}
+	if p, ok := dst.(Pipelined); ok {
+		c.lat = p.Inbound(dstPort, c)
+	}
+	c.fused = delay == 0 && c.lat == 0
+	c.idleFn = c.fireIdle
 	c.arrivals = sim.NewLane(c)
 	return c
 }
@@ -93,6 +121,12 @@ func (c *Channel) notifyIdle() {
 	if c.onIdle != nil {
 		c.onIdle()
 	}
+}
+
+// fireIdle is the queued transmit-complete event.
+func (c *Channel) fireIdle() {
+	c.idleSlot = disarmed
+	c.notifyIdle()
 }
 
 // RateBytes returns the channel capacity in bytes per second, the unit
@@ -110,9 +144,18 @@ func (c *Channel) RateBytes() uint32 {
 // SetOnIdle registers the transmit-complete callback; the owner uses it
 // to dequeue the next packet.  It is guaranteed to run at the end of a
 // transmission only if the owner called WakeWhenIdle during it; a
-// callback nobody asked for may still run (zero-delay links always
-// deliver it), so it must tolerate finding nothing to do.
+// callback nobody asked for may still run (fused links always deliver
+// it), so it must tolerate finding nothing to do.
 func (c *Channel) SetOnIdle(fn func()) { c.onIdle = fn }
+
+// Unfuse gives the transmit-complete an event of its own, queued only
+// when asked, on a zero-delay link into a host too, where it would
+// otherwise ride on the frame's arrival event.  A switch port needs
+// that: its pipeline stage may have to run a transmit-complete due in
+// the same nanosecond ahead of its queued place (CompleteNow), and the
+// frame's arrival at the host must not come along.  The order of events
+// does not change: the two events have adjacent seqs at one instant.
+func (c *Channel) Unfuse() { c.fused = false }
 
 // WakeWhenIdle asks for the OnIdle callback when the transmission in
 // progress completes.  The owner calls it whenever it holds a frame the
@@ -139,7 +182,31 @@ func (c *Channel) queueIdle() {
 	}
 	c.idleAsked = true
 	c.WakeupsAsked++
-	c.sim.atReserved(c.busyUntil, c.idleSeq, c.idleFn)
+	c.idleSlot = c.sim.atReserved(c.busyUntil, c.idleSeq, c.idleFn)
+}
+
+// DueBefore reports whether a transmit-complete event is queued for now
+// that the Send of a transmission which began before at in the event
+// order reserved, and the seq it is queued at.  That is the event a
+// receiver's pipeline stage for a frame that arrived at at had to wait
+// for when the stage was an event of its own, queued on arrival.
+//
+//alloc:free
+func (c *Channel) DueBefore(at Stamp) (seq uint64, due bool) {
+	if c.idleSlot == disarmed || c.busyUntil != c.sim.now || !c.sentAt.Before(at) {
+		return 0, false
+	}
+	return c.idleSeq, true
+}
+
+// CompleteNow runs the transmit-complete event DueBefore reported, now,
+// ahead of its place in the queue; the event does not run again.
+//
+//alloc:free
+func (c *Channel) CompleteNow() {
+	slot := c.idleSlot
+	c.idleSlot = disarmed
+	c.sim.runEarly(slot, c.idleSeq)
 }
 
 // SetLoss makes the channel drop each frame independently with
@@ -158,15 +225,47 @@ func (c *Channel) SetLossModel(m LossModel) { c.loss = m }
 // SetUp raises or severs the link.  Taking the link down drops every
 // frame currently in flight and every frame transmitted while down;
 // the transmitter keeps serializing (so the owner's queue drains and
-// recovery needs no special kick), but nothing reaches the far end.
+// recovery needs no special kick), but nothing reaches the far end.  A
+// frame whose last bit arrived before the cut, in the event order, is
+// through, though a Pipelined receiver may not have taken it yet.
 func (c *Channel) SetUp(up bool) {
 	if up == !c.down {
 		return
 	}
 	c.down = !up
-	if c.down {
-		c.downEpoch++
+	if !c.down {
+		return
 	}
+	now := c.sim.Stamp()
+	for i := c.arrivals.ring.Len() - 1; i >= 0; i-- {
+		e := c.arrivals.ring.At(i)
+		if !now.Before(Stamp{At: e.at - c.lat, Seq: e.seq}) {
+			break // arrived; so did every frame ahead of it
+		}
+		e.arg |= argDown
+	}
+}
+
+// ArrivedBytes returns the wire bytes of the frames whose last bit
+// arrived in (after, upTo] of the event order and which a Pipelined
+// receiver has not taken yet, lost and dropped frames not counted.
+// Those frames are a prefix of the lane: delivery times are arrival
+// times plus a constant.
+//
+//alloc:free
+func (c *Channel) ArrivedBytes(after, upTo Stamp) uint64 {
+	var n uint64
+	for i := 0; i < c.arrivals.ring.Len(); i++ {
+		e := c.arrivals.ring.At(i)
+		at := Stamp{At: e.at - c.lat, Seq: e.seq}
+		if upTo.Before(at) {
+			break
+		}
+		if after.Before(at) && e.arg&(argDown|argLost) == 0 {
+			n += uint64(e.pkt.WireLen())
+		}
+	}
+	return n
 }
 
 // SetTrace attaches the packet-lifecycle tracer; id identifies this
@@ -184,6 +283,10 @@ func (c *Channel) TraceID() uint32 { return c.traceID }
 // Busy reports whether a transmission is in progress.
 func (c *Channel) Busy() bool { return c.sim.Now() < c.busyUntil }
 
+// IdleAt returns when the latest transmission ends, or ended: where a
+// transmit-complete asked for now is queued.
+func (c *Channel) IdleAt() Time { return c.busyUntil }
+
 // SerializationDelay returns how long a frame of n bytes occupies the
 // transmitter.
 func (c *Channel) SerializationDelay(n int) Time {
@@ -197,77 +300,83 @@ func (c *Channel) SerializationDelay(n int) Time {
 // the transmitter.
 //
 //alloc:free
-func (c *Channel) Send(pkt *core.Packet) Time {
+func (c *Channel) Send(pkt *core.Packet) Time { return c.SendLen(pkt, pkt.WireLen()) }
+
+// SendLen is Send for a frame whose wire length the owner already
+// knows (a switch stamps it into the packet's metadata at the parser).
+//
+//alloc:free
+func (c *Channel) SendLen(pkt *core.Packet, wire int) Time {
 	if c.Busy() {
 		panic("netsim: Send on busy channel")
 	}
-	wire := pkt.WireLen()
 	ser := c.SerializationDelay(wire)
-	done := c.sim.Now() + ser
+	done := c.sim.now + ser
 	c.busyUntil = done
 	c.BytesSent += uint64(wire)
 	c.PacketsSent++
-	c.span(pkt, obs.StageLinkTx, uint64(wire), uint64(ser))
+	c.span(pkt, c.sim.now, obs.StageLinkTx, uint64(wire), uint64(ser))
 	// The frame's fate is decided now (loss models are sampled in
 	// transmission order, keeping runs seed-replayable), but counted
-	// and recorded when the last bit would have arrived.  The fate and
-	// link epoch are packed into the event's arg word so the arrival
-	// path captures nothing (see DeliverAt).
-	downAtSend := c.down
-	lost := !downAtSend && c.loss != nil && c.loss.Lost()
-	arg := c.downEpoch << 3
-	if downAtSend {
-		arg |= argDown
+	// and recorded at its last bit's arrival.  It rides in the event's
+	// arg word so the delivery path captures nothing (see DeliverAt);
+	// SetUp(false) marks the frames it catches on the wire.
+	var arg uint64
+	if c.down {
+		arg = argDown
+	} else if c.loss != nil && c.loss.Lost() {
+		arg = argLost
 	}
-	if lost {
-		arg |= argLost
-	}
-	if c.delay == 0 {
+	if c.fused {
 		// The transmit-complete interrupt and the last-bit arrival
 		// coincide; fold both into one event, firing idle first — the
-		// same order the two separate events have on delayed links.
+		// same order the two separate events have on other links.
 		c.arrivals.At(done, pkt, arg|argIdle)
 	} else {
 		// Transmit-complete precedes the arrival in the event order, so
 		// its seq is taken first; the event itself waits to be asked for.
 		c.idleSeq = c.sim.reserveSeq()
 		c.idleAsked = false
-		c.arrivals.At(done+c.delay, pkt, arg)
+		c.sentAt = c.sim.Stamp()
+		c.arrivals.At(done+c.delay+c.lat, pkt, arg)
 	}
 	return done
 }
 
-// Arrival event arg layout: fate bits below the send-time link epoch.
+// Delivery event arg bits: the frame's fate, and the fused
+// transmit-complete.
 const (
 	argDown = 1 << 0
 	argLost = 1 << 1
 	argIdle = 1 << 2
 )
 
-// DeliverAt implements PacketDelivery: the frame's last bit arrives.
-// On the delivery path the frame's length is a span argument only, so it
-// is computed only when tracing is on.
+// DeliverAt implements PacketDelivery: the frame's last bit arrived,
+// lat ago (its spans carry that time).  On the delivery path the
+// frame's length is a span argument only, so it is computed only when
+// tracing is on.
 //
 //alloc:free
 func (c *Channel) DeliverAt(pkt *core.Packet, arg uint64) {
 	if arg&argIdle != 0 {
 		c.notifyIdle()
 	}
+	at := c.sim.now - c.lat
 	switch {
-	case arg&argDown != 0, c.down, c.downEpoch != arg>>3:
+	case arg&argDown != 0:
 		// Sent into, or overtaken by, a dead link.
 		c.PacketsDownDrops++
-		c.span(pkt, obs.StageLinkDown, uint64(pkt.WireLen()), 0)
+		c.span(pkt, at, obs.StageLinkDown, uint64(pkt.WireLen()), 0)
 		pkt.Recycle()
 	case arg&argLost != 0:
 		// The frame occupied the wire but arrives corrupted and is
 		// discarded by the receiver's FCS check.
 		c.PacketsLost++
-		c.span(pkt, obs.StageLinkLoss, uint64(pkt.WireLen()), 0)
+		c.span(pkt, at, obs.StageLinkLoss, uint64(pkt.WireLen()), 0)
 		pkt.Recycle()
 	default:
 		if c.trace != nil {
-			c.span(pkt, obs.StageLinkRx, uint64(c.dstPort), uint64(pkt.WireLen()))
+			c.span(pkt, at, obs.StageLinkRx, uint64(c.dstPort), uint64(pkt.WireLen()))
 		}
 		c.dst.Receive(pkt, c.dstPort)
 	}
@@ -279,9 +388,9 @@ func (c *Channel) DeliverAt(pkt *core.Packet, arg uint64) {
 //
 //alloc:free
 //alloc:inline
-func (c *Channel) span(pkt *core.Packet, stage obs.Stage, a, b uint64) {
+func (c *Channel) span(pkt *core.Packet, at Time, stage obs.Stage, a, b uint64) {
 	if c.trace != nil {
-		c.recordSpan(pkt, stage, a, b)
+		c.recordSpan(pkt, at, stage, a, b)
 	}
 }
 
@@ -290,9 +399,9 @@ func (c *Channel) span(pkt *core.Packet, stage obs.Stage, a, b uint64) {
 //
 //alloc:free
 //go:noinline
-func (c *Channel) recordSpan(pkt *core.Packet, stage obs.Stage, a, b uint64) {
+func (c *Channel) recordSpan(pkt *core.Packet, at Time, stage obs.Stage, a, b uint64) {
 	c.trace.Record(obs.SpanEvent{
-		At: int64(c.sim.Now()), UID: pkt.Meta.UID, Node: c.traceID,
+		At: int64(at), UID: pkt.Meta.UID, Node: c.traceID,
 		Stage: stage, A: a, B: b,
 	})
 }

@@ -6,15 +6,14 @@
 //
 // The event queue executes in (time, seq) order, seq being the order
 // of scheduling.  Sim.At and Sim.AtPacket put an event in a binary
-// heap; a source that schedules in firing order (a fixed-latency
-// pipeline, a serializing link) owns a Lane, a FIFO ring of which only
-// the head is in the heap; a schedule that recurs or may be called off
-// (a ticker, a pacer, a probe deadline) owns a Timer, whose one live
-// arm sits in the heap and whose stopped or superseded arms never run.
-// All three give the same order — a Lane or a Timer is where an event
-// waits, not a second scheduler — and Sim.Stats reports how many events
-// ran, how many arms were dropped unrun, and how deep the heap and the
-// whole queue got.
+// heap; a source that schedules in firing order (a serializing link)
+// owns a Lane, a FIFO ring of which only the head is in the heap; a
+// schedule that recurs or may be called off (a ticker, a pacer, a
+// probe deadline) owns a Timer, whose one live arm sits in the heap
+// and whose stopped or superseded arms never run.  All three give the
+// same order — a Lane or a Timer is where an event waits, not a second
+// scheduler — and Sim.Stats reports how many events ran, how many arms
+// were dropped unrun, and how deep the heap and the whole queue got.
 package netsim
 
 import (
@@ -44,8 +43,8 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 // PacketDelivery is the allocation-free alternative to scheduling a
 // closure for per-packet events: the receiver is stored directly in
 // the event along with the packet and one word of caller-packed
-// context, so the scheduler's hot path (one event per serialized
-// frame, one per pipeline stage) captures nothing.
+// context, so the scheduler's hot path (one event per frame a link
+// delivers) captures nothing.
 type PacketDelivery interface {
 	// DeliverAt is invoked at the event's time with the packet and the
 	// arg value passed to AtPacket.
@@ -70,6 +69,20 @@ func (a eventKey) less(b eventKey) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
+}
+
+// Stamp is a place in the execution order: a time and a seq.  Every
+// event has its own, and two events run in the order of their stamps.
+type Stamp struct {
+	At  Time
+	Seq uint64
+}
+
+// Before reports whether a comes before b in the execution order.
+//
+//alloc:free
+func (a Stamp) Before(b Stamp) bool {
+	return a.At < b.At || a.At == b.At && a.Seq < b.Seq
 }
 
 // eventPayload is either a closure event (fn != nil) or a packet event
@@ -113,6 +126,7 @@ type Sim struct {
 	backlog int     // lane entries queued behind their lane's head
 	stale   int     // heap keys of timer arms that were stopped or superseded
 	seq     uint64
+	cur     uint64 // seq of the event running, or 0 once RunUntil moved the clock past it
 	rng     *rand.Rand
 	stats   Stats
 	pool    core.Pool
@@ -143,6 +157,14 @@ func New(seed int64) *Sim {
 
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
+
+// Stamp returns the running event's place in the execution order.
+// Between events it is the last event's place, or (now, 0) once
+// RunUntil moved the clock past that: a place before every event still
+// to run.
+//
+//alloc:free
+func (s *Sim) Stamp() Stamp { return Stamp{At: s.now, Seq: s.cur} }
 
 // Rand exposes the simulation's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
@@ -195,9 +217,8 @@ func (s *Sim) At(t Time, fn func()) {
 }
 
 // AtPacket schedules pd.DeliverAt(pkt, arg) at absolute time t without
-// allocating.  Sources that schedule in firing order — a fixed-latency
-// pipeline, a serializing link — use a Lane instead, which keeps their
-// events out of the heap.
+// allocating.  A source that schedules in firing order — a serializing
+// link — uses a Lane instead, which keeps its events out of the heap.
 //
 //alloc:free
 func (s *Sim) AtPacket(t Time, pd PacketDelivery, pkt *core.Packet, arg uint64) {
@@ -246,16 +267,35 @@ func (s *Sim) reserveSeq() uint64 {
 
 // atReserved queues fn at (t, seq) for a seq taken earlier with
 // reserveSeq and not used since: the event runs exactly where At would
-// have put it had it been called at the reservation.
+// have put it had it been called at the reservation.  It returns the
+// event's payload slot, which runEarly takes.
 //
 //alloc:free
-func (s *Sim) atReserved(t Time, seq uint64, fn func()) {
+func (s *Sim) atReserved(t Time, seq uint64, fn func()) int32 {
 	if t < s.now {
 		panic(fmt.Sprintf("netsim: scheduling at %v before now %v", t, s.now))
 	}
 	slot := s.alloc()
 	s.slots[slot].fn = fn
 	s.pushKey(eventKey{at: t, seq: seq, slot: slot})
+	return slot
+}
+
+// runEarly runs the closure event queued in slot at seq now, inside
+// the running event, and leaves its key behind as a stale one, dropped
+// unrun when it surfaces.  It counts as executed, not discarded: it
+// ran, only ahead of its place, and Stamp reads its place while it runs.
+//
+//alloc:free
+func (s *Sim) runEarly(slot int32, seq uint64) {
+	fn := s.slots[slot].fn
+	s.slots[slot].fn = nil
+	s.stale++
+	s.stats.Executed++
+	outer := s.cur
+	s.cur = seq
+	fn()
+	s.cur = outer
 }
 
 // pushKey adds k to the heap.
@@ -335,7 +375,7 @@ func (s *Sim) RunUntil(t Time) {
 		s.step()
 	}
 	if t > s.now {
-		s.now = t
+		s.now, s.cur = t, 0
 	}
 }
 
@@ -352,7 +392,7 @@ func (s *Sim) RunUntil(t Time) {
 //alloc:free
 func (s *Sim) step() {
 	h := s.keys
-	at, slot := h[0].at, h[0].slot
+	at, seq, slot := h[0].at, h[0].seq, h[0].slot
 	if slot < 0 {
 		l := s.lanes[^slot]
 		e := l.ring.At(0)
@@ -366,7 +406,7 @@ func (s *Sim) step() {
 		} else {
 			s.dropRoot()
 		}
-		s.now = at
+		s.now, s.cur = at, seq
 		s.stats.Executed++
 		l.pd.DeliverAt(pkt, arg)
 		return
@@ -380,7 +420,7 @@ func (s *Sim) step() {
 		s.stale--
 		return
 	}
-	s.now = at
+	s.now, s.cur = at, seq
 	s.stats.Executed++
 	if fn != nil {
 		fn()

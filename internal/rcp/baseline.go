@@ -10,7 +10,7 @@ import (
 	"repro/internal/netsim"
 )
 
-// Baseline is the native in-switch RCP implementation — the comparator
+// baseline is the native in-switch RCP implementation — the comparator
 // curve of Figure 2 ("the original RCP algorithm available in ns2
 // simulation").  Unlike RCP*, it requires the switch to run the control
 // equation itself: exactly the specialized-ASIC functionality the paper
@@ -19,14 +19,14 @@ import (
 // Each managed link maintains R(t), updated every T from the measured
 // ingress byte rate and average queue, and stamps min(header, R) into
 // the congestion header of every baseline data packet crossing it.
-type Baseline struct {
+type baseline struct {
 	sim   *netsim.Sim
 	links map[*asic.Switch]map[int]*baselineLink
 }
 
 // newBaseline builds the baseline controller.
-func newBaseline(sim *netsim.Sim) *Baseline {
-	return &Baseline{sim: sim, links: make(map[*asic.Switch]map[int]*baselineLink)}
+func newBaseline(sim *netsim.Sim) *baseline {
+	return &baseline{sim: sim, links: make(map[*asic.Switch]map[int]*baselineLink)}
 }
 
 // baselineLink is the per-link RCP state of a native router.
@@ -44,9 +44,9 @@ type baselineLink struct {
 // Rate returns R(t) in bytes/sec.
 func (l *baselineLink) Rate() float64 { return l.rate }
 
-// Manage starts RCP on the egress link (sw, port) and installs the
+// manage starts RCP on the egress link (sw, port) and installs the
 // stamping hook.  All managed ports of one switch share one mirror.
-func (b *Baseline) Manage(sw *asic.Switch, port int) *baselineLink {
+func (b *baseline) manage(sw *asic.Switch, port int) *baselineLink {
 	capacity := float64(sw.Port(port).Channel().RateBytes())
 	l := &baselineLink{sw: sw, port: port, rate: capacity}
 	if b.links[sw] == nil {
@@ -162,7 +162,7 @@ func newBaselineSender(sim *netsim.Sim, host *endhost.Host, dstMAC core.MAC, dst
 type baselineScheme struct{ link *baselineLink }
 
 func (s *baselineScheme) Install(h *Harness) {
-	s.link = newBaseline(h.Sim).Manage(h.A, h.APort)
+	s.link = newBaseline(h.Sim).manage(h.A, h.APort)
 }
 
 func (s *baselineScheme) Attach(h *Harness, pair int) Flow {
