@@ -156,17 +156,20 @@ soak-pooldebug:
 # never trip a dynamic fault, guest programs never escape their tenant
 # grant (and, verified against it, are never denied), and a TPP executes
 # identically under a cached validation verdict (Program.Exec) and a
-# fresh one (Config.Exec) — and two robustness properties: no bytes on
+# fresh one (Config.Exec) —, two robustness properties: no bytes on
 # a prober's echo-reply port make it, or a collect callback that feeds
 # an epoch tracker, panic, and no spec text makes the controller's decode path
 # (yamlite.Parse, DecodeSpec, Normalize) panic, while every spec it
-# accepts normalizes to a fixpoint.
+# accepts normalizes to a fixpoint — and the span log's record codec:
+# events with any field values, recorded across wrap-around, read back
+# as the last capacity events in order, bit for bit, packed or spilled.
 fuzz:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=10s ./internal/verify
 	$(GO) test -fuzz=FuzzGuard -fuzztime=10s ./internal/asic
 	$(GO) test -fuzz=FuzzCompile -fuzztime=10s ./internal/tcpu
 	$(GO) test -fuzz=FuzzProberEcho -fuzztime=10s ./internal/endhost
 	$(GO) test -fuzz=FuzzDecodeSpec -fuzztime=10s ./internal/fabric
+	$(GO) test -fuzz=FuzzSpanRecord -fuzztime=10s ./internal/obs
 
 # bench runs the repository's one benchmark: all six bench/tppbench
 # workloads for 10 s each, seed 1, every sim_digest checked against

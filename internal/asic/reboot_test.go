@@ -264,7 +264,7 @@ func TestThrottleRefill(t *testing.T) {
 }
 
 // TestRebootFlushesLanes crashes a switch while packets wait in the
-// netsim.Lane of its ingress link: N whose last bit has arrived, inside
+// netsim lane of its ingress link: N whose last bit has arrived, inside
 // the parse/lookup pipeline latency, and M still in flight.  The first
 // arrived before the crash and the rest arrive inside the boot window,
 // so all N+M become RebootDrops at their firing times, none is

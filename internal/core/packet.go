@@ -30,7 +30,13 @@ type Metadata struct {
 // the simulator accounts for their length without materializing them.
 // Serialize emits them as zeros.
 type Packet struct {
-	Eth     Ethernet
+	Eth Ethernet
+	// pooled marks a packet drawn from a packet pool (see pool.go); set
+	// only by a Pool draw, cleared by Recycle and Adopt.  A shallow
+	// struct copy inherits the flag, so copies must Adopt themselves.
+	// It sits in the two bytes of padding after the 14-byte Eth.
+	pooled bool
+
 	TPP     *TPP
 	IP      *IPv4
 	UDP     *UDP
@@ -39,18 +45,16 @@ type Packet struct {
 
 	Meta Metadata
 
-	// pooled marks a packet drawn from a packet pool (see pool.go); set
-	// only by a Pool draw, cleared by Recycle and Adopt.  A shallow
-	// struct copy inherits the flag, so copies must Adopt themselves.
-	pooled bool
+	// dbg is the pooldebug sanitizer state: zero-sized in release
+	// builds, a slot-generation pin under -tags pooldebug (pool_debug.go).
+	// It is not the last field: a zero-sized last field pads the struct
+	// by a word.
+	dbg poolDebug
 	// block points back to the pool block the packet was drawn in (nil
 	// for heap-owned packets); Recycle uses it to return the whole
 	// co-allocated block to its pool and to tell the resident packet
 	// apart from a shallow copy.
 	block *pooledBlock
-	// dbg is the pooldebug sanitizer state: zero-sized in release
-	// builds, a slot-generation pin under -tags pooldebug (pool_debug.go).
-	dbg poolDebug
 }
 
 // udpPacketBlock co-allocates a packet with its IP and UDP headers.

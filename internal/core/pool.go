@@ -84,9 +84,9 @@ type pooledBlock struct {
 	ip  IPv4
 	udp UDP
 
+	dbg  blockDebug   // pooldebug state; zero-sized in release builds, so not last
 	pool *Pool        // where Recycle returns the block
 	next *pooledBlock // the free list's link while the block sits in the pool
-	dbg  blockDebug   // pooldebug state; zero-sized in release builds
 }
 
 // Pool is a free list of packet blocks.  The zero value is an empty

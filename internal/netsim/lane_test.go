@@ -11,11 +11,11 @@ import (
 
 // orderRig drives one seeded random schedule against a Sim.  Every
 // scheduling call gets the next id, which mirrors the Sim's seq (each
-// of At, AtPacket, Lane.At and Timer.Reset takes exactly one; Timer.Stop
+// of At, AtPacket, lane.at and Timer.Reset takes exactly one; Timer.Stop
 // takes none), so the reference execution order is the schedule's live
 // events sorted by (at, id): a timer arm that was stopped or superseded
 // leaves the reference the moment it is called off.  With useLanes
-// false the same schedule is replayed on the heap alone: every Lane.At
+// false the same schedule is replayed on the heap alone: every lane.at
 // swapped for AtPacket on the same receiver, and every timer arm for a
 // closure that checks, when it fires, whether it is still its timer's
 // live arm — the hand-rolled guard a Timer replaces.
@@ -24,7 +24,7 @@ type orderRig struct {
 	s        *Sim
 	r        *rand.Rand
 	useLanes bool
-	lanes    []*Lane
+	lanes    []*lane
 	sinks    []*orderSink
 	laneLast []Time // newest firing time handed to each lane
 	timers   []*Timer
@@ -36,7 +36,6 @@ type orderRig struct {
 	zombies     int          // useLanes false: called-off arms still queued as guarded closures
 
 	fired     []firedEvent
-	fallbacks int // Lane.At calls that took the non-monotone heap path
 	splits    int // RunUntil targets between a lane's head and its second entry
 	calledOff int // timer arms stopped or superseded
 	rearmed   int // Resets from inside the timer's own callback
@@ -75,7 +74,7 @@ func newOrderRig(t *testing.T, seed int64, useLanes bool) *orderRig {
 		k := &orderSink{rig: g}
 		g.sinks = append(g.sinks, k)
 		if i < orderLanes && useLanes {
-			g.lanes = append(g.lanes, g.s.NewLane(k))
+			g.lanes = append(g.lanes, g.s.newLane(k))
 		}
 	}
 	return g
@@ -83,10 +82,9 @@ func newOrderRig(t *testing.T, seed int64, useLanes bool) *orderRig {
 
 // schedule makes one random scheduling call: a closure, a plain packet
 // event, an entry on one of the lanes, or a timer operation.  Lane
-// times mostly continue from the lane's newest entry in steps of 0..2
-// ns, so ties across lanes and with heap events are common; one call in
-// sixteen reaches back before the newest entry and must take the
-// fallback path.
+// times continue from the lane's newest entry (or now, if that is
+// later) in steps of 0..2 ns, so ties across lanes and with heap events
+// are common.
 func (g *orderRig) schedule() {
 	if g.budget == 0 {
 		return
@@ -114,24 +112,14 @@ func (g *orderRig) schedule() {
 		if at < now {
 			at = now
 		}
-		if g.r.Intn(16) == 0 {
-			at = now + Time(g.r.Intn(int(at-now)+1))
-		} else {
-			at += Time(g.r.Intn(3))
-		}
-		if at > g.laneLast[kind] {
-			g.laneLast[kind] = at
-		}
+		at += Time(g.r.Intn(3))
+		g.laneLast[kind] = at
 		g.outstanding[id] = at
 		if !g.useLanes {
 			g.s.AtPacket(at, g.sinks[kind], nil, uint64(id))
 			return
 		}
-		l := g.lanes[kind]
-		if l.ring.Len() > 0 && at < l.last {
-			g.fallbacks++
-		}
-		l.At(at, nil, uint64(id))
+		g.lanes[kind].at(at, nil, uint64(id))
 	}
 }
 
@@ -279,9 +267,8 @@ func TestLaneOrderDifferential(t *testing.T) {
 		if !reflect.DeepEqual(got, plain) {
 			t.Fatalf("seed %d: laned and AtPacket-only runs executed in different orders", seed)
 		}
-		if laned.fallbacks == 0 || laned.splits == 0 {
-			t.Fatalf("seed %d: schedule took %d fallbacks and %d lane-splitting RunUntil targets; want both",
-				seed, laned.fallbacks, laned.splits)
+		if laned.splits == 0 {
+			t.Fatalf("seed %d: schedule took no lane-splitting RunUntil target", seed)
 		}
 		if laned.calledOff < 50 || laned.restacked == 0 || laned.rearmed == 0 {
 			t.Fatalf("seed %d: %d arms called off (%d by a Reset while armed), %d re-armed from their callback; want all three",
@@ -301,11 +288,11 @@ func TestLaneRingGrowth(t *testing.T) {
 	s := New(1)
 	var got []uint64
 	k := deliverFunc(func(_ *core.Packet, arg uint64) { got = append(got, arg) })
-	l := s.NewLane(k)
+	l := s.newLane(k)
 	next := uint64(0)
 	add := func(n int, at Time) {
 		for i := 0; i < n; i++ {
-			l.At(at, nil, next)
+			l.at(at, nil, next)
 			next++
 		}
 	}
@@ -340,14 +327,25 @@ type deliverFunc func(*core.Packet, uint64)
 
 func (f deliverFunc) DeliverAt(p *core.Packet, arg uint64) { f(p, arg) }
 
+// A lane refuses an entry before now, and one before its newest entry:
+// either would break the ring's (at, seq) order.
 func TestLaneSchedulingInPastPanics(t *testing.T) {
 	s := New(1)
-	l := s.NewLane(deliverFunc(func(*core.Packet, uint64) {}))
+	l := s.newLane(deliverFunc(func(*core.Packet, uint64) {}))
 	s.RunUntil(100)
-	defer func() {
-		if recover() == nil {
-			t.Error("past scheduling on a lane did not panic")
-		}
-	}()
-	l.At(50, nil, 0)
+	panics := func(what string, at Time) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s on a lane did not panic", what)
+			}
+		}()
+		l.at(at, nil, 0)
+	}
+	panics("past scheduling", 50)
+	l.at(200, nil, 0)
+	panics("scheduling before the newest entry", 150)
+	if l.ring.Len() != 1 || s.Pending() != 1 {
+		t.Fatalf("refused entries were queued: ring %d, pending %d", l.ring.Len(), s.Pending())
+	}
 }

@@ -75,7 +75,7 @@ type Channel struct {
 	// arrivals holds the frames on the wire and, on a link into a
 	// Pipelined receiver, those in its pipeline: the transmitter
 	// serializes, so delivery times never decrease.
-	arrivals *Lane
+	arrivals *lane
 
 	loss LossModel
 
@@ -113,7 +113,7 @@ func NewChannel(sim *Sim, rate int64, delay Time, dst Receiver, dstPort int) *Ch
 	}
 	c.fused = delay == 0 && c.lat == 0
 	c.idleFn = c.fireIdle
-	c.arrivals = sim.NewLane(c)
+	c.arrivals = sim.newLane(c)
 	return c
 }
 
@@ -331,14 +331,14 @@ func (c *Channel) SendLen(pkt *core.Packet, wire int) Time {
 		// The transmit-complete interrupt and the last-bit arrival
 		// coincide; fold both into one event, firing idle first — the
 		// same order the two separate events have on other links.
-		c.arrivals.At(done, pkt, arg|argIdle)
+		c.arrivals.at(done, pkt, arg|argIdle)
 	} else {
 		// Transmit-complete precedes the arrival in the event order, so
 		// its seq is taken first; the event itself waits to be asked for.
 		c.idleSeq = c.sim.reserveSeq()
 		c.idleAsked = false
 		c.sentAt = c.sim.Stamp()
-		c.arrivals.At(done+c.delay+c.lat, pkt, arg)
+		c.arrivals.at(done+c.delay+c.lat, pkt, arg)
 	}
 	return done
 }

@@ -7,11 +7,11 @@
 // The event queue executes in (time, seq) order, seq being the order
 // of scheduling.  Sim.At and Sim.AtPacket put an event in a binary
 // heap; a source that schedules in firing order (a serializing link)
-// owns a Lane, a FIFO ring of which only the head is in the heap; a
+// owns a lane, a FIFO ring of which only the head is in the heap; a
 // schedule that recurs or may be called off (a ticker, a pacer, a
 // probe deadline) owns a Timer, whose one live arm sits in the heap
 // and whose stopped or superseded arms never run.  All three give the
-// same order — a Lane or a Timer is where an event waits, not a second
+// same order — a lane or a Timer is where an event waits, not a second
 // scheduler — and Sim.Stats reports how many events ran, how many arms
 // were dropped unrun, and how deep the heap and the whole queue got.
 package netsim
@@ -53,7 +53,7 @@ type PacketDelivery interface {
 
 // eventKey is the heap's sort record: firing time, FIFO tiebreak, and
 // where the event's payload waits — a non-negative slot is an index
-// into the payload slab, a negative one is ^id of the Lane whose head
+// into the payload slab, a negative one is ^id of the lane whose head
 // entry this key stands for.  Keys are pointer-free on purpose —
 // sifting swaps only keys, so heap maintenance never triggers GC write
 // barriers (which dominated the hot-path profile when the heap held
@@ -107,7 +107,7 @@ type eventPayload struct {
 // wait in a hand-rolled binary min-heap of pointer-free keys over a
 // slot slab (see eventKey); container/heap would box every pushed event
 // into an interface, allocating once per scheduled event.  Events from
-// a source whose firing times never decrease wait in that source's Lane
+// a source whose firing times never decrease wait in that source's lane
 // and only the lane's head holds a key in the heap, so the heap's depth
 // is the number of sources with something outstanding, not the number
 // of packets in flight.  A Timer's live arm waits in the heap like an
@@ -122,7 +122,7 @@ type Sim struct {
 	keys    []eventKey
 	slots   []eventPayload
 	free    []int32 // recycled slot indices
-	lanes   []*Lane // by id; a key with slot < 0 names lanes[^slot]
+	lanes   []*lane // by id; a key with slot < 0 names lanes[^slot]
 	backlog int     // lane entries queued behind their lane's head
 	stale   int     // heap keys of timer arms that were stopped or superseded
 	seq     uint64
@@ -218,7 +218,7 @@ func (s *Sim) At(t Time, fn func()) {
 
 // AtPacket schedules pd.DeliverAt(pkt, arg) at absolute time t without
 // allocating.  A source that schedules in firing order — a serializing
-// link — uses a Lane instead, which keeps its events out of the heap.
+// link — uses a lane instead, which keeps its events out of the heap.
 //
 //alloc:free
 func (s *Sim) AtPacket(t Time, pd PacketDelivery, pkt *core.Packet, arg uint64) {

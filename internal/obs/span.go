@@ -186,46 +186,71 @@ type SpanEvent struct {
 // journeys of a dozen-plus events each.
 const DefaultTraceCap = 1 << 16
 
-// chunkEvents is the span log's allocation unit (128 KiB of records).
+// chunkEvents is the span log's allocation unit (96 KiB of records).
 const chunkEvents = 1 << 12
 
-// spanRec is a SpanEvent as the log stores it, in 32 bytes instead of
-// 40.  w holds At in its low 56 bits and Stage in bits 56..61; recHighB
+// spanRec is a SpanEvent as the log stores it, in 24 bytes instead of
+// 40.  uid is whole.  at holds At as a signed 48-bit offset from its
+// chunk's base in bits 0..47 and Node in bits 48..63.  w holds A in bits
+// 0..23, B's low word in bits 24..55 and Stage in bits 56..61; recHighB
 // says B's high word is all ones (a negative value cast to uint64), and
-// otherwise it is zero.  An event that fits none of these slots — At
-// negative or at least 2^56, Stage 64 or more, or a B whose high word is
-// neither zero nor all ones — is never truncated: its record carries
-// recSpilled and the event itself waits, whole, on the tracer's spill
-// list.
+// otherwise it is zero.  An event that fits none of these slots (see
+// recFits) is never truncated: its record carries recSpilled and the
+// event itself waits, whole, on the tracer's spill list.
 type spanRec struct {
-	w    uint64
-	uid  uint64
-	a    uint64
-	b    uint32
-	node uint32
+	uid uint64
+	at  uint64
+	w   uint64
 }
 
 const (
-	recAtMask  = 1<<56 - 1
-	recSpilled = 1 << 62
-	recHighB   = 1 << 63
+	recHighB   = 1 << 62
+	recSpilled = 1 << 63
 )
 
-// decode rebuilds the event a record that did not spill holds.
-func (r *spanRec) decode(ev *SpanEvent) {
-	b := uint64(r.b)
+// recFits reports whether ev packs into a record of a chunk based at
+// base: At within ±2^47 ns of the base (in wrapping arithmetic, which
+// unpack undoes exactly), Node below 2^16, A below 2^24, Stage below 64,
+// and B's high word zero or all ones.
+func recFits(ev *SpanEvent, base int64) bool {
+	d, hi := ev.At-base, ev.B>>32
+	return d<<16>>16 == d && ev.Node < 1<<16 && ev.A < 1<<24 && ev.Stage < 64 &&
+		(hi == 0 || hi == 0xffffffff)
+}
+
+// pack stores an event that fits.  B's top bit is its high-word flag.
+func (r *spanRec) pack(ev *SpanEvent, base int64) {
+	r.uid = ev.UID
+	r.at = uint64(ev.At-base)&(1<<48-1) | uint64(ev.Node)<<48
+	r.w = ev.A | uint64(uint32(ev.B))<<24 | uint64(ev.Stage)<<56 | ev.B>>63<<62
+}
+
+// unpack rebuilds the event a record that did not spill holds.
+func (r *spanRec) unpack(ev *SpanEvent, base int64) {
+	b := r.w >> 24 & 0xffffffff
 	if r.w&recHighB != 0 {
 		b |= 0xffffffff << 32
 	}
-	*ev = SpanEvent{At: int64(r.w & recAtMask), UID: r.uid, Node: r.node,
-		Stage: Stage(r.w >> 56 & 0x3f), A: r.a, B: b}
+	*ev = SpanEvent{At: base + int64(r.at<<16)>>16, UID: r.uid, Node: uint32(r.at >> 48),
+		Stage: Stage(r.w >> 56 & 0x3f), A: r.w & (1<<24 - 1), B: b}
+}
+
+// spanChunk is one allocation unit of the log, with the time its
+// records' offsets count from: the At of the first event recorded into
+// it on its latest lap.
+type spanChunk struct {
+	recs []spanRec
+	base int64
 }
 
 // Tracer is a bounded log of span events held in fixed-size chunks
 // that are allocated the first time recording reaches them, so a tracer
 // holds memory in proportion to the events recorded, up to its
 // capacity.  Past capacity the oldest events are overwritten in place
-// (Dropped counts them).
+// (Dropped counts them).  A chunk being refilled holds two laps: its
+// head counts from the chunk's new base, and its not-yet-overwritten
+// tail from the base it had on the lap before (tail), so no run length
+// runs out of offset bits.
 //
 // A Tracer has one writer: Record is called from the
 // goroutine that runs the simulator, and the read methods are called
@@ -234,8 +259,10 @@ func (r *spanRec) decode(ev *SpanEvent) {
 type Tracer struct {
 	cur    []spanRec   // chunk being filled; nil before the first Record
 	pos    int         // next free slot in cur
+	base   int64       // chunks[ci].base, copied for record: the base of cur[:pos]
+	tail   int64       // cur's base on the previous lap, for cur[pos:]
 	n      uint64      // total events ever recorded
-	chunks [][]spanRec // chunks born so far, in ring order
+	chunks []spanChunk // chunks born so far, in ring order
 	ci     int         // index of cur in chunks (-1 before the first Record)
 	limit  int         // capacity in events; the last chunk may be short
 	spill  []SpanEvent // the retained spilled events, oldest first
@@ -270,21 +297,15 @@ func (t *Tracer) Record(ev SpanEvent) {
 //go:noinline
 func (t *Tracer) record(ev SpanEvent) {
 	if t.pos >= len(t.cur) {
-		t.advance()
+		t.advance(ev.At)
 	}
 	r := &t.cur[t.pos]
 	if r.w&recSpilled != 0 {
 		// The oldest retained event is overwritten, and it spilled.
 		t.spill = t.spill[1:]
 	}
-	// Field by field: the compiler keeps a six-field struct argument in
-	// memory, and a whole-struct copy reads it back with wide loads that
-	// cannot forward from the narrow stores that put it there.  hi is
-	// zero or all ones when the event fits, so hi<<63 is recHighB or 0.
-	hi := ev.B >> 32
-	if uint64(ev.At) <= recAtMask && ev.Stage < 64 && (hi == 0 || hi == 0xffffffff) {
-		r.w = uint64(ev.At) | uint64(ev.Stage)<<56 | hi<<63
-		r.uid, r.a, r.b, r.node = ev.UID, ev.A, uint32(ev.B), ev.Node
+	if recFits(&ev, t.base) {
+		r.pack(&ev, t.base)
 	} else {
 		t.spillEvent(r, ev)
 	}
@@ -303,21 +324,24 @@ func (t *Tracer) spillEvent(r *spanRec, ev SpanEvent) {
 }
 
 // advance moves recording to the start of the next chunk, wrapping to
-// the first after the one that ends at the capacity, and allocates a
-// chunk the first time recording reaches it.  It is kept out of line so
+// the first after the one that ends at the capacity, allocates a chunk
+// the first time recording reaches it, and bases the chunk at at, the
+// time of the event about to be recorded.  It is kept out of line so
 // that Record, which runs per event, stays a few instructions and the
 // escape gate (tools/allocgate) finds no allocation in it.
 //
 //go:noinline
-func (t *Tracer) advance() {
+func (t *Tracer) advance(at int64) {
 	next := t.ci + 1
 	if next*chunkEvents >= t.limit {
 		next = 0
 	}
 	if next == len(t.chunks) {
-		t.chunks = append(t.chunks, make([]spanRec, min(chunkEvents, t.limit-next*chunkEvents)))
+		t.chunks = append(t.chunks, spanChunk{recs: make([]spanRec, min(chunkEvents, t.limit-next*chunkEvents))})
 	}
-	t.ci, t.cur, t.pos = next, t.chunks[next], 0
+	c := &t.chunks[next]
+	t.tail, c.base = c.base, at
+	t.ci, t.cur, t.pos, t.base = next, c.recs, 0, at
 }
 
 // Len returns the number of retained events.
@@ -353,29 +377,31 @@ func (t *Tracer) Each(fn func(*SpanEvent)) {
 		return
 	}
 	spill := t.spill
-	each := func(recs []spanRec) {
+	each := func(recs []spanRec, base int64) {
 		for i := range recs {
 			if r := &recs[i]; r.w&recSpilled != 0 {
 				t.lent, spill = spill[0], spill[1:]
 			} else {
-				r.decode(&t.lent)
+				r.unpack(&t.lent, base)
 			}
 			fn(&t.lent)
 		}
 	}
 	if t.Dropped() > 0 {
 		// Wrapped: every chunk is born and full, and the oldest event
-		// is the next one Record would overwrite.
-		each(t.cur[t.pos:])
+		// is the next one Record would overwrite, packed on the
+		// previous lap.
+		each(t.cur[t.pos:], t.tail)
 		for k := 1; k < len(t.chunks); k++ {
-			each(t.chunks[(t.ci+k)%len(t.chunks)])
+			c := &t.chunks[(t.ci+k)%len(t.chunks)]
+			each(c.recs, c.base)
 		}
 	} else {
 		for _, c := range t.chunks[:t.ci] {
-			each(c)
+			each(c.recs, c.base)
 		}
 	}
-	each(t.cur[:t.pos])
+	each(t.cur[:t.pos], t.base)
 }
 
 // Events returns a copy of the retained events, oldest first.

@@ -81,7 +81,7 @@ func TestTracerMatchesModel(t *testing.T) {
 					for i := 0; i < n; i++ {
 						at++
 						ev := SpanEvent{At: at, UID: uint64(rng.Intn(3)), Node: uint32(rng.Intn(5)),
-							Stage: Stage(rng.Intn(len(stageNames))), A: rng.Uint64(), B: uint64(i)}
+							Stage: Stage(rng.Intn(len(stageNames))), A: rng.Uint64() >> rng.Intn(64), B: uint64(i)}
 						tr.Record(ev)
 						m.all = append(m.all, ev)
 					}
@@ -110,27 +110,71 @@ func TestTracerMatchesModel(t *testing.T) {
 	}
 }
 
-// TestSpanRecordRoundTrip records the values the 32-byte record packs
-// at its edges — every stage, At at zero, at the top of its 56 bits and
-// past them, A and Node at their maxima, and B as a negative port cast
-// to uint64, a 5 s delay in ns, 2^32 and MaxUint64 — across a chunk
-// boundary and on past wrap-around, and holds every reader to the plain
-// SpanEvent reference: Each, Events, Journey, WriteJSONL, Len, Total
-// and Dropped.  The values that fit no slot take the spill list, so the
-// overwrites that pop it are checked too.
+// TestSpanRecordRoundTrip records, across chunk boundaries and on past
+// wrap-around, events that carry each field of the 24-byte record at its
+// edge — the largest value that fits and the one past it, which spills —
+// and holds every reader to the plain SpanEvent reference: Each, Events,
+// Journey, WriteJSONL, Len, Total and Dropped.  The run's clock passes
+// 2^48 ns; some events are earlier than their chunk's base, and the
+// checks after a wrap read a chunk that holds two laps.  Whether an event
+// spills is the code's own predicate, recFits, and each edge's expected
+// verdict is checked against it.
 func TestSpanRecordRoundTrip(t *testing.T) {
-	ats := []int64{0, 1, 1<<56 - 1, 1 << 56, -1, math.MaxInt64}
-	as := []uint64{0, 7, math.MaxUint64}
-	nodes := []uint32{0, 3, math.MaxUint32}
-	bs := []uint64{0, 1500, math.MaxUint64 - 2, 5_000_000_000, 1 << 32, math.MaxUint64,
-		1<<32 - 1, 0xffffffff_00000000}
-	stages := []Stage{64, 255}
-	for s := range stageNames {
-		stages = append(stages, Stage(s))
+	const step = 3 << 33 // a chunk spans < 2^47 ns; the run passes 2^48
+	type edge struct {
+		name string
+		set  func(ev *SpanEvent, base int64)
+		fits bool
 	}
-	event := func(i int) SpanEvent {
-		return SpanEvent{At: ats[i%len(ats)], UID: uint64(i % 3), Node: nodes[i/2%len(nodes)],
-			Stage: stages[i%len(stages)], A: as[i/3%len(as)], B: bs[i/5%len(bs)]}
+	edges := []edge{
+		{"at=base", func(ev *SpanEvent, b int64) { ev.At = b }, true},
+		{"at=base-1", func(ev *SpanEvent, b int64) { ev.At = b - 1 }, true},
+		{"at=base+2^47-1", func(ev *SpanEvent, b int64) { ev.At = b + 1<<47 - 1 }, true},
+		{"at=base+2^47", func(ev *SpanEvent, b int64) { ev.At = b + 1<<47 }, false},
+		{"at=base-2^47", func(ev *SpanEvent, b int64) { ev.At = b - 1<<47 }, true},
+		{"at=base-2^47-1", func(ev *SpanEvent, b int64) { ev.At = b - 1<<47 - 1 }, false},
+		{"at=MaxInt64", func(ev *SpanEvent, _ int64) { ev.At = math.MaxInt64 }, false},
+		{"at=MinInt64", func(ev *SpanEvent, _ int64) { ev.At = math.MinInt64 }, false},
+		{"node=2^16-1", func(ev *SpanEvent, _ int64) { ev.Node = 1<<16 - 1 }, true},
+		{"node=2^16", func(ev *SpanEvent, _ int64) { ev.Node = 1 << 16 }, false},
+		{"node=MaxUint32", func(ev *SpanEvent, _ int64) { ev.Node = math.MaxUint32 }, false},
+		{"a=2^24-1", func(ev *SpanEvent, _ int64) { ev.A = 1<<24 - 1 }, true},
+		{"a=2^24", func(ev *SpanEvent, _ int64) { ev.A = 1 << 24 }, false},
+		{"a=MaxUint64", func(ev *SpanEvent, _ int64) { ev.A = math.MaxUint64 }, false},
+		{"stage=63", func(ev *SpanEvent, _ int64) { ev.Stage = 63 }, true},
+		{"stage=64", func(ev *SpanEvent, _ int64) { ev.Stage = 64 }, false},
+		{"stage=255", func(ev *SpanEvent, _ int64) { ev.Stage = 255 }, false},
+		{"b=2^32-1", func(ev *SpanEvent, _ int64) { ev.B = 1<<32 - 1 }, true},
+		{"b=2^32", func(ev *SpanEvent, _ int64) { ev.B = 1 << 32 }, false},
+		{"b=5e9", func(ev *SpanEvent, _ int64) { ev.B = 5_000_000_000 }, false},
+		{"b=-1", func(ev *SpanEvent, _ int64) { ev.B = math.MaxUint64 }, true},
+		{"b=-2^32", func(ev *SpanEvent, _ int64) { ev.B = 0xffffffff_00000000 }, true},
+		{"b=-2^32-1", func(ev *SpanEvent, _ int64) { ev.B = 0xfffffffe_ffffffff }, false},
+		{"b=MaxInt64", func(ev *SpanEvent, _ int64) { ev.B = math.MaxInt64 }, false},
+		{"uid=MaxUint64", func(ev *SpanEvent, _ int64) { ev.UID = math.MaxUint64 }, true},
+		{"uid=heartbeat", func(ev *SpanEvent, _ int64) { ev.UID = 0xA5<<40 | 7 }, true},
+	}
+	for s := range stageNames {
+		s := Stage(s)
+		edges = append(edges, edge{"stage=" + s.String(), func(ev *SpanEvent, _ int64) { ev.Stage = s }, true})
+	}
+
+	limit := chunkEvents + 7
+	// base is the At of the first event recorded into the chunk event n
+	// lands in, on n's lap: the clock at that slot.
+	base := func(n int) int64 { return int64(n-n%limit%chunkEvents) * step }
+	event := func(n int) SpanEvent {
+		ev := SpanEvent{At: int64(n) * step, UID: uint64(n % 3), Node: uint32(n % 5),
+			Stage: Stage(n % len(stageNames)), A: uint64(n), B: uint64(n)}
+		if n%limit%chunkEvents == 0 {
+			return ev // a chunk's first event sets its base
+		}
+		e := edges[n%len(edges)]
+		e.set(&ev, base(n))
+		if got := recFits(&ev, base(n)); got != e.fits {
+			t.Fatalf("event %d (%s): recFits = %v, want %v", n, e.name, got, e.fits)
+		}
+		return ev
 	}
 	jsonl := func(evs []SpanEvent) string {
 		var b strings.Builder
@@ -144,7 +188,6 @@ func TestSpanRecordRoundTrip(t *testing.T) {
 		return b.String()
 	}
 
-	limit := chunkEvents + 7
 	tr, m := NewTracer(limit), &modelTracer{limit: limit}
 	for i, stop := range []int{5, chunkEvents + 3, limit, limit + 1, 2*limit + chunkEvents/2, 4*limit + 11} {
 		for n := len(m.all); n < stop; n++ {
@@ -165,9 +208,12 @@ func TestSpanRecordRoundTrip(t *testing.T) {
 			t.Fatal("no event took the spill list")
 		}
 	}
+	if last := m.all[len(m.all)-1].At; last < 1<<48 || !recFits(&m.all[len(m.all)-1], base(len(m.all)-1)) {
+		t.Fatalf("the run ends at %d ns, want past 2^48 and unspilled", last)
+	}
 	spilled := 0
-	for _, ev := range m.retained() {
-		if uint64(ev.At) > recAtMask || ev.Stage >= 64 || (ev.B>>32 != 0 && ev.B>>32 != 0xffffffff) {
+	for j, ev := range m.retained() {
+		if !recFits(&ev, base(len(m.all)-len(m.retained())+j)) {
 			spilled++
 		}
 	}
@@ -194,10 +240,10 @@ func TestTracerHoldsMemoryForEventsRecorded(t *testing.T) {
 		tr.Record(SpanEvent{At: int64(i), UID: 1})
 	}
 	held := int64(live()) - int64(before)
-	if len(tr.chunks) != 1 || len(tr.chunks[0]) != chunkEvents {
+	if len(tr.chunks) != 1 || len(tr.chunks[0].recs) != chunkEvents {
 		t.Fatalf("100 events hold %d chunks, want one of %d events", len(tr.chunks), chunkEvents)
 	}
-	if limit := int64(2 * chunkEvents * 32); held > limit {
+	if limit := int64(2 * chunkEvents * 24); held > limit {
 		t.Fatalf("tracer with 100 events holds %d bytes of heap, want <= %d", held, limit)
 	}
 	if tr.Len() != 100 || tr.Dropped() != 0 {

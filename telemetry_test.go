@@ -150,9 +150,10 @@ func TestTelemetryDisabledNoExtraAllocs(t *testing.T) {
 // n-switch line records exactly 6n + 2(n+1) span events: parser,
 // lookup, TCPU, memory manager, enqueue and scheduler at each switch,
 // serialization and delivery on each of the n+1 links.  The log holds
-// those events in at most 32 bytes each: replayed into a fresh log, a
+// those events in at most 24 bytes each: replayed into a fresh log, a
 // 5-hop line's events grow the heap by no more than that per event, so
-// the stored record cannot silently grow back to a SpanEvent's 40.
+// the stored record cannot silently grow back to 32 bytes, or to a
+// SpanEvent's 40.
 func TestTelemetryEnabledPriceAsCounts(t *testing.T) {
 	type line struct {
 		sim      *netsim.Sim
@@ -221,8 +222,8 @@ func TestTelemetryEnabledPriceAsCounts(t *testing.T) {
 	for i := 1; i <= events; i++ {
 		fresh.Record(recorded[i%len(recorded)])
 	}
-	if perEvent := (int64(live()) - int64(before)) / events; perEvent > 32 {
-		t.Fatalf("the span log holds %d bytes per event, want <= 32", perEvent)
+	if perEvent := (int64(live()) - int64(before)) / events; perEvent > 24 {
+		t.Fatalf("the span log holds %d bytes per event, want <= 24", perEvent)
 	}
 	runtime.KeepAlive(fresh)
 }
