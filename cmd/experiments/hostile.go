@@ -18,9 +18,9 @@ func runHostile(out *output) error {
 	res := chaos.RunHostile(cfg)
 
 	out.printf("hostile-tenant soak on 2 guarded switches (%v, seed %d)\n\n",
-		cfg.Duration, cfg.Seed)
+		chaos.HostileDuration, cfg.Seed)
 	out.printf("rogue: %.0f forged write-TPPs/s from %v (weighted share ~%.0f/s); victims: 2 RCP* flows + shared tally on a 20 Mb/s bottleneck\n\n",
-		cfg.RoguePPS, cfg.RogueFrom, cfg.TPPRate/31)
+		chaos.HostileRoguePPS, chaos.HostileRogueFrom, chaos.HostileTPPRate/31)
 
 	tbl := trace.NewTable("mechanism", "edge switch", "far switch")
 	tbl.Row("forged writes denied", res.Denied[0], res.Denied[1])
@@ -35,7 +35,7 @@ func runHostile(out *output) error {
 
 	out.printf("rogue sent %d forged TPPs; every denial was the rogue's, every view of the count agrees\n\n", res.RogueSent)
 	out.printf("victim convergence: v1 %.0f B/s, v2 %.0f B/s (fair share %.0f B/s, window from %v)\n",
-		res.V1Mean, res.V2Mean, res.FairShare, cfg.ConvergeFrom)
+		res.V1Mean, res.V2Mean, res.FairShare, chaos.HostileConvergeFrom)
 	out.printf("victim tally: %d adds acknowledged, %d abandoned, SRAM word reads %d, poller saw %d negative deltas / %d discontinuities over %d polls\n",
 		res.WriterDone, res.WriterFailures, res.TallyPhysical,
 		res.NegativeDeltas, res.Discontinuities, res.Polls)

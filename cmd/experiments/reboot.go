@@ -18,9 +18,10 @@ func runReboot(out *output) error {
 
 	out.printf("switch crash-restart soak on a 3x2 leaf-spine (%v, seed %d)\n\n",
 		cfg.Duration, cfg.Seed)
+	reboots := chaos.RebootAt()
 	out.printf("fault plan: %d spine-0 reboots (boot delay %v), bursty loss %v-%v, blackhole %v-%v, TCPU gate %.0f TPPs/s burst %d\n\n",
-		len(cfg.RebootAt), cfg.BootDelay, cfg.LossFrom, cfg.LossTo,
-		cfg.HoleFrom, cfg.HoleTo, cfg.TPPRate, cfg.TPPBurst)
+		len(reboots), chaos.BootDelay, chaos.LossFrom, chaos.LossTo,
+		chaos.HoleFrom, chaos.HoleTo, chaos.TPPRate, chaos.TPPBurst)
 
 	tbl := trace.NewTable("mechanism", "outcome")
 	tbl.Row("queue conservation (leaked pkts)", res.Leaked)
@@ -35,7 +36,7 @@ func runReboot(out *output) error {
 
 	out.printf("recovery: rate 30 control intervals after each reboot (fair share 1.25e6 B/s):\n")
 	for i, r := range res.RateAfterReboot {
-		out.printf("  reboot %d at %v: %.0f B/s\n", i, cfg.RebootAt[i], r)
+		out.printf("  reboot %d at %v: %.0f B/s\n", i, reboots[i], r)
 	}
 	out.printf("telemetry reconciliation: reboot spans=%d metric=%d; drop spans=%d metric=%d; throttle spans=%d metric=%d (spans dropped: %d)\n",
 		res.RebootSpans, res.RebootsMetric, res.RebootDropSpans, res.RebootDropMetric,
@@ -50,11 +51,11 @@ func runReboot(out *output) error {
 			res.Scenario.Aborted, res.Scenario.Failures())
 	case res.Leaked != 0:
 		return fmt.Errorf("queue conservation violated: %d packets unaccounted", res.Leaked)
-	case res.Reboots != uint64(len(cfg.RebootAt)):
-		return fmt.Errorf("reboots = %d, want %d", res.Reboots, len(cfg.RebootAt))
-	case res.EpochBumps < uint64(len(cfg.RebootAt)):
+	case res.Reboots != uint64(len(reboots)):
+		return fmt.Errorf("reboots = %d, want %d", res.Reboots, len(reboots))
+	case res.EpochBumps < uint64(len(reboots)):
 		return fmt.Errorf("RCP* detected %d epoch bumps across %d reboots",
-			res.EpochBumps, len(cfg.RebootAt))
+			res.EpochBumps, len(reboots))
 	case res.NegativeDeltas != 0:
 		return fmt.Errorf("accounting reported %d negative deltas", res.NegativeDeltas)
 	case res.Discontinuities == 0:

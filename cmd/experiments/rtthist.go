@@ -19,7 +19,7 @@ func runRTTHist(out *output) error {
 	out.printf("in-band RTT histogram on a 2-leaf/1-spine fabric (%v, seed %d)\n",
 		inband.HistDuration, cfg.Seed)
 	out.printf("faults: spine reboot at %v (boot %v), bursty loss %v-%v\n\n",
-		cfg.RebootAt, inband.HistBootDelay, cfg.LossFrom, cfg.LossTo)
+		cfg.RebootAt, inband.HistBootDelay, inband.HistLossFrom, inband.HistLossTo)
 
 	tbl := trace.NewTable("metric", "value")
 	tbl.Row("RTT samples observed", res.Samples)

@@ -150,6 +150,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "fabricctl: %v\n", err)
 		return 2
 	}
+	// ConvergeConfig reads zero as "the default"; a caller who spelled
+	// out a budget or backoff that cannot work is told so instead.
+	if *budget < 1 {
+		fmt.Fprintf(stderr, "fabricctl: -budget %d: need at least one attempt\n", *budget)
+		return 2
+	}
+	if backoff <= 0 {
+		fmt.Fprintf(stderr, "fabricctl: -backoff %s: must be positive\n", *backoffStr)
+		return 2
+	}
 	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintf(stderr, "fabricctl: %v\n", err)

@@ -120,6 +120,9 @@ func TestExitCodes(t *testing.T) {
 		{name: "infinite tpprate", doc: "topology:\n  tpprate: +Inf", want: 2, msg: "tpprate: +Inf is not a finite"},
 		{name: "negative tpprate", doc: "topology:\n  tpprate: -5", want: 2, msg: "tpprate: -5 is not a finite"},
 		{name: "negative tppburst", doc: "topology:\n  tpprate: 1000\n  tppburst: -3", want: 2, msg: "tppburst: -3 is negative"},
+		{name: "zero budget", doc: goodDoc, args: []string{"-execute", "-budget", "0"}, want: 2, msg: "-budget 0: need at least one attempt"},
+		{name: "negative budget", doc: goodDoc, args: []string{"-execute", "-budget", "-3"}, want: 2, msg: "-budget -3: need at least one attempt"},
+		{name: "zero backoff", doc: goodDoc, args: []string{"-execute", "-backoff", "0s"}, want: 2, msg: "-backoff 0s: must be positive"},
 		{name: "bad spec", doc: "spec:\n  devices:\n    - device: leaf0\n      routes:\n        - dst: 10.0.0.1\n          prio: 1", want: 2, msg: "needs port or drop"},
 		{
 			name: "unknown device",

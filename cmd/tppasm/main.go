@@ -8,7 +8,8 @@
 //	                              program first and refuses to emit one
 //	                              that carries error diagnostics
 //	tppasm disasm [file]          disassemble hex wire format back to
-//	                              assembly
+//	                              assembly; '#' lines, such as asm's
+//	                              own comments, are skipped
 //	tppasm run [file]             assemble, then execute against a
 //	                              standalone switch model, printing the
 //	                              packet memory
@@ -133,7 +134,14 @@ func cmdDisasm(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	wire, err := hex.DecodeString(strings.TrimSpace(in))
+	// The hex may come straight from asm, whose '#' lines describe it.
+	var digits strings.Builder
+	for _, line := range strings.Split(in, "\n") {
+		if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
+			digits.WriteString(line)
+		}
+	}
+	wire, err := hex.DecodeString(digits.String())
 	if err != nil {
 		return fmt.Errorf("decoding hex: %w", err)
 	}

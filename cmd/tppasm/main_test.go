@@ -46,8 +46,9 @@ func TestAsmThenDisasmRoundTrip(t *testing.T) {
 	if err := dispatch("asm", []string{writeTemp(t, sampleProg)}, &hexOut); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(hexOut.String()), "\n")
-	hexFile := writeTemp(t, lines[len(lines)-1])
+	// The whole asm output, comment lines included: disasm reads what
+	// asm writes, so `tppasm asm p.tpp | tppasm disasm` works.
+	hexFile := writeTemp(t, hexOut.String())
 
 	var dis strings.Builder
 	if err := dispatch("disasm", []string{hexFile}, &dis); err != nil {

@@ -107,3 +107,39 @@ func TestDocsNameTests(t *testing.T) {
 		}
 	})
 }
+
+var (
+	// docMakeTarget matches a make invocation inside a span.
+	docMakeTarget = regexp.MustCompile(`\bmake ([A-Za-z0-9_-]+)`)
+	// makeRule matches a rule's target list in the Makefile.
+	makeRule = regexp.MustCompile(`(?m)^([A-Za-z0-9_. -]+):`)
+)
+
+// TestDocsNameMakeTargets holds the prose documents to the Makefile:
+// every `make <target>` a code span outside a fenced block names is a
+// rule the Makefile declares.  bench/README.md is left out: it belongs
+// to the benchmark, whose text changes only with the benchmark.
+func TestDocsNameMakeTargets(t *testing.T) {
+	src, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range makeRule.FindAllStringSubmatch(string(src), -1) {
+		for _, name := range strings.Fields(m[1]) {
+			targets[name] = true
+		}
+	}
+	scanProse(t, func(doc string, n int, line string) {
+		if doc == "bench/README.md" {
+			return
+		}
+		for _, span := range codeSpan.FindAllString(line, -1) {
+			for _, m := range docMakeTarget.FindAllStringSubmatch(span, -1) {
+				if !targets[m[1]] {
+					t.Errorf("%s:%d: %s names make target %q, which the Makefile does not declare", doc, n, span, m[1])
+				}
+			}
+		}
+	})
+}

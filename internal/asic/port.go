@@ -60,12 +60,10 @@ func (p *Port) ID() int { return p.id }
 func (p *Port) SetTrusted(v bool) { p.trusted = v }
 
 // Wire attaches the egress channel; the channel's idle callback drives
-// the output scheduler.  It is never fused with an arrival, so the
-// pipeline stage can run it early (Switch.settle).
+// the output scheduler.
 func (p *Port) Wire(ch *netsim.Channel) {
 	p.ch = ch
 	ch.SetOnIdle(p.kick)
-	ch.Unfuse()
 }
 
 // Wired reports whether the port has an egress channel.

@@ -62,18 +62,6 @@ type Config struct {
 	// only untenanted traffic behaves exactly like an unguarded one.
 	Guard bool
 
-	// ECNThresholdBytes enables the fixed-function ECN comparator of
-	// §4 ("a router stamps a bit in the IP header whenever the egress
-	// queue occupancy exceeds a configurable threshold"): ECN-capable
-	// packets are marked CE when the egress queue is at or above this
-	// many bytes.  Zero disables marking.
-	ECNThresholdBytes int
-	// RecordRoute enables the fixed-function IP Record Route
-	// comparator of §4: switches append their id to a packet's RR
-	// option.  (Real routers record interface IPs; our switches have
-	// none, so the id stands in.)
-	RecordRoute bool
-
 	// Metrics exports this switch's counts and histograms
 	// (hierarchically keyed switch/<id>/...).  The counts are the
 	// switch's own words, read when the registry snapshots; only the
@@ -814,17 +802,9 @@ func (s *Switch) deliver(pkt *core.Packet, inPort, outPort int) {
 		s.mirror(pkt, inPort, outPort)
 	}
 
-	// Fixed-function dataplane features (§4 comparators).
 	if pkt.IP != nil {
 		for _, w := range s.spin {
 			w.observe(s, pkt)
-		}
-		if s.cfg.ECNThresholdBytes > 0 && pkt.IP.TOS&core.ECNCapable != 0 &&
-			s.ports[outPort].QueueBytes() >= s.cfg.ECNThresholdBytes {
-			pkt.IP.TOS |= core.ECNCE
-		}
-		if s.cfg.RecordRoute && len(pkt.IP.Options) > 0 {
-			core.RecordRouteAppend(pkt.IP.Options, s.cfg.ID)
 		}
 	}
 

@@ -42,38 +42,36 @@ import (
 type Config struct {
 	Seed     int64
 	Duration netsim.Time
+}
 
-	// RebootAt schedules crash-restarts of spine 0 (the RCP bottleneck
-	// and the accounting counter's home switch).
-	RebootAt  []netsim.Time
-	BootDelay netsim.Time
+// The soak's fault plan and admission gate, which the reboot experiment
+// prints: spine 0 (the RCP bottleneck and the accounting counter's home
+// switch) crash-restarts at RebootAt and stays dark for BootDelay; the
+// leaf0-spine1 fabric link is bursty-lossy from LossFrom to LossTo;
+// spine 1 blackholes the throttle stream's target from HoleFrom to
+// HoleTo; and TPPRate/TPPBurst arm the admission gate on leaf 2 only,
+// so the probe streams transiting it get throttled while the RCP path
+// stays clean.
+const (
+	BootDelay         = 50 * netsim.Millisecond
+	LossFrom          = 1 * netsim.Second
+	LossTo            = 6 * netsim.Second
+	HoleFrom          = 2 * netsim.Second
+	HoleTo            = 2500 * netsim.Millisecond
+	TPPRate   float64 = 100
+	TPPBurst          = 4
+)
 
-	// Bursty loss window on the leaf0-spine1 fabric link.
-	LossFrom, LossTo netsim.Time
-
-	// Blackhole window on spine 1 for the throttle stream's target.
-	HoleFrom, HoleTo netsim.Time
-
-	// TPPRate/TPPBurst arm the admission gate on leaf 2 only, so the
-	// probe streams transiting it get throttled while the RCP path
-	// stays clean.
-	TPPRate  float64
-	TPPBurst int
+// RebootAt returns the times spine 0 crash-restarts.
+func RebootAt() [2]netsim.Time {
+	return [2]netsim.Time{3 * netsim.Second, 5 * netsim.Second}
 }
 
 // Default is the canonical chaos scenario: ~7 simulated seconds over a
 // 3x2 leaf-spine fabric with two spine-0 crashes, a five-second bursty
 // loss window, a half-second blackhole and a throttled edge switch.
 func Default(seed int64) Config {
-	return Config{
-		Seed:      seed,
-		Duration:  7 * netsim.Second,
-		RebootAt:  []netsim.Time{3 * netsim.Second, 5 * netsim.Second},
-		BootDelay: 50 * netsim.Millisecond,
-		LossFrom:  1 * netsim.Second, LossTo: 6 * netsim.Second,
-		HoleFrom: 2 * netsim.Second, HoleTo: 2500 * netsim.Millisecond,
-		TPPRate: 100, TPPBurst: 4,
-	}
+	return Config{Seed: seed, Duration: 7 * netsim.Second}
 }
 
 // Result is the soak's observable outcome.  It contains only plain
@@ -107,7 +105,7 @@ type Result struct {
 	RCPTimeouts uint64
 	// RateSamples is LastRate sampled every 100ms (bytes/sec).
 	RateSamples []float64
-	// RateAfterReboot[i] is LastRate at RebootAt[i] + the recovery
+	// RateAfterReboot[i] is LastRate at RebootAt()[i] + the recovery
 	// window (30 control intervals).
 	RateAfterReboot []float64
 
@@ -147,7 +145,7 @@ func Run(cfg Config) Result {
 		case t == topo.Spine && i == 0:
 			c.Trace = tracer
 		case t == topo.Leaf && i == 2:
-			c.Trace, c.TPPRate, c.TPPBurst = tracer, cfg.TPPRate, cfg.TPPBurst
+			c.Trace, c.TPPRate, c.TPPBurst = tracer, TPPRate, TPPBurst
 		}
 		return c
 	}, nil)
@@ -168,15 +166,16 @@ func Run(cfg Config) Result {
 	net.Register(fab, inj)
 	holeIP := hosts[2][1].IP
 	events := []faults.Event{
-		{At: cfg.LossFrom, Kind: faults.LinkBurstyLoss, Target: "leaf0-spine1",
+		{At: LossFrom, Kind: faults.LinkBurstyLoss, Target: "leaf0-spine1",
 			PGoodBad: 0.01, PBadGood: 0.1, LossGood: 0.005, LossBad: 0.5},
-		{At: cfg.LossTo, Kind: faults.ClearLoss, Target: "leaf0-spine1"},
-		{At: cfg.HoleFrom, Kind: faults.Blackhole, Target: "spine1", DstIP: holeIP},
-		{At: cfg.HoleTo, Kind: faults.ClearBlackhole, Target: "spine1", DstIP: holeIP},
+		{At: LossTo, Kind: faults.ClearLoss, Target: "leaf0-spine1"},
+		{At: HoleFrom, Kind: faults.Blackhole, Target: "spine1", DstIP: holeIP},
+		{At: HoleTo, Kind: faults.ClearBlackhole, Target: "spine1", DstIP: holeIP},
 	}
-	for _, at := range cfg.RebootAt {
+	reboots := RebootAt()
+	for _, at := range reboots {
 		events = append(events, faults.Event{At: at, Kind: faults.SwitchReboot,
-			Target: "spine0", BootDelay: cfg.BootDelay})
+			Target: "spine0", BootDelay: BootDelay})
 	}
 
 	// Workload 1: one RCP* flow hosts[0][0] -> hosts[1][0], bottlenecked
@@ -204,7 +203,7 @@ func Run(cfg Config) Result {
 	}
 
 	var res Result
-	res.RateAfterReboot = make([]float64, len(cfg.RebootAt))
+	res.RateAfterReboot = make([]float64, len(reboots))
 
 	env := &scenario.Env{
 		Sim:        sim,
@@ -243,7 +242,7 @@ func Run(cfg Config) Result {
 				sim.Every(100*netsim.Millisecond, 100*netsim.Millisecond, func() {
 					res.RateSamples = append(res.RateSamples, ctl.LastRate)
 				})
-				for i, at := range cfg.RebootAt {
+				for i, at := range reboots {
 					i := i
 					sim.At(at+30*rcp.ControlPeriod, func() { res.RateAfterReboot[i] = ctl.LastRate })
 				}

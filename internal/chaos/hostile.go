@@ -28,22 +28,22 @@ const (
 // HostileConfig parameterizes the hostile-tenant soak; DefaultHostile
 // is the canonical scenario.
 type HostileConfig struct {
-	Seed     int64
-	Duration netsim.Time
-
-	// RoguePPS is the forged-TPP flood rate; RogueFrom is when the
-	// rogue wakes up.  The flood runs to the end of the soak.
-	RoguePPS  float64
-	RogueFrom netsim.Time
-
-	// TPPRate arms the per-tenant weighted admission gate on both
-	// switches; the rogue's weighted share is a small fraction of it.
-	TPPRate float64
-
-	// ConvergeFrom starts the window whose rate samples must sit at
-	// the victims' fair share.
-	ConvergeFrom netsim.Time
+	Seed int64
 }
+
+// The hostile soak's schedule, which the hostile experiment prints: it
+// runs HostileDuration; the rogue wakes at HostileRogueFrom and floods
+// forged TPPs at HostileRoguePPS to the end; HostileTPPRate arms the
+// per-tenant weighted admission gate on both switches, of which the
+// rogue's share is a small fraction; and the victims' rate samples must
+// sit at their fair share from HostileConvergeFrom on.
+const (
+	HostileDuration             = 5 * netsim.Second
+	HostileRogueFrom            = 500 * netsim.Millisecond
+	HostileRoguePPS     float64 = 800
+	HostileTPPRate      float64 = 2000
+	HostileConvergeFrom         = 3 * netsim.Second
+)
 
 // DefaultHostile is the canonical hostile-tenant scenario: 5 simulated
 // seconds, a rogue waking at 500ms and flooding forged write-TPPs at
@@ -51,13 +51,7 @@ type HostileConfig struct {
 // RCP* flows share a 20 Mb/s bottleneck and a victim accounting pair
 // keeps a shared tally on the bottleneck switch.
 func DefaultHostile(seed int64) HostileConfig {
-	return HostileConfig{
-		Seed:     seed,
-		Duration: 5 * netsim.Second,
-		RoguePPS: 800, RogueFrom: 500 * netsim.Millisecond,
-		TPPRate:      2000,
-		ConvergeFrom: 3 * netsim.Second,
-	}
+	return HostileConfig{Seed: seed}
 }
 
 // HostileResult is the soak's observable outcome, plain values only so
@@ -92,8 +86,8 @@ type HostileResult struct {
 	VictimThrottled [2]uint64
 
 	// Victim convergence: LastRate sampled every 100ms, plus the mean
-	// over [ConvergeFrom, Duration).  FairShare is C/2 for the shared
-	// bottleneck.
+	// over [HostileConvergeFrom, HostileDuration).  FairShare is C/2
+	// for the shared bottleneck.
 	V1Samples, V2Samples []float64
 	V1Mean, V2Mean       float64
 	FairShare            float64
@@ -138,7 +132,7 @@ func RunHostile(cfg HostileConfig) HostileResult {
 	edge := topo.Mbps(40, 10*netsim.Microsecond)
 	bottleneck := topo.Mbps(20, 10*netsim.Microsecond)
 	n := topo.Dumbbell(sim, 4, edge, bottleneck, topo.Uniform(asic.Config{Ports: 8,
-		Metrics: reg, Trace: tracer, Guard: true, TPPRate: cfg.TPPRate}), nil)
+		Metrics: reg, Trace: tracer, Guard: true, TPPRate: HostileTPPRate}), nil)
 	s0, s1 := n.A, n.B
 	// Victim senders, accounting writer, rogue; then the victims'
 	// receivers, the accounting poller and the rogue's sink.
@@ -158,11 +152,11 @@ func RunHostile(cfg HostileConfig) HostileResult {
 	rcp.InitRateRegisters(s0, s1)
 
 	// The hostile flood is a fault-plan event, like a reboot or a loss
-	// window: the rogue wakes at RogueFrom and floods its sink.
+	// window: the rogue wakes at HostileRogueFrom and floods its sink.
 	inj := faults.NewInjector(sim, tracer)
 	inj.RegisterHost("rogue", rg)
-	flood := []faults.Event{{At: cfg.RogueFrom, Kind: faults.RogueTenant, Target: "rogue",
-		PPS: cfg.RoguePPS, DstMAC: rd.MAC, DstIP: rd.IP}}
+	flood := []faults.Event{{At: HostileRogueFrom, Kind: faults.RogueTenant, Target: "rogue",
+		PPS: HostileRoguePPS, DstMAC: rd.MAC, DstIP: rd.IP}}
 
 	// Victim workload 1+2: two RCP* flows sharing the bottleneck, so
 	// each must converge to C/2.
@@ -178,7 +172,7 @@ func RunHostile(cfg HostileConfig) HostileResult {
 	var res HostileResult
 	// Stop adding well before the end so every in-flight CSTORE chain
 	// resolves and WriterDone reconciles exactly with the SRAM word.
-	addUntil := cfg.Duration - 500*netsim.Millisecond
+	addUntil := HostileDuration - 500*netsim.Millisecond
 
 	env := &scenario.Env{
 		Sim:        sim,
@@ -242,7 +236,7 @@ func RunHostile(cfg HostileConfig) HostileResult {
 	res.Scenario = scenario.Run(env, scenario.Scenario{
 		Name: "hostile-soak",
 		Phases: soakPhases("flood", flood,
-			[]string{"seal", "rcp", "accounting", "sampling"}, cfg.Duration, "grants-intact"),
+			[]string{"seal", "rcp", "accounting", "sampling"}, HostileDuration, "grants-intact"),
 	})
 	ctl1.Stop()
 	ctl2.Stop()
@@ -259,7 +253,7 @@ func RunHostile(cfg HostileConfig) HostileResult {
 		}
 		return sum / float64(len(samples)-from)
 	}
-	fromIdx := int(cfg.ConvergeFrom / (100 * netsim.Millisecond))
+	fromIdx := int(HostileConvergeFrom / (100 * netsim.Millisecond))
 	res.V1Mean = mean(res.V1Samples, fromIdx)
 	res.V2Mean = mean(res.V2Samples, fromIdx)
 

@@ -20,35 +20,30 @@ import (
 // writes against the reboot wipe.  DefaultReflexSoak is the canonical
 // scenario.
 type ReflexSoakConfig struct {
-	Seed     int64
-	Duration netsim.Time
-
-	// Flaps is how many gray down/up cycles hit the leaf0-spine0 link.
-	// Each flap's direction (leaf→spine vs spine→leaf) and exact
-	// timing derive from Seed, so different seeds exercise different
-	// failure surfaces — including the gray case where the stream is
-	// untouched and only the heartbeat round trip dies.
-	Flaps int
-
-	// RebootAt crash-restarts leaf 0 (the reflex arm's home switch)
-	// while a detour is standing; BootDelay is its dark window.
-	RebootAt  netsim.Time
-	BootDelay netsim.Time
+	Seed int64
 }
+
+// The reflex soak runs reflexSoakDuration.  reflexFlaps gray down/up
+// cycles hit the leaf0-spine0 link; each flap's direction (leaf→spine
+// vs spine→leaf) and exact timing derive from the seed, so different
+// seeds exercise different failure surfaces — including the gray case
+// where the stream is untouched and only the heartbeat round trip dies.
+// Leaf 0 (the reflex arm's home switch) crash-restarts at
+// reflexRebootAt, while a detour is standing — the third flap darkens
+// the uplink at >= 24ms (see flapPlan) — and stays dark for
+// reflexBootDelay.
+const (
+	reflexSoakDuration = 40 * netsim.Millisecond
+	reflexFlaps        = 3
+	reflexRebootAt     = 25 * netsim.Millisecond
+	reflexBootDelay    = 200 * netsim.Microsecond
+)
 
 // DefaultReflexSoak is the canonical reflex soak: 40 simulated
 // milliseconds, three seeded gray flaps on the primary uplink, and a
 // leaf-0 crash-restart inside the third flap's down window.
 func DefaultReflexSoak(seed int64) ReflexSoakConfig {
-	return ReflexSoakConfig{
-		Seed:     seed,
-		Duration: 40 * netsim.Millisecond,
-		Flaps:    3,
-		// The third flap darkens the uplink at >= 24ms (see flapPlan);
-		// rebooting shortly after lands inside its detour window.
-		RebootAt:  25 * netsim.Millisecond,
-		BootDelay: 200 * netsim.Microsecond,
-	}
+	return ReflexSoakConfig{Seed: seed}
 }
 
 // ReflexSoakResult is the soak's observable outcome, plain values only
@@ -95,15 +90,15 @@ type ReflexSoakResult struct {
 // seeded direction of the leaf0-spine0 link at 4ms + i*10ms plus
 // jitter, for 2ms plus jitter.  The jitter source is a local LCG over
 // Seed — never the simulator's shared rng — so the plan is a pure
-// function of the config.
-func flapPlan(cfg ReflexSoakConfig) []faults.Event {
-	r := uint64(cfg.Seed)
+// function of the seed.
+func flapPlan(seed int64) []faults.Event {
+	r := uint64(seed)
 	next := func(n uint64) uint64 {
 		r = r*6364136223846793005 + 1442695040888963407
 		return (r >> 33) % n
 	}
 	var evs []faults.Event
-	for i := 0; i < cfg.Flaps; i++ {
+	for i := 0; i < reflexFlaps; i++ {
 		down := 4*netsim.Millisecond + netsim.Time(i)*10*netsim.Millisecond +
 			netsim.Time(next(1000))*netsim.Microsecond
 		up := down + 2*netsim.Millisecond + netsim.Time(next(2000))*netsim.Microsecond
@@ -150,13 +145,10 @@ func RunReflexSoak(cfg ReflexSoakConfig) ReflexSoakResult {
 
 	// Fault plan: seeded gray flaps on the primary uplink plus one
 	// leaf-0 crash-restart racing the standing detour.
-	events := flapPlan(cfg)
-	if cfg.RebootAt > 0 && cfg.RebootAt < cfg.Duration {
-		events = append(events, faults.Event{
-			At: cfg.RebootAt, Kind: faults.SwitchReboot,
-			Target: "leaf0", BootDelay: cfg.BootDelay,
-		})
-	}
+	events := append(flapPlan(cfg.Seed), faults.Event{
+		At: reflexRebootAt, Kind: faults.SwitchReboot,
+		Target: "leaf0", BootDelay: reflexBootDelay,
+	})
 
 	res := ReflexSoakResult{}
 	env := &scenario.Env{
@@ -212,9 +204,9 @@ func RunReflexSoak(cfg ReflexSoakConfig) ReflexSoakResult {
 		{Name: "arm", Kind: scenario.KindWorkloads, Needs: []string{"provision"}, Hooks: []string{"reflex"}},
 		{Name: "flaps", Kind: scenario.KindFaults, Needs: []string{"arm"}, Events: events},
 		{Name: "work", Kind: scenario.KindWorkloads, Needs: []string{"flaps"}, Hooks: []string{"stream"}},
-		{Name: "soak", Kind: scenario.KindRun, Needs: []string{"work"}, Until: cfg.Duration},
+		{Name: "soak", Kind: scenario.KindRun, Needs: []string{"work"}, Until: reflexSoakDuration},
 		{Name: "reconcile", Kind: scenario.KindChurn, Needs: []string{"soak"}, Hooks: []string{"ratify"}, Bound: settle},
-		{Name: "settle", Kind: scenario.KindRun, Needs: []string{"reconcile"}, Until: cfg.Duration + settle},
+		{Name: "settle", Kind: scenario.KindRun, Needs: []string{"reconcile"}, Until: reflexSoakDuration + settle},
 	}})
 	if sres.Aborted != "" {
 		panic(fmt.Sprintf("chaos: reflex soak aborted at %q: %+v", sres.Aborted, sres.Phases[len(sres.Phases)-1]))

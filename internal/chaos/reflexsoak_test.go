@@ -26,7 +26,7 @@ func TestReflexSoak(t *testing.T) {
 			if d := resultDigest(res); d != pinned[seed] {
 				t.Errorf("result digest %#x, pinned %#x:\n%+v", d, pinned[seed], res)
 			}
-			checkReflexSoak(t, cfg, res)
+			checkReflexSoak(t, res)
 		})
 	}
 }
@@ -45,14 +45,14 @@ func TestReflexSoakPinned(t *testing.T) {
 	}
 }
 
-func checkReflexSoak(t *testing.T, cfg ReflexSoakConfig, res ReflexSoakResult) {
+func checkReflexSoak(t *testing.T, res ReflexSoakResult) {
 	t.Helper()
 
 	// 1. The reflex reacted to every flap that killed the heartbeat
 	// round trip: at least one fire, and every fire eventually matched
 	// by a revert or a ratification (no detour leaks past the end).
 	if res.Fires == 0 {
-		t.Fatalf("reflex never fired across %d flaps: %+v", cfg.Flaps, res)
+		t.Fatalf("reflex never fired across %d flaps: %+v", reflexFlaps, res)
 	}
 	if res.Probes == 0 {
 		t.Fatal("no heartbeats sent")
@@ -99,7 +99,7 @@ func checkReflexSoak(t *testing.T, cfg ReflexSoakConfig, res ReflexSoakResult) {
 	}
 
 	// 5. The trajectory covered the whole run (one sample per ms).
-	if len(res.Trajectory) < int(cfg.Duration/1e6)-1 {
-		t.Errorf("trajectory has %d samples for a %v soak", len(res.Trajectory), cfg.Duration)
+	if len(res.Trajectory) < int(reflexSoakDuration/1e6)-1 {
+		t.Errorf("trajectory has %d samples for a %v soak", len(res.Trajectory), reflexSoakDuration)
 	}
 }

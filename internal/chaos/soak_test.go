@@ -35,12 +35,12 @@ func TestChaosSoak(t *testing.T) {
 			if d := resultDigest(res); d != pinned[seed] {
 				t.Errorf("result digest %#x, pinned %#x:\n%+v", d, pinned[seed], res)
 			}
-			checkSoak(t, cfg, res)
+			checkSoak(t, res)
 		})
 	}
 }
 
-func checkSoak(t *testing.T, cfg Config, res Result) {
+func checkSoak(t *testing.T, res Result) {
 	t.Helper()
 
 	// 0. The control plane held: the routing spec converged in one
@@ -73,7 +73,7 @@ func checkSoak(t *testing.T, cfg Config, res Result) {
 
 	// 2. The crashes happened, dropped traffic, and every counter view
 	// of them agrees exactly.
-	if want := uint64(len(cfg.RebootAt)); res.Reboots != want {
+	if want := uint64(len(RebootAt())); res.Reboots != want {
 		t.Errorf("Reboots = %d, want %d", res.Reboots, want)
 	}
 	if res.RebootDrops == 0 {
@@ -95,8 +95,8 @@ func checkSoak(t *testing.T, cfg Config, res Result) {
 	// 3. RCP* noticed every crash through the epoch word, re-seeded the
 	// wiped registers, and re-converged within the bounded window.
 	const fairShare = 1.25e6 // 10 Mb/s fabric bottleneck, bytes/sec
-	if res.EpochBumps < uint64(len(cfg.RebootAt)) {
-		t.Errorf("EpochBumps = %d, want >= %d", res.EpochBumps, len(cfg.RebootAt))
+	if res.EpochBumps < uint64(len(RebootAt())) {
+		t.Errorf("EpochBumps = %d, want >= %d", res.EpochBumps, len(RebootAt()))
 	}
 	if res.Reinits == 0 {
 		t.Error("controller never re-seeded a wiped rate register")

@@ -14,9 +14,8 @@ const ProtoUDP uint8 = 17
 
 // IPv4 is a minimal IPv4 header: enough for routing (L3 LPM lookups),
 // flow classification (TCAM matches), congestion experiments, and the
-// fixed-function comparison features (ECN in TOS, Record Route in
-// Options).  The checksum is computed on serialization and verified on
-// parse.
+// fixed-function spin-bit observer (a TOS bit).  The checksum is
+// computed on serialization and verified on parse.
 type IPv4 struct {
 	TOS      uint8
 	TotalLen uint16 // filled in by Packet.Serialize when zero
@@ -37,14 +36,8 @@ const MaxIPv4Options = 40
 // HeaderLen returns the header length including options.
 func (h *IPv4) HeaderLen() int { return IPv4HeaderLen + len(h.Options) }
 
-// ECN codepoints in the low two TOS bits.
-const (
-	ECNCapable uint8 = 0x01 // ECT(1): sender supports ECN
-	ECNCE      uint8 = 0x03 // congestion experienced
-)
-
 // SpinBit is the latency spin bit, carried in TOS bit 2 — above the two
-// ECN codepoints, so it composes with them.  Endpoints maintain it QUIC-style (one alternation
+// ECN bits, so it composes with them.  Endpoints maintain it QUIC-style (one alternation
 // per round trip) and any on-path observer can infer the flow's RTT from
 // the bit's edge-to-edge interval with zero end-host cooperation.
 const (

@@ -9,11 +9,8 @@ type ConvergeConfig struct {
 	// Budget is the maximum diff/apply attempts (default 5).
 	Budget int
 	// Backoff is the delay before the second attempt (default 10ms);
-	// each further attempt multiplies it by BackoffFactor (default 2,
-	// values below 1 are clamped to 1 — never shrinking, exactly the
-	// prober's discipline).
-	Backoff       netsim.Time
-	BackoffFactor float64
+	// each further attempt doubles it (backoffFactor).
+	Backoff netsim.Time
 	// ApplyDelay inserts simulated time between reading the diff and
 	// applying it, widening the window in which a fault can race the
 	// apply.  Zero (the default) diffs and applies back-to-back.
@@ -27,15 +24,11 @@ func (c ConvergeConfig) resolve() ConvergeConfig {
 	if c.Backoff <= 0 {
 		c.Backoff = 10 * netsim.Millisecond
 	}
-	if c.BackoffFactor < 1 {
-		if c.BackoffFactor <= 0 {
-			c.BackoffFactor = 2
-		} else {
-			c.BackoffFactor = 1
-		}
-	}
 	return c
 }
+
+// backoffFactor multiplies the backoff before each further attempt.
+const backoffFactor float64 = 2
 
 // Round records one converge attempt.
 type Round struct {
@@ -147,7 +140,7 @@ func (c *Controller) convergeAttempt(spec Spec, cfg ConvergeConfig, backoff nets
 			done(*res)
 			return
 		}
-		next := netsim.Time(float64(backoff) * cfg.BackoffFactor)
+		next := netsim.Time(float64(backoff) * backoffFactor)
 		c.sim.After(backoff, func() { c.convergeAttempt(spec, cfg, next, res, done) })
 	}
 

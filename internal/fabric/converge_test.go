@@ -154,7 +154,7 @@ func TestConvergeBackoffClock(t *testing.T) {
 			{Name: "b", Words: 1},
 		}},
 	}}
-	cfg := fabric.ConvergeConfig{Budget: 4, Backoff: 2 * netsim.Millisecond, BackoffFactor: 2}
+	cfg := fabric.ConvergeConfig{Budget: 4, Backoff: 2 * netsim.Millisecond}
 	res := driveConverge(t, h, spec, cfg, netsim.Second)
 	if len(res.Rounds) != 4 {
 		t.Fatalf("want 4 rounds, got %d", len(res.Rounds))

@@ -30,17 +30,18 @@ type HistConfig struct {
 	// RebootAt crash-restarts the histogram's home switch; zero
 	// disables the crash.
 	RebootAt netsim.Time
-
-	// Bursty loss window on the writer-side fabric link, exercising
-	// probe retransmission and CSTORE duplicate detection.
-	LossFrom, LossTo netsim.Time
 }
 
 // The RTT-histogram scenario runs HistDuration over a two-leaf,
-// one-spine fabric; a crashed spine boots in HistBootDelay.
+// one-spine fabric; a crashed spine boots in HistBootDelay.  The
+// writer-side fabric link is bursty-lossy from HistLossFrom to
+// HistLossTo, exercising probe retransmission and CSTORE duplicate
+// detection.
 const (
 	HistDuration  = 2 * netsim.Second
 	HistBootDelay = 10 * netsim.Millisecond
+	HistLossFrom  = 300 * netsim.Millisecond
+	HistLossTo    = 500 * netsim.Millisecond
 
 	// RTT sampling: one probe every histSampleEvery from
 	// histSampleFrom until histSampleUntil, leaving the tail of the
@@ -63,8 +64,6 @@ func DefaultHist(seed int64) HistConfig {
 	return HistConfig{
 		Seed:     seed,
 		RebootAt: 600 * netsim.Millisecond,
-		LossFrom: 300 * netsim.Millisecond,
-		LossTo:   500 * netsim.Millisecond,
 	}
 }
 
@@ -223,21 +222,17 @@ func RunHist(cfg HistConfig) HistResult {
 	// one spine crash.
 	inj := faults.NewInjector(sim, tracer)
 	net.Register(nil, inj)
-	var events []faults.Event
-	if cfg.LossTo > cfg.LossFrom {
-		events = append(events,
-			faults.Event{At: cfg.LossFrom, Kind: faults.LinkBurstyLoss, Target: "leaf0-spine0",
-				PGoodBad: 0.01, PBadGood: 0.1, LossGood: 0.005, LossBad: 0.5},
-			faults.Event{At: cfg.LossTo, Kind: faults.ClearLoss, Target: "leaf0-spine0"})
+	events := []faults.Event{
+		{At: HistLossFrom, Kind: faults.LinkBurstyLoss, Target: "leaf0-spine0",
+			PGoodBad: 0.01, PBadGood: 0.1, LossGood: 0.005, LossBad: 0.5},
+		{At: HistLossTo, Kind: faults.ClearLoss, Target: "leaf0-spine0"},
 	}
 	if cfg.RebootAt > 0 {
 		events = append(events, faults.Event{At: cfg.RebootAt, Kind: faults.SwitchReboot,
 			Target: "spine0", BootDelay: HistBootDelay})
 	}
-	if len(events) > 0 {
-		if err := inj.Schedule(faults.Plan{Seed: cfg.Seed, Events: events}); err != nil {
-			panic(fmt.Sprintf("inband: bad fault plan: %v", err))
-		}
+	if err := inj.Schedule(faults.Plan{Seed: cfg.Seed, Events: events}); err != nil {
+		panic(fmt.Sprintf("inband: bad fault plan: %v", err))
 	}
 
 	var res HistResult

@@ -135,11 +135,12 @@ func TestHistScenario(t *testing.T) {
 }
 
 // TestHistScenarioNoFaults pins the clean-path identity: without a
-// crash, commits == samples == everything, and nothing re-bases.
+// crash, commits == samples == everything, and nothing re-bases.  The
+// bursty-loss window still runs: retransmission alone must neither
+// duplicate a commit nor re-base the writer.
 func TestHistScenarioNoFaults(t *testing.T) {
 	cfg := DefaultHist(7)
 	cfg.RebootAt = 0
-	cfg.LossFrom, cfg.LossTo = 0, 0
 	a := RunHist(cfg)
 	if !a.Drained {
 		t.Fatalf("writer not drained (pending %d)", a.Pending)

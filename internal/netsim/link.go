@@ -53,18 +53,13 @@ type Channel struct {
 
 	// The transmit-complete event of the transmission in progress: Send
 	// reserves its seq, WakeWhenIdle queues it (into idleSlot until it
-	// runs).  idleAsked starts set — before the first Send there is
-	// nothing to ask for — and stays set on a fused link, whose arrival
-	// event carries the callback.  sentAt is where the reserving Send
-	// ran, which CompleteNow's callers compare against.
+	// runs).  idleAsked starts set: before the first Send there is
+	// nothing to ask for.  sentAt is where the reserving Send ran, which
+	// CompleteNow's callers compare against.
 	idleSeq   uint64
 	sentAt    Stamp
 	idleSlot  int32
 	idleAsked bool
-	// fused is set on a zero-delay link into a host: the transmit-
-	// complete and the last-bit arrival are one instant, so they share
-	// one event (see Unfuse).
-	fused bool
 	// down is set while the link is administratively or physically
 	// down (fault injection).  The transmitter keeps clocking frames
 	// out — the owner's queue must not stall — but nothing arrives.
@@ -87,8 +82,8 @@ type Channel struct {
 	BytesSent   uint64
 	PacketsSent uint64
 	// WakeupsAsked counts transmit-complete events queued on request
-	// (WakeWhenIdle): on a link that is not fused, the sends that ended
-	// with a frame waiting behind them.
+	// (WakeWhenIdle): the sends that ended with a frame waiting behind
+	// them.
 	WakeupsAsked uint64
 	// PacketsLost counts frames corrupted in flight by the loss model.
 	PacketsLost uint64
@@ -111,22 +106,17 @@ func NewChannel(sim *Sim, rate int64, delay Time, dst Receiver, dstPort int) *Ch
 	if p, ok := dst.(Pipelined); ok {
 		c.lat = p.Inbound(dstPort, c)
 	}
-	c.fused = delay == 0 && c.lat == 0
 	c.idleFn = c.fireIdle
 	c.arrivals = sim.newLane(c)
 	return c
 }
 
-func (c *Channel) notifyIdle() {
-	if c.onIdle != nil {
-		c.onIdle()
-	}
-}
-
 // fireIdle is the queued transmit-complete event.
 func (c *Channel) fireIdle() {
 	c.idleSlot = disarmed
-	c.notifyIdle()
+	if c.onIdle != nil {
+		c.onIdle()
+	}
 }
 
 // RateBytes returns the channel capacity in bytes per second, the unit
@@ -143,19 +133,10 @@ func (c *Channel) RateBytes() uint32 {
 
 // SetOnIdle registers the transmit-complete callback; the owner uses it
 // to dequeue the next packet.  It is guaranteed to run at the end of a
-// transmission only if the owner called WakeWhenIdle during it; a
-// callback nobody asked for may still run (fused links always deliver
-// it), so it must tolerate finding nothing to do.
+// transmission only if the owner called WakeWhenIdle during it; the
+// owner may have nothing left to send by then (a reboot flushes its
+// queue), so it must tolerate finding nothing to do.
 func (c *Channel) SetOnIdle(fn func()) { c.onIdle = fn }
-
-// Unfuse gives the transmit-complete an event of its own, queued only
-// when asked, on a zero-delay link into a host too, where it would
-// otherwise ride on the frame's arrival event.  A switch port needs
-// that: its pipeline stage may have to run a transmit-complete due in
-// the same nanosecond ahead of its queued place (CompleteNow), and the
-// frame's arrival at the host must not come along.  The order of events
-// does not change: the two events have adjacent seqs at one instant.
-func (c *Channel) Unfuse() { c.fused = false }
 
 // WakeWhenIdle asks for the OnIdle callback when the transmission in
 // progress completes.  The owner calls it whenever it holds a frame the
@@ -168,8 +149,8 @@ func (c *Channel) Unfuse() { c.fused = false }
 //
 //alloc:free
 func (c *Channel) WakeWhenIdle() {
-	// Split so that the check inlines into the owners' kick: on a
-	// zero-delay link that is all a call ever costs.
+	// Split so that the check inlines into the owners' kick: once the
+	// wake-up is queued, that is all a call costs.
 	if !c.idleAsked {
 		c.queueIdle()
 	}
@@ -207,15 +188,6 @@ func (c *Channel) CompleteNow() {
 	slot := c.idleSlot
 	c.idleSlot = disarmed
 	c.sim.runEarly(slot, c.idleSeq)
-}
-
-// SetLoss makes the channel drop each frame independently with
-// probability p, using its own deterministic random source — the
-// failure-injection knob for robustness tests ("TPPs are therefore
-// subject to congestion", and on real links to corruption too).
-// p covers the closed interval [0, 1]: p == 1 is a total blackout.
-func (c *Channel) SetLoss(p float64, seed int64) {
-	c.loss = NewBernoulli(p, seed)
 }
 
 // SetLossModel installs an arbitrary loss model (nil restores lossless
@@ -327,28 +299,19 @@ func (c *Channel) SendLen(pkt *core.Packet, wire int) Time {
 	} else if c.loss != nil && c.loss.Lost() {
 		arg = argLost
 	}
-	if c.fused {
-		// The transmit-complete interrupt and the last-bit arrival
-		// coincide; fold both into one event, firing idle first — the
-		// same order the two separate events have on other links.
-		c.arrivals.at(done, pkt, arg|argIdle)
-	} else {
-		// Transmit-complete precedes the arrival in the event order, so
-		// its seq is taken first; the event itself waits to be asked for.
-		c.idleSeq = c.sim.reserveSeq()
-		c.idleAsked = false
-		c.sentAt = c.sim.Stamp()
-		c.arrivals.at(done+c.delay+c.lat, pkt, arg)
-	}
+	// Transmit-complete precedes the arrival in the event order, so its
+	// seq is taken first; the event itself waits to be asked for.
+	c.idleSeq = c.sim.reserveSeq()
+	c.idleAsked = false
+	c.sentAt = c.sim.Stamp()
+	c.arrivals.at(done+c.delay+c.lat, pkt, arg)
 	return done
 }
 
-// Delivery event arg bits: the frame's fate, and the fused
-// transmit-complete.
+// Delivery event arg bits: the frame's fate.
 const (
 	argDown = 1 << 0
 	argLost = 1 << 1
-	argIdle = 1 << 2
 )
 
 // DeliverAt implements PacketDelivery: the frame's last bit arrived,
@@ -358,9 +321,6 @@ const (
 //
 //alloc:free
 func (c *Channel) DeliverAt(pkt *core.Packet, arg uint64) {
-	if arg&argIdle != 0 {
-		c.notifyIdle()
-	}
 	at := c.sim.now - c.lat
 	switch {
 	case arg&argDown != 0:

@@ -35,13 +35,13 @@ func TestRateBytesSaturates(t *testing.T) {
 	}
 }
 
-// TestChannelFullLoss exercises SetLoss(1): every frame occupies the
-// wire but none arrives — the blackout case fault plans rely on.
+// TestChannelFullLoss exercises a loss probability of 1: every frame
+// occupies the wire but none arrives — the blackout case fault plans rely on.
 func TestChannelFullLoss(t *testing.T) {
 	s := New(1)
 	k := &sink{sim: s}
 	ch := NewChannel(s, 1_000_000_000, 0, k, 0)
-	ch.SetLoss(1, 3)
+	ch.SetLossModel(NewBernoulli(1, 3))
 	for i := 0; i < 50; i++ {
 		at := Time(i) * Millisecond
 		s.At(at, func() { ch.Send(mkPacket(100)) })
@@ -62,7 +62,7 @@ func TestTracelessLossyChannel(t *testing.T) {
 	s := New(1)
 	k := &sink{sim: s}
 	ch := NewChannel(s, 1_000_000_000, Microsecond, k, 0)
-	ch.SetLoss(0.5, 11)
+	ch.SetLossModel(NewBernoulli(0.5, 11))
 	for i := 0; i < 200; i++ {
 		at := Time(i) * Millisecond
 		s.At(at, func() { ch.Send(mkPacket(64)) })
@@ -122,6 +122,7 @@ func TestChannelFlapKeepsTransmitterDraining(t *testing.T) {
 		}
 		queue--
 		ch.Send(mkPacket(1000))
+		ch.WakeWhenIdle()
 	}
 	ch.SetOnIdle(pump)
 	s.At(0, pump)
@@ -349,9 +350,10 @@ func TestWakeOnDemandMatchesAlwaysFire(t *testing.T) {
 }
 
 // A wake-up is asked at most once per transmission, and asking with no
-// transmission to wait for — before the first Send, after the channel
-// went idle, or on a zero-delay link, whose arrival event carries the
-// callback — queues nothing.
+// transmission to wait for — before the first Send, or after the
+// channel went idle — queues nothing.  A zero-delay link is no
+// exception: its transmit-complete is an event of its own, queued only
+// when asked.
 func TestWakeWhenIdleAsksOncePerTransmission(t *testing.T) {
 	s := New(1)
 	k := &sink{sim: s}
@@ -383,15 +385,20 @@ func TestWakeWhenIdleAsksOncePerTransmission(t *testing.T) {
 		t.Fatalf("unasked transmission: OnIdle ran %d times, %d frames delivered; want 1 and 2", idle, len(k.pkts))
 	}
 
-	fused := NewChannel(s, 8_000_000, 0, k, 0)
-	fusedIdle := 0
-	fused.SetOnIdle(func() { fusedIdle++ })
+	direct := NewChannel(s, 8_000_000, 0, k, 0)
+	directIdle := 0
+	direct.SetOnIdle(func() { directIdle++ })
+	s.At(s.Now(), func() { direct.Send(mkPacket(86)) })
+	s.Run()
+	if directIdle != 0 || direct.WakeupsAsked != 0 {
+		t.Fatalf("zero-delay link, unasked: OnIdle ran %d times, %d wake-ups queued; want 0 and 0", directIdle, direct.WakeupsAsked)
+	}
 	s.At(s.Now(), func() {
-		fused.Send(mkPacket(86))
-		fused.WakeWhenIdle()
+		direct.Send(mkPacket(86))
+		direct.WakeWhenIdle()
 	})
 	s.Run()
-	if fusedIdle != 1 || fused.WakeupsAsked != 0 {
-		t.Fatalf("zero-delay link: OnIdle ran %d times, %d wake-ups queued; want 1 and 0", fusedIdle, fused.WakeupsAsked)
+	if directIdle != 1 || direct.WakeupsAsked != 1 {
+		t.Fatalf("zero-delay link, asked: OnIdle ran %d times, %d wake-ups queued; want 1 and 1", directIdle, direct.WakeupsAsked)
 	}
 }

@@ -9,7 +9,7 @@ func TestChannelLossRate(t *testing.T) {
 	s := New(1)
 	k := &sink{sim: s}
 	ch := NewChannel(s, 1_000_000_000, 0, k, 0)
-	ch.SetLoss(0.25, 99)
+	ch.SetLossModel(NewBernoulli(0.25, 99))
 
 	const frames = 4000
 	sent := 0
@@ -20,6 +20,7 @@ func TestChannelLossRate(t *testing.T) {
 		}
 		sent++
 		ch.Send(mkPacket(100))
+		ch.WakeWhenIdle()
 	}
 	ch.SetOnIdle(pump)
 	s.At(0, pump)
@@ -53,16 +54,16 @@ func TestChannelLossValidation(t *testing.T) {
 	ch := NewChannel(s, 1000, 0, &sink{sim: s}, 0)
 	// The closed interval [0, 1] is accepted: p == 1 is the blackout
 	// case fault injection uses.
-	ch.SetLoss(0, 1)
-	ch.SetLoss(1, 1)
+	ch.SetLossModel(NewBernoulli(0, 1))
+	ch.SetLossModel(NewBernoulli(1, 1))
 	for _, p := range []float64{-0.1, 1.01, 2} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("SetLoss(%v) did not panic", p)
+					t.Errorf("NewBernoulli(%v) did not panic", p)
 				}
 			}()
-			ch.SetLoss(p, 1)
+			ch.SetLossModel(NewBernoulli(p, 1))
 		}()
 	}
 }
@@ -72,7 +73,7 @@ func TestChannelLossDeterminism(t *testing.T) {
 		s := New(1)
 		k := &sink{sim: s}
 		ch := NewChannel(s, 1_000_000_000, 0, k, 0)
-		ch.SetLoss(0.5, 7)
+		ch.SetLossModel(NewBernoulli(0.5, 7))
 		for i := 0; i < 200; i++ {
 			at := Time(i) * Millisecond
 			s.At(at, func() { ch.Send(mkPacket(10)) })

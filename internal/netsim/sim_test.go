@@ -258,6 +258,7 @@ func TestChannelBusyAndOnIdle(t *testing.T) {
 	ch.SetOnIdle(func() { idleCalls++ })
 	s.At(0, func() {
 		ch.Send(mkPacket(86)) // 100 bytes = 100us
+		ch.WakeWhenIdle()
 		if !ch.Busy() {
 			t.Error("channel should be busy during transmission")
 		}
@@ -300,6 +301,7 @@ func TestChannelBackToBackThroughput(t *testing.T) {
 		}
 		sent++
 		ch.Send(mkPacket(1236)) // 1250 bytes on the wire
+		ch.WakeWhenIdle()
 	}
 	ch.SetOnIdle(pump)
 	s.At(0, pump)

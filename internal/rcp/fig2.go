@@ -1,9 +1,6 @@
 package rcp
 
 import (
-	"fmt"
-
-	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 )
@@ -17,15 +14,6 @@ type Fig2Config struct {
 	FlowStarts  []netsim.Time
 	SampleEvery netsim.Time
 	Seed        int64
-	// LossRate injects random frame loss on the bottleneck link
-	// (both data and probes), for robustness experiments; zero means
-	// lossless.
-	LossRate float64
-	// Faults, when non-nil, is scheduled on an injector with the
-	// bottleneck link registered as "bottleneck" (both directions) and
-	// the two switches as "a" and "b".  Event times are relative to the
-	// run (they are scheduled before PrimeL2 settles, at sim time 0).
-	Faults *faults.Plan
 	// Metrics, when non-nil, registers the switches' dataplane metrics
 	// and each controller's control-loop metrics (rcp/flow<i>/...).
 	Metrics *obs.Registry
@@ -67,21 +55,14 @@ type Fig2Result struct {
 // the harness plus a sampler of the advertised fair share and of each
 // flow's goodput.
 func RunFigure2(cfg Fig2Config) Fig2Result {
+	return runFigure2(NewHarness(len(cfg.FlowStarts), cfg.Seed, cfg.Metrics), cfg)
+}
+
+// runFigure2 runs Figure 2 on a harness NewHarness has just built for
+// cfg, before anything has been scheduled on it: a robustness test
+// makes its bottleneck lossy, or plans faults on it, first.
+func runFigure2(h *Harness, cfg Fig2Config) Fig2Result {
 	scheme := SchemeFor(cfg.Variant)
-	h := NewHarness(len(cfg.FlowStarts), cfg.Seed, cfg.Metrics)
-	fwd, rev := h.A.Port(h.APort).Channel(), h.B.Port(h.BPort).Channel()
-	if cfg.LossRate > 0 {
-		fwd.SetLoss(cfg.LossRate, cfg.Seed+100)
-	}
-	if cfg.Faults != nil {
-		inj := faults.NewInjector(h.Sim, nil)
-		inj.RegisterLink("bottleneck", fwd, rev)
-		inj.RegisterSwitch("a", h.A)
-		inj.RegisterSwitch("b", h.B)
-		if err := inj.Schedule(*cfg.Faults); err != nil {
-			panic(fmt.Sprintf("rcp: bad fault plan: %v", err))
-		}
-	}
 	start := h.Launch(scheme, Staggered(cfg.FlowStarts))
 
 	// The sampler fires every SampleEvery up to and including the end of

@@ -1,6 +1,19 @@
 package rcp
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/netsim"
+)
+
+// lossyHarness builds cfg's Figure 2 harness with random frame loss p
+// on the bottleneck's forward direction (data and probes alike), drawn
+// from a source seeded cfg.Seed+100.
+func lossyHarness(cfg Fig2Config, p float64) *Harness {
+	h := NewHarness(len(cfg.FlowStarts), cfg.Seed, cfg.Metrics)
+	h.A.Port(h.APort).Channel().SetLossModel(netsim.NewBernoulli(p, cfg.Seed+100))
+	return h
+}
 
 // TestFigure2StarSurvivesProbeLoss injects 5% frame loss on the
 // bottleneck: probes and updates get dropped, but the controllers
@@ -8,8 +21,7 @@ import "testing"
 // convergence still holds within a looser tolerance.
 func TestFigure2StarSurvivesProbeLoss(t *testing.T) {
 	cfg := DefaultFig2Config(VariantStar)
-	cfg.LossRate = 0.05
-	res := RunFigure2(cfg)
+	res := runFigure2(lossyHarness(cfg, 0.05), cfg)
 
 	want := fairShares()
 	windows := [3][2]float64{{5, 10}, {15, 20}, {25, 30}}
@@ -26,9 +38,8 @@ func TestFigure2StarSurvivesProbeLoss(t *testing.T) {
 // nonsense (rate stays within [floor, capacity]).
 func TestFigure2StarHeavyLossDegradesGracefully(t *testing.T) {
 	cfg := DefaultFig2Config(VariantStar)
-	cfg.LossRate = 0.30
 	cfg.Duration = 10_000_000_000 // 10s
-	res := RunFigure2(cfg)
+	res := runFigure2(lossyHarness(cfg, 0.30), cfg)
 	if len(res.Samples) == 0 {
 		t.Fatal("no samples")
 	}

@@ -37,9 +37,14 @@ func TestFigure2StarRecoversFromLinkFlap(t *testing.T) {
 	cfg := DefaultFig2Config(VariantStar)
 	cfg.Duration = 24 * netsim.Second
 	cfg.FlowStarts = []netsim.Time{0}
-	cfg.Faults = &faults.Plan{Seed: cfg.Seed, Events: faults.Flap(
-		"bottleneck", 8*netsim.Second, 4*netsim.Second)}
-	res := RunFigure2(cfg)
+	h := NewHarness(len(cfg.FlowStarts), cfg.Seed, cfg.Metrics)
+	inj := faults.NewInjector(h.Sim, nil)
+	inj.RegisterLink("bottleneck", h.A.Port(h.APort).Channel(), h.B.Port(h.BPort).Channel())
+	if err := inj.Schedule(faults.Plan{Seed: cfg.Seed, Events: faults.Flap(
+		"bottleneck", 8*netsim.Second, 4*netsim.Second)}); err != nil {
+		t.Fatal(err)
+	}
+	res := runFigure2(h, cfg)
 
 	capacity := bottleneckMbps * 1e6 / 8
 
