@@ -119,14 +119,16 @@ func cmdAsm(args []string, w io.Writer) error {
 }
 
 // printDiag formats one verifier diagnostic with source-line
-// attribution: "file:line: error: [code] msg" when the instruction maps
-// back to a source line, the verifier's own "pc N" form otherwise.
+// attribution: "# file:line: error: [code] msg" when the instruction
+// maps back to a source line, the verifier's own "pc N" form otherwise.
+// The "# " makes it a comment line, which disasm skips, so the output
+// of asm -verify still pipes into disasm.
 func printDiag(w io.Writer, name string, p *asm.Program, d verify.Diagnostic) {
 	if line := p.Line(d.PC); line > 0 {
-		fmt.Fprintf(w, "%s:%d: %s: [%s] %s\n", name, line, d.Severity, d.Code, d.Msg)
+		fmt.Fprintf(w, "# %s:%d: %s: [%s] %s\n", name, line, d.Severity, d.Code, d.Msg)
 		return
 	}
-	fmt.Fprintf(w, "%s: %s\n", name, d)
+	fmt.Fprintf(w, "# %s: %s\n", name, d)
 }
 
 func cmdDisasm(args []string, w io.Writer) error {

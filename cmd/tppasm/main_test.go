@@ -42,22 +42,39 @@ func TestCmdAsm(t *testing.T) {
 }
 
 func TestAsmThenDisasmRoundTrip(t *testing.T) {
-	var hexOut strings.Builder
-	if err := dispatch("asm", []string{writeTemp(t, sampleProg)}, &hexOut); err != nil {
-		t.Fatal(err)
-	}
-	// The whole asm output, comment lines included: disasm reads what
-	// asm writes, so `tppasm asm p.tpp | tppasm disasm` works.
-	hexFile := writeTemp(t, hexOut.String())
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string
+	}{
+		{"plain", []string{writeTemp(t, sampleProg)},
+			[]string{".mode stack", ".mem 6", "PUSH [Switch:SwitchID]", "PUSH [Queue:QueueSize]"}},
+		// Verifies with a warning (a zero-size hop record), which asm
+		// prints ahead of the hex.
+		{"verify-warning", []string{"-verify", writeTemp(t,
+			".mode hop\n.hopsize 0\n.mem 1\nLOAD [Switch:SwitchID], [Packet:Hop[0]]\n")},
+			[]string{".mode hop", "LOAD [Switch:SwitchID], [Packet:Hop[0]]"}},
+	} {
+		var hexOut strings.Builder
+		if err := dispatch("asm", tc.args, &hexOut); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.name == "verify-warning" && !strings.Contains(hexOut.String(), ": warning: [") {
+			t.Fatalf("%s: no warning in the asm output:\n%s", tc.name, hexOut.String())
+		}
+		// The whole asm output, comment lines included: disasm reads
+		// what asm writes, so `tppasm asm [-verify] p.tpp | tppasm
+		// disasm` works.
+		hexFile := writeTemp(t, hexOut.String())
 
-	var dis strings.Builder
-	if err := dispatch("disasm", []string{hexFile}, &dis); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{".mode stack", ".mem 6",
-		"PUSH [Switch:SwitchID]", "PUSH [Queue:QueueSize]"} {
-		if !strings.Contains(dis.String(), want) {
-			t.Errorf("disasm missing %q:\n%s", want, dis.String())
+		var dis strings.Builder
+		if err := dispatch("disasm", []string{hexFile}, &dis); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(dis.String(), want) {
+				t.Errorf("%s: disasm missing %q:\n%s", tc.name, want, dis.String())
+			}
 		}
 	}
 }

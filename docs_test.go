@@ -66,12 +66,12 @@ var (
 	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
 )
 
-// TestDocsNameTests holds the prose documents to the test suite: every
-// test or fuzz target a code span outside a fenced block names
-// (`TestSmoke`, `rcp.TestStarRunBudgets`, `go test -run TestX`) is
-// declared by some _test.go file in the module.
-func TestDocsNameTests(t *testing.T) {
-	declared := map[string]bool{}
+// declaredTests maps every test and fuzz target a _test.go file in the
+// module declares to the set of package directories declaring it ("."
+// for the root).
+func declaredTests(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	declared := map[string]map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -90,17 +90,29 @@ func TestDocsNameTests(t *testing.T) {
 			return err
 		}
 		for _, m := range testDecl.FindAllStringSubmatch(string(src), -1) {
-			declared[m[1]] = true
+			if declared[m[1]] == nil {
+				declared[m[1]] = map[string]bool{}
+			}
+			declared[m[1]][filepath.Dir(path)] = true
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return declared
+}
+
+// TestDocsNameTests holds the prose documents to the test suite: every
+// test or fuzz target a code span outside a fenced block names
+// (`TestSmoke`, `rcp.TestStarRunBudgets`, `go test -run TestX`) is
+// declared by some _test.go file in the module.
+func TestDocsNameTests(t *testing.T) {
+	declared := declaredTests(t)
 	scanProse(t, func(doc string, n int, line string) {
 		for _, span := range codeSpan.FindAllString(line, -1) {
 			for _, name := range docTestName.FindAllString(span, -1) {
-				if !declared[name] {
+				if declared[name] == nil {
 					t.Errorf("%s:%d: %s names %s, which no _test.go declares", doc, n, span, name)
 				}
 			}
@@ -142,4 +154,55 @@ func TestDocsNameMakeTargets(t *testing.T) {
 			}
 		}
 	})
+}
+
+var (
+	// makeTestPattern matches a go test -run or -fuzz pattern, quoted
+	// or bare.
+	makeTestPattern = regexp.MustCompile(`-(?:run|fuzz)[= ]('[^']*'|[^\s']+)`)
+	// plainTestName matches one alternative of a pattern that names a
+	// single test or fuzz target, optionally anchored.
+	plainTestName = regexp.MustCompile(`^\^?((?:Test|Fuzz)\w*)\$?$`)
+)
+
+// TestMakefileNamesTests holds the Makefile to the test suite: every
+// alternative of a -run or -fuzz pattern names a test or fuzz target
+// that a _test.go file of a package the same line tests declares.  A
+// pattern that matches nothing makes go test print "no tests to run"
+// and exit 0, so a stale one would quietly empty its step.
+func TestMakefileNamesTests(t *testing.T) {
+	src, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := declaredTests(t)
+	patterns := 0
+	for i, line := range strings.Split(string(src), "\n") {
+		var pkgs []string
+		for _, f := range strings.Fields(line) {
+			if f == "." || strings.HasPrefix(f, "./") {
+				pkgs = append(pkgs, filepath.Clean(f))
+			}
+		}
+		for _, m := range makeTestPattern.FindAllStringSubmatch(line, -1) {
+			patterns++
+			for _, alt := range strings.Split(strings.Trim(m[1], "'"), "|") {
+				name := plainTestName.FindStringSubmatch(alt)
+				if name == nil {
+					t.Errorf("Makefile:%d: %q is not a plain test name", i+1, alt)
+					continue
+				}
+				found := false
+				for _, pkg := range pkgs {
+					found = found || declared[name[1]][pkg]
+				}
+				if !found {
+					t.Errorf("Makefile:%d: %s is declared by no _test.go in %v", i+1, name[1], pkgs)
+				}
+			}
+		}
+	}
+	if patterns == 0 {
+		t.Fatal("found no -run or -fuzz pattern in the Makefile")
+	}
 }

@@ -40,7 +40,7 @@ func (w *spinWatch) reset() {
 }
 
 // observe inspects one forwarded packet; non-flow packets are ignored.
-// Runs in the fixed-function stage just before the ECN comparator.
+// Runs in the fixed-function stage just before the TCPU.
 func (w *spinWatch) observe(s *Switch, pkt *core.Packet) {
 	if pkt.IP.Src != w.src || pkt.IP.Dst != w.dst {
 		return

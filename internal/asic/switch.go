@@ -179,12 +179,6 @@ type Switch struct {
 	mirror ForwardFunc
 	reflex ReflexHook
 
-	// tcpuOff disables TPP execution on this switch (fault injection:
-	// a broken or administratively disabled TCPU).  Packets still
-	// forward; their programs simply do not run here, so hop traces
-	// skip this switch.
-	tcpuOff bool
-
 	// progCache holds this switch's compiled TPPs, keyed on wire bytes
 	// plus the TCPU config the compilation was produced under, so
 	// repeated flows never re-validate an instruction section.  It is
@@ -421,11 +415,6 @@ func (s *Switch) InjectLocal(pkt *core.Packet, out int) bool {
 	return s.ports[out].enqueue(pkt)
 }
 
-// SetTCPUEnabled toggles TPP execution on this switch — the fault
-// injector's per-switch TCPU kill switch.  While disabled, TPP packets
-// forward unmodified (no loads, stores or hop records).
-func (s *Switch) SetTCPUEnabled(v bool) { s.tcpuOff = !v }
-
 // PacketsSwitched returns the cumulative forwarded-packet count.
 func (s *Switch) PacketsSwitched() uint64 { return s.packets }
 
@@ -631,8 +620,8 @@ func (s *Switch) Receive(pkt *core.Packet, port int) {
 // switch's ports that are due now and were reserved before the frame
 // arriving at arr did: the ones that ran ahead of its pipeline stage
 // when the stage was an event of its own, queued on arrival.  The
-// stage reads what they change (queue occupancy for ECN, the TCPU and
-// the tail-drop check, transmit counters, the channel's busy state).
+// stage reads what they change (queue occupancy for the TCPU and the
+// tail-drop check, transmit counters, the channel's busy state).
 //
 //alloc:free
 func (s *Switch) settle(arr netsim.Stamp) {
@@ -811,7 +800,7 @@ func (s *Switch) deliver(pkt *core.Packet, inPort, outPort int) {
 	// "The tiny CPU (TCPU) that processes TPPs is placed just before
 	// the packet is stored in memory."  Non-TPP packets are ignored
 	// by the TCPU.
-	if pkt.TPP != nil && pkt.Eth.Type == core.EtherTypeTPP && !s.tcpuOff {
+	if pkt.TPP != nil && pkt.Eth.Type == core.EtherTypeTPP {
 		if !s.admitTPP(guard.TenantID(pkt.TPP.Tenant)) {
 			// Overload protection: out of tokens, so the program does
 			// not run here.  The packet forwards unmodified with the

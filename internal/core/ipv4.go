@@ -24,8 +24,8 @@ type IPv4 struct {
 	Proto    uint8
 	Src      uint32
 	Dst      uint32
-	// Options holds IP options (e.g. Record Route); its length must
-	// be a multiple of 4 and at most MaxIPv4Options bytes.
+	// Options holds raw IP option bytes; their length must be a
+	// multiple of 4 and at most MaxIPv4Options bytes.
 	Options []byte
 }
 

@@ -51,7 +51,7 @@ func (nopReceiver) Receive(*core.Packet, int) {}
 // queue's backing array with the number of packets sent.
 func TestNICQueueBackingBoundedByOccupancy(t *testing.T) {
 	sim := netsim.New(1)
-	n := NewNIC(0)
+	n := NewNIC()
 	ch := netsim.NewChannel(sim, 100e9, 0, nopReceiver{}, 0)
 	n.Attach(ch)
 	pkt := &core.Packet{Eth: core.Ethernet{Type: core.EtherTypeIPv4}, PadLen: 50}

@@ -52,7 +52,7 @@ func NewHost(sim *netsim.Sim, mac core.MAC, ip uint32) *Host {
 		Sim:      sim,
 		MAC:      mac,
 		IP:       ip,
-		NIC:      NewNIC(0),
+		NIC:      NewNIC(),
 		handlers: make(map[uint16]handler),
 		uidBase:  (mac.Uint64() & 0xFFFFFF) << 40,
 	}

@@ -14,9 +14,6 @@ import (
 	"repro/internal/verify"
 )
 
-// DefaultNICQueue is the transmit queue capacity in packets.
-const DefaultNICQueue = 256
-
 // NIC is a host network interface: a FIFO transmit queue in front of
 // one egress channel.  The NIC is also the trusted edge of the TPP
 // architecture: it seals tenant identities, statically verifies every
@@ -44,18 +41,12 @@ type NIC struct {
 	// Rejected counts TPP packets the static verifier refused to
 	// inject.
 	Rejected uint64
-	// LastVerify is the verification result of the most recent
-	// TPP-bearing Send, for diagnostics and tests.
-	LastVerify verify.Result
 }
 
-// NewNIC builds a NIC with a transmit queue of max packets (0 selects
-// DefaultNICQueue).
-func NewNIC(max int) *NIC {
-	if max <= 0 {
-		max = DefaultNICQueue
-	}
-	return &NIC{max: max}
+// NewNIC builds a NIC with a transmit queue of 256 packets
+// (SetCapacity changes it).
+func NewNIC() *NIC {
+	return &NIC{max: 256}
 }
 
 // Attach wires the NIC to its egress channel.
@@ -110,8 +101,7 @@ func (n *NIC) Send(pkt *core.Packet) bool {
 		// will actually run as.
 		pkt.TPP.Tenant = n.tenant
 		if n.verifier != nil {
-			n.LastVerify = verify.Verify(pkt.TPP, *n.verifier)
-			if !n.LastVerify.OK() {
+			if res := verify.Verify(pkt.TPP, *n.verifier); !res.OK() {
 				n.Rejected++
 				pkt.Recycle()
 				return false

@@ -29,7 +29,7 @@ func lossyPair(sim *netsim.Sim, rate int64) (*Host, *Host, *netsim.Channel) {
 func TestProbeTimeoutReaps(t *testing.T) {
 	sim := netsim.New(1)
 	a, b, up := lossyPair(sim, 8_000_000)
-	up.SetLossModel(netsim.NewBernoulli(1, 5)) // total blackout on the forward path
+	up.SetLossModel(netsim.NewGilbertElliott(0, 0, 1, 1, 5)) // total blackout on the forward path
 	p := NewProber(a)
 
 	var failed, echoed int
@@ -266,7 +266,7 @@ func TestProbeCancel(t *testing.T) {
 func TestLegacyProbeUnchanged(t *testing.T) {
 	sim := netsim.New(1)
 	a, b, up := lossyPair(sim, 8_000_000)
-	up.SetLossModel(netsim.NewBernoulli(1, 9))
+	up.SetLossModel(netsim.NewGilbertElliott(0, 0, 1, 1, 9))
 	p := NewProber(a)
 
 	if !p.Probe(b.MAC, b.IP, probeProg(), func(*core.TPP) { t.Fatal("echo through blackout") }) {

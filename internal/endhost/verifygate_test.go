@@ -38,8 +38,8 @@ func TestNICVerifierGate(t *testing.T) {
 	if a.NIC.Rejected != 1 {
 		t.Fatalf("Rejected = %d", a.NIC.Rejected)
 	}
-	if a.NIC.LastVerify.OK() {
-		t.Fatal("LastVerify reports OK for a rejected program")
+	if verify.Verify(bad, verify.Config{}).OK() {
+		t.Fatal("the verifier reports OK for a rejected program")
 	}
 	sim.Run()
 	if b.Received != 0 {
@@ -53,8 +53,11 @@ func TestNICVerifierGate(t *testing.T) {
 	if !a.Send(tppPacket(good)) {
 		t.Fatal("NIC rejected a verifiable TPP")
 	}
-	if !a.NIC.LastVerify.OK() {
-		t.Fatalf("LastVerify not OK: %v", a.NIC.LastVerify)
+	if a.NIC.Rejected != 1 {
+		t.Fatalf("Rejected = %d after a verifiable TPP", a.NIC.Rejected)
+	}
+	if res := verify.Verify(good, verify.Config{}); !res.OK() {
+		t.Fatalf("the verifier rejects the probe: %v", res)
 	}
 	sim.Run()
 	if b.Received != 1 {
@@ -90,7 +93,8 @@ func TestNICVerifierGate(t *testing.T) {
 		return tpp
 	}
 	if !a.Send(tppPacket(guarded(0))) {
-		t.Fatalf("NIC rejected a STORE behind a guard that never passes: %v", a.NIC.LastVerify)
+		t.Fatalf("NIC rejected a STORE behind a guard that never passes: %v",
+			verify.Verify(guarded(0), verify.Config{}))
 	}
 	if a.Send(tppPacket(guarded(0xffffffff))) {
 		t.Fatal("NIC accepted a STORE to switch statistics behind a passable guard")

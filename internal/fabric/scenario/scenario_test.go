@@ -444,3 +444,49 @@ func TestParseDstMAC(t *testing.T) {
 		}
 	}
 }
+
+// TestParseFaultKinds: every fault kind's name parses back to its kind;
+// the names of deleted kinds, and an empty kind, do not.  Deleted kinds
+// leave gaps in the numbering, and a gap must name itself "unknown",
+// never "", or `kind: ""` would resolve to a deleted kind.
+func TestParseFaultKinds(t *testing.T) {
+	src := func(kind string) string {
+		return "phases:\n  - name: a\n    kind: faults\n    events:\n      - at: 1ms\n        kind: " + kind + "\n        target: x"
+	}
+	kinds := []faults.Kind{
+		faults.LinkDown, faults.LinkUp, faults.LinkBurstyLoss, faults.ClearLoss,
+		faults.Blackhole, faults.ClearBlackhole, faults.SwitchReboot,
+		faults.RogueTenant, faults.LinkGrayDown, faults.LinkGrayUp,
+	}
+	for _, k := range kinds {
+		s, err := scenario.Parse(src(k.String()), nil)
+		if err != nil {
+			t.Fatalf("Parse(kind %s): %v", k, err)
+		}
+		if got := s.Phases[0].Events[0].Kind; got != k {
+			t.Errorf("kind %q parsed as %d, want %d", k.String(), got, k)
+		}
+	}
+	for _, name := range []string{"link-loss", "tcpu-off", "tcpu-on", "clear-rogue", `""`, "unknown"} {
+		if _, err := scenario.Parse(src(name), nil); err == nil || !strings.Contains(err.Error(), "unknown fault kind") {
+			t.Errorf("Parse(kind %s) err = %v, want an unknown fault kind", name, err)
+		}
+	}
+	named := 0
+	for k := range 256 {
+		switch s := faults.Kind(k).String(); s {
+		case "":
+			t.Errorf("Kind(%d).String() is empty", k)
+		case "unknown":
+		default:
+			named++
+		}
+	}
+	if named != len(kinds) {
+		t.Errorf("%d kinds have names, the test knows %d", named, len(kinds))
+	}
+	// The loss probability key went with the kind that read it.
+	if _, err := scenario.Parse(src("link-bursty-loss")+"\n        p: 0.5", nil); err == nil || !strings.Contains(err.Error(), `unknown key "p"`) {
+		t.Errorf("Parse(p: 0.5) err = %v, want an unknown key", err)
+	}
+}

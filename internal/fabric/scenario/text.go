@@ -134,20 +134,21 @@ func decodePhase(n *yamlite.Node) (Phase, error) {
 }
 
 // kindByName maps the faults package's event names back to kinds.
+// Deleted kinds leave gaps in the numbering, so every Kind value is
+// tried; a gap names itself "unknown", which no kind is called.
 func kindByName(name string) (faults.Kind, error) {
-	for k := faults.Kind(0); ; k++ {
-		s := k.String()
-		if s == "unknown" {
-			return 0, fmt.Errorf("unknown fault kind %q", name)
-		}
-		if s == name {
-			return k, nil
+	if name != "unknown" {
+		for k := range 256 {
+			if faults.Kind(k).String() == name {
+				return faults.Kind(k), nil
+			}
 		}
 	}
+	return 0, fmt.Errorf("unknown fault kind %q", name)
 }
 
 func decodeEvent(n *yamlite.Node) (faults.Event, error) {
-	if err := n.CheckKeys("at", "kind", "target", "p",
+	if err := n.CheckKeys("at", "kind", "target",
 		"pgoodbad", "pbadgood", "lossgood", "lossbad",
 		"dstip", "bootdelay", "pps", "dstmac", "dir"); err != nil {
 		return faults.Event{}, fmt.Errorf("scenario: %w", err)
@@ -168,7 +169,7 @@ func decodeEvent(n *yamlite.Node) (faults.Event, error) {
 		key string
 		dst *float64
 	}{
-		{"p", &ev.P}, {"pgoodbad", &ev.PGoodBad}, {"pbadgood", &ev.PBadGood},
+		{"pgoodbad", &ev.PGoodBad}, {"pbadgood", &ev.PBadGood},
 		{"lossgood", &ev.LossGood}, {"lossbad", &ev.LossBad}, {"pps", &ev.PPS},
 	} {
 		if v := n.Get(f.key); v != nil {

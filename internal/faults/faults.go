@@ -2,9 +2,9 @@
 // declarative, timed fault plan applied to a simulated network.  The
 // paper stresses that "TPPs are therefore subject to congestion" and
 // motivates ndb with failure localization; this package supplies the
-// failure axis — link down/up flaps, Bernoulli and Gilbert–Elliott
-// (bursty) frame loss, TCAM blackhole rules, per-switch TCPU kill
-// switches, and hostile-tenant TPP floods — so every end-host
+// failure axis — link down/up flaps and gray (one-way) failures,
+// Gilbert–Elliott (bursty) frame loss, TCAM blackhole rules, switch
+// crash-restarts, and hostile-tenant TPP floods — so every end-host
 // mechanism (probe retry, RCP* degradation, blackhole localization,
 // tenant isolation) can be exercised against a misbehaving network
 // and replayed exactly by seed.
@@ -38,20 +38,20 @@ import (
 // Kind enumerates the injectable faults.
 type Kind uint8
 
-// The fault vocabulary.  LinkUp, ClearLoss, ClearBlackhole and TCPUOn
-// are the recovery counterparts; everything else injects.
+// The fault vocabulary.  LinkUp, ClearLoss, ClearBlackhole and
+// LinkGrayUp are the recovery counterparts; everything else injects.
+// A kind's number is what fault spans carry in A, so deleted kinds
+// leave blank identifiers behind and the rest keep their numbers.
 const (
 	// LinkDown severs every registered channel of the target link:
 	// frames in flight and frames sent while down are dropped.
 	LinkDown Kind = iota
 	// LinkUp restores the target link.
 	LinkUp
-	// LinkLoss installs independent (Bernoulli) frame loss with
-	// probability P on the target link.  P == 1 is a blackout.
-	LinkLoss
+	_
 	// LinkBurstyLoss installs the Gilbert–Elliott two-state bursty
 	// loss model (PGoodBad, PBadGood, LossGood, LossBad) on the
-	// target link.
+	// target link.  LossGood == LossBad == 1 is a blackout.
 	LinkBurstyLoss
 	// ClearLoss removes any loss model from the target link.
 	ClearLoss
@@ -61,11 +61,8 @@ const (
 	// ClearBlackhole removes the drop rule Blackhole installed for
 	// DstIP on the target switch.
 	ClearBlackhole
-	// TCPUOff disables TPP execution on the target switch (packets
-	// still forward; hop traces skip the switch).
-	TCPUOff
-	// TCPUOn re-enables TPP execution on the target switch.
-	TCPUOn
+	_
+	_
 	// SwitchReboot crash-restarts the target switch: queued and
 	// in-pipeline packets drop, scratch SRAM / allocator / learned L2
 	// entries / task scratch are wiped, the boot generation counter at
@@ -81,9 +78,7 @@ const (
 	// forgeries land as whoever the NIC says they are; guarded
 	// switches deny the writes and throttle the flood per-tenant.
 	RogueTenant
-	// ClearRogue stops the generator RogueTenant started on the
-	// target host.
-	ClearRogue
+	_
 	// LinkGrayDown is the unidirectional (gray) failure: only channel
 	// Dir of the registered link goes dark while the reverse direction
 	// keeps delivering.  Gray failures are the nastier real-world kind
@@ -102,23 +97,19 @@ const DefaultBootDelay = netsim.Millisecond
 var kindNames = [...]string{
 	LinkDown:       "link-down",
 	LinkUp:         "link-up",
-	LinkLoss:       "link-loss",
 	LinkBurstyLoss: "link-bursty-loss",
 	ClearLoss:      "clear-loss",
 	Blackhole:      "blackhole",
 	ClearBlackhole: "clear-blackhole",
-	TCPUOff:        "tcpu-off",
-	TCPUOn:         "tcpu-on",
 	SwitchReboot:   "switch-reboot",
 	RogueTenant:    "rogue-tenant",
-	ClearRogue:     "clear-rogue",
 	LinkGrayDown:   "link-gray-down",
 	LinkGrayUp:     "link-gray-up",
 }
 
-// String names the kind.
+// String names the kind; a number no kind holds is "unknown".
 func (k Kind) String() string {
-	if int(k) < len(kindNames) {
+	if int(k) < len(kindNames) && kindNames[k] != "" {
 		return kindNames[k]
 	}
 	return "unknown"
@@ -128,7 +119,7 @@ func (k Kind) String() string {
 // injecting one (selects the span stage).
 func (k Kind) recovers() bool {
 	switch k {
-	case LinkUp, ClearLoss, ClearBlackhole, TCPUOn, ClearRogue, LinkGrayUp:
+	case LinkUp, ClearLoss, ClearBlackhole, LinkGrayUp:
 		return true
 	}
 	return false
@@ -141,11 +132,10 @@ type Event struct {
 	// Kind selects the fault.
 	Kind Kind
 	// Target names a link (RegisterLink) for link kinds, or a switch
-	// (RegisterSwitch) for Blackhole/TCPU kinds.
+	// (RegisterSwitch) for Blackhole and SwitchReboot, or a host
+	// (RegisterHost) for RogueTenant.
 	Target string
 
-	// P is the loss probability for LinkLoss.
-	P float64
 	// PGoodBad, PBadGood, LossGood and LossBad parameterize
 	// LinkBurstyLoss (see netsim.GilbertElliott).
 	PGoodBad, PBadGood, LossGood, LossBad float64
@@ -189,13 +179,6 @@ func Flap(target string, at, downFor netsim.Time) []Event {
 // injected blackhole always wins the TCAM match.
 const blackholePriority = 1 << 20
 
-// Applied records one event the injector has executed, for tests and
-// reports.
-type Applied struct {
-	At    netsim.Time
-	Event Event
-}
-
 // Injector binds target names to simulator objects and schedules
 // plans.  One injector serves one simulation.
 type Injector struct {
@@ -209,18 +192,10 @@ type Injector struct {
 	// ruleIDs remembers the TCAM entry a Blackhole event installed,
 	// keyed by target+destination, so ClearBlackhole can remove it.
 	ruleIDs map[string]uint32
-	// rogues holds the running hostile generator per host target, so
-	// ClearRogue can stop it.
-	rogues map[string]*netsim.Ticker
 
-	// Injected and Recovered count applied events by direction.
-	Injected  uint64
-	Recovered uint64
 	// RogueSent counts forged TPPs the rogue generators handed to
 	// their NICs (whether or not the NIC accepted them).
 	RogueSent uint64
-	// Log lists every applied event in application order.
-	Log []Applied
 }
 
 // NewInjector builds an injector.  The tracer may be nil; when set,
@@ -232,7 +207,6 @@ func NewInjector(sim *netsim.Sim, tracer *obs.Tracer) *Injector {
 		switches: make(map[string]*asic.Switch),
 		hosts:    make(map[string]*endhost.Host),
 		ruleIDs:  make(map[string]uint32),
-		rogues:   make(map[string]*netsim.Ticker),
 	}
 }
 
@@ -246,7 +220,7 @@ func (in *Injector) RegisterLink(name string, chs ...*netsim.Channel) {
 	in.links[name] = append(in.links[name], chs...)
 }
 
-// RegisterSwitch names a switch for Blackhole and TCPU events.
+// RegisterSwitch names a switch for Blackhole and SwitchReboot events.
 func (in *Injector) RegisterSwitch(name string, sw *asic.Switch) {
 	in.switches[name] = sw
 }
@@ -280,7 +254,7 @@ func (in *Injector) Schedule(p Plan) error {
 
 func (in *Injector) validate(ev Event) error {
 	switch ev.Kind {
-	case LinkDown, LinkUp, LinkLoss, LinkBurstyLoss, ClearLoss:
+	case LinkDown, LinkUp, LinkBurstyLoss, ClearLoss:
 		if _, ok := in.links[ev.Target]; !ok {
 			return fmt.Errorf("unknown link %q", ev.Target)
 		}
@@ -293,39 +267,35 @@ func (in *Injector) validate(ev Event) error {
 			return fmt.Errorf("direction %d out of range: link %q has %d channels",
 				ev.Dir, ev.Target, len(chs))
 		}
-	case Blackhole, ClearBlackhole, TCPUOff, TCPUOn, SwitchReboot:
+	case Blackhole, ClearBlackhole, SwitchReboot:
 		if _, ok := in.switches[ev.Target]; !ok {
 			return fmt.Errorf("unknown switch %q", ev.Target)
 		}
 		if ev.BootDelay < 0 {
 			return fmt.Errorf("negative boot delay %v", ev.BootDelay)
 		}
-	case RogueTenant, ClearRogue:
+	case RogueTenant:
 		if _, ok := in.hosts[ev.Target]; !ok {
 			return fmt.Errorf("unknown host %q", ev.Target)
 		}
-		if ev.Kind == RogueTenant && ev.PPS <= 0 {
+		if ev.PPS <= 0 {
 			return fmt.Errorf("rogue PPS = %v, want > 0", ev.PPS)
 		}
 	default:
 		return fmt.Errorf("unknown fault kind %d", ev.Kind)
 	}
+	if ev.Kind != LinkBurstyLoss {
+		return nil
+	}
 	// A slice, not a map: which out-of-range probability gets named in
 	// the error must not depend on map iteration order.
-	probs := []struct {
+	for _, pr := range []struct {
 		name string
 		p    float64
-	}{{"P", ev.P}}
-	if ev.Kind == LinkBurstyLoss {
-		probs = []struct {
-			name string
-			p    float64
-		}{
-			{"PGoodBad", ev.PGoodBad}, {"PBadGood", ev.PBadGood},
-			{"LossGood", ev.LossGood}, {"LossBad", ev.LossBad},
-		}
-	}
-	for _, pr := range probs {
+	}{
+		{"PGoodBad", ev.PGoodBad}, {"PBadGood", ev.PBadGood},
+		{"LossGood", ev.LossGood}, {"LossBad", ev.LossBad},
+	} {
 		if pr.p < 0 || pr.p > 1 {
 			return fmt.Errorf("%s = %v out of [0,1]", pr.name, pr.p)
 		}
@@ -348,10 +318,6 @@ func (in *Injector) apply(ev Event, seed int64) {
 		in.links[ev.Target][ev.Dir].SetUp(false)
 	case LinkGrayUp:
 		in.links[ev.Target][ev.Dir].SetUp(true)
-	case LinkLoss:
-		for j, ch := range in.links[ev.Target] {
-			ch.SetLossModel(netsim.NewBernoulli(ev.P, seed+int64(j)))
-		}
 	case LinkBurstyLoss:
 		for j, ch := range in.links[ev.Target] {
 			ch.SetLossModel(netsim.NewGilbertElliott(
@@ -375,10 +341,6 @@ func (in *Injector) apply(ev Event, seed int64) {
 			_ = sw.TCAM().Remove(id)
 			delete(in.ruleIDs, key)
 		}
-	case TCPUOff:
-		in.switches[ev.Target].SetTCPUEnabled(false)
-	case TCPUOn:
-		in.switches[ev.Target].SetTCPUEnabled(true)
 	case SwitchReboot:
 		delay := ev.BootDelay
 		if delay <= 0 {
@@ -387,19 +349,7 @@ func (in *Injector) apply(ev Event, seed int64) {
 		in.switches[ev.Target].Reboot(delay)
 	case RogueTenant:
 		in.startRogue(ev, seed)
-	case ClearRogue:
-		if tk, ok := in.rogues[ev.Target]; ok {
-			tk.Stop()
-			delete(in.rogues, ev.Target)
-		}
 	}
-
-	if ev.Kind.recovers() {
-		in.Recovered++
-	} else {
-		in.Injected++
-	}
-	in.Log = append(in.Log, Applied{At: in.sim.Now(), Event: ev})
 	in.recordSpan(ev)
 }
 
@@ -412,20 +362,16 @@ func blackholeKey(target string, ip uint32) string {
 const roguePort = 6666
 
 // startRogue arms the hostile generator: a ticker forging one
-// write-TPP per period from the event's seeded rng.  A second
-// RogueTenant event on the same target replaces the running generator
-// rather than stacking a second one.
+// write-TPP per period from the event's seeded rng, for the rest of
+// the run.
 func (in *Injector) startRogue(ev Event, seed int64) {
-	if tk, ok := in.rogues[ev.Target]; ok {
-		tk.Stop()
-	}
 	h := in.hosts[ev.Target]
 	rng := rand.New(rand.NewSource(seed))
 	period := netsim.Time(float64(netsim.Second) / ev.PPS)
 	if period <= 0 {
 		period = 1
 	}
-	in.rogues[ev.Target] = in.sim.Every(in.sim.Now()+period, period, func() {
+	in.sim.Every(in.sim.Now()+period, period, func() {
 		in.RogueSent++
 		h.Send(forgedTPP(h, rng, ev))
 	})

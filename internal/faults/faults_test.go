@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/endhost"
 	"repro/internal/faults"
-	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/topo"
@@ -68,6 +67,20 @@ func (r *rig) pump(from, to netsim.Time) (delivered uint64) {
 	return r.dst.Received - before
 }
 
+// faultSpans counts the injector's span stream by direction: the
+// ledger of applied events.
+func faultSpans(tr *obs.Tracer) (inject, recover int) {
+	for _, ev := range tr.Events() {
+		switch ev.Stage {
+		case obs.StageFaultInject:
+			inject++
+		case obs.StageFaultRecover:
+			recover++
+		}
+	}
+	return inject, recover
+}
+
 func TestLinkFlapStopsAndRestoresTraffic(t *testing.T) {
 	r := newRig(t, faults.Plan{Seed: 1, Events: faults.Flap(
 		"backbone", 40*netsim.Millisecond, 30*netsim.Millisecond)})
@@ -83,8 +96,8 @@ func TestLinkFlapStopsAndRestoresTraffic(t *testing.T) {
 	if got := r.pump(75*netsim.Millisecond, 100*netsim.Millisecond); got != 25 {
 		t.Fatalf("post-recovery delivered %d/25", got)
 	}
-	if r.inj.Injected != 1 || r.inj.Recovered != 1 {
-		t.Fatalf("counters: injected=%d recovered=%d", r.inj.Injected, r.inj.Recovered)
+	if inject, recover := faultSpans(r.tracer); inject != 1 || recover != 1 {
+		t.Fatalf("fault spans: inject=%d recover=%d, want 1/1", inject, recover)
 	}
 }
 
@@ -129,38 +142,6 @@ func TestBlackholeSwallowsOnlyTargetedTraffic(t *testing.T) {
 	}
 }
 
-func TestTCPUToggleThroughPlan(t *testing.T) {
-	r := newRig(t, faults.Plan{Seed: 1, Events: []faults.Event{
-		{At: 20 * netsim.Millisecond, Kind: faults.TCPUOff, Target: "s1"},
-		{At: 60 * netsim.Millisecond, Kind: faults.TCPUOn, Target: "s1"},
-	}})
-	prober := endhost.NewProber(r.src)
-	probe := func(at netsim.Time) *core.TPP {
-		var echoed *core.TPP
-		r.sim.At(at, func() {
-			// One PUSH of the switch id per hop, two hops of memory.
-			tpp := core.NewTPP(core.AddrStack, []core.Instruction{
-				{Op: core.OpPUSH, A: uint16(mem.SwitchBase + mem.SwitchID)},
-			}, 2)
-			prober.Probe(r.dst.MAC, r.dst.IP, tpp, func(e *core.TPP) { echoed = e.Clone() })
-		})
-		r.sim.RunUntil(at + 15*netsim.Millisecond)
-		if echoed == nil {
-			t.Fatalf("probe at %v never echoed", at)
-		}
-		return echoed
-	}
-	if e := probe(10 * netsim.Millisecond); e.Ptr != 8 {
-		t.Fatalf("healthy trace SP = %d, want 8", e.Ptr)
-	}
-	if e := probe(30 * netsim.Millisecond); e.Ptr != 4 {
-		t.Fatalf("TCPU-off trace SP = %d, want 4 (one hop skipped)", e.Ptr)
-	}
-	if e := probe(70 * netsim.Millisecond); e.Ptr != 8 {
-		t.Fatalf("recovered trace SP = %d, want 8", e.Ptr)
-	}
-}
-
 // TestLossEventsReplayBySeed: the same plan and seed produce the
 // identical delivery pattern; a different seed produces a different
 // one (with overwhelming probability at these sample sizes).
@@ -186,7 +167,8 @@ func TestLossEventsReplayBySeed(t *testing.T) {
 
 func TestClearLossRestoresLossless(t *testing.T) {
 	r := newRig(t, faults.Plan{Seed: 3, Events: []faults.Event{
-		{At: 10 * netsim.Millisecond, Kind: faults.LinkLoss, Target: "backbone", P: 1},
+		{At: 10 * netsim.Millisecond, Kind: faults.LinkBurstyLoss, Target: "backbone",
+			LossGood: 1, LossBad: 1},
 		{At: 50 * netsim.Millisecond, Kind: faults.ClearLoss, Target: "backbone"},
 	}})
 	if got := r.pump(15*netsim.Millisecond, 45*netsim.Millisecond); got != 0 {
@@ -202,23 +184,20 @@ func TestFaultSpansInStream(t *testing.T) {
 		"backbone", 10*netsim.Millisecond, 10*netsim.Millisecond)})
 	r.sim.RunUntil(50 * netsim.Millisecond)
 
-	var injects, recovers int
 	for _, ev := range r.tracer.Events() {
 		switch ev.Stage {
 		case obs.StageFaultInject:
-			injects++
-			if faults.Kind(ev.A) != faults.LinkDown {
-				t.Errorf("inject span kind = %v", faults.Kind(ev.A))
+			if faults.Kind(ev.A) != faults.LinkDown || ev.At != int64(10*netsim.Millisecond) {
+				t.Errorf("inject span kind %v at %d, want link-down at 10ms", faults.Kind(ev.A), ev.At)
 			}
 		case obs.StageFaultRecover:
-			recovers++
+			if faults.Kind(ev.A) != faults.LinkUp || ev.At != int64(20*netsim.Millisecond) {
+				t.Errorf("recover span kind %v at %d, want link-up at 20ms", faults.Kind(ev.A), ev.At)
+			}
 		}
 	}
-	if injects != 1 || recovers != 1 {
-		t.Fatalf("fault spans: inject=%d recover=%d, want 1/1", injects, recovers)
-	}
-	if len(r.inj.Log) != 2 {
-		t.Fatalf("applied log has %d entries", len(r.inj.Log))
+	if inject, recover := faultSpans(r.tracer); inject != 1 || recover != 1 {
+		t.Fatalf("fault spans: inject=%d recover=%d, want 1/1", inject, recover)
 	}
 }
 
@@ -231,7 +210,7 @@ func TestScheduleValidation(t *testing.T) {
 	bad := []faults.Plan{
 		{Events: []faults.Event{{Kind: faults.LinkDown, Target: "nope"}}},
 		{Events: []faults.Event{{Kind: faults.Blackhole, Target: "l"}}}, // link, not switch
-		{Events: []faults.Event{{Kind: faults.LinkLoss, Target: "l", P: 1.5}}},
+		{Events: []faults.Event{{Kind: faults.LinkBurstyLoss, Target: "l", LossBad: 1.5}}},
 		{Events: []faults.Event{{Kind: faults.LinkBurstyLoss, Target: "l", PGoodBad: -0.1}}},
 		{Events: []faults.Event{{Kind: faults.Kind(250), Target: "l"}}},
 	}
@@ -242,6 +221,37 @@ func TestScheduleValidation(t *testing.T) {
 	}
 	if sim.Pending() != 0 {
 		t.Fatal("invalid plans left events armed")
+	}
+}
+
+// TestKindNumbersPinned: fault spans carry the kind's number in A, so
+// a kind keeps its number when others are deleted; the numbers a
+// deleted kind held name nothing.
+func TestKindNumbersPinned(t *testing.T) {
+	for _, pin := range []struct {
+		kind faults.Kind
+		num  uint8
+		name string
+	}{
+		{faults.LinkDown, 0, "link-down"},
+		{faults.LinkUp, 1, "link-up"},
+		{2, 2, "unknown"},
+		{faults.LinkBurstyLoss, 3, "link-bursty-loss"},
+		{faults.ClearLoss, 4, "clear-loss"},
+		{faults.Blackhole, 5, "blackhole"},
+		{faults.ClearBlackhole, 6, "clear-blackhole"},
+		{7, 7, "unknown"},
+		{8, 8, "unknown"},
+		{faults.SwitchReboot, 9, "switch-reboot"},
+		{faults.RogueTenant, 10, "rogue-tenant"},
+		{11, 11, "unknown"},
+		{faults.LinkGrayDown, 12, "link-gray-down"},
+		{faults.LinkGrayUp, 13, "link-gray-up"},
+		{14, 14, "unknown"},
+	} {
+		if uint8(pin.kind) != pin.num || pin.kind.String() != pin.name {
+			t.Errorf("kind %d (%q), want %d (%q)", pin.kind, pin.kind, pin.num, pin.name)
+		}
 	}
 }
 

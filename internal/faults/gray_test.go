@@ -53,8 +53,8 @@ func TestGrayFailureIsUnidirectional(t *testing.T) {
 	if got := r.pump(85*netsim.Millisecond, 105*netsim.Millisecond); got != 20 {
 		t.Fatalf("post-recovery delivered %d/20", got)
 	}
-	if r.inj.Injected != 1 || r.inj.Recovered != 1 {
-		t.Fatalf("counters: injected=%d recovered=%d", r.inj.Injected, r.inj.Recovered)
+	if inject, recover := faultSpans(r.tracer); inject != 1 || recover != 1 {
+		t.Fatalf("fault spans: inject=%d recover=%d, want 1/1", inject, recover)
 	}
 }
 

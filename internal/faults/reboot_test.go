@@ -40,8 +40,8 @@ func TestSwitchRebootThroughPlan(t *testing.T) {
 	if got := r.pump(60*netsim.Millisecond, 80*netsim.Millisecond); got != 20 {
 		t.Fatalf("post-boot delivered %d/20", got)
 	}
-	if r.inj.Injected != 1 || r.inj.Recovered != 0 {
-		t.Fatalf("counters: injected=%d recovered=%d", r.inj.Injected, r.inj.Recovered)
+	if inject, recover := faultSpans(r.tracer); inject != 1 || recover != 0 {
+		t.Fatalf("fault spans: inject=%d recover=%d, want 1/0", inject, recover)
 	}
 
 	var sawReboot, sawUp bool

@@ -51,24 +51,30 @@ func (r *rogueRig) schedule(t *testing.T, plan faults.Plan) {
 	}
 }
 
+// The flood starts at the event's At and keeps its rate for the rest
+// of the run: 2000 pps is one forgery every 500µs, the first one
+// period after At.
 func TestRogueTenantFloodsAndClears(t *testing.T) {
 	r := newRogueRig(t)
 	r.schedule(t, faults.Plan{Seed: 11, Events: []faults.Event{
 		{At: 10 * netsim.Millisecond, Kind: faults.RogueTenant, Target: "h0",
 			PPS: 2000, DstMAC: r.dst.MAC, DstIP: r.dst.IP},
-		{At: 30 * netsim.Millisecond, Kind: faults.ClearRogue, Target: "h0"},
 	}})
-	r.sim.RunUntil(35 * netsim.Millisecond)
-	mid := r.inj.RogueSent
-	if mid == 0 {
-		t.Fatal("rogue generator sent nothing")
+	for _, step := range []struct {
+		until netsim.Time
+		sent  uint64
+	}{
+		{10 * netsim.Millisecond, 0},
+		{30 * netsim.Millisecond, 40},
+		{60 * netsim.Millisecond, 100},
+	} {
+		r.sim.RunUntil(step.until)
+		if r.inj.RogueSent != step.sent {
+			t.Fatalf("at %v: rogue sent %d, want %d", step.until, r.inj.RogueSent, step.sent)
+		}
 	}
-	r.sim.RunUntil(60 * netsim.Millisecond)
-	if r.inj.RogueSent != mid {
-		t.Fatalf("generator kept sending after ClearRogue: %d -> %d", mid, r.inj.RogueSent)
-	}
-	if r.inj.Injected != 1 || r.inj.Recovered != 1 {
-		t.Fatalf("counters: injected=%d recovered=%d", r.inj.Injected, r.inj.Recovered)
+	if inject, recover := faultSpans(r.tracer); inject != 1 || recover != 0 {
+		t.Fatalf("fault spans: inject=%d recover=%d, want 1/0", inject, recover)
 	}
 }
 
@@ -135,7 +141,7 @@ func TestRogueValidation(t *testing.T) {
 	bad := []faults.Plan{
 		{Events: []faults.Event{{Kind: faults.RogueTenant, Target: "nope", PPS: 100}}},
 		{Events: []faults.Event{{Kind: faults.RogueTenant, Target: "h"}}}, // PPS 0
-		{Events: []faults.Event{{Kind: faults.ClearRogue, Target: "nope"}}},
+		{Events: []faults.Event{{Kind: faults.RogueTenant, Target: "h", PPS: -5}}},
 	}
 	for i, p := range bad {
 		if err := inj.Schedule(p); err == nil {

@@ -191,7 +191,7 @@ func (c *Channel) CompleteNow() {
 }
 
 // SetLossModel installs an arbitrary loss model (nil restores lossless
-// operation); see Bernoulli and GilbertElliott.
+// operation); see GilbertElliott.
 func (c *Channel) SetLossModel(m LossModel) { c.loss = m }
 
 // SetUp raises or severs the link.  Taking the link down drops every

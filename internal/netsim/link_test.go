@@ -41,7 +41,7 @@ func TestChannelFullLoss(t *testing.T) {
 	s := New(1)
 	k := &sink{sim: s}
 	ch := NewChannel(s, 1_000_000_000, 0, k, 0)
-	ch.SetLossModel(NewBernoulli(1, 3))
+	ch.SetLossModel(NewGilbertElliott(0, 0, 1, 1, 3))
 	for i := 0; i < 50; i++ {
 		at := Time(i) * Millisecond
 		s.At(at, func() { ch.Send(mkPacket(100)) })
@@ -62,7 +62,7 @@ func TestTracelessLossyChannel(t *testing.T) {
 	s := New(1)
 	k := &sink{sim: s}
 	ch := NewChannel(s, 1_000_000_000, Microsecond, k, 0)
-	ch.SetLossModel(NewBernoulli(0.5, 11))
+	ch.SetLossModel(NewGilbertElliott(0, 0, 0.5, 0.5, 11))
 	for i := 0; i < 200; i++ {
 		at := Time(i) * Millisecond
 		s.At(at, func() { ch.Send(mkPacket(64)) })
@@ -158,7 +158,7 @@ func TestChannelDownRecordsSpan(t *testing.T) {
 }
 
 // TestGilbertElliottBurstiness: with a sticky Bad state the model must
-// produce longer loss runs than Bernoulli loss of the same average
+// produce longer loss runs than independent loss of the same average
 // rate, and must replay exactly for a given seed.
 func TestGilbertElliottBurstiness(t *testing.T) {
 	run := func(seed int64) (lostTotal int, maxRun int) {
@@ -186,7 +186,7 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 		t.Fatal("no losses produced")
 	}
 	// Mean bad-state dwell is 1/0.1 = 10 frames; bursts well beyond a
-	// Bernoulli process of the same mean rate must appear.
+	// memoryless process of the same mean rate must appear.
 	if max1 < 5 {
 		t.Fatalf("max loss run = %d, expected bursty (>= 5)", max1)
 	}

@@ -15,40 +15,15 @@ type LossModel interface {
 	Lost() bool
 }
 
-// Bernoulli drops each frame independently with probability P — the
-// memoryless corruption model.
-type Bernoulli struct {
-	p   float64
-	rnd *rand.Rand
-}
-
-// NewBernoulli builds the independent-loss model.  p must lie in the
-// closed interval [0, 1]: p == 1 is the total-blackout case fault
-// injection uses.
-func NewBernoulli(p float64, seed int64) *Bernoulli {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("netsim: loss probability %v out of [0,1]", p))
-	}
-	return &Bernoulli{p: p, rnd: rand.New(rand.NewSource(seed))}
-}
-
-// Lost implements LossModel.
-func (b *Bernoulli) Lost() bool {
-	if b.p <= 0 {
-		return false
-	}
-	if b.p >= 1 {
-		return true
-	}
-	return b.rnd.Float64() < b.p
-}
-
 // GilbertElliott is the classic two-state bursty loss model: the
 // channel flips between a Good and a Bad state with per-frame
 // transition probabilities, and each state drops frames with its own
 // probability.  Long stays in the Bad state produce the loss bursts
-// that Bernoulli loss cannot, which is what makes probe retry (rather
-// than per-interval resampling) necessary at the end host.
+// that independent per-frame loss cannot, which is what makes probe
+// retry (rather than per-interval resampling) necessary at the end
+// host.  With pGoodBad == pBadGood == 0 the channel stays Good, and
+// lossGood == lossBad == p drops each frame independently with
+// probability p; p == 1 is a blackout.
 type GilbertElliott struct {
 	pGoodBad float64 // P(good -> bad) per frame
 	pBadGood float64 // P(bad -> good) per frame

@@ -9,7 +9,7 @@ func TestChannelLossRate(t *testing.T) {
 	s := New(1)
 	k := &sink{sim: s}
 	ch := NewChannel(s, 1_000_000_000, 0, k, 0)
-	ch.SetLossModel(NewBernoulli(0.25, 99))
+	ch.SetLossModel(NewGilbertElliott(0, 0, 0.25, 0.25, 99))
 
 	const frames = 4000
 	sent := 0
@@ -54,17 +54,21 @@ func TestChannelLossValidation(t *testing.T) {
 	ch := NewChannel(s, 1000, 0, &sink{sim: s}, 0)
 	// The closed interval [0, 1] is accepted: p == 1 is the blackout
 	// case fault injection uses.
-	ch.SetLossModel(NewBernoulli(0, 1))
-	ch.SetLossModel(NewBernoulli(1, 1))
+	ch.SetLossModel(NewGilbertElliott(0, 0, 0, 0, 1))
+	ch.SetLossModel(NewGilbertElliott(1, 1, 1, 1, 1))
 	for _, p := range []float64{-0.1, 1.01, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewBernoulli(%v) did not panic", p)
-				}
+		for i := range 4 {
+			probs := [4]float64{}
+			probs[i] = p
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("NewGilbertElliott%v did not panic", probs)
+					}
+				}()
+				ch.SetLossModel(NewGilbertElliott(probs[0], probs[1], probs[2], probs[3], 1))
 			}()
-			ch.SetLossModel(NewBernoulli(p, 1))
-		}()
+		}
 	}
 }
 
@@ -73,7 +77,7 @@ func TestChannelLossDeterminism(t *testing.T) {
 		s := New(1)
 		k := &sink{sim: s}
 		ch := NewChannel(s, 1_000_000_000, 0, k, 0)
-		ch.SetLossModel(NewBernoulli(0.5, 7))
+		ch.SetLossModel(NewGilbertElliott(0, 0, 0.5, 0.5, 7))
 		for i := 0; i < 200; i++ {
 			at := Time(i) * Millisecond
 			s.At(at, func() { ch.Send(mkPacket(10)) })

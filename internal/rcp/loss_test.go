@@ -11,7 +11,7 @@ import (
 // from a source seeded cfg.Seed+100.
 func lossyHarness(cfg Fig2Config, p float64) *Harness {
 	h := NewHarness(len(cfg.FlowStarts), cfg.Seed, cfg.Metrics)
-	h.A.Port(h.APort).Channel().SetLossModel(netsim.NewBernoulli(p, cfg.Seed+100))
+	h.A.Port(h.APort).Channel().SetLossModel(netsim.NewGilbertElliott(0, 0, p, p, cfg.Seed+100))
 	return h
 }
 
