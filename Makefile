@@ -57,7 +57,12 @@ vet:
 # that no non-test code under internal/ or cmd/ imports "sync" or
 # "sync/atomic" (DESIGN §6: one goroutine drives a Sim and everything
 # wired to it, its registry and tracer included, so every word is plain
-# and nothing locks), plus
+# and nothing locks), a check that no non-test code under cmd/,
+# internal/ or examples/ writes a CEXEC [Switch:SwitchID] gate by hand
+# outside the ISA's own packages (core, tcpu, asm, verify),
+# endhost.Gated's file and the Table 1 demonstration in
+# cmd/experiments/tables.go (a gated program is built once, by
+# endhost.Gated, with its mask, id and sentinel words), plus
 # the repository's own analyzers (see
 # tools/analyzers): the determinism suite over the simulation core and
 # the soaks, and the poollife packet-ownership suite over the packages
@@ -79,6 +84,8 @@ lint: vet
 	if [ -n "$$allocs" ]; then echo "SRAM allocated outside internal/fabric and internal/reflex (provision a fabric.Service through the controller):"; echo "$$allocs"; exit 1; fi
 	@locks=$$(grep -rnE '"sync(/atomic)?"' --include=*.go cmd internal | grep -v '_test\.go:'); \
 	if [ -n "$$locks" ]; then echo "sync or sync/atomic imported under internal/ or cmd/ (one goroutine drives a Sim and everything wired to it: keep plain words, DESIGN §6):"; echo "$$locks"; exit 1; fi
+	@gates=$$(grep -rn 'OpCEXEC' --include=*.go cmd internal examples | grep -vE '_test\.go:|^internal/(core|tcpu|asm|verify)/|^internal/endhost/gated\.go:|^cmd/experiments/tables\.go:'); \
+	if [ -n "$$gates" ]; then echo "hand-written CEXEC gate (build the program with endhost.Gated):"; echo "$$gates"; exit 1; fi
 	$(GO) run ./tools/analyzers/cmd/determinismlint $(LINT_PKGS)
 	$(GO) run ./tools/analyzers/cmd/poollifelint $(POOL_PKGS)
 

@@ -160,7 +160,7 @@ func run(topoName string, switches int, load bool, src string, w, metricsW, trac
 	fmt.Fprintf(w, "executed program returned: ptr=%d flags=%#x\n", echoed.Ptr, echoed.Flags)
 	perHop := len(prog.TPP.Ins)
 	if echoed.Mode == core.AddrStack && perHop > 0 {
-		hops := int(echoed.Ptr) / 4 / perHop
+		hops := echoed.Hop(perHop)
 		for h := 0; h < hops; h++ {
 			fmt.Fprintf(w, "hop %d:", h+1)
 			for k := 0; k < perHop; k++ {

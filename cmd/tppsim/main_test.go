@@ -49,6 +49,22 @@ func TestRunDumbbell(t *testing.T) {
 	}
 }
 
+// TestRunClampsHopsToMemory: a stack pointer that claims more frames
+// than packet memory holds (here 16 one-word frames in a two-word
+// memory) prints only the frames memory has, instead of indexing past
+// it.
+func TestRunClampsHopsToMemory(t *testing.T) {
+	var b strings.Builder
+	src := ".mode stack\n.mem 2\n.ptr 64\nLOAD [Switch:SwitchID], [Packet:0]\n"
+	if err := run("line", 2, false, src, &b, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if !strings.Contains(out, "ptr=64") || !strings.Contains(out, "hop 2:") || strings.Contains(out, "hop 3:") {
+		t.Fatalf("want ptr=64 and exactly two hop lines:\n%s", out)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	var b strings.Builder
 	if err := run("ring", 3, false, probe, &b, nil, nil); err == nil {

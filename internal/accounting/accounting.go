@@ -22,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/endhost"
 	"repro/internal/mem"
-	"repro/internal/netsim"
 )
 
 // Protocol selects the update discipline.
@@ -37,27 +36,6 @@ const (
 // DefaultRetries bounds the CSTORE retry loop per Add.
 const DefaultRetries = 16
 
-// Inconclusive-echo backoff.  A sentinel echo means an admission gate
-// throttled the program: the tenant is over its token-bucket share.
-// Retrying at echo pace (one RTT, often well under a refill interval)
-// just burns the next token and storms the gate, so retries instead
-// back off exponentially from backoffBase up to backoffCap, giving the
-// bucket time to refill.
-const (
-	backoffBase = 2 * netsim.Millisecond
-	backoffCap  = 64 * netsim.Millisecond
-)
-
-// backoffDelay returns the pause before the retry that will spend the
-// given remaining budget, doubling per attempt already burned.
-func backoffDelay(budget int) netsim.Time {
-	d := backoffBase
-	for burned := DefaultRetries - budget; burned > 0 && d < backoffCap; burned-- {
-		d *= 2
-	}
-	return min(d, backoffCap)
-}
-
 // Counter is an end-host handle onto a shared SRAM tally reachable
 // through probes toward (dstMAC, dstIP); the counter lives at addr on
 // every switch along the path, gated to one switch by CEXEC.
@@ -71,7 +49,7 @@ type Counter struct {
 	dstIP  uint32
 	proto  Protocol
 
-	// read and write are the counter's two programs, CEXEC gate stamped.
+	// read and write are the counter's two programs (endhost.Gated).
 	read, write *core.TPP
 	// free holds idle operations, reused LIFO.
 	free []*op
@@ -93,8 +71,8 @@ type Counter struct {
 // NewCounter builds a handle for the tally at SRAM address addr on the
 // switch with the given id, along the path toward (dstMAC, dstIP).
 //
-// The read program fetches the value and the switch's boot epoch in one
-// gated TPP:
+// Both programs are built once by endhost.Gated.  The read program
+// fetches the value and the switch's boot epoch in one gated TPP:
 //
 //	CEXEC [Switch:SwitchID], 0xFFFFFFFF, $switchID
 //	LOAD  [addr], [Packet:2]
@@ -105,23 +83,14 @@ type Counter struct {
 // (Atomic), or a blind STORE of [Packet:2] (Racy).
 func NewCounter(prober *endhost.Prober, dstMAC core.MAC, dstIP uint32,
 	switchID uint32, addr mem.Addr, proto Protocol) *Counter {
-	gate := core.Instruction{Op: core.OpCEXEC, A: uint16(mem.SwitchBase + mem.SwitchID), B: 0}
-	read := core.NewTPP(core.AddrStack, []core.Instruction{
-		gate,
-		{Op: core.OpLOAD, A: uint16(addr), B: 2},
-		{Op: core.OpLOAD, A: uint16(mem.SwitchBase + mem.SwitchEpoch), B: 3},
-	}, 4)
+	read := endhost.Gated(switchID, 4,
+		core.Instruction{Op: core.OpLOAD, A: uint16(addr), B: 2},
+		core.Instruction{Op: core.OpLOAD, A: uint16(mem.SwitchBase + mem.SwitchEpoch), B: 3})
 	var write *core.TPP
 	if proto == Atomic {
-		write = core.NewTPP(core.AddrStack, []core.Instruction{
-			gate, {Op: core.OpCSTORE, A: uint16(addr), B: 2}}, 5)
+		write = endhost.Gated(switchID, 5, core.Instruction{Op: core.OpCSTORE, A: uint16(addr), B: 2})
 	} else {
-		write = core.NewTPP(core.AddrStack, []core.Instruction{
-			gate, {Op: core.OpSTORE, A: uint16(addr), B: 2}}, 3)
-	}
-	for _, t := range []*core.TPP{read, write} {
-		t.SetWord(0, 0xFFFFFFFF)
-		t.SetWord(1, switchID)
+		write = endhost.Gated(switchID, 3, core.Instruction{Op: core.OpSTORE, A: uint16(addr), B: 2})
 	}
 	return &Counter{prober: prober, dstMAC: dstMAC, dstIP: dstIP, proto: proto,
 		read: read, write: write}
@@ -203,26 +172,23 @@ func (c *Counter) Poll(fn func(value uint32, delta int64, discont bool)) {
 // switch rebooted (epoch bump) or the value ran backwards.
 func (c *Counter) Discontinuities() uint64 { return c.polls.Rebases }
 
-// send stamps the words of the op's program that vary per send and
-// probes with it.  Result slots start as the sentinel, so an echo that
-// never executed at the gated switch reads as inconclusive.
+// send stamps the operands of a write and probes with the op's program.
+// Result slots hold the sentinel Gated put there — the prober sends a
+// copy, so nothing overwrites them — and an echo that never executed
+// at the gated switch reads as inconclusive.
 //
 //alloc:free
 func (o *op) send() {
 	c := o.c
 	t := c.read
-	switch {
-	case o.phase != addWrite:
-		t.SetWord(2, endhost.Unexecuted)
-		t.SetWord(3, endhost.Unexecuted)
-	case c.proto == Atomic:
+	if o.phase == addWrite {
 		t = c.write
-		t.SetWord(2, o.old)     // cond
-		t.SetWord(3, o.old+o.n) // src
-		t.SetWord(4, endhost.Unexecuted)
-	default:
-		t = c.write
-		t.SetWord(2, o.old+o.n)
+		if c.proto == Atomic {
+			t.SetWord(2, o.old)     // cond
+			t.SetWord(3, o.old+o.n) // src
+		} else {
+			t.SetWord(2, o.old+o.n)
+		}
 	}
 	if _, ok := c.prober.ProbeCfg(c.dstMAC, c.dstIP, t, c.prober.Defaults(), o.onEchoFn, o.reapedFn); !ok {
 		c.release(o)
@@ -252,7 +218,7 @@ func (o *op) onEcho(e *core.TPP) {
 			// caller's next cycle re-reads anyway.
 			c.Inconclusive++
 			if o.budget > 1 {
-				c.prober.After(backoffDelay(o.budget), o.retryFn)
+				c.prober.After(endhost.RetryBackoff(DefaultRetries-o.budget), o.retryFn)
 			} else {
 				c.release(o)
 			}
@@ -290,7 +256,7 @@ func (o *op) onEcho(e *core.TPP) {
 			o.finish(o.old)
 			return
 		}
-		c.prober.After(backoffDelay(o.budget), o.retryFn)
+		c.prober.After(endhost.RetryBackoff(DefaultRetries-o.budget), o.retryFn)
 	case o.old:
 		o.finish(o.old + o.n)
 	default:

@@ -17,13 +17,14 @@ import (
 // cache keys gets no compilation at the NIC or at ingress (Cache.Get
 // returns nil) and runs through Config.Exec: it faults against the
 // device limit at each TCPU it crosses and still forwards to its
-// destination, whose echo carries the fault back.
+// destination, whose echo carries the fault back.  A program refused
+// before its first instruction counts as a fault, never as executed.
 func TestOverlongProgramFaultsAtEveryHop(t *testing.T) {
 	sim := netsim.New(1)
 	reg := obs.NewRegistry()
 	n, src, dst, sws := topo.Line(sim, 3, edge, backbone, topo.Uniform(asic.Config{Metrics: reg}), nil)
-	faults := func(sw *asic.Switch) uint64 {
-		return counterRow(t, reg, fmt.Sprintf("switch/%d/tpp_faults", sw.ID()))
+	row := func(sw *asic.Switch, name string) uint64 {
+		return counterRow(t, reg, fmt.Sprintf("switch/%d/%s", sw.ID(), name))
 	}
 	n.PrimeL2(5 * netsim.Millisecond)
 
@@ -36,8 +37,11 @@ func TestOverlongProgramFaultsAtEveryHop(t *testing.T) {
 		t.Fatalf("over-long probe echo = %+v, want FlagError and an untouched stack pointer", echoed)
 	}
 	for i, sw := range sws {
-		if got := faults(sw); got != 1 {
+		if got := row(sw, "tpp_faults"); got != 1 {
 			t.Errorf("switch %d: tpp_faults = %d, want 1", i, got)
+		}
+		if got := row(sw, "tpps_executed"); got != 0 {
+			t.Errorf("switch %d: tpps_executed = %d, want 0", i, got)
 		}
 	}
 }

@@ -135,7 +135,7 @@ type Switch struct {
 
 	packets       uint64 // packets switched
 	cstores       uint64 // CSTORE commits (compare matched, store applied)
-	tppsExecuted  uint64
+	tppsExecuted  uint64 // programs the TCPU ran (a refused one is only a fault)
 	tppsStripped  uint64
 	tppsRejected  uint64 // stripped by the paranoid verifier
 	tppsThrottled uint64 // forwarded without execution (gate exhausted)
@@ -883,7 +883,11 @@ func (s *Switch) execTPP(pkt *core.Packet, outPort int) {
 	if gv != nil && gv.denies > 0 {
 		pkt.TPP.Flags |= core.FlagAccessFault
 	}
-	s.tppsExecuted++
+	// A program the TCPU refused before its first instruction (too
+	// long, malformed header or operand) is a fault, not an execution.
+	if res.Executed > 0 || res.Fault == nil {
+		s.tppsExecuted++
+	}
 	s.m.tcpuCycles.Observe(uint64(res.Cycles))
 	if res.Fault != nil {
 		s.tppFaults++

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/netsim"
 )
 
 // Unexecuted is the sentinel result slots are pre-filled with before a
@@ -18,6 +19,35 @@ import (
 // 0xFFFFFFFF aliases the sentinel; 32-bit tallies are re-based long
 // before that.)
 const Unexecuted = ^uint32(0)
+
+// Gated builds a program confined to the switch with the given id by
+// the paper's CEXEC [Switch:SwitchID] gate (Table 1): the gate, then
+// body, over words of packet memory.  Word 0 holds the CEXEC mask (the
+// full ID word), word 1 the switch id, and every later word starts as
+// Unexecuted, so a result slot the program never wrote reads as the
+// sentinel.  The caller stamps its operands over the sentinel.
+func Gated(switchID uint32, words int, body ...core.Instruction) *core.TPP {
+	ins := make([]core.Instruction, 0, 1+len(body))
+	ins = append(ins, core.Instruction{Op: core.OpCEXEC, A: uint16(mem.SwitchBase + mem.SwitchID), B: 0})
+	t := core.NewTPP(core.AddrStack, append(ins, body...), words)
+	t.SetWord(0, ^uint32(0))
+	t.SetWord(1, switchID)
+	for w := 2; w < words; w++ {
+		t.SetWord(w, Unexecuted)
+	}
+	return t
+}
+
+// RetryBackoff returns the pause before a gated program's next attempt
+// after n >= 0 inconclusive ones in a row: 2 ms, doubling per attempt,
+// up to 64 ms.  An inconclusive echo usually means an admission gate
+// throttled the program — the tenant is over its token-bucket share —
+// and a retry at echo pace (one RTT, often well under a refill
+// interval) would burn the next token and storm the gate; backing off
+// gives the bucket time to refill.
+func RetryBackoff(n int) netsim.Time {
+	return 2 * netsim.Millisecond << min(n, 5) // 2 ms << 5 = 64 ms
+}
 
 // gatedOverhead is the instruction cost of the gate: the CEXEC switch
 // match plus the atomic [Switch:Epoch] read.
@@ -41,21 +71,12 @@ func GatedChunkProgram(switchID uint32, addrs []mem.Addr, insLimit int) (*core.T
 	if len(addrs) == 0 || len(addrs) > GatedChunkWords(insLimit) {
 		return nil, fmt.Errorf("endhost: %d addresses do not fit a %d-instruction gated chunk", len(addrs), insLimit)
 	}
-	ins := make([]core.Instruction, 0, gatedOverhead+len(addrs))
-	ins = append(ins,
-		core.Instruction{Op: core.OpCEXEC, A: uint16(mem.SwitchBase + mem.SwitchID), B: 0},
-		core.Instruction{Op: core.OpLOAD, A: uint16(mem.SwitchBase + mem.SwitchEpoch), B: 2},
-	)
+	loads := make([]core.Instruction, 0, 1+len(addrs))
+	loads = append(loads, core.Instruction{Op: core.OpLOAD, A: uint16(mem.SwitchBase + mem.SwitchEpoch), B: 2})
 	for i, a := range addrs {
-		ins = append(ins, core.Instruction{Op: core.OpLOAD, A: uint16(a), B: uint16(3 + i)})
+		loads = append(loads, core.Instruction{Op: core.OpLOAD, A: uint16(a), B: uint16(3 + i)})
 	}
-	tpp := core.NewTPP(core.AddrStack, ins, 3+len(addrs))
-	tpp.SetWord(0, 0xFFFFFFFF)
-	tpp.SetWord(1, switchID)
-	for w := 2; w < 3+len(addrs); w++ {
-		tpp.SetWord(w, Unexecuted)
-	}
-	return tpp, nil
+	return Gated(switchID, 3+len(addrs), loads...), nil
 }
 
 // DecodeGatedChunk extracts a gated chunk probe's results from its

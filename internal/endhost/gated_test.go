@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/netsim"
 )
 
 func TestGatedChunkProgramShape(t *testing.T) {
@@ -71,5 +72,32 @@ func TestDecodeGatedChunkAllOrNothing(t *testing.T) {
 	}
 	if _, _, ok := DecodeGatedChunk(tpp, 10); ok {
 		t.Fatal("decoded echo shorter than requested")
+	}
+}
+
+func TestRetryBackoff(t *testing.T) {
+	for n, want := range []netsim.Time{2, 4, 8, 16, 32, 64, 64, 64, 64} {
+		if got := RetryBackoff(n); got != want*netsim.Millisecond {
+			t.Errorf("RetryBackoff(%d) = %v, want %d ms", n, got, want)
+		}
+	}
+}
+
+func TestGatedLayout(t *testing.T) {
+	body := core.Instruction{Op: core.OpSTORE, A: uint16(mem.SRAMBase), B: 2}
+	tpp := Gated(11, 4, body)
+	if len(tpp.Ins) != 2 || tpp.Ins[0].Op != core.OpCEXEC || tpp.Ins[1] != body {
+		t.Fatalf("instructions = %+v", tpp.Ins)
+	}
+	if tpp.Ins[0].A != uint16(mem.SwitchBase+mem.SwitchID) || tpp.Ins[0].B != 0 {
+		t.Fatalf("gate = %+v, want CEXEC [Switch:SwitchID], [Packet:0]", tpp.Ins[0])
+	}
+	if tpp.Mode != core.AddrStack || tpp.Ptr != 0 || tpp.MemWords() != 4 {
+		t.Fatalf("mode %v, ptr %d, %d words", tpp.Mode, tpp.Ptr, tpp.MemWords())
+	}
+	for w, want := range []uint32{0xFFFFFFFF, 11, Unexecuted, Unexecuted} {
+		if got := tpp.Word(w); got != want {
+			t.Errorf("word %d = %#x, want %#x", w, got, want)
+		}
 	}
 }

@@ -45,8 +45,9 @@ type SweepPoint struct {
 // whichever sweeps ran before the crash.
 type Collector struct {
 	cfg     CollectorConfig
-	offsets []int // first bucket index of each chunk
-	sizes   []int // word count of each chunk
+	offsets []int       // first bucket index of each chunk
+	sizes   []int       // word count of each chunk
+	chunks  []*core.TPP // each chunk's program, sent as a copy every sweep
 	poller  *endhost.RegionPoller
 	cum     *obs.Histogram
 
@@ -60,7 +61,8 @@ type Collector struct {
 	Incomplete uint64
 }
 
-// NewCollector builds a collector; chunking is fixed at construction.
+// NewCollector builds a collector; chunking and the chunk programs are
+// fixed at construction.
 func NewCollector(cfg CollectorConfig) *Collector {
 	if cfg.Name == "" {
 		cfg.Name = "collector"
@@ -74,8 +76,17 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	per := endhost.GatedChunkWords(tcpu.DefaultMaxInstructions)
 	for off := 0; off < cfg.Spec.Buckets; off += per {
 		n := min(per, cfg.Spec.Buckets-off)
+		addrs := make([]mem.Addr, n)
+		for j := range addrs {
+			addrs[j] = cfg.Spec.BucketAddr(off + j)
+		}
+		tpp, err := endhost.GatedChunkProgram(cfg.Spec.SwitchID, addrs, tcpu.DefaultMaxInstructions)
+		if err != nil {
+			panic(err) // impossible by construction: 1 <= n <= per
+		}
 		c.offsets = append(c.offsets, off)
 		c.sizes = append(c.sizes, n)
+		c.chunks = append(c.chunks, tpp)
 	}
 	cfg.Metrics.Collect(c.collect)
 	return c
@@ -106,20 +117,8 @@ func (c *Collector) Sweep() bool {
 	if c.inFlight {
 		return false
 	}
-	tpps := make([]*core.TPP, len(c.offsets))
-	for k, off := range c.offsets {
-		addrs := make([]mem.Addr, c.sizes[k])
-		for j := range addrs {
-			addrs[j] = c.cfg.Spec.BucketAddr(off + j)
-		}
-		tpp, err := endhost.GatedChunkProgram(c.cfg.Spec.SwitchID, addrs, tcpu.DefaultMaxInstructions)
-		if err != nil {
-			return false // impossible by construction
-		}
-		tpps[k] = tpp
-	}
 	c.inFlight = true
-	ok := c.cfg.Prober.ProbeGroup(c.cfg.DstMAC, c.cfg.DstIP, tpps, c.fold)
+	ok := c.cfg.Prober.ProbeGroup(c.cfg.DstMAC, c.cfg.DstIP, c.chunks, c.fold)
 	if !ok {
 		c.inFlight = false
 	}

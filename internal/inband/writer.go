@@ -4,15 +4,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/endhost"
 	"repro/internal/mem"
-	"repro/internal/netsim"
 	"repro/internal/obs"
-)
-
-// Writer backoff after an inconclusive echo or a failed send, doubling
-// to a cap — the same shape accounting uses for its CSTORE retries.
-const (
-	writerBackoffBase = 2 * netsim.Millisecond
-	writerBackoffCap  = 64 * netsim.Millisecond
 )
 
 // WriterConfig wires a HistWriter to its switch window.
@@ -36,7 +28,7 @@ type WriterConfig struct {
 //   - shadow[i] mirrors what the writer has confirmed is in SRAM.
 //   - One attempt is outstanding at a time: CEXEC-gated to the home
 //     switch, CSTORE(bucket, cond=shadow[i], src=shadow[i]+1), then a
-//     LOAD of [Switch:Epoch] in the same execution.  The echoed old
+//     LOAD of [Switch:Epoch] in the same execution (prog).  The echoed old
 //     value says exactly what happened: cond means this attempt
 //     applied; cond+1 means a retransmitted twin already applied (the
 //     duplicate is detected, not double-counted); anything else is
@@ -53,8 +45,26 @@ type HistWriter struct {
 	shadow []uint32
 	epochs *endhost.EpochTracker
 
+	// prog is the writer's one increment program: the CEXEC gate to the
+	// home switch, CSTORE(bucket, cond=[Packet:2], src=[Packet:3])
+	// echoing the old value into word 4, and the boot epoch read
+	// atomically in the same execution into word 5 — so the echoed
+	// value and the epoch that interprets it can never straddle a
+	// crash.  An attempt stamps the bucket operand and cond/src; the
+	// prober sends a copy, so words 4 and 5 keep Gated's sentinel.
+	prog *core.TPP
+	// bucket and cond are the attempt in flight; at most one is.
+	bucket   int
+	cond     uint32
 	inFlight bool
-	backoff  netsim.Time
+	// misses counts attempts since the last conclusive echo; it sets
+	// the retry backoff (endhost.RetryBackoff).
+	misses int
+
+	// w.onEcho, w.onAttemptLost and w.pump bound once: a method value
+	// made per send is a heap closure each.
+	onEchoFn       func(*core.TPP)
+	lostFn, pumpFn func()
 
 	// Samples counts Observe calls; Applied counts attempts whose echo
 	// proved this transmission committed; Duplicates counts echoes
@@ -82,7 +92,11 @@ func NewHistWriter(cfg WriterConfig) *HistWriter {
 		want:   make([]uint32, cfg.Spec.Buckets),
 		shadow: make([]uint32, cfg.Spec.Buckets),
 		epochs: endhost.NewEpochTracker(),
+		prog: endhost.Gated(cfg.Spec.SwitchID, 6,
+			core.Instruction{Op: core.OpCSTORE, B: 2},
+			core.Instruction{Op: core.OpLOAD, A: uint16(mem.SwitchBase + mem.SwitchEpoch), B: 5}),
 	}
+	w.onEchoFn, w.lostFn, w.pumpFn = w.onEcho, w.onAttemptLost, w.pump
 	w.epochs.Observe(cfg.Spec.SwitchID, 0)
 	cfg.Metrics.Collect(w.collect)
 	return w
@@ -149,27 +163,14 @@ func (w *HistWriter) pump() {
 		return
 	}
 	w.inFlight = true
-	cond := w.shadow[i]
-	// CEXEC gate, CSTORE(bucket, cond, cond+1) echoing the old value
-	// into word 4, and the boot epoch read atomically in the same
-	// execution into word 5 — so the echoed value and the epoch that
-	// interprets it can never straddle a crash.
-	tpp := core.NewTPP(core.AddrStack, []core.Instruction{
-		{Op: core.OpCEXEC, A: uint16(mem.SwitchBase + mem.SwitchID), B: 0},
-		{Op: core.OpCSTORE, A: uint16(w.cfg.Spec.BucketAddr(i)), B: 2},
-		{Op: core.OpLOAD, A: uint16(mem.SwitchBase + mem.SwitchEpoch), B: 5},
-	}, 6)
-	tpp.SetWord(0, 0xFFFFFFFF)
-	tpp.SetWord(1, w.cfg.Spec.SwitchID)
-	tpp.SetWord(2, cond)
-	tpp.SetWord(3, cond+1)
-	tpp.SetWord(4, endhost.Unexecuted)
-	tpp.SetWord(5, endhost.Unexecuted)
+	w.bucket, w.cond = i, w.shadow[i]
+	w.prog.Ins[1].A = uint16(w.cfg.Spec.BucketAddr(i))
+	w.prog.SetWord(2, w.cond)
+	w.prog.SetWord(3, w.cond+1)
 	// The prober's defaults bound each attempt; a nonzero Timeout with
 	// retries is what makes the duplicate-detection path reachable.
-	_, ok := w.cfg.Prober.ProbeCfg(w.cfg.DstMAC, w.cfg.DstIP, tpp, w.cfg.Prober.Defaults(),
-		func(e *core.TPP) { w.onEcho(i, cond, e) },
-		func() { w.onAttemptLost() })
+	_, ok := w.cfg.Prober.ProbeCfg(w.cfg.DstMAC, w.cfg.DstIP, w.prog, w.cfg.Prober.Defaults(),
+		w.onEchoFn, w.lostFn)
 	if !ok {
 		w.onAttemptLost()
 	}
@@ -181,21 +182,30 @@ func (w *HistWriter) pump() {
 func (w *HistWriter) onAttemptLost() {
 	w.inFlight = false
 	w.Failures++
-	w.cfg.Prober.After(w.nextBackoff(), w.pump)
+	w.retryLater()
 }
 
-func (w *HistWriter) onEcho(i int, cond uint32, e *core.TPP) {
+// retryLater re-offers the pending samples after the backoff for one
+// more miss since the last conclusive echo.
+func (w *HistWriter) retryLater() {
+	d := endhost.RetryBackoff(w.misses)
+	w.misses++
+	w.cfg.Prober.After(d, w.pumpFn)
+}
+
+func (w *HistWriter) onEcho(e *core.TPP) {
 	w.inFlight = false
+	i, cond := w.bucket, w.cond
 	got := e.Word(4)
 	epoch := e.Word(5)
 	if got == endhost.Unexecuted && epoch == endhost.Unexecuted {
 		// Echoed without executing at the home switch (throttled or
 		// stripped): inconclusive, back off and retry the same cond.
 		w.Inconclusive++
-		w.cfg.Prober.After(w.nextBackoff(), w.pump)
+		w.retryLater()
 		return
 	}
-	w.backoff = 0
+	w.misses = 0
 	rebased := w.epochs.Observe(w.cfg.Spec.SwitchID, epoch)
 	if rebased {
 		// The switch crash-restarted since the last conclusive echo:
@@ -234,15 +244,3 @@ func (w *HistWriter) onEcho(i int, cond uint32, e *core.TPP) {
 
 // Rebases counts the epoch changes the writer's echoes revealed.
 func (w *HistWriter) Rebases() uint64 { return w.epochs.Changes }
-
-func (w *HistWriter) nextBackoff() netsim.Time {
-	if w.backoff == 0 {
-		w.backoff = writerBackoffBase
-	} else if w.backoff < writerBackoffCap {
-		w.backoff *= 2
-		if w.backoff > writerBackoffCap {
-			w.backoff = writerBackoffCap
-		}
-	}
-	return w.backoff
-}

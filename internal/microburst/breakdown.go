@@ -25,7 +25,7 @@ func BreakdownProgram(maxHops int) *core.TPP {
 // latencies in microseconds (queue bytes ahead of the packet divided by
 // the drain rate).
 func HopLatencies(t *core.TPP) []float64 {
-	hops := int(t.Ptr) / 4 / 2
+	hops := t.Hop(2)
 	out := make([]float64, 0, hops)
 	for i := 0; i < hops; i++ {
 		q := float64(t.Word(2 * i))

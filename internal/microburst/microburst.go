@@ -47,7 +47,7 @@ func Instrument(pkt *core.Packet, maxHops int) {
 // in the packet to obtain a detailed breakdown of queueing latencies on
 // all network hops").
 func HopQueues(t *core.TPP) []uint32 {
-	hops := int(t.Ptr) / 4
+	hops := t.Hop(1)
 	out := make([]uint32, 0, hops)
 	for i := 0; i < hops; i++ {
 		out = append(out, t.Word(i))

@@ -139,3 +139,18 @@ func TestSamplingDensitySweep(t *testing.T) {
 			points[0].Samples, points[1].Samples, points[3].Samples)
 	}
 }
+
+// TestHopReadersClampToMemory: a stack pointer that claims more frames
+// than packet memory holds yields only the frames memory has.
+func TestHopReadersClampToMemory(t *testing.T) {
+	tel := TelemetryProgram(3)
+	tel.Ptr = 64
+	if got := HopQueues(tel); len(got) != 3 {
+		t.Fatalf("HopQueues: %d hops, want 3", len(got))
+	}
+	bd := BreakdownProgram(2)
+	bd.Ptr = 64
+	if got := HopLatencies(bd); len(got) != 2 {
+		t.Fatalf("HopLatencies: %d hops, want 2", len(got))
+	}
+}

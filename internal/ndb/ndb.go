@@ -56,7 +56,7 @@ type HopRecord struct {
 
 // ParseTrace extracts the journey from a received trace TPP.
 func ParseTrace(t *core.TPP) []HopRecord {
-	hops := int(t.Ptr) / 4 / traceWords
+	hops := t.Hop(traceWords)
 	out := make([]HopRecord, 0, hops)
 	for i := 0; i < hops; i++ {
 		b := i * traceWords

@@ -161,3 +161,14 @@ func TestExperimentDeterminism(t *testing.T) {
 		t.Fatal("same seed produced different results")
 	}
 }
+
+// TestParseTraceClampsToMemory: a stack pointer that claims more hop
+// records than packet memory holds yields only the records memory has.
+func TestParseTraceClampsToMemory(t *testing.T) {
+	tpp := TraceProgram(2)
+	tpp.Ptr = 64 // four 4-word records claimed, two held
+	tpp.SetWord(traceWords, 9)
+	if got := ParseTrace(tpp); len(got) != 2 || got[1].SwitchID != 9 {
+		t.Fatalf("ParseTrace = %+v, want two records, the second from switch 9", got)
+	}
+}

@@ -36,17 +36,12 @@ var (
 // wiped; must re-seed) from one whose register merely reads zero.
 var collectStats = []mem.Addr{addrSwitchID, addrQueue, addrRXUtil, addrRateReg, addrEpoch}
 
-// The controller's three programs never change, so each is assembled
-// once: collectProbe and capacityProbe go to the prober as they are —
-// it sends a copy and keeps no reference — and updateIns is the
-// instruction section of every controller's update TPP (sendUpdate).
+// The controller's two probes never change, so each is assembled once
+// and goes to the prober as it is: it sends a copy and keeps no
+// reference.
 var (
 	collectProbe  = mustCollect(collectStats)
 	capacityProbe = mustCollect([]mem.Addr{addrSwitchID, addrCapacity})
-	updateIns     = []core.Instruction{
-		{Op: core.OpCEXEC, A: uint16(addrSwitchID), B: 0},
-		{Op: core.OpSTORE, A: uint16(addrRateReg), B: 2},
-	}
 )
 
 func mustCollect(stats []mem.Addr) *core.TPP {
@@ -115,8 +110,9 @@ type StarController struct {
 	onCapacitiesFn func(*core.TPP)
 	onMissFn       func()
 
-	// update is this controller's phase-3 program, restamped per update
-	// and sent as a copy; samples is parseCollect's reused output.
+	// update is this controller's phase-3 program (endhost.Gated),
+	// restamped per update with the bottleneck switch and the rate and
+	// sent as a copy; samples is parseCollect's reused output.
 	update  *core.TPP
 	samples []hopSample
 
@@ -153,8 +149,9 @@ func NewStarController(sim *netsim.Sim, host *endhost.Host, prober *endhost.Prob
 		dstMAC: dstMAC, dstIP: dstIP,
 		epochs: endhost.NewEpochTracker(),
 		Flow:   newPacedFlow(sim, host, dstMAC, dstIP, StarDataPort, nil),
-		update: core.NewTPP(core.AddrStack, updateIns, 3),
+		update: endhost.Gated(0, 3, core.Instruction{Op: core.OpSTORE, A: uint16(addrRateReg), B: 2}),
 	}
+	c.update.Ptr = 12 // packet memory is fully pre-initialized
 	c.onCollectFn, c.onCapacitiesFn, c.onMissFn = c.onCollect, c.onCapacities, c.onMiss
 	return c
 }
@@ -338,10 +335,8 @@ func (c *StarController) onCollect(e *core.TPP) {
 //	STORE [Link:RCP-RateRegister], [PacketMemory:2]
 func (c *StarController) sendUpdate(switchID uint32, rate float64) {
 	u := c.update
-	u.SetWord(0, 0xFFFFFFFF) // mask
-	u.SetWord(1, switchID)   // value
+	u.SetWord(1, switchID) // CEXEC value
 	u.SetWord(2, uint32(math.Min(rate, float64(^uint32(0)))))
-	u.Ptr = 12 // packet memory is fully pre-initialized
 
 	// Fire and forget: the update needs no echo, and a lost update is
 	// retried next interval anyway.  The packet carries a copy of u and

@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/asic"
 	"repro/internal/core"
+	"repro/internal/endhost"
 	"repro/internal/fabric"
 	"repro/internal/mem"
 	"repro/internal/netsim"
@@ -332,19 +333,15 @@ func (a *Arm) tick(m *monitor) {
 	a.checkRevert(m, now)
 }
 
-// heartbeat builds the round-trip liveness TPP: CEXEC gates the STORE
-// on [Switch:SwitchID] == this switch, so the sequence number lands in
-// the evidence word only when the packet has returned home — one full
-// traversal of the monitored egress direction.  InjectLocal bypasses
+// heartbeat builds the round-trip liveness TPP with endhost.Gated:
+// CEXEC gates the STORE on [Switch:SwitchID] == this switch, so the
+// sequence number lands in the evidence word only when the packet has
+// returned home — one full traversal of the monitored egress direction.  InjectLocal bypasses
 // the local TCPU on the way out; the reflector routes the packet back.
 func (a *Arm) heartbeat(m *monitor) *core.Packet {
-	t := core.NewTPP(core.AddrStack, []core.Instruction{
-		{Op: core.OpCEXEC, A: uint16(mem.SwitchBase + mem.SwitchID), B: 0},
-		{Op: core.OpSTORE, A: uint16(a.region.Base) + uint16(m.port), B: 2},
-	}, 3)
-	t.SetWord(0, ^uint32(0)) // CEXEC mask: compare the full ID word
-	t.SetWord(1, a.sw.ID())  // CEXEC operand: home switch id
-	t.SetWord(2, m.sent)     // STORE operand: heartbeat sequence
+	t := endhost.Gated(a.sw.ID(), 3,
+		core.Instruction{Op: core.OpSTORE, A: uint16(a.region.Base) + uint16(m.port), B: 2})
+	t.SetWord(2, m.sent) // STORE operand: heartbeat sequence
 	a.uid++
 	pkt := core.NewUDPPacket(
 		core.Ethernet{Dst: m.dstMAC, Src: a.srcMAC(), Type: core.EtherTypeTPP},
