@@ -62,7 +62,13 @@ vet:
 # outside the ISA's own packages (core, tcpu, asm, verify),
 # endhost.Gated's file and the Table 1 demonstration in
 # cmd/experiments/tables.go (a gated program is built once, by
-# endhost.Gated, with its mask, id and sentinel words), plus
+# endhost.Gated, with its mask, id and sentinel words), a check that no
+# non-test code under cmd/, internal/, tools/ or examples/ reads a
+# switch's memory through (Guarded)ViewForTesting outside internal/asic
+# and the cycle and memory-map demonstrations of Tables 1-2 and
+# Figure 5 in cmd/experiments/{tables,figures}.go (a program runs
+# through switches one way: an end-host sends it, as tppsim and
+# endhost.Prober do, and every switch on the path executes it), plus
 # the repository's own analyzers (see
 # tools/analyzers): the determinism suite over the simulation core and
 # the soaks, and the poollife packet-ownership suite over the packages
@@ -86,6 +92,8 @@ lint: vet
 	if [ -n "$$locks" ]; then echo "sync or sync/atomic imported under internal/ or cmd/ (one goroutine drives a Sim and everything wired to it: keep plain words, DESIGN §6):"; echo "$$locks"; exit 1; fi
 	@gates=$$(grep -rn 'OpCEXEC' --include=*.go cmd internal examples | grep -vE '_test\.go:|^internal/(core|tcpu|asm|verify)/|^internal/endhost/gated\.go:|^cmd/experiments/tables\.go:'); \
 	if [ -n "$$gates" ]; then echo "hand-written CEXEC gate (build the program with endhost.Gated):"; echo "$$gates"; exit 1; fi
+	@views=$$(grep -rn 'ViewForTesting(' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/asic/|^cmd/experiments/(tables|figures)\.go:'); \
+	if [ -n "$$views" ]; then echo "switch memory view outside internal/asic (run a program through a switch: tppsim or endhost.Prober):"; echo "$$views"; exit 1; fi
 	$(GO) run ./tools/analyzers/cmd/determinismlint $(LINT_PKGS)
 	$(GO) run ./tools/analyzers/cmd/poollifelint $(POOL_PKGS)
 

@@ -78,10 +78,7 @@ func runRerouteScheme(useReflex bool) (rerouteRow, error) {
 		// ~20 heartbeat periods always in flight.  26 leaves a margin
 		// of ~6 periods, so detection costs ~300us after the echoes
 		// stop.
-		arm, err = reflex.Attach(sim, leaf0, reflex.Config{
-			HeartbeatEvery: 50 * netsim.Microsecond,
-			DeadAfter:      26,
-		})
+		arm, err = reflex.Attach(sim, leaf0, reflex.Config{DeadAfter: 26})
 		if err != nil {
 			return row, err
 		}

@@ -1,5 +1,6 @@
-// Command tppasm assembles, disassembles and dry-runs tiny packet
-// programs.
+// Command tppasm assembles and disassembles tiny packet programs and
+// prints their symbol table.  To run a program through switches, send
+// it with tppsim (-switches 1 for one hop).
 //
 // Usage:
 //
@@ -10,9 +11,6 @@
 //	tppasm disasm [file]          disassemble hex wire format back to
 //	                              assembly; '#' lines, such as asm's
 //	                              own comments, are skipped
-//	tppasm run [file]             assemble, then execute against a
-//	                              standalone switch model, printing the
-//	                              packet memory
 //	tppasm symbols                print the [Namespace:Statistic] symbol
 //	                              table
 package main
@@ -25,19 +23,15 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/asic"
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/netsim"
-	"repro/internal/tcpu"
-	"repro/internal/topo"
 	"repro/internal/verify"
 )
 
 func main() {
 	if len(os.Args) < 2 {
-		fail("usage: tppasm asm|disasm|run|symbols [file]")
+		fail("usage: tppasm asm|disasm|symbols [file]")
 	}
 	if err := dispatch(os.Args[1], os.Args[2:], os.Stdout); err != nil {
 		fail("tppasm: " + err.Error())
@@ -51,8 +45,6 @@ func dispatch(cmd string, args []string, w io.Writer) error {
 		return cmdAsm(args, w)
 	case "disasm":
 		return cmdDisasm(args, w)
-	case "run":
-		return cmdRun(args, w)
 	case "symbols":
 		return cmdSymbols(w)
 	default:
@@ -89,6 +81,12 @@ func cmdAsm(args []string, w io.Writer) error {
 	ports := fs.Int("ports", 0, "device port count for -verify (0: don't check per-port bounds)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *maxIns < 0 {
+		return fmt.Errorf("-max-instructions %d is negative", *maxIns)
+	}
+	if *ports < 0 {
+		return fmt.Errorf("-ports %d is negative", *ports)
 	}
 	args = fs.Args()
 	src, err := readInput(args)
@@ -152,40 +150,6 @@ func cmdDisasm(args []string, w io.Writer) error {
 		return err
 	}
 	fmt.Fprint(w, asm.Disassemble(&tpp))
-	return nil
-}
-
-// cmdRun assembles a program and executes it on one switch of a small
-// line network, so authors can see exactly what each hop writes.
-func cmdRun(args []string, w io.Writer) error {
-	src, err := readInput(args)
-	if err != nil {
-		return err
-	}
-	p, err := asm.Assemble(src)
-	if err != nil {
-		return err
-	}
-	sim := netsim.New(1)
-	n := topo.NewNetwork(sim)
-	sw := n.AddSwitch(asic.Config{ID: 1, Ports: 2, TCPU: tcpu.Config{MaxInstructions: 16}})
-	h := n.AddHost()
-	n.LinkHost(h, sw, topo.Mbps(100, 0))
-	sim.RunUntil(netsim.Millisecond)
-
-	for hop := 1; hop <= 3; hop++ {
-		view := sw.ViewForTesting(nil, 0)
-		res := (tcpu.Config{MaxInstructions: 16}).Exec(p.TPP, view)
-		fmt.Fprintf(w, "hop %d: executed=%d cycles=%d halted=%v", hop, res.Executed, res.Cycles, res.Halted)
-		if res.Fault != nil {
-			fmt.Fprintf(w, " fault=%v", res.Fault)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "ptr=%d flags=%#x\n", p.TPP.Ptr, p.TPP.Flags)
-	for i := 0; i < p.TPP.MemWords(); i++ {
-		fmt.Fprintf(w, "mem[%2d] = 0x%08x (%d)\n", i, p.TPP.Word(i), p.TPP.Word(i))
-	}
 	return nil
 }
 

@@ -52,7 +52,7 @@ func main() {
 	// 5. Interpret the packet memory: the end-host knows the layout it
 	//    allocated.
 	fmt.Println("hop  switch  queue(bytes)")
-	for hop := 0; hop < int(echoed.Ptr)/8; hop++ {
+	for hop := 0; hop < echoed.Hop(2); hop++ {
 		fmt.Printf("%3d  %6d  %12d\n", hop+1, echoed.Word(2*hop), echoed.Word(2*hop+1))
 	}
 }

@@ -20,7 +20,7 @@ func TestCounterRoundTripAllocs(t *testing.T) {
 	if core.PoolDebug {
 		t.Skip("the pooldebug sanitizer formats a call site at every Recycle")
 	}
-	cfg := endhost.ProbeConfig{Timeout: 10 * netsim.Millisecond, Retries: 1, Backoff: 2}
+	cfg := endhost.ProbeConfig{Timeout: 10 * netsim.Millisecond, Retries: 1}
 	const reps = 50
 	// zeroAllocs warms run up (the op, pool blocks, the pending entry and
 	// its timer, L2 learning), checks that it then allocates nothing,

@@ -49,7 +49,7 @@ type Config struct {
 	// executes, as the paper's per-packet cycle budget assumes.
 	TPPRate float64
 	// TPPBurst is the token bucket depth; zero is resolved to
-	// DefaultTPPBurst when TPPRate is set, like the verify limits.
+	// guard.DefaultBurst when TPPRate is set, like the verify limits.
 	TPPBurst int
 
 	// Guard enables the multi-tenant isolation subsystem: per-tenant
@@ -87,13 +87,9 @@ func (c *Config) fill() {
 		c.PipelineLatency = 500 * netsim.Nanosecond
 	}
 	if c.TPPRate > 0 && c.TPPBurst <= 0 {
-		c.TPPBurst = DefaultTPPBurst
+		c.TPPBurst = guard.DefaultBurst
 	}
 }
-
-// DefaultTPPBurst is the admission-gate bucket depth when TPPRate is
-// configured without an explicit burst.
-const DefaultTPPBurst = 8
 
 // The housekeeping period of the utilization meters and L2 aging, and
 // the meters' EWMA gain.
@@ -161,9 +157,9 @@ type Switch struct {
 	reboots     uint64
 	rebootDrops uint64 // packets eaten while down or wiped mid-pipeline
 
-	// TCPU admission gate (token bucket; active when cfg.TPPRate > 0).
-	tppTokens   float64
-	tppRefillAt netsim.Time
+	// TCPU admission gate (active when cfg.TPPRate > 0 and the guard,
+	// with its per-tenant buckets, is off).
+	gate guard.Bucket
 
 	// Tenant guard (nil unless cfg.Guard): the table holds every grant
 	// in force plus the per-tenant admission buckets; tenantDenied
@@ -236,7 +232,7 @@ func New(sim *netsim.Sim, cfg Config) *Switch {
 	}
 	s.bootTimer = sim.NewTimer(s.bootDone)
 	s.progCache = tcpu.NewCache(cfg.TCPU, 0)
-	s.tppTokens = float64(cfg.TPPBurst) // the gate starts full
+	s.gate = guard.FullBucket(cfg.TPPBurst, 0)
 	if cfg.Guard {
 		s.guard = guard.NewTable(s.alloc)
 		s.tenantDenied = make(map[guard.TenantID]uint64)
@@ -498,8 +494,7 @@ func (s *Switch) Reboot(bootDelay netsim.Time) {
 	// them.  Tenant grants survive — they are config, like the TCAM —
 	// and the freshly zeroed SRAM is exactly the blank partition a new
 	// grant would get.
-	s.tppTokens = float64(s.cfg.TPPBurst)
-	s.tppRefillAt = s.sim.Now()
+	s.gate = guard.FullBucket(s.cfg.TPPBurst, s.sim.Now())
 	if s.guard != nil {
 		s.guard.ResetBuckets(s.sim.Now())
 	}
@@ -837,19 +832,8 @@ func (s *Switch) admitTPP(id guard.TenantID) bool {
 	if s.guard != nil {
 		return s.guard.Admit(id, s.sim.Now(), s.cfg.TPPRate)
 	}
-	now := s.sim.Now()
-	if now > s.tppRefillAt {
-		s.tppTokens += (now - s.tppRefillAt).Seconds() * s.cfg.TPPRate
-		if max := float64(s.cfg.TPPBurst); s.tppTokens > max {
-			s.tppTokens = max
-		}
-	}
-	s.tppRefillAt = now
-	if s.tppTokens < 1 {
-		return false
-	}
-	s.tppTokens--
-	return true
+	s.gate.Fill(s.sim.Now(), s.cfg.TPPRate, s.cfg.TPPBurst)
+	return s.gate.Take()
 }
 
 // execTPP runs the packet's program on the TCPU and records the

@@ -194,7 +194,7 @@ func Run(cfg Config) Result {
 	// throttled leaf — the compose-everything stream.
 	streamProber := endhost.NewProber(hosts[0][1])
 	streamCfg := endhost.ProbeConfig{
-		Timeout: 50 * netsim.Millisecond, Retries: 1, Backoff: 2}
+		Timeout: 50 * netsim.Millisecond, Retries: 1}
 	streamProg, err := endhost.CollectProgram(
 		[]mem.Addr{mem.SwitchBase + mem.SwitchID, mem.SwitchBase + mem.SwitchEpoch},
 		4, 5)

@@ -57,7 +57,7 @@ func newTally(writerHost, writerDst, pollerHost, pollerDst *endhost.Host, home *
 	counter := func(from, to *endhost.Host) *accounting.Counter {
 		prober := endhost.NewProber(from)
 		prober.SetDefaults(endhost.ProbeConfig{
-			Timeout: 100 * netsim.Millisecond, Retries: 2, Backoff: 2})
+			Timeout: 100 * netsim.Millisecond, Retries: 2})
 		return accounting.NewCounter(prober, to.MAC, to.IP, home.ID(), addr, accounting.Atomic)
 	}
 	return &tally{writer: counter(writerHost, writerDst), poller: counter(pollerHost, pollerDst)}

@@ -20,20 +20,8 @@ type ProbeConfig struct {
 	Timeout netsim.Time
 	// Retries is how many times a timed-out (or send-dropped) probe
 	// is retransmitted before it is reaped and its failure callback
-	// runs.
+	// runs.  Every retransmission doubles the timeout.
 	Retries int
-	// Backoff scales the timeout after every retransmission; values
-	// below 1 are treated as 1 (constant timeout).  The conventional
-	// choice is 2 (exponential backoff).
-	Backoff float64
-}
-
-func (c ProbeConfig) nextTimeout(cur netsim.Time) netsim.Time {
-	b := c.Backoff
-	if b < 1 {
-		b = 1
-	}
-	return netsim.Time(float64(cur) * b)
 }
 
 // pendingProbe is one outstanding probe's bookkeeping.  Entries live on
@@ -234,7 +222,7 @@ func (pp *pendingProbe) expire() {
 		return
 	}
 	pp.attempt++
-	pp.timeout = pp.cfg.nextTimeout(pp.timeout)
+	pp.timeout *= 2
 	p.Retransmits++
 	// A dropped retransmission is handled like a lost one: the next
 	// deadline fires the next attempt (or the reaper).

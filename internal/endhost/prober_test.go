@@ -68,7 +68,7 @@ func TestProbeRetrySucceedsAfterOutage(t *testing.T) {
 
 	var echoed, failed int
 	p.ProbeCfg(b.MAC, b.IP, probeProg(),
-		ProbeConfig{Timeout: 10 * netsim.Millisecond, Retries: 3, Backoff: 2},
+		ProbeConfig{Timeout: 10 * netsim.Millisecond, Retries: 3},
 		func(*core.TPP) { echoed++ }, func() { failed++ })
 	sim.RunUntil(time100ms)
 
@@ -94,7 +94,7 @@ func TestProbeRetryBackoffExhausts(t *testing.T) {
 
 	var failedAt netsim.Time
 	p.ProbeCfg(b.MAC, b.IP, probeProg(),
-		ProbeConfig{Timeout: 10 * netsim.Millisecond, Retries: 2, Backoff: 2},
+		ProbeConfig{Timeout: 10 * netsim.Millisecond, Retries: 2},
 		func(*core.TPP) { t.Fatal("echo on a dead link") },
 		func() { failedAt = sim.Now() })
 	sim.RunUntil(netsim.Second)
@@ -120,7 +120,7 @@ func TestProbeRetryResendsFreshProgram(t *testing.T) {
 
 	var echo *core.TPP
 	p.ProbeCfg(b.MAC, b.IP, probeProg(),
-		ProbeConfig{Timeout: 10 * netsim.Millisecond, Retries: 2, Backoff: 2},
+		ProbeConfig{Timeout: 10 * netsim.Millisecond, Retries: 2},
 		func(e *core.TPP) { echo = e.Clone() }, nil)
 	sim.RunUntil(time100ms)
 	if echo == nil {
@@ -286,7 +286,7 @@ func TestLegacyProbeUnchanged(t *testing.T) {
 // its echo, Cancel, or Forget — takes the deadline out of the event
 // queue there and then, and neither callback runs afterwards.
 func TestProbeDeadlineGoesWithTheProbe(t *testing.T) {
-	cfg := ProbeConfig{Timeout: 10 * netsim.Millisecond, Retries: 2, Backoff: 2}
+	cfg := ProbeConfig{Timeout: 10 * netsim.Millisecond, Retries: 2}
 	for _, tc := range []struct {
 		name    string
 		echoes  int // echo callbacks expected

@@ -78,7 +78,7 @@ func (r Result) OK() bool {
 }
 
 // Run validates the scenario against env (Validate) and executes its
-// phases in dependency order.  A validation failure is reported before
+// phases in the order written.  A validation failure is reported before
 // any phase runs, as the hard error of the phase that carries it.  A
 // phase's hard error aborts the remaining phases (the partial result
 // still reports everything that ran); assert failures and unconverged
@@ -86,8 +86,7 @@ func (r Result) OK() bool {
 // never a silent drop.
 func Run(env *Env, sc Scenario) Result {
 	res := Result{Name: sc.Name}
-	sc, err := Validate(sc, env)
-	if err != nil {
+	if err := Validate(sc, env); err != nil {
 		pe := err.(*PhaseError)
 		now := env.Sim.Now()
 		res.Phases = []PhaseResult{{Name: pe.Phase, Kind: pe.Kind, Start: now, End: now, Err: pe.Msg}}

@@ -1,7 +1,8 @@
 // Package scenario runs fabric scenarios: provision a spec through the
 // fabric controller, schedule fault plans, start workloads, soak
 // simulated time, assert invariants, and churn the spec under load —
-// with phase dependency ordering and a repeat mode for stress runs.
+// in the order the phases are written, with a repeat mode for stress
+// runs.
 //
 // A scenario is a Go value.  The harness builds the topology, registers
 // its hooks on an Env by name, and lists the phases; fault events,
@@ -25,8 +26,9 @@
 //	res := scenario.Run(env, sc)
 //
 // Run validates the whole value against the Env before the first phase
-// executes (Validate), so an unknown kind, a dependency cycle or a
-// mistyped hook name fails at t=0, not after the soak.  Parse is the
+// executes (Validate), so an unknown kind, a phase that needs one
+// written after it or a mistyped hook name fails at t=0, not after the
+// soak.  Parse is the
 // text edge for scenarios kept in files: it decodes the same structure
 // from a YAML document and returns the same value.
 package scenario
@@ -122,7 +124,8 @@ func RoutingSpec(devs []topo.DeviceRoutes) fabric.Spec {
 type Phase struct {
 	Name string
 	Kind Kind
-	// Needs names the phases that must run first.
+	// Needs names the phases this one depends on; each must be
+	// declared before it, since phases run in the order written.
 	Needs []string
 	// Repeat runs the phase body that many times (0 and 1: once).
 	Repeat int
@@ -159,68 +162,38 @@ func (e *PhaseError) Error() string {
 	return fmt.Sprintf("scenario: phase %q: %s", e.Phase, e.Msg)
 }
 
-// Validate checks every phase against what its kind requires and
-// returns the scenario with its phases in execution order: each phase
-// after every phase it needs, declaration order among the ready, so the
-// schedule is deterministic.  Given the Env the scenario will run in,
-// it also resolves every hook name and requires an injector for faults
-// phases; env is nil when no Env exists yet (Parse).  The error is a
-// *PhaseError.
-func Validate(sc Scenario, env *Env) (Scenario, error) {
+// Validate checks every phase against what its kind requires and that
+// each phase it needs is declared before it: phases run in the order
+// written.  Given the Env the scenario will run in, it also resolves
+// every hook name and requires an injector for faults phases; env is
+// nil when no Env exists yet (Parse).  The error is a *PhaseError.
+func Validate(sc Scenario, env *Env) error {
 	index := make(map[string]int, len(sc.Phases))
 	for i, p := range sc.Phases {
 		if p.Name == "" {
 			p.Name = fmt.Sprintf("#%d", i)
-			return Scenario{}, phaseErr(p, "missing name")
+			return phaseErr(p, "missing name")
 		}
 		if _, dup := index[p.Name]; dup {
-			return Scenario{}, phaseErr(p, "duplicate phase name")
+			return phaseErr(p, "duplicate phase name")
 		}
 		index[p.Name] = i
 		if err := checkPhase(p, env); err != nil {
-			return Scenario{}, err
+			return err
 		}
 	}
-	for _, p := range sc.Phases {
+	for i, p := range sc.Phases {
 		for _, need := range p.Needs {
-			if _, ok := index[need]; !ok {
-				return Scenario{}, phaseErr(p, "needs unknown phase %q", need)
+			j, ok := index[need]
+			if !ok {
+				return phaseErr(p, "needs unknown phase %q", need)
+			}
+			if j >= i {
+				return phaseErr(p, "needs phase %q, which is not declared before it", need)
 			}
 		}
 	}
-
-	done := make([]bool, len(sc.Phases))
-	ordered := make([]Phase, 0, len(sc.Phases))
-	for len(ordered) < len(sc.Phases) {
-		picked := -1
-	scan:
-		for i, p := range sc.Phases {
-			if done[i] {
-				continue
-			}
-			for _, need := range p.Needs {
-				if !done[index[need]] {
-					continue scan
-				}
-			}
-			picked = i
-			break
-		}
-		if picked < 0 {
-			var stuck []string
-			for i, p := range sc.Phases {
-				if !done[i] {
-					stuck = append(stuck, p.Name)
-				}
-			}
-			return Scenario{}, phaseErr(sc.Phases[index[stuck[0]]],
-				"dependency cycle among %s", strings.Join(stuck, ", "))
-		}
-		done[picked] = true
-		ordered = append(ordered, sc.Phases[picked])
-	}
-	sc.Phases = ordered
-	return sc, nil
+	return nil
 }
 
 // checkPhase holds the per-kind requirements.

@@ -40,11 +40,6 @@ spec:
           prio: 10
           port: 0
 phases:
-  # Declared out of dependency order on purpose: needs resolves it.
-  - name: check
-    kind: asserts
-    needs: [heal]
-    hooks: [verified]
   - name: provision
     kind: provision
     budget: 6
@@ -74,6 +69,10 @@ phases:
     budget: 6
     backoff: 5ms
     bound: 500ms
+  - name: check
+    kind: asserts
+    needs: [heal]
+    hooks: [verified]
   - name: reshuffle
     kind: churn
     needs: [check]
@@ -87,7 +86,7 @@ phases:
 var scenarioVars = map[string]string{"victim": "leaf0"}
 
 // typedScenario is scenarioSrc as the Go value a harness builds, in the
-// same (out of dependency order) declaration order.
+// same (execution) order.
 func typedScenario() scenario.Scenario {
 	const ms = netsim.Millisecond
 	return scenario.Scenario{
@@ -102,13 +101,13 @@ func typedScenario() scenario.Scenario {
 			{Device: "spine0", Routes: []fabric.Route{{DstIP: 0x0a000001, Priority: 10, OutPort: 0}}},
 		}},
 		Phases: []scenario.Phase{
-			{Name: "check", Kind: scenario.KindAsserts, Needs: []string{"heal"}, Hooks: []string{"verified"}},
 			{Name: "provision", Kind: scenario.KindProvision, Budget: 6, Backoff: 5 * ms, Bound: 500 * ms},
 			{Name: "storm", Kind: scenario.KindFaults, Needs: []string{"provision"}, Events: []faults.Event{
 				{At: 10 * ms, Kind: faults.SwitchReboot, Target: "leaf0", BootDelay: ms}}},
 			{Name: "work", Kind: scenario.KindWorkloads, Needs: []string{"provision"}, Hooks: []string{"mark"}},
 			{Name: "soak", Kind: scenario.KindRun, Needs: []string{"work", "storm"}, Until: 50 * ms},
 			{Name: "heal", Kind: scenario.KindProvision, Needs: []string{"soak"}, Budget: 6, Backoff: 5 * ms, Bound: 500 * ms},
+			{Name: "check", Kind: scenario.KindAsserts, Needs: []string{"heal"}, Hooks: []string{"verified"}},
 			{Name: "reshuffle", Kind: scenario.KindChurn, Needs: []string{"check"}, Hooks: []string{"shift"},
 				Repeat: 3, Budget: 6, Backoff: 5 * ms, Bound: 500 * ms},
 		},
@@ -178,7 +177,7 @@ func TestScenarioRun(t *testing.T) {
 		t.Fatalf("scenario not OK: aborted=%q failures=%v\n%+v", res.Aborted, res.Failures(), res.Phases)
 	}
 
-	// Dependency order, not declaration order.
+	// The order written.
 	var order []string
 	for _, p := range res.Phases {
 		order = append(order, p.Name)
@@ -233,22 +232,21 @@ func TestScenarioDeterminism(t *testing.T) {
 }
 
 // TestTextAndTypedAgree: the text edge and the typed API cannot drift —
-// Parse of the document and Validate of the hand-built value are the
-// same scenario, and running either on the same rig gives the same
-// result.
+// Parse of the document is the hand-built value, which validates, and
+// running either on the same rig gives the same result.
 func TestTextAndTypedAgree(t *testing.T) {
 	parsed, err := scenario.Parse(scenarioSrc, scenarioVars)
 	if err != nil {
 		t.Fatal(err)
 	}
-	typed, err := scenario.Validate(typedScenario(), nil)
-	if err != nil {
+	typed := typedScenario()
+	if err := scenario.Validate(typed, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(parsed, typed) {
 		t.Fatalf("Parse and the typed value differ:\ntext  %+v\ntyped %+v", parsed, typed)
 	}
-	// Run orders an unvalidated value itself.
+	// Run validates an unvalidated value itself.
 	fromText := scenario.Run(newWorld(1).env, parsed)
 	fromValue := scenario.Run(newWorld(1).env, typedScenario())
 	if !fromText.OK() || !reflect.DeepEqual(fromText, fromValue) {
@@ -265,7 +263,9 @@ func TestTypedValidation(t *testing.T) {
 		name, phase, want string
 		phases            []scenario.Phase
 	}{
-		{name: "cycle", phase: "a", want: "dependency cycle among a, b", phases: []scenario.Phase{
+		// A cycle cannot be written: its first phase needs one declared
+		// after it.
+		{name: "cycle", phase: "a", want: `needs phase "b", which is not declared before it`, phases: []scenario.Phase{
 			soak,
 			{Name: "a", Kind: scenario.KindProvision, Needs: []string{"b"}},
 			{Name: "b", Kind: scenario.KindProvision, Needs: []string{"a"}},
@@ -291,7 +291,7 @@ func TestTypedValidation(t *testing.T) {
 			w := newWorld(1)
 			sc := scenario.Scenario{Name: tc.name, Phases: tc.phases}
 			var pe *scenario.PhaseError
-			if _, err := scenario.Validate(sc, w.env); !errors.As(err, &pe) ||
+			if err := scenario.Validate(sc, w.env); !errors.As(err, &pe) ||
 				pe.Phase != tc.phase || !strings.Contains(pe.Msg, tc.want) {
 				t.Fatalf("Validate err = %v, want phase %q: %q", err, tc.phase, tc.want)
 			}
@@ -409,7 +409,8 @@ func TestScenarioParseErrors(t *testing.T) {
 		{"phases:\n  - name: a\n    kind: bogus", "unknown kind"},
 		{"phases:\n  - name: a\n    kind: run\n    until: 1ms\n  - name: a\n    kind: run\n    until: 2ms", "duplicate phase"},
 		{"phases:\n  - name: a\n    kind: run\n    until: 1ms\n    needs: [ghost]", "unknown phase"},
-		{"phases:\n  - name: a\n    kind: run\n    until: 1ms\n    needs: [b]\n  - name: b\n    kind: run\n    until: 1ms\n    needs: [a]", "cycle"},
+		{"phases:\n  - name: a\n    kind: run\n    until: 1ms\n    needs: [b]\n  - name: b\n    kind: run\n    until: 1ms\n    needs: [a]", "not declared before it"},
+		{"phases:\n  - name: a\n    kind: run\n    until: 1ms\n    needs: [b]\n  - name: b\n    kind: run\n    until: 1ms", "not declared before it"},
 		{"phases:\n  - name: a\n    kind: faults", "no events"},
 		{"phases:\n  - name: a\n    kind: faults\n    events:\n      - at: 1ms\n        kind: switch-bounce\n        target: x", "unknown fault kind"},
 		{"phases:\n  - name: a\n    kind: workloads", "no hooks"},

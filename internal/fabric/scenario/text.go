@@ -15,7 +15,7 @@ import (
 
 // Parse is the text edge: it decodes a scenario kept as a YAML document
 // into the Scenario value a harness would have built in Go, and
-// returns it validated and in execution order (Validate).  "$name"
+// returns it validated (Validate).  "$name"
 // tokens anywhere in the document are substituted from vars first, so
 // one file can be parameterized across seeds and targets.
 //
@@ -60,7 +60,10 @@ func Parse(src string, vars map[string]string) (Scenario, error) {
 		}
 		sc.Phases = append(sc.Phases, p)
 	}
-	return Validate(sc, nil)
+	if err := Validate(sc, nil); err != nil {
+		return Scenario{}, err
+	}
+	return sc, nil
 }
 
 // substitute replaces "$name" tokens, longest names first so "$seed2"

@@ -8,9 +8,43 @@ import (
 	"repro/internal/netsim"
 )
 
-// DefaultBurst is a tenant's token bucket depth when registered without
-// an explicit burst, mirroring the global gate's default.
+// DefaultBurst is the depth of an admission bucket configured without
+// one: a tenant's, and the unguarded switch's one gate.
 const DefaultBurst = 8
+
+// Bucket is an admission token bucket: it fills at a rate up to a
+// depth, and every TPP it admits takes one token.  An unguarded switch
+// keeps one for all its TPPs; a guarded switch keeps one per tenant.
+type Bucket struct {
+	tokens   float64
+	refillAt netsim.Time
+}
+
+// FullBucket returns a bucket holding depth tokens, last filled at now.
+func FullBucket(depth int, now netsim.Time) Bucket {
+	return Bucket{tokens: float64(depth), refillAt: now}
+}
+
+// Fill adds rate tokens per second of the time since the last fill,
+// capped at depth, and moves the fill clock to now.
+func (b *Bucket) Fill(now netsim.Time, rate float64, depth int) {
+	if now > b.refillAt {
+		b.tokens += (now - b.refillAt).Seconds() * rate
+		if max := float64(depth); b.tokens > max {
+			b.tokens = max
+		}
+	}
+	b.refillAt = now
+}
+
+// Take spends one token, or reports false when less than one is left.
+func (b *Bucket) Take() bool {
+	if b.tokens < 1 {
+		return false
+	}
+	b.tokens--
+	return true
+}
 
 // tenantState is one tenant's runtime record: its grant (config) plus
 // the soft state the grant governs — admission bucket and denial
@@ -19,8 +53,7 @@ type tenantState struct {
 	grant Grant
 
 	// Admission token bucket (soft state, refilled on reboot).
-	tokens   float64
-	refillAt netsim.Time
+	bucket Bucket
 
 	// Cumulative accounting, one increment per event so the switch
 	// counter, the metric and the span stream reconcile exactly.
@@ -95,7 +128,7 @@ func (t *Table) Register(id TenantID, acl ACL, words int, weight float64, burst 
 	if int(id) >= len(t.tenants) {
 		t.tenants = append(t.tenants, make([]*tenantState, int(id)+1-len(t.tenants))...)
 	}
-	t.tenants[id] = &tenantState{grant: g, tokens: float64(burst)}
+	t.tenants[id] = &tenantState{grant: g, bucket: FullBucket(burst, 0)}
 	t.weightSum += weight
 	return g, nil
 }
@@ -147,19 +180,11 @@ func (t *Table) Admit(id TenantID, now netsim.Time, rate float64) bool {
 	if st == nil {
 		return false
 	}
-	if now > st.refillAt {
-		share := rate * st.grant.Weight / t.weightSum
-		st.tokens += (now - st.refillAt).Seconds() * share
-		if max := float64(st.grant.Burst); st.tokens > max {
-			st.tokens = max
-		}
-	}
-	st.refillAt = now
-	if st.tokens < 1 {
+	st.bucket.Fill(now, rate*st.grant.Weight/t.weightSum, st.grant.Burst)
+	if !st.bucket.Take() {
 		st.throttled++
 		return false
 	}
-	st.tokens--
 	return true
 }
 
@@ -204,13 +229,12 @@ func (t *Table) Tenants() []TenantID {
 
 // ResetBuckets refills every tenant's bucket and rebases its refill
 // clock — the buckets are switch soft state, so a crash-restart boots
-// them full just like the global gate.  Grants and cumulative denial
+// them full just like the unguarded gate.  Grants and cumulative denial
 // accounting survive: they are config and host-visible history.
 func (t *Table) ResetBuckets(now netsim.Time) {
 	for _, st := range t.tenants {
 		if st != nil {
-			st.tokens = float64(st.grant.Burst)
-			st.refillAt = now
+			st.bucket = FullBucket(st.grant.Burst, now)
 		}
 	}
 }

@@ -165,7 +165,7 @@ func RunHist(cfg HistConfig) HistResult {
 	seal(collHost)
 
 	// Every probe attempt in the scenario is bounded the same way.
-	probe := endhost.ProbeConfig{Timeout: 25 * netsim.Millisecond, Retries: 3, Backoff: 2}
+	probe := endhost.ProbeConfig{Timeout: 25 * netsim.Millisecond, Retries: 3}
 	writerProber := endhost.NewProber(writerHost)
 	writerProber.SetDefaults(probe)
 	writer := NewHistWriter(WriterConfig{
@@ -396,7 +396,7 @@ func RunSpin() SpinResult {
 
 	collProber := endhost.NewProber(client)
 	collProber.SetDefaults(endhost.ProbeConfig{
-		Timeout: 25 * netsim.Millisecond, Retries: 2, Backoff: 2})
+		Timeout: 25 * netsim.Millisecond, Retries: 2})
 	coll := NewCollector(CollectorConfig{
 		Prober: collProber, DstMAC: server.MAC, DstIP: server.IP,
 		Spec:    HistSpec{SwitchID: mid.ID(), Base: window, Buckets: obs.NumBuckets},

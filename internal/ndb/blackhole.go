@@ -135,7 +135,7 @@ func RunBlackhole(cfg BlackholeConfig) BlackholeResult {
 	for sj := range probers {
 		probers[sj] = endhost.NewProber(hosts[0][sj])
 		probers[sj].SetDefaults(endhost.ProbeConfig{
-			Timeout: 5 * netsim.Millisecond, Retries: 2, Backoff: 2,
+			Timeout: 5 * netsim.Millisecond, Retries: 2,
 		})
 	}
 

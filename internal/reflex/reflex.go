@@ -57,41 +57,32 @@ const HeartbeatPort = 7077
 // word per port.
 const evidenceTask = "reflex/evidence"
 
+// heartbeatEvery is the per-monitor heartbeat injection period.
+const heartbeatEvery = 50 * netsim.Microsecond
+
+// revertDwell is the flap damping: the minimum time a detour stands
+// before healthy evidence may revert it, 20 heartbeats.
+const revertDwell = 20 * heartbeatEvery
+
+// budget caps how many detours may stand at once on one switch.
+const budget = 1
+
 // Config tunes one switch's reflex arm.  Zero values take defaults.
 type Config struct {
-	// HeartbeatEvery is the per-monitor heartbeat injection period
-	// (default 50µs).
-	HeartbeatEvery netsim.Time
 	// DeadAfter is the heartbeat lag (sent minus echoed sequence)
 	// beyond which the egress is declared dead (default 4).  It must
 	// exceed the steady-state lag, which is the heartbeat round-trip
-	// divided by HeartbeatEvery, plus the burst of loss the operator
-	// wants ridden out.
+	// divided by the 50µs heartbeat period, plus the burst of loss the
+	// operator wants ridden out.
 	DeadAfter uint32
-	// RevertDwell is the flap damping: the minimum time a detour
-	// stands before healthy evidence may revert it (default 20
-	// heartbeats).
-	RevertDwell netsim.Time
-	// Budget caps how many detours may stand at once on this switch
-	// (default 1).
-	Budget int
 
 	Metrics *obs.Registry
 	Trace   *obs.Tracer
 }
 
 func (c Config) resolve() Config {
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 50 * netsim.Microsecond
-	}
 	if c.DeadAfter == 0 {
 		c.DeadAfter = 4
-	}
-	if c.RevertDwell <= 0 {
-		c.RevertDwell = 20 * c.HeartbeatEvery
-	}
-	if c.Budget <= 0 {
-		c.Budget = 1
 	}
 	return c
 }
@@ -254,8 +245,8 @@ func (a *Arm) Monitor(port int, dstMAC core.MAC, dstIP uint32) error {
 	a.monitors[port] = m
 	// Stagger the first tick by port so co-armed monitors never burst
 	// heartbeats in the same event.
-	start := a.sim.Now() + a.cfg.HeartbeatEvery + netsim.Time(port)*netsim.Microsecond
-	m.ticker = a.sim.Every(start, a.cfg.HeartbeatEvery, func() { a.tick(m) })
+	start := a.sim.Now() + heartbeatEvery + netsim.Time(port)*netsim.Microsecond
+	m.ticker = a.sim.Every(start, heartbeatEvery, func() { a.tick(m) })
 	return nil
 }
 
@@ -403,7 +394,7 @@ func (a *Arm) Transit(pkt *core.Packet, out int) int {
 // (controller, operator) touched the route since we last looked — the
 // reflex stands down (stale) rather than overwrite unseen state.
 func (a *Arm) fire(b *backup, uid uint64, now netsim.Time) int {
-	if a.active >= a.cfg.Budget {
+	if a.active >= budget {
 		a.budgetRefused++
 		a.span(uid, obs.StageReflexStale, uint64(b.entryID), 2)
 		return b.primaryPort
@@ -431,7 +422,7 @@ func (a *Arm) checkRevert(m *monitor, now netsim.Time) {
 		if b.primaryPort != m.port || b.state != stateDetoured {
 			continue
 		}
-		if now-b.since < a.cfg.RevertDwell {
+		if now-b.since < revertDwell {
 			continue
 		}
 		if err := a.sw.TCAM().UpdateIfVersion(b.entryID, b.version, tcam.Action{OutPort: b.primaryPort}); err != nil {

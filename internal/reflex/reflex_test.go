@@ -33,18 +33,8 @@ type rig struct {
 	primaryEntry uint32 // leaf 0's band entry steering h10 via port 0
 }
 
-const (
-	hbEvery = 50 * netsim.Microsecond
-	dwell   = netsim.Millisecond
-)
-
 func baseConfig(tr *obs.Tracer) reflex.Config {
-	return reflex.Config{
-		HeartbeatEvery: hbEvery,
-		DeadAfter:      4,
-		RevertDwell:    dwell,
-		Trace:          tr,
-	}
+	return reflex.Config{DeadAfter: 4, Trace: tr}
 }
 
 func newRig(t *testing.T, cfg reflex.Config) *rig {
@@ -265,11 +255,11 @@ func TestCASRaceStandsDown(t *testing.T) {
 	}
 }
 
-// The per-switch budget bounds the blast radius: with Budget 1, a
-// second authorized prefix on the same dead egress is refused.
+// The per-switch budget bounds the blast radius: one detour stands at
+// a time, so a second authorized prefix on the same dead egress is
+// refused.
 func TestBudgetBoundsBlastRadius(t *testing.T) {
 	cfg := baseConfig(nil)
-	cfg.Budget = 1
 	cfg.Metrics = obs.NewRegistry()
 	r := newRig(t, cfg)
 	if err := r.arm.Authorize("h11-via-spine1", r.h11.IP, 0, 1); err != nil {
@@ -279,7 +269,7 @@ func TestBudgetBoundsBlastRadius(t *testing.T) {
 	r.sim.RunUntil(3 * netsim.Millisecond)
 
 	if r.arm.Fires() != 1 {
-		t.Fatalf("fires=%d, want exactly 1 under Budget 1", r.arm.Fires())
+		t.Fatalf("fires=%d, want exactly 1 under a budget of 1", r.arm.Fires())
 	}
 	row := fmt.Sprintf("switch/%d/reflex_budget_refused", r.leaf[0].ID())
 	if m, ok := cfg.Metrics.Snapshot(0).Get(row); !ok || m.Value == 0 {
