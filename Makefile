@@ -19,7 +19,7 @@ LINT_PKGS = ./internal/netsim ./internal/asic ./internal/tcpu ./internal/faults 
 # recycle-after-shallow-copy, kept-echo) gates them.
 POOL_PKGS = ./internal/core ./internal/netsim ./internal/asic ./internal/endhost ./internal/inband \
 	./internal/fabric ./internal/reflex ./internal/rcp \
-	./internal/ndb ./internal/accounting ./internal/chaos ./cmd/experiments ./cmd/tppsim ./examples/quickstart
+	./internal/ndb ./internal/accounting ./internal/chaos ./cmd/experiments ./cmd/tppsim
 
 # Packages with //alloc:free hot-path annotations; the escape gate
 # pins them against ALLOCGATE.json.
@@ -57,16 +57,15 @@ vet:
 # that no non-test code under internal/ or cmd/ imports "sync" or
 # "sync/atomic" (DESIGN §6: one goroutine drives a Sim and everything
 # wired to it, its registry and tracer included, so every word is plain
-# and nothing locks), a check that no non-test code under cmd/,
-# internal/ or examples/ writes a CEXEC [Switch:SwitchID] gate by hand
-# outside the ISA's own packages (core, tcpu, asm, verify),
-# endhost.Gated's file and the Table 1 demonstration in
-# cmd/experiments/tables.go (a gated program is built once, by
-# endhost.Gated, with its mask, id and sentinel words), a check that no
-# non-test code under cmd/, internal/, tools/ or examples/ reads a
-# switch's memory through (Guarded)ViewForTesting outside internal/asic
-# and the cycle and memory-map demonstrations of Tables 1-2 and
-# Figure 5 in cmd/experiments/{tables,figures}.go (a program runs
+# and nothing locks), a check that no non-test code under cmd/ or
+# internal/ writes a CEXEC [Switch:SwitchID] gate by hand outside the
+# ISA's own packages (core, tcpu, asm, verify), endhost.Gated's file and
+# the Table 1 demonstration in cmd/experiments/tables.go (a gated
+# program is built once, by endhost.Gated, with its mask, id and
+# sentinel words), a check that no non-test code under cmd/, internal/
+# or tools/ reads a switch's memory through (Guarded)ViewForTesting
+# outside internal/asic and the cycle and memory-map demonstrations of
+# Tables 1-2 and Figure 5 in cmd/experiments/{tables,figures}.go (a program runs
 # through switches one way: an end-host sends it, as tppsim and
 # endhost.Prober do, and every switch on the path executes it), plus
 # the repository's own analyzers (see
@@ -74,25 +73,25 @@ vet:
 # the soaks, and the poollife packet-ownership suite over the packages
 # that handle pooled packets or take probe echoes.
 lint: vet
-	@unformatted=$$(gofmt -l cmd internal tools bench examples *.go); \
+	@unformatted=$$(gofmt -l cmd internal tools bench *.go); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
-	@wired=$$(grep -rnE 'LinkSwitches\(|"(leaf|spine)%d' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/topo/'); \
+	@wired=$$(grep -rnE 'LinkSwitches\(|"(leaf|spine)%d' --include=*.go cmd internal tools | grep -vE '_test\.go:|^internal/topo/'); \
 	if [ -n "$$wired" ]; then echo "hand-wired topology outside internal/topo:"; echo "$$wired"; exit 1; fi
-	@twins=$$(grep -rnE 'obs\.Counter|\.Counter\(' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/obs/'); \
+	@twins=$$(grep -rnE 'obs\.Counter|\.Counter\(' --include=*.go cmd internal tools | grep -vE '_test\.go:|^internal/obs/'); \
 	if [ -n "$$twins" ]; then echo "counter handle outside internal/obs (keep the count as the owner's word and name it in a collect method):"; echo "$$twins"; exit 1; fi
-	@isa=$$(grep -rnE 'case core\.Op' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/core/|^internal/tcpu/tcpu\.go:'); \
+	@isa=$$(grep -rnE 'case core\.Op' --include=*.go cmd internal tools | grep -vE '_test\.go:|^internal/core/|^internal/tcpu/tcpu\.go:'); \
 	if [ -n "$$isa" ]; then echo "opcode switch outside internal/core and internal/tcpu/tcpu.go (read core.Opcode.Info instead):"; echo "$$isa"; exit 1; fi
-	@stats=$$(grep -rnE 'case mem\.(Switch|Port|Queue|Packet)[A-Za-z0-9]*[:,]' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/mem/|^internal/asic/view\.go:'); \
+	@stats=$$(grep -rnE 'case mem\.(Switch|Port|Queue|Packet)[A-Za-z0-9]*[:,]' --include=*.go cmd internal tools | grep -vE '_test\.go:|^internal/mem/|^internal/asic/view\.go:'); \
 	if [ -n "$$stats" ]; then echo "per-statistic switch outside internal/mem and internal/asic/view.go (ask mem.Readable, mem.StoreFault or mem.Symbols instead):"; echo "$$stats"; exit 1; fi
 	@pools=$$(grep -rnE 'sync\.Pool|\.ClonePooled\(\)' --include=*.go cmd internal | grep -v '_test\.go:'); \
 	if [ -n "$$pools" ]; then echo "sync.Pool or ClonePooled() under internal/ or cmd/ (draw from the Sim's pool: sim.Pool().Clone / NewUDP, Host.NewPacketPooled):"; echo "$$pools"; exit 1; fi
-	@allocs=$$(grep -rnE 'Allocator\(\)\.Alloc\(' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/fabric/|^internal/reflex/'); \
+	@allocs=$$(grep -rnE 'Allocator\(\)\.Alloc\(' --include=*.go cmd internal tools | grep -vE '_test\.go:|^internal/fabric/|^internal/reflex/'); \
 	if [ -n "$$allocs" ]; then echo "SRAM allocated outside internal/fabric and internal/reflex (provision a fabric.Service through the controller):"; echo "$$allocs"; exit 1; fi
 	@locks=$$(grep -rnE '"sync(/atomic)?"' --include=*.go cmd internal | grep -v '_test\.go:'); \
 	if [ -n "$$locks" ]; then echo "sync or sync/atomic imported under internal/ or cmd/ (one goroutine drives a Sim and everything wired to it: keep plain words, DESIGN §6):"; echo "$$locks"; exit 1; fi
-	@gates=$$(grep -rn 'OpCEXEC' --include=*.go cmd internal examples | grep -vE '_test\.go:|^internal/(core|tcpu|asm|verify)/|^internal/endhost/gated\.go:|^cmd/experiments/tables\.go:'); \
+	@gates=$$(grep -rn 'OpCEXEC' --include=*.go cmd internal | grep -vE '_test\.go:|^internal/(core|tcpu|asm|verify)/|^internal/endhost/gated\.go:|^cmd/experiments/tables\.go:'); \
 	if [ -n "$$gates" ]; then echo "hand-written CEXEC gate (build the program with endhost.Gated):"; echo "$$gates"; exit 1; fi
-	@views=$$(grep -rn 'ViewForTesting(' --include=*.go cmd internal tools examples | grep -vE '_test\.go:|^internal/asic/|^cmd/experiments/(tables|figures)\.go:'); \
+	@views=$$(grep -rn 'ViewForTesting(' --include=*.go cmd internal tools | grep -vE '_test\.go:|^internal/asic/|^cmd/experiments/(tables|figures)\.go:'); \
 	if [ -n "$$views" ]; then echo "switch memory view outside internal/asic (run a program through a switch: tppsim or endhost.Prober):"; echo "$$views"; exit 1; fi
 	$(GO) run ./tools/analyzers/cmd/determinismlint $(LINT_PKGS)
 	$(GO) run ./tools/analyzers/cmd/poollifelint $(POOL_PKGS)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+
 	"repro/internal/ndb"
 	"repro/internal/trace"
 )
@@ -8,7 +10,7 @@ import (
 // runBlackhole reproduces the ndb-style blackhole hunt: a leaf-spine
 // fabric link silently dies, end-host TPP hop traces localize it by
 // set subtraction, and probe retry/recovery carries the sweep through
-// the outage.
+// the outage.  A hunt that does not localize the link fails the run.
 func runBlackhole(out *output) error {
 	cfg := ndb.DefaultBlackholeConfig()
 	cfg.Trace = out.tracer
@@ -46,5 +48,8 @@ func runBlackhole(out *output) error {
 	c.Row("probes_echoed", res.Echoed)
 	c.Row("probes_timed_out", res.TimedOut)
 	c.Row("retransmits", res.Retransmits)
+	if !res.Localized {
+		return fmt.Errorf("blackhole not localized: suspects %v", res.Suspects)
+	}
 	return nil
 }

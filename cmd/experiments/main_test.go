@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -144,6 +145,41 @@ func TestExperimentNamesUniqueAndDescribed(t *testing.T) {
 		seen[e.name] = true
 		if e.about == "" || e.fn == nil {
 			t.Errorf("experiment %q incomplete", e.name)
+		}
+	}
+}
+
+// docExperiment matches a command line of this tool in a document, in
+// a code span or after ./cmd/: flags with their values, then the
+// experiment's name, or several names joined by '|'.
+var docExperiment = regexp.MustCompile("(?:`|cmd/)experiments(?: -[a-z]+ \\S+)* ([a-z0-9]+(?:\\|[a-z0-9]+)*)")
+
+// TestDocsNameExperiments holds README.md and EXPERIMENTS.md to the
+// table: every `experiments <name>` they show names an experiment, or
+// all.
+func TestDocsNameExperiments(t *testing.T) {
+	known := map[string]bool{"all": true}
+	for _, e := range experiments {
+		known[e.name] = true
+	}
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := 0
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range docExperiment.FindAllStringSubmatch(line, -1) {
+				for _, name := range strings.Split(m[1], "|") {
+					found++
+					if !known[name] {
+						t.Errorf("%s:%d: %q names no experiment", doc, i+1, m[0])
+					}
+				}
+			}
+		}
+		if found == 0 {
+			t.Errorf("%s shows no experiments command", doc)
 		}
 	}
 }

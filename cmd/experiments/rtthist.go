@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+
 	"repro/internal/inband"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -11,7 +13,8 @@ import (
 // a collector sweeps the window with gated chunk TPPs, and the spine
 // crash-restarts mid-run.  The table compares the dataplane-collected
 // distribution against host-side ground truth and shows the exact
-// CSTORE/sweep reconciliation across the wipe.
+// CSTORE/sweep reconciliation across the wipe; a claim it prints false
+// fails the run.
 func runRTTHist(out *output) error {
 	cfg := inband.DefaultHist(1)
 	res := inband.RunHist(cfg)
@@ -54,6 +57,17 @@ func runRTTHist(out *output) error {
 		}
 		c.Row(obs.BucketLow(i), obs.BucketHigh(i),
 			res.Truth[i], res.Current[i], res.Cumulative[i], res.CapturedAtWipe[i])
+	}
+
+	switch {
+	case !match:
+		return fmt.Errorf("dataplane histogram differs from host ground truth")
+	case uint64(res.CommitMetric) != res.SwitchCommits || uint64(res.CommitSpans) != res.SwitchCommits:
+		return fmt.Errorf("commits(%d), metric(%d) and spans(%d) disagree",
+			res.SwitchCommits, res.CommitMetric, res.CommitSpans)
+	case res.CurrentTotal+res.CapturedTotal != res.SwitchCommits:
+		return fmt.Errorf("current(%d) + wiped(%d) != commits(%d)",
+			res.CurrentTotal, res.CapturedTotal, res.SwitchCommits)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+
 	"repro/internal/inband"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -12,7 +14,7 @@ import (
 // collector sweeps the inferred histogram out of SRAM.  The table
 // compares the observer's distribution against the client's own
 // flip-interval measurements — with zero end-host instrumentation on
-// the measured path.
+// the measured path.  A claim it prints false fails the run.
 func runSpinBit(out *output) error {
 	res := inband.RunSpin()
 
@@ -48,6 +50,14 @@ func runSpinBit(out *output) error {
 		}
 		c.Row(obs.BucketLow(i), obs.BucketHigh(i),
 			res.Truth[i], res.Current[i], res.Cumulative[i])
+	}
+
+	switch {
+	case !match:
+		return fmt.Errorf("observer histogram differs from the client's ground truth")
+	case uint64(res.EdgesMetric) != res.Edges || uint64(res.EdgeSpans) != res.Edges:
+		return fmt.Errorf("edges(%d), metric(%d) and spans(%d) disagree",
+			res.Edges, res.EdgesMetric, res.EdgeSpans)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -52,7 +53,8 @@ func runMicroburst(out *output) error {
 
 // runNdb reproduces the §2.3 debugger: TPP traces verify forwarding
 // against controller intent and catch an injected stale rule, at zero
-// extra packets versus the copy-based baseline.
+// extra packets versus the copy-based baseline.  Journeys that disagree
+// with the baseline fail the run.
 func runNdb(out *output) error {
 	res := ndb.Run(ndb.Config{Metrics: out.metrics, Trace: out.tracer})
 
@@ -82,6 +84,9 @@ func runNdb(out *output) error {
 	c.Row("tpp_inband_bytes", res.TPPInBandBytes)
 	c.Row("baseline_copies", res.BaselineCopies)
 	c.Row("baseline_copy_bytes", res.BaselineCopyBytes)
+	if !res.JourneysAgree {
+		return fmt.Errorf("TPP journeys disagree with the packet-copy baseline")
+	}
 	return nil
 }
 

@@ -167,3 +167,31 @@ func TestCmdAsmVerifyDeviceLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestRCPStarExampleMatchesREADME assembles the README's RCP* update
+// as its `tppasm asm rcpstar.tpp` line does: the transcript the README
+// shows is what asm prints, byte for byte.
+func TestRCPStarExampleMatchesREADME(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	between := func(from, to string) string {
+		_, rest, ok := strings.Cut(string(readme), from)
+		if !ok {
+			t.Fatalf("README has no %q", from)
+		}
+		body, _, _ := strings.Cut(rest, to)
+		return body
+	}
+	src := between("$ cat > rcpstar.tpp <<'EOF'\n", "EOF\n")
+	shown := between("$ go run ./cmd/tppasm asm rcpstar.tpp\n", "```")
+
+	var b strings.Builder
+	if err := dispatch("asm", []string{writeTemp(t, src)}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != shown {
+		t.Errorf("tppasm asm prints:\n%s\nREADME shows:\n%s", b.String(), shown)
+	}
+}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -227,5 +228,38 @@ func TestExportSpansAnnouncesOverflow(t *testing.T) {
 
 	if _, stderr, reg := export(8, 6); stderr != "" || reg.Gauge("obs/spans_dropped").Value() != 0 {
 		t.Fatalf("whole log announced a loss: %q", stderr)
+	}
+}
+
+// TestQuickStartMatchesREADME runs the README's quick-start program as
+// its `tppsim -load probe.tpp` line does (a 3-switch line behind a
+// burst): the transcript the README shows, up to its "...", opens what
+// tppsim prints.
+func TestQuickStartMatchesREADME(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	between := func(from, to string) string {
+		_, rest, ok := strings.Cut(string(readme), from)
+		if !ok {
+			t.Fatalf("README has no %q", from)
+		}
+		body, _, _ := strings.Cut(rest, to)
+		return body
+	}
+	src := between("$ cat > probe.tpp <<'EOF'\n", "EOF\n")
+	shown := between("$ go run ./cmd/tppsim -load probe.tpp", "...\n")
+	_, shown, _ = strings.Cut(shown, "\n") // the rest of the command line
+	if !strings.Contains(shown, "hop 1:") {
+		t.Fatalf("README shows no hop lines:\n%s", shown)
+	}
+
+	var b strings.Builder
+	if err := run("line", 3, true, src, &b, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(b.String(), shown) {
+		t.Errorf("tppsim prints:\n%s\nREADME shows:\n%s", b.String(), shown)
 	}
 }

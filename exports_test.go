@@ -20,17 +20,17 @@ import (
 // internal/ to what the module reads (DESIGN §14).  Every exported
 // top-level func, type, var, const and method declared in a non-test
 // file under internal/ needs a reader in a non-test file of internal/,
-// cmd/, bench/, examples/ or tools/, unless it is a method some
-// interface declares (in the module, or String and Error) or its doc
-// comment carries an //api: line giving one of the reasons checkAPI
-// accepts.  An //api: line on a name that has a reader is stale and
-// fails too, so the list only shrinks.
+// cmd/, bench/ or tools/, unless it is a method some interface declares
+// (in the module, or String and Error) or its doc comment carries an
+// //api: line giving one of the reasons checkAPI accepts.  An //api:
+// line on a name that has a reader is stale and fails too, so the list
+// only shrinks.
 //
 // A reader is a use the type checker resolves to the declaration
 // (go/types, the standard library imported from source), so a method
 // is matched by its receiver type, not by its name.
 func TestExportedNamesHaveReaders(t *testing.T) {
-	m := scanModule(t, "internal", "cmd", "bench", "examples", "tools")
+	m := scanModule(t, "internal", "cmd", "bench", "tools")
 	var bad []string
 	for _, d := range m.decls {
 		read := m.hasReader(d)

@@ -86,16 +86,6 @@ func Assemble(src string) (*Program, error) {
 	return a.finish()
 }
 
-// MustAssemble is Assemble for programs embedded in source code; it
-// panics on error.
-func MustAssemble(src string) *Program {
-	p, err := Assemble(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type pendingIns struct {
 	op   core.Opcode
 	a    mem.Addr

@@ -183,21 +183,26 @@ func TestAssembleCommentsAndBlankLines(t *testing.T) {
 	}
 }
 
+// TestMustAssemblePanics: Assemble reports an unknown mnemonic as an
+// error, never a panic, and accepts a good program.
 func TestMustAssemblePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustAssemble("BOGUS")
+	if p, err := Assemble("BOGUS"); err == nil {
+		t.Fatalf("BOGUS assembled: %+v", p.TPP.Ins)
+	}
+	if _, err := Assemble(".mem 1\nPUSH [Switch:SwitchID]"); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDisassembleReadable(t *testing.T) {
-	p := MustAssemble(`
+	p, err := Assemble(`
 		.mem 4
 		PUSH [Switch:SwitchID]
 		PUSH [Queue:QueueSize]
 	`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	text := Disassemble(p.TPP)
 	for _, want := range []string{".mode stack", ".mem 4",
 		"PUSH [Switch:SwitchID]", "PUSH [Queue:QueueSize]"} {

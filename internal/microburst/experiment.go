@@ -55,10 +55,6 @@ type Result struct {
 	PollerPolls      int
 	PollerPeak       uint32
 	MeanEpisodeUs    float64 // mean detected burst duration, microseconds
-
-	// QueueDepth is the telemetry-observed queue-occupancy distribution
-	// (the detector's histogram) — percentiles, not just the peak.
-	QueueDepth *obs.Histogram
 }
 
 // DetectionRateTPP returns the fraction of generated bursts the TPP
@@ -91,11 +87,9 @@ func Run(cfg Config) Result {
 	rcvPort := n.AttachmentOf(receiver).Port
 
 	detector := NewDetector(threshold, 10*netsim.Millisecond)
-	if cfg.Metrics != nil {
-		// Register the distribution so it appears in metric snapshots
-		// alongside the switch's own queue histograms.
-		detector.Depth = cfg.Metrics.Histogram("microburst/queue_depth_bytes")
-	}
+	// The distribution appears in metric snapshots alongside the
+	// switch's own queue histograms; without metrics it is nil.
+	detector.Depth = cfg.Metrics.Histogram("microburst/queue_depth_bytes")
 	receiver.HandleDefault(func(pkt *core.Packet) {
 		if pkt.TPP == nil {
 			return
@@ -153,7 +147,6 @@ func Run(cfg Config) Result {
 		PollerPolls:      poller.Polls,
 		PollerPeak:       poller.Peak,
 		MeanEpisodeUs:    meanUs,
-		QueueDepth:       detector.Depth,
 	}
 }
 

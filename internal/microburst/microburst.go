@@ -82,9 +82,9 @@ type Detector struct {
 	Observed int
 	Peak     uint32
 
-	// Depth is the full queue-depth distribution (log2 buckets), a far
-	// richer picture than the single Peak value: percentiles and the
-	// shape of the occupancy distribution come from here.
+	// Depth, when set, receives every sample: the full queue-depth
+	// distribution (log2 buckets), a far richer picture than the
+	// single Peak value.  Nil records nothing.
 	Depth *obs.Histogram
 }
 
@@ -92,7 +92,7 @@ type Detector struct {
 // thresholdBytes, closing episodes after maxGap without a qualifying
 // sample.
 func NewDetector(thresholdBytes uint32, maxGap netsim.Time) *Detector {
-	return &Detector{threshold: thresholdBytes, maxGap: maxGap, Depth: obs.NewHistogram()}
+	return &Detector{threshold: thresholdBytes, maxGap: maxGap}
 }
 
 // Observe feeds one telemetry sample.
